@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, List, Optional, Protocol, Sequence
+from typing import Callable, Deque, List, Optional, Protocol, Tuple
 
 import numpy as np
 
@@ -200,6 +200,11 @@ class GroupExecutor:
         self._factory = factory
         self._outbox: Deque = deque()
         self.client_partition = BlockPartition(config.ncells, config.client_ranks)
+        # cell range [lo, hi) of every client rank x server rank intersection,
+        # re-derived only when the router shows a different partition object
+        # (a socket router drops and re-learns it after a rank respawn)
+        self._plan: List[Tuple[int, int]] = []
+        self._plan_partition: Optional[BlockPartition] = None
         self.timesteps_sent = 0
         self.messages_emitted = 0
 
@@ -215,11 +220,12 @@ class GroupExecutor:
             self._factory(self.group.member_parameters[m], base_id + m)
             for m in range(self.group.size)
         ]
-        ncells = self.members[0].ncells
-        if ncells != self.config.ncells:
-            raise ValueError(
-                f"member produces {ncells} cells, study configured {self.config.ncells}"
-            )
+        for m, sim in enumerate(self.members):
+            if sim.ncells != self.config.ncells:
+                raise ValueError(
+                    f"member {m} produces {sim.ncells} cells, "
+                    f"study configured {self.config.ncells}"
+                )
         self.router.connect(
             ConnectionRequest(
                 group_id=self.group.group_id,
@@ -259,19 +265,29 @@ class GroupExecutor:
             raise GroupCrashed(
                 f"group {self.group.group_id} crashed at timestep {timestep}"
             )
-        fields = np.empty((self.group.size, self.config.ncells))
+        # one copy on the group side: every member's output lands directly
+        # in the payload slab of each plan entry.  Slabs are never reused —
+        # a delivered payload belongs to the receiver (transport.message).
+        # A zombie computes but fills and sends nothing: its plan is empty
+        plan = [] if self.zombie else self._redistribution_plan()
+        slabs = [np.empty((self.group.size, hi - lo)) for lo, hi in plan]
+        shape = (self.config.ncells,)
         step_ids = set()
         for m, sim in enumerate(self.members):
             step, field_values = sim.advance()
             step_ids.add(step)
-            fields[m] = field_values
+            if np.shape(field_values) != shape:
+                raise ValueError(
+                    f"member {m} of group {self.group.group_id} returned a field "
+                    f"of shape {np.shape(field_values)}, expected {shape}"
+                )
+            for slab, (lo, hi) in zip(slabs, plan):
+                slab[m] = field_values[lo:hi]
         if len(step_ids) != 1:
             raise RuntimeError("group members desynchronized")
-        step = step_ids.pop()
         self._advanced_steps += 1
-        if not self.zombie:
-            self._emit(step, fields)
-            self._flush()
+        self._emit(step_ids.pop(), plan, slabs)
+        self._flush()
         self.timesteps_sent += 1
         if self._outbox:
             self.state = GroupState.BLOCKED
@@ -304,37 +320,31 @@ class GroupExecutor:
     # ------------------------------------------------------------------ #
     # two-stage transfer (Sec. 4.1.2)
     # ------------------------------------------------------------------ #
-    def _emit(self, timestep: int, fields: np.ndarray) -> None:
-        """Stage 1: per client rank, gather every member's slice.
-        Stage 2: split along the server partition and enqueue."""
-        plan = redistribution_plan(self.client_partition, self.router.server_partition)
-        if self.config.two_stage_transfer:
-            for entries in plan:
-                for server_rank, lo, hi in entries:
-                    self._outbox.append(
-                        GroupFieldMessage(
-                            group_id=self.group.group_id,
-                            timestep=timestep,
-                            cell_lo=lo,
-                            cell_hi=hi,
-                            data=fields[:, lo:hi],
-                        )
-                    )
-        else:
-            # ablation: every member pushes its own slices (p+2 x messages)
-            for entries in plan:
-                for server_rank, lo, hi in entries:
-                    for member in range(self.group.size):
-                        self._outbox.append(
-                            FieldMessage(
-                                group_id=self.group.group_id,
-                                member=member,
-                                timestep=timestep,
-                                cell_lo=lo,
-                                cell_hi=hi,
-                                data=fields[member, lo:hi],
-                            )
-                        )
+    def _redistribution_plan(self) -> List[Tuple[int, int]]:
+        partition = self.router.server_partition
+        if partition is not self._plan_partition:
+            self._plan = [
+                (lo, hi)
+                for entries in redistribution_plan(self.client_partition, partition)
+                for _, lo, hi in entries
+            ]
+            self._plan_partition = partition
+        return self._plan
+
+    def _emit(self, timestep: int, plan, slabs: List[np.ndarray]) -> None:
+        """Enqueue one message per plan entry: stage 1 (every member's
+        slice gathered per client rank) and stage 2 (the split along the
+        server partition) already happened when the slabs were filled."""
+        group_id = self.group.group_id
+        for (lo, hi), slab in zip(plan, slabs):
+            if self.config.two_stage_transfer:
+                self._outbox.append(GroupFieldMessage(group_id, timestep, lo, hi, slab))
+            else:
+                # ablation: every member pushes its own slices (p+2 x messages)
+                self._outbox.extend(
+                    FieldMessage(group_id, member, timestep, lo, hi, row)
+                    for member, row in enumerate(slab)
+                )
 
     def _flush(self) -> None:
         """Deliver as much of the outbox as buffer space allows."""

@@ -9,10 +9,12 @@ Message handling pipeline per rank:
 
 1. **discard-on-replay** — a message whose timestep is <= the last
    timestep already *integrated* for its group is dropped (Sec. 4.2.1);
-2. **staging** — member slices accumulate in a per-(group, timestep)
-   buffer until every member has covered every local cell (a group's
-   members run synchronously, but slices may arrive from several client
-   ranks and interleave with other groups);
+2. **staging** — a message that already carries every member over the
+   rank's whole cell range skips this step and is folded by reference
+   (zero copies on the server side); otherwise member slices accumulate
+   in a per-(group, timestep) buffer until every member has covered
+   every local cell (a group's members run synchronously, but slices may
+   arrive from several client ranks and interleave with other groups);
 3. **integration** — the complete (p+2)-member local fields update the
    iterative Sobol' estimators (and optionally the general statistics on
    the A and B members), then the buffer is discarded.  This is the
@@ -26,8 +28,7 @@ Message handling pipeline per rank:
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
@@ -40,23 +41,28 @@ from repro.stats.protocol import StatContext
 from repro.transport.message import FieldMessage, GroupFieldMessage, split_by_partition
 
 
-@dataclass
 class _Staging:
-    """Partial (group, timestep) data for one rank's cell range."""
+    """Partial (group, timestep) data for one rank's cell range.
 
-    data: np.ndarray  # (nmembers, ncells_local)
-    received: np.ndarray  # bool, same shape
+    Slices may overlap or arrive twice, so coverage is an exact per-cell
+    mask; a message pays for the cells it brings, not for the matrix.
+    """
 
-    @classmethod
-    def empty(cls, nmembers: int, ncells: int) -> "_Staging":
-        return cls(
-            data=np.zeros((nmembers, ncells)),
-            received=np.zeros((nmembers, ncells), dtype=bool),
-        )
+    __slots__ = ("data", "received", "missing")
 
-    @property
-    def complete(self) -> bool:
-        return bool(self.received.all())
+    def __init__(self, nmembers: int, ncells: int):
+        self.data = np.empty((nmembers, ncells))
+        self.received = np.zeros((nmembers, ncells), dtype=bool)
+        self.missing = nmembers * ncells
+
+    def put(self, member: int, lo: int, rows: np.ndarray) -> bool:
+        """Store ``rows`` at ``(member, lo)``; True once nothing is missing."""
+        window = np.s_[member : member + rows.shape[0], lo : lo + rows.shape[1]]
+        self.data[window] = rows
+        seen = self.received[window]
+        self.missing -= seen.size - np.count_nonzero(seen)
+        seen[...] = True
+        return self.missing == 0
 
 
 class ServerRank:
@@ -154,12 +160,12 @@ class ServerRank:
         if isinstance(msg, GroupFieldMessage):
             return self._handle_slices(
                 msg.group_id, msg.timestep, msg.cell_lo, msg.cell_hi,
-                range(msg.nmembers), msg.data, now,
+                0, msg.data, now,
             )
         if isinstance(msg, FieldMessage):
             return self._handle_slices(
                 msg.group_id, msg.timestep, msg.cell_lo, msg.cell_hi,
-                [msg.member], msg.data[np.newaxis, :], now,
+                msg.member, msg.data[np.newaxis, :], now,
             )
         raise TypeError(f"server cannot handle message type {type(msg)!r}")
 
@@ -169,10 +175,11 @@ class ServerRank:
         timestep: int,
         cell_lo: int,
         cell_hi: int,
-        members: Sequence[int],
+        member: int,
         data: np.ndarray,
         now: float,
     ) -> bool:
+        """Rows of ``data`` are members ``member, member + 1, ...``."""
         if not (self.cell_lo <= cell_lo < cell_hi <= self.cell_hi):
             raise ValueError(
                 f"rank {self.rank} received cells [{cell_lo}, {cell_hi}) "
@@ -190,44 +197,59 @@ class ServerRank:
             if self._telemetry.enabled:
                 self._m_discarded.inc()
             return False
+        if member < 0 or member + data.shape[0] > self.nmembers:
+            raise ValueError(
+                f"members [{member}, {member + data.shape[0]}) outside the "
+                f"group's {self.nmembers}"
+            )
         key = (group_id, timestep)
         staging = self._staging.get(key)
-        if staging is None:
-            staging = _Staging.empty(self.nmembers, self.ncells_local)
-            self._staging[key] = staging
-        lo = cell_lo - self.cell_lo
-        hi = cell_hi - self.cell_lo
-        for row, member in enumerate(members):
-            if not 0 <= member < self.nmembers:
-                raise ValueError(f"invalid member index {member}")
-            staging.data[member, lo:hi] = data[row]
-            staging.received[member, lo:hi] = True
+        # what the message itself covers decides the path: the rank's whole
+        # cell range, every member in order, in the layout the fold reads,
+        # and nothing staged under its key -> fold the payload by reference
+        # (the sender relinquished it, see transport.message)
+        complete = None
+        if (
+            staging is None
+            and data.shape == (self.nmembers, self.ncells_local)
+            and data.dtype == np.float64
+            and data.flags.c_contiguous
+        ):
+            complete = data
+        else:
+            if staging is None:
+                staging = self._staging[key] = _Staging(
+                    self.nmembers, self.ncells_local
+                )
+            if staging.put(member, cell_lo - self.cell_lo, data):
+                complete = staging.data
+                del self._staging[key]
         self.messages_processed += 1
         if self._telemetry.enabled:
             self._m_messages.inc()
             self._m_bytes.inc(data.nbytes)
-        if staging.complete:
-            self._integrate(group_id, timestep, staging)
-            del self._staging[key]
+        if complete is not None:
+            self._integrate(group_id, timestep, complete)
         return True
 
-    def _integrate(self, group_id: int, timestep: int, staging: _Staging) -> None:
+    def _integrate(self, group_id: int, timestep: int, data: np.ndarray) -> None:
         """Fold a complete (group, timestep) into every statistic, then drop."""
-        # the staging buffer is already the (p+2, ncells) member stack the
-        # batched engine consumes; hand it over by reference (it is about
-        # to be discarded) instead of re-slicing it into per-member views
+        # ``data`` is the (p+2, ncells) member stack the batched engine
+        # consumes — a whole-partition payload or a completed staging
+        # buffer; either way nobody else will write to it, so it is handed
+        # over by reference
         if self._telemetry.enabled:
             t0 = _time.perf_counter()
-            self.sobol.update_group_buffer(timestep, staging.data)
+            self.sobol.update_group_buffer(timestep, data)
             self._m_fold.observe(_time.perf_counter() - t0)
             if self.stats:
                 self.stats.update_timed(
-                    timestep, staging.data, self._m_stat_folds
+                    timestep, data, self._m_stat_folds
                 )
         else:
-            self.sobol.update_group_buffer(timestep, staging.data)
+            self.sobol.update_group_buffer(timestep, data)
             if self.stats:
-                self.stats.update(timestep, staging.data)
+                self.stats.update(timestep, data)
         prev = self.last_integrated.get(group_id, -1)
         if timestep > prev:
             self.last_integrated[group_id] = timestep

@@ -12,6 +12,7 @@ redistribution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Tuple
 
 import numpy as np
@@ -38,13 +39,19 @@ class BlockPartition:
             raise ValueError("cannot have more ranks than cells")
 
     # ------------------------------------------------------------------ #
-    @property
+    @cached_property
     def offsets(self) -> np.ndarray:
-        """(nranks + 1,) fencepost array of range starts."""
+        """(nranks + 1,) fencepost array of range starts.
+
+        Built once per instance (every routed message looks it up, often
+        several times) and returned read-only, since all callers share it.
+        """
         base, extra = divmod(self.ncells, self.nranks)
         sizes = np.full(self.nranks, base, dtype=np.int64)
         sizes[:extra] += 1
-        return np.concatenate([[0], np.cumsum(sizes)])
+        offsets = np.concatenate([[0], np.cumsum(sizes)])
+        offsets.setflags(write=False)
+        return offsets
 
     def range_of(self, rank: int) -> Tuple[int, int]:
         """Half-open cell range owned by ``rank``."""
@@ -106,21 +113,7 @@ class BlockPartition:
         """
         if other.ncells != self.ncells:
             raise ValueError("partitions cover different cell counts")
-        plan: List[List[Tuple[int, int, int]]] = []
-        dst_off = other.offsets
-        for src in range(self.nranks):
-            lo, hi = self.range_of(src)
-            entries: List[Tuple[int, int, int]] = []
-            first = int(np.searchsorted(dst_off, lo, side="right") - 1)
-            d = first
-            while d < other.nranks and int(dst_off[d]) < hi:
-                seg_lo = max(lo, int(dst_off[d]))
-                seg_hi = min(hi, int(dst_off[d + 1]))
-                if seg_hi > seg_lo:
-                    entries.append((d, seg_lo, seg_hi))
-                d += 1
-            plan.append(entries)
-        return plan
+        return [other.spans(*self.range_of(src)) for src in range(self.nranks)]
 
 
 def partition_cells(ncells: int, nranks: int) -> BlockPartition:

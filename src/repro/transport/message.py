@@ -4,6 +4,13 @@ Every message knows how to serialize itself to bytes and back.  The data
 plane passes NumPy payloads by reference for speed, but ``to_bytes`` is
 exercised by tests and by the channel byte-accounting so the sizes that
 drive back-pressure are the real wire sizes.
+
+**Payload ownership.**  Delivering a message relinquishes its ``data``:
+after ``deliver`` the sender neither writes to the array nor reuses it
+for a later message, because channels, queue feeder threads and the
+server hold it by reference — a server rank folds a payload that covers
+its whole partition without copying it.  A sender that must keep
+writing to a buffer sends a copy.
 """
 
 from __future__ import annotations

@@ -144,6 +144,10 @@ class Router:
     def deliver(self, msg: FieldMessage, blocking: bool = False) -> bool:
         """Enqueue one pre-built message to its owning server rank(s).
 
+        The payload changes hands here (ownership rule in
+        :mod:`repro.transport.message`); a message inside one rank is
+        enqueued as is, with no array work.
+
         A message whose ``[cell_lo, cell_hi)`` straddles a server-partition
         boundary is split along the partition fenceposts and each chunk is
         delivered to its owning rank (previously such messages were routed

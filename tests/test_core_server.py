@@ -284,3 +284,107 @@ class TestCheckpointState:
         state = server.ranks[0].checkpoint_state()
         with pytest.raises(ValueError):
             server.ranks[1].restore_state(state)
+
+
+def sobol_state(rank):
+    """The co-moment state of one rank, pending buffers folded in."""
+    rank.sobol.flush()
+    return rank.sobol._counts, rank.sobol._mean, rank.sobol._m2, rank.sobol._cxy
+
+
+class TestWholePartitionFastPath:
+    """A message covering the rank's whole range with every member is
+    folded by reference; anything else is staged exactly as before."""
+
+    def test_payload_is_folded_by_reference(self):
+        rank = MelissaServer(make_config()).ranks[0]  # owns cells [0, 5)
+        msg = group_message(0, 1, 0, 5)
+        assert rank.handle(msg, now=1.0)
+        assert rank.sobol._staged[1][-1] is msg.data
+        assert rank.staged_entries == 0
+        assert rank.messages_processed == 1
+
+    def test_partial_message_is_copied(self):
+        rank = MelissaServer(make_config()).ranks[0]
+        first, second = group_message(0, 0, 0, 3), group_message(0, 0, 3, 5)
+        rank.handle(first, 1.0)
+        rank.handle(second, 1.0)
+        folded = rank.sobol._staged[0][-1]
+        assert not np.shares_memory(folded, first.data)
+        assert not np.shares_memory(folded, second.data)
+        np.testing.assert_array_equal(folded, np.hstack([first.data, second.data]))
+
+    def test_whole_and_cut_messages_are_bit_identical(self):
+        rng = np.random.default_rng(7)
+        fields = rng.normal(size=(40, 3, 4, 5))  # group, step, member, cell
+        whole = MelissaServer(make_config(server_ranks=1, ncells=5)).ranks[0]
+        cut = MelissaServer(make_config(server_ranks=1, ncells=5)).ranks[0]
+        for g in range(40):
+            for t in range(3):
+                whole.handle(GroupFieldMessage(g, t, 0, 5, fields[g, t]), 1.0)
+                cut.handle(GroupFieldMessage(g, t, 0, 2, fields[g, t][:, :2]), 1.0)
+                assert cut.staged_entries == 1
+                cut.handle(GroupFieldMessage(g, t, 2, 5, fields[g, t][:, 2:]), 1.0)
+        assert whole.staged_entries == cut.staged_entries == 0
+        for got, ref in zip(sobol_state(cut), sobol_state(whole)):
+            np.testing.assert_array_equal(got, ref)
+        for got, ref in zip(cut.stats.instances_at(2), whole.stats.instances_at(2)):
+            np.testing.assert_array_equal(got.mean, ref.mean)
+
+    def test_whole_message_joins_a_staged_partial(self):
+        """A partial entry under the same key means slices are in flight:
+        the whole message must complete that entry, not bypass it."""
+        rank = MelissaServer(make_config()).ranks[0]
+        rank.handle(group_message(0, 0, 0, 3, value=9.0), 1.0)
+        msg = group_message(0, 0, 0, 5)
+        assert rank.handle(msg, 2.0)
+        assert rank.staged_entries == 0
+        folded = rank.sobol._staged[0][-1]
+        assert folded is not msg.data
+        np.testing.assert_array_equal(folded, msg.data)
+        assert rank.sobol.estimators[0].ngroups == 1  # reading folds
+
+    def test_repeated_and_overlapping_slices_count_each_cell_once(self):
+        rank = MelissaServer(make_config()).ranks[0]
+        rank.handle(group_message(0, 0, 0, 3), 1.0)
+        rank.handle(group_message(0, 0, 0, 3), 1.0)  # duplicate chunk
+        rank.handle(group_message(0, 0, 1, 4), 1.0)  # overlaps both sides
+        assert rank.staged_entries == 1  # cell 4 still missing
+        assert rank.sobol.estimators[0].ngroups == 0
+        rank.handle(group_message(0, 0, 4, 5), 1.0)
+        assert rank.staged_entries == 0
+        assert rank.sobol.estimators[0].ngroups == 1
+
+    def test_members_beyond_the_group_rejected_before_staging(self):
+        rank = MelissaServer(make_config()).ranks[0]
+        with pytest.raises(ValueError, match="members"):
+            rank.handle(group_message(0, 0, 0, 5, nmembers=5), 1.0)
+        assert rank.staged_entries == 0
+
+    def test_forget_then_replay_is_exact(self):
+        rng = np.random.default_rng(3)
+        fields = rng.normal(size=(6, 3, 4, 5))
+        clean = MelissaServer(make_config()).ranks[0]
+        faulted = MelissaServer(make_config()).ranks[0]
+        for g in range(6):
+            for t in range(3):
+                clean.handle(GroupFieldMessage(g, t, 0, 5, fields[g, t]), 1.0)
+        for g in range(6):
+            for t in range(3):
+                if g == 2 and t == 1:
+                    # group 2 dies with half of timestep 1 delivered ...
+                    faulted.handle(
+                        GroupFieldMessage(g, t, 0, 2, fields[g, t][:, :2]), 1.0
+                    )
+                    break
+                faulted.handle(GroupFieldMessage(g, t, 0, 5, fields[g, t]), 1.0)
+        # ... is forgotten, and its restart replays from timestep 0
+        faulted.forget_group(2)
+        assert faulted.staged_entries == 0
+        outcomes = [
+            faulted.handle(GroupFieldMessage(2, t, 0, 5, fields[2, t]), 2.0)
+            for t in range(3)
+        ]
+        assert outcomes == [False, True, True]
+        for got, ref in zip(sobol_state(faulted), sobol_state(clean)):
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-14)

@@ -146,6 +146,16 @@ class TestBlockPartition:
         p = partition_cells(100, 7)
         assert p.offsets[-1] == 100
 
+    def test_offsets_built_once_and_read_only(self):
+        """Every routed message reads the fenceposts; they are computed
+        once per (frozen) instance and shared, hence not writable."""
+        p = BlockPartition(10, 3)
+        assert p.offsets is p.offsets
+        np.testing.assert_array_equal(p.offsets, [0, 4, 7, 10])
+        with pytest.raises(ValueError):
+            p.offsets[1] = 5
+        assert p == BlockPartition(10, 3) and hash(p) == hash(BlockPartition(10, 3))
+
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=1, max_value=500), st.integers(min_value=1, max_value=20))

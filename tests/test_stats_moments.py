@@ -215,3 +215,98 @@ def test_property_merge_any_split(xs, split):
 def test_property_variance_nonnegative(values):
     m = feed(np.asarray(values), order=2)
     assert m.variance >= -1e-12
+
+
+# ---------------------------------------------------------------------- #
+# order-2 update: scratch form vs the expression form it replaced
+# ---------------------------------------------------------------------- #
+def expression_update(state, x):
+    """The order-2 update as it was written before it used shared scratch
+    (four temporaries per call); the bit-exact reference."""
+    n1 = state["count"]
+    state["count"] = n = n1 + 1
+    delta = x - state["mean"]
+    delta_n = delta / n
+    term1 = delta * delta_n * n1
+    state["m2"] = state["m2"] + term1
+    state["mean"] = state["mean"] + delta_n
+
+
+finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, width=64)
+
+
+@given(
+    shape=st.sampled_from([(), (5,), (2, 3)]),
+    data=st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_property_order2_update_is_bit_identical(shape, data):
+    # two instances of one shape take turns, so each update finds the
+    # shared scratch as the other instance left it
+    streams = [
+        data.draw(st.lists(arrays(np.float64, shape, elements=finite),
+                           min_size=1, max_size=12))
+        for _ in range(2)
+    ]
+    moments = [IterativeMoments(shape, order=2) for _ in streams]
+    refs = [
+        {"count": 0, "mean": np.zeros(shape), "m2": np.zeros(shape)}
+        for _ in streams
+    ]
+    for i in range(max(map(len, streams))):
+        for m, ref, stream in zip(moments, refs, streams):
+            if i < len(stream):
+                m.update(stream[i])
+                expression_update(ref, stream[i])
+    for m, ref in zip(moments, refs):
+        assert m.count == ref["count"]
+        np.testing.assert_array_equal(m.mean, ref["mean"])
+        np.testing.assert_array_equal(m.m2, ref["m2"])
+    # merge and the checkpoint round-trip see the same state as before
+    restored = IterativeMoments.from_state_dict(moments[0].state_dict())
+    np.testing.assert_array_equal(restored.m2, moments[0].m2)
+    merged, ref_merged = moments[0].copy(), feed(streams[0], order=2, shape=shape)
+    merged.merge(moments[1])
+    ref_merged.merge(feed(streams[1], order=2, shape=shape))
+    np.testing.assert_array_equal(merged.mean, ref_merged.mean)
+    np.testing.assert_array_equal(merged.m2, ref_merged.m2)
+
+
+def test_order2_update_keeps_the_sample_and_slots():
+    m = IterativeMoments((4,), order=2)
+    sample = np.arange(4.0)
+    m.update(sample)
+    np.testing.assert_array_equal(sample, np.arange(4.0))  # input untouched
+    assert not hasattr(m, "__dict__")
+    with pytest.raises(ValueError):
+        m.update(np.zeros(3))
+
+
+def test_order2_scratch_is_per_thread():
+    """Catalog rows fold on a thread pool: two threads updating fields of
+    one shape must not share work arrays."""
+    import sys
+    import threading
+
+    shape, rounds = (2048,), 300
+    samples = RNG.normal(size=(rounds,) + shape)
+    expected = feed(samples, order=2, shape=shape)
+    results = [None, None]
+
+    def work(slot):
+        results[slot] = feed(samples, order=2, shape=shape)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for got in results:
+        np.testing.assert_array_equal(got.m2, expected.m2)
+        np.testing.assert_array_equal(got.mean, expected.mean)
