@@ -4,19 +4,41 @@ ZeroMQ buffers on both sides of a connection and only blocks the sending
 application when *both* buffers are full (Sec. 4.1.3).  Over a real
 socket we reproduce that with credit-based flow control:
 
-* the **sender** (:class:`SocketChannel`) owns a byte-bounded outbox — a
-  plain :class:`~repro.transport.channel.BoundedChannel`, so all the
-  :class:`~repro.transport.channel.ChannelStats` suspension accounting
-  (``send_blocks``, ``blocked_seconds``, high-water marks) carries over
-  unchanged — drained by a writer thread;
+* the **sender** (:class:`SocketChannel`) owns a byte-bounded backlog
+  with the :class:`~repro.transport.channel.ChannelStats` suspension
+  accounting of every other channel (``send_blocks``,
+  ``blocked_seconds``, high-water marks);
 * the **receiver** (:class:`DataListener`) grants an initial credit
-  window equal to its receive high-water mark and grants ``nbytes`` more
-  every time a frame is moved into the rank's inbox;
-* the writer thread only puts a frame on the wire while the *unacked*
-  byte count fits the window.  When the receive side stops draining, the
-  window exhausts, the writer stalls, the outbox fills, and
-  ``try_send`` starts returning False — the group suspends, exactly the
-  Fig. 6a/b mechanism, now spanning hosts.
+  window equal to its receive high-water mark and grants the bytes of
+  every frame it moved into the rank's inbox — one grant per batch of
+  frames it read in one go, never for a frame that is not in the inbox;
+* a frame only goes on the wire while the *unacked* byte count fits the
+  window.  When the receive side stops draining, the window exhausts,
+  the backlog fills, and ``try_send`` starts returning False — the group
+  suspends, exactly the Fig. 6a/b mechanism, now spanning hosts.
+
+The sender writes from the sending thread: a channel that keeps up
+costs its worker no second thread and no wake-up.  I/O threads on this
+path share the worker's interpreter lock with the simulation — one
+cross-thread wake-up per frame and per grant — and how the kernel places
+them on the cores then decides the run (measured on the 2-vCPU box with
+a writer and a credit-reader thread per channel: 445 groups/s with the
+worker pinned to the rank's core, 550 unpinned, 850 with the worker's
+threads pinned together on a core of their own).  Only what the window
+or the kernel buffer will not take yet is left to a background pusher
+thread (started on first need, parked while the backlog is empty), so an
+accepted frame still reaches the rank without another call into the
+channel.
+
+Both channel kinds keep a monotone *sent* / *acknowledged* cursor pair
+(``sent()``, ``acked()``, ``wait_acked(cursor)``): here bytes accepted
+into the channel and bytes credited back, on the ring its tail and head.
+A frame behind the acknowledged cursor is at least in the receiving
+rank's inbox — the guarantee a worker's asynchronous ``done`` report is
+built on (it records ``sent()`` at a group's last frame and reports the
+group once ``acked()`` has passed the mark, while already running the
+next one).  ``wait_accept(nbytes)`` is what a suspended group waits on:
+the receiver's progress, not a timer.
 
 Same-host channels can skip the wire entirely: :func:`open_data_channel`
 negotiates the fabric per channel at connect time.  The receiver offers
@@ -39,11 +61,13 @@ spawn/retire cycles).
 
 from __future__ import annotations
 
+import select
 import selectors
 import socket
 import threading
 import time
-from typing import Any, Callable, Dict, Optional, Tuple
+from collections import deque
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.net.framing import (
     ConnectionLost,
@@ -51,9 +75,12 @@ from repro.net.framing import (
     Doorbell,
     FrameReader,
     ProtocolError,
+    encode_frame,
     frame_nbytes,
     recv_frame,
     send_frame,
+    take_credits,
+    write_parts,
 )
 from repro.net.shm import ShmChannel, ShmRing, read_ring_frame, ring_bytes_for
 from repro.transport.channel import BoundedChannel, ChannelClosed, ChannelStats
@@ -67,6 +94,15 @@ class TransportNegotiationError(RuntimeError):
 
 class SocketChannel:
     """Client end of one (worker, server-rank) data connection.
+
+    The sending thread writes a frame to the (non-blocking) socket inside
+    ``try_send``/``send`` itself, and reads the rank's credit grants when
+    it needs them — a full window, ``acked()``, a blocking wait (which
+    sleeps in ``poll()`` on the socket, so the grant itself wakes it).
+    Only a frame that the window or the kernel buffer will not take yet
+    is left to the background *pusher* thread, which sleeps on the socket
+    until it can move the backlog and parks again when it is empty: a
+    channel that keeps up never wakes a second thread.
 
     Parameters
     ----------
@@ -87,6 +123,11 @@ class SocketChannel:
         socket.
     """
 
+    #: frames written between two looks at the socket's read side when
+    #: the window never forces one (an unbounded receiver): keeps the
+    #: rank's grants from piling up in the kernel buffer
+    _READ_EVERY = 32
+
     def __init__(
         self,
         address: Optional[Tuple[str, int]] = None,
@@ -103,168 +144,304 @@ class SocketChannel:
             sock = socket.create_connection(address, timeout=connect_timeout)
         else:
             self.name = name or "tcp://<negotiated>"
-        sock.settimeout(None)
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         except OSError:
             pass
+        if initial_window is _UNSET:
+            sock.settimeout(connect_timeout)
+            try:
+                first = recv_frame(sock)
+            except (OSError, ConnectionLost) as exc:
+                sock.close()
+                raise TimeoutError(
+                    f"{self.name}: no initial credit from receiver"
+                ) from exc
+            if not isinstance(first, Credit):
+                sock.close()
+                raise ProtocolError(
+                    f"expected the initial credit frame, got {first!r}"
+                )
+            initial_window = None if first.nbytes < 0 else int(first.nbytes)
+        sock.setblocking(False)
         self._sock = sock
-        self._outbox = BoundedChannel(
-            capacity_bytes=send_hwm_bytes, sizer=frame_nbytes, name=self.name
-        )
-        self._window_lock = threading.Lock()
-        self._window_changed = threading.Condition(self._window_lock)
-        self._window_limit: Optional[int] = None  # peer's advertised window
-        self._window_ready = threading.Event()
-        self._unacked = 0  # bytes written but not yet credited back
-        # end-to-end accounting for flush(): messages accepted into the
-        # channel but not yet credited by the receiver.  Incremented by
-        # the SENDING thread right after a successful try_send/send, so
-        # flush (called from that same thread) can never observe the
-        # window where the writer has popped a frame from the outbox but
-        # not yet recorded it in _unacked.
-        self._uncredited = 0
+        self._hwm = send_hwm_bytes
+        self.stats = ChannelStats()
+        self._lock = threading.Lock()  # guards the state below; never held asleep
+        # frames accepted but not started on the wire, oldest first: the
+        # sender half of the dual high-water mark
+        self._backlog: Deque[Tuple[Any, int]] = deque()
+        self._backlog_bytes = 0
+        # the frame at the head of the line: its unsent buffers, its size,
+        # and whether the window admitted it (counted into _unacked)
+        self._parts: List[Any] = []
+        self._parts_bytes = 0
+        self._admitted = False
+        self._wire_full = False  # the kernel buffer, not the window, stopped us
+        self._window_limit: Optional[int] = initial_window  # peer's window
+        self._unacked = 0  # bytes admitted to the wire, not yet credited back
+        # delivery cursors, in bytes: accepted into the channel, and
+        # credited back by the receiver (each frame then in its inbox)
+        self._accepted = 0
+        self._credited = 0
+        self._credit_buf = bytearray()
+        self._unread = 0  # frames written since the last look for credits
         self._error: Optional[BaseException] = None
-        if initial_window is not _UNSET:
-            self._window_limit = initial_window
-            self._window_ready.set()
-        self._reader = threading.Thread(
-            target=self._read_credits, name=f"{self.name}-reader", daemon=True
-        )
-        self._writer = threading.Thread(
-            target=self._write_frames, name=f"{self.name}-writer", daemon=True
-        )
-        self._reader.start()
-        self._writer.start()
-        if not self._window_ready.wait(timeout=connect_timeout):
-            self.close()
-            raise TimeoutError(f"{self.name}: no initial credit from receiver")
+        self._closed = False
+        # set while frames are left behind for the pusher (started on
+        # first need)
+        self._stuck = threading.Event()
+        self._pusher: Optional[threading.Thread] = None
 
     # ------------------------------------------------------------------ #
-    # Channel send surface (stats live on the outbox)
+    # Channel send surface
     # ------------------------------------------------------------------ #
-    @property
-    def stats(self) -> ChannelStats:
-        return self._outbox.stats
-
     @property
     def broken(self) -> bool:
         """The peer vanished (reset, closed listener, killed rank)."""
+        self._look()
         return self._error is not None
+
+    def _fits(self, nbytes: int) -> bool:
+        # BoundedChannel's rule: an oversized frame is admitted into an
+        # empty backlog so it can ever be delivered
+        return (
+            self._hwm is None
+            or not self._backlog
+            or self._backlog_bytes + nbytes <= self._hwm
+        )
 
     def can_accept(self, nbytes: int) -> bool:
         # a dead channel must raise, not report "would block": the
         # multi-chunk delivery probe calls this first, and a False here
         # would suspend the group forever instead of surfacing the rank
         # death to the reconnect path
-        self._raise_pending()
-        return self._outbox.can_accept(nbytes)
+        with self._lock:
+            self._drive()
+            return self._fits(int(nbytes))
 
     def try_send(self, msg: Any) -> bool:
-        self._raise_pending()
-        if not self._outbox.try_send(msg):
-            return False
-        with self._window_changed:
-            self._uncredited += 1
+        nbytes = frame_nbytes(msg)
+        with self._lock:
+            if self._backlog:
+                self._drive()
+            else:
+                self._raise_pending()
+            if not self._fits(nbytes):
+                self.stats.send_blocks += 1
+                return False
+            self._enqueue(msg, nbytes)
         return True
 
     def send(self, msg: Any, timeout: Optional[float] = None) -> None:
-        self._raise_pending()
-        self._outbox.send(msg, timeout=timeout)
-        with self._window_changed:
-            self._uncredited += 1
+        nbytes = frame_nbytes(msg)
+        with self._lock:
+            self._drive()
+            if self._fits(nbytes):
+                self._enqueue(msg, nbytes)
+                return
+            self.stats.send_blocks += 1
+        # suspended: wait for the receiver's progress without the lock
+        start = time.monotonic()
+        deadline = None if timeout is None else start + timeout
+        try:
+            while True:
+                remaining = None if deadline is None else deadline - time.monotonic()
+                if not self.wait_accept(nbytes, remaining):
+                    raise TimeoutError(f"send on {self.name} timed out")
+                with self._lock:
+                    if self._fits(nbytes):  # re-check: another sender may have won
+                        self._enqueue(msg, nbytes)
+                        return
+        finally:
+            self.stats.blocked_seconds += time.monotonic() - start
+
+    def _enqueue(self, msg: Any, nbytes: int) -> None:
+        self._backlog.append((msg, nbytes))
+        self._backlog_bytes += nbytes
+        self._accepted += nbytes
+        self.stats.messages_sent += 1
+        self.stats.bytes_sent += nbytes
+        if self._backlog_bytes > self.stats.high_water_bytes:
+            self.stats.high_water_bytes = self._backlog_bytes
+        self._drive()
 
     # ------------------------------------------------------------------ #
-    def flush(self, timeout: Optional[float] = None) -> None:
-        """Block until every sent byte has been credited by the peer.
+    # delivery cursors: what the asynchronous ``done`` report is built on
+    # ------------------------------------------------------------------ #
+    def sent(self) -> int:
+        """Cursor after the last frame handed to the channel."""
+        return self._accepted
 
-        After flush returns, each message is at least in the receiving
-        rank's inbox — the guarantee ``GROUP_DONE`` is built on.
-        """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._window_changed:
-            while self._uncredited:
-                self._raise_pending()
-                remaining = None if deadline is None else deadline - time.monotonic()
-                if remaining is not None and remaining <= 0:
-                    raise TimeoutError(
-                        f"{self.name}: {self._uncredited} message(s) not yet "
-                        f"credited by the receiver after {timeout}s"
-                    )
-                self._window_changed.wait(timeout=0.05 if remaining is None else min(0.05, remaining))
+    def acked(self) -> int:
+        """Cursor the receiver has passed: every frame before it is in
+        the rank's inbox."""
+        self._look()
+        return self._credited
+
+    def wait_acked(self, cursor: int, timeout: Optional[float] = None) -> bool:
+        """Block until the receiver has passed ``cursor`` (woken by the
+        grant that does it); False on timeout, :class:`ChannelClosed`
+        when the rank is gone."""
+        return self._wait(lambda: self._credited >= cursor, timeout)
+
+    def wait_accept(self, nbytes: int, timeout: Optional[float] = None) -> bool:
+        """Block until a frame of ``nbytes`` fits the backlog (woken by
+        the grant that lets the head of the line out); False on timeout."""
+        return self._wait(lambda: self._fits(nbytes), timeout)
+
+    def flush(self, timeout: Optional[float] = None) -> None:
+        """Block until every sent frame has been credited by the peer:
+        each message is then at least in the receiving rank's inbox."""
+        if not self.wait_acked(self._accepted, timeout):
+            raise TimeoutError(
+                f"{self.name}: {self._accepted - self._credited} byte(s) "
+                f"not yet credited by the receiver after {timeout}s"
+            )
 
     def close(self) -> None:
-        self._outbox.close()
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            self._stuck.set()  # lets a parked pusher see the close
         try:
-            self._sock.shutdown(socket.SHUT_RDWR)
+            self._sock.shutdown(socket.SHUT_RDWR)  # wakes every poll() on it
         except OSError:
             pass
         self._sock.close()
-        with self._window_changed:
-            self._window_changed.notify_all()
 
     # ------------------------------------------------------------------ #
     def _raise_pending(self) -> None:
         if self._error is not None:
             raise ChannelClosed(f"{self.name}: connection failed") from self._error
+        if self._closed:
+            raise ChannelClosed(f"{self.name}: channel closed")
+
+    def _look(self) -> None:
+        """Read what the rank has granted and move the backlog, quietly:
+        a dead peer is recorded, not raised."""
+        with self._lock:
+            try:
+                self._drive(read=True)
+            except ChannelClosed:
+                pass
+
+    def _sleep(self, wire_full: bool, timeout: Optional[float]) -> None:
+        """Sleep until the socket has news: readable means grants,
+        writable (asked for only when the kernel buffer stopped a frame)
+        means the wire has room again."""
+        events = select.POLLIN | (select.POLLOUT if wire_full else 0)
+        poller = select.poll()
+        try:
+            poller.register(self._sock, events)
+        except (OSError, ValueError):
+            return  # closed under us: the caller's next _drive raises
+        poller.poll(None if timeout is None else 1000.0 * timeout)
+
+    def _wait(self, ready: Callable[[], bool], timeout: Optional[float]) -> bool:
+        """Drive the channel from the calling thread until ``ready()``,
+        sleeping on the socket in between."""
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while True:
+            with self._lock:
+                self._drive(read=True)
+                if ready():
+                    return True
+                wire_full = self._wire_full
+            remaining = None
+            if deadline is not None:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    return False
+            self._sleep(wire_full, remaining)
+
+    def _push(self) -> None:
+        """The pusher: moves what a sender had to leave behind, so an
+        accepted frame reaches the rank without another call into the
+        channel (a long simulation step must not hold back the tail of
+        the previous one)."""
+        while True:
+            self._stuck.wait()
+            with self._lock:
+                try:
+                    self._drive(read=True)
+                except ChannelClosed:
+                    return
+                if not self._stuck.is_set():
+                    continue
+                wire_full = self._wire_full
+            self._sleep(wire_full, None)
+
+    def _drive(self, read: bool = False) -> None:
+        """Move the channel as far as it goes without blocking (lock
+        held): admit the head of the line into the window, write it,
+        take the next frame off the backlog.  Grants are read when asked
+        for, when the window is what stops the head frame, and every
+        ``_READ_EVERY`` frames.  What cannot move yet is the pusher's."""
+        self._raise_pending()
+        try:
+            if read or self._unread >= self._READ_EVERY:
+                self._read_credits()
+                read = True
+            self._wire_full = False
+            while self._parts or self._backlog:
+                if not self._parts:
+                    msg, nbytes = self._backlog.popleft()
+                    self._backlog_bytes -= nbytes
+                    self._parts = encode_frame(msg)
+                    self._parts_bytes = nbytes
+                    self._admitted = False
+                if not self._admitted:
+                    if not self._window_admits() and not read:
+                        self._read_credits()
+                        read = True
+                    if not self._window_admits():
+                        break
+                    self._unacked += self._parts_bytes
+                    self._admitted = True
+                if not write_parts(self._sock, self._parts):
+                    self._wire_full = True
+                    break
+                self._unread += 1
+        except (ConnectionLost, OSError, ValueError) as exc:
+            if self._error is None:
+                self._error = exc
+            self._raise_pending()
+        if not (self._parts or self._backlog):
+            self._stuck.clear()
+        elif not self._stuck.is_set():
+            self._stuck.set()
+            if self._pusher is None:
+                self._pusher = threading.Thread(
+                    target=self._push, name=f"{self.name}-pusher", daemon=True
+                )
+                self._pusher.start()
+
+    def _window_admits(self) -> bool:
+        # an oversized frame is admitted into an idle window so it can
+        # ever be delivered (mirrors BoundedChannel)
+        return (
+            self._window_limit is None
+            or self._unacked == 0
+            or self._unacked + self._parts_bytes <= self._window_limit
+        )
 
     def _read_credits(self) -> None:
-        try:
-            while True:
-                frame = recv_frame(self._sock)
-                if not isinstance(frame, Credit):
-                    raise ValueError(f"unexpected frame on data channel: {frame!r}")
-                with self._window_changed:
-                    if not self._window_ready.is_set():
-                        self._window_limit = (
-                            None if frame.nbytes < 0 else int(frame.nbytes)
-                        )
-                        self._window_ready.set()
-                    else:
-                        self._unacked -= frame.nbytes
-                        self._uncredited -= 1
-                    self._window_changed.notify_all()
-        except (ConnectionLost, OSError, ValueError) as exc:
-            self._fail(exc)
-
-    def _write_frames(self) -> None:
-        try:
-            self._window_ready.wait()
-            while True:
-                try:
-                    msg = self._outbox.recv(timeout=0.1)
-                except TimeoutError:
-                    continue
-                nbytes = frame_nbytes(msg)
-                with self._window_changed:
-                    # an oversized frame is admitted into an idle window so
-                    # it can ever be delivered (mirrors BoundedChannel)
-                    while (
-                        self._window_limit is not None
-                        and self._unacked > 0
-                        and self._unacked + nbytes > self._window_limit
-                    ):
-                        if self._error is not None:
-                            return
-                        self._window_changed.wait(timeout=0.1)
-                    self._unacked += nbytes
-                # the wire write happens OUTSIDE the window lock: a send
-                # stalled on a full TCP buffer must not block try_send /
-                # can_accept / the credit reader on the lock — that would
-                # break the non-blocking contract the suspension
-                # semantics (and the reconnect path) depend on
-                send_frame(self._sock, msg)
-        except ChannelClosed:
-            pass  # local close with the outbox drained
-        except (ConnectionLost, OSError) as exc:
-            self._fail(exc)
-
-    def _fail(self, exc: BaseException) -> None:
-        if self._error is None:
-            self._error = exc
-        self._outbox.close()
-        with self._window_changed:
-            self._window_changed.notify_all()
+        self._unread = 0
+        while True:
+            try:
+                chunk = self._sock.recv(4096)
+            except BlockingIOError:
+                return
+            if not chunk:
+                raise ConnectionLost("peer closed")
+            self._credit_buf += chunk
+            granted = take_credits(self._credit_buf)
+            self._unacked -= granted
+            self._credited += granted
+            if len(chunk) < 4096:
+                return
 
 
 # --------------------------------------------------------------------- #
@@ -489,6 +666,11 @@ class DataListener:
         except (ConnectionLost, OSError, ProtocolError, ValueError):
             self._drop(conn)
             return
+        # one grant per batch, not per frame: it covers exactly the frames
+        # that entered the inbox, and goes out before the loop would wait
+        # on a full inbox — a frame in the inbox is never left ungranted
+        # while the listener sleeps
+        owed = 0
         for msg in frames:
             if isinstance(msg, Doorbell):
                 continue  # the ring pass after the event batch drains it
@@ -498,13 +680,26 @@ class DataListener:
                     return
                 continue
             nbytes = frame_nbytes(msg)
+            # (the inbox sizes a message by its ``nbytes``; a wrong guess
+            # here only moves a grant earlier or later, never beyond what
+            # is in the inbox)
+            if owed and not self.inbox.can_accept(getattr(msg, "nbytes", nbytes)):
+                if not self._grant(conn, owed):
+                    return
+                owed = 0
             if not self._deliver(msg):
                 return  # shutting down
-            try:
-                send_frame(conn.sock, Credit(nbytes))
-            except (OSError, ConnectionError):
-                self._drop(conn)
-                return
+            owed += nbytes
+        if owed:
+            self._grant(conn, owed)
+
+    def _grant(self, conn: _DataConn, nbytes: int) -> bool:
+        try:
+            send_frame(conn.sock, Credit(nbytes))
+            return True
+        except (OSError, ConnectionError):
+            self._drop(conn)
+            return False
 
     def _negotiate(self, conn: _DataConn, msg: dict) -> bool:
         op = msg.get("op")

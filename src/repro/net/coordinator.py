@@ -9,11 +9,27 @@ additionally owns the launcher-side bookkeeping of Sec. 4.2.2:
 * **server ranks** register their data-listener addresses and, at the
   end of the study, ship their rank state (+ batched index maps and
   convergence scalar) back;
-* **group workers** request work, receive the partition + address table
-  on connect, and report finished groups;
+* **group workers** request work and receive the partition + address
+  table on connect.  One control frame per group: ``{"op": "next",
+  "done": [...]}`` asks for the next group and carries the ids of the
+  groups whose every frame the receiving ranks have acknowledged (moved
+  into their inboxes) since the last request.  A worker asks as soon as
+  a group's last frame is handed to its channels, so it **holds**
+  several groups at once — the one it runs plus those sent but not yet
+  acknowledged — and every held group is in flight for all bookkeeping
+  below: worker loss resubmits each, a rank respawn marks each attempt
+  stale, the first completion settles duplicates, the study is not
+  settled while any is held.  ``next`` is a **long poll**: when there is
+  nothing to hand out yet (groups settled but rank states missing,
+  speculation not due, work-stealing hold-back) the request is parked
+  and answered in the loop turn whose event resolves it (a rank state, a
+  requeue, a departed worker, the tick for time-based verdicts) — except
+  that a worker still holding unacknowledged groups is told to
+  ``settle`` (wait for the ranks, then ask again) so its completions
+  never wait on a timer;
 * **fault tolerance** — a worker that disappears (closed control
-  connection, e.g. a killed process, or a stale heartbeat) has its
-  in-flight group resubmitted to the remaining workers, up to
+  connection, e.g. a killed process, or a stale heartbeat) has every
+  group it held resubmitted to the remaining workers, up to
   ``config.max_group_retries`` times; server ranks are told to forget
   the dead instance's staged partials and replay protection discards
   whatever the resubmitted run re-sends of already-integrated timesteps;
@@ -33,7 +49,7 @@ additionally owns the launcher-side bookkeeping of Sec. 4.2.2:
   empty queue may *speculatively* re-run the longest-overdue in-flight
   group (running past a multiple of the fleet-median duration): both
   copies stream byte-identical data, each (group, timestep) integrates
-  exactly once per rank, and the first ``group_done`` wins — the loser
+  exactly once per rank, and the first completion report wins — the loser
   is settled silently and its residual frames are replay-discarded, so
   speculation needs ``discard_on_replay`` and never perturbs any
   exact-merge statistic.  Work stealing holds a demonstrably slow worker
@@ -229,7 +245,9 @@ class Coordinator:
         self._m_queue_depth = reg.gauge(
             "repro_queue_depth", "groups waiting for a worker")
         self._m_in_flight = reg.gauge(
-            "repro_in_flight", "group attempts currently assigned")
+            "repro_in_flight",
+            "group attempts held by workers (running or sent but not yet "
+            "acknowledged by the ranks)")
         self._m_workers_active = reg.gauge(
             "repro_workers_active", "connected group workers")
         self._m_staleness = reg.gauge(
@@ -274,11 +292,17 @@ class Coordinator:
         # rendezvous requests waiting for the full rank address table:
         # (peer, request, deadline) serviced from the loop's tick
         self._parked: List[Tuple[_Peer, ConnectionRequest, float]] = []
+        # ``next`` requests _assign has no answer for yet (worker id ->
+        # peer): re-evaluated at the end of every loop turn, so the one
+        # whose event resolves them also answers them
+        self._parked_next: Dict[int, _Peer] = {}
 
         self._lock = threading.Lock()
         self._changed = threading.Condition(self._lock)
         self._pending = deque(range(config.ngroups))
-        self._assigned: Dict[int, int] = {}  # worker id -> group id
+        # worker id -> the groups it holds, oldest first: sent but not
+        # yet acknowledged by the ranks, then (last) the one it is running
+        self._assigned: Dict[int, List[int]] = {}
         self._retries: Dict[int, int] = {}
         self.done: Set[int] = set()
         self.abandoned: List[int] = []
@@ -371,7 +395,7 @@ class Coordinator:
         if not _telemetry.REGISTRY.enabled:
             return
         self._m_queue_depth.set(len(self._pending))
-        self._m_in_flight.set(len(self._assigned))
+        self._m_in_flight.set(len(self._attempts()))
         self._m_workers_active.set(len(self._worker_conns))
         now = time.monotonic()
         for wid, last in self._last_seen.items():
@@ -391,7 +415,7 @@ class Coordinator:
                 "ngroups": self.config.ngroups,
                 "groups_done": len(self.done),
                 "queue_depth": len(self._pending),
-                "in_flight": len(self._assigned),
+                "in_flight": len(self._attempts()),
                 "workers_active": len(self._worker_conns),
                 "speculated": len(self.speculated),
                 "resubmitted": len(self.resubmitted),
@@ -455,16 +479,18 @@ class Coordinator:
                 self.close()
 
     def _drain_worker_goodbyes(self, grace: float = 0.35) -> None:
-        """Give connected workers a moment to ask ``next``, hear ``done``,
-        and say ``bye`` before :meth:`close` cuts them off.
+        """Give connected workers a moment to hear ``done`` and say
+        ``bye`` before :meth:`close` cuts them off.
 
         The ``bye`` frame carries each worker's final send-side
         :class:`~repro.transport.channel.ChannelStats` (and, under
         telemetry, its last metric delta rides the preceding heartbeat),
         so closing eagerly would lose the end-of-run accounting.  Bounded:
         a worker that never comes back (killed, zombie, mid-straggle)
-        cannot stall shutdown past ``grace`` seconds — idle workers poll
-        every 0.1s, so the healthy case drains in one round trip.
+        cannot stall shutdown past ``grace`` seconds — the workers'
+        ``next`` requests are parked, ``done`` goes out in the loop turn
+        that takes the last rank state in, and each ``bye`` wakes this
+        wait, so the healthy case drains in one round trip.
         """
         deadline = time.monotonic() + grace
         with self._changed:
@@ -498,7 +524,7 @@ class Coordinator:
 
     def _reap_stale_workers(self) -> None:
         now = time.monotonic()
-        for wid, gid in list(self._assigned.items()):
+        for wid in list(self._assigned):
             last = self._last_seen.get(wid, now)
             if now - last > self.worker_timeout:
                 conn = self._worker_conns.get(wid)
@@ -559,16 +585,23 @@ class Coordinator:
                 events = self._sel.select(0.1)
                 if self._closed:
                     return
-                for key, _ in events:
-                    if key.data == "listener":
-                        self._accept_ready()
-                    elif key.data == "waker":
-                        self._drain_waker()
-                    else:
-                        self._pump_peer(key.data)
-                self._tick(time.monotonic())
+                self._turn(events, time.monotonic())
         finally:
             self._teardown()
+
+    def _turn(self, events, now: float) -> None:
+        """One loop turn: dispatch what is readable, run the deadline
+        work, then answer every parked ``next`` the turn resolved."""
+        for key, _ in events:
+            if key.data == "listener":
+                self._accept_ready()
+            elif key.data == "waker":
+                self._drain_waker()
+            else:
+                self._pump_peer(key.data)
+        self._tick(now)
+        if self._parked_next:
+            self._serve_parked_next()
 
     def _accept_ready(self) -> None:
         while True:
@@ -834,18 +867,19 @@ class Coordinator:
             f"rank {rank} generation {generation} (pid {hello.get('pid')})",
         )
         restored = set(hello.get("finished", ()))
-        at_risk = self.done | set(self._assigned.values())
+        attempts = self._attempts()
+        at_risk = self.done | {g for _, g in attempts}
         requeue = sorted(g for g in at_risk if g not in restored)
         for gid in requeue:
             self.done.discard(gid)
             if gid not in self._pending:
                 self._pending.append(gid)
-        # in-flight attempts of requeued groups may still "complete" on
-        # pre-crash credits the restored rank never integrated; mark them
-        # stale so their group_done cannot settle the group
-        for wid, gid in self._assigned.items():
-            if gid in requeue:
-                self._stale_attempts.add((wid, gid))
+        # held attempts of requeued groups (running, or sent and waiting
+        # for acknowledgement) may still "complete" on pre-crash credits
+        # the restored rank never integrated; mark them stale so their
+        # ``done`` report cannot settle the group
+        missing = set(requeue)
+        self._stale_attempts.update(a for a in attempts if a[1] in missing)
         self.requeued_after_respawn.extend(requeue)
         if requeue:
             self._m_requeued_respawn.inc(len(requeue))
@@ -965,12 +999,13 @@ class Coordinator:
                 raise StudyAborted(f"unexpected frame from {name}: {frame!r}")
             op = frame.get("op")
             if op == "next":
-                reply, kill_pid = self._assign(wid)
-                peer.send(reply)
-                if kill_pid is not None:
-                    os.kill(kill_pid, signal.SIGKILL)  # fault-injection hook
-            elif op == "group_done":
-                self._mark_done(wid, int(frame["group_id"]))
+                # the request carries the groups the ranks acknowledged
+                # since the worker's last one: every frame of each is in
+                # the receiving ranks' inboxes
+                for gid in frame.get("done", ()):
+                    self._mark_done(wid, int(gid))
+                if not self._answer_next(peer):
+                    self._parked_next[wid] = peer
             elif op == "group_interrupted":
                 # the worker aborted the group because a server rank
                 # died under it; requeue without charging the group's
@@ -1003,6 +1038,7 @@ class Coordinator:
     def _forget_worker(self, wid: int) -> None:
         """Drop a departed worker's liveness/speed state so elastic
         active-worker counts and the fleet EWMA describe only the living."""
+        self._parked_next.pop(wid, None)
         with self._changed:
             departed = wid in self._worker_conns
             self._worker_conns.pop(wid, None)
@@ -1034,16 +1070,70 @@ class Coordinator:
             addresses=addresses,
         )
 
+    def _answer_next(self, peer: _Peer) -> bool:
+        """Answer a worker's ``next`` if :meth:`_assign` has a verdict
+        for it; False means "not yet" — the request stays parked (long
+        poll) until a state change resolves it.  A worker that still
+        holds unacknowledged groups is never parked: it is told to
+        ``settle`` them (wait for the ranks, then ask again), so every
+        completion reaches the coordinator without a timer."""
+        wid = peer.wid
+        reply, kill_pid = self._assign(wid)
+        if reply["op"] == "idle":
+            with self._changed:
+                if not self._assigned.get(wid):
+                    return False
+            reply = {"op": "settle"}
+        peer.send(reply)
+        if kill_pid is not None:
+            os.kill(kill_pid, signal.SIGKILL)  # fault-injection hook
+        return True
+
+    def _serve_parked_next(self) -> None:
+        """Re-evaluate every parked ``next`` (end of each loop turn: the
+        event that was just dispatched — a rank state, a requeue, a
+        departed worker — or the tick, for the time-based verdicts, may
+        have resolved it)."""
+        for wid, peer in list(self._parked_next.items()):
+            if peer not in self._peers:
+                del self._parked_next[wid]  # the worker left while waiting
+                continue
+            try:
+                if self._answer_next(peer):
+                    del self._parked_next[wid]
+            except ConnectionLost:
+                self._worker_teardown(peer)
+
+    def _attempts(self) -> List[Tuple[int, int]]:
+        """Every (worker id, group id) attempt currently held (lock held)."""
+        return [(w, g) for w, gids in self._assigned.items() for g in gids]
+
+    def _hold(self, wid: int, gid: int) -> None:
+        self._assigned.setdefault(wid, []).append(gid)
+
+    def _release(self, wid: int, gid: int) -> bool:
+        """Drop one held attempt; False if the worker did not hold it."""
+        gids = self._assigned.get(wid, ())
+        if gid not in gids:
+            return False
+        gids.remove(gid)
+        if not gids:
+            del self._assigned[wid]
+        return True
+
     def _assign(self, wid: int):
         """Next work item for a worker: a group, a speculative re-run of
-        a straggling group, a retire order (elastic drain), idle backoff,
-        or done."""
+        a straggling group, a retire order (elastic drain), done, or an
+        ``idle`` verdict — nothing to say yet; never sent, the request is
+        parked (see :meth:`_answer_next`)."""
         with self._changed:
             now = time.monotonic()
             if (
                 self.pool is not None
                 and self._worker_elastic.get(wid)
                 and wid not in self._retired_wids
+                # a retiring worker leaves at once: it must hold nothing
+                and not self._assigned.get(wid)
                 and self.pool.offer_retire(
                     len(self._pending), len(self._worker_conns), now
                 )
@@ -1065,13 +1155,13 @@ class Coordinator:
                 # someone has to still be around to run them
                 if len(self.rank_states) == self.config.server_ranks:
                     return {"op": "done"}, None
-                return {"op": "idle", "delay": 0.1}, None
+                return {"op": "idle"}, None
             if not self._pending:
                 gid = self._speculation_candidate(wid, now)
                 if gid is not None:
                     # straggler re-execution: hand the overdue group to
-                    # this idle worker too; first group_done wins
-                    self._assigned[wid] = gid
+                    # this idle worker too; first completion wins
+                    self._hold(wid, gid)
                     self._assign_count += 1
                     self._speculative_attempts.add((wid, gid))
                     self.speculated.append(gid)
@@ -1086,18 +1176,18 @@ class Coordinator:
                     )
                     self._changed.notify_all()
                     return {"op": "group", "group_id": gid}, None
-                # other workers still hold groups that may yet be
-                # resubmitted; stay around
-                return {"op": "idle", "delay": 0.1}, None
+                # workers still hold groups that may yet be resubmitted;
+                # stay around
+                return {"op": "idle"}, None
             if self.policy is not None and self.policy.should_hold_back(
                 wid, len(self._pending)
             ):
                 # work stealing: this worker is demonstrably slow and the
                 # queue tail fits in the fast workers' hands — defer it
                 self._m_holdbacks.inc()
-                return {"op": "idle", "delay": 0.1}, None
+                return {"op": "idle"}, None
             gid = self._pending.popleft()
-            self._assigned[wid] = gid
+            self._hold(wid, gid)
             if self.policy is not None:
                 self.policy.assigned(wid, gid, now)
             self._start_attempt(wid, gid)
@@ -1119,17 +1209,15 @@ class Coordinator:
         if self.policy is None:
             return None
         candidates = {
-            w: g
-            for w, g in self._assigned.items()
-            if (w, g) not in self._stale_attempts and g not in self.done
+            attempt: attempt[1]
+            for attempt in self._attempts()
+            if attempt not in self._stale_attempts and attempt[1] not in self.done
         }
         return self.policy.speculation_candidate(wid, candidates, now)
 
     def _mark_done(self, wid: int, gid: int) -> None:
         with self._changed:
-            was_mine = self._assigned.get(wid) == gid
-            if was_mine:
-                del self._assigned[wid]
+            was_mine = self._release(wid, gid)
             speculative = (wid, gid) in self._speculative_attempts
             self._speculative_attempts.discard((wid, gid))
             if (wid, gid) in self._stale_attempts:
@@ -1159,16 +1247,16 @@ class Coordinator:
                     if first and speculative:
                         self.policy.record_win(gid)
                 # first completion wins: settle every other running copy
-                # of this group.  The winner's flush proves each rank
+                # of this group.  The winner's report proves each rank
                 # credited (and pre-finalize drains) every byte, so the
                 # statistics already contain the group; the losers'
                 # residual frames are replay-discarded during the ranks'
                 # linger phase.  No forget broadcast — the losers' staged
                 # partials are orphaned (group, timestep) entries the
                 # discard path drops on its own.
-                for other, g in list(self._assigned.items()):
+                for other, g in self._attempts():
                     if g == gid and (other, gid) not in self._stale_attempts:
-                        del self._assigned[other]
+                        self._release(other, gid)
                         self._speculative_attempts.discard((other, gid))
                         self._finish_attempt(other, gid, "settled-by-duplicate")
                         if self.policy is not None:
@@ -1190,8 +1278,7 @@ class Coordinator:
         the same group back in the queue.
         """
         with self._changed:
-            if self._assigned.get(wid) == gid:
-                del self._assigned[wid]
+            self._release(wid, gid)
             if self.policy is not None:
                 self.policy.discarded(wid, gid)
             self._speculative_attempts.discard((wid, gid))
@@ -1205,7 +1292,7 @@ class Coordinator:
             )
             stale = (wid, gid) in self._stale_attempts
             self._stale_attempts.discard((wid, gid))
-            live_duplicate = gid in self._assigned.values()
+            live_duplicate = any(g == gid for _, g in self._attempts())
             # a stale attempt needs no requeue (the respawn already queued
             # a copy) and neither does a speculation sibling (the other
             # copy is still running and settles the group itself)
@@ -1230,52 +1317,60 @@ class Coordinator:
                 pass
 
     def _resubmit_if_assigned(self, wid: int) -> None:
-        """Sec. 4.2.2 fault path: the worker died holding a group."""
+        """Sec. 4.2.2 fault path: the worker died holding groups — the
+        one it was running and those it had sent whose frames the ranks
+        had not acknowledged (a dead worker's outbox is gone, so neither
+        kind can be proven delivered)."""
+        forget: List[int] = []
         with self._changed:
-            gid = self._assigned.pop(wid, None)
-            if gid is not None:
-                self._finish_attempt(wid, gid, "worker-lost")
-                if self.policy is not None:
-                    self.policy.discarded(wid, gid)
-                self._speculative_attempts.discard((wid, gid))
-            if gid is None or gid in self.done:
-                self._changed.notify_all()
-                return
-            if gid in self._assigned.values():
-                # a speculation sibling still runs this group; its stream
-                # must keep landing, so no forget broadcast — and no
-                # retry charge or requeue for a death the group survives
-                self._stale_attempts.discard((wid, gid))
-                self._changed.notify_all()
-                return
-            if (wid, gid) in self._stale_attempts or gid in self._pending:
-                # a rank respawn already requeued this group; the queued
-                # copy will re-run it — don't double-queue or charge the
-                # group's retry budget for a death that isn't its fault
-                self._stale_attempts.discard((wid, gid))
-                self._changed.notify_all()
-                return
-            self._retries[gid] = self._retries.get(gid, 0) + 1
-            name = self._worker_names.get(wid, wid)
-            if self._retries[gid] > self.config.max_group_retries:
-                self.abandoned.append(gid)
-                self._event(
-                    "group_abandoned",
-                    f"group {gid} out of retries after {name} died",
-                )
-            else:
-                self.resubmitted.append(gid)
-                self._pending.append(gid)
-                self._m_resubmits.inc()
-                self._event(
-                    "group_resubmitted", f"group {gid} requeued ({name} died)"
-                )
+            for gid in self._assigned.pop(wid, ()):
+                if self._resubmit(wid, gid):
+                    forget.append(gid)
             self._changed.notify_all()
         # tell the ranks to drop the dead instance's staged partials;
         # integrated timesteps stay and replay protection discards their
         # re-sends, so the resubmitted run is exact
-        for rank, conn in list(self._rank_conns.items()):
-            try:
-                conn.send({"op": "forget", "group_id": gid})
-            except ConnectionLost:
-                pass
+        for gid in forget:
+            for rank, conn in list(self._rank_conns.items()):
+                try:
+                    conn.send({"op": "forget", "group_id": gid})
+                except ConnectionLost:
+                    pass
+
+    def _resubmit(self, wid: int, gid: int) -> bool:
+        """Settle one attempt of a lost worker (lock held, attempt already
+        released); True when the ranks must forget its staged partials."""
+        self._finish_attempt(wid, gid, "worker-lost")
+        if self.policy is not None:
+            self.policy.discarded(wid, gid)
+        self._speculative_attempts.discard((wid, gid))
+        stale = (wid, gid) in self._stale_attempts
+        self._stale_attempts.discard((wid, gid))
+        if gid in self.done:
+            return False
+        if any(g == gid for _, g in self._attempts()):
+            # a speculation sibling still runs this group; its stream
+            # must keep landing, so no forget broadcast — and no retry
+            # charge or requeue for a death the group survives
+            return False
+        if stale or gid in self._pending:
+            # a rank respawn already requeued this group; the queued copy
+            # will re-run it — don't double-queue or charge the group's
+            # retry budget for a death that isn't its fault
+            return False
+        self._retries[gid] = self._retries.get(gid, 0) + 1
+        name = self._worker_names.get(wid, wid)
+        if self._retries[gid] > self.config.max_group_retries:
+            self.abandoned.append(gid)
+            self._event(
+                "group_abandoned",
+                f"group {gid} out of retries after {name} died",
+            )
+        else:
+            self.resubmitted.append(gid)
+            self._pending.append(gid)
+            self._m_resubmits.inc()
+            self._event(
+                "group_resubmitted", f"group {gid} requeued ({name} died)"
+            )
+        return True

@@ -276,6 +276,25 @@ def _wait_writable(sock: socket.socket, timeout: float = 0.05) -> None:
         sel.close()
 
 
+def write_parts(sock: socket.socket, parts: List[Any]) -> bool:
+    """Scatter-gather write of an encoded frame's buffers: sends what the
+    socket takes and drops it from ``parts`` in place (fully-sent buffers
+    go, a partly-sent one is trimmed).  True when nothing is left; False
+    when a non-blocking socket would block — call again with the same
+    list once it is writable."""
+    while parts:
+        try:
+            n = sock.sendmsg(parts)
+        except BlockingIOError:
+            return False
+        while parts and n >= len(parts[0]):
+            n -= len(parts[0])
+            parts.pop(0)
+        if n:
+            parts[0] = memoryview(parts[0])[n:]
+    return True
+
+
 def send_frame(sock: socket.socket, msg: Any) -> int:
     """Write one frame with scatter-gather I/O; returns bytes written.
 
@@ -285,23 +304,31 @@ def send_frame(sock: socket.socket, msg: Any) -> int:
     """
     parts = encode_frame(msg)
     total = sum(len(p) for p in parts)
-    sent = 0
-    while parts:
-        try:
-            n = sock.sendmsg(parts)
-        except BlockingIOError:
-            _wait_writable(sock)
-            continue
-        sent += n
-        if sent == total:
-            break
-        # short write: drop fully-sent buffers, trim the partial one
-        while parts and n >= len(parts[0]):
-            n -= len(parts[0])
-            parts.pop(0)
-        if parts and n:
-            parts[0] = memoryview(parts[0])[n:]
+    while not write_parts(sock, parts):
+        _wait_writable(sock)
     return total
+
+
+_CREDIT_FRAME = struct.Struct("<Icq")  # a whole Credit frame: prefix, tag, bytes
+
+
+def take_credits(buf: bytearray) -> int:
+    """Consume every complete :class:`Credit` frame at the front of
+    ``buf`` (a partial one stays for the next read) and return the bytes
+    they grant in total — how a data channel's sender reads a burst of
+    grants with one ``recv`` instead of three per frame.  Anything but a
+    credit is a :class:`ProtocolError`: a rank sends nothing else on a
+    negotiated TCP data channel."""
+    whole = len(buf) - len(buf) % _CREDIT_FRAME.size
+    granted = 0
+    for body_len, tag, nbytes in _CREDIT_FRAME.iter_unpack(bytes(buf[:whole])):
+        if tag != TAG_CREDIT or body_len != 1 + _CREDIT.size or nbytes < 0:
+            raise ProtocolError(
+                f"expected a credit grant on the data channel, got tag {tag!r}"
+            )
+        granted += nbytes
+    del buf[:whole]
+    return granted
 
 
 def _recv_exact_into(sock: socket.socket, view: memoryview) -> None:

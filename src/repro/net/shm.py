@@ -14,9 +14,22 @@ single-producer single-consumer byte ring in one
 * the **consumer** (the rank's :class:`~repro.net.channel.DataListener`
   event loop) decodes frames in place, moves them into the rank's inbox,
   and advances the head cursor only *after* the inbox accepted the
-  message — ring-empty therefore means "everything I sent is at least in
-  the rank's inbox", which is exactly the guarantee
-  :meth:`ShmChannel.flush` (and thus ``GROUP_DONE``) is built on.
+  message.  The two cursors are the channel's delivery ledger: ``tail``
+  (:meth:`ShmChannel.sent`) is what the worker handed over, ``head``
+  (:meth:`ShmChannel.acked`) is what is at least in the rank's inbox.
+  A worker records ``sent()`` when a group's last frame is in and
+  reports the group done once ``acked()`` has passed that mark
+  (:meth:`ShmChannel.wait_acked`; :meth:`ShmChannel.flush` is the same
+  wait on the current tail).
+
+Neither side spins on the other.  The consumer sleeps in its selector
+after raising ``consumer_waiting``; the producer rings the doorbell only
+for a consumer that declared it is going to sleep (an awake one re-scans
+the ring before it may sleep again, and a 50 ms backstop covers exotic
+memory orderings).  A producer waiting for room or for an
+acknowledgement polls the head cursor with a capped exponential back-off
+and never while holding the producer lock — on a small box a spinning
+producer takes the core of the rank it is waiting for.
 
 The paper's dual high-water-mark suspension semantics (Sec. 4.1.3) carry
 over unchanged: the sender's budget is ``send_hwm_bytes`` of in-flight
@@ -77,6 +90,11 @@ _DATA_OFFSET = 192
 DEFAULT_RING_BYTES = 1 << 20
 MIN_RING_BYTES = 1 << 16
 MAX_RING_BYTES = 1 << 30
+
+#: a producer waiting on the consumer's cursor polls it at 20 us, 40 us,
+#: ... up to this ceiling (the ring of the reference study drains in ~1.6 ms)
+_BACKOFF_FIRST_S = 20e-6
+_BACKOFF_CAP_S = 1e-3
 
 
 def _shared_memory():
@@ -148,6 +166,14 @@ class ShmRing:
     # ------------------------------------------------------------------ #
     # cursors and flags
     # ------------------------------------------------------------------ #
+    def tail(self) -> int:
+        """Logical position after the last published frame."""
+        return int(self._tail[0])
+
+    def head(self) -> int:
+        """Logical position the consumer has moved into its inbox."""
+        return int(self._head[0])
+
     def used(self) -> int:
         return int(self._tail[0] - self._head[0])
 
@@ -176,7 +202,8 @@ class ShmRing:
         """Eventcount handshake closing the lost-doorbell race: the
         consumer raises this before sleeping (then re-checks ``used``),
         the producer rings and clears it whenever it publishes into a
-        waiting ring — not just on the empty->nonempty transition."""
+        waiting ring.  An awake consumer is never rung: it re-scans the
+        ring before it may sleep again."""
         self._mv[_OFF_CONSUMER_WAITING] = 1 if value else 0
 
     # ------------------------------------------------------------------ #
@@ -421,38 +448,40 @@ class ShmChannel:
     def send(self, msg: Any, timeout: Optional[float] = None) -> None:
         self._raise_pending()
         nbytes = frame_nbytes(msg)
-        deadline = None if timeout is None else time.monotonic() + timeout
         with self._lock:
-            if not self._fits(nbytes):
-                self.stats.send_blocks += 1
-                start = time.monotonic()
-                spins = 0
-                while not self._fits(nbytes):
-                    self._raise_pending()
-                    if deadline is not None and time.monotonic() >= deadline:
-                        self.stats.blocked_seconds += time.monotonic() - start
-                        raise TimeoutError(f"send on {self.name} timed out")
-                    # the consumer may be another process, so there is
-                    # no condition to wait on: yield briefly, then back
-                    # off to micro-sleeps — long sleep(0) spinning would
-                    # steal the GIL from a same-process consumer thread
-                    spins += 1
-                    time.sleep(0 if spins < 4 else 0.00002)
-                self.stats.blocked_seconds += time.monotonic() - start
-            self._publish(msg, nbytes)
+            if self._fits(nbytes):
+                self._publish(msg, nbytes)
+                return
+            self.stats.send_blocks += 1
+        # suspended: wait for the consumer's progress WITHOUT the producer
+        # lock (try_send / can_accept of other threads stay non-blocking)
+        start = time.monotonic()
+        deadline = None if timeout is None else start + timeout
+        try:
+            while True:
+                remaining = None if deadline is None else deadline - time.monotonic()
+                if not self.wait_accept(nbytes, remaining):
+                    raise TimeoutError(f"send on {self.name} timed out")
+                with self._lock:
+                    if self._fits(nbytes):  # re-check: another producer may have won
+                        self._publish(msg, nbytes)
+                        return
+        finally:
+            self.stats.blocked_seconds += time.monotonic() - start
 
     def _publish(self, msg: Any, nbytes: int) -> None:
-        was_empty = self._ring.used() == 0
         self._ring.write(encode_frame(msg))
         self.stats.messages_sent += 1
         self.stats.bytes_sent += nbytes
         used = self._ring.used()
         if used > self.stats.high_water_bytes:
             self.stats.high_water_bytes = used
-        if was_empty or self._ring.consumer_waiting:
-            # ding the consumer's event loop so it drains now instead of
-            # on its next safety-timeout tick; clearing the waiting flag
-            # first keeps a burst of publishes to one doorbell
+        if self._ring.consumer_waiting:
+            # the consumer declared it is going to sleep: ding its event
+            # loop so it drains now instead of on its safety-timeout tick
+            # (clearing the flag first keeps a burst of publishes to one
+            # doorbell).  An awake consumer re-scans the ring before it
+            # sleeps again, so it needs no syscall from us.
             self._ring.set_consumer_waiting(False)
             try:
                 send_frame(self._sock, Doorbell())
@@ -460,23 +489,55 @@ class ShmChannel:
                 pass  # peer death surfaces via the watcher thread
 
     # ------------------------------------------------------------------ #
-    def flush(self, timeout: Optional[float] = None) -> None:
-        """Block until the consumer drained every frame into its inbox."""
+    # delivery cursors: tail = handed over, head = in the rank's inbox
+    # ------------------------------------------------------------------ #
+    def sent(self) -> int:
+        """Cursor after the last frame handed to the channel."""
+        return self._ring.tail()
+
+    def acked(self) -> int:
+        """Cursor the receiver has passed: every frame before it is in
+        the rank's inbox."""
+        return self._ring.head()
+
+    def wait_acked(self, cursor: int, timeout: Optional[float] = None) -> bool:
+        """Block until the receiver has passed ``cursor``; False on
+        timeout, :class:`ChannelClosed` when the rank is gone."""
+        return self._wait(lambda: self._ring.head() >= cursor, timeout)
+
+    def wait_accept(self, nbytes: int, timeout: Optional[float] = None) -> bool:
+        """Block until a frame of ``nbytes`` fits the send window."""
+        return self._wait(lambda: self._fits(nbytes), timeout)
+
+    def _wait(self, ready, timeout: Optional[float]) -> bool:
+        """Wait for the consumer's progress.  It may be another process,
+        so there is no condition to wait on: poll with a capped
+        exponential back-off (a spin would take a core from the rank
+        being waited for)."""
         deadline = None if timeout is None else time.monotonic() + timeout
-        spins = 0
+        delay = _BACKOFF_FIRST_S
         while True:
             self._raise_pending()
-            if not self._ring.used():
-                return
+            if ready():
+                return True
             if self._ring.consumer_closed:
                 raise ChannelClosed(f"{self.name}: receiver closed")
-            if deadline is not None and time.monotonic() >= deadline:
-                raise TimeoutError(
-                    f"{self.name}: {self._ring.used()} ring byte(s) not yet "
-                    f"drained by the receiver after {timeout}s"
-                )
-            spins += 1
-            time.sleep(0 if spins < 4 else 0.00002)
+            pause = delay
+            if deadline is not None:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    return False
+                pause = min(delay, remaining)
+            time.sleep(pause)
+            delay = min(2 * delay, _BACKOFF_CAP_S)
+
+    def flush(self, timeout: Optional[float] = None) -> None:
+        """Block until the consumer drained every frame into its inbox."""
+        if not self.wait_acked(self.sent(), timeout):
+            raise TimeoutError(
+                f"{self.name}: {self._ring.used()} ring byte(s) not yet "
+                f"drained by the receiver after {timeout}s"
+            )
 
     def close(self) -> None:
         if self._closed:

@@ -6,6 +6,29 @@ that pulls group ids from the coordinator, runs each
 :class:`~repro.core.group.GroupExecutor` to completion, and streams
 field messages to the server ranks over direct socket channels.
 
+The worker never waits on a round trip it does not need (the paper's
+groups stream without waiting on the server, Sec. 4.1.3).  When a
+group's last frame has been handed to the channels, the worker records
+each channel's *sent* cursor and asks for the next group at once; the
+finished group stays **held** until every receiving rank's
+*acknowledged* cursor has passed its mark — each of its frames is then
+in a rank's inbox — and only then is it reported, on the ``done`` list
+of a later ``{"op": "next", "done": [...]}`` request: one control frame
+per group.  The worker blocks in exactly three places, each on an event
+and none on a timer:
+
+* a suspended (``BLOCKED``) group waits for the rank to make room in the
+  channel that refused its frame (``poll_interval`` is only the ceiling);
+* ``next`` is a long poll: a coordinator with nothing to hand out yet
+  keeps the request and answers it when that changes — unless the worker
+  still holds unacknowledged groups, in which case it is told to
+  ``settle``: wait for the ranks' cursors, then ask again;
+* with :data:`MAX_HELD_GROUPS` held, it waits for the oldest.
+
+All three beat in heartbeat-sized slices.  A worker never holds a group
+it has not started, so what a worker loss costs is bounded by the
+channels' in-flight budget.
+
 The :class:`SocketRouter` is the TCP implementation of
 :class:`~repro.transport.base.TransportClient`: the dynamic-connection
 handshake goes through the rendezvous (server partition + address
@@ -27,7 +50,8 @@ import os
 import signal
 import time
 import traceback
-from typing import Any, Dict, Optional, Set, Tuple
+from collections import deque
+from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 from repro import telemetry as _telemetry
 from repro.faults import FaultPlan, parse_worker_fault
@@ -62,6 +86,12 @@ from repro.transport.message import (
 )
 
 FAULT_ENV = "REPRO_WORK_FAULT"
+
+#: most groups a worker holds sent-but-unacknowledged before it waits for
+#: the oldest.  The channels' in-flight byte budget usually binds first;
+#: this keeps the set a worker loss resubmits small when that budget is
+#: unbounded (``channel_capacity_bytes=None``) or the groups are tiny.
+MAX_HELD_GROUPS = 8
 
 
 class _WorkerFaultInjector:
@@ -139,6 +169,9 @@ class SocketRouter:
         self._addresses: Optional[Tuple[Tuple[str, int], ...]] = None
         self._channels: Dict[int, Any] = {}  # rank -> negotiated Channel
         self._connected: Set[int] = set()
+        # (channel, frame bytes) of the chunk the last non-blocking
+        # deliver could not place: what a suspended group waits on
+        self._refused: Optional[Tuple[Any, int]] = None
 
     # ------------------------------------------------------------------ #
     def connect(self, request: ConnectionRequest) -> ConnectionReply:
@@ -200,13 +233,16 @@ class SocketRouter:
             if self._fault is not None:
                 self._fault.on_deliver()
             return True
-        if len(chunks) > 1 and not all(
-            self._channel(rank).can_accept(frame_nbytes(chunk))
-            for rank, chunk in chunks
-        ):
-            return False
+        if len(chunks) > 1:
+            for rank, chunk in chunks:
+                channel, nbytes = self._channel(rank), frame_nbytes(chunk)
+                if not channel.can_accept(nbytes):
+                    self._refused = (channel, nbytes)
+                    return False
         for rank, chunk in chunks:
-            if not self._channel(rank).try_send(chunk):
+            channel = self._channel(rank)
+            if not channel.try_send(chunk):
+                self._refused = (channel, frame_nbytes(chunk))
                 return False
         # the fault counts whole delivered messages, so it fires only
         # after every partition chunk was handed to its channel
@@ -215,12 +251,49 @@ class SocketRouter:
         return True
 
     # ------------------------------------------------------------------ #
-    def flush(self, timeout: Optional[float] = None) -> None:
-        """Wait until every channel's bytes are credited by its rank."""
+    def wait_progress(self, timeout: float) -> None:
+        """A suspended (``BLOCKED``) group's wait: return as soon as the
+        chunk the last ``deliver`` could not place fits its channel —
+        the receiving rank's progress, not a timer — with ``timeout`` as
+        the ceiling.  Raises :class:`ChannelClosed` if that rank died."""
+        if self._refused is not None:
+            channel, nbytes = self._refused
+            self._refused = None
+            channel.wait_accept(nbytes, timeout)
+
+    def marks(self) -> Dict[Any, int]:
+        """Per-channel sent cursors right now.  Taken when a group's last
+        frame was handed over, they are what :meth:`wait_acked` compares
+        the ranks' progress against."""
+        return {channel: channel.sent() for channel in self._channels.values()}
+
+    def acked(self, marks: Dict[Any, int]) -> bool:
+        """Has every rank passed its mark (non-blocking)?  Every frame
+        sent before the marks were taken is then in a rank's inbox."""
+        for channel, cursor in marks.items():
+            if channel.acked() < cursor:
+                if channel.broken:
+                    raise ChannelClosed(f"{channel.name}: connection failed")
+                return False
+        return True
+
+    def wait_acked(
+        self, marks: Dict[Any, int], timeout: Optional[float] = None
+    ) -> bool:
+        """Block until every rank passed its mark; False on timeout."""
         deadline = None if timeout is None else time.monotonic() + timeout
-        for channel in self._channels.values():
+        for channel, cursor in marks.items():
             remaining = None if deadline is None else deadline - time.monotonic()
-            channel.flush(timeout=remaining)
+            if not channel.wait_acked(cursor, remaining):
+                return False
+        return True
+
+    def flush(self, timeout: Optional[float] = None) -> None:
+        """Wait until every channel's frames are credited by its rank."""
+        if not self.wait_acked(self.marks(), timeout):
+            raise TimeoutError(
+                f"{self.name}: frames not yet credited after {timeout}s"
+            )
 
     def any_broken(self) -> bool:
         """Did any open data channel lose its rank?"""
@@ -265,6 +338,7 @@ class SocketRouter:
         for channel in self._channels.values():
             channel.close()
         self._channels.clear()
+        self._refused = None
 
 
 # --------------------------------------------------------------------- #
@@ -364,19 +438,89 @@ def run_worker(
             ctrl.send(Heartbeat(sender=name, time=time.time(), metrics=payload))
             last_beat = time.monotonic()
 
+        # groups whose last frame was handed to the channels but whose
+        # frames the ranks have not all acknowledged yet, oldest first:
+        # (group id, per-channel sent cursors at hand-over)
+        held: Deque[Tuple[int, Dict[Any, int]]] = deque()
+        # ... and those acknowledged since the last ``next`` frame
+        done: List[int] = []
+
+        def settle(at_least: int) -> None:
+            """Move to ``done`` the held groups every receiving rank has
+            passed the marks of — the delivery guarantee behind ``done``.
+            Blocks until ``at_least`` of them moved (0: never blocks), in
+            heartbeat-sized slices: a long back-pressured drain must not
+            look like control-plane silence to the coordinator (which
+            reaps workers after worker_timeout without a frame)."""
+            moved = 0
+            deadline = time.monotonic() + config.group_timeout
+            while held:
+                group_id, marks = held[0]
+                if not router.acked(marks):
+                    if moved >= at_least:
+                        break
+                    if not router.wait_acked(marks, timeout=heartbeat_interval):
+                        if time.monotonic() >= deadline:
+                            raise TimeoutError(
+                                f"{name}: group {group_id} not acknowledged by "
+                                f"the server ranks after {config.group_timeout}s"
+                            )
+                        beat()
+                        continue
+                held.popleft()
+                done.append(group_id)
+                moved += 1
+
+        def interrupted(running: Optional[int]) -> None:
+            """A server rank died (Sec. 4.2.3).  Nothing this worker still
+            holds can be proven delivered any more: drop every attempt,
+            tell the coordinator (it requeues them without charging their
+            retry budget), and forget the rendezvous so the next connect
+            picks up the respawned rank's fresh address — blocking until
+            it exists."""
+            router.reset()
+            lost = [group_id for group_id, _ in held]
+            held.clear()
+            if running is not None:
+                lost.append(running)
+            for group_id in lost:
+                log.warning(
+                    "group interrupted by a dead rank channel",
+                    extra={"repro_ids": {"group": group_id}},
+                )
+                ctrl.send({"op": "group_interrupted", "group_id": group_id})
+
         in_group = False
         while True:
             if fault is not None:
                 fault.check()
-            ctrl.send({"op": "next"})
-            frame = ctrl.recv(timeout=config.group_timeout)
+            try:
+                settle(1 if len(held) >= MAX_HELD_GROUPS else 0)
+            except ChannelClosed:
+                interrupted(None)
+                continue
+            # one control frame per group: the request for the next one
+            # carries the ids acknowledged since the last request
+            ctrl.send({"op": "next", "done": done})
+            done.clear()
+            # long poll: the coordinator answers when it has something to
+            # say, which may take a while (a straggler elsewhere, rank
+            # states still coming in) — keep beating meanwhile
+            while not ctrl.poll(heartbeat_interval):
+                beat()
+            frame = ctrl.recv()
             op = frame.get("op") if isinstance(frame, dict) else None
             if op in ("done", "retire"):
                 # retire: the elastic pool is draining and this worker is
                 # surplus — leave exactly like a completed study
                 break
-            if op == "idle":
-                time.sleep(float(frame.get("delay", 0.1)))
+            if op == "settle":
+                # nothing to hand out while this worker still holds
+                # unacknowledged groups: wait for the ranks, then ask again
+                try:
+                    settle(len(held))
+                except ChannelClosed:
+                    interrupted(None)
                 continue
             if op == "error":
                 raise RuntimeError(f"coordinator error: {frame['error']}")
@@ -388,7 +532,7 @@ def run_worker(
                 # a rank died while this worker sat idle: re-ask the
                 # rendezvous up front instead of burning the first
                 # delivery on a dead channel
-                router.reset()
+                interrupted(None)
             group_started = time.time()
             try:
                 executor = GroupExecutor(
@@ -401,40 +545,19 @@ def run_worker(
                 while executor.state != GroupState.FINISHED:
                     state = executor.process_step()
                     if state == GroupState.BLOCKED:
-                        # ZeroMQ-style suspension: both buffers full, wait
-                        time.sleep(poll_interval)
+                        # ZeroMQ-style suspension: both buffers full.
+                        # Wait for the rank to make room, not for a timer
+                        router.wait_progress(poll_interval)
                     if time.monotonic() - last_beat >= heartbeat_interval:
                         beat()
-                # GROUP_DONE is a delivery guarantee: only claim it once
-                # every sent byte has been credited back by the receiving
-                # ranks.  Flush in heartbeat-sized slices: a long
-                # back-pressured drain must not look like control-plane
-                # silence to the coordinator (which reaps workers after
-                # worker_timeout without a frame).
-                flush_deadline = time.monotonic() + config.group_timeout
-                while True:
-                    try:
-                        router.flush(timeout=heartbeat_interval)
-                        break
-                    except TimeoutError:
-                        if time.monotonic() >= flush_deadline:
-                            raise
-                        beat()
             except ChannelClosed:
-                # a server rank died under this group (Sec. 4.2.3).  Drop
-                # the whole attempt, tell the coordinator (it requeues the
-                # group without charging its retry budget), and forget the
-                # rendezvous so the next connect picks up the respawned
-                # rank's fresh address — blocking until it exists.
-                router.reset()
-                log.warning(
-                    "group interrupted by a dead rank channel",
-                    extra={"repro_ids": {"group": group_id}},
-                )
-                ctrl.send({"op": "group_interrupted", "group_id": group_id})
+                interrupted(group_id)
                 in_group = False
-                last_beat = time.monotonic()
                 continue
+            # every frame is handed over; the group is reported done on a
+            # later ``next``, once the ranks have passed these marks
+            held.append((group_id, router.marks()))
+            in_group = False
             group_seconds = time.time() - group_started
             if telemetry_on:
                 h_group.observe(group_seconds, worker=name)
@@ -444,11 +567,9 @@ def run_worker(
                     args={"group": group_id},
                 ))
             log.info(
-                "group done in %.3fs", group_seconds,
+                "group sent in %.3fs", group_seconds,
                 extra={"repro_ids": {"group": group_id}},
             )
-            ctrl.send({"op": "group_done", "group_id": group_id})
-            in_group = False
         try:
             # final metric flush, then the goodbye carries this worker's
             # aggregate send-side ChannelStats for the end-of-run summary
@@ -460,9 +581,10 @@ def run_worker(
         log.info("leaving study")
         return 0
     except (ConnectionLost, OSError):
-        # the coordinator went away.  Between groups (idle backoff, next
-        # request) that is how a completed study looks to a straggling
-        # worker — exit cleanly; mid-group it is a real failure.
+        # the coordinator went away.  Between groups (a parked ``next``,
+        # waiting for acknowledgements) that is how a completed study
+        # looks to a straggling worker — exit cleanly; mid-group it is a
+        # real failure.
         return 1 if in_group else 0
     except BaseException:
         try:

@@ -554,6 +554,37 @@ class TestWorkerCrash:
         assert_parity(results, sequential_reference(12))
 
 
+    @pytest.mark.parametrize("transport", ["tcp", "shm"])
+    def test_sigkilled_worker_holding_several_groups_resubmits_each_once(
+        self, transport
+    ):
+        """ISSUE 16: a worker runs ahead of the ranks' acknowledgements,
+        so when it is SIGKILLed it holds the group it was running AND the
+        ones it had sent that a (slow, nearly full) rank had not taken
+        into its inbox yet.  Each of them is resubmitted exactly once and
+        the maps still equal the sequential run."""
+        frame = 5 * (NCELLS // 2) * 8 + 64  # one rank's chunk of one group
+        fn, config = make_config(
+            12, ntimesteps=1, channel_capacity_bytes=3 * frame,
+            transport=transport,
+        )
+        plan = FaultPlan(
+            # the slow rank keeps its inbox full, so acknowledgements lag
+            server_rank_stragglers=[ServerRankStraggler(1, delay=0.03)],
+            worker_crashes=[WorkerCrash(0, after_messages=5)],
+        )
+        runtime, results = run_distributed(
+            config, fn, nworkers=2, fault_plan=plan, rank_timeout=10.0,
+        )
+        resubmitted = runtime.coordinator.resubmitted
+        assert len(resubmitted) >= 2, resubmitted  # more than the running one
+        assert len(set(resubmitted)) == len(resubmitted)  # each exactly once
+        assert runtime.coordinator.abandoned == []
+        assert runtime.coordinator.rank_respawns == []
+        assert results.groups_integrated == 12
+        assert_parity(results, sequential_reference(12, ntimesteps=1))
+
+
 class TestWorkerZombie:
     def test_zombie_worker_reaped_and_group_rerun(self):
         """A worker that goes silent (no heartbeats, no frames) is reaped

@@ -39,6 +39,8 @@ from repro.net.framing import (
     frame_nbytes,
     recv_frame,
     send_frame,
+    take_credits,
+    write_parts,
 )
 from repro.sampling import ParameterSpace, Uniform
 from repro.transport.base import Channel, TransportClient
@@ -232,6 +234,110 @@ class TestSocketChannelBackpressure:
                 time.sleep(0.005)
         finally:
             channel.close()
+            listener.close()
+
+    def test_acknowledged_cursor_follows_the_inbox_not_the_wire(self):
+        """``acked()`` passes a frame's mark only once the frame is in
+        the rank's inbox: with the inbox held full, a frame the listener
+        already read off the wire stays unacknowledged, and the pop that
+        makes room is what wakes ``wait_acked`` / ``wait_accept``."""
+        msg = FieldMessage(0, 0, 0, 0, 32, np.arange(32.0))
+        size = frame_nbytes(msg)
+        inbox = BoundedChannel(capacity_bytes=size)  # holds one frame
+        listener = DataListener(inbox, recv_hwm_bytes=size)
+        channel = SocketChannel(listener.address, send_hwm_bytes=size)
+        try:
+            assert (channel.sent(), channel.acked()) == (0, 0)
+            channel.send(msg, timeout=5.0)
+            first = channel.sent()
+            assert first == size  # the cursors count bytes
+            assert channel.wait_acked(first, timeout=5.0)
+            channel.send(msg, timeout=5.0)  # read off the wire, inbox full
+            second = channel.sent()
+            assert not channel.wait_acked(second, timeout=0.05)
+            assert channel.acked() == first
+            with pytest.raises(TimeoutError):
+                channel.flush(timeout=0.05)
+            # fill the sender side too, then let one pop release it all
+            channel.send(msg, timeout=5.0)  # head of the line: waits on the window
+            channel.send(msg, timeout=5.0)  # sits in the backlog
+            assert not channel.can_accept(size)
+            assert not channel.wait_accept(size, timeout=0.05)
+            inbox.recv(timeout=5.0)
+            assert channel.wait_acked(second, timeout=5.0)
+            assert channel.wait_accept(size, timeout=5.0)
+            for _ in range(3):
+                inbox.recv(timeout=5.0)
+            channel.flush(timeout=5.0)
+            assert channel.acked() == channel.sent() == 4 * size
+        finally:
+            channel.close()
+            listener.close()
+
+    def test_a_channel_that_keeps_up_sends_from_the_calling_thread(self):
+        """No second thread on the hot path: with a draining receiver
+        every frame goes out inside ``try_send`` and the pusher is never
+        even started."""
+        inbox = BoundedChannel()
+        listener = DataListener(inbox)
+        channel = SocketChannel(listener.address, send_hwm_bytes=1 << 16)
+        try:
+            for member in range(200):
+                assert channel.try_send(
+                    FieldMessage(0, member, 0, 0, 64, np.full(64, float(member)))
+                )
+                assert inbox.recv(timeout=5.0).member == member
+            channel.flush(timeout=5.0)
+            assert channel._pusher is None
+            assert channel.stats.send_blocks == 0
+        finally:
+            channel.close()
+            listener.close()
+
+    def test_a_frame_the_kernel_buffer_cuts_arrives_without_another_call(self):
+        """A frame far beyond the socket buffer is accepted at once; what
+        the kernel did not take is the pusher's, so the receiver gets the
+        whole frame although the sender never touches the channel again —
+        and the pusher parks once nothing is left."""
+        data = np.arange(4_000_000, dtype=np.float64)  # 32 MB
+        inbox = BoundedChannel()
+        listener = DataListener(inbox)
+        channel = SocketChannel(listener.address)
+        try:
+            assert channel.try_send(FieldMessage(0, 0, 0, 0, data.size, data))
+            assert channel._stuck.is_set()  # cut short: left to the pusher
+            got = inbox.recv(timeout=30.0)
+            np.testing.assert_array_equal(got.data, data)
+            channel.flush(timeout=5.0)
+            assert not channel._stuck.is_set()
+        finally:
+            channel.close()
+            listener.close()
+
+    def test_one_grant_per_batch_and_none_for_a_frame_outside_the_inbox(self):
+        """The listener grants what entered the inbox: frames it read in
+        one go share one grant, and before it waits on a full inbox it
+        grants what it owes — never more."""
+        msg = FieldMessage(0, 0, 0, 0, 32, np.arange(32.0))
+        size = frame_nbytes(msg)
+        inbox = BoundedChannel(capacity_bytes=2 * msg.nbytes)  # holds two frames
+        listener = DataListener(inbox, recv_hwm_bytes=2 * size)
+        sock = socket.create_connection(listener.address, timeout=5.0)
+        try:
+            assert recv_frame(sock) == Credit(2 * size)  # the window
+            wire = b"".join(bytes(part) for part in encode_frame(msg))
+            sock.sendall(3 * wire)  # one segment: read in one pump
+            # two fit; the grant for both goes out before the listener
+            # waits for room for the third
+            assert recv_frame(sock) == Credit(2 * size)
+            sock.settimeout(0.05)
+            with pytest.raises(TimeoutError):
+                recv_frame(sock)  # nothing granted for the frame outside
+            sock.settimeout(5.0)
+            inbox.recv(timeout=5.0)
+            assert recv_frame(sock) == Credit(size)
+        finally:
+            sock.close()
             listener.close()
 
     def test_channel_protocol_conformance(self):
@@ -728,3 +834,49 @@ class TestFrameReader:
         finally:
             a.close()
             b.close()
+
+
+class TestCreditBurstsAndPartialWrites:
+    def test_take_credits_sums_whole_frames_and_keeps_the_partial_one(self):
+        frames = b"".join(
+            bytes(part) for n in (10, 200, 3000) for part in encode_frame(Credit(n))
+        )
+        buf = bytearray(frames[:-5])
+        assert take_credits(buf) == 210
+        assert bytes(buf) == frames[26:-5]  # the cut frame waits for its tail
+        buf += frames[-5:]
+        assert take_credits(buf) == 3000
+        assert not buf
+        assert take_credits(buf) == 0
+
+    def test_take_credits_rejects_anything_but_a_grant(self):
+        buf = bytearray(b"".join(bytes(p) for p in encode_frame(Doorbell())) * 13)
+        with pytest.raises(ProtocolError):
+            take_credits(buf)
+
+    def test_write_parts_resumes_where_a_full_socket_stopped_it(self):
+        a, b = socket.socketpair()
+        a.setblocking(False)
+        try:
+            msg = FieldMessage(3, 1, 2, 0, 500_000, np.arange(500_000.0))
+            parts = encode_frame(msg)
+            assert not write_parts(a, parts)  # 4 MB does not fit a socketpair
+            assert parts, "the unsent tail stays in the list"
+            got = []
+            reader = threading.Thread(target=lambda: got.append(recv_frame(b)))
+            reader.start()
+            while not write_parts(a, parts):
+                select_writable(a)
+            reader.join(timeout=10.0)
+            assert parts == []
+            np.testing.assert_array_equal(got[0].data, msg.data)
+            assert (got[0].group_id, got[0].member, got[0].timestep) == (3, 1, 2)
+        finally:
+            a.close()
+            b.close()
+
+
+def select_writable(sock):
+    import select
+
+    select.select([], [sock], [], 5.0)

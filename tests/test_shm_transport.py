@@ -7,11 +7,12 @@ segment, the client proves same-hostness by attaching it, and the data
 plane moves to zero-syscall shared memory while the socket stays on as
 doorbell + liveness probe.  Everything the paper's dual high-water-mark
 semantics promise for TCP (Fig. 6a/b suspension, ChannelStats
-accounting, flush-then-GROUP_DONE ordering) must hold unchanged here.
+accounting, acknowledged-before-done ordering) must hold unchanged here.
 """
 
 import glob
 import socket
+import threading
 import time
 
 import numpy as np
@@ -25,7 +26,7 @@ from repro.net.channel import (
     TransportNegotiationError,
     open_data_channel,
 )
-from repro.net.framing import Doorbell, encode_frame, frame_nbytes
+from repro.net.framing import Doorbell, FrameReader, encode_frame, frame_nbytes
 from repro.net.shm import (
     DEFAULT_RING_BYTES,
     MIN_RING_BYTES,
@@ -290,6 +291,124 @@ class TestShmChannelSemantics:
                 time.sleep(0.01)
         finally:
             channel.close()
+
+
+class _ConsumerSide:
+    """The test plays the rank: it owns the ring's consumer end and the
+    socket the producer's doorbells arrive on."""
+
+    def __init__(self, send_hwm=None, capacity=MIN_RING_BYTES):
+        self.ring = ShmRing.create(capacity)
+        ours, theirs = socket.socketpair()
+        ours.setblocking(False)
+        self.sock = ours
+        self._reader = FrameReader()
+        self.channel = ShmChannel(
+            theirs, ShmRing.attach(self.ring.name), send_hwm_bytes=send_hwm,
+            name="doorbell-test",
+        )
+
+    def doorbells(self):
+        """Doorbell frames that arrived since the last call."""
+        return sum(isinstance(f, Doorbell) for f in self._reader.pump(self.sock))
+
+    def close(self):
+        self.channel.close()
+        self.sock.close()
+        self.ring.close()
+        self.ring.unlink()
+
+
+class TestDoorbellsAndProgressWaits:
+    def test_awake_consumer_on_a_saturated_ring_is_never_rung(self):
+        """A consumer that has not declared it is going to sleep re-scans
+        the ring on its own: no publish may cost it a syscall, not even
+        the one that makes an empty ring non-empty."""
+        msg = field(ncells=256)
+        side = _ConsumerSide(send_hwm=4 * frame_nbytes(msg))
+        try:
+            published = 0
+            for _ in range(5):  # saturate, drain to empty, saturate again
+                while side.channel.try_send(msg):
+                    published += 1
+                assert len(drain_ring(side.ring)) > 0
+                assert side.ring.used() == 0
+            assert published >= 20
+            assert side.doorbells() == 0
+        finally:
+            side.close()
+
+    def test_sleeping_consumer_is_rung_once_per_sleep(self):
+        msg = field(ncells=16)
+        side = _ConsumerSide()
+        try:
+            for burst in (3, 1, 4):
+                side.ring.set_consumer_waiting(True)  # "about to select()"
+                for _ in range(burst):
+                    assert side.channel.try_send(msg)
+                assert not side.ring.consumer_waiting  # cleared by the ring
+                assert side.doorbells() == 1
+                assert len(drain_ring(side.ring)) == burst
+        finally:
+            side.close()
+
+    def test_blocking_send_waits_without_the_producer_lock(self):
+        """A sender suspended on a full ring must not hold the producer
+        lock (other threads' try_send/can_accept stay non-blocking), and
+        it resumes on the consumer's progress."""
+        msg = field(ncells=256)
+        side = _ConsumerSide(send_hwm=2 * frame_nbytes(msg))
+        channel = side.channel
+        waiting = threading.Event()
+        wait_accept = channel.wait_accept
+
+        def spy(nbytes, timeout=None):
+            waiting.set()
+            return wait_accept(nbytes, timeout)
+
+        channel.wait_accept = spy
+        try:
+            while channel.try_send(msg):
+                pass
+            before = channel.stats.messages_sent
+            sender = threading.Thread(
+                target=channel.send, args=(msg,), kwargs={"timeout": 20.0},
+                daemon=True,
+            )
+            sender.start()
+            assert waiting.wait(timeout=10.0)
+            assert channel._lock.acquire(timeout=5.0), "lock held while waiting"
+            channel._lock.release()
+            assert not channel.try_send(msg)  # answers, does not block
+            drain_ring(side.ring)  # the consumer's progress ...
+            sender.join(timeout=10.0)  # ... is what the sender waited for
+            assert not sender.is_alive()
+            assert channel.stats.messages_sent == before + 1
+            assert channel.stats.blocked_seconds > 0.0
+        finally:
+            side.close()
+
+    def test_cursors_and_wait_acked(self):
+        msg = field(ncells=16)
+        size = frame_nbytes(msg)
+        side = _ConsumerSide()
+        channel = side.channel
+        try:
+            assert (channel.sent(), channel.acked()) == (0, 0)
+            assert channel.try_send(msg) and channel.try_send(msg)
+            assert (channel.sent(), channel.acked()) == (2 * size, 0)
+            assert not channel.wait_acked(size, timeout=0.02)
+            with pytest.raises(TimeoutError):
+                channel.flush(timeout=0.02)
+            item = read_ring_frame(side.ring)
+            side.ring.advance(item[1])  # the first frame "entered the inbox"
+            assert channel.wait_acked(size, timeout=5.0)
+            assert not channel.wait_acked(2 * size, timeout=0.02)
+            side.ring.close_consumer()  # the rank went away mid-wait
+            with pytest.raises(ChannelClosed):
+                channel.wait_acked(2 * size, timeout=5.0)
+        finally:
+            side.close()
 
 
 class TestFabricNegotiation:
