@@ -85,9 +85,8 @@ def _print_observability_summary(coordinator) -> None:
             print(
                 f"  server-rank-{rank}: received "
                 f"{int(st.get('bytes_received', 0)):,} B in "
-                f"{int(st.get('messages_received', 0))} message(s), "
-                f"{int(st.get('recv_blocks', 0))} producer suspension(s), "
-                f"{float(st.get('blocked_seconds', 0.0)):.3f}s blocked"
+                f"{int(st.get('messages_received', 0))} message(s), at most "
+                f"{int(st.get('high_water_bytes', 0)):,} B waiting in one turn"
             )
     events = list(getattr(coordinator, "events", None) or [])
     if events:

@@ -207,13 +207,17 @@ class ServerRank:
         # what the message itself covers decides the path: the rank's whole
         # cell range, every member in order, in the layout the fold reads,
         # and nothing staged under its key -> fold the payload by reference
-        # (the sender relinquished it, see transport.message)
+        # (the sender relinquished it, see transport.message).  The engine
+        # holds it until its micro-batch flushes, so a borrowed (read-only)
+        # payload — a view of a ring slot, gone when handle returns — is
+        # staged like any partial message: that copy is what keeps it
         complete = None
         if (
             staging is None
             and data.shape == (self.nmembers, self.ncells_local)
             and data.dtype == np.float64
             and data.flags.c_contiguous
+            and data.flags.writeable
         ):
             complete = data
         else:

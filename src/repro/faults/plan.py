@@ -61,7 +61,7 @@ class ServerRankCrash:
 @dataclass(frozen=True)
 class ServerRankZombie:
     """Server rank ``rank`` hangs after ``after_messages`` messages: the
-    process stays alive but stops draining its inbox and stops
+    process stays alive but stops draining its channels and stops
     heartbeating, so only heartbeat staleness can expose it."""
 
     rank: int

@@ -13,9 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
+
+#: distinct ``(lo, hi)`` ranges :meth:`BlockPartition.spans` remembers per
+#: instance.  A study asks for a handful (one per client-rank plan entry),
+#: over and over; the bound only keeps an adversarial caller from growing it.
+_SPANS_TABLE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -78,15 +83,29 @@ class BlockPartition:
         if not 0 <= rank < self.nranks:
             raise ValueError(f"rank {rank} out of range [0, {self.nranks})")
 
-    def spans(self, lo: int, hi: int) -> List[Tuple[int, int, int]]:
+    @cached_property
+    def _spans_table(self) -> Dict[Tuple[int, int], Tuple[Tuple[int, int, int], ...]]:
+        return {}
+
+    def spans(self, lo: int, hi: int) -> Tuple[Tuple[int, int, int], ...]:
         """Chunks of the half-open range ``[lo, hi)`` along rank boundaries.
 
         Returns ``(rank, seg_lo, seg_hi)`` entries in ascending cell
         order; a range contained in one rank yields a single entry.  Used
         by the transport layer to split messages that straddle a
         server-partition boundary instead of mis-routing them by their
-        first cell.
+        first cell — once per message, so the answer is remembered per
+        ``(lo, hi)`` and shared: an immutable tuple.
         """
+        table = self._spans_table
+        known = table.get((lo, hi))
+        if known is None:
+            if len(table) >= _SPANS_TABLE_SIZE:
+                table.clear()
+            known = table[lo, hi] = tuple(self._compute_spans(lo, hi))
+        return known
+
+    def _compute_spans(self, lo: int, hi: int) -> List[Tuple[int, int, int]]:
         if not 0 <= lo < hi <= self.ncells:
             raise ValueError(
                 f"cell range [{lo}, {hi}) outside the mesh [0, {self.ncells})"
@@ -113,7 +132,9 @@ class BlockPartition:
         """
         if other.ncells != self.ncells:
             raise ValueError("partitions cover different cell counts")
-        return [other.spans(*self.range_of(src)) for src in range(self.nranks)]
+        return [
+            list(other.spans(*self.range_of(src))) for src in range(self.nranks)
+        ]
 
 
 def partition_cells(ncells: int, nranks: int) -> BlockPartition:

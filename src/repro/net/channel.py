@@ -9,13 +9,14 @@ socket we reproduce that with credit-based flow control:
   accounting of every other channel (``send_blocks``,
   ``blocked_seconds``, high-water marks);
 * the **receiver** (:class:`DataListener`) grants an initial credit
-  window equal to its receive high-water mark and grants the bytes of
-  every frame it moved into the rank's inbox — one grant per batch of
-  frames it read in one go, never for a frame that is not in the inbox;
+  window equal to its receive high-water mark — the paper's server-side
+  buffer *is* that window (on shm: the ring) — and grants the bytes of
+  every frame the rank has **handled**: one grant per batch of frames it
+  read in one go, never for a frame its sink has not returned from;
 * a frame only goes on the wire while the *unacked* byte count fits the
-  window.  When the receive side stops draining, the window exhausts,
-  the backlog fills, and ``try_send`` starts returning False — the group
-  suspends, exactly the Fig. 6a/b mechanism, now spanning hosts.
+  window.  When the rank falls behind, the window exhausts, the backlog
+  fills, and ``try_send`` starts returning False — the group suspends,
+  exactly the Fig. 6a/b mechanism, now spanning hosts.
 
 The sender writes from the sending thread: a channel that keeps up
 costs its worker no second thread and no wake-up.  I/O threads on this
@@ -33,12 +34,13 @@ channel.
 Both channel kinds keep a monotone *sent* / *acknowledged* cursor pair
 (``sent()``, ``acked()``, ``wait_acked(cursor)``): here bytes accepted
 into the channel and bytes credited back, on the ring its tail and head.
-A frame behind the acknowledged cursor is at least in the receiving
-rank's inbox — the guarantee a worker's asynchronous ``done`` report is
-built on (it records ``sent()`` at a group's last frame and reports the
-group once ``acked()`` has passed the mark, while already running the
-next one).  ``wait_accept(nbytes)`` is what a suspended group waits on:
-the receiver's progress, not a timer.
+A frame behind the acknowledged cursor has been handled by the receiving
+rank — ``ServerRank.handle`` returned from it: staged or folded — the
+guarantee a worker's asynchronous ``done`` report is built on (it
+records ``sent()`` at a group's last frame and reports the group once
+``acked()`` has passed the mark, while already running the next one).
+``wait_accept(nbytes)`` is what a suspended group waits on: the
+receiver's progress, not a timer.
 
 Same-host channels can skip the wire entirely: :func:`open_data_channel`
 negotiates the fabric per channel at connect time.  The receiver offers
@@ -48,19 +50,25 @@ the segment — the attach *is* the same-host test, no hostname heuristics
 and doorbell.  Otherwise (cross-host, or ``transport="tcp"`` on either
 side) the channel falls back to the TCP framing above.  Either way a
 :class:`SocketChannel`/:class:`~repro.net.shm.ShmChannel` satisfies the
-:class:`~repro.transport.base.Channel` send surface; the receive side
-lives in the owning rank's inbox (ZeroMQ PULL fan-in: every connected
-client pushes into the one queue of the rank that owns the cells).
+:class:`~repro.transport.base.Channel` send surface; the receive side is
+the owning rank's ``handle`` (ZeroMQ PULL fan-in: every connected client
+pushes into the one rank that owns the cells).
 
-The listener is a single ``selectors`` event loop, not a
-thread-per-connection fan — one rank services hundreds of worker
-channels with one thread, and disconnected peers are pruned from the
-connection table (they used to accumulate forever across elastic
-spawn/retire cycles).
+The listener is a loop *body*, :meth:`DataListener.turn`, that the rank
+process drives from its one thread: a ``select`` over every socket the
+rank has, then the rings, each frame handed straight to the rank.  A
+listener thread in front of an inbox made the rank two threads on one
+interpreter lock with a condition-variable hand-over and a second copy
+per frame (measured per 1200 groups on the 2-vCPU box: 1.96 CPU-s for
+0.51 s of ``handle``).  Who may sleep: the rank, in that ``select``,
+until a socket or a doorbell wakes it or its next heartbeat is due —
+after a bounded look at its rings (:mod:`repro.net.shm`).
 """
 
 from __future__ import annotations
 
+import functools
+import os
 import select
 import selectors
 import socket
@@ -82,8 +90,15 @@ from repro.net.framing import (
     take_credits,
     write_parts,
 )
-from repro.net.shm import ShmChannel, ShmRing, read_ring_frame, ring_bytes_for
+from repro.net.shm import (
+    LOOK_BEFORE_PARK_S,
+    ShmChannel,
+    ShmRing,
+    read_ring_frame,
+    ring_bytes_for,
+)
 from repro.transport.channel import BoundedChannel, ChannelClosed, ChannelStats
+from repro.transport.message import owned
 
 _UNSET = object()
 
@@ -181,7 +196,7 @@ class SocketChannel:
         self._window_limit: Optional[int] = initial_window  # peer's window
         self._unacked = 0  # bytes admitted to the wire, not yet credited back
         # delivery cursors, in bytes: accepted into the channel, and
-        # credited back by the receiver (each frame then in its inbox)
+        # credited back by the receiver (each frame then handled)
         self._accepted = 0
         self._credited = 0
         self._credit_buf = bytearray()
@@ -274,8 +289,8 @@ class SocketChannel:
         return self._accepted
 
     def acked(self) -> int:
-        """Cursor the receiver has passed: every frame before it is in
-        the rank's inbox."""
+        """Cursor the receiver has passed: the rank has handled (staged
+        or folded) every frame before it."""
         self._look()
         return self._credited
 
@@ -292,7 +307,7 @@ class SocketChannel:
 
     def flush(self, timeout: Optional[float] = None) -> None:
         """Block until every sent frame has been credited by the peer:
-        each message is then at least in the receiving rank's inbox."""
+        the receiving rank has then handled each message."""
         if not self.wait_acked(self._accepted, timeout):
             raise TimeoutError(
                 f"{self.name}: {self._accepted - self._credited} byte(s) "
@@ -522,7 +537,7 @@ def open_data_channel(
 
 
 class _DataConn:
-    """Per-connection event-loop state inside :class:`DataListener`."""
+    """Per-connection loop state inside :class:`DataListener`."""
 
     __slots__ = ("sock", "peer", "reader", "ring", "pending_ring")
 
@@ -533,31 +548,33 @@ class _DataConn:
         self.ring: Optional[ShmRing] = None  # accepted shm fabric
         self.pending_ring: Optional[ShmRing] = None  # offered, not acked
 
-    def fileno(self) -> int:
-        return self.sock.fileno()
-
 
 class DataListener:
-    """Server-rank data endpoint: fan-in into one bounded inbox.
+    """Server-rank data endpoint: every connected client's frames, in
+    arrival order, into one ``sink(msg)`` — on the caller's thread.
 
-    One ``selectors`` event loop accepts connections, grants the initial
-    credit window, and moves frames into ``inbox`` — *blocking* (in
-    short, shutdown-aware slices) when the inbox is full, which is
-    precisely what makes the sender-side window exhaust and the remote
-    simulation suspend.  Credits are granted only after a frame has
-    entered the inbox.
+    :meth:`turn` is the whole loop body: one ``select`` over the
+    listening socket, the data connections (frames on TCP, doorbells on
+    shm) and whatever the owner added with :meth:`watch`, then one drain
+    pass over the rings.  A frame is acknowledged — the ring's head
+    advanced, the TCP credit granted — only after ``sink`` returned, so
+    a sink that raises leaves it unacknowledged.  A ring payload reaches
+    the sink as a borrowed read-only view (see
+    :mod:`repro.transport.message`).  ``stats`` counts what the sink
+    took; its ``high_water_bytes`` is the most one turn found waiting.
 
-    With ``transport`` "auto"/"shm" the loop also answers shm requests:
-    it creates a ring segment per requesting connection, drains accepted
-    rings into the same inbox (advancing each ring's head only after the
-    inbox took the frame), and wakes on doorbell frames so idle rings
-    cost nothing.  Dead connections are unregistered, their sockets
-    closed, and their segments unlinked.
+    With ``transport`` "auto"/"shm" the loop also answers shm requests
+    (one ring segment per requesting connection).  Dead connections are
+    unregistered, their sockets closed, and their segments unlinked.
+
+    A server rank calls :meth:`turn` from its own loop with
+    ``ServerRank.handle`` behind the sink: no second thread.  Tests that
+    want the frames on another thread call :meth:`start` instead.
     """
 
     def __init__(
         self,
-        inbox: BoundedChannel,
+        sink: Optional[Callable[[Any], None]] = None,
         host: str = "127.0.0.1",
         port: int = 0,
         recv_hwm_bytes: Optional[int] = None,
@@ -566,71 +583,83 @@ class DataListener:
     ):
         if transport not in ("auto", "tcp", "shm"):
             raise ValueError(f"unknown transport {transport!r}")
-        self.inbox = inbox
+        self.sink = sink  # may be (re)assigned between turns
         self.recv_hwm_bytes = recv_hwm_bytes
         self.transport = transport
+        self.stats = ChannelStats()
         self._on_disconnect = on_disconnect
         self._listener = socket.create_server((host, port), backlog=64)
         self._listener.setblocking(False)
         self.address: Tuple[str, int] = self._listener.getsockname()[:2]
         self._closed = False
-        self._waker_r, self._waker_w = socket.socketpair()
-        self._waker_r.setblocking(False)
         self._sel = selectors.DefaultSelector()
-        self._sel.register(self._listener, selectors.EVENT_READ, "listener")
-        self._sel.register(self._waker_r, selectors.EVENT_READ, "waker")
-        self._conn_lock = threading.Lock()
-        self._conns: Dict[int, _DataConn] = {}  # fd -> conn (loop-owned)
-        self._thread = threading.Thread(
-            target=self._loop, name=f"data-loop-{self.address[1]}", daemon=True
-        )
-        self._thread.start()
+        self._sel.register(self._listener, selectors.EVENT_READ, self._accept_ready)
+        self._conns: Dict[int, _DataConn] = {}  # fd -> conn
+        self._rings_busy = False  # the last drain pass left frames behind
+        # bytes handled but not granted yet, and to whom; see _settle
+        self._owed = 0
+        self._owed_to: Optional[_DataConn] = None
+        self._thread: Optional[threading.Thread] = None
+        self._waker: Optional[Tuple[socket.socket, socket.socket]] = None
 
     @property
     def open_connections(self) -> int:
         """Live accepted connections (regression hook: must not grow
         across connect/disconnect cycles — disconnects prune)."""
-        with self._conn_lock:
-            return len(self._conns)
+        return len(self._conns)
+
+    def watch(self, fileobj, on_readable: Callable[[], None]) -> None:
+        """Have :meth:`turn` also wait on ``fileobj`` and call
+        ``on_readable()`` when it has input (a rank's control socket)."""
+        self._sel.register(fileobj, selectors.EVENT_READ, on_readable)
 
     # ------------------------------------------------------------------ #
-    def _loop(self) -> None:
-        rings_busy = False
-        try:
-            while True:
-                if self._closed:
-                    return
-                if rings_busy:
+    def turn(self, timeout: Optional[float] = None) -> int:
+        """Handle what is there, or wait up to ``timeout`` (None: until
+        something arrives) for it; returns the frames the sink took.
+
+        Before it sleeps with rings attached the loop looks at them for
+        :data:`~repro.net.shm.LOOK_BEFORE_PARK_S` — one look per park —
+        and only then raises ``consumer_waiting`` and re-checks, so a
+        frame that lands between the drain pass and the select is never
+        stranded, and one that lands within the look costs its producer
+        no doorbell.  A zero ``timeout`` neither looks nor parks.
+        """
+        before = self.stats.messages_received
+        events = None
+        if self._rings_busy:
+            timeout = 0.0
+        rings = [c.ring for c in self._conns.values() if c.ring is not None]
+        if rings and timeout != 0.0:
+            events = self._look(rings, timeout)
+            if events is None:
+                for ring in rings:
+                    ring.set_consumer_waiting(True)
+                if any(ring.used() for ring in rings):
                     timeout = 0.0
-                else:
-                    rings = [c.ring for c in self._conns.values() if c.ring]
-                    if rings:
-                        # announce intent to sleep, then re-check: the
-                        # producer rings the doorbell for any publish
-                        # into a waiting ring, so a frame that lands
-                        # between the drain pass and the select can
-                        # never be stranded.  The timeout is only a
-                        # backstop for exotic memory-ordering races.
-                        for ring in rings:
-                            ring.set_consumer_waiting(True)
-                        timeout = 0.0 if any(r.used() for r in rings) else 0.05
-                    else:
-                        timeout = 0.5
-                events = self._sel.select(timeout)
-                if self._closed:
-                    return
-                for key, _ in events:
-                    if key.data == "listener":
-                        self._accept_ready()
-                    elif key.data == "waker":
-                        self._drain_waker()
-                    else:
-                        self._service(key.data)
-                rings_busy = False
-                for conn in [c for c in self._conns.values() if c.ring]:
-                    rings_busy |= self._drain_ring(conn)
-        finally:
-            self._teardown()
+        if events is None:
+            events = self._sel.select(timeout)
+        for key, _ in events:
+            key.data()
+        self._rings_busy = False
+        for conn in [c for c in self._conns.values() if c.ring is not None]:
+            self._rings_busy |= self._drain_ring(conn)
+        return self.stats.messages_received - before
+
+    def _look(self, rings: List[ShmRing], timeout: Optional[float]):
+        """Spin-then-park: the events (maybe none) to go on with as soon
+        as a ring or a socket has something, None after a bounded look
+        that found nothing.  Yields between reads: the look must not take
+        the core from the producer it is looking for."""
+        look = LOOK_BEFORE_PARK_S
+        deadline = time.perf_counter() + (look if timeout is None else min(look, timeout))
+        while True:
+            events = self._sel.select(0)
+            if events or any(ring.used() for ring in rings):
+                return events
+            if time.perf_counter() >= deadline:
+                return None
+            os.sched_yield()
 
     def _accept_ready(self) -> None:
         while True:
@@ -644,21 +673,13 @@ class DataListener:
             except OSError:
                 pass
             conn = _DataConn(sock, f"{peer[0]}:{peer[1]}")
-            with self._conn_lock:
-                self._conns[sock.fileno()] = conn
-            self._sel.register(sock, selectors.EVENT_READ, conn)
+            self._conns[sock.fileno()] = conn
+            self._sel.register(
+                sock, selectors.EVENT_READ, functools.partial(self._service, conn)
+            )
             window = -1 if self.recv_hwm_bytes is None else int(self.recv_hwm_bytes)
-            try:
-                send_frame(sock, Credit(window))
-            except (OSError, ConnectionError):
+            if not self._send(conn, Credit(window)):
                 self._drop(conn)
-
-    def _drain_waker(self) -> None:
-        try:
-            while self._waker_r.recv(4096):
-                pass
-        except (BlockingIOError, OSError):
-            pass
 
     def _service(self, conn: _DataConn) -> None:
         try:
@@ -666,52 +687,47 @@ class DataListener:
         except (ConnectionLost, OSError, ProtocolError, ValueError):
             self._drop(conn)
             return
-        # one grant per batch, not per frame: it covers exactly the frames
-        # that entered the inbox, and goes out before the loop would wait
-        # on a full inbox — a frame in the inbox is never left ungranted
-        # while the listener sleeps
-        owed = 0
-        for msg in frames:
-            if isinstance(msg, Doorbell):
-                continue  # the ring pass after the event batch drains it
-            if isinstance(msg, dict) and str(msg.get("op", "")).startswith("shm_"):
-                if not self._negotiate(conn, msg):
-                    self._drop(conn)
-                    return
-                continue
-            nbytes = frame_nbytes(msg)
-            # (the inbox sizes a message by its ``nbytes``; a wrong guess
-            # here only moves a grant earlier or later, never beyond what
-            # is in the inbox)
-            if owed and not self.inbox.can_accept(getattr(msg, "nbytes", nbytes)):
-                if not self._grant(conn, owed):
-                    return
-                owed = 0
-            if not self._deliver(msg):
-                return  # shutting down
-            owed += nbytes
-        if owed:
-            self._grant(conn, owed)
-
-    def _grant(self, conn: _DataConn, nbytes: int) -> bool:
+        # one grant per batch, not per frame, and only for frames the
+        # sink returned from: a sink that raises part-way leaves the rest
+        # of the batch ungranted
+        self._owed_to = conn
+        found = 0
         try:
-            send_frame(conn.sock, Credit(nbytes))
-            return True
-        except (OSError, ConnectionError):
-            self._drop(conn)
-            return False
+            for msg in frames:
+                if isinstance(msg, Doorbell):
+                    continue  # the ring pass after the event batch drains it
+                if isinstance(msg, dict) and str(msg.get("op", "")).startswith("shm_"):
+                    if not self._negotiate(conn, msg):
+                        self._drop(conn)
+                        return
+                    continue
+                nbytes = frame_nbytes(msg)
+                found += nbytes
+                self._deliver(msg, nbytes)
+                self._owed += nbytes
+        finally:
+            self._note_waiting(found)
+            self._settle()
+
+    def _settle(self) -> None:
+        """Grant what is owed.  Runs at the end of every batch, and a
+        sink that is about to wait (the inbox of :meth:`start`) calls it
+        first: the loop never sleeps owing a grant."""
+        owed, self._owed = self._owed, 0
+        if owed and not self._send(self._owed_to, Credit(owed)):
+            self._drop(self._owed_to)
 
     def _negotiate(self, conn: _DataConn, msg: dict) -> bool:
         op = msg.get("op")
         if op == "shm_request":
             if self.transport == "tcp":
-                return self._send_ctl(conn, {"op": "shm_unavailable"})
+                return self._send(conn, {"op": "shm_unavailable"})
             try:
                 ring = ShmRing.create(int(msg.get("ring_bytes", 0)))
             except (OSError, ValueError):
-                return self._send_ctl(conn, {"op": "shm_unavailable"})
+                return self._send(conn, {"op": "shm_unavailable"})
             conn.pending_ring = ring
-            return self._send_ctl(conn, {
+            return self._send(conn, {
                 "op": "shm_offer", "name": ring.name, "capacity": ring.capacity,
             })
         if op == "shm_ack" and conn.pending_ring is not None:
@@ -725,98 +741,61 @@ class DataListener:
             return True
         return True  # unknown shm op: ignore (forward compatibility)
 
-    def _send_ctl(self, conn: _DataConn, msg: dict) -> bool:
+    def _send(self, conn: _DataConn, msg: Any) -> bool:
         try:
             send_frame(conn.sock, msg)
             return True
         except (OSError, ConnectionError):
             return False
 
-    def _deliver(self, msg: Any) -> bool:
-        """Move one frame into the inbox; False means we are shutting
-        down (the rank closed its inbox or the listener is closing)."""
-        while True:
-            try:
-                self.inbox.send(msg, timeout=0.1)
-                return True
-            except TimeoutError:
-                if self._closed:
-                    return False
-            except ChannelClosed:
-                return False
+    def _deliver(self, msg: Any, nbytes: int) -> None:
+        self.sink(msg)
+        self.stats.messages_received += 1
+        self.stats.bytes_received += nbytes
 
-    def _deliver_many(self, batch: list) -> bool:
-        """Move a batch into the inbox under one lock round trip; False
-        means we are shutting down.  ``send_many`` consumes the batch
-        from the front, so a timeout slice never double-delivers."""
-        while batch:
-            try:
-                self.inbox.send_many(batch, timeout=0.1)
-                return True
-            except TimeoutError:
-                if self._closed:
-                    return False
-            except ChannelClosed:
+    def _note_waiting(self, nbytes: int) -> None:
+        if nbytes > self.stats.high_water_bytes:
+            self.stats.high_water_bytes = nbytes
+
+    def _drain_ring(self, conn: _DataConn, max_frames: int = 256) -> bool:
+        """Hand up to ``max_frames`` frames to the sink, each straight
+        from its ring slot, the head moving past a frame once the sink
+        returned from it; True when more remain (the loop then re-selects
+        with a zero timeout instead of starving the other connections
+        behind one saturated ring)."""
+        ring = conn.ring
+        ring.set_consumer_waiting(False)
+        self._note_waiting(ring.used())
+        for _ in range(max_frames):
+            if not ring.used():
                 return False
+            try:
+                item = read_ring_frame(ring)
+            except (ProtocolError, ValueError):
+                # corrupt frame: keep what already landed, retire the ring
+                self._drop(conn, drain=False)
+                return False
+            if item is None:
+                return False
+            msg, total = item
+            self._deliver(msg, total)
+            ring.advance(total)
         return True
 
-    def _drain_ring(
-        self, conn: _DataConn, max_frames: int = 256, batch_frames: int = 64
-    ) -> bool:
-        """Drain up to ``max_frames`` frames; True when more remain (the
-        loop then re-selects with a zero timeout instead of starving the
-        other connections behind one saturated ring).
-
-        Frames are decoded and delivered in batches: one inbox lock
-        round trip and one head advance per ``batch_frames``, while the
-        head still only moves after the inbox accepted the messages.
-        """
-        conn.ring.set_consumer_waiting(False)
-        drained = 0
-        while drained < max_frames:
-            batch: list = []
-            nbytes = 0
-            while len(batch) < batch_frames:
-                try:
-                    item = read_ring_frame(conn.ring, offset=nbytes)
-                except (ProtocolError, ValueError):
-                    self._drop(conn)
-                    return False
-                if item is None:
-                    break
-                msg, total = item
-                batch.append(msg)
-                nbytes += total
-            if not batch:
-                return False
-            drained += len(batch)
-            if not self._deliver_many(batch):
-                return False
-            conn.ring.advance(nbytes)
-        return True
-
-    def _drop(self, conn: _DataConn) -> None:
+    def _drop(self, conn: _DataConn, drain: bool = True) -> None:
         """Disconnect path: prune the connection table, close the socket,
-        and retire the shm segment (drain what the producer published
-        first — those frames were complete, even through a SIGKILL)."""
-        with self._conn_lock:
-            self._conns.pop(conn.sock.fileno(), None)
+        and retire the shm segment (``drain``: hand over what the producer
+        published first — those frames were complete, even through a
+        SIGKILL)."""
+        if self._conns.pop(conn.sock.fileno(), None) is not conn:
+            return  # already dropped
         try:
             self._sel.unregister(conn.sock)
         except (KeyError, ValueError, OSError):
             pass
-        if conn.ring is not None:
-            try:
-                while True:
-                    item = read_ring_frame(conn.ring)
-                    if item is None:
-                        break
-                    msg, total = item
-                    if not self._deliver(msg):
-                        break
-                    conn.ring.advance(total)
-            except (ProtocolError, ValueError):
-                pass  # corrupt trailing frame: keep what already landed
+        if conn.ring is not None and drain:
+            while self._drain_ring(conn):
+                pass
         for ring in (conn.ring, conn.pending_ring):
             if ring is not None:
                 try:
@@ -833,26 +812,61 @@ class DataListener:
         if self._on_disconnect is not None:
             self._on_disconnect(conn.peer)
 
-    def _teardown(self) -> None:
-        with self._conn_lock:
-            conns = list(self._conns.values())
-        for conn in conns:
-            self._drop(conn)
-        try:
-            self._sel.close()
-        except OSError:
-            pass
-        for sock in (self._listener, self._waker_r, self._waker_w):
-            try:
-                sock.close()
-            except OSError:
-                pass
-
     # ------------------------------------------------------------------ #
+    # thread-driven mode (tests)
+    # ------------------------------------------------------------------ #
+    def start(self, inbox: BoundedChannel) -> "DataListener":
+        """Run the same :meth:`turn` on a thread of its own with a
+        blocking ``inbox`` behind the sink.  The inbox keeps what it is
+        given, so a borrowed payload is copied first; a full inbox blocks
+        the loop (in short slices, so :meth:`close` gets through), which
+        is what backs the fabric up into its sender."""
+
+        def sink(msg: Any) -> None:
+            msg = owned(msg)
+            if not inbox.can_accept(getattr(msg, "nbytes", 0)):
+                self._settle()
+            while True:
+                try:
+                    return inbox.send(msg, timeout=0.1)
+                except TimeoutError:
+                    if self._closed:
+                        raise ChannelClosed("listener closed") from None
+
+        def run() -> None:
+            try:
+                while not self._closed:
+                    self.turn()
+            except ChannelClosed:
+                pass  # the inbox, or the listener, was closed under the sink
+            finally:
+                self._teardown()
+
+        self.sink = sink
+        self._waker = socket.socketpair()
+        self.watch(self._waker[0], lambda: self._waker[0].recv(64))
+        self._thread = threading.Thread(
+            target=run, name=f"data-loop-{self.address[1]}", daemon=True
+        )
+        self._thread.start()
+        return self
+
+    def _teardown(self) -> None:
+        for conn in list(self._conns.values()):
+            self._drop(conn, drain=False)
+        self._sel.close()
+        for sock in (self._listener, *(self._waker or ())):
+            sock.close()
+
     def close(self) -> None:
+        if self._closed:
+            return
         self._closed = True
+        if self._thread is None:
+            self._teardown()
+            return
         try:
-            self._waker_w.send(b"x")
+            self._waker[1].send(b"x")
         except OSError:
             pass
         self._thread.join(timeout=5.0)

@@ -12,8 +12,8 @@ additionally owns the launcher-side bookkeeping of Sec. 4.2.2:
 * **group workers** request work and receive the partition + address
   table on connect.  One control frame per group: ``{"op": "next",
   "done": [...]}`` asks for the next group and carries the ids of the
-  groups whose every frame the receiving ranks have acknowledged (moved
-  into their inboxes) since the last request.  A worker asks as soon as
+  groups whose every frame the receiving ranks have acknowledged
+  (handled: staged or folded) since the last request.  A worker asks as soon as
   a group's last frame is handed to its channels, so it **holds**
   several groups at once — the one it runs plus those sent but not yet
   acknowledged — and every held group is in flight for all bookkeeping
@@ -1000,8 +1000,8 @@ class Coordinator:
             op = frame.get("op")
             if op == "next":
                 # the request carries the groups the ranks acknowledged
-                # since the worker's last one: every frame of each is in
-                # the receiving ranks' inboxes
+                # since the worker's last one: the receiving ranks have
+                # handled every frame of each
                 for gid in frame.get("done", ()):
                     self._mark_done(wid, int(gid))
                 if not self._answer_next(peer):

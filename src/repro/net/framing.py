@@ -84,9 +84,9 @@ class ProtocolError(ValueError):
 class Doorbell:
     """Wakeup ping on a data connection whose payload rides a shm ring.
 
-    Sent by a shared-memory sender when its write made an empty ring
-    non-empty, so the receiving rank's event loop drains the ring now
-    instead of on its next safety-timeout tick.
+    Sent by a shared-memory sender when it published into a ring whose
+    consumer had declared itself asleep: the frame wakes the receiving
+    rank's ``select``.
     """
 
 
@@ -547,6 +547,10 @@ class FrameConnection:
         if isinstance(peer, tuple) and len(peer) >= 2:
             return f"{peer[0]}:{peer[1]}"
         return str(peer) or "<unix>"
+
+    def fileno(self) -> int:
+        """So a loop that owns other sockets can select on this one too."""
+        return self._sock.fileno()
 
     def send(self, msg: Any) -> None:
         with self._wlock:

@@ -5,20 +5,27 @@ This is what ``repro serve --rank K`` runs (and what the loopback
 Melissa Server rank as an independent OS process.  It
 
 * opens a :class:`~repro.net.channel.DataListener` (the rank's ZeroMQ
-  PULL socket) feeding a byte-bounded inbox,
+  PULL socket) whose sink is :meth:`ServerRank.handle`,
 * registers its data address with the coordinator's rendezvous endpoint
   — including which groups its restored checkpoint already contains, so
   a respawned rank lets the coordinator requeue exactly the groups the
   restored statistics are missing (Sec. 4.2.3),
-* drains the inbox through :meth:`ServerRank.handle` while emitting
-  heartbeats and answering control ops (``forget`` on a group fault,
-  ``finalize`` at the end of the study),
+* runs **one loop on one thread**: each :meth:`DataListener.turn` is a
+  ``select`` over the data sockets, the rings' doorbells and the
+  coordinator's control socket, and every decoded frame goes straight
+  into ``handle`` — a ring frame as a borrowed view of its slot, the
+  head advancing (TCP: the credit granted) only after ``handle``
+  returned, so staging is the one copy on the rank and "acknowledged"
+  means "staged or folded".  The only timeout is the time to the next
+  heartbeat or checkpoint; heartbeats are also emitted from inside the
+  drain, and control ops (``forget`` on a group fault, ``finalize`` at
+  the end of the study) are answered in the turn they arrive,
 * checkpoints its rank state independently of every other rank
   (Sec. 4.2.3 — per-rank files, restored at startup so a restarted
   ``repro serve`` resumes its integrated statistics before new workers
   connect),
 * ships its state + batched index maps + convergence scalar back to the
-  coordinator, then **lingers**: it keeps accepting and draining data
+  coordinator, then **lingers**: it keeps turning the same loop
   until the coordinator closes the control connection, so replays from a
   respawn-requeued group still land somewhere (replay protection
   discards them; the reported state stays exact).
@@ -50,7 +57,6 @@ from repro.net.framing import ConnectionLost, connect_with_retry
 from repro.telemetry.logs import get_logger
 from repro.telemetry.registry import delta as _metrics_delta
 from repro.telemetry.tracer import span_record
-from repro.transport.channel import BoundedChannel, ChannelClosed
 from repro.transport.message import Heartbeat
 
 FAULT_ENV = "REPRO_SERVE_FAULT"
@@ -108,7 +114,6 @@ def run_server_rank(
     data_host: str = "127.0.0.1",
     data_port: int = 0,
     checkpoint_dir=None,
-    poll_interval: float = 0.005,
     heartbeat_interval=None,
     fault_plan: FaultPlan = None,
     fault_spec: str = None,
@@ -140,12 +145,7 @@ def run_server_rank(
                 "restored checkpoint in %.3fs (%d finished groups)",
                 restore_seconds, len(rank.finished_groups),
             )
-    inbox = BoundedChannel(
-        capacity_bytes=config.channel_capacity_bytes,
-        name=f"server-rank-{rank_idx}",
-    )
     listener = DataListener(
-        inbox,
         host=data_host,
         port=data_port,
         recv_hwm_bytes=config.channel_capacity_bytes,
@@ -183,15 +183,6 @@ def run_server_rank(
             # double-count, so this process starts from a clean slate
             reg.reset()
         rank_label = str(rank_idx)
-        g_recv_blocks = reg.gauge(
-            "repro_rank_recv_blocks",
-            "data-producer suspensions on this rank's inbox (dual-HWM "
-            "flow control)",
-        )
-        g_recv_blocked = reg.gauge(
-            "repro_rank_recv_blocked_seconds",
-            "seconds data producers spent suspended on this rank's inbox",
-        )
         g_ci_width = reg.gauge(
             "repro_rank_max_ci_width",
             "live convergence scalar: widest Sobol confidence interval "
@@ -219,8 +210,8 @@ def run_server_rank(
         last_checkpoint = time.monotonic()
 
         def maybe_beat() -> None:
-            # called inside the drain loops too: a sustained backlog (or
-            # a straggler's per-message delay) must never starve the
+            # called after every frame too: a sustained backlog (or a
+            # straggler's per-message delay) must never starve the
             # heartbeat, or the supervisor would kill a busy-but-live
             # rank as a zombie
             nonlocal last_beat, last_snapshot, last_ci
@@ -237,11 +228,6 @@ def run_server_rank(
                 if telemetry_on:
                     g_fold_threads.set(
                         float(rank.sobol.active_fold_threads), rank=rank_label
-                    )
-                    stats = inbox.stats
-                    g_recv_blocks.set(stats.send_blocks, rank=rank_label)
-                    g_recv_blocked.set(
-                        stats.blocked_seconds, rank=rank_label
                     )
                     if now - last_ci >= ci_interval:
                         g_ci_width.set(
@@ -260,43 +246,49 @@ def run_server_rank(
                 )
                 last_beat = now
 
-        finalize = False
+        def on_frame(msg) -> None:
+            rank.handle(msg, time.monotonic())
+            if fault is not None:
+                fault.on_handle()
+            maybe_beat()
+
+        finalize = lingering = False
+
+        def on_control() -> None:
+            nonlocal finalize
+            while True:
+                frame = ctrl.recv()  # ConnectionLost: the coordinator hung up
+                if isinstance(frame, dict) and not lingering:
+                    op = frame.get("op")
+                    if op == "forget":
+                        gid = int(frame["group_id"])
+                        rank.forget_group(gid)
+                        log.info(
+                            "forgot staged partials",
+                            extra={"repro_ids": {"group": gid}},
+                        )
+                    elif op == "finalize":
+                        finalize = True
+                    elif op == "error":
+                        raise RuntimeError(
+                            f"coordinator error: {frame.get('error')}"
+                        )
+                if not ctrl.poll(0.0):
+                    return
+
+        listener.sink = on_frame
+        listener.watch(ctrl, on_control)
         while not finalize:
             if fault is not None:
                 fault.check()
-            try:
-                rank.handle(inbox.recv(timeout=poll_interval), time.monotonic())
-                if fault is not None:
-                    fault.on_handle()
-            except TimeoutError:
-                pass
-            # opportunistically drain whatever else is already queued
-            while True:
-                msg = inbox.try_recv()
-                if msg is None:
-                    break
-                rank.handle(msg, time.monotonic())
-                if fault is not None:
-                    fault.on_handle()
-                maybe_beat()
+            # sleep until a socket or a doorbell has something, at most
+            # until the next heartbeat or checkpoint is due
+            due = last_beat + heartbeat_interval
+            if manager is not None:
+                due = min(due, last_checkpoint + config.checkpoint_interval)
+            listener.turn(max(0.0, due - time.monotonic()))
             maybe_beat()
             now = time.monotonic()
-            while ctrl.poll(0.0):
-                frame = ctrl.recv()
-                if not isinstance(frame, dict):
-                    continue
-                op = frame.get("op")
-                if op == "forget":
-                    gid = int(frame["group_id"])
-                    rank.forget_group(gid)
-                    log.info(
-                        "forgot staged partials",
-                        extra={"repro_ids": {"group": gid}},
-                    )
-                elif op == "finalize":
-                    finalize = True
-                elif op == "error":
-                    raise RuntimeError(f"coordinator error: {frame.get('error')}")
             if (
                 manager is not None
                 and now - last_checkpoint >= config.checkpoint_interval
@@ -313,17 +305,8 @@ def run_server_rank(
                 log.debug("checkpoint saved in %.3fs", saved)
                 last_checkpoint = now
 
-        # all workers flushed before the coordinator finalized, so every
-        # in-flight frame is already in the inbox: drain it completely
-        while True:
-            msg = inbox.try_recv()
-            if msg is None:
-                break
-            rank.handle(msg, time.monotonic())
-            if fault is not None:
-                fault.on_handle()
-            maybe_beat()
-
+        # a group only counts as done once this rank acknowledged its
+        # frames, and acknowledged means handled: nothing is left to drain
         maps = rank.index_maps()
         width = float(rank.sobol.max_interval_width())
         if manager is not None:
@@ -337,30 +320,43 @@ def run_server_rank(
         # rank's complete accounting even if no further beat would fire
         last_beat = -1e18
         maybe_beat()
-        inbox_stats = inbox.stats
         ctrl.send({
             "op": "rank_state",
             "rank": rank_idx,
             "state": rank.checkpoint_state(),
             "maps": maps,
             "width": width,
-            # receive-side ChannelStats: the end-of-run summary surfaces
-            # suspension counts/bytes without needing telemetry enabled
+            # what the loop counted.  A rank has no buffer of its own to
+            # suspend on: suspension is measured where it happens, in the
+            # senders' send_blocks / blocked_seconds
             "channel_stats": {
-                "messages_received": inbox_stats.messages_received,
-                "bytes_received": inbox_stats.bytes_received,
-                "recv_blocks": inbox_stats.send_blocks,
-                "blocked_seconds": inbox_stats.blocked_seconds,
-                "high_water_bytes": inbox_stats.high_water_bytes,
+                "messages_received": listener.stats.messages_received,
+                "bytes_received": listener.stats.bytes_received,
+                "recv_blocks": 0,
+                "blocked_seconds": 0.0,
+                "high_water_bytes": listener.stats.high_water_bytes,
             },
         })
         log.info(
             "rank state shipped (%d messages, %d discarded, width %.4g)",
             rank.messages_processed, rank.messages_discarded, width,
         )
-        _linger(rank, inbox, ctrl)
-        log.info("coordinator hung up; exiting")
-        return 0
+        # linger until the coordinator hangs up.  If another rank dies
+        # after this one reported, workers re-run the requeued groups and
+        # re-send to EVERY intersecting rank, this one included; all of it
+        # is a replay of an integrated timestep (a group only counts as
+        # done once each rank acknowledged its frames), so handling it is a
+        # pure discard and the reported state stays exact — what matters is
+        # that the channels keep acknowledging so the re-run can finish.
+        # Control frames (repeat finalize, forget) are read and ignored.
+        lingering = True
+        listener.sink = lambda msg: rank.handle(msg, time.monotonic())
+        try:
+            while True:
+                listener.turn()
+        except (ConnectionLost, OSError):
+            log.info("coordinator hung up; exiting")
+            return 0
     except BaseException:
         try:
             ctrl.send({"op": "error", "error": traceback.format_exc()})
@@ -369,33 +365,4 @@ def run_server_rank(
         raise
     finally:
         listener.close()
-        inbox.close()
         ctrl.close()
-
-
-def _linger(rank: ServerRank, inbox: BoundedChannel, ctrl) -> None:
-    """Post-report phase: stay reachable until the coordinator hangs up.
-
-    If another rank dies after this one reported, the coordinator
-    requeues groups and workers re-run them — re-sending field data to
-    EVERY intersecting rank, this one included.  Everything arriving here
-    is a replay of an already-integrated timestep (a group only counts as
-    done once each rank credited its bytes and the pre-finalize drain
-    integrated them), so handling it is a pure discard and the reported
-    state stays exact; what matters is that the data channels keep
-    crediting so the re-run can finish.
-    """
-    while True:
-        try:
-            if ctrl.poll(0.05):
-                ctrl.recv()  # drained and ignored (repeat finalize, forget)
-        except (ConnectionLost, TimeoutError, OSError):
-            return  # coordinator closed: the study is over
-        try:
-            while True:
-                msg = inbox.try_recv()
-                if msg is None:
-                    break
-                rank.handle(msg, time.monotonic())
-        except ChannelClosed:
-            return

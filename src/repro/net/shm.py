@@ -12,31 +12,38 @@ single-producer single-consumer byte ring in one
   after the frame is fully written, so every frame a consumer can see is
   complete even if the producer was SIGKILLed mid-write;
 * the **consumer** (the rank's :class:`~repro.net.channel.DataListener`
-  event loop) decodes frames in place, moves them into the rank's inbox,
-  and advances the head cursor only *after* the inbox accepted the
-  message.  The two cursors are the channel's delivery ledger: ``tail``
-  (:meth:`ShmChannel.sent`) is what the worker handed over, ``head``
-  (:meth:`ShmChannel.acked`) is what is at least in the rank's inbox.
-  A worker records ``sent()`` when a group's last frame is in and
-  reports the group done once ``acked()`` has passed that mark
-  (:meth:`ShmChannel.wait_acked`; :meth:`ShmChannel.flush` is the same
-  wait on the current tail).
+  loop) decodes a frame in place and hands it to the rank's sink — the
+  payload a **read-only view of the ring slot**, lent for the duration of
+  that call (:mod:`repro.transport.message` has the rule; only a payload
+  that wraps the ring's end is copied out) — and advances the head
+  cursor only *after* the sink returned.  The two cursors are the
+  channel's delivery ledger: ``tail`` (:meth:`ShmChannel.sent`) is what
+  the worker handed over, ``head`` (:meth:`ShmChannel.acked`) is what
+  the rank has **handled** (staged or folded).  A worker records
+  ``sent()`` when a group's last frame is in and reports the group done
+  once ``acked()`` has passed that mark (:meth:`ShmChannel.wait_acked`;
+  :meth:`ShmChannel.flush` is the same wait on the current tail).
 
-Neither side spins on the other.  The consumer sleeps in its selector
-after raising ``consumer_waiting``; the producer rings the doorbell only
-for a consumer that declared it is going to sleep (an awake one re-scans
-the ring before it may sleep again, and a 50 ms backstop covers exotic
-memory orderings).  A producer waiting for room or for an
+Who may sleep, and who rings.  The consumer is the only side that
+sleeps in a selector, and before it does it *looks*: for at most
+:data:`LOOK_BEFORE_PARK_S` it re-reads its rings' tails (yielding the
+core between reads), because a doorbell costs the producer a ``sendmsg``
+that wakes a halted core — 93-189 us measured on the 2-vCPU box — and
+the next frame of a running study is usually closer than that.  Only
+then does it raise ``consumer_waiting``, re-check, and park; the
+producer rings the doorbell only for a consumer that declared it is
+going to sleep, once per park (an awake consumer re-scans the ring
+before it may sleep again).  A producer waiting for room or for an
 acknowledgement polls the head cursor with a capped exponential back-off
 and never while holding the producer lock — on a small box a spinning
 producer takes the core of the rank it is waiting for.
 
 The paper's dual high-water-mark suspension semantics (Sec. 4.1.3) carry
 over unchanged: the sender's budget is ``send_hwm_bytes`` of in-flight
-ring bytes (the analog of the TCP outbox + credit window), the
-receiver's budget is the rank inbox — when the inbox fills, the event
-loop stops draining, the ring fills, and ``try_send`` returns False:
-the group suspends, Fig. 6a/b style.
+ring bytes (the analog of the TCP outbox + credit window), and the
+receiver's buffer *is* the ring — a rank that falls behind stops
+advancing ``head``, the ring fills, and ``try_send`` returns False: the
+group suspends, Fig. 6a/b style.
 
 The TCP control socket from channel negotiation stays open alongside the
 ring: it detects peer death (EOF), carries the doorbell wakeups that let
@@ -50,6 +57,7 @@ atomic on every platform CPython runs on.
 
 from __future__ import annotations
 
+import math
 import socket
 import struct
 import threading
@@ -96,6 +104,10 @@ MAX_RING_BYTES = 1 << 30
 _BACKOFF_FIRST_S = 20e-6
 _BACKOFF_CAP_S = 1e-3
 
+#: how long a consumer looks at its rings before it declares itself
+#: asleep: about what the doorbell it then needs costs the producer
+LOOK_BEFORE_PARK_S = 250e-6
+
 
 def _shared_memory():
     from multiprocessing import shared_memory
@@ -119,15 +131,15 @@ class ShmRing:
         self._tail = self._mv[_OFF_TAIL : _OFF_TAIL + 8].cast("Q")
         self._head = self._mv[_OFF_HEAD : _OFF_HEAD + 8].cast("Q")
         (self.capacity,) = struct.unpack_from("<Q", self._mv, _OFF_CAPACITY)
-        # one uint8 view over the data region: numpy-to-numpy slice
-        # copies release the GIL, letting producer, event loop, and the
-        # rank's fold thread overlap instead of serializing on copies
+        # one uint8 view over the data region (header probes, and the
+        # copy-out of a payload that wraps)
         self._data = np.frombuffer(
             shm.buf, dtype=np.uint8, count=self.capacity, offset=_DATA_OFFSET
         )
         # flat byte view for the write path: memoryview slice assignment
         # is a straight C memcpy with no array-object churn per part
         self._dmv = self._mv[_DATA_OFFSET : _DATA_OFFSET + self.capacity]
+        self._ro = self._dmv.toreadonly()  # what :meth:`lend` hands out
         self._closed = False
 
     # ------------------------------------------------------------------ #
@@ -171,7 +183,7 @@ class ShmRing:
         return int(self._tail[0])
 
     def head(self) -> int:
-        """Logical position the consumer has moved into its inbox."""
+        """Logical position the consumer has handled everything before."""
         return int(self._head[0])
 
     def used(self) -> int:
@@ -255,6 +267,15 @@ class ShmRing:
         if nbytes > first:
             dst[first:] = self._data[: nbytes - first]
 
+    def lend(self, offset: int, shape: Tuple[int, ...]) -> Optional[np.ndarray]:
+        """Read-only float64 view of the slot ``offset`` bytes past the
+        head — valid until :meth:`advance` passes it — or None when the
+        payload wraps the ring's end (the caller copies that one out)."""
+        off = (int(self._head[0]) + offset) % self.capacity
+        if off + 8 * math.prod(shape) > self.capacity:
+            return None
+        return np.ndarray(shape, dtype=np.float64, buffer=self._ro, offset=off)
+
     def advance(self, nbytes: int) -> None:
         self._head[0] = int(self._head[0]) + nbytes
 
@@ -266,6 +287,10 @@ class ShmRing:
         self._closed = True
         # every exported view must be released before the mmap can close
         self._data = None
+        try:
+            self._ro.release()
+        except BufferError:
+            pass  # a lent view outlived its call; the unmap below says so
         self._dmv.release()
         self._tail.release()
         self._head.release()
@@ -308,17 +333,17 @@ class ShmRing:
                     pass
 
 
-def read_ring_frame(ring: ShmRing, offset: int = 0) -> Optional[Tuple[Any, int]]:
-    """Decode the complete frame ``offset`` bytes past the head without
-    consuming anything.
+def read_ring_frame(ring: ShmRing) -> Optional[Tuple[Any, int]]:
+    """Decode the complete frame at the head without consuming anything.
 
     Returns ``(message, total_frame_bytes)`` or None when the ring holds
-    no complete frame there.  A non-zero ``offset`` lets the consumer
-    decode a batch of frames and advance the head once for all of them;
-    the head still only moves after the messages safely landed (inbox
-    accepted them) — see module docstring.
+    no complete frame there.  A field payload is **lent**: a read-only
+    view of the ring slot, overwritten once the head advances past it, so
+    the consumer advances only after whoever it handed the message to
+    returned, and a receiver that keeps the payload copies it
+    (:func:`repro.transport.message.owned`).
     """
-    used = ring.used() - offset
+    used = ring.used()
     head_len = _PREFIX.size + 1
     if used < head_len:
         return None
@@ -327,7 +352,7 @@ def read_ring_frame(ring: ShmRing, offset: int = 0) -> Optional[Tuple[Any, int]]
     # tag turns out to be F/G the probe is guaranteed to have covered
     # the whole 45-byte head.
     probe = head_len + _FIELD_HEADER.size
-    head = ring.peek(offset, probe if used >= probe else head_len)
+    head = ring.peek(0, probe if used >= probe else head_len)
     (body_len,) = _PREFIX.unpack_from(head)
     check_body_len(body_len)
     total = _PREFIX.size + body_len
@@ -338,23 +363,24 @@ def read_ring_frame(ring: ShmRing, offset: int = 0) -> Optional[Tuple[Any, int]]
     tag = head[_PREFIX.size : head_len]
     if tag == TAG_FIELD:
         group, member, step, lo, hi = _FIELD_HEADER.unpack_from(head, head_len)
-        ncells = field_payload_cells(body_len, lo, hi)
-        data = np.empty(ncells, dtype=np.float64)
-        ring.copy_out(
-            offset + head_len + _FIELD_HEADER.size, data.view(np.uint8)
-        )
+        shape = (field_payload_cells(body_len, lo, hi),)
+        data = _payload(ring, head_len + _FIELD_HEADER.size, shape)
         return FieldMessage(group, member, step, lo, hi, data), total
     if tag == TAG_GROUP_FIELD:
         group, step, lo, hi, nmembers = _GROUP_HEADER.unpack_from(head, head_len)
         shape = group_payload_shape(body_len, lo, hi, nmembers)
-        data = np.empty(shape, dtype=np.float64)
-        ring.copy_out(
-            offset + head_len + _GROUP_HEADER.size,
-            data.reshape(-1).view(np.uint8),
-        )
+        data = _payload(ring, head_len + _GROUP_HEADER.size, shape)
         return GroupFieldMessage(group, step, lo, hi, data), total
-    body = ring.peek(offset + head_len, body_len - 1)
+    body = ring.peek(head_len, body_len - 1)
     return decode_control_body(tag, body), total
+
+
+def _payload(ring: ShmRing, offset: int, shape: Tuple[int, ...]) -> np.ndarray:
+    data = ring.lend(offset, shape)
+    if data is None:  # wraps the ring's end: the one payload copied out
+        data = np.empty(shape, dtype=np.float64)
+        ring.copy_out(offset, data.reshape(-1).view(np.uint8))
+    return data
 
 
 def ring_bytes_for(
@@ -477,8 +503,7 @@ class ShmChannel:
         if used > self.stats.high_water_bytes:
             self.stats.high_water_bytes = used
         if self._ring.consumer_waiting:
-            # the consumer declared it is going to sleep: ding its event
-            # loop so it drains now instead of on its safety-timeout tick
+            # the consumer declared it is going to sleep: ding its loop
             # (clearing the flag first keeps a burst of publishes to one
             # doorbell).  An awake consumer re-scans the ring before it
             # sleeps again, so it needs no syscall from us.
@@ -489,15 +514,15 @@ class ShmChannel:
                 pass  # peer death surfaces via the watcher thread
 
     # ------------------------------------------------------------------ #
-    # delivery cursors: tail = handed over, head = in the rank's inbox
+    # delivery cursors: tail = handed over, head = handled by the rank
     # ------------------------------------------------------------------ #
     def sent(self) -> int:
         """Cursor after the last frame handed to the channel."""
         return self._ring.tail()
 
     def acked(self) -> int:
-        """Cursor the receiver has passed: every frame before it is in
-        the rank's inbox."""
+        """Cursor the receiver has passed: the rank has handled (staged
+        or folded) every frame before it."""
         return self._ring.head()
 
     def wait_acked(self, cursor: int, timeout: Optional[float] = None) -> bool:
@@ -532,7 +557,7 @@ class ShmChannel:
             delay = min(2 * delay, _BACKOFF_CAP_S)
 
     def flush(self, timeout: Optional[float] = None) -> None:
-        """Block until the consumer drained every frame into its inbox."""
+        """Block until the consumer has handled every frame sent."""
         if not self.wait_acked(self.sent(), timeout):
             raise TimeoutError(
                 f"{self.name}: {self._ring.used()} ring byte(s) not yet "

@@ -11,8 +11,8 @@ groups stream without waiting on the server, Sec. 4.1.3).  When a
 group's last frame has been handed to the channels, the worker records
 each channel's *sent* cursor and asks for the next group at once; the
 finished group stays **held** until every receiving rank's
-*acknowledged* cursor has passed its mark — each of its frames is then
-in a rank's inbox — and only then is it reported, on the ``done`` list
+*acknowledged* cursor has passed its mark — the ranks have then handled
+each of its frames — and only then is it reported, on the ``done`` list
 of a later ``{"op": "next", "done": [...]}`` request: one control frame
 per group.  The worker blocks in exactly three places, each on an event
 and none on a timer:
@@ -269,7 +269,7 @@ class SocketRouter:
 
     def acked(self, marks: Dict[Any, int]) -> bool:
         """Has every rank passed its mark (non-blocking)?  Every frame
-        sent before the marks were taken is then in a rank's inbox."""
+        sent before the marks were taken has then been handled by a rank."""
         for channel, cursor in marks.items():
             if channel.acked() < cursor:
                 if channel.broken:

@@ -331,7 +331,6 @@ class DistributedRuntime:
             kwargs={
                 "data_host": self.host,
                 "checkpoint_dir": self.checkpoint_dir,
-                "poll_interval": self.poll_interval,
                 "heartbeat_interval": self.heartbeat_interval,
                 "fault_plan": fault_plan,
                 "env_fault": env_fault,

@@ -158,8 +158,6 @@ class StudyTelemetry:
         for metric, field in (
             ("repro_rank_bytes_received", "bytes_received"),
             ("repro_rank_messages_received", "messages_received"),
-            ("repro_rank_recv_blocked_seconds", "blocked_seconds"),
-            ("repro_rank_recv_blocks", "recv_blocks"),
             ("repro_rank_max_ci_width", "max_ci_width"),
         ):
             for name, stats in series_table(snapshot, metric, "rank").items():

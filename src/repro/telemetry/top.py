@@ -124,19 +124,18 @@ def render_frame(frame: Optional[dict]) -> str:
 
     ranks = frame.get("ranks", {})
     if ranks:
+        # (no suspension columns: a rank has no buffer of its own to be
+        # suspended on — the workers' SUSP columns are where it shows)
         lines.append(
-            f"{'RANK':<8}{'FOLDS':>7}{'FOLD s':>9}{'RECV MB':>9}"
-            f"{'MSGS':>9}{'SUSP s':>8}{'SUSP %':>7}"
+            f"{'RANK':<8}{'FOLDS':>7}{'FOLD s':>9}{'RECV MB':>9}{'MSGS':>9}"
         )
         for name in sorted(ranks, key=lambda r: (len(r), r)):
             row = ranks[name]
-            blocked = row.get("blocked_seconds", 0.0)
             lines.append(
                 f"{name:<8}{row.get('folds', 0):>7}"
                 f"{row.get('fold_seconds', 0.0):9.2f}"
                 f"{_mb(row.get('bytes_received', 0.0)):>9}"
                 f"{int(row.get('messages_received', 0)):>9}"
-                f"{blocked:8.2f}{_pct(blocked, elapsed):>7}"
             )
     return "\n".join(lines)
 

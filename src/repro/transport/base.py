@@ -34,7 +34,7 @@ class Channel(Protocol):
     — the Fig. 6a/b suspension analysis is built on those counters.
     :class:`~repro.transport.channel.BoundedChannel` additionally offers
     the receive side; for :class:`~repro.net.channel.SocketChannel` the
-    receive side lives in the remote rank's inbox.
+    receive side is the remote rank's ``handle``.
     """
 
     def try_send(self, msg: Any) -> bool: ...

@@ -152,51 +152,6 @@ class BoundedChannel:
                 self.stats.blocked_seconds += _time.monotonic() - start
             self._enqueue(msg, size)
 
-    def send_many(self, msgs: list, timeout: Optional[float] = None) -> None:
-        """Blocking send of a batch under one lock acquisition.
-
-        Semantically identical to calling :meth:`send` per message (each
-        waits for its own space, stats count each message), but the
-        receiving side's event loop amortizes the lock/notify round trip
-        across the batch — the hot path for shared-memory ring drains.
-
-        Messages are consumed from the front of ``msgs`` as each lands,
-        so a caller catching TimeoutError can retry with what remains
-        without double-sending.
-        """
-        deadline = None if timeout is None else _time.monotonic() + timeout
-        with self._not_full:
-            while msgs:
-                msg = msgs[0]
-                size = self._sizer(msg)
-                if self._closed:
-                    raise ChannelClosed(
-                        f"channel {self.name or id(self)} is closed"
-                    )
-                if not self._fits(size):
-                    self.stats.send_blocks += 1
-                    start = _time.monotonic()
-                    while not self._fits(size):
-                        if self._closed:
-                            raise ChannelClosed(
-                                "channel closed while blocked on send"
-                            )
-                        remaining = (
-                            None if deadline is None
-                            else deadline - _time.monotonic()
-                        )
-                        if remaining is not None and remaining <= 0:
-                            self.stats.blocked_seconds += (
-                                _time.monotonic() - start
-                            )
-                            raise TimeoutError(
-                                f"send on {self.name or id(self)} timed out"
-                            )
-                        self._not_full.wait(timeout=remaining)
-                    self.stats.blocked_seconds += _time.monotonic() - start
-                self._enqueue(msg, size)
-                msgs.pop(0)
-
     # ------------------------------------------------------------------ #
     def try_recv(self) -> Optional[Any]:
         """Dequeue one message or None if empty (raises when closed+drained)."""

@@ -11,12 +11,20 @@ for a later message, because channels, queue feeder threads and the
 server hold it by reference — a server rank folds a payload that covers
 its whole partition without copying it.  A sender that must keep
 writing to a buffer sends a copy.
+
+That is an *owned* payload: whoever receives the message may keep it.
+A decoder that reads frames out of storage it will reuse (the shm ring)
+instead *lends*: the payload is a **read-only view**, valid until the
+call it was handed to returns — for a server rank, the duration of
+``handle`` — and whoever wants to keep it past that copies it first
+(:func:`owned`).  Read-only is the mark: code that keeps a payload by
+reference keeps only a writeable one.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
 import numpy as np
@@ -200,6 +208,16 @@ def split_by_partition(msg, partition):
     if len(spans) == 1:
         return [(spans[0][0], msg)]
     return [(rank, msg.slice(lo, hi)) for rank, lo, hi in spans]
+
+
+def owned(msg):
+    """``msg`` with a payload its holder may keep: itself unless the
+    payload is borrowed (read-only, see the module docstring), then a
+    copy of it.  Messages without a payload pass through."""
+    data = getattr(msg, "data", None)
+    if data is None or data.flags.writeable:
+        return msg
+    return replace(msg, data=data.copy())
 
 
 @dataclass(frozen=True)

@@ -177,14 +177,14 @@ def make_rank_endpoint(rank_idx, config, capacity=None):
     partition = BlockPartition(config.ncells, config.server_ranks)
     rank = ServerRank(rank_idx, config, partition)
     inbox = BoundedChannel(capacity_bytes=capacity, name=f"rank-{rank_idx}")
-    listener = DataListener(inbox, recv_hwm_bytes=capacity)
+    listener = DataListener(recv_hwm_bytes=capacity).start(inbox)
     return rank, inbox, listener
 
 
 class TestSocketChannelBackpressure:
     def test_delivery_and_stats(self):
         inbox = BoundedChannel()
-        listener = DataListener(inbox)
+        listener = DataListener().start(inbox)
         channel = SocketChannel(listener.address, name="test")
         try:
             msgs = [FieldMessage(0, m, 0, 0, 4, np.arange(4.0)) for m in range(4)]
@@ -206,7 +206,7 @@ class TestSocketChannelBackpressure:
         msg = FieldMessage(0, 0, 0, 0, 32, np.arange(32.0))
         size = frame_nbytes(msg)
         inbox = BoundedChannel(capacity_bytes=size)  # receiver holds ~1 msg
-        listener = DataListener(inbox, recv_hwm_bytes=size)
+        listener = DataListener(recv_hwm_bytes=size).start(inbox)
         channel = SocketChannel(listener.address, send_hwm_bytes=size)
         try:
             sent = 0
@@ -244,7 +244,7 @@ class TestSocketChannelBackpressure:
         msg = FieldMessage(0, 0, 0, 0, 32, np.arange(32.0))
         size = frame_nbytes(msg)
         inbox = BoundedChannel(capacity_bytes=size)  # holds one frame
-        listener = DataListener(inbox, recv_hwm_bytes=size)
+        listener = DataListener(recv_hwm_bytes=size).start(inbox)
         channel = SocketChannel(listener.address, send_hwm_bytes=size)
         try:
             assert (channel.sent(), channel.acked()) == (0, 0)
@@ -279,7 +279,7 @@ class TestSocketChannelBackpressure:
         every frame goes out inside ``try_send`` and the pusher is never
         even started."""
         inbox = BoundedChannel()
-        listener = DataListener(inbox)
+        listener = DataListener().start(inbox)
         channel = SocketChannel(listener.address, send_hwm_bytes=1 << 16)
         try:
             for member in range(200):
@@ -301,7 +301,7 @@ class TestSocketChannelBackpressure:
         and the pusher parks once nothing is left."""
         data = np.arange(4_000_000, dtype=np.float64)  # 32 MB
         inbox = BoundedChannel()
-        listener = DataListener(inbox)
+        listener = DataListener().start(inbox)
         channel = SocketChannel(listener.address)
         try:
             assert channel.try_send(FieldMessage(0, 0, 0, 0, data.size, data))
@@ -321,7 +321,7 @@ class TestSocketChannelBackpressure:
         msg = FieldMessage(0, 0, 0, 0, 32, np.arange(32.0))
         size = frame_nbytes(msg)
         inbox = BoundedChannel(capacity_bytes=2 * msg.nbytes)  # holds two frames
-        listener = DataListener(inbox, recv_hwm_bytes=2 * size)
+        listener = DataListener(recv_hwm_bytes=2 * size).start(inbox)
         sock = socket.create_connection(listener.address, timeout=5.0)
         try:
             assert recv_frame(sock) == Credit(2 * size)  # the window
@@ -342,7 +342,7 @@ class TestSocketChannelBackpressure:
 
     def test_channel_protocol_conformance(self):
         inbox = BoundedChannel()
-        listener = DataListener(inbox)
+        listener = DataListener().start(inbox)
         channel = SocketChannel(listener.address)
         try:
             assert isinstance(channel, Channel)

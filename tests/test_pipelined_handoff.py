@@ -99,8 +99,8 @@ def test_worker_runs_ahead_but_done_never_precedes_delivery(transport):
     frames_per_group = config.ntimesteps  # one client rank, one server rank
     inbox = _RecordingInbox(capacity_bytes=frame + 16, name="held-full")
     listener = DataListener(
-        inbox, recv_hwm_bytes=frame + 16, transport=transport
-    )
+        recv_hwm_bytes=frame + 16, transport=transport
+    ).start(inbox)
     coordinator = retry_on_eaddrinuse(lambda: Coordinator(config).start())
     early = []  # (group, frames in the inbox) of any premature report
     mark_done = coordinator._mark_done

@@ -159,7 +159,7 @@ class TestShmRing:
 
 def open_shm_pair(recv_hwm=None, send_hwm=None, inbox_capacity=None):
     inbox = BoundedChannel(capacity_bytes=inbox_capacity, name="rank-inbox")
-    listener = DataListener(inbox, recv_hwm_bytes=recv_hwm, transport="auto")
+    listener = DataListener(recv_hwm_bytes=recv_hwm, transport="auto").start(inbox)
     channel = open_data_channel(
         listener.address, transport="shm", send_hwm_bytes=send_hwm,
         name="test-shm",
@@ -414,7 +414,7 @@ class TestDoorbellsAndProgressWaits:
 class TestFabricNegotiation:
     def test_auto_auto_negotiates_shm(self):
         inbox = BoundedChannel()
-        listener = DataListener(inbox, transport="auto")
+        listener = DataListener(transport="auto").start(inbox)
         channel = open_data_channel(listener.address, transport="auto")
         try:
             assert isinstance(channel, ShmChannel)
@@ -424,7 +424,7 @@ class TestFabricNegotiation:
 
     def test_tcp_listener_forces_fallback(self):
         inbox = BoundedChannel()
-        listener = DataListener(inbox, transport="tcp")
+        listener = DataListener(transport="tcp").start(inbox)
         channel = open_data_channel(listener.address, transport="auto")
         try:
             assert isinstance(channel, SocketChannel)
@@ -439,7 +439,7 @@ class TestFabricNegotiation:
 
     def test_tcp_client_skips_negotiation(self):
         inbox = BoundedChannel()
-        listener = DataListener(inbox, transport="auto")
+        listener = DataListener(transport="auto").start(inbox)
         channel = open_data_channel(listener.address, transport="tcp")
         try:
             assert isinstance(channel, SocketChannel)
@@ -449,7 +449,7 @@ class TestFabricNegotiation:
 
     def test_forced_shm_against_tcp_listener_errors(self):
         inbox = BoundedChannel()
-        listener = DataListener(inbox, transport="tcp")
+        listener = DataListener(transport="tcp").start(inbox)
         try:
             with pytest.raises(TransportNegotiationError):
                 open_data_channel(listener.address, transport="shm")
@@ -460,7 +460,7 @@ class TestFabricNegotiation:
         """A legacy SocketChannel (no negotiation frames at all) against
         the new listener: data flows, credits flow."""
         inbox = BoundedChannel()
-        listener = DataListener(inbox, transport="auto")
+        listener = DataListener(transport="auto").start(inbox)
         channel = SocketChannel(listener.address, name="legacy")
         try:
             msg = field(ncells=8)
@@ -476,7 +476,7 @@ class TestFabricNegotiation:
         """Regression for the DataListener leak: the connection table
         must not grow across connect/disconnect cycles."""
         inbox = BoundedChannel()
-        listener = DataListener(inbox, transport="auto")
+        listener = DataListener(transport="auto").start(inbox)
         try:
             for transport in ("tcp", "shm", "tcp", "shm"):
                 channel = open_data_channel(listener.address, transport=transport)
@@ -495,7 +495,7 @@ class TestFabricNegotiation:
     def test_no_segments_leaked(self):
         before = set(glob.glob("/dev/shm/psm_*"))
         inbox = BoundedChannel()
-        listener = DataListener(inbox, transport="auto")
+        listener = DataListener(transport="auto").start(inbox)
         channels = [
             open_data_channel(listener.address, transport="shm")
             for _ in range(3)
