@@ -10,9 +10,8 @@ Also home of the *server hot-path* ablation: the seed's scalar-loop
 estimator forest versus the vectorized batched engine (per-update cost on
 the realistic interleaved-timestep stream), the co-moment kernel backend
 shootout (einsum baseline vs BLAS-GEMM vs fused compiled C vs Numba,
-emitting machine-readable ``BENCH_kernels.json``), and a cross-runtime
-wall-clock comparison (sequential vs threaded vs process) on an
-end-to-end study.
+emitting machine-readable ``BENCH_kernels.json``), and the transport
+shootout (in-memory queue vs loopback TCP vs shm ring).
 """
 
 import json
@@ -426,12 +425,6 @@ def test_transport_shootout(results_dir, benchmark):
         f"shm-ring {t_shm:.3f}s vs loopback-tcp {t_tcp:.3f}s: the ring "
         f"should at least keep up with TCP on the same host"
     )
-    multicore = (os.cpu_count() or 1) >= 4
-    if multicore:
-        assert t_shm <= 2.0 * t_mem, (
-            f"shm-ring {t_shm:.3f}s vs memory-queue {t_mem:.3f}s: "
-            f"{t_shm / t_mem:.2f}x exceeds the 2x budget"
-        )
 
     payload_mb = TS_NMSG * TS_CELLS * 8 / 1e6
     records = []
@@ -475,40 +468,6 @@ def test_transport_shootout(results_dir, benchmark):
 
     tcp = next(r for r in records if r["transport"] == "loopback-tcp")
     assert tcp["mb_per_s"] > 5.0, f"loopback TCP only {tcp['mb_per_s']} MB/s"
-
-
-def test_runtime_comparison(results_dir, benchmark):
-    """Wall-clock + parity of sequential / threaded / process drivers on
-    an end-to-end Ishigami study (one core: this records overheads; on a
-    multi-core host the process driver pulls ahead)."""
-    from repro import SensitivityStudy
-    from repro.sobol import IshigamiFunction
-
-    def run(runtime, **kw):
-        study = SensitivityStudy.for_function(
-            IshigamiFunction(), ngroups=200, seed=11, ntimesteps=2
-        )
-        start = time.perf_counter()
-        results = study.run(runtime=runtime, **kw)
-        return time.perf_counter() - start, results
-
-    t_seq, seq = benchmark.pedantic(lambda: run("sequential"), rounds=1, iterations=1)
-    t_thr, thr = run("threaded", max_concurrent_groups=4)
-    t_proc, proc = run("process", max_concurrent_groups=4)
-    for other in (thr, proc):
-        np.testing.assert_allclose(other.first_order, seq.first_order, rtol=1e-9)
-        np.testing.assert_allclose(other.total_order, seq.total_order, rtol=1e-9)
-    table = format_table(
-        ["runtime", "wall s", "groups"],
-        [
-            ["sequential", round(t_seq, 3), seq.groups_integrated],
-            ["threaded", round(t_thr, 3), thr.groups_integrated],
-            ["process", round(t_proc, 3), proc.groups_integrated],
-        ],
-        title="runtime comparison, Ishigami 200 groups",
-    )
-    (results_dir / "table_runtime_comparison.txt").write_text(table + "\n")
-    print(table)
 
 
 @pytest.fixture(scope="module")

@@ -27,7 +27,7 @@ Package layout (see DESIGN.md for the full inventory):
 - :mod:`repro.simmpi`    — in-process MPI subset
 - :mod:`repro.scheduler` — SLURM-like batch scheduler (virtual time)
 - :mod:`repro.core`      — Melissa server / clients / launcher
-- :mod:`repro.runtime`   — sequential (deterministic) + threaded drivers
+- :mod:`repro.runtime`   — sequential (deterministic) + distributed drivers
 - :mod:`repro.faults`    — fault-injection plans
 - :mod:`repro.perfmodel` — calibrated model of the paper's Curie campaign
 - :mod:`repro.report`    — ASCII field maps and tables

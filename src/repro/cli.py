@@ -634,7 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    runtime_choices = ("sequential", "threaded", "process", "distributed")
+    runtime_choices = ("sequential", "distributed")
     from repro.kernels import KERNEL_NAMES
 
     def add_kernel_arg(sp):
@@ -663,7 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--groups", type=int, default=2000)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--runtime", choices=runtime_choices, default="sequential",
-                   help="execution driver (process = multi-core workers)")
+                   help="execution driver (distributed = loopback processes)")
     add_kernel_arg(p)
     add_stats_arg(p)
     p.set_defaults(func=_cmd_quickstart)
@@ -677,7 +677,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--server-ranks", type=int, default=4)
     p.add_argument("--runtime", choices=runtime_choices, default="sequential",
-                   help="execution driver (process = multi-core workers)")
+                   help="execution driver (distributed = loopback processes)")
     add_kernel_arg(p)
     add_stats_arg(p)
     p.set_defaults(func=_cmd_tube)

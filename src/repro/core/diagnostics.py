@@ -1,4 +1,4 @@
-"""Shared study-level diagnostics (one wording for every runtime)."""
+"""Study-level diagnostics."""
 
 from __future__ import annotations
 
@@ -15,8 +15,7 @@ def unfinished_study_message(
     reported_ranks: Iterable[int],
 ) -> str:
     """Deadline-breach report naming the unfinished groups and the server
-    ranks that never shipped their state — used verbatim by the process
-    and distributed runtimes so the diagnostics cannot drift apart."""
+    ranks that never shipped their state."""
     unfinished = sorted(set(range(ngroups)) - set(done) - set(abandoned))
     silent = sorted(set(range(server_ranks)) - set(reported_ranks))
     shown = ", ".join(map(str, unfinished[:12]))

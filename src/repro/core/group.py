@@ -163,8 +163,8 @@ class GroupExecutor:
         Study configuration (client ranks, transfer mode...).
     router:
         The transport fabric to the server — any
-        :class:`~repro.transport.base.TransportClient` (in-memory router,
-        multiprocessing queues, or TCP sockets).
+        :class:`~repro.transport.base.TransportClient` (in-memory router
+        or the socket router over tcp | shm).
     fail_at_timestep:
         Fault injection — every member "crashes" when the group reaches
         this timestep (the whole group is one failure unit, Sec. 4.2).

@@ -52,10 +52,11 @@ class StudyResults:
 
         Map extraction is batched: one whole-slab correlation pass per
         (rank, timestep) instead of the former ``p x T`` loop of per-map
-        calls.  The process runtime passes ``rank_maps`` (per-rank maps
-        computed inside the rank workers) and ``max_interval_width`` (the
-        convergence scalar max-reduced from per-worker values), so the
-        parent does no statistics math at all — only concatenation.
+        calls.  The distributed runtime passes ``rank_maps`` (per-rank
+        maps computed inside the rank processes) and
+        ``max_interval_width`` (the convergence scalar max-reduced from
+        per-rank values), so the parent does no statistics math at all —
+        only concatenation.
         """
         cfg = server.config
         names = parameter_names or tuple(cfg.space.names)

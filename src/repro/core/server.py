@@ -348,9 +348,9 @@ class ServerRank:
         """Every derived map of this rank's partition, batched per timestep.
 
         One ``(p, ncells_local)`` correlation-extraction pass per timestep
-        produces both index families; with the process runtime this runs
-        INSIDE the rank worker, so assembly parallelizes across ranks and
-        the parent only concatenates.
+        produces both index families; with the distributed runtime this
+        runs INSIDE the rank process, so assembly parallelizes across
+        ranks and the parent only concatenates.
         """
         t_total = self.config.ntimesteps
         p = self.config.nparams
@@ -478,8 +478,9 @@ class MelissaServer:
         """All ubiquitous maps in results layout, assembled per timestep.
 
         ``rank_maps`` may carry per-rank :meth:`ServerRank.index_maps`
-        payloads computed elsewhere (the process runtime ships them from
-        the rank workers); otherwise each rank computes its own here.
+        payloads computed elsewhere (the distributed runtime ships them
+        from the rank processes); otherwise each rank computes its own
+        here.
         Either way the heavy correlation math happens once per (rank,
         timestep) on whole slabs — not once per (parameter, timestep).
         """

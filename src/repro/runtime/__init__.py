@@ -8,14 +8,6 @@ streams; a *runtime* supplies the execution model:
   :class:`repro.faults.FaultPlan`, and any run is exactly reproducible.
   This is the workhorse for tests, examples, and the real (small-scale)
   end-to-end benchmarks.
-* :class:`ThreadedRuntime` — concurrent driver: server ranks and groups
-  run on real threads with blocking bounded channels and wall-clock
-  heartbeats, demonstrating that the same core logic is thread-safe under
-  true asynchrony (the paper's deployment shape, scaled into a process).
-* :class:`ProcessRuntime` — multi-core driver: every server rank lives in
-  its own ``multiprocessing`` worker fed by a per-rank queue and groups
-  run on a process pool — the share-nothing layout the paper gets from
-  MPI, without the GIL ceiling of the threaded driver.
 * :class:`DistributedRuntime` — socket driver: server ranks and group
   workers are independent OS processes connected over TCP through
   :mod:`repro.net` (the paper's ZeroMQ deployment shape).  The class
@@ -25,13 +17,9 @@ streams; a *runtime* supplies the execution model:
 """
 
 from repro.runtime.distributed import DistributedRuntime
-from repro.runtime.process import ProcessRuntime
 from repro.runtime.sequential import SequentialRuntime
-from repro.runtime.threaded import ThreadedRuntime
 
 __all__ = [
     "DistributedRuntime",
-    "ProcessRuntime",
     "SequentialRuntime",
-    "ThreadedRuntime",
 ]

@@ -7,9 +7,9 @@ the machinery in :mod:`repro.net`:
 * **loopback** (this class): :meth:`DistributedRuntime.run` forks every
   ``repro serve``-equivalent rank process and ``repro work``-equivalent
   group worker on this host, connects them over 127.0.0.1 TCP, and
-  assembles :class:`~repro.core.results.StudyResults` exactly like the
-  other runtimes.  ``SensitivityStudy.run(runtime="distributed")`` lands
-  here; it is what tests and CI exercise.
+  assembles :class:`~repro.core.results.StudyResults`.
+  ``SensitivityStudy.run(runtime="distributed")`` lands here; it is
+  what tests and CI exercise.
 * **multi-host** (the CLI): ``repro launch`` runs only the coordinator;
   ``repro serve --rank K`` / ``repro work`` processes started on any
   machine dial in.  Same wire protocol, same coordinator — the loopback
@@ -198,8 +198,8 @@ class DistributedRuntime:
     # ------------------------------------------------------------------ #
     def run(self, timeout: float = 300.0) -> StudyResults:
         """Spawn ranks + workers, coordinate, assemble results."""
-        # warm the compiled-kernel cache before forking (same rationale as
-        # ProcessRuntime: avoid duplicate C compiles in every rank)
+        # warm the compiled-kernel cache before forking: on a cold cache
+        # every rank would otherwise race into its own duplicate C compile
         from repro.kernels import resolve_spec, warm_compiled_backends
 
         if resolve_spec(self.config.kernel) in ("auto", "cext"):
@@ -395,9 +395,8 @@ def assemble_results(
 ) -> StudyResults:
     """Results from a completed coordinator (loopback or CLI launch).
 
-    Identical shape to the process runtime's parent-side reduction: the
-    ranks already computed their index maps and convergence scalar; here
-    we only restore states, concatenate, and max-reduce.
+    The ranks already computed their index maps and convergence scalar;
+    here we only restore states, concatenate, and max-reduce.
     """
     server = MelissaServer(config)
     for rank in server.ranks:

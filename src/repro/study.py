@@ -8,10 +8,9 @@ behind two constructors:
 * :meth:`SensitivityStudy.for_tube_bundle` — the paper's CFD use case.
 
 ``run()`` executes on the deterministic sequential runtime by default;
-pass ``runtime="threaded"`` for the thread-concurrent driver,
-``runtime="process"`` for the multi-core share-nothing driver, or
-``runtime="distributed"`` for the socket-transport driver (loopback
-rank/worker processes here; the same processes span hosts via the CLI).
+pass ``runtime="distributed"`` for the concurrent driver (loopback
+rank/worker processes over tcp | shm here; the same processes span hosts
+via the CLI).
 """
 
 from __future__ import annotations
@@ -137,20 +136,6 @@ class SensitivityStudy:
             )
             self.results = driver.run(max_time=max_time)
             self.driver = driver
-        elif runtime == "threaded":
-            from repro.runtime import ThreadedRuntime
-
-            _reject_fault_plan("threaded", fault_plan)
-            driver = ThreadedRuntime(self.config, self.factory, **runtime_kwargs)
-            self.results = driver.run()
-            self.driver = driver
-        elif runtime == "process":
-            from repro.runtime import ProcessRuntime
-
-            _reject_fault_plan("process", fault_plan)
-            driver = ProcessRuntime(self.config, self.factory, **runtime_kwargs)
-            self.results = driver.run()
-            self.driver = driver
         elif runtime == "distributed":
             from repro.runtime import DistributedRuntime
 
@@ -177,19 +162,3 @@ class SensitivityStudy:
         else:
             raise ValueError(f"unknown runtime {runtime!r}")
         return self.results
-
-
-def _reject_fault_plan(runtime: str, fault_plan: Optional[FaultPlan]) -> None:
-    """The threaded/process runtimes inject nothing; point at the right
-    driver per fault kind instead of always naming the sequential one."""
-    if fault_plan is None or fault_plan.empty:
-        return
-    target = (
-        "distributed"
-        if fault_plan.has_server_rank_faults or fault_plan.has_worker_faults
-        else "sequential"
-    )
-    raise ValueError(
-        f"the {runtime} runtime cannot inject faults; this plan needs "
-        f"runtime={target!r}"
-    )

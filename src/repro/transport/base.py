@@ -1,18 +1,16 @@
 """Transport-agnostic protocols shared by every channel/router flavour.
 
-Three transports implement the paper's connection pattern today:
+Two transports implement the paper's connection pattern today:
 
 * :class:`repro.transport.router.Router` — in-memory bounded channels
-  (sequential and threaded runtimes);
-* ``repro.runtime.process._QueueRouter`` — multiprocessing queues
-  (process runtime, one host);
-* :class:`repro.net.worker.SocketRouter` — length-prefixed TCP frames
-  (distributed runtime, many hosts).
+  (sequential runtime);
+* :class:`repro.net.worker.SocketRouter` — length-prefixed TCP frames or
+  shared-memory rings (distributed runtime, many hosts).
 
 :class:`GroupExecutor` only ever talks to the :class:`TransportClient`
 surface below, so the group logic cannot grow a dependency on any one
 fabric; the protocols are ``runtime_checkable`` and the transport tests
-assert conformance for all three.
+assert conformance for both.
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ the study depends on — and exposes:
 
 * ``try_send``   — non-blocking; returns False when the channel is full
   (used by the deterministic sequential runtime and the perf model);
-* ``send``       — blocking with timeout (used by the threaded runtime;
-  the wait time is recorded as *suspension* time, Fig. 6b's mechanism);
+* ``send``       — blocking with timeout (the wait time is recorded as
+  *suspension* time, Fig. 6b's mechanism);
 * ``recv`` / ``try_recv`` — consumer side;
 * high-water-mark and throughput statistics.
 """

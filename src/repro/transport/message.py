@@ -7,10 +7,10 @@ drive back-pressure are the real wire sizes.
 
 **Payload ownership.**  Delivering a message relinquishes its ``data``:
 after ``deliver`` the sender neither writes to the array nor reuses it
-for a later message, because channels, queue feeder threads and the
-server hold it by reference — a server rank folds a payload that covers
-its whole partition without copying it.  A sender that must keep
-writing to a buffer sends a copy.
+for a later message, because channels and the server hold it by
+reference — a server rank folds a payload that covers its whole
+partition without copying it.  A sender that must keep writing to a
+buffer sends a copy.
 
 That is an *owned* payload: whoever receives the message may keep it.
 A decoder that reads frames out of storage it will reuse (the shm ring)

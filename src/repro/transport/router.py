@@ -48,10 +48,9 @@ class Router:
     """Network fabric: connection handshake + per-pair bounded channels.
 
     This is the in-memory :class:`~repro.transport.base.TransportClient`;
-    ``repro.runtime.process._QueueRouter`` (multiprocessing queues) and
-    :class:`repro.net.worker.SocketRouter` (TCP) implement the same
-    protocol, so :class:`~repro.core.group.GroupExecutor` is agnostic to
-    which fabric carries its messages.
+    :class:`repro.net.worker.SocketRouter` (tcp | shm) implements the
+    same protocol, so :class:`~repro.core.group.GroupExecutor` is
+    agnostic to which fabric carries its messages.
 
     Parameters
     ----------

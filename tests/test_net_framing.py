@@ -528,15 +528,13 @@ class TestSplittingThroughSocketPath:
 
 
 class TestTransportClientConformance:
-    def test_all_three_transports(self):
+    def test_both_transports(self):
         from repro.net.worker import SocketRouter
-        from repro.runtime.process import _QueueRouter
         from repro.transport.router import Router
 
         config = make_config()
         partition = BlockPartition(config.ncells, config.server_ranks)
         assert isinstance(Router(partition), TransportClient)
-        assert isinstance(_QueueRouter(partition, []), TransportClient)
         fabric = _ListenerFabric(config)
         router = SocketRouter(_CannedRendezvous(config, fabric.addresses()), config)
         try:

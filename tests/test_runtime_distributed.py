@@ -160,6 +160,29 @@ class TestDistributedRuntime:
         with pytest.raises(ValueError):
             DistributedRuntime(config, vector_factory(fn), nworkers=0)
 
+    def test_single_worker(self):
+        fn, config = make_config(5)
+        results = DistributedRuntime(
+            config, vector_factory(fn), nworkers=1
+        ).run(timeout=60.0)
+        assert results.groups_integrated == 5
+
+    def test_worker_failure_surfaces(self):
+        """A raising simulation factory aborts the study with the worker's
+        name and traceback, not after the full timeout."""
+        fn, config = make_config(4)
+
+        def exploding_factory(params, sim_id):
+            raise RuntimeError("boom in worker")
+
+        runtime = DistributedRuntime(config, exploding_factory, nworkers=2)
+        start = time.monotonic()
+        with pytest.raises(StudyAborted, match=r"worker worker-[01] failed") as excinfo:
+            runtime.run(timeout=60.0)
+        assert time.monotonic() - start < 30.0, "did not fail fast"
+        assert "Traceback" in str(excinfo.value)
+        assert "RuntimeError: boom in worker" in str(excinfo.value)
+
     def test_per_rank_checkpoints_written(self, tmp_path):
         """Every rank process checkpoints its own file; restoring them
         rebuilds the same statistics."""
@@ -175,6 +198,32 @@ class TestDistributedRuntime:
         np.testing.assert_allclose(
             restored.assemble_maps()["first"], results.first_order,
             rtol=1e-12, atol=1e-15,
+        )
+
+
+class TestParallelReductions:
+    """The rank processes compute their own index maps and convergence
+    scalar; the parent must see values identical to recomputing from the
+    restored server state (it only concatenates / max-reduces)."""
+
+    def test_shipped_maps_match_restored_server(self):
+        fn, config = make_config(36, server_ranks=3,
+                                 channel_capacity_bytes=16384)
+        runtime = DistributedRuntime(config, vector_factory(fn), nworkers=3)
+        results = runtime.run(timeout=60.0)
+        # recompute everything serially from the restored rank states
+        recomputed = runtime.server.assemble_maps()
+        np.testing.assert_array_equal(results.first_order, recomputed["first"])
+        np.testing.assert_array_equal(results.total_order, recomputed["total"])
+        np.testing.assert_array_equal(results.variance, recomputed["variance"])
+        np.testing.assert_array_equal(results.mean, recomputed["mean"])
+
+    def test_shipped_width_matches_parent_reduction(self):
+        fn, config = make_config(30, server_ranks=2)
+        runtime = DistributedRuntime(config, vector_factory(fn), nworkers=2)
+        results = runtime.run(timeout=60.0)
+        assert results.max_interval_width == pytest.approx(
+            runtime.server.max_interval_width(), rel=1e-12
         )
 
 

@@ -310,3 +310,45 @@ class TestBackpressureEndToEnd:
         assert runtime.router is not None
         stats = runtime.router.total_stats()
         assert stats["send_blocks"] > 0  # back-pressure actually happened
+
+
+class TestStudyFacade:
+    def test_for_function_runs(self):
+        fn = IshigamiFunction()
+        study = SensitivityStudy.for_function(fn, ngroups=100, seed=3)
+        results = study.run()
+        assert results.groups_integrated == 100
+        assert study.results is results
+
+    def test_for_function_requires_space(self):
+        with pytest.raises(ValueError):
+            SensitivityStudy.for_function(lambda x: x.sum(axis=1), ngroups=5)
+
+    def test_for_function_explicit_space(self):
+        space = ParameterSpace(names=("a", "b"),
+                               distributions=(Uniform(0, 1), Uniform(0, 1)))
+        study = SensitivityStudy.for_function(
+            lambda x: x[:, 0] + 2 * x[:, 1], ngroups=200, space=space, seed=0
+        )
+        results = study.run()
+        # additive model: S2/S1 ~ 4
+        s = results.first_order[:, 0, 0]
+        assert s[1] > s[0]
+
+    def test_unknown_runtime(self):
+        fn = IshigamiFunction()
+        study = SensitivityStudy.for_function(fn, ngroups=5)
+        for name in ("quantum", "threaded", "process"):
+            with pytest.raises(ValueError, match="unknown runtime"):
+                study.run(runtime=name)
+
+    def test_tube_bundle_facade(self):
+        from repro.solver import TubeBundleCase
+
+        case = TubeBundleCase(nx=16, ny=8, ntimesteps=3, total_time=0.5)
+        study = SensitivityStudy.for_tube_bundle(
+            case, ngroups=3, server_ranks=2, client_ranks=2
+        )
+        results = study.run()
+        assert results.groups_integrated == 3
+        assert results.first_order.shape == (6, 3, 128)

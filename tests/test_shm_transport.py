@@ -37,7 +37,7 @@ from repro.net.shm import (
 )
 from repro.transport.base import Channel
 from repro.transport.channel import BoundedChannel, ChannelClosed
-from repro.transport.message import FieldMessage, GroupFieldMessage
+from repro.transport.message import FieldMessage, GroupFieldMessage, owned
 
 from test_net_framing import (
     _CannedRendezvous,
@@ -62,8 +62,8 @@ def drain_ring(ring):
         if item is None:
             return out
         msg, total = item
+        out.append(owned(msg))  # the payload is lent only until advance
         ring.advance(total)
-        out.append(msg)
 
 
 class TestShmRing:
