@@ -370,12 +370,13 @@ def _run_listener_transport(stream, open_channel):
 
 def _run_tcp_transport(stream):
     """SocketChannel -> loopback TCP -> DataListener -> sink."""
-    from repro.net.channel import SocketChannel
+    from repro.net.channel import open_data_channel
 
     return _run_listener_transport(
         stream,
-        lambda address: SocketChannel(
-            address, send_hwm_bytes=TS_CAPACITY, name="bench-tcp"
+        lambda address: open_data_channel(
+            address, transport="tcp", send_hwm_bytes=TS_CAPACITY,
+            name="bench-tcp",
         ),
     )
 

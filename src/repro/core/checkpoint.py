@@ -24,11 +24,11 @@ _FORMAT_VERSION = 3
 def _fingerprint(config: StudyConfig) -> dict:
     """The configuration facts a checkpoint must agree on to be loadable.
 
-    Format 3 replaces format 2's ``compute_general_stats`` boolean with
-    the full canonical ``statistics`` spec list: restoring a study whose
-    statistics catalog differs from the checkpoint's would silently drop
-    or zero per-plugin state, so the mismatch must fail loudly with the
-    differing specs named.
+    Format 3 is the only format: ``version`` plus the study shape and the
+    full canonical ``statistics`` spec list.  Restoring under a statistics
+    catalog that differs from the checkpoint's would silently drop or
+    zero per-plugin state, so any mismatch fails loudly with the
+    differing keys named.
     """
     return {
         "version": _FORMAT_VERSION,
@@ -38,151 +38,6 @@ def _fingerprint(config: StudyConfig) -> dict:
         "server_ranks": config.server_ranks,
         "statistics": list(config.statistics),
     }
-
-
-def _legacy_general_to_stats(general) -> tuple:
-    """Convert a v2 ``general`` state list to (specs, pipeline state).
-
-    A v2 rank state stored one ``FieldStatistics`` payload per timestep,
-    each embedding its own config.  The arrays pass through untouched so
-    migration is bit-exact; spec strings come from the same
-    :func:`repro.stats.legacy_statistics_specs` mapping the ``StudyConfig``
-    deprecation shim uses, so a migrated file fingerprints identically to
-    a legacy-configured study.
-    """
-    from repro.stats import legacy_statistics_specs
-
-    if not general:
-        return [], {"specs": [], "states": []}
-    cfg = general[0]["config"]
-    moment_order = int(cfg["moment_order"])
-    track_extrema = bool(cfg["track_extrema"])
-    thresholds = tuple(float(t) for t in cfg["thresholds"])
-    specs = list(legacy_statistics_specs(moment_order, track_extrema, thresholds))
-    states = [[fs["moments"] for fs in general]]
-    if track_extrema:
-        states.append([fs["extrema"] for fs in general])
-    if thresholds:
-        states.append([{"counters": fs["exceedances"]} for fs in general])
-    return specs, {"specs": specs, "states": states}
-
-
-def _stats_to_legacy_general(stats_state: dict):
-    """Convert a v3 pipeline state back to a v2 ``general`` list.
-
-    Only the legacy-expressible subset (one ``moments`` spec, optionally
-    ``extrema`` and one ``exceedance``) can round-trip; anything else
-    raises, because a v2 reader would silently lose those statistics.
-    Returns ``None`` for an empty pipeline (v2 wrote no ``general`` key).
-    """
-    from repro.stats import legacy_statistics_specs
-    from repro.stats.protocol import parse_spec
-
-    specs = list(stats_state["specs"])
-    if not specs:
-        return None
-    moment_order, track_extrema, thresholds = None, False, ()
-    rows = {}
-    for spec, row in zip(specs, stats_state["states"]):
-        name, params = parse_spec(spec)
-        rows[name] = row
-        if name == "moments":
-            moment_order = int(params["order"])
-        elif name == "extrema":
-            track_extrema = True
-        elif name == "exceedance":
-            thresholds = tuple(
-                float(t) for t in params["thresholds"].split("+")
-            )
-        else:
-            raise ValueError(
-                f"statistic '{spec}' is not expressible in checkpoint "
-                "format 2; cannot downgrade"
-            )
-    if moment_order is None or list(
-        legacy_statistics_specs(moment_order, track_extrema, thresholds)
-    ) != specs:
-        raise ValueError(
-            f"statistics {specs} do not match the legacy layout "
-            "(moments [+ extrema] [+ exceedance]); cannot downgrade"
-        )
-    ntimesteps = len(rows["moments"])
-    general = []
-    for t in range(ntimesteps):
-        fs = {
-            "config": {
-                "moment_order": moment_order,
-                "track_extrema": track_extrema,
-                "thresholds": list(thresholds),
-            },
-            "moments": rows["moments"][t],
-        }
-        if track_extrema:
-            fs["extrema"] = rows["extrema"][t]
-        fs["exceedances"] = (
-            list(rows["exceedance"][t]["counters"]) if thresholds else []
-        )
-        general.append(fs)
-    return general
-
-
-def downgrade_payload(payload: dict) -> dict:
-    """Rewrite a current-format rank payload as a format-1 file.
-
-    The exact inverse of :func:`migrate_payload`, kept HERE so the old
-    wire formats are defined in one place — the migration round-trip
-    tests and any future down-level export path share it.  v3 -> v2
-    rewrites the statistics pipeline state back into the per-timestep
-    ``general`` list (legacy-expressible catalogs only); v2 -> v1 drops
-    ``compute_general_stats`` from the fingerprint.  The Sobol' state is
-    untouched: the stacked engine reads both its own layout and the
-    legacy per-timestep estimator forest.
-    """
-    fp = dict(payload["fingerprint"])
-    state = dict(payload["state"])
-    version = fp.get("version", 1)
-    if version >= 3:
-        stats_state = state.pop("stats", {"specs": [], "states": []})
-        general = _stats_to_legacy_general(stats_state)
-        fp.pop("statistics", None)
-        fp["compute_general_stats"] = general is not None
-        if general is not None:
-            state["general"] = general
-        fp["version"] = version = 2
-    if version == 2:
-        fp.pop("compute_general_stats", None)
-        fp["version"] = 1
-    return {**payload, "fingerprint": fp, "state": state}
-
-
-def migrate_payload(payload: dict) -> dict:
-    """Upgrade a rank checkpoint payload written by an older format.
-
-    Format 1 -> 2: the fingerprint gains ``compute_general_stats``,
-    inferred from whether the rank state carries general statistics (the
-    only way a v1 file could have them).  Format 2 -> 3: the fingerprint
-    gains the canonical ``statistics`` spec list (derived from the config
-    embedded in the ``general`` state) and the per-timestep ``general``
-    payloads are re-laid out as the statistics pipeline state — arrays
-    pass through untouched, so migration is bit-exact.  The per-rank
-    Sobol' state keeps whatever layout it has; the stacked engine
-    migrates legacy estimator forests transparently in
-    :meth:`repro.sobol.martinez.UbiquitousSobolField.from_state_dict`.
-    """
-    fp = dict(payload["fingerprint"])
-    state = dict(payload["state"])
-    version = fp.get("version", 1)
-    if version == 1:
-        fp["compute_general_stats"] = "general" in state
-        fp["version"] = version = 2
-    if version == 2:
-        general = state.pop("general", None)
-        specs, stats_state = _legacy_general_to_stats(general)
-        state["stats"] = stats_state
-        fp.pop("compute_general_stats", None)
-        fp["statistics"] = specs
-        fp["version"] = 3
-    return {**payload, "fingerprint": fp, "state": state}
 
 
 class CheckpointManager:
@@ -230,8 +85,15 @@ class CheckpointManager:
         expected = _fingerprint(config)
         with open(path, "rb") as fh:
             payload = pickle.load(fh)
-        payload = migrate_payload(payload)
-        found = payload["fingerprint"]
+        # anything that is not a {fingerprint, state} payload compares as an
+        # empty fingerprint, so it is refused by the same named error
+        found = {}
+        if (
+            isinstance(payload, dict)
+            and isinstance(payload.get("fingerprint"), dict)
+            and "state" in payload
+        ):
+            found = payload["fingerprint"]
         if found != expected:
             differing = sorted(
                 key

@@ -2,20 +2,13 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from repro.sampling import ParameterSpace
-from repro.stats import StatisticsConfig
 
-#: default statistics when neither ``statistics`` nor the deprecated
-#: knobs are given — matches the historical ``compute_general_stats=True``
-#: with a default :class:`StatisticsConfig` (order-2 moments).
+#: statistics computed when ``statistics`` is None: order-2 moments.
 DEFAULT_STATISTICS: Tuple[str, ...] = ("moments:order=2",)
-
-# the deprecation shim warns once per process, not once per StudyConfig
-_LEGACY_STATS_WARNED = False
 
 
 @dataclass
@@ -43,10 +36,6 @@ class StudyConfig:
     #: general statistics (the Sobol' engine always runs).  Stored
     #: canonicalized, so equivalent spellings fingerprint identically.
     statistics: Optional[Sequence[str]] = None
-    #: DEPRECATED (use ``statistics``): the pre-catalog on/off switch.
-    compute_general_stats: Optional[bool] = None
-    #: DEPRECATED (use ``statistics``): the pre-catalog statistics knobs.
-    stats_config: Optional[StatisticsConfig] = None
     #: co-moment kernel backend for the fold hot path: "auto" (autotune),
     #: "einsum", "blas", "cext", "numba"; None defers to the REPRO_KERNEL
     #: environment variable and then "auto"
@@ -161,52 +150,12 @@ class StudyConfig:
             )
 
     def _resolve_statistics(self) -> None:
-        """Canonicalize ``statistics``, mapping the deprecated knobs onto it.
+        """Canonicalize ``statistics`` to the spec tuple that checkpoint
+        fingerprints and the distributed coordinator compare."""
+        from repro.stats import canonicalize_specs
 
-        After this runs, ``self.statistics`` is a canonical spec tuple (the
-        value checkpoint fingerprints and the distributed coordinator
-        compare) and ``self.compute_general_stats`` is re-derived for any
-        legacy reader as ``bool(self.statistics)``.
-        """
-        from repro.stats import canonicalize_specs, legacy_statistics_specs
-
-        global _LEGACY_STATS_WARNED
-        legacy_used = (
-            self.compute_general_stats is not None or self.stats_config is not None
-        )
-        if self.statistics is not None and legacy_used:
-            raise ValueError(
-                "pass either statistics=[...] or the deprecated "
-                "compute_general_stats/stats_config knobs, not both"
-            )
-        if self.statistics is not None:
-            specs = self.statistics
-        elif legacy_used:
-            if not _LEGACY_STATS_WARNED:
-                warnings.warn(
-                    "StudyConfig(compute_general_stats=..., stats_config=...) "
-                    "is deprecated; pass statistics=[...] spec strings instead "
-                    "(see `repro stats --list`)",
-                    DeprecationWarning,
-                    stacklevel=3,
-                )
-                _LEGACY_STATS_WARNED = True
-            enabled = (
-                True if self.compute_general_stats is None
-                else bool(self.compute_general_stats)
-            )
-            cfg = self.stats_config or StatisticsConfig()
-            specs = (
-                legacy_statistics_specs(
-                    cfg.moment_order, cfg.track_extrema, cfg.thresholds
-                )
-                if enabled
-                else ()
-            )
-        else:
-            specs = DEFAULT_STATISTICS
+        specs = DEFAULT_STATISTICS if self.statistics is None else self.statistics
         self.statistics = canonicalize_specs(specs)
-        self.compute_general_stats = bool(self.statistics)
 
     # ------------------------------------------------------------------ #
     @property

@@ -100,8 +100,6 @@ from repro.net.shm import (
 from repro.transport.channel import BoundedChannel, ChannelClosed, ChannelStats
 from repro.transport.message import owned
 
-_UNSET = object()
-
 
 class TransportNegotiationError(RuntimeError):
     """``transport="shm"`` was forced but the peer cannot provide it."""
@@ -119,23 +117,11 @@ class SocketChannel:
     until it can move the backlog and parks again when it is empty: a
     channel that keeps up never wakes a second thread.
 
-    Parameters
-    ----------
-    address:
-        The server rank's data listener address (ignored when ``sock``
-        is given).
-    send_hwm_bytes:
-        Sender-side buffer budget (``None`` = unbounded) — the client
-        half of the dual high-water mark.
-    connect_timeout:
-        Dial timeout in seconds.
-    sock:
-        Optional already-connected socket (the fabric-negotiation path
-        dials and reads the initial credit itself).
-    initial_window:
-        The receiver window when the initial credit frame was already
-        consumed during negotiation; leave unset to read it off the
-        socket.
+    Built only by :func:`open_data_channel`, which dials the rank, reads
+    the initial credit frame and hands over the connected ``sock`` with
+    the receiver's ``initial_window`` (``None`` = unbounded).
+    ``send_hwm_bytes`` is the sender-side buffer budget (``None`` =
+    unbounded) — the client half of the dual high-water mark.
     """
 
     #: frames written between two looks at the socket's read side when
@@ -145,39 +131,12 @@ class SocketChannel:
 
     def __init__(
         self,
-        address: Optional[Tuple[str, int]] = None,
+        sock: socket.socket,
+        initial_window: Optional[int],
         send_hwm_bytes: Optional[int] = None,
         name: str = "",
-        connect_timeout: float = 10.0,
-        sock: Optional[socket.socket] = None,
-        initial_window: Any = _UNSET,
     ):
-        if sock is None:
-            if address is None:
-                raise ValueError("SocketChannel needs an address or a socket")
-            self.name = name or f"tcp://{address[0]}:{address[1]}"
-            sock = socket.create_connection(address, timeout=connect_timeout)
-        else:
-            self.name = name or "tcp://<negotiated>"
-        try:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        except OSError:
-            pass
-        if initial_window is _UNSET:
-            sock.settimeout(connect_timeout)
-            try:
-                first = recv_frame(sock)
-            except (OSError, ConnectionLost) as exc:
-                sock.close()
-                raise TimeoutError(
-                    f"{self.name}: no initial credit from receiver"
-                ) from exc
-            if not isinstance(first, Credit):
-                sock.close()
-                raise ProtocolError(
-                    f"expected the initial credit frame, got {first!r}"
-                )
-            initial_window = None if first.nbytes < 0 else int(first.nbytes)
+        self.name = name or "tcp://<negotiated>"
         sock.setblocking(False)
         self._sock = sock
         self._hwm = send_hwm_bytes
@@ -526,10 +485,7 @@ def open_data_channel(
                 )
         sock.settimeout(None)
         return SocketChannel(
-            send_hwm_bytes=send_hwm_bytes,
-            name=name,
-            sock=sock,
-            initial_window=window,
+            sock, window, send_hwm_bytes=send_hwm_bytes, name=name
         )
     except BaseException:
         sock.close()

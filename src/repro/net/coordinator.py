@@ -225,9 +225,8 @@ class Coordinator:
         self.pool = pool
         # observability (ISSUE 8): `telemetry` is an optional
         # StudyTelemetry aggregating the metric deltas that ranks and
-        # workers piggyback on heartbeats (its presence is advertised in
-        # the registration acks — capability negotiation, so old peers
-        # keep sending plain heartbeats); `tracer` records the group
+        # workers piggyback on heartbeats (its presence is the on/off
+        # switch sent in the registration acks); `tracer` records the group
         # lifecycle + fault/elastic instants for --trace.  The event
         # timeline and final channel-stats frames are collected
         # unconditionally — they are bounded and feed the launch
@@ -783,8 +782,8 @@ class Coordinator:
         try:
             peer.send({
                 "op": "registered",
-                # capability negotiation: senders only attach telemetry
-                # payloads (v2 heartbeat frames) when we can ingest them
+                # senders attach telemetry payloads to their heartbeats
+                # only when we can ingest them
                 "telemetry": self.telemetry is not None,
             })
         except ConnectionLost:

@@ -14,9 +14,11 @@ payload straight into a preallocated array with ``recv_into``.
 Control-plane frames are tiny: the connection handshake
 (:class:`~repro.transport.message.ConnectionRequest` /
 :class:`~repro.transport.message.ConnectionReply` + the per-rank address
-table), :class:`~repro.transport.message.Heartbeat` liveness beacons,
-flow-control :class:`Credit` grants, and a pickled ``dict`` frame for
-the coordinator protocol (work assignment, rank-state collection).
+table), :class:`~repro.transport.message.Heartbeat` liveness beacons (one
+layout: time, sender, and a metrics payload that is empty unless the
+registration ack turned telemetry on), flow-control :class:`Credit`
+grants, and a pickled ``dict`` frame for the coordinator protocol (work
+assignment, rank-state collection).
 """
 
 from __future__ import annotations
@@ -48,8 +50,7 @@ TAG_FIELD = b"F"
 TAG_GROUP_FIELD = b"G"
 TAG_CONN_REQUEST = b"Q"
 TAG_CONN_REPLY = b"R"
-TAG_HEARTBEAT = b"H"
-TAG_HEARTBEAT_V2 = b"h"
+TAG_HEARTBEAT = b"h"
 TAG_CREDIT = b"C"
 TAG_CONTROL = b"P"
 TAG_DOORBELL = b"D"
@@ -58,12 +59,9 @@ _FIELD_HEADER = struct.Struct("<qqqqq")  # group, member, step, lo, hi
 _GROUP_HEADER = struct.Struct("<qqqqq")  # group, step, lo, hi, nmembers
 _CONN_REQUEST = struct.Struct("<qqq")  # group, ncells, nranks_client
 _CREDIT = struct.Struct("<q")  # granted bytes (-1 = unlimited initial window)
-_HEARTBEAT = struct.Struct("<d")  # time, then utf-8 sender
-# v2 (telemetry piggyback): time, sender length, then sender + pickled
-# payload.  Only sent after the peer advertises support (see Heartbeat
-# docstring) — a metrics-free Heartbeat still encodes as the v1 layout,
-# so old decoders never meet this tag.
-_HEARTBEAT_V2 = struct.Struct("<dH")
+# time, utf-8 sender length; then the sender and the pickled metrics
+# payload, which is empty (and never pickled) for a liveness-only beat
+_HEARTBEAT = struct.Struct("<dH")
 
 
 class ConnectionLost(ConnectionError):
@@ -147,13 +145,11 @@ def encode_frame(msg: Any) -> List[Any]:
         return [_PREFIX.pack(1 + len(body)) + TAG_CONN_REPLY + body]
     if isinstance(msg, Heartbeat):
         sender = msg.sender.encode("utf-8")
-        if msg.metrics is None:
-            # legacy layout, byte-for-byte: old peers keep decoding it
-            body = _HEARTBEAT.pack(msg.time) + sender
-            return [_PREFIX.pack(1 + len(body)) + TAG_HEARTBEAT + body]
-        payload = pickle.dumps(msg.metrics, protocol=pickle.HIGHEST_PROTOCOL)
-        body = _HEARTBEAT_V2.pack(msg.time, len(sender)) + sender + payload
-        return [_PREFIX.pack(1 + len(body)) + TAG_HEARTBEAT_V2 + body]
+        payload = b"" if msg.metrics is None else pickle.dumps(
+            msg.metrics, protocol=pickle.HIGHEST_PROTOCOL
+        )
+        body = _HEARTBEAT.pack(msg.time, len(sender)) + sender + payload
+        return [_PREFIX.pack(1 + len(body)) + TAG_HEARTBEAT + body]
     if isinstance(msg, Credit):
         body = _CREDIT.pack(msg.nbytes)
         return [_PREFIX.pack(1 + len(body)) + TAG_CREDIT + body]
@@ -246,13 +242,11 @@ def decode_control_body(tag: bytes, body: bytes) -> Any:
             ConnectionReply(nranks_server=n, offsets=offsets), tuple(addresses)
         )
     if tag == TAG_HEARTBEAT:
-        (t,) = _HEARTBEAT.unpack_from(body)
-        return Heartbeat(sender=body[_HEARTBEAT.size :].decode("utf-8"), time=t)
-    if tag == TAG_HEARTBEAT_V2:
-        t, sender_len = _HEARTBEAT_V2.unpack_from(body)
-        pos = _HEARTBEAT_V2.size
+        t, sender_len = _HEARTBEAT.unpack_from(body)
+        pos = _HEARTBEAT.size
         sender = body[pos : pos + sender_len].decode("utf-8")
-        metrics = pickle.loads(body[pos + sender_len :])
+        payload = body[pos + sender_len :]
+        metrics = pickle.loads(payload) if payload else None
         return Heartbeat(sender=sender, time=t, metrics=metrics)
     if tag == TAG_CREDIT:
         (nbytes,) = _CREDIT.unpack(body)

@@ -169,10 +169,9 @@ def run_server_rank(
             raise RuntimeError(f"rendezvous rejected rank {rank_idx}: {ack!r}")
         log.info("registered with coordinator", extra={"repro_ids": {"pid": os.getpid()}})
 
-        # capability negotiation (ISSUE 8): only a telemetry-aware
-        # coordinator acks with telemetry=True, and only then do we turn
-        # the registry on and piggyback metric deltas on heartbeats — an
-        # old coordinator keeps receiving plain v1 heartbeat frames
+        # the coordinator acks with telemetry=True when it aggregates
+        # metrics, and only then do we turn the registry on and piggyback
+        # metric deltas on heartbeats
         telemetry_on = bool(ack.get("telemetry"))
         reg = _telemetry.REGISTRY
         if telemetry_on:

@@ -390,9 +390,8 @@ def run_worker(
             raise RuntimeError(f"coordinator rejected worker {name}: {welcome!r}")
         log.info("joined study", extra={"repro_ids": {"pid": os.getpid()}})
 
-        # capability negotiation (ISSUE 8): same protocol as serve.py —
-        # metric deltas piggyback on heartbeats only when the coordinator
-        # advertised telemetry support, so old coordinators see v1 frames
+        # same switch as serve.py: metric deltas piggyback on heartbeats
+        # only when the coordinator's welcome says telemetry is on
         telemetry_on = bool(welcome.get("telemetry"))
         reg = _telemetry.REGISTRY
         if telemetry_on:

@@ -780,8 +780,12 @@ class UbiquitousSobolField:
         and thread policy for the new field (checkpoints are execution-
         policy-agnostic — the state is pure statistics, so a study may
         restore onto any host's fastest kernel at any thread count)."""
-        if "estimators" in state:  # legacy per-timestep object forest
-            return cls._from_legacy_state(state, kernel=kernel)
+        arrays = {"counts", "mean", "m2", "cxy"}
+        if state.get("format") != 2 or not arrays <= state.keys():
+            raise ValueError(
+                "not a stacked Sobol' state (format 2 with counts, mean, m2, "
+                f"cxy): format={state.get('format')!r}, keys={sorted(state)}"
+            )
         obj = cls(
             nparams=int(state["nparams"]),
             ntimesteps=int(state["ntimesteps"]),
@@ -794,36 +798,4 @@ class UbiquitousSobolField:
         obj._mean = np.asarray(state["mean"], dtype=np.float64).copy()
         obj._m2 = np.asarray(state["m2"], dtype=np.float64).copy()
         obj._cxy = np.asarray(state["cxy"], dtype=np.float64).copy()
-        return obj
-
-    @classmethod
-    def _from_legacy_state(
-        cls, state: dict, kernel: Optional[str] = None
-    ) -> "UbiquitousSobolField":
-        """Migrate a format-1 checkpoint (list of estimator state dicts).
-
-        The old layout stored, per timestep and parameter k, the
-        ``corr(Y^B, Y^Ck)`` covariance under ``first`` and
-        ``corr(Y^A, Y^Ck)`` under ``total``; the A/B stream moments are
-        the (shared) x-sides of those objects.
-        """
-        obj = cls(
-            nparams=int(state["nparams"]),
-            ntimesteps=int(state["ntimesteps"]),
-            ncells=int(state["ncells"]),
-            kernel=kernel,
-        )
-        for t, est in enumerate(state["estimators"]):
-            first = est["first"]
-            total = est["total"]
-            obj._counts[t] = int(est["ngroups"])
-            obj._mean[t, 0] = np.asarray(total[0]["mean_x"], dtype=np.float64)
-            obj._mean[t, 1] = np.asarray(first[0]["mean_x"], dtype=np.float64)
-            obj._m2[t, 0] = np.asarray(total[0]["m2_x"], dtype=np.float64)
-            obj._m2[t, 1] = np.asarray(first[0]["m2_x"], dtype=np.float64)
-            for k in range(obj.nparams):
-                obj._mean[t, 2 + k] = np.asarray(first[k]["mean_y"], dtype=np.float64)
-                obj._m2[t, 2 + k] = np.asarray(first[k]["m2_y"], dtype=np.float64)
-                obj._cxy[t, 0, k] = np.asarray(total[k]["cxy"], dtype=np.float64)
-                obj._cxy[t, 1, k] = np.asarray(first[k]["cxy"], dtype=np.float64)
         return obj

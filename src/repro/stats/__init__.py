@@ -22,14 +22,12 @@ statistics with on-the-fly updates.
 from repro.stats.moments import IterativeMoments, batch_central_moments
 from repro.stats.covariance import IterativeCovariance, IterativeCorrelation
 from repro.stats.extrema import IterativeExtrema, ThresholdExceedance
-from repro.stats.field import FieldStatistics, StatisticsConfig
 from repro.stats.protocol import (
     FieldStatistic,
     StatContext,
     available_statistics,
     canonicalize_spec,
     canonicalize_specs,
-    legacy_statistics_specs,
     lookup,
     register,
 )
@@ -46,8 +44,6 @@ __all__ = [
     "IterativeCorrelation",
     "IterativeExtrema",
     "ThresholdExceedance",
-    "FieldStatistics",
-    "StatisticsConfig",
     "FieldStatistic",
     "StatContext",
     "StatisticsPipeline",
@@ -56,6 +52,5 @@ __all__ = [
     "available_statistics",
     "canonicalize_spec",
     "canonicalize_specs",
-    "legacy_statistics_specs",
     "batch_central_moments",
 ]

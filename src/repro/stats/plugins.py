@@ -70,7 +70,7 @@ class MomentsStatistic(FieldStatistic):
             out["kurtosis"] = m.kurtosis
         return out
 
-    # direct access used by tests and the legacy-compat surface
+    # direct access used by tests
     @property
     def count(self) -> int:
         return self._moments.count

@@ -47,7 +47,6 @@ __all__ = [
     "format_spec",
     "canonicalize_spec",
     "canonicalize_specs",
-    "legacy_statistics_specs",
 ]
 
 
@@ -342,22 +341,3 @@ def canonicalize_specs(specs: Sequence[str]) -> Tuple[str, ...]:
             raise ValueError(f"duplicate statistic spec '{canon}'")
         out.append(canon)
     return tuple(out)
-
-
-def legacy_statistics_specs(
-    moment_order: int = 2,
-    track_extrema: bool = False,
-    thresholds: Sequence[float] = (),
-) -> Tuple[str, ...]:
-    """Map the pre-catalog ``StatisticsConfig`` knobs onto spec strings.
-
-    Shared by the ``StudyConfig`` deprecation shim and the v2 -> v3
-    checkpoint migration so both produce byte-identical canonical specs.
-    """
-    specs = [f"moments:order={int(moment_order)}"]
-    if track_extrema:
-        specs.append("extrema")
-    if thresholds:
-        joined = "+".join(repr(float(t)) for t in thresholds)
-        specs.append(f"exceedance:thresholds={joined}")
-    return tuple(specs)

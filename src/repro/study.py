@@ -24,7 +24,6 @@ from repro.core.group import FunctionSimulation, SimulationFactory
 from repro.core.results import StudyResults
 from repro.faults import FaultPlan
 from repro.sampling import ParameterSpace
-from repro.stats import StatisticsConfig
 
 
 class SensitivityStudy:

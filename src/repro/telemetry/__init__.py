@@ -19,7 +19,7 @@ The observability layer (ISSUE 8) in four pieces:
 One process-global registry (:data:`REGISTRY`) serves every component;
 ``REPRO_TELEMETRY=1`` in the environment enables it at import, and the
 coordinator's registration acks flip it on in serve/work processes at
-runtime (capability negotiation — see :mod:`repro.net.framing`).
+runtime (the ``telemetry`` key of ``welcome`` / ``registered``).
 """
 
 from __future__ import annotations

@@ -248,12 +248,9 @@ class Heartbeat:
 
     ``metrics`` optionally piggybacks a compact telemetry payload
     (snapshot delta + trace spans, see :mod:`repro.telemetry`) on the
-    beacon.  Version tolerance lives in the framing layer: a heartbeat
-    with ``metrics=None`` encodes byte-identically to the historical
-    format, and senders only attach metrics after the coordinator
-    advertises support in its registration ack — so old and new peers
-    interoperate in both directions (asserted by the mixed-version
-    framing tests).
+    beacon.  Senders attach metrics only when the coordinator's
+    registration ack carries ``telemetry=True`` (the on/off switch); a
+    beat with ``metrics=None`` is liveness only.
     """
 
     sender: str

@@ -15,7 +15,6 @@ from repro.core import StudyConfig
 from repro.core.group import FunctionSimulation
 from repro.runtime import SequentialRuntime
 from repro.sobol import IshigamiFunction
-from repro.stats import StatisticsConfig
 
 
 class TestCli:
@@ -119,37 +118,3 @@ class TestGeneralStatisticsEndToEnd:
         assert orig.keys() == back.keys()
         for key in orig:
             np.testing.assert_array_equal(orig[key], back[key])
-
-    def test_legacy_knobs_map_to_statistics(self):
-        """The deprecation shim maps StatisticsConfig onto spec strings."""
-        import repro.core.config as config_module
-
-        fn = IshigamiFunction()
-        kwargs = dict(
-            space=fn.space(), ngroups=4, ntimesteps=1, ncells=1,
-            server_ranks=1, client_ranks=1,
-        )
-        config_module._LEGACY_STATS_WARNED = False
-        with pytest.warns(DeprecationWarning, match="statistics"):
-            config = StudyConfig(
-                stats_config=StatisticsConfig(
-                    moment_order=4, track_extrema=True, thresholds=(5.0,)
-                ),
-                **kwargs,
-            )
-        assert config.statistics == (
-            "moments:order=4", "extrema", "exceedance:thresholds=5.0",
-        )
-        assert config.compute_general_stats is True
-        # warn-once: the second legacy construction is silent
-        import warnings as warnings_module
-
-        with warnings_module.catch_warnings():
-            warnings_module.simplefilter("error")
-            off = StudyConfig(compute_general_stats=False, **kwargs)
-        assert off.statistics == ()
-        assert off.compute_general_stats is False
-        # mixing old and new knobs is an error
-        with pytest.raises(ValueError, match="deprecated"):
-            StudyConfig(statistics=["moments"],
-                        compute_general_stats=True, **kwargs)

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro.core.config import StudyConfig
 from repro.core.server import MelissaServer, ServerRank
 from repro.mesh.partition import BlockPartition
-from repro.net.channel import DataListener, SocketChannel
+from repro.net.channel import DataListener, open_data_channel
 from repro.net.framing import (
     TAG_FIELD,
     TAG_GROUP_FIELD,
@@ -185,7 +185,8 @@ class TestSocketChannelBackpressure:
     def test_delivery_and_stats(self):
         inbox = BoundedChannel()
         listener = DataListener().start(inbox)
-        channel = SocketChannel(listener.address, name="test")
+        channel = open_data_channel(
+            listener.address, transport="tcp", name="test")
         try:
             msgs = [FieldMessage(0, m, 0, 0, 4, np.arange(4.0)) for m in range(4)]
             for msg in msgs:
@@ -207,7 +208,8 @@ class TestSocketChannelBackpressure:
         size = frame_nbytes(msg)
         inbox = BoundedChannel(capacity_bytes=size)  # receiver holds ~1 msg
         listener = DataListener(recv_hwm_bytes=size).start(inbox)
-        channel = SocketChannel(listener.address, send_hwm_bytes=size)
+        channel = open_data_channel(
+            listener.address, transport="tcp", send_hwm_bytes=size)
         try:
             sent = 0
             deadline = time.monotonic() + 5.0
@@ -245,7 +247,8 @@ class TestSocketChannelBackpressure:
         size = frame_nbytes(msg)
         inbox = BoundedChannel(capacity_bytes=size)  # holds one frame
         listener = DataListener(recv_hwm_bytes=size).start(inbox)
-        channel = SocketChannel(listener.address, send_hwm_bytes=size)
+        channel = open_data_channel(
+            listener.address, transport="tcp", send_hwm_bytes=size)
         try:
             assert (channel.sent(), channel.acked()) == (0, 0)
             channel.send(msg, timeout=5.0)
@@ -280,7 +283,8 @@ class TestSocketChannelBackpressure:
         even started."""
         inbox = BoundedChannel()
         listener = DataListener().start(inbox)
-        channel = SocketChannel(listener.address, send_hwm_bytes=1 << 16)
+        channel = open_data_channel(
+            listener.address, transport="tcp", send_hwm_bytes=1 << 16)
         try:
             for member in range(200):
                 assert channel.try_send(
@@ -302,7 +306,7 @@ class TestSocketChannelBackpressure:
         data = np.arange(4_000_000, dtype=np.float64)  # 32 MB
         inbox = BoundedChannel()
         listener = DataListener().start(inbox)
-        channel = SocketChannel(listener.address)
+        channel = open_data_channel(listener.address, transport="tcp")
         try:
             assert channel.try_send(FieldMessage(0, 0, 0, 0, data.size, data))
             assert channel._stuck.is_set()  # cut short: left to the pusher
@@ -343,7 +347,7 @@ class TestSocketChannelBackpressure:
     def test_channel_protocol_conformance(self):
         inbox = BoundedChannel()
         listener = DataListener().start(inbox)
-        channel = SocketChannel(listener.address)
+        channel = open_data_channel(listener.address, transport="tcp")
         try:
             assert isinstance(channel, Channel)
             assert isinstance(inbox, Channel)

@@ -457,11 +457,11 @@ class TestFabricNegotiation:
             listener.close()
 
     def test_plain_socket_channel_still_served(self):
-        """A legacy SocketChannel (no negotiation frames at all) against
-        the new listener: data flows, credits flow."""
+        """A tcp-pinned client sends no negotiation frames at all to an
+        auto listener: data flows, credits flow."""
         inbox = BoundedChannel()
         listener = DataListener(transport="auto").start(inbox)
-        channel = SocketChannel(listener.address, name="legacy")
+        channel = open_data_channel(listener.address, transport="tcp")
         try:
             msg = field(ncells=8)
             channel.send(msg, timeout=5.0)

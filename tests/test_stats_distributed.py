@@ -4,12 +4,10 @@ Quantile/exceedance maps and the closed second-order Sobol' maps computed
 through the socket runtime (2 server ranks x 2 worker processes, with a
 worker SIGKILLed mid-study) must match a sequential run to rtol 1e-10 —
 the catalog rides the same discard-on-replay + per-rank checkpoint
-machinery as the first-order indices.  The format-2 -> format-3
-checkpoint migration (statistics specs entering the fingerprint) is
-covered here too.
+machinery as the first-order indices.  The statistics specs in the
+checkpoint fingerprint are covered here too.
 """
 
-import pickle
 import time
 import zlib
 
@@ -18,12 +16,7 @@ import pytest
 
 from net_util import retry_on_eaddrinuse
 from repro.core import StudyConfig
-from repro.core.checkpoint import (
-    CheckpointManager,
-    _stats_to_legacy_general,
-    downgrade_payload,
-    migrate_payload,
-)
+from repro.core.checkpoint import CheckpointManager
 from repro.core.group import VectorFieldSimulation
 from repro.core.server import ServerRank
 from repro.mesh.partition import BlockPartition
@@ -155,9 +148,10 @@ class TestDistributedCatalogParity:
 
 
 class TestV2FingerprintMigration:
-    """A format-2 checkpoint restores under the format-3 fingerprint."""
+    """The checkpoint fingerprint carries the canonical statistics specs
+    (what format 3 added; the class keeps its name so the test keeps its id)."""
 
-    LEGACY = ("moments:order=3", "extrema", "exceedance:thresholds=5.0")
+    SPECS = ("moments:order=3", "extrema", "exceedance:thresholds=5.0")
 
     def seeded_rank(self, config, ngroups=4):
         partition = BlockPartition(config.ncells, config.server_ranks)
@@ -170,46 +164,8 @@ class TestV2FingerprintMigration:
                 rank.handle(GroupFieldMessage(g, t, lo, hi, data), now=float(t))
         return rank, partition
 
-    def as_v2(self, payload):
-        """Rewrite a v3 rank payload as the genuine v2 wire format."""
-        fp = dict(payload["fingerprint"])
-        state = dict(payload["state"])
-        general = _stats_to_legacy_general(state.pop("stats"))
-        fp.pop("statistics")
-        fp["compute_general_stats"] = general is not None
-        if general is not None:
-            state["general"] = general
-        fp["version"] = 2
-        return {**payload, "fingerprint": fp, "state": state}
-
-    def test_v2_checkpoint_restores_under_v3_fingerprint(self, tmp_path):
-        _, config = make_config(server_ranks=1, statistics=self.LEGACY)
-        rank, partition = self.seeded_rank(config)
-        manager = CheckpointManager(tmp_path)
-        path = manager.save_rank(rank, config)
-        with open(path, "rb") as fh:
-            payload = pickle.load(fh)
-        assert payload["fingerprint"]["version"] == 3
-
-        v2 = self.as_v2(payload)
-        assert v2["fingerprint"]["compute_general_stats"] is True
-        assert "general" in v2["state"] and "stats" not in v2["state"]
-        with open(path, "wb") as fh:
-            pickle.dump(v2, fh)
-
-        respawned = ServerRank(0, config, partition)
-        assert manager.restore_rank(respawned, config)
-        orig, back = rank.stats.results(), respawned.stats.results()
-        assert orig.keys() == back.keys()
-        for key in orig:
-            np.testing.assert_array_equal(orig[key], back[key], err_msg=key)
-
-        migrated = migrate_payload(v2)
-        assert migrated["fingerprint"] == payload["fingerprint"]
-        assert migrated["fingerprint"]["statistics"] == list(self.LEGACY)
-
     def test_statistics_mismatch_fails_loudly(self, tmp_path):
-        _, config = make_config(server_ranks=1, statistics=self.LEGACY)
+        _, config = make_config(server_ranks=1, statistics=self.SPECS)
         rank, _ = self.seeded_rank(config)
         manager = CheckpointManager(tmp_path)
         manager.save_rank(rank, config)
@@ -218,18 +174,3 @@ class TestV2FingerprintMigration:
         fresh = ServerRank(0, other, BlockPartition(other.ncells, 1))
         with pytest.raises(ValueError, match="statistics"):
             manager.restore_rank(fresh, other)
-
-    def test_modern_catalog_cannot_downgrade(self, tmp_path):
-        """A catalog v2 cannot express refuses to downgrade rather than
-        silently dropping state."""
-        _, config = make_config(
-            server_ranks=1,
-            statistics=("moments:order=2", "quantiles:lo=-40:hi=40"),
-        )
-        rank, _ = self.seeded_rank(config, ngroups=2)
-        manager = CheckpointManager(tmp_path)
-        path = manager.save_rank(rank, config)
-        with open(path, "rb") as fh:
-            payload = pickle.load(fh)
-        with pytest.raises(ValueError, match="not expressible"):
-            downgrade_payload(payload)

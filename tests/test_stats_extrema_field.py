@@ -1,14 +1,9 @@
-"""Tests for streaming extrema, threshold exceedance, and FieldStatistics."""
+"""Tests for streaming extrema and threshold exceedance."""
 
 import numpy as np
 import pytest
 
-from repro.stats import (
-    FieldStatistics,
-    IterativeExtrema,
-    StatisticsConfig,
-    ThresholdExceedance,
-)
+from repro.stats import IterativeExtrema, ThresholdExceedance
 
 RNG = np.random.default_rng(7)
 
@@ -88,66 +83,3 @@ class TestThresholdExceedance:
 
     def test_empty_probability_nan(self):
         assert np.isnan(ThresholdExceedance().probability)
-
-
-class TestFieldStatistics:
-    def test_default_config_mean_variance(self):
-        fs = FieldStatistics(shape=(5,))
-        field = RNG.normal(size=(50, 5))
-        for row in field:
-            fs.update(row)
-        out = fs.results()
-        np.testing.assert_allclose(out["mean"], field.mean(axis=0))
-        np.testing.assert_allclose(out["variance"], field.var(axis=0, ddof=1))
-        assert "skewness" not in out
-
-    def test_full_config(self):
-        cfg = StatisticsConfig(moment_order=4, track_extrema=True, thresholds=(0.0, 1.0))
-        fs = FieldStatistics(shape=(3,), config=cfg)
-        field = RNG.normal(size=(80, 3))
-        for row in field:
-            fs.update(row)
-        out = fs.results()
-        for key in ("mean", "variance", "skewness", "kurtosis", "minimum", "maximum"):
-            assert key in out
-        np.testing.assert_allclose(out["minimum"], field.min(axis=0))
-        np.testing.assert_allclose(
-            out["exceedance_0"], (field > 0.0).mean(axis=0)
-        )
-
-    def test_invalid_moment_order(self):
-        with pytest.raises(ValueError):
-            StatisticsConfig(moment_order=7)
-
-    def test_merge(self):
-        cfg = StatisticsConfig(moment_order=2, track_extrema=True, thresholds=(0.5,))
-        a = FieldStatistics(shape=(4,), config=cfg)
-        b = FieldStatistics(shape=(4,), config=cfg)
-        field = RNG.normal(size=(60, 4))
-        for row in field[:25]:
-            a.update(row)
-        for row in field[25:]:
-            b.update(row)
-        a.merge(b)
-        assert a.count == 60
-        np.testing.assert_allclose(a.mean, field.mean(axis=0))
-        np.testing.assert_allclose(a.variance, field.var(axis=0, ddof=1))
-
-    def test_merge_incompatible_config(self):
-        a = FieldStatistics(shape=(2,), config=StatisticsConfig(moment_order=2))
-        b = FieldStatistics(shape=(2,), config=StatisticsConfig(moment_order=3))
-        with pytest.raises(ValueError):
-            a.merge(b)
-
-    def test_state_roundtrip(self):
-        cfg = StatisticsConfig(moment_order=3, track_extrema=True, thresholds=(0.1,))
-        fs = FieldStatistics(shape=(2,), config=cfg)
-        for row in RNG.normal(size=(20, 2)):
-            fs.update(row)
-        fs2 = FieldStatistics.from_state_dict(fs.state_dict())
-        assert fs2.count == fs.count
-        np.testing.assert_array_equal(fs2.mean, fs.mean)
-        np.testing.assert_array_equal(fs2.extrema.maximum, fs.extrema.maximum)
-        np.testing.assert_array_equal(
-            fs2.exceedances[0].exceedances, fs.exceedances[0].exceedances
-        )

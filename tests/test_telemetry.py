@@ -4,10 +4,9 @@ Covers the metrics registry (including the hypothesis-checked snapshot
 algebra the heartbeat shipping relies on: counter monotonicity and the
 ``merge(a, delta(a, b)) == b`` invariant, histogram merge
 commutativity), the span tracer's Chrome trace-event output, the
-version-tolerant heartbeat framing (old peers still speak v1), the
-coordinator-side aggregation, the export surfaces (Prometheus text,
-JSONL writer, stdlib HTTP endpoint), structured logging, and the
-``repro top`` renderer.
+single-layout heartbeat framing, the coordinator-side aggregation, the
+export surfaces (Prometheus text, JSONL writer, stdlib HTTP endpoint),
+structured logging, and the ``repro top`` renderer.
 """
 
 import io
@@ -267,19 +266,27 @@ class TestTracer:
 
 # --------------------------------------------------------------------- #
 class TestHeartbeatFraming:
-    """Version tolerance: metrics-free beats are byte-identical to the
-    legacy frame, so an old peer never sees the new tag unless the
-    coordinator negotiated it."""
+    """One heartbeat layout: tag ``h``, time, sender, and a metrics
+    payload that is empty — and never pickled — for a liveness-only beat."""
 
-    def test_plain_heartbeat_uses_legacy_encoding(self):
+    def test_liveness_beat_roundtrips_without_pickle(self, monkeypatch):
+        import pickle
+
         from repro.net.framing import encode_frame
 
-        (buf,) = encode_frame(Heartbeat(sender="server-rank-3", time=12.5))
-        body = struct.pack("<d", 12.5) + b"server-rank-3"
-        legacy = struct.pack("<I", 1 + len(body)) + b"H" + body
-        assert bytes(buf) == legacy
+        def no_pickle(*args, **kwargs):
+            raise AssertionError("a metrics-free beat must not touch pickle")
+
+        monkeypatch.setattr(pickle, "dumps", no_pickle)
+        monkeypatch.setattr(pickle, "loads", no_pickle)
+        beat = Heartbeat(sender="server-rank-3", time=12.5)
+        (buf,) = encode_frame(beat)
+        body = struct.pack("<dH", 12.5, 13) + b"server-rank-3"
+        assert bytes(buf) == struct.pack("<I", 1 + len(body)) + b"h" + body
+        assert roundtrip(beat) == beat
 
     def test_metrics_heartbeat_uses_v2_tag_and_roundtrips(self):
+        # the one tag is the byte the metrics-carrying layout always had
         from repro.net.framing import encode_frame
 
         payload = {"metrics": {"repro_x": {"type": "counter", "series": [
@@ -293,22 +300,21 @@ class TestHeartbeatFraming:
         assert out.time == 99.25
         assert out.metrics == payload
 
-    def test_old_peer_decodes_new_senders_plain_beats(self):
-        # an old decoder only knows TAG_HEARTBEAT: as long as the new
-        # sender has no payload (no negotiation), the frame parses with
-        # the legacy struct alone
-        from repro.net.framing import encode_frame
+    def test_retired_tag_is_a_protocol_error(self):
+        from repro.net.framing import ProtocolError
 
-        (buf,) = encode_frame(Heartbeat(sender="w", time=3.0))
-        raw = bytes(buf)
-        (length,) = struct.unpack_from("<I", raw)
-        tag, body = raw[4:5], raw[5: 4 + length]
-        assert tag == b"H"
-        (t,) = struct.unpack_from("<d", body)
-        assert t == 3.0 and body[8:].decode() == "w"
+        body = struct.pack("<d", 3.0) + b"w"  # the layout tag ``H`` carried
+        a, b = socket.socketpair()
+        try:
+            a.sendall(struct.pack("<I", 1 + len(body)) + b"H" + body)
+            with pytest.raises(ProtocolError, match="unknown frame tag"):
+                recv_frame(b)
+        finally:
+            a.close()
+            b.close()
 
     def test_mixed_version_study_roundtrip(self):
-        # new peers interleave v1 and v2 frames on one connection
+        # beats with and without metrics interleave on one connection
         a, b = socket.socketpair()
         try:
             send_frame(a, Heartbeat(sender="w", time=1.0))

@@ -3,8 +3,8 @@
 The stacked :class:`~repro.sobol.martinez.UbiquitousSobolField` must
 reproduce the legacy per-parameter/per-timestep object forest
 (:class:`~repro.sobol.martinez.IterativeSobolEstimator` per timestep) to
-tight tolerance on arbitrary streams: update, merge, checkpoint
-round-trip, and migration from legacy-format state.  Differences come
+tight tolerance on arbitrary streams: update, merge and checkpoint
+round-trip.  Differences come
 only from floating-point reassociation of mathematically exact
 formulas, so rtol 1e-10 (atol 1e-12 for near-zero correlations) holds.
 """
@@ -224,30 +224,31 @@ class TestCheckpointEquivalence:
                 forest[t].update_group(buf[0], buf[1], list(buf[2:]))
         assert_field_matches_forest(field, forest)
 
-    def test_legacy_state_migration(self):
-        """A format-1 state dict (estimator forest) loads transparently."""
-        stream = random_stream(3, 2, 5, 30, seed=17)
-        forest = legacy_forest(3, 2, 5)
-        for g in range(30):
-            for t in range(2):
-                buf = stream[g, t]
-                forest[t].update_group(buf[0], buf[1], list(buf[2:]))
-        legacy_state = {
+    def test_forest_shaped_or_truncated_state_is_refused(self, monkeypatch):
+        """Only the stacked format-2 state loads: an estimator forest, a
+        state without the format stamp and a state missing an array are
+        each a ValueError naming what was found, raised before a field is
+        built."""
+        good = UbiquitousSobolField(3, 2, 5).state_dict()
+        forest_shaped = {
             "nparams": 3,
             "ntimesteps": 2,
             "ncells": 5,
-            "estimators": [e.state_dict() for e in forest],
+            "estimators": [e.state_dict() for e in legacy_forest(3, 2, 5)],
         }
-        field = UbiquitousSobolField.from_state_dict(legacy_state)
-        assert_field_matches_forest(field, forest)
-        # and migrated state continues to accept updates
-        extra = random_stream(3, 2, 5, 10, seed=18)
-        for g in range(10):
-            for t in range(2):
-                buf = extra[g, t]
-                field.update_group_buffer(t, buf.copy())
-                forest[t].update_group(buf[0], buf[1], list(buf[2:]))
-        assert_field_matches_forest(field, forest)
+        unstamped = {k: v for k, v in good.items() if k != "format"}
+        truncated = {k: v for k, v in good.items() if k != "cxy"}
+
+        def no_field(self, *args, **kwargs):
+            raise AssertionError("a field was built from a refused state")
+
+        monkeypatch.setattr(UbiquitousSobolField, "__init__", no_field)
+        with pytest.raises(ValueError, match="not a stacked.*'estimators'"):
+            UbiquitousSobolField.from_state_dict(forest_shaped)
+        with pytest.raises(ValueError, match="not a stacked.*format=None"):
+            UbiquitousSobolField.from_state_dict(unstamped)
+        with pytest.raises(ValueError, match="not a stacked.*format=2"):
+            UbiquitousSobolField.from_state_dict(truncated)
 
 
 class TestIntervalEquivalence:
