@@ -21,7 +21,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.kernels import available_backends
+from repro.kernels import available_backends, resolve_backend
 from repro.perfmodel import (
     CampaignSimulator,
     classical_group_time,
@@ -144,7 +144,7 @@ def _kernel_stream(ngroups, seed=0):
 
 def _time_backend_pass(backend, stream):
     """Steady-state per-group fold cost on a fresh field: feed one warmup
-    batch (covers autotune/JIT/lib-load), then time the rest.  Buffer
+    batch (covers JIT/lib-load), then time the rest.  Buffer
     copies happen before the clock starts — the engine adopts staged
     buffers by reference, so the copy is the caller's artifact, not part
     of the fold hot path being compared."""
@@ -240,12 +240,21 @@ def test_kernel_backend_shootout(results_dir, benchmark):
             "speedup_vs_einsum": round(attempts["einsum"][best] / t, 3),
         })
     records.sort(key=lambda r: -r["speedup_vs_einsum"])
+    # the evidence behind kernel="auto" being a rule (recorded, not a
+    # gate): what the rule picks here, what measured fastest, and how
+    # much slower the pick is (best attempt of each; 1.0 = same backend)
+    best_s = {name: min(times) for name, times in attempts.items()}
+    rule_pick = resolve_backend("auto")
+    fastest = min(best_s, key=best_s.get)
     payload = {
         "experiment": "kernel_backend_shootout",
         "nparams": KB_P,
         "ncells": KB_NCELLS,
         "batch_size": KB_BATCH,
         "available_backends": backends,
+        "rule_pick": rule_pick,
+        "fastest": fastest,
+        "rule_pick_over_fastest": round(best_s[rule_pick] / best_s[fastest], 3),
         "results": records,
     }
     # bench_kernel_threads.py merges its scaling curve into the same

@@ -20,6 +20,7 @@ import time
 import numpy as np
 
 from repro.kernels import available_backends
+from repro.kernels.parallel import resolve_threads
 from repro.report import format_table
 from repro.sobol.martinez import UbiquitousSobolField
 
@@ -29,16 +30,20 @@ KT_BLOCK = 2048
 KT_ATTEMPTS = 4
 
 
+def _rule_pick():
+    """What ``fold_threads="auto"`` resolves to on this shape and host."""
+    return resolve_threads("auto", 1, KT_NCELLS, KT_BLOCK)
+
+
 def _thread_ladder():
     cpus = os.cpu_count() or 1
-    return sorted({1, 2, 4, max(1, cpus)})
+    return sorted({1, 2, 4, max(1, cpus), _rule_pick()})
 
 
 def _time_threaded_pass(backend, nthreads, stream):
     """Steady-state per-group fold cost at a pinned thread count: one
-    warmup batch (autotune/JIT/lib-load/pool spin-up), then the rest is
-    timed.  Explicit ``fold_threads`` never probes, so the measurement
-    is the sharded fold itself."""
+    warmup batch (JIT/lib-load/pool spin-up), then the rest is
+    timed."""
     field = UbiquitousSobolField(
         KT_P, 1, KT_NCELLS, batch_size=KT_BATCH, block_cells=KT_BLOCK,
         kernel=backend, fold_threads=nthreads, max_staged=stream.shape[0],
@@ -104,6 +109,22 @@ def test_kernel_threads_scaling(results_dir):
                 "speedup_vs_1t": round(t1 / t, 3),
             })
 
+    # the evidence behind fold_threads="auto" being a rule (recorded,
+    # not a gate): per backend, the ladder's fastest rung and how much
+    # slower the rule's pick is (best attempt of each; 1.0 = same rung)
+    rule_pick = _rule_pick()
+    rule_vs_ladder = []
+    for backend in backends:
+        best_s = {t: min(attempts[(backend, t)]) for t in ladder}
+        fastest = min(best_s, key=best_s.get)
+        rule_vs_ladder.append({
+            "backend": backend,
+            "fastest": fastest,
+            "rule_pick_over_fastest": round(
+                best_s[rule_pick] / best_s[fastest], 3
+            ),
+        })
+
     # merge into the shootout's artifact rather than clobbering it
     out = results_dir / "BENCH_kernels.json"
     payload = {}
@@ -120,6 +141,8 @@ def test_kernel_threads_scaling(results_dir):
         "block_cells": KT_BLOCK,
         "cpus": cpus,
         "thread_ladder": ladder,
+        "rule_pick": rule_pick,
+        "rule_vs_ladder": rule_vs_ladder,
         "results": records,
     }
     out.write_text(json.dumps(payload, indent=2) + "\n")

@@ -99,7 +99,7 @@ def test_telemetry_overhead(results_dir):
 
     _telemetry.disable()
     _telemetry.REGISTRY.reset()
-    # warm-up pass: pays the one-time kernel backend autotune so it
+    # warm-up pass: pays the one-time kernel backend load so it
     # cannot land inside (and bias) either timed mode
     _time_fold_pass(config, partition, stream)
     off, on = _paired_fold_seconds(config, partition, stream)

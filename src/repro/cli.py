@@ -502,11 +502,7 @@ def _cmd_launch(args: argparse.Namespace) -> int:
             # spawned ON THIS HOST from the same study flags (multi-host
             # deployments respawn serve with their own process manager).
             # The fault env var is stripped: replacements run clean even
-            # when the original serve was env-injected to die.  The env
-            # is computed at SPAWN time, not launch time, so fold-plan
-            # exports the coordinator absorbed mid-study
-            # ($REPRO_FOLD_AUTOTUNE) reach the replacement and it skips
-            # the autotune probe.
+            # when the original serve was env-injected to die.
             coordinator.supervisor = RankSupervisor(
                 spawner=lambda rank: subprocess.Popen(
                     _serve_respawn_command(args, rank, coordinator.address),
@@ -640,15 +636,14 @@ def build_parser() -> argparse.ArgumentParser:
     def add_kernel_arg(sp):
         sp.add_argument(
             "--kernel", choices=KERNEL_NAMES, default=None,
-            help="co-moment fold backend (default: $REPRO_KERNEL, then "
-                 "'auto' = autotune on the first fold)",
+            help="co-moment fold backend (default: 'auto' = the first of "
+                 "cext, numba, einsum this host can run)",
         )
         sp.add_argument(
             "--fold-threads", metavar="N|auto", default=None,
             help="fold-pool width per server rank: an int >= 1, or "
-                 "'auto' = probe 1/2/half/all cores on the first real "
-                 "fold, clamped by cpus // local_ranks (default: "
-                 "$REPRO_FOLD_THREADS, then 'auto')",
+                 "'auto' = min(usable cpus // local ranks, cell blocks) "
+                 "(default: 'auto')",
         )
 
     def add_stats_arg(sp):

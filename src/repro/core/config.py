@@ -36,18 +36,17 @@ class StudyConfig:
     #: general statistics (the Sobol' engine always runs).  Stored
     #: canonicalized, so equivalent spellings fingerprint identically.
     statistics: Optional[Sequence[str]] = None
-    #: co-moment kernel backend for the fold hot path: "auto" (autotune),
-    #: "einsum", "blas", "cext", "numba"; None defers to the REPRO_KERNEL
-    #: environment variable and then "auto"
-    kernel: Optional[str] = None
-    #: fold-thread budget per server rank: "auto" (probe 1/2/half/all
-    #: cores on the first real fold, clamped by ``cpus // local_ranks``
-    #: so co-located ranks don't oversubscribe), an int >= 1 to pin the
-    #: pool size, or None to defer to $REPRO_FOLD_THREADS and then
-    #: "auto".  Pure execution policy — it cannot change any statistic
+    #: co-moment kernel backend for the fold hot path: "auto" (the first
+    #: of cext, numba, einsum the host can run), or "einsum", "blas",
+    #: "cext", "numba" by name
+    kernel: str = "auto"
+    #: fold-thread budget per server rank: "auto" (``min(usable_cpus //
+    #: local_ranks, cell blocks)`` — co-located ranks share the host,
+    #: one block needs no pool) or an int >= 1 to pin the pool size.
+    #: Pure execution policy — it cannot change any statistic
     #: bit (shards are block-aligned disjoint cell windows) — so it is
     #: deliberately NOT part of the study fingerprint or checkpoints.
-    fold_threads: Optional[object] = None
+    fold_threads: object = "auto"
 
     # --- client shape ----------------------------------------------------
     client_ranks: int = 2  # ranks per simulation (the in-group partition)
@@ -126,8 +125,8 @@ class StudyConfig:
         from repro.kernels import resolve_spec
         from repro.kernels.parallel import validate_threads_spec
 
-        resolve_spec(self.kernel)  # fail fast on unknown backend names
-        self.fold_threads = validate_threads_spec(self.fold_threads)
+        self.kernel = resolve_spec(self.kernel)  # fail fast on unknown names
+        self.fold_threads = validate_threads_spec(self.fold_threads) or "auto"
         self._resolve_statistics()  # fail fast on unknown statistic specs
         self._resolve_scheduling()  # fail fast on malformed scheduling specs
 

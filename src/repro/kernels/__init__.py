@@ -10,21 +10,25 @@ backend   what it is
 ========  ==========================================================
 einsum    PR 1 baseline: NumPy einsum contractions (always available)
 blas      GEMM/syrk-shaped stacked ``np.matmul`` over cell-major
-          residuals (multi-threaded BLAS, contiguous memory)
+          residuals (by name only: never what ``auto`` picks)
 cext      fused register-blocked C kernel, compiled on demand with the
           system compiler (no pip dependency; unavailable without a
           C compiler)
 numba     fused Numba-JIT kernel (unavailable when numba is absent)
-auto      micro-autotunes the available backends on the first real
-          fold and locks in the fastest (the default)
+auto      the default: the first of cext, numba, einsum this host can
+          run, decided once when the field is constructed
 ========  ==========================================================
 
-Selection precedence: explicit ``StudyConfig.kernel`` / ``--kernel`` >
-the ``REPRO_KERNEL`` environment variable > ``auto``.  Requesting an
-unavailable optional backend falls back to the einsum baseline with a
-warning — studies never fail because a host lacks a toolchain.  Every
-backend computes the same mathematically exact formulas; the equivalence
-suite pins them all to the scalar reference at rtol 1e-10.
+``auto`` is a rule, not a measurement: no fold ever times itself, so two
+processes on one host always run the same backend and a restored state
+continues under the backend that wrote it.  ``blas`` is selectable by
+name only (at p = 6 it measured 3x slower than einsum on the 2-vCPU
+reference box).  ``StudyConfig.kernel`` / ``--kernel`` name a backend
+explicitly; requesting an optional backend the host cannot run falls
+back to the einsum baseline with a warning — studies never fail because
+a host lacks a toolchain.  Every backend computes the same
+mathematically exact formulas; the equivalence suite pins them all to
+the scalar reference at rtol 1e-10.
 
 Multicore folds: every backend here releases the GIL during its compute
 loops — the cext pipeline through ``ctypes.CDLL`` (which drops the GIL
@@ -38,32 +42,18 @@ layer builds one instance per worker thread.
 
 from __future__ import annotations
 
-import os
-import time
 import warnings
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import List, Optional
 
 from repro.kernels.base import CoMomentKernel
 from repro.kernels.blas import BlasKernel
 from repro.kernels.einsum import EinsumKernel
 
-ENV_VAR = "REPRO_KERNEL"
-
 #: selectable names (auto resolves to one of the others)
 KERNEL_NAMES = ("auto", "einsum", "blas", "cext", "numba")
 
-#: smallest batch worth measuring (below this the candidates are
-#: indistinguishable and the compiled backends have no batch to amortize)
-_AUTOTUNE_MIN_BATCH = 4
-
-#: a stream that only ever produces sub-threshold folds settles on the
-#: einsum baseline after this many of them (for tiny batches the
-#: contraction is trivial and einsum IS the right choice)
-_AUTOTUNE_SMALL_FOLD_LIMIT = 8
-
-_autotune_cache: Dict[Tuple[int, int, int], str] = {}
+#: what ``auto`` means: the first of these the host can run
+_AUTO_ORDER = ("cext", "numba", "einsum")
 
 
 def _construct(name: str, nparams: int, batch_size: int, block_cells: int):
@@ -82,35 +72,25 @@ def _construct(name: str, nparams: int, batch_size: int, block_cells: int):
     raise ValueError(f"unknown kernel backend {name!r}; choose from {KERNEL_NAMES}")
 
 
-def available_backends() -> List[str]:
-    """Concrete backends usable on this host, in autotune-candidate order."""
-    out = ["einsum", "blas"]
+def _usable(name: str) -> bool:
+    """Whether this host can run ``name`` (probing cext builds/loads it)."""
     from repro.kernels import cext, numba_backend
 
-    if cext.available():
-        out.append("cext")
-    if numba_backend.available():
-        out.append("numba")
-    return out
+    if name == "cext":
+        return cext.available()
+    if name == "numba":
+        return numba_backend.available()
+    return True
 
 
-def warm_compiled_backends() -> None:
-    """Probe (and thus build/load) the compiled backends in this process.
-
-    Call before forking workers: the cext shared library compiles once
-    here and every child inherits the loaded module / warm disk cache
-    instead of racing into duplicate compiler runs on first fold.
-    """
-    from repro.kernels import cext
-
-    cext.available()
+def available_backends() -> List[str]:
+    """Concrete backends usable on this host."""
+    return [name for name in KERNEL_NAMES[1:] if _usable(name)]
 
 
 def resolve_spec(spec: Optional[str]) -> str:
-    """Apply selection precedence: explicit spec > REPRO_KERNEL > auto."""
-    if spec is None:
-        spec = os.environ.get(ENV_VAR) or "auto"
-    spec = str(spec).lower()
+    """Canonical spelling of a backend spec (``None`` means ``"auto"``)."""
+    spec = "auto" if spec is None else str(spec).lower()
     if spec not in KERNEL_NAMES:
         raise ValueError(
             f"unknown kernel backend {spec!r}; choose from {KERNEL_NAMES}"
@@ -118,13 +98,27 @@ def resolve_spec(spec: Optional[str]) -> str:
     return spec
 
 
+def resolve_backend(spec: Optional[str]) -> str:
+    """The backend a field built with ``spec`` folds on, on this host:
+    the named one when the host can run it, else the einsum baseline;
+    ``auto`` is the first of cext, numba, einsum the host can run.
+
+    Call before forking ranks: probing cext compiles the shared library
+    once here and every child inherits the loaded module / warm disk
+    cache instead of racing into duplicate compiler runs on first fold.
+    """
+    name = resolve_spec(spec)
+    ladder = _AUTO_ORDER if name == "auto" else (name, "einsum")
+    return next(candidate for candidate in ladder if _usable(candidate))
+
+
 def make_kernel(
     spec: Optional[str], nparams: int, batch_size: int, block_cells: int
 ) -> CoMomentKernel:
-    """Build the kernel for a field, honoring precedence and fallback."""
+    """Build the kernel for a field, honoring the rule and the fallback."""
     name = resolve_spec(spec)
     if name == "auto":
-        return AutoKernel(nparams, batch_size, block_cells)
+        name = resolve_backend(name)
     try:
         return _construct(name, nparams, batch_size, block_cells)
     except RuntimeError as exc:
@@ -138,93 +132,16 @@ def make_kernel(
         return EinsumKernel(nparams, batch_size, block_cells)
 
 
-class AutoKernel(CoMomentKernel):
-    """Micro-autotuning facade: measures the candidates on the first
-    real fold (actual slabs, actual cell window) and delegates to the
-    winner from then on.  The choice is cached process-wide per
-    (nparams, batch_size, block_cells) so every server rank of a study
-    tunes at most once per process.
-    """
-
-    name = "auto"
-
-    def __init__(self, nparams: int, batch_size: int, block_cells: int):
-        super().__init__(nparams, batch_size, block_cells)
-        self._delegate: Optional[CoMomentKernel] = None
-        self._fallback: Optional[CoMomentKernel] = None
-        self._small_folds = 0
-
-    # ------------------------------------------------------------------ #
-    @property
-    def chosen(self) -> Optional[str]:
-        """Winning backend name (None until the first tuned fold)."""
-        return self._delegate.name if self._delegate is not None else None
-
-    def fold_into(self, slabs, lo, hi, mean, m2, cxy, na) -> bool:
-        """Forward the fused-fold fast path once a winner is locked in;
-        before tuning, decline so the engine drives fold_batch (which is
-        where the measurement happens)."""
-        if self._delegate is not None:
-            return self._delegate.fold_into(slabs, lo, hi, mean, m2, cxy, na)
-        return False
-
-    def fold_batch(
-        self, slabs: Sequence[np.ndarray], lo: int, hi: int
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._delegate is not None:
-            return self._delegate.fold_batch(slabs, lo, hi)
-        key = (self.nparams, self.batch_size, self.block_cells)
-        cached = _autotune_cache.get(key)
-        if cached is not None:
-            self._delegate = _construct(cached, *key)
-            return self._delegate.fold_batch(slabs, lo, hi)
-        if len(slabs) < _AUTOTUNE_MIN_BATCH:
-            # too small to measure meaningfully: einsum until a real batch
-            # arrives; a stream of nothing but tiny folds settles on it
-            if self._fallback is None:
-                self._fallback = EinsumKernel(*key)
-            self._small_folds += 1
-            if self._small_folds >= _AUTOTUNE_SMALL_FOLD_LIMIT:
-                self._delegate = self._fallback
-            return self._fallback.fold_batch(slabs, lo, hi)
-        self._delegate = self._tune(slabs, lo, hi)
-        _autotune_cache[key] = self._delegate.name
-        return self._delegate.fold_batch(slabs, lo, hi)
-
-    def _tune(self, slabs, lo, hi) -> CoMomentKernel:
-        key = (self.nparams, self.batch_size, self.block_cells)
-        best_name, best_time, best_kernel = None, float("inf"), None
-        for name in available_backends():
-            try:
-                kernel = _construct(name, *key)
-            except RuntimeError:  # pragma: no cover - availability raced
-                continue
-            # warm once (JIT/loads), then take the best of two timed reps
-            kernel.fold_batch(slabs, lo, hi)
-            elapsed = float("inf")
-            for _ in range(2):
-                t0 = time.perf_counter()
-                kernel.fold_batch(slabs, lo, hi)
-                elapsed = min(elapsed, time.perf_counter() - t0)
-            if elapsed < best_time:
-                best_name, best_time, best_kernel = name, elapsed, kernel
-        if best_kernel is None:  # pragma: no cover - einsum always works
-            return self._fallback or EinsumKernel(*key)
-        return best_kernel
-
-
 from repro.kernels import parallel  # noqa: E402  (needs _construct above)
 
 __all__ = [
     "CoMomentKernel",
-    "AutoKernel",
     "EinsumKernel",
     "BlasKernel",
     "KERNEL_NAMES",
-    "ENV_VAR",
     "available_backends",
     "make_kernel",
     "parallel",
+    "resolve_backend",
     "resolve_spec",
-    "warm_compiled_backends",
 ]

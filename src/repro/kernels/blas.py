@@ -9,16 +9,15 @@ dispatch (multi-threaded where OpenBLAS has cores to use) on contiguous
 memory, at the cost of a transpose pass and a ~3x overcompute (the full
 symmetric Gram versus the 3p+2 moments actually needed).
 
-On narrow machines the einsum baseline or the fused compiled kernel
-usually wins — which is exactly what ``kernel="auto"`` measures; this
-backend earns its keep on wide-BLAS hosts and documents the GEMM
-restructuring explicitly.
+On the 2-vCPU reference box it measured 3x slower than the einsum
+baseline at p = 6, so ``kernel="auto"`` never picks it: it is
+selectable by name only and documents the GEMM restructuring
+explicitly.
 
 GIL audit (multicore folds): the stacked ``np.matmul`` releases the GIL
 inside the BLAS call, as do the transpose copy and reductions, so cell
 shards overlap across threads.  Note the interaction budget: fold
-threads multiply with BLAS's own thread pool, which is one more reason
-the ``auto`` probe measures rather than assumes.  Instances are NOT
+threads multiply with BLAS's own thread pool.  Instances are NOT
 thread-safe (``_zt``/``_gram`` scratch); one instance per thread.
 """
 

@@ -2,9 +2,9 @@
 
 Residuals are materialized into preallocated scratch, batch means come
 from one reduction, and three ``np.einsum`` contractions produce the
-diagonal and cross co-moments.  Kept as the always-available reference
-the other backends are autotuned against; ~4-6 GFLOP/s single core on
-the p=6 / 20k-cell hot path.
+diagonal and cross co-moments.  Kept as the always-available backend
+every host falls back to; ~4-6 GFLOP/s single core on the p=6 /
+20k-cell hot path.
 
 GIL audit (multicore folds): ``np.einsum``, ``np.subtract`` into an out
 buffer, and the mean reduction all release the GIL for non-trivially

@@ -22,43 +22,31 @@ be shared across threads.
 
 The executors are process-wide and persistent (one pool per worker
 count, never torn down) so a fold pays thread-dispatch, not
-thread-creation.  ``fold_threads`` selection precedence mirrors kernel
-selection: explicit config/CLI > ``$REPRO_FOLD_THREADS`` > ``auto``.
-``auto`` measures 1/2/half/all cores on the first real fold (clamped by
-``cpus // local_ranks`` so co-located ranks don't oversubscribe) and
-picks ``(backend, nthreads, block_cells)`` jointly; the winner is cached
-per shape key in-process *and* exported through
-``$REPRO_FOLD_AUTOTUNE`` so respawned ranks and elastic spawns skip the
-probe.  Explicitly requested thread counts are honored un-clamped.
+thread-creation.  ``fold_threads="auto"`` is a rule evaluated when the
+field is constructed — ``min(usable_cpus // local_ranks, blocks)``: the
+CPUs this process may run on, shared between the ranks co-located on
+the host, and never more threads than there are cell blocks to hand
+out; one thread means no pool at all — and ``block_cells`` is the
+configured value.  Nothing is measured, so every process on a host runs
+the same ``(backend, nthreads, block_cells)`` plan.  Explicitly
+requested thread counts are honored un-clamped.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro import telemetry as _telemetry
 from repro.kernels.base import CoMomentKernel
 
-ENV_VAR_THREADS = "REPRO_FOLD_THREADS"
-ENV_VAR_AUTOTUNE = "REPRO_FOLD_AUTOTUNE"
-
-#: smallest staged batch worth running the thread probe on (mirrors the
-#: backend autotuner's threshold: tiny folds measure nothing)
-_TUNE_MIN_BATCH = 4
-
 #: a (backend, nthreads, block_cells) execution plan
 Plan = Tuple[str, int, int]
-
-_plan_cache: Dict[str, Plan] = {}
-_pending_export: Dict[str, Plan] = {}
-_plan_lock = threading.Lock()
 
 _executors: Dict[int, ThreadPoolExecutor] = {}
 _executor_lock = threading.Lock()
@@ -71,7 +59,7 @@ def validate_threads_spec(spec):
     """Canonicalize a fold-threads spec: None, ``"auto"``, or an int >= 1.
 
     Accepts the CLI's string forms (``"4"``, ``"auto"``).  Returns the
-    canonical value (None stays None — deferred to the environment).
+    canonical value (None stays None — "not given").
     """
     if spec is None:
         return None
@@ -95,45 +83,39 @@ def validate_threads_spec(spec):
     return spec
 
 
-def resolve_threads(spec) -> object:
-    """Apply precedence: explicit spec > $REPRO_FOLD_THREADS > ``"auto"``.
-
-    Returns ``"auto"`` or a concrete int.  An explicitly requested count
-    is honored as-is (un-clamped): parity tests and deliberate
-    oversubscription are the caller's business; only the ``auto`` search
-    space is clamped against co-located ranks.
-    """
-    spec = validate_threads_spec(spec)
-    if spec is None:
-        spec = validate_threads_spec(os.environ.get(ENV_VAR_THREADS) or None)
-    return "auto" if spec is None else spec
-
-
-def auto_thread_candidates(
-    cpus: Optional[int] = None, local_ranks: int = 1
-) -> List[int]:
-    """The ``auto`` measurement ladder: 1, 2, half, and all cores —
-    clamped by ``cpus // local_ranks`` so ranks sharing a host don't
-    oversubscribe it — deduplicated and sorted."""
-    if cpus is None:
-        cpus = os.cpu_count() or 1
-    cap = max(1, cpus // max(1, int(local_ranks)))
-    ladder = {1, 2, cap // 2, cap}
-    return sorted(t for t in ladder if 1 <= t <= cap)
+def _usable_cpus() -> int:
+    """CPUs this process may run on: the affinity mask where the
+    platform has one (a pinned rank must not count cores it cannot
+    use), else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def eager_threads(spec, local_ranks: int = 1) -> int:
-    """Resolve a spec to a concrete count *now* (no measurement).
+    """A spec's thread budget: an explicit count as-is (un-clamped —
+    parity tests and deliberate oversubscription are the caller's
+    business), ``auto`` (or None) the usable CPUs divided across the
+    ranks co-located on this host.  The width the statistics pipeline
+    rows use."""
+    spec = validate_threads_spec(spec)
+    if spec in (None, "auto"):
+        return max(1, _usable_cpus() // max(1, int(local_ranks)))
+    return spec
 
-    Explicit counts pass through un-clamped; ``auto`` resolves to the
-    oversubscription clamp (all cores divided across co-located ranks) —
-    the value the statistics pipeline rows use, where a probe would cost
-    more than it informs.
-    """
-    resolved = resolve_threads(spec)
-    if resolved == "auto":
-        return auto_thread_candidates(local_ranks=local_ranks)[-1]
-    return int(resolved)
+
+def resolve_threads(
+    spec, local_ranks: int, ncells: int, block_cells: int
+) -> int:
+    """The fold-pool width of a field of ``ncells`` cells: an explicit
+    count as-is; under ``auto`` the budget of :func:`eager_threads`, and
+    never more threads than there are ``block_cells``-sized blocks to
+    hand out."""
+    spec = validate_threads_spec(spec)
+    if spec in (None, "auto"):
+        nblocks = -(-int(ncells) // max(1, int(block_cells)))
+        return min(eager_threads("auto", local_ranks), nblocks)
+    return spec
 
 
 # --------------------------------------------------------------------- #
@@ -309,181 +291,12 @@ class ParallelFolder:
         run_sharded([task(i, lo, hi) for i, (lo, hi) in enumerate(shards)])
 
 
-# --------------------------------------------------------------------- #
-# joint (backend, nthreads, block_cells) autotuning + plan cache
-# --------------------------------------------------------------------- #
-def plan_key(
-    nparams: int,
-    batch_size: int,
-    block_cells: int,
-    kernel_spec: str,
-    cpus: Optional[int] = None,
-) -> str:
-    """Shape key a tuned plan is cached under.  Includes the requested
-    backend spec so ``kernel="einsum", fold_threads="auto"`` never reads
-    a plan tuned for ``kernel="auto"``, and the core count so a cached
-    winner never follows a checkpoint onto differently-sized hardware."""
-    if cpus is None:
-        cpus = os.cpu_count() or 1
-    return f"{nparams}:{batch_size}:{block_cells}:{cpus}:{kernel_spec}"
-
-
-def cached_plan(key: str) -> Optional[Plan]:
-    with _plan_lock:
-        return _plan_cache.get(key)
-
-
-def record_plan(key: str, plan: Plan, export: bool = True) -> None:
-    """Cache a tuned plan and stage it for env/frame export.
-
-    ``export`` distributes the winner beyond this process: the env var
-    reaches everything this process spawns (fork or exec), and the serve
-    loop ships :func:`consume_new_plans` to the coordinator so future
-    respawns/elastic spawns from *that* process skip the probe too.
-    """
-    plan = (str(plan[0]), int(plan[1]), int(plan[2]))
-    with _plan_lock:
-        _plan_cache[key] = plan
-        if export:
-            _pending_export[key] = plan
-            _write_env_locked()
-
-
-def consume_new_plans() -> Dict[str, List]:
-    """Plans tuned here and not yet shipped (one-shot; emptied on read)."""
-    with _plan_lock:
-        out = {k: list(v) for k, v in _pending_export.items()}
-        _pending_export.clear()
-        return out
-
-
-def absorb_plans(mapping: Dict[str, Sequence]) -> None:
-    """Merge plans tuned elsewhere (a rank's autotune frame) into this
-    process's cache *and* environment, so subprocesses spawned from here
-    — supervisor respawns, elastic workers — inherit them."""
-    if not mapping:
-        return
-    with _plan_lock:
-        for key, plan in mapping.items():
-            try:
-                backend, nthreads, block = plan
-                _plan_cache[str(key)] = (
-                    str(backend), int(nthreads), int(block)
-                )
-            except (TypeError, ValueError):
-                continue
-        _write_env_locked()
-
-
-def _write_env_locked() -> None:
-    os.environ[ENV_VAR_AUTOTUNE] = json.dumps(
-        {k: list(v) for k, v in sorted(_plan_cache.items())},
-        separators=(",", ":"),
-    )
-
-
-def _seed_from_env() -> None:
-    raw = os.environ.get(ENV_VAR_AUTOTUNE)
-    if not raw:
-        return
-    try:
-        mapping = json.loads(raw)
-    except (ValueError, TypeError):
-        return
-    if isinstance(mapping, dict):
-        # seed silently: inherited plans are not re-exported as "new"
-        with _plan_lock:
-            for key, plan in mapping.items():
-                try:
-                    backend, nthreads, block = plan
-                    _plan_cache[str(key)] = (
-                        str(backend), int(nthreads), int(block)
-                    )
-                except (TypeError, ValueError):
-                    continue
-
-
-_seed_from_env()
-
-
-def _block_candidates(block_cells: int, ncells: int) -> List[int]:
-    """Block sizes the joint tune considers: the configured block and its
-    half (threads sharing L2 often prefer the smaller working set).
-    Only blocks that actually tile the cell range differently qualify."""
-    blk = min(block_cells, ncells)
-    out = [blk]
-    if blk // 2 >= 1024:
-        out.append(blk // 2)
-    return out
-
-
-def tune_plan(
-    backend: str,
-    nparams: int,
-    batch_size: int,
-    block_cells: int,
-    slabs: Sequence[np.ndarray],
-    ncells: int,
-    thread_candidates: Sequence[int],
-) -> Plan:
-    """Measure the thread/block ladder for ``backend`` on real slabs.
-
-    The probe drives stateless ``fold_batch`` shards (no running state is
-    touched), warms each candidate once, then keeps the best of two timed
-    repetitions — the same discipline as the backend autotuner.  Returns
-    the fastest ``(backend, nthreads, block_cells)``.
-    """
-    from repro.kernels import _construct
-
-    best: Optional[Tuple[float, Plan]] = None
-    for blk in _block_candidates(block_cells, ncells):
-        for nt in thread_candidates:
-            kernels = [
-                _construct(backend, nparams, batch_size, blk)
-                for _ in range(nt)
-            ]
-            shards = shard_ranges(ncells, nt, blk)
-
-            def probe():
-                def shard_task(kernel, lo, hi):
-                    def run():
-                        for b0 in range(lo, hi, blk):
-                            kernel.fold_batch(slabs, b0, min(hi, b0 + blk))
-                    return run
-
-                run_sharded([
-                    shard_task(kernels[i], lo, hi)
-                    for i, (lo, hi) in enumerate(shards)
-                ])
-
-            probe()  # warm (thread spin-up, JIT, lib load)
-            elapsed = float("inf")
-            for _ in range(2):
-                t0 = time.perf_counter()
-                probe()
-                elapsed = min(elapsed, time.perf_counter() - t0)
-            plan = (backend, nt, blk)
-            if best is None or elapsed < best[0]:
-                best = (elapsed, plan)
-    assert best is not None
-    return best[1]
-
-
 __all__ = [
-    "ENV_VAR_THREADS",
-    "ENV_VAR_AUTOTUNE",
     "ParallelFolder",
-    "absorb_plans",
-    "auto_thread_candidates",
-    "cached_plan",
-    "consume_new_plans",
     "eager_threads",
     "fold_window",
-    "plan_key",
-    "record_plan",
     "resolve_threads",
     "run_sharded",
     "shard_ranges",
-    "tune_plan",
     "validate_threads_spec",
 ]

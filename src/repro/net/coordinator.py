@@ -833,15 +833,6 @@ class Coordinator:
                 self._changed.notify_all()
             self._detach(peer)
             return False
-        if isinstance(frame, dict) and frame.get("op") == "autotune":
-            # a rank finished its fold autotune probe: absorb the winning
-            # (backend, nthreads, block_cells) plans into this process and
-            # $REPRO_FOLD_AUTOTUNE so respawned / elastic processes
-            # spawned from here inherit them and skip the probe
-            from repro.kernels import parallel as _parallel
-
-            _parallel.absorb_plans(frame.get("plans") or {})
-            return True
         return True  # unknown rank frames are ignored, as before
 
     def _note_rank_registration(self, rank: int, hello: dict) -> None:

@@ -46,7 +46,6 @@ import traceback
 
 from repro import telemetry as _telemetry
 from repro.core.checkpoint import CheckpointManager
-from repro.kernels import parallel as _parallel
 from repro.core.config import StudyConfig
 from repro.core.server import ServerRank
 from repro.faults import FaultPlan, parse_server_fault
@@ -189,8 +188,7 @@ def run_server_rank(
         )
         g_fold_threads = reg.gauge(
             "repro_fold_threads",
-            "active fold-pool width per server rank (1 until the first "
-            "parallel fold resolves, e.g. after the auto probe)",
+            "fold-pool width per server rank",
         )
         h_checkpoint = reg.histogram(
             "repro_rank_checkpoint_seconds",
@@ -216,13 +214,6 @@ def run_server_rank(
             nonlocal last_beat, last_snapshot, last_ci
             now = time.monotonic()
             if now - last_beat >= heartbeat_interval:
-                # autotune winners ride the beat cadence regardless of
-                # telemetry: the coordinator re-exports them so respawned
-                # / elastic processes skip the probe.  Old coordinators
-                # ignore unknown rank-frame ops, so this is safe to send.
-                new_plans = _parallel.consume_new_plans()
-                if new_plans:
-                    ctrl.send({"op": "autotune", "plans": new_plans})
                 payload = None
                 if telemetry_on:
                     g_fold_threads.set(

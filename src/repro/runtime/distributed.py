@@ -198,12 +198,11 @@ class DistributedRuntime:
     # ------------------------------------------------------------------ #
     def run(self, timeout: float = 300.0) -> StudyResults:
         """Spawn ranks + workers, coordinate, assemble results."""
-        # warm the compiled-kernel cache before forking: on a cold cache
-        # every rank would otherwise race into its own duplicate C compile
-        from repro.kernels import resolve_spec, warm_compiled_backends
+        # resolve the backend before forking: on a cold cache every rank
+        # would otherwise race into its own duplicate C compile
+        from repro.kernels import resolve_backend
 
-        if resolve_spec(self.config.kernel) in ("auto", "cext"):
-            warm_compiled_backends()
+        resolve_backend(self.config.kernel)
 
         supervisor = None
         if self.supervise:

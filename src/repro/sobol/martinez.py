@@ -326,8 +326,9 @@ class UbiquitousSobolField:
     exact shift, so the contraction stays numerically stable like Pebay's
     one-pass formulas), a pluggable :mod:`repro.kernels` backend produces
     every co-moment of the batch (einsum baseline, GEMM-shaped BLAS,
-    fused compiled C, or Numba — ``kernel="auto"`` autotunes on the first
-    real fold), and one exact pairwise combination (Pebay, SAND2008-6212)
+    fused compiled C, or Numba — ``kernel="auto"`` is the first of cext,
+    numba, einsum the host can run), and one exact pairwise combination
+    (Pebay, SAND2008-6212)
     merges the batch into the running state.  Any read (maps, intervals,
     checkpoints) flushes pending buffers first, so results never lag the
     data.
@@ -342,10 +343,13 @@ class UbiquitousSobolField:
     :mod:`repro.kernels.parallel` — per-thread kernel instances (scratch
     isolation), no combine step (windows write disjoint state slices),
     and therefore **bit-exact** results against ``fold_threads=1``.
-    ``"auto"`` (the default) measures 1/2/half/all cores on the first
-    real fold and picks ``(backend, nthreads, block_cells)`` jointly;
-    explicit integers are honored un-clamped.  Thread count is execution
-    policy, not statistics: checkpoints and fingerprints ignore it.
+    ``"auto"`` (the default) is ``min(usable_cpus // local_ranks,
+    blocks)``; explicit integers are honored un-clamped.  Backend and
+    thread count are fixed when the field is constructed — nothing is
+    measured, so ``kernel_name``, ``active_fold_threads`` and
+    ``fold_plan`` are concrete before the first buffer arrives.  They
+    are execution policy, not statistics: checkpoints and fingerprints
+    ignore them.
     """
 
     #: staged buffers per timestep before a fold is triggered
@@ -361,8 +365,8 @@ class UbiquitousSobolField:
         batch_size: int = DEFAULT_BATCH,
         block_cells: int = DEFAULT_BLOCK,
         max_staged: Optional[int] = None,
-        kernel: Optional[str] = None,
-        fold_threads=None,
+        kernel: str = "auto",
+        fold_threads="auto",
         local_ranks: int = 1,
     ):
         if nparams < 1:
@@ -390,34 +394,33 @@ class UbiquitousSobolField:
         # fullest timestep in O(log) instead of scanning all T timesteps
         self._staged_heap: List[Tuple[int, int]] = []
         blk = min(self.block_cells, ncells)
-        #: requested backend spec (None -> REPRO_KERNEL env -> "auto")
-        self.kernel_spec = kernel
         self._kernel = make_kernel(kernel, nparams, self.batch_size, blk)
-        #: requested thread spec (explicit > $REPRO_FOLD_THREADS > "auto")
-        self.fold_threads_spec = fold_threads
-        self._threads = _parallel.resolve_threads(fold_threads)
-        self._local_ranks = max(1, int(local_ranks))
+        threads = _parallel.resolve_threads(
+            fold_threads, local_ranks, ncells, blk
+        )
+        #: the sharded fold engine; None = one thread, no pool
         self._folder: Optional[_parallel.ParallelFolder] = None
+        if threads > 1:
+            self._folder = _parallel.ParallelFolder(
+                self._kernel.name, nparams, self.batch_size, blk, threads
+            )
         # preallocated rank-1 correction scratch (sequential path)
         self._r1 = np.empty((2, nparams, blk))
 
     @property
     def kernel_name(self) -> str:
-        """Concrete backend in use (``auto`` until its first tuned fold)."""
-        if self._folder is not None:
-            return self._folder.backend
-        chosen = getattr(self._kernel, "chosen", None)
-        return chosen if chosen is not None else self._kernel.name
+        """Concrete backend in use."""
+        return self._kernel.name
 
     @property
     def active_fold_threads(self) -> int:
-        """Threads the sharded fold currently uses (1 until resolved)."""
+        """Threads the fold uses."""
         return self._folder.nthreads if self._folder is not None else 1
 
     @property
     def fold_plan(self) -> Optional[Tuple[str, int, int]]:
-        """The active ``(backend, nthreads, block_cells)`` execution
-        plan, or None while folds still run on the sequential path."""
+        """The ``(backend, nthreads, block_cells)`` plan of the sharded
+        fold, or None when folds run on the calling thread alone."""
         return self._folder.plan if self._folder is not None else None
 
     # ------------------------------------------------------------------ #
@@ -524,11 +527,10 @@ class UbiquitousSobolField:
         mean = self._mean[t]
         m2 = self._m2[t]
         cxy = self._cxy[t]
-        folder = self._resolve_folder(slabs)
-        if folder is not None:
+        if self._folder is not None:
             # sharded multicore fold: disjoint block-aligned cell windows
             # onto per-thread kernels — bit-exact vs the sequential path
-            folder.fold(slabs, self.ncells, mean, m2, cxy, na)
+            self._folder.fold(slabs, self.ncells, mean, m2, cxy, na)
         else:
             _parallel.fold_window(
                 self._kernel, slabs, 0, self.ncells,
@@ -537,51 +539,6 @@ class UbiquitousSobolField:
         self._counts[t] = na + nb
         self._staged_total -= nb
         slabs.clear()
-
-    def _resolve_folder(self, slabs) -> Optional[_parallel.ParallelFolder]:
-        """The sharded fold engine, built once its plan is known.
-
-        Returns None while folds must stay sequential: ``fold_threads=1``
-        (permanently), or ``auto`` still waiting for a concrete backend
-        (the kernel autotuner decides inside a sequential fold) or for a
-        measurable batch.  The threads dimension autotunes jointly with
-        ``block_cells`` on the first real fold and caches its winner per
-        shape key — in-process and via ``$REPRO_FOLD_AUTOTUNE`` — so
-        respawned ranks skip the probe (see :mod:`repro.kernels.parallel`).
-        """
-        if self._folder is not None or self._threads == 1:
-            return self._folder
-        blk = min(self.block_cells, self.ncells)
-        if self._threads != "auto":
-            backend = self.kernel_name
-            if backend == "auto":
-                return None  # backend autotune pending: fold sequentially
-            self._folder = _parallel.ParallelFolder(
-                backend, self.nparams, self.batch_size, blk,
-                int(self._threads),
-            )
-            return self._folder
-        key = _parallel.plan_key(
-            self.nparams, self.batch_size, blk,
-            str(self.kernel_spec or "auto").lower(),
-        )
-        plan = _parallel.cached_plan(key)
-        if plan is None:
-            backend = self.kernel_name
-            if backend == "auto" or len(slabs) < _parallel._TUNE_MIN_BATCH:
-                return None
-            candidates = _parallel.auto_thread_candidates(
-                local_ranks=self._local_ranks
-            )
-            plan = _parallel.tune_plan(
-                backend, self.nparams, self.batch_size, blk,
-                slabs, self.ncells, candidates,
-            )
-            _parallel.record_plan(key, plan)
-        self._folder = _parallel.ParallelFolder(
-            plan[0], self.nparams, self.batch_size, plan[2], plan[1]
-        )
-        return self._folder
 
     def flush(self, timestep: Optional[int] = None) -> None:
         """Fold staged buffers (one timestep, or all when ``None``)."""
@@ -773,13 +730,13 @@ class UbiquitousSobolField:
 
     @classmethod
     def from_state_dict(
-        cls, state: dict, kernel: Optional[str] = None,
-        fold_threads=None, local_ranks: int = 1,
+        cls, state: dict, kernel: str = "auto",
+        fold_threads="auto", local_ranks: int = 1,
     ) -> "UbiquitousSobolField":
         """Restore state; ``kernel`` / ``fold_threads`` pick the backend
         and thread policy for the new field (checkpoints are execution-
         policy-agnostic — the state is pure statistics, so a study may
-        restore onto any host's fastest kernel at any thread count)."""
+        restore onto any backend at any thread count)."""
         arrays = {"counts", "mean", "m2", "cxy"}
         if state.get("format") != 2 or not arrays <= state.keys():
             raise ValueError(

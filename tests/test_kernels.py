@@ -1,23 +1,27 @@
-"""Co-moment kernel backends: parity, selection, fallback, autotune.
+"""Co-moment kernel backends: parity, selection, fallback, the auto rule.
 
 Every available backend must reproduce the scalar reference estimator to
 rtol 1e-10 across the regimes that stress different code paths: ragged
 micro-batches (force-folds and flush remainders), single-group folds
 (batch_size=1, the degenerate contraction), and checkpoint round-trips
-(state is backend-agnostic).  Selection covers the StudyConfig /
-REPRO_KERNEL / auto precedence and the graceful fallback when an
+(state is backend-agnostic).  Selection covers the ``auto`` rule (first
+available of cext, numba, einsum, decided at construction, nothing
+measured) and the graceful fallback when an explicitly requested
 optional backend (numba, cext) is missing on the host.
 """
+
+import os
+import warnings
 
 import numpy as np
 import pytest
 
-import repro.kernels as kernels
 from repro.kernels import (
-    AutoKernel,
     EinsumKernel,
     available_backends,
+    cext,
     make_kernel,
+    resolve_backend,
     resolve_spec,
 )
 from repro.kernels import numba_backend
@@ -160,21 +164,12 @@ class TestBackendParity:
 
 
 # --------------------------------------------------------------------- #
-# selection: precedence, env var, fallback, autotune
+# selection: the auto rule, explicit names, fallback
 # --------------------------------------------------------------------- #
 class TestSelection:
-    def test_resolve_precedence(self, monkeypatch):
-        monkeypatch.delenv(kernels.ENV_VAR, raising=False)
+    def test_resolve_precedence(self):
         assert resolve_spec(None) == "auto"
         assert resolve_spec("einsum") == "einsum"
-        monkeypatch.setenv(kernels.ENV_VAR, "blas")
-        assert resolve_spec(None) == "blas"
-        assert resolve_spec("einsum") == "einsum"  # explicit beats env
-
-    def test_env_var_reaches_field(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_VAR, "einsum")
-        field = UbiquitousSobolField(2, 1, 4)
-        assert field.kernel_name == "einsum"
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
@@ -201,39 +196,59 @@ class TestSelection:
     def test_auto_tunes_to_available_backend(self):
         stream = random_stream(3, 1, 16, 24, seed=23)
         field = UbiquitousSobolField(3, 1, 16, kernel="auto", batch_size=8)
-        assert field.kernel_name == "auto"  # not yet tuned
+        # resolved at construction, before any buffer is fed
+        assert field.kernel_name in BACKENDS
+        assert field.kernel_name == resolve_backend("auto")
         for g in range(24):
             field.update_group_buffer(0, stream[g, 0].copy())
         field.flush()
-        assert field.kernel_name in BACKENDS
         assert_matches_reference(field, reference_forest(stream))
 
-    def test_auto_settles_on_einsum_for_tiny_folds(self):
-        """A stream of nothing but sub-threshold folds locks in einsum."""
-        from repro.kernels import _AUTOTUNE_SMALL_FOLD_LIMIT
+    def test_auto_rule_order(self, monkeypatch):
+        """auto = first available of cext, numba, einsum — never blas,
+        and never a warning: nothing was asked for that is missing."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            monkeypatch.setattr(numba_backend, "available", lambda: True)
+            monkeypatch.setattr(cext, "available", lambda: False)
+            assert resolve_backend("auto") == "numba"
+            monkeypatch.setattr(numba_backend, "available", lambda: False)
+            assert resolve_backend("auto") == "einsum"
+            assert UbiquitousSobolField(2, 1, 4).kernel_name == "einsum"
+            monkeypatch.setattr(cext, "available", lambda: True)
+            assert resolve_backend("auto") == "cext"
+            # a name the host can run is itself; one it cannot, einsum
+            assert resolve_backend("blas") == "blas"
+            assert resolve_backend("numba") == "einsum"
 
-        stream = random_stream(2, 1, 4, 40, seed=41)
-        field = UbiquitousSobolField(2, 1, 4, kernel="auto", batch_size=2)
-        for g in range(2 * _AUTOTUNE_SMALL_FOLD_LIMIT + 2):
-            field.update_group_buffer(0, stream[g % 40, 0].copy())
-        field.flush()
-        assert field.kernel_name == "einsum"
+    def test_default_policy_is_deterministic(self):
+        """Nothing is measured: two default-policy fields fed the same
+        stream are bit-identical, a state_dict hop into a third continues
+        bit-exactly, and the environment is never written."""
+        env = dict(os.environ)
+        ncells = 2 * UbiquitousSobolField.DEFAULT_BLOCK + 5  # > 1 block
+        stream = random_stream(2, 1, ncells, 48, seed=43)
 
-    def test_auto_choice_cached_per_shape(self):
-        key_stream = random_stream(2, 1, 8, 16, seed=29)
-        a = UbiquitousSobolField(2, 1, 8, kernel="auto", batch_size=8)
-        for g in range(16):
-            a.update_group_buffer(0, key_stream[g, 0].copy())
-        a.flush()
-        chosen = a.kernel_name
-        assert chosen in BACKENDS
-        # a second field with the same (p, batch, block) shape reuses the
-        # cached choice on its very first fold, without re-measuring
-        b = UbiquitousSobolField(2, 1, 8, kernel="auto", batch_size=8)
-        for g in range(8):
-            b.update_group_buffer(0, key_stream[g, 0].copy())
-        b.flush()
-        assert b.kernel_name == chosen
+        def feed(field, groups):
+            for g in groups:
+                field.update_group_buffer(0, stream[g, 0].copy())
+            return field
+
+        a = feed(UbiquitousSobolField(2, 1, ncells), range(48))
+        b = feed(UbiquitousSobolField(2, 1, ncells), range(48))
+        # the hop sits on a batch boundary, so all three fold the same batches
+        c = UbiquitousSobolField.from_state_dict(
+            feed(UbiquitousSobolField(2, 1, ncells), range(32)).state_dict()
+        )
+        feed(c, range(32, 48))
+        for other in (b, c):
+            assert other.kernel_name == a.kernel_name
+            assert other.fold_plan == a.fold_plan
+            for name in ("_counts", "_mean", "_m2", "_cxy"):
+                np.testing.assert_array_equal(
+                    getattr(a, name), getattr(other, name), err_msg=name
+                )
+        assert dict(os.environ) == env
 
 
 # --------------------------------------------------------------------- #

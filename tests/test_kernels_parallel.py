@@ -7,11 +7,11 @@ the shard set enumerates the *identical* (lo, hi) windows the sequential
 blocked loop does and writes disjoint state slices — so the suite pins
 ``fold_threads=N`` to ``fold_threads=1`` with ``assert_array_equal``,
 not rtol: bit-exact, on every available backend, through ragged
-partitions, checkpoint hops, and mid-fold merges.  The joint
-(backend, nthreads, block_cells) autotune plan cache, its env export,
-the O(log) staging-overflow eviction, and the distributed 2-rank x
-2-worker parity (including through a worker SIGKILL) are covered here
-too.
+partitions, checkpoint hops, and mid-fold merges.  The ``auto`` thread
+rule (``min(usable_cpus // local_ranks, blocks)``, decided at
+construction), the O(log) staging-overflow eviction, and the distributed
+2-rank x 2-worker parity (including through a worker SIGKILL) are
+covered here too.
 """
 
 import os
@@ -36,24 +36,6 @@ from repro.stats.protocol import StatContext
 
 NPARAMS = 3
 NCELLS = 257  # deliberately not a multiple of any block size
-
-
-@pytest.fixture(autouse=True)
-def _isolated_plan_state(monkeypatch):
-    """Each test sees an empty plan cache and a clean fold environment."""
-    monkeypatch.delenv(parallel.ENV_VAR_THREADS, raising=False)
-    monkeypatch.delenv(parallel.ENV_VAR_AUTOTUNE, raising=False)
-    with parallel._plan_lock:
-        saved_cache = dict(parallel._plan_cache)
-        saved_pending = dict(parallel._pending_export)
-        parallel._plan_cache.clear()
-        parallel._pending_export.clear()
-    yield
-    with parallel._plan_lock:
-        parallel._plan_cache.clear()
-        parallel._plan_cache.update(saved_cache)
-        parallel._pending_export.clear()
-        parallel._pending_export.update(saved_pending)
 
 
 @pytest.fixture(autouse=True)
@@ -98,25 +80,57 @@ class TestThreadSelection:
         with pytest.raises(ValueError):
             parallel.validate_threads_spec(bad)
 
-    def test_precedence_explicit_over_env(self, monkeypatch):
-        monkeypatch.setenv(parallel.ENV_VAR_THREADS, "8")
-        assert parallel.resolve_threads(3) == 3
-        assert parallel.resolve_threads(None) == 8
-        monkeypatch.delenv(parallel.ENV_VAR_THREADS)
-        assert parallel.resolve_threads(None) == "auto"
+    def test_auto_rule_table(self, monkeypatch):
+        """auto = min(usable_cpus // local_ranks, blocks), at construction."""
+        table = [
+            # cpus, local_ranks, ncells, block_cells -> threads
+            (8, 1, 100_000, 8192, 8),   # 13 blocks: the CPU budget binds
+            (8, 2, 100_000, 8192, 4),   # co-located ranks share the host
+            (8, 1, 20_000, 8192, 3),    # never more threads than blocks
+            (8, 1, 8192, 8192, 1),      # 1 block -> no pool
+            (8, 1, 1, 8192, 1),
+            (8, 8, 100_000, 8192, 1),
+            (2, 3, 100_000, 8192, 1),   # local_ranks > cpus -> 1
+            (1, 1, 100_000, 8192, 1),
+            (2, 1, 257, 64, 2),
+        ]
+        for cpus, local_ranks, ncells, block, threads in table:
+            row = (cpus, local_ranks, ncells, block)
+            monkeypatch.setattr(
+                os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)),
+                raising=False,
+            )
+            assert parallel.resolve_threads(
+                "auto", local_ranks, ncells, block) == threads, row
+            field = UbiquitousSobolField(
+                nparams=NPARAMS, ntimesteps=1, ncells=ncells,
+                block_cells=block, kernel="einsum", local_ranks=local_ranks,
+            )
+            assert field.active_fold_threads == threads, row
+            assert field.fold_plan == (
+                ("einsum", threads, min(block, ncells)) if threads > 1
+                else None
+            ), row
 
-    def test_auto_candidates_clamped_by_local_ranks(self):
-        assert parallel.auto_thread_candidates(cpus=8, local_ranks=1) == [1, 2, 4, 8]
-        assert parallel.auto_thread_candidates(cpus=8, local_ranks=2) == [1, 2, 4]
-        assert parallel.auto_thread_candidates(cpus=8, local_ranks=8) == [1]
-        assert parallel.auto_thread_candidates(cpus=1, local_ranks=1) == [1]
+    def test_rule_counts_the_affinity_mask(self, monkeypatch):
+        """A rank pinned to one core of many must not run a fold pool."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 16)
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {3}, raising=False
+        )
+        assert parallel.eager_threads("auto") == 1
+        assert parallel.resolve_threads("auto", 1, 100_000, 8192) == 1
+        # explicit counts pass through un-clamped
+        assert parallel.resolve_threads(6, 99, 1, 8192) == 6
 
-    def test_eager_threads(self):
+    def test_eager_threads(self, monkeypatch):
         # explicit counts pass through un-clamped; auto takes the clamp
         assert parallel.eager_threads(6, local_ranks=99) == 6
-        cpus = os.cpu_count() or 1
-        assert parallel.eager_threads("auto", local_ranks=1) == max(1, cpus)
-        assert parallel.eager_threads("auto", local_ranks=2 * cpus) == 1
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: set(range(4)), raising=False
+        )
+        assert parallel.eager_threads("auto", local_ranks=1) == 4
+        assert parallel.eager_threads("auto", local_ranks=8) == 1
 
     def test_config_canonicalizes_and_rejects(self):
         fn = IshigamiFunction()
@@ -193,30 +207,30 @@ class TestBitExactParity:
         assert_fields_identical(one, many)
 
     def test_parity_through_checkpoint_hop(self):
+        # from_state_dict restores with the default batch and block size,
+        # so real multi-shard partitions need more cells than one default
+        # block (4 blocks here); fold *batching* (unlike fold threading
+        # or block size) legitimately perturbs results at reassociation
+        # level — parity here must isolate the threads dimension
+        ncells = 3 * UbiquitousSobolField.DEFAULT_BLOCK + 1
+
         def build(threads):
-            # default batch_size only: from_state_dict restores with the
-            # default, and fold *batching* (unlike fold threading or
-            # block size) legitimately perturbs results at reassociation
-            # level — parity here must isolate the threads dimension
-            field = UbiquitousSobolField(
-                nparams=NPARAMS, ntimesteps=2, ncells=NCELLS,
+            return UbiquitousSobolField(
+                nparams=NPARAMS, ntimesteps=2, ncells=ncells,
                 kernel="einsum", fold_threads=threads,
             )
-            field.block_cells = 64  # force real multi-shard partitions
-            return field
 
-        one = feed(build(1), RAGGED, seed=1)
+        one = feed(build(1), RAGGED, seed=1, ncells=ncells)
         one.flush()  # same fold boundary as the checkpointed run
-        feed(one, RAGGED, seed=2)
+        feed(one, RAGGED, seed=2, ncells=ncells)
         # threaded run hops through a checkpoint between the two halves
         # (and switches thread count across the hop — execution policy)
-        half = feed(build(2), RAGGED, seed=1)
+        half = feed(build(2), RAGGED, seed=1, ncells=ncells)
         assert half.active_fold_threads == 2
         restored = UbiquitousSobolField.from_state_dict(
             half.state_dict(), kernel="einsum", fold_threads=4
         )
-        restored.block_cells = 64
-        many = feed(restored, RAGGED, seed=2)
+        many = feed(restored, RAGGED, seed=2, ncells=ncells)
         assert many.active_fold_threads == 4
         assert_fields_identical(one, many)
 
@@ -344,77 +358,17 @@ class TestOverflowEviction:
 
 
 # --------------------------------------------------------------------- #
-# the joint autotune plan cache
+# explicit thread counts
 # --------------------------------------------------------------------- #
 class TestPlanCache:
-    KEY = parallel.plan_key(NPARAMS, 8, NCELLS, "einsum")
-
-    def test_record_export_consume_roundtrip(self):
-        parallel.record_plan(self.KEY, ("einsum", 2, 128))
-        assert parallel.cached_plan(self.KEY) == ("einsum", 2, 128)
-        env = os.environ[parallel.ENV_VAR_AUTOTUNE]
-        assert "einsum" in env and self.KEY in env
-        assert parallel.consume_new_plans() == {self.KEY: ["einsum", 2, 128]}
-        assert parallel.consume_new_plans() == {}  # one-shot
-
-    def test_absorb_merges_and_reexports(self):
-        parallel.absorb_plans({self.KEY: ["blas", 4, 64],
-                               "bogus": "not-a-plan"})
-        assert parallel.cached_plan(self.KEY) == ("blas", 4, 64)
-        assert parallel.cached_plan("bogus") is None
-        # absorbed plans reach the env (for spawned subprocesses) but are
-        # not re-shipped as new (they came FROM the coordinator)
-        assert self.KEY in os.environ[parallel.ENV_VAR_AUTOTUNE]
-        assert parallel.consume_new_plans() == {}
-
-    def test_seed_from_env(self, monkeypatch):
-        monkeypatch.setenv(
-            parallel.ENV_VAR_AUTOTUNE, '{"%s":["einsum",3,96]}' % self.KEY
-        )
-        with parallel._plan_lock:
-            parallel._plan_cache.clear()
-        parallel._seed_from_env()
-        assert parallel.cached_plan(self.KEY) == ("einsum", 3, 96)
-        assert parallel.consume_new_plans() == {}  # inherited, not new
-
-    def test_auto_tunes_once_then_caches(self):
-        field = UbiquitousSobolField(
-            nparams=NPARAMS, ntimesteps=1, ncells=NCELLS, batch_size=8,
-            kernel="einsum", fold_threads="auto",
-        )
-        feed(field, [(0, 8)])  # one full batch >= _TUNE_MIN_BATCH
-        plan = field.fold_plan
-        assert plan is not None and plan[0] == "einsum"
-        key = parallel.plan_key(NPARAMS, 8, NCELLS, "einsum")
-        assert parallel.cached_plan(key) == plan
-        assert parallel.consume_new_plans() == {key: list(plan)}
-
-    def test_cached_plan_skips_probe(self, monkeypatch):
-        parallel.record_plan(self.KEY, ("einsum", 2, 128), export=False)
-
-        def boom(*a, **k):  # pragma: no cover - failure path
-            raise AssertionError("probe ran despite a cached plan")
-
-        monkeypatch.setattr(parallel, "tune_plan", boom)
-        field = UbiquitousSobolField(
-            nparams=NPARAMS, ntimesteps=1, ncells=NCELLS, batch_size=8,
-            kernel="einsum", fold_threads="auto",
-        )
-        feed(field, [(0, 8)])
-        assert field.fold_plan == ("einsum", 2, 128)
-
-    def test_explicit_threads_build_without_probe(self, monkeypatch):
-        monkeypatch.setattr(
-            parallel, "tune_plan",
-            lambda *a, **k: pytest.fail("explicit counts must not probe"),
-        )
+    def test_explicit_threads_build_without_probe(self):
         field = UbiquitousSobolField(
             nparams=NPARAMS, ntimesteps=1, ncells=NCELLS, batch_size=8,
             kernel="einsum", fold_threads=3,
         )
+        assert field.active_fold_threads == 3  # before any buffer is fed
         feed(field, [(0, 8)])
         assert field.active_fold_threads == 3
-        assert parallel.consume_new_plans() == {}  # nothing tuned
 
 
 # --------------------------------------------------------------------- #
