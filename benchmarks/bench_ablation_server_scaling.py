@@ -6,12 +6,10 @@ estimate" advice (Sec. 5.3) implies: below ~29 nodes the server cannot
 absorb the peak 55-group data rate and group times stretch; above it,
 adding nodes buys almost nothing.
 
-Also home of the *server hot-path* ablation: the seed's scalar-loop
-estimator forest versus the vectorized batched engine (per-update cost on
-the realistic interleaved-timestep stream), the co-moment kernel backend
-shootout (einsum baseline vs BLAS-GEMM vs fused compiled C vs Numba,
-emitting machine-readable ``BENCH_kernels.json``), and the transport
-shootout (in-memory queue vs loopback TCP vs shm ring).
+Also home of the co-moment kernel backend shootout (einsum baseline vs
+BLAS-GEMM vs fused compiled C vs Numba, emitting machine-readable
+``BENCH_kernels.json``) and the transport shootout (in-memory queue vs
+loopback TCP vs shm ring).
 """
 
 import json
@@ -29,105 +27,10 @@ from repro.perfmodel import (
     paper_campaign,
 )
 from repro.report import format_table
-from repro.sobol.martinez import IterativeSobolEstimator, UbiquitousSobolField
+from repro.sobol.martinez import UbiquitousSobolField
+from repro.sobol.reference import martinez_indices
 
 SWEEP = (8, 12, 15, 20, 24, 28, 32, 40, 48)
-
-
-# --------------------------------------------------------------------- #
-# server hot path: scalar-loop forest vs vectorized batched engine
-# (kept first in the file: the comparison measures each path against a
-# cold allocator, the state every fresh server rank starts from)
-# --------------------------------------------------------------------- #
-
-P, NCELLS, NTIMESTEPS, NGROUPS = 6, 20_000, 36, 18
-
-
-def _stream(seed=0):
-    """One streaming pass: per group, all timesteps in sequence — the
-    arrival pattern a server rank sees.  At the paper's timestep counts
-    the per-timestep state greatly exceeds any cache, so every update
-    pays DRAM; ntimesteps here is sized to reproduce that regime."""
-    rng = np.random.default_rng(seed)
-    return rng.normal(size=(NGROUPS, NTIMESTEPS, P + 2, NCELLS))
-
-
-def _time_scalar_pass(stream):
-    """Seed path: one IterativeSobolEstimator per timestep, fresh state."""
-    forest = [IterativeSobolEstimator(P, (NCELLS,)) for _ in range(NTIMESTEPS)]
-    start = time.perf_counter()
-    for g in range(NGROUPS):
-        for t in range(NTIMESTEPS):
-            buf = stream[g, t]
-            forest[t].update_group(buf[0], buf[1], list(buf[2:]))
-    elapsed = (time.perf_counter() - start) / (NGROUPS * NTIMESTEPS)
-    return elapsed, forest
-
-
-def _time_vectorized_pass(stream):
-    """Stacked engine consuming the same staged buffers, fresh state."""
-    field = UbiquitousSobolField(
-        P, NTIMESTEPS, NCELLS,
-        batch_size=NGROUPS, max_staged=NTIMESTEPS * NGROUPS,
-    )
-    start = time.perf_counter()
-    for g in range(NGROUPS):
-        for t in range(NTIMESTEPS):
-            field.update_group_buffer(t, stream[g, t])
-    field.flush()
-    elapsed = (time.perf_counter() - start) / (NGROUPS * NTIMESTEPS)
-    return elapsed, field
-
-
-def test_vectorized_engine_speedup(results_dir, benchmark):
-    """Acceptance: the batched engine is >= 5x the seed scalar-loop path
-    at p=6, 20k cells, with maps matching to rtol 1e-10.
-
-    Each attempt is one *paired* measurement: a fresh-state scalar pass
-    immediately followed by a fresh-state vectorized pass, so both see
-    the same machine conditions; the demonstrated speedup is the best
-    paired ratio (shared-box noise only ever lowers a ratio pair-wise).
-    """
-    stream = _stream()
-    attempts = []
-    for attempt in range(6):
-        t_s, forest = _time_scalar_pass(stream)
-        t_v, field = _time_vectorized_pass(stream)
-        attempts.append((t_s, t_v))
-        if max(s / v for s, v in attempts) >= 5.2:
-            break
-    benchmark.pedantic(lambda: _time_vectorized_pass(stream), rounds=1, iterations=1)
-    t_scalar, t_vector = max(attempts, key=lambda sv: sv[0] / sv[1])
-    speedup = t_scalar / t_vector
-
-    for t in (0, NTIMESTEPS - 1):
-        np.testing.assert_allclose(
-            field.first_order_all(t), forest[t].first_order(),
-            rtol=1e-10, atol=1e-12,
-        )
-        np.testing.assert_allclose(
-            field.total_order_all(t), forest[t].total_order(),
-            rtol=1e-10, atol=1e-12,
-        )
-
-    table = format_table(
-        ["path", "ms / group-timestep", "speedup", "state floats"],
-        [
-            ["scalar loop (seed)", round(t_scalar * 1e3, 3), 1.0,
-             (2 * P * 5 + 2) * NCELLS * NTIMESTEPS],
-            ["vectorized batched", round(t_vector * 1e3, 3),
-             round(speedup, 1), field.memory_floats],
-        ],
-        title=(
-            f"server hot path, p={P}, {NCELLS} cells, {NTIMESTEPS} timesteps"
-            f" (all attempts: "
-            + "; ".join(f"{s*1e3:.2f}/{v*1e3:.2f}" for s, v in attempts)
-            + " ms)"
-        ),
-    )
-    (results_dir / "table_engine_vectorization.txt").write_text(table + "\n")
-    print(table)
-    assert speedup >= 5.0, f"vectorized engine only {speedup:.1f}x over scalar loop"
 
 
 # --------------------------------------------------------------------- #
@@ -167,7 +70,7 @@ def _time_backend_pass(backend, stream):
 
 def test_kernel_backend_shootout(results_dir, benchmark):
     """Acceptance: the best non-einsum backend is >= 2x the PR 1 einsum
-    fold at p=6 / 20k cells, every backend matches the scalar reference
+    fold at p=6 / 20k cells, every backend matches the two-pass reference
     to rtol 1e-10, and BENCH_kernels.json records the trajectory.
 
     Timings are paired per attempt (all backends measured back-to-back
@@ -183,11 +86,10 @@ def test_kernel_backend_shootout(results_dir, benchmark):
         )
     stream = _kernel_stream(KB_BATCH * 6, seed=1)
 
-    # scalar reference for the rtol 1e-10 agreement check
-    reference = IterativeSobolEstimator(KB_P, (KB_NCELLS,))
-    for g in range(stream.shape[0]):
-        buf = stream[g]
-        reference.update_group(buf[0], buf[1], list(buf[2:]))
+    # two-pass reference for the rtol 1e-10 agreement check
+    ref_first, ref_total = martinez_indices(
+        stream[:, 0], stream[:, 1], np.swapaxes(stream[:, 2:], 0, 1)
+    )
 
     # each attempt measures every backend back-to-back; speedups are
     # paired WITHIN an attempt (same machine conditions) and the best
@@ -209,12 +111,13 @@ def test_kernel_backend_shootout(results_dir, benchmark):
     )
 
     for name, field in fields.items():
+        first, total = field.index_maps_at(0)
         np.testing.assert_allclose(
-            field.first_order_all(0), reference.first_order(),
+            first, ref_first,
             rtol=1e-10, atol=1e-12, err_msg=f"backend {name} disagrees",
         )
         np.testing.assert_allclose(
-            field.total_order_all(0), reference.total_order(),
+            total, ref_total,
             rtol=1e-10, atol=1e-12, err_msg=f"backend {name} disagrees",
         )
 

@@ -16,6 +16,7 @@ import pytest
 
 from repro.core import MelissaServer, StudyConfig
 from repro.core.checkpoint import CheckpointManager
+from repro.core.results import StudyResults
 from repro.perfmodel import paper_campaign
 from repro.report import comparison_table
 from repro.sampling import ParameterSpace, Uniform
@@ -75,7 +76,8 @@ def test_real_checkpoint_restore(benchmark, tmp_path):
     manager.save(server)
     restored = benchmark(lambda: manager.restore(config))
     np.testing.assert_array_equal(
-        restored.first_order_map(0, 0), server.first_order_map(0, 0)
+        StudyResults.from_server(restored).first_order,
+        StudyResults.from_server(server).first_order,
     )
 
 
@@ -105,4 +107,4 @@ def test_discard_on_replay_throughput(benchmark):
     benchmark(replay_storm)
     assert rank.messages_discarded > discarded_before
     # statistics untouched by the storm
-    assert rank.sobol.estimators[0].ngroups == 6
+    assert rank.sobol.state_dict()["counts"][0] == 6

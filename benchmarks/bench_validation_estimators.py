@@ -10,15 +10,17 @@ Not a paper figure, but the foundation every figure rests on (Sec. 3):
   (the paper's server burned ~2% of the campaign's CPU time).
 """
 
+import itertools
+
 import numpy as np
-import pytest
 
 from repro.report import format_table
 from repro.sampling import draw_design
 from repro.sobol import (
     GFunction,
     IshigamiFunction,
-    IterativeSobolEstimator,
+    UbiquitousSobolField,
+    first_order_confidence_interval,
     martinez_indices,
 )
 from repro.sobol.reference import all_estimators
@@ -31,21 +33,24 @@ def evaluate(fn, design):
     return y_a, y_b, y_c
 
 
+def fold_scalar(y_a, y_b, y_c):
+    """A one-cell, one-timestep engine fed every group's outputs."""
+    field = UbiquitousSobolField(y_c.shape[0], 1, 1)
+    for row in np.column_stack([y_a, y_b, y_c.T]):
+        field.update_group_buffer(0, row[:, None])
+    return field
+
+
 def test_iterative_equals_two_pass(benchmark):
     fn = IshigamiFunction()
     design = draw_design(fn.space(), 2000, seed=1)
     y_a, y_b, y_c = evaluate(fn, design)
 
-    def run_iterative():
-        est = IterativeSobolEstimator(3)
-        for i in range(design.ngroups):
-            est.update_group(y_a[i], y_b[i], [y_c[k][i] for k in range(3)])
-        return est
-
-    est = benchmark(run_iterative)
+    field = benchmark(fold_scalar, y_a, y_b, y_c)
+    first, total = field.index_maps_at(0)
     s_ref, st_ref = martinez_indices(y_a, y_b, y_c)
-    np.testing.assert_allclose(est.first_order(), s_ref, rtol=1e-10)
-    np.testing.assert_allclose(est.total_order(), st_ref, rtol=1e-10)
+    np.testing.assert_allclose(first[:, 0], s_ref, rtol=1e-10)
+    np.testing.assert_allclose(total[:, 0], st_ref, rtol=1e-10)
 
 
 def test_convergence_rate(results_dir, benchmark):
@@ -108,11 +113,8 @@ def test_confidence_interval_coverage(benchmark):
         trials = 80
         for t in range(trials):
             design = draw_design(fn.space(), 400, seed=5000 + t)
-            est = IterativeSobolEstimator(3)
-            y_a, y_b, y_c = evaluate(fn, design)
-            for i in range(400):
-                est.update_group(y_a[i], y_b[i], [y_c[k][i] for k in range(3)])
-            lo, hi = est.first_order_interval(0)
+            first, _ = fold_scalar(*evaluate(fn, design)).index_maps_at(0)
+            lo, hi = first_order_confidence_interval(first[0, 0], 400)
             if lo <= fn.first_order[0] <= hi:
                 hits += 1
         return hits / trials
@@ -129,11 +131,10 @@ def test_field_update_throughput(benchmark):
     """
     ncells = 100_000
     nparams = 6
-    est = IterativeSobolEstimator(nparams, (ncells,))
+    field = UbiquitousSobolField(nparams, 1, ncells)
     rng = np.random.default_rng(0)
-    y_a = rng.normal(size=ncells)
-    y_b = rng.normal(size=ncells)
-    y_c = [rng.normal(size=ncells) for _ in range(nparams)]
+    # buffers are adopted by reference, so two distinct ones suffice
+    buffers = itertools.cycle(rng.normal(size=(2, nparams + 2, ncells)))
 
-    benchmark(lambda: est.update_group(y_a, y_b, y_c))
-    assert est.ngroups > 0
+    benchmark(lambda: field.update_group_buffer(0, next(buffers)))
+    assert field.state_dict()["counts"][0] > 0

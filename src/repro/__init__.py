@@ -18,13 +18,12 @@ Quick start::
 
 Package layout (see DESIGN.md for the full inventory):
 
-- :mod:`repro.stats`     — one-pass moments/covariance (Welford, Pebay)
+- :mod:`repro.stats`     — one-pass moments + statistics catalog (Welford, Pebay)
 - :mod:`repro.sampling`  — parameter laws + pick-freeze designs
-- :mod:`repro.sobol`     — iterative Martinez estimator + references
+- :mod:`repro.sobol`     — iterative Martinez engine + two-pass references
 - :mod:`repro.mesh`      — structured meshes + block partitioning
 - :mod:`repro.solver`    — the CFD substrate (tube-bundle dye transport)
 - :mod:`repro.transport` — ZeroMQ-like bounded channels, N x M routing
-- :mod:`repro.simmpi`    — in-process MPI subset
 - :mod:`repro.scheduler` — SLURM-like batch scheduler (virtual time)
 - :mod:`repro.core`      — Melissa server / clients / launcher
 - :mod:`repro.runtime`   — sequential (deterministic) + distributed drivers

@@ -88,17 +88,14 @@ class ClassicalStudy:
         )
         for group in range(self.config.ngroups):
             base = group * group_size
-            # read the p+2 member stacks for this group
-            stacks = [
-                reader.read_simulation(base + member) for member in range(group_size)
-            ]
+            # (ntimesteps, p+2, ncells): member order is the engine's row
+            # order [Y^A, Y^B, Y^C1 .. Y^Cp]
+            group_fields = np.stack(
+                [reader.read_simulation(base + m) for m in range(group_size)],
+                axis=1,
+            )
             for timestep in range(self.config.ntimesteps):
-                sobol.update_group_timestep(
-                    timestep,
-                    stacks[0][timestep],
-                    stacks[1][timestep],
-                    [stacks[2 + k][timestep] for k in range(self.config.nparams)],
-                )
+                sobol.update_group_buffer(timestep, group_fields[timestep])
         return ClassicalStudyReport(
             sobol=sobol,
             bytes_written=0,  # filled by run()

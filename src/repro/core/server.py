@@ -446,34 +446,6 @@ class MelissaServer:
     # ------------------------------------------------------------------ #
     # results assembly
     # ------------------------------------------------------------------ #
-    def first_order_map(self, k: int, timestep: int) -> np.ndarray:
-        """Global S_k(x) at one timestep, concatenated across ranks."""
-        return np.concatenate(
-            [r.sobol.first_order_map(k, timestep) for r in self.ranks]
-        )
-
-    def total_order_map(self, k: int, timestep: int) -> np.ndarray:
-        return np.concatenate(
-            [r.sobol.total_order_map(k, timestep) for r in self.ranks]
-        )
-
-    def variance_map(self, timestep: int) -> np.ndarray:
-        return np.concatenate([r.sobol.variance_map(timestep) for r in self.ranks])
-
-    def mean_map(self, timestep: int) -> np.ndarray:
-        return np.concatenate([r.sobol.mean_map(timestep) for r in self.ranks])
-
-    def first_order_all(self, timestep: int) -> np.ndarray:
-        """Global ``(p, ncells)`` first-order slab at one timestep."""
-        return np.concatenate(
-            [r.sobol.first_order_all(timestep) for r in self.ranks], axis=1
-        )
-
-    def total_order_all(self, timestep: int) -> np.ndarray:
-        return np.concatenate(
-            [r.sobol.total_order_all(timestep) for r in self.ranks], axis=1
-        )
-
     def assemble_maps(self, rank_maps=None) -> Dict[str, np.ndarray]:
         """All ubiquitous maps in results layout, assembled per timestep.
 

@@ -14,12 +14,13 @@ pairwise combination needs:
 
 All backends implement the same mathematically exact formulas; they may
 only differ in floating-point association order, which is why the
-equivalence suite pins every backend to the scalar reference at
-rtol 1e-10.  The base class also hosts the two small shared contractions
-the engine routes through the kernel seam — the rank-1 cross correction
-used by merges (:meth:`merge_cross`) and the correlation-map extraction
-(:meth:`correlation_maps`) — with NumPy implementations backends can
-override.
+equivalence suite pins every backend to the two-pass reference
+(:func:`repro.sobol.reference.martinez_indices` plus NumPy mean /
+variance) at rtol 1e-10.  The base class also hosts the two small
+shared contractions the engine routes through the kernel seam — the
+rank-1 cross correction used by merges (:meth:`merge_cross`) and the
+correlation-map extraction (:meth:`correlation_maps`) — with NumPy
+implementations backends can override.
 """
 
 from __future__ import annotations

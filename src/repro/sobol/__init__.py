@@ -10,12 +10,15 @@ updated one simulation group at a time with one-pass co-moment formulas, so
 the server never stores the ensemble.  Fisher-z asymptotic confidence
 intervals (Eq. 8-9) come for free from the correlation form.
 
+One engine, one reference: ``martinez`` holds the iterative engine
+(:class:`UbiquitousSobolField`, what every server rank runs);
 ``reference`` holds classical two-pass estimators (Martinez, Jansen,
-Saltelli, Sobol) used to validate the iterative path, and ``analytic``
-holds test functions with exactly-known indices (Ishigami, g-function).
+Saltelli, Sobol) — its Martinez form is the reference the engine is
+validated against — and ``analytic`` holds test functions with
+exactly-known indices (Ishigami, g-function).
 """
 
-from repro.sobol.martinez import IterativeSobolEstimator, UbiquitousSobolField
+from repro.sobol.martinez import UbiquitousSobolField
 from repro.sobol.confidence import (
     first_order_confidence_interval,
     total_order_confidence_interval,
@@ -29,7 +32,6 @@ from repro.sobol.reference import (
 from repro.sobol.analytic import IshigamiFunction, GFunction, LinearFunction
 
 __all__ = [
-    "IterativeSobolEstimator",
     "UbiquitousSobolField",
     "first_order_confidence_interval",
     "total_order_confidence_interval",

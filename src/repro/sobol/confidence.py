@@ -80,14 +80,3 @@ def total_order_confidence_interval(
     upper = np.clip(1.0 - np.tanh(zr - half_width), 0.0, 1.0)
     return lower, upper
 
-
-def interval_width_first_order(s: ArrayLike, ngroups: int, z: float = Z_95) -> np.ndarray:
-    """Convenience: upper - lower of the first-order CI."""
-    lo, hi = first_order_confidence_interval(s, ngroups, z)
-    return hi - lo
-
-
-def interval_width_total_order(st: ArrayLike, ngroups: int, z: float = Z_95) -> np.ndarray:
-    """Convenience: upper - lower of the total-order CI."""
-    lo, hi = total_order_confidence_interval(st, ngroups, z)
-    return hi - lo

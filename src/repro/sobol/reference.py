@@ -2,10 +2,11 @@
 
 The paper notes there are "many other estimators" relying on the A/B/C^k
 matrices ([38] in the text).  We implement the common four so the iterative
-Martinez path can be cross-checked:
+Martinez engine can be cross-checked:
 
-* Martinez (correlation form) — must match the iterative path *exactly*
-  (same algebra, different accumulation order).
+* Martinez (correlation form) — the one reference the iterative engine is
+  pinned to: same algebra, different accumulation order, so they agree to
+  rtol 1e-10.
 * Jansen           — ST_k from mean-square differences, S_k complementary.
 * Saltelli (2010 best practice) — S_k from B.(C^k - A) inner products.
 * Sobol (original 1993)        — S_k from A.C^k inner products.

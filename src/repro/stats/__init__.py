@@ -20,7 +20,6 @@ statistics with on-the-fly updates.
 """
 
 from repro.stats.moments import IterativeMoments, batch_central_moments
-from repro.stats.covariance import IterativeCovariance, IterativeCorrelation
 from repro.stats.extrema import IterativeExtrema, ThresholdExceedance
 from repro.stats.protocol import (
     FieldStatistic,
@@ -40,8 +39,6 @@ from repro.stats import sobol_pairs as _sobol_pairs  # noqa: F401
 
 __all__ = [
     "IterativeMoments",
-    "IterativeCovariance",
-    "IterativeCorrelation",
     "IterativeExtrema",
     "ThresholdExceedance",
     "FieldStatistic",

@@ -24,7 +24,7 @@ from repro.transport.message import (
 )
 from repro.transport.base import Channel, TransportClient
 from repro.transport.channel import BoundedChannel, ChannelClosed, ChannelStats
-from repro.transport.router import Endpoint, Router, redistribution_plan
+from repro.transport.router import Router, redistribution_plan
 
 __all__ = [
     "FieldMessage",
@@ -37,7 +37,6 @@ __all__ = [
     "BoundedChannel",
     "ChannelClosed",
     "ChannelStats",
-    "Endpoint",
     "Router",
     "redistribution_plan",
 ]

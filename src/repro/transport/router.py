@@ -11,10 +11,7 @@ server-rank) pair, created lazily at connect time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
-
-import numpy as np
 
 from repro.mesh.partition import BlockPartition
 from repro.transport.channel import BoundedChannel
@@ -24,13 +21,6 @@ from repro.transport.message import (
     FieldMessage,
     split_by_partition,
 )
-
-
-@dataclass(frozen=True)
-class Endpoint:
-    """Address of one server rank's inbound queue."""
-
-    server_rank: int
 
 
 def redistribution_plan(
@@ -100,46 +90,6 @@ class Router:
         self.connections.pop(group_id, None)
 
     # ------------------------------------------------------------------ #
-    def route_field(
-        self,
-        group_id: int,
-        member: int,
-        timestep: int,
-        field_values: np.ndarray,
-        client_partition: BlockPartition,
-        blocking: bool = False,
-        timeout: Optional[float] = None,
-    ) -> List[FieldMessage]:
-        """Split a gathered field along the server partition and enqueue.
-
-        Returns the messages that could *not* be delivered (non-blocking
-        mode with full buffers); blocking mode waits and returns [].
-        The caller (the group's main simulation) retries undelivered
-        messages — that retry loop is the "suspended simulation".
-        """
-        if not self.is_connected(group_id):
-            raise RuntimeError(f"group {group_id} is not connected")
-        field_values = np.asarray(field_values, dtype=np.float64).ravel()
-        if field_values.size != self.server_partition.ncells:
-            raise ValueError("field size does not match the study mesh")
-        undelivered: List[FieldMessage] = []
-        for entries in redistribution_plan(client_partition, self.server_partition):
-            for server_rank, lo, hi in entries:
-                msg = FieldMessage(
-                    group_id=group_id,
-                    member=member,
-                    timestep=timestep,
-                    cell_lo=lo,
-                    cell_hi=hi,
-                    data=field_values[lo:hi],
-                )
-                channel = self.inbound[server_rank]
-                if blocking:
-                    channel.send(msg, timeout=timeout)
-                elif not channel.try_send(msg):
-                    undelivered.append(msg)
-        return undelivered
-
     def deliver(self, msg: FieldMessage, blocking: bool = False) -> bool:
         """Enqueue one pre-built message to its owning server rank(s).
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import MelissaServer, StudyConfig
+from repro.core.results import StudyResults
 from repro.sampling import ParameterSpace, Uniform
 from repro.transport.message import FieldMessage, GroupFieldMessage
 
@@ -17,6 +18,11 @@ def make_config(ncells=10, ntimesteps=3, nparams=2, server_ranks=2, **kw):
         space=space, ngroups=5, ntimesteps=ntimesteps, ncells=ncells,
         server_ranks=server_ranks, **kw,
     )
+
+
+def counts(rank):
+    """Groups folded per timestep on one rank (reading flushes)."""
+    return rank.sobol.state_dict()["counts"]
 
 
 def group_message(group, step, lo, hi, nmembers=4, value=1.0):
@@ -37,8 +43,8 @@ class TestStraddlingMessages:
         # complete the remaining cells and check integration on both ranks
         server.handle(group_message(0, 0, 0, 3), now=0.1)
         server.handle(group_message(0, 0, 8, 10), now=0.2)
-        assert server.ranks[0].sobol.estimators[0].ngroups == 1
-        assert server.ranks[1].sobol.estimators[0].ngroups == 1
+        assert counts(server.ranks[0])[0] == 1
+        assert counts(server.ranks[1])[0] == 1
 
     def test_field_message_straddle(self):
         server = MelissaServer(make_config(ncells=10, server_ranks=2))
@@ -47,7 +53,7 @@ class TestStraddlingMessages:
                                cell_lo=0, cell_hi=10, data=np.arange(10.0))
             assert server.handle(msg, now=0.0)
         for rank in server.ranks:
-            assert rank.sobol.estimators[0].ngroups == 1
+            assert counts(rank)[0] == 1
 
     def test_rank_still_rejects_foreign_cells(self):
         server = MelissaServer(make_config(ncells=10, server_ranks=2))
@@ -60,7 +66,7 @@ class TestStagingAndIntegration:
         server = MelissaServer(make_config())
         rank = server.ranks[0]  # owns cells [0, 5)
         assert rank.handle(group_message(0, 0, 0, 5), now=1.0)
-        assert rank.sobol.estimators[0].ngroups == 1
+        assert counts(rank)[0] == 1
         assert rank.staged_entries == 0
         assert rank.last_integrated[0] == 0
 
@@ -69,10 +75,10 @@ class TestStagingAndIntegration:
         rank = server.ranks[0]
         rank.handle(group_message(0, 0, 0, 3), now=1.0)
         assert rank.staged_entries == 1
-        assert rank.sobol.estimators[0].ngroups == 0
+        assert counts(rank)[0] == 0
         rank.handle(group_message(0, 0, 3, 5), now=2.0)
         assert rank.staged_entries == 0
-        assert rank.sobol.estimators[0].ngroups == 1
+        assert counts(rank)[0] == 1
 
     def test_single_member_messages_assemble(self):
         """Direct (non-two-stage) mode: p+2 FieldMessages per timestep."""
@@ -83,7 +89,7 @@ class TestStagingAndIntegration:
                                cell_lo=0, cell_hi=5,
                                data=np.full(5, float(member)))
             rank.handle(msg, now=1.0)
-        assert rank.sobol.estimators[0].ngroups == 1
+        assert counts(rank)[0] == 1
 
     def test_interleaved_groups(self):
         server = MelissaServer(make_config())
@@ -91,7 +97,7 @@ class TestStagingAndIntegration:
         rank.handle(group_message(0, 0, 0, 3), 1.0)
         rank.handle(group_message(1, 0, 0, 5), 1.0)
         rank.handle(group_message(0, 0, 3, 5), 2.0)
-        assert rank.sobol.estimators[0].ngroups == 2
+        assert counts(rank)[0] == 2
 
     def test_out_of_partition_cells_rejected(self):
         server = MelissaServer(make_config())
@@ -136,7 +142,7 @@ class TestDiscardOnReplay:
         rank.handle(group_message(0, 0, 0, 5), 1.0)
         assert not rank.handle(group_message(0, 0, 0, 5), 2.0)  # replay
         assert rank.messages_discarded == 1
-        assert rank.sobol.estimators[0].ngroups == 1
+        assert counts(rank)[0] == 1
 
     def test_restarted_group_skips_seen_steps(self):
         server = MelissaServer(make_config(ntimesteps=3))
@@ -149,14 +155,14 @@ class TestDiscardOnReplay:
         assert rank.handle(group_message(0, 2, 0, 5), 12.0)
         assert 0 in rank.finished_groups
         for step in range(3):
-            assert rank.sobol.estimators[step].ngroups == 1
+            assert counts(rank)[step] == 1
 
     def test_replay_disabled_mode(self):
         server = MelissaServer(make_config(discard_on_replay=False))
         rank = server.ranks[0]
         rank.handle(group_message(0, 0, 0, 5), 1.0)
         assert rank.handle(group_message(0, 0, 0, 5), 2.0)  # double count!
-        assert rank.sobol.estimators[0].ngroups == 2
+        assert counts(rank)[0] == 2
 
 
 class TestAccounting:
@@ -228,10 +234,11 @@ class TestResultAssembly:
             data = rng.normal(size=(4, 10))
             server.handle(GroupFieldMessage(g, 0, 0, 5, data[:, :5]), 1.0)
             server.handle(GroupFieldMessage(g, 0, 5, 10, data[:, 5:]), 1.0)
-        s_map = server.first_order_map(0, 0)
+        results = StudyResults.from_server(server)
+        s_map = results.first_order_map(0, 0)
         assert s_map.shape == (10,)
         assert np.isfinite(s_map).all()
-        assert server.variance_map(0).shape == (10,)
+        assert results.variance[0].shape == (10,)
         assert np.isfinite(server.max_interval_width())
 
     def test_split_equals_single_rank(self):
@@ -247,14 +254,9 @@ class TestResultAssembly:
             split.handle(GroupFieldMessage(g, 0, 0, 5, fields[g][:, :5]), 1.0)
             split.handle(GroupFieldMessage(g, 0, 5, 10, fields[g][:, 5:]), 1.0)
             single.handle(GroupFieldMessage(g, 0, 0, 10, fields[g]), 1.0)
-        for k in range(2):
-            np.testing.assert_allclose(
-                split.first_order_map(k, 0), single.first_order_map(k, 0),
-                rtol=1e-12,
-            )
-        np.testing.assert_allclose(
-            split.variance_map(0), single.variance_map(0), rtol=1e-12
-        )
+        got, want = StudyResults.from_server(split), StudyResults.from_server(single)
+        np.testing.assert_allclose(got.first_order, want.first_order, rtol=1e-12)
+        np.testing.assert_allclose(got.variance, want.variance, rtol=1e-12)
 
 
 class TestCheckpointState:
@@ -270,13 +272,13 @@ class TestCheckpointState:
         assert fresh.last_integrated == rank.last_integrated
         assert fresh.groups_seen == rank.groups_seen
         np.testing.assert_array_equal(
-            fresh.sobol.first_order_map(0, 0), rank.sobol.first_order_map(0, 0)
+            fresh.sobol.index_maps_at(0), rank.sobol.index_maps_at(0)
         )
         # continuing both produces identical results
         fresh.handle(group_message(2, 0, 0, 5), 3.0)
         rank.handle(group_message(2, 0, 0, 5), 3.0)
         np.testing.assert_array_equal(
-            fresh.sobol.first_order_map(1, 0), rank.sobol.first_order_map(1, 0)
+            fresh.sobol.index_maps_at(0), rank.sobol.index_maps_at(0)
         )
 
     def test_restore_wrong_rank_rejected(self):
@@ -342,7 +344,7 @@ class TestWholePartitionFastPath:
         folded = rank.sobol._staged[0][-1]
         assert folded is not msg.data
         np.testing.assert_array_equal(folded, msg.data)
-        assert rank.sobol.estimators[0].ngroups == 1  # reading folds
+        assert counts(rank)[0] == 1  # reading folds
 
     def test_repeated_and_overlapping_slices_count_each_cell_once(self):
         rank = MelissaServer(make_config()).ranks[0]
@@ -350,10 +352,10 @@ class TestWholePartitionFastPath:
         rank.handle(group_message(0, 0, 0, 3), 1.0)  # duplicate chunk
         rank.handle(group_message(0, 0, 1, 4), 1.0)  # overlaps both sides
         assert rank.staged_entries == 1  # cell 4 still missing
-        assert rank.sobol.estimators[0].ngroups == 0
+        assert counts(rank)[0] == 0
         rank.handle(group_message(0, 0, 4, 5), 1.0)
         assert rank.staged_entries == 0
-        assert rank.sobol.estimators[0].ngroups == 1
+        assert counts(rank)[0] == 1
 
     def test_members_beyond_the_group_rejected_before_staging(self):
         rank = MelissaServer(make_config()).ranks[0]

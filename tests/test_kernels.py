@@ -1,10 +1,10 @@
 """Co-moment kernel backends: parity, selection, fallback, the auto rule.
 
-Every available backend must reproduce the scalar reference estimator to
-rtol 1e-10 across the regimes that stress different code paths: ragged
-micro-batches (force-folds and flush remainders), single-group folds
-(batch_size=1, the degenerate contraction), and checkpoint round-trips
-(state is backend-agnostic).  Selection covers the ``auto`` rule (first
+Every available backend must reproduce the two-pass reference
+(``tests/sobol_reference.py``) to rtol 1e-10 across the regimes that
+stress different code paths: ragged micro-batches (force-folds and flush
+remainders), single-group folds (batch_size=1, the degenerate
+contraction), and checkpoint round-trips (state is backend-agnostic).  Selection covers the ``auto`` rule (first
 available of cext, numba, einsum, decided at construction, nothing
 measured) and the graceful fallback when an explicitly requested
 optional backend (numba, cext) is missing on the host.
@@ -25,47 +25,16 @@ from repro.kernels import (
     resolve_spec,
 )
 from repro.kernels import numba_backend
-from repro.sobol.martinez import IterativeSobolEstimator, UbiquitousSobolField
+from repro.sobol.martinez import UbiquitousSobolField
 
-RTOL = 1e-10
-ATOL = 1e-12
+from sobol_reference import (
+    assert_matches_two_pass,
+    feed,
+    random_stream,
+    two_pass_maps,
+)
 
 BACKENDS = available_backends()
-
-
-def random_stream(nparams, ntimesteps, ncells, ngroups, seed=0, loc=0.0, scale=1.0):
-    rng = np.random.default_rng(seed)
-    return rng.normal(loc=loc, scale=scale,
-                      size=(ngroups, ntimesteps, nparams + 2, ncells))
-
-
-def reference_forest(stream):
-    ngroups, ntimesteps, m, ncells = stream.shape
-    forest = [IterativeSobolEstimator(m - 2, (ncells,)) for _ in range(ntimesteps)]
-    for g in range(ngroups):
-        for t in range(ntimesteps):
-            buf = stream[g, t]
-            forest[t].update_group(buf[0], buf[1], list(buf[2:]))
-    return forest
-
-
-def assert_matches_reference(field, forest):
-    for t in range(field.ntimesteps):
-        np.testing.assert_allclose(
-            field.first_order_all(t), forest[t].first_order(),
-            rtol=RTOL, atol=ATOL,
-        )
-        np.testing.assert_allclose(
-            field.total_order_all(t), forest[t].total_order(),
-            rtol=RTOL, atol=ATOL,
-        )
-        np.testing.assert_allclose(
-            field.variance_map(t), forest[t].output_variance,
-            rtol=RTOL, atol=ATOL,
-        )
-        np.testing.assert_allclose(
-            field.mean_map(t), forest[t].output_mean, rtol=RTOL, atol=ATOL
-        )
 
 
 # --------------------------------------------------------------------- #
@@ -76,11 +45,8 @@ class TestBackendParity:
     @pytest.mark.parametrize("nparams,ncells", [(2, 7), (6, 33), (1, 1), (9, 12)])
     def test_backend_matches_reference(self, backend, nparams, ncells):
         stream = random_stream(nparams, 2, ncells, 37, seed=nparams)
-        field = UbiquitousSobolField(nparams, 2, ncells, kernel=backend)
-        for g in range(37):
-            for t in range(2):
-                field.update_group_buffer(t, stream[g, t].copy())
-        assert_matches_reference(field, reference_forest(stream))
+        field = feed(UbiquitousSobolField(nparams, 2, ncells, kernel=backend), stream)
+        assert_matches_two_pass(field, stream)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_ragged_micro_batches(self, backend):
@@ -94,27 +60,23 @@ class TestBackendParity:
         rng.shuffle(order)
         for g, t in order:
             field.update_group_buffer(t, stream[g, t].copy())
-        assert_matches_reference(field, reference_forest(stream))
+        assert_matches_two_pass(field, stream)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_single_group_folds(self, backend):
         """batch_size=1: every fold is the degenerate one-slab batch."""
         stream = random_stream(2, 2, 5, 12, seed=11)
-        field = UbiquitousSobolField(2, 2, 5, kernel=backend, batch_size=1)
-        for g in range(12):
-            for t in range(2):
-                field.update_group_buffer(t, stream[g, t].copy())
-        assert_matches_reference(field, reference_forest(stream))
+        field = feed(
+            UbiquitousSobolField(2, 2, 5, kernel=backend, batch_size=1), stream
+        )
+        assert_matches_two_pass(field, stream)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_checkpoint_roundtrip_across_backends(self, backend):
         """State is backend-agnostic: fold on one backend, restore on
         another (and back), continue feeding, match the reference."""
         stream = random_stream(3, 2, 9, 30, seed=13)
-        field = UbiquitousSobolField(3, 2, 9, kernel=backend)
-        for g in range(14):
-            for t in range(2):
-                field.update_group_buffer(t, stream[g, t].copy())
+        field = feed(UbiquitousSobolField(3, 2, 9, kernel=backend), stream[:14])
         # restore onto the einsum baseline, then back onto the backend
         hop = UbiquitousSobolField.from_state_dict(
             field.state_dict(), kernel="einsum"
@@ -123,32 +85,23 @@ class TestBackendParity:
             hop.state_dict(), kernel=backend
         )
         assert field.kernel_name in (backend, "einsum")
-        for g in range(14, 30):
-            for t in range(2):
-                field.update_group_buffer(t, stream[g, t].copy())
-        assert_matches_reference(field, reference_forest(stream))
+        feed(field, stream[14:])
+        assert_matches_two_pass(field, stream)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_merge_parity(self, backend):
         stream = random_stream(4, 2, 8, 40, seed=17)
-        a = UbiquitousSobolField(4, 2, 8, kernel=backend)
-        b = UbiquitousSobolField(4, 2, 8, kernel=backend)
-        for g in range(40):
-            for t in range(2):
-                (a if g < 19 else b).update_group_buffer(t, stream[g, t].copy())
-        a.merge(b)
-        assert_matches_reference(a, reference_forest(stream))
+        a = feed(UbiquitousSobolField(4, 2, 8, kernel=backend), stream[:19])
+        a.merge(feed(UbiquitousSobolField(4, 2, 8, kernel=backend), stream[19:]))
+        assert_matches_two_pass(a, stream)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_large_mean_stability(self, backend):
         """The exact-shift contraction stays Pebay-stable per backend."""
         stream = random_stream(3, 1, 6, 48, seed=5, loc=1e6, scale=1e-3)
-        field = UbiquitousSobolField(3, 1, 6, kernel=backend)
-        for g in range(48):
-            field.update_group_buffer(0, stream[g, 0].copy())
-        forest = reference_forest(stream)
+        field = feed(UbiquitousSobolField(3, 1, 6, kernel=backend), stream)
         np.testing.assert_allclose(
-            field.first_order_all(0), forest[0].first_order(),
+            field.index_maps_at(0)[0], two_pass_maps(stream[:, 0])[0],
             rtol=1e-7, atol=1e-7,
         )
 
@@ -160,7 +113,7 @@ class TestBackendParity:
         for g in range(10):
             transposed = np.asfortranarray(stream[g, 0])  # F-order view
             field.update_group_buffer(0, transposed)
-        assert_matches_reference(field, reference_forest(stream))
+        assert_matches_two_pass(field, stream)
 
 
 # --------------------------------------------------------------------- #
@@ -202,7 +155,7 @@ class TestSelection:
         for g in range(24):
             field.update_group_buffer(0, stream[g, 0].copy())
         field.flush()
-        assert_matches_reference(field, reference_forest(stream))
+        assert_matches_two_pass(field, stream)
 
     def test_auto_rule_order(self, monkeypatch):
         """auto = first available of cext, numba, einsum — never blas,
@@ -266,7 +219,7 @@ class TestOptionalBackends:
         stream = random_stream(2, 1, 5, 20, seed=31)
         for g in range(20):
             field.update_group_buffer(0, stream[g, 0].copy())
-        assert_matches_reference(field, reference_forest(stream))
+        assert_matches_two_pass(field, stream)
         assert "numba" not in available_backends()
 
     @pytest.mark.skipif(
@@ -280,7 +233,7 @@ class TestOptionalBackends:
         for g in range(25):
             for t in range(2):
                 field.update_group_buffer(t, stream[g, t].copy())
-        assert_matches_reference(field, reference_forest(stream))
+        assert_matches_two_pass(field, stream)
 
     def test_cext_fallback_when_unbuildable(self, monkeypatch):
         """A host with no compiler degrades to einsum with a warning."""

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import MelissaServer, StudyConfig
+from repro.core.results import StudyResults
 from repro.sampling import ParameterSpace, Uniform
 from repro.scheduler import BatchScheduler, Job, JobState, SchedulerError
 from repro.transport.message import FieldMessage, GroupFieldMessage
@@ -79,14 +80,12 @@ def test_property_slicing_invariance(ncells, ngroups, seed, data):
         sliced.ranks[0].handle(messages[idx], 1.0)
 
     assert sliced.ranks[0].staged_entries == 0  # everything completed
-    for k in range(config.nparams):
-        np.testing.assert_allclose(
-            sliced.first_order_map(k, 0), whole.first_order_map(k, 0),
-            rtol=1e-9, atol=1e-12, equal_nan=True,
-        )
+    got, want = StudyResults.from_server(sliced), StudyResults.from_server(whole)
     np.testing.assert_allclose(
-        sliced.variance_map(0), whole.variance_map(0), rtol=1e-9,
-        equal_nan=True,
+        got.first_order, want.first_order, rtol=1e-9, atol=1e-12, equal_nan=True,
+    )
+    np.testing.assert_allclose(
+        got.variance, want.variance, rtol=1e-9, equal_nan=True,
     )
 
 
@@ -116,7 +115,8 @@ def test_property_rank_count_invariance(server_ranks, seed):
                 1.0,
             )
     np.testing.assert_allclose(
-        multi.first_order_map(0, 0), single.first_order_map(0, 0),
+        StudyResults.from_server(multi).first_order,
+        StudyResults.from_server(single).first_order,
         rtol=1e-12, equal_nan=True,
     )
 

@@ -1,8 +1,9 @@
-"""Validation of the iterative Martinez estimator and the reference paths.
+"""Validation of the iterative Martinez engine and the reference paths.
 
 Covers exactness (iterative == two-pass Martinez), convergence to analytic
 indices (Ishigami, g-function, linear), order-independence of updates,
-merge correctness, and confidence-interval behaviour.
+merge correctness, and confidence-interval behaviour.  Scalar-output
+studies run on a one-cell, one-timestep field.
 """
 
 import numpy as np
@@ -14,7 +15,6 @@ from repro.sampling import draw_design
 from repro.sobol import (
     GFunction,
     IshigamiFunction,
-    IterativeSobolEstimator,
     LinearFunction,
     UbiquitousSobolField,
     first_order_confidence_interval,
@@ -26,6 +26,8 @@ from repro.sobol import (
 )
 from repro.sobol.reference import all_estimators
 
+from sobol_reference import assert_matches_two_pass, feed
+
 
 def evaluate_design(fn, design):
     """Return (y_a, y_b, y_c) scalar output stacks for a design."""
@@ -35,12 +37,20 @@ def evaluate_design(fn, design):
     return y_a, y_b, y_c
 
 
+def scalar_stream(y_a, y_b, y_c):
+    """``(ngroups, 1, p+2, 1)`` stream of scalar group outputs."""
+    return np.column_stack([y_a, y_b, y_c.T])[:, None, :, None]
+
+
 def run_iterative(fn, design):
-    est = IterativeSobolEstimator(design.nparams, shape=())
-    y_a, y_b, y_c = evaluate_design(fn, design)
-    for i in range(design.ngroups):
-        est.update_group(y_a[i], y_b[i], [y_c[k][i] for k in range(design.nparams)])
-    return est, (y_a, y_b, y_c)
+    stream = scalar_stream(*evaluate_design(fn, design))
+    return feed(UbiquitousSobolField(design.nparams, 1, 1), stream), stream
+
+
+def indices(field):
+    """Scalar ``(S, ST)``, each of shape ``(p,)``."""
+    first, total = field.index_maps_at(0)
+    return first[:, 0], total[:, 0]
 
 
 class TestIterativeEqualsTwoPass:
@@ -49,60 +59,49 @@ class TestIterativeEqualsTwoPass:
     @pytest.mark.parametrize("fn", [IshigamiFunction(), GFunction((0.0, 1.0, 9.0)), LinearFunction()])
     def test_matches_reference_martinez(self, fn):
         design = draw_design(fn.space(), 128, seed=3)
-        est, (y_a, y_b, y_c) = run_iterative(fn, design)
-        s_ref, st_ref = martinez_indices(y_a, y_b, y_c)
-        np.testing.assert_allclose(est.first_order(), s_ref, rtol=1e-10)
-        np.testing.assert_allclose(est.total_order(), st_ref, rtol=1e-10)
+        field, stream = run_iterative(fn, design)
+        assert_matches_two_pass(field, stream)
 
     def test_update_order_invariance(self):
         fn = IshigamiFunction()
         design = draw_design(fn.space(), 64, seed=11)
-        y_a, y_b, y_c = evaluate_design(fn, design)
+        stream = scalar_stream(*evaluate_design(fn, design))
         order = np.random.default_rng(0).permutation(64)
-        est1 = IterativeSobolEstimator(3)
-        est2 = IterativeSobolEstimator(3)
-        for i in range(64):
-            est1.update_group(y_a[i], y_b[i], [y_c[k][i] for k in range(3)])
-        for i in order:
-            est2.update_group(y_a[i], y_b[i], [y_c[k][i] for k in range(3)])
-        np.testing.assert_allclose(est1.first_order(), est2.first_order(), rtol=1e-9)
-        np.testing.assert_allclose(est1.total_order(), est2.total_order(), rtol=1e-9)
+        in_order = feed(UbiquitousSobolField(3, 1, 1), stream)
+        shuffled = feed(UbiquitousSobolField(3, 1, 1), stream[order])
+        for got, want in zip(indices(shuffled), indices(in_order)):
+            np.testing.assert_allclose(got, want, rtol=1e-9)
 
     def test_merge_equals_single_stream(self):
         fn = GFunction((0.5, 2.0, 9.0, 99.0))
         design = draw_design(fn.space(), 100, seed=5)
-        y_a, y_b, y_c = evaluate_design(fn, design)
-        full = IterativeSobolEstimator(4)
-        part1 = IterativeSobolEstimator(4)
-        part2 = IterativeSobolEstimator(4)
-        for i in range(100):
-            yc = [y_c[k][i] for k in range(4)]
-            full.update_group(y_a[i], y_b[i], yc)
-            (part1 if i < 40 else part2).update_group(y_a[i], y_b[i], yc)
-        part1.merge(part2)
-        assert part1.ngroups == 100
-        np.testing.assert_allclose(part1.first_order(), full.first_order(), rtol=1e-9)
-        np.testing.assert_allclose(part1.total_order(), full.total_order(), rtol=1e-9)
+        stream = scalar_stream(*evaluate_design(fn, design))
+        full = feed(UbiquitousSobolField(4, 1, 1), stream)
+        part1 = feed(UbiquitousSobolField(4, 1, 1), stream[:40])
+        part1.merge(feed(UbiquitousSobolField(4, 1, 1), stream[40:]))
+        assert part1.state_dict()["counts"][0] == 100
+        for got, want in zip(indices(part1), indices(full)):
+            np.testing.assert_allclose(got, want, rtol=1e-9)
 
 
 class TestConvergenceToAnalytic:
     def test_ishigami_first_order(self):
         fn = IshigamiFunction()
         design = draw_design(fn.space(), 6000, seed=7)
-        est, _ = run_iterative(fn, design)
-        np.testing.assert_allclose(est.first_order(), fn.first_order, atol=0.03)
+        field, _ = run_iterative(fn, design)
+        np.testing.assert_allclose(indices(field)[0], fn.first_order, atol=0.03)
 
     def test_ishigami_total_order(self):
         fn = IshigamiFunction()
         design = draw_design(fn.space(), 6000, seed=8)
-        est, _ = run_iterative(fn, design)
-        np.testing.assert_allclose(est.total_order(), fn.total_order, atol=0.04)
+        field, _ = run_iterative(fn, design)
+        np.testing.assert_allclose(indices(field)[1], fn.total_order, atol=0.04)
 
     def test_gfunction_ranking(self):
         fn = GFunction((0.0, 1.0, 4.5, 9.0))
         design = draw_design(fn.space(), 4000, seed=9)
-        est, _ = run_iterative(fn, design)
-        s = est.first_order()
+        field, _ = run_iterative(fn, design)
+        s = indices(field)[0]
         # importance ordering must match the analytic profile (a ascending)
         assert s[0] > s[1] > s[2] > s[3]
         np.testing.assert_allclose(s, fn.first_order, atol=0.05)
@@ -110,16 +109,19 @@ class TestConvergenceToAnalytic:
     def test_linear_function_exact_shares(self):
         fn = LinearFunction(coefficients=(1.0, 2.0, 4.0))
         design = draw_design(fn.space(), 8000, seed=10)
-        est, _ = run_iterative(fn, design)
-        np.testing.assert_allclose(est.first_order(), fn.first_order, atol=0.03)
+        field, _ = run_iterative(fn, design)
+        s = indices(field)[0]
+        np.testing.assert_allclose(s, fn.first_order, atol=0.03)
         # additive model: interactions vanish
-        assert abs(float(est.interaction_residual())) < 0.06
+        assert abs(1.0 - s.sum()) < 0.06
 
     def test_output_variance_tracks_truth(self):
         fn = IshigamiFunction()
         design = draw_design(fn.space(), 5000, seed=12)
-        est, _ = run_iterative(fn, design)
-        assert float(est.output_variance) == pytest.approx(fn.total_variance, rel=0.1)
+        field, _ = run_iterative(fn, design)
+        assert float(field.variance_map(0)[0]) == pytest.approx(
+            fn.total_variance, rel=0.1
+        )
 
 
 class TestReferenceEstimators:
@@ -195,8 +197,8 @@ class TestConfidenceIntervals:
         n = 300
         for t in range(trials):
             design = draw_design(fn.space(), n, seed=1000 + t)
-            est, _ = run_iterative(fn, design)
-            lo, hi = est.first_order_interval(0)
+            field, _ = run_iterative(fn, design)
+            lo, hi = first_order_confidence_interval(indices(field)[0][0], n)
             if lo <= fn.first_order[0] <= hi:
                 hits += 1
         # generous band: asymptotic interval, finite trials
@@ -205,18 +207,14 @@ class TestConfidenceIntervals:
     def test_max_interval_width_decreases(self):
         fn = IshigamiFunction()
         design = draw_design(fn.space(), 800, seed=77)
-        y_a, y_b, y_c = evaluate_design(fn, design)
-        est = IterativeSobolEstimator(3)
-        for i in range(10):
-            est.update_group(y_a[i], y_b[i], [y_c[k][i] for k in range(3)])
-        w10 = est.max_interval_width()
-        for i in range(10, 800):
-            est.update_group(y_a[i], y_b[i], [y_c[k][i] for k in range(3)])
-        assert est.max_interval_width() < w10
+        stream = scalar_stream(*evaluate_design(fn, design))
+        field = feed(UbiquitousSobolField(3, 1, 1), stream[:10])
+        w10 = field.max_interval_width()
+        feed(field, stream[10:])
+        assert field.max_interval_width() < w10
 
     def test_max_interval_width_inf_early(self):
-        est = IterativeSobolEstimator(2)
-        assert est.max_interval_width() == float("inf")
+        assert UbiquitousSobolField(2, 1, 1).max_interval_width() == float("inf")
 
 
 class TestUbiquitousField:
@@ -225,12 +223,10 @@ class TestUbiquitousField:
         fld = UbiquitousSobolField(nparams=2, ntimesteps=3, ncells=5)
         for g in range(40):
             for t in range(3):
-                ya = rng.normal(size=5)
-                yb = rng.normal(size=5)
-                yc = [rng.normal(size=5), rng.normal(size=5)]
-                fld.update_group_timestep(t, ya, yb, yc)
-        assert fld.estimators[0].ngroups == 40
-        assert fld.first_order_map(0, 1).shape == (5,)
+                fld.update_group_buffer(t, rng.normal(size=(4, 5)))
+        assert list(fld.state_dict()["counts"]) == [40, 40, 40]
+        first, total = fld.index_maps_at(1)
+        assert first.shape == total.shape == (2, 5)
         assert fld.variance_map(2).shape == (5,)
         assert np.isfinite(fld.max_interval_width())
 
@@ -238,7 +234,8 @@ class TestUbiquitousField:
         fld = UbiquitousSobolField(nparams=6, ntimesteps=10, ncells=100)
         m = fld.memory_floats
         # stacked engine: (p+2) means + (p+2) second moments + 2p
-        # co-moments per timestep — less than half the old object forest
+        # co-moments per timestep — less than half of 2p independent
+        # covariance pairs (5 arrays each) plus the output moments
         assert m == (4 * 6 + 4) * 100 * 10
         assert m < (2 * 6 * 5 + 2) * 100 * 10
 
@@ -247,25 +244,21 @@ class TestUbiquitousField:
         fld = UbiquitousSobolField(nparams=2, ntimesteps=2, ncells=4)
         for g in range(10):
             for t in range(2):
-                fld.update_group_timestep(
-                    t, rng.normal(size=4), rng.normal(size=4),
-                    [rng.normal(size=4), rng.normal(size=4)],
-                )
+                fld.update_group_buffer(t, rng.normal(size=(4, 4)))
         fld2 = UbiquitousSobolField.from_state_dict(fld.state_dict())
-        np.testing.assert_allclose(
-            fld2.first_order_map(1, 1), fld.first_order_map(1, 1)
-        )
+        for got, want in zip(fld2.index_maps_at(1), fld.index_maps_at(1)):
+            np.testing.assert_allclose(got, want)
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
             UbiquitousSobolField(2, 0, 5)
         with pytest.raises(ValueError):
-            IterativeSobolEstimator(0)
+            UbiquitousSobolField(0, 1, 5)
 
     def test_wrong_member_count_rejected(self):
-        est = IterativeSobolEstimator(3)
+        fld = UbiquitousSobolField(3, 1, 1)
         with pytest.raises(ValueError):
-            est.update_group(0.0, 0.0, [0.0, 0.0])
+            fld.update_group_buffer(0, np.zeros((4, 1)))  # p+1 members, not p+2
 
 
 @settings(max_examples=20, deadline=None)
@@ -273,12 +266,7 @@ class TestUbiquitousField:
 def test_property_indices_bounded_for_random_models(p, n):
     """Martinez estimates are correlations, hence always within [-1, 1]."""
     rng = np.random.default_rng(p * 100 + n)
-    est = IterativeSobolEstimator(p)
-    for _ in range(n):
-        est.update_group(
-            rng.normal(), rng.normal(), [rng.normal() for _ in range(p)]
-        )
-    s = est.first_order()
+    field = feed(UbiquitousSobolField(p, 1, 1), rng.normal(size=(n, 1, p + 2, 1)))
+    s, st_ = indices(field)
     assert np.all(s <= 1.0 + 1e-9) and np.all(s >= -1.0 - 1e-9)
-    st_ = est.total_order()
     assert np.all(st_ >= -1e-9 - 1.0) and np.all(st_ <= 2.0 + 1e-9)

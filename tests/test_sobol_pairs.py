@@ -1,7 +1,8 @@
-"""Tests for the pairwise total-index extension (ST_{ij} at no extra cost).
+"""Tests for the pairwise total index (ST_{ij} at no extra cost).
 
-Ishigami provides exact targets: with V3 = 0 and only the {1,3}
-interaction present,
+The ``sobol2`` statistic is checked against ``1 - corr(Y^Ci, Y^Cj)``
+computed in two passes, and both against Ishigami's exact targets: with
+V3 = 0 and only the {1,3} interaction present,
 
     ST_{12} = 1 - V_3 / V        = 1            (complement {3} has V3=0)
     ST_{13} = 1 - V_2 / V        = (V1+V13)/V   = ST_1
@@ -12,88 +13,60 @@ import numpy as np
 import pytest
 
 from repro.sampling import draw_design
-from repro.sobol import IshigamiFunction, IterativeSobolEstimator
+from repro.sobol import IshigamiFunction
+from repro.stats import StatContext, available_statistics
+
+from sobol_reference import two_pass_maps, two_pass_pair_total
 
 
 @pytest.fixture(scope="module")
 def trained():
+    """Ishigami ``(ngroups, p+2)`` outputs and the sobol2 maps they give."""
     fn = IshigamiFunction()
     design = draw_design(fn.space(), 5000, seed=21)
-    est = IterativeSobolEstimator(3, track_pairs=True)
-    y_a, y_b = fn(design.a), fn(design.b)
-    y_c = [fn(design.c_matrix(k)) for k in range(3)]
-    for i in range(design.ngroups):
-        est.update_group(y_a[i], y_b[i], [y_c[k][i] for k in range(3)])
-    return fn, est
+    outputs = np.column_stack(
+        [fn(design.a), fn(design.b)] + [fn(design.c_matrix(k)) for k in range(3)]
+    )
+    stat = available_statistics()["sobol2"](StatContext(shape=(), nparams=3), {})
+    for row in outputs:
+        stat.update_group(row)
+    return fn, outputs, stat.finalize()
+
+
+def plugin_pair_total(maps, i, j):
+    i, j = sorted((i, j))
+    return float(maps[f"sobol2_total_x{i + 1}_x{j + 1}"])
+
+
+def reference_pair_total(outputs, i, j):
+    return float(two_pass_pair_total(outputs[:, 2 + i], outputs[:, 2 + j]))
 
 
 class TestPairTotals:
     def test_analytic_values(self, trained):
-        fn, est = trained
+        fn, outputs, maps = trained
         v1, v2, v13, v = fn.variance_terms()
-        assert float(est.pair_total_order(0, 1)) == pytest.approx(1.0, abs=0.03)
-        assert float(est.pair_total_order(0, 2)) == pytest.approx(
-            (v1 + v13) / v, abs=0.04
-        )
-        assert float(est.pair_total_order(1, 2)) == pytest.approx(
-            (v2 + v13) / v, abs=0.04
-        )
+        expected = {(0, 1): 1.0, (0, 2): (v1 + v13) / v, (1, 2): (v2 + v13) / v}
+        for (i, j), target in expected.items():
+            pair = plugin_pair_total(maps, i, j)
+            assert pair == pytest.approx(reference_pair_total(outputs, i, j), rel=1e-10)
+            assert pair == pytest.approx(target, abs=0.04)
 
     def test_symmetry(self, trained):
-        _, est = trained
-        np.testing.assert_allclose(
-            est.pair_total_order(0, 2), est.pair_total_order(2, 0)
+        _, outputs, maps = trained
+        assert reference_pair_total(outputs, 2, 0) == pytest.approx(
+            reference_pair_total(outputs, 0, 2), rel=1e-12
+        )
+        assert plugin_pair_total(maps, 2, 0) == pytest.approx(
+            reference_pair_total(outputs, 2, 0), rel=1e-10
         )
 
     def test_pair_dominates_singles(self, trained):
         """ST_{ij} >= max(ST_i, ST_j): the pair's total effect includes
         each member's total effect (up to estimator noise)."""
-        _, est = trained
+        _, outputs, maps = trained
+        _, total, _, _ = two_pass_maps(outputs)
         for i in range(3):
             for j in range(i + 1, 3):
-                pair = float(est.pair_total_order(i, j))
-                singles = max(float(est.total_order(i)), float(est.total_order(j)))
-                assert pair >= singles - 0.05
-
-    def test_requires_opt_in(self):
-        est = IterativeSobolEstimator(3)
-        with pytest.raises(ValueError):
-            est.pair_total_order(0, 1)
-
-    def test_invalid_pairs(self, trained):
-        _, est = trained
-        with pytest.raises(ValueError):
-            est.pair_total_order(1, 1)
-        with pytest.raises(ValueError):
-            est.pair_total_order(0, 7)
-
-    def test_state_roundtrip(self, trained):
-        _, est = trained
-        back = IterativeSobolEstimator.from_state_dict(est.state_dict())
-        assert back.track_pairs
-        np.testing.assert_allclose(
-            back.pair_total_order(0, 2), est.pair_total_order(0, 2)
-        )
-
-    def test_merge_with_pairs(self):
-        fn = IshigamiFunction()
-        design = draw_design(fn.space(), 100, seed=2)
-        y_a, y_b = fn(design.a), fn(design.b)
-        y_c = [fn(design.c_matrix(k)) for k in range(3)]
-        full = IterativeSobolEstimator(3, track_pairs=True)
-        p1 = IterativeSobolEstimator(3, track_pairs=True)
-        p2 = IterativeSobolEstimator(3, track_pairs=True)
-        for i in range(100):
-            yc = [y_c[k][i] for k in range(3)]
-            full.update_group(y_a[i], y_b[i], yc)
-            (p1 if i < 40 else p2).update_group(y_a[i], y_b[i], yc)
-        p1.merge(p2)
-        np.testing.assert_allclose(
-            p1.pair_total_order(0, 1), full.pair_total_order(0, 1), rtol=1e-9
-        )
-
-    def test_merge_mismatched_tracking(self):
-        a = IterativeSobolEstimator(2, track_pairs=True)
-        b = IterativeSobolEstimator(2, track_pairs=False)
-        with pytest.raises(ValueError):
-            a.merge(b)
+                pair = plugin_pair_total(maps, i, j)
+                assert pair >= max(total[i], total[j]) - 0.05

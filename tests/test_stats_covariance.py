@@ -1,4 +1,13 @@
-"""Tests for one-pass covariance/correlation (the Martinez building block)."""
+"""The Sobol' engine's co-moment state as a one-pass covariance.
+
+Every Martinez index is a Pearson correlation of two synchronized streams,
+so the engine's whole state is running co-moments.  With p = 1 the B and
+C^1 members of each group buffer are one paired sample ``(x, y)``:
+``mean[t, 1]`` / ``mean[t, 2]`` are their running means, ``m2[t, 1]`` /
+``m2[t, 2]`` their centered second-moment sums, ``cxy[t, 1, 0]`` their
+co-moment sum, and the first-order map their correlation.  Checked against
+NumPy's two-pass ``cov`` / ``corrcoef``.
+"""
 
 import numpy as np
 import pytest
@@ -6,72 +15,87 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.stats import IterativeCovariance, IterativeCorrelation
+from repro.sobol.martinez import UbiquitousSobolField
 
 RNG = np.random.default_rng(99)
 
 
-def feed(xs, ys, shape=()):
-    c = IterativeCovariance(shape=shape)
+def feed(xs, ys, ncells=1):
+    """A p = 1 field fed ``(x, y)`` as its (B, C^1) rows (A = x)."""
+    field = UbiquitousSobolField(1, 1, ncells)
     for x, y in zip(xs, ys):
-        c.update(x, y)
-    return c
+        field.update_group_buffer(0, np.reshape([x, x, y], (3, ncells)))
+    return field
+
+
+def state(field):
+    """``(count, mean_x, mean_y, m2_x, m2_y, cxy)`` of the (B, C^1) pair."""
+    s = field.state_dict()
+    mean, m2 = s["mean"][0], s["m2"][0]
+    return s["counts"][0], mean[1], mean[2], m2[1], m2[2], s["cxy"][0, 1, 0]
+
+
+def covariance(field):
+    n, _, _, m2_x, m2_y, cxy = state(field)
+    return cxy / (n - 1), m2_x / (n - 1), m2_y / (n - 1)
+
+
+def correlation(field):
+    return field.index_maps_at(0)[0][0]
 
 
 class TestCovariance:
     def test_empty_and_single(self):
-        c = IterativeCovariance()
-        assert np.isnan(c.covariance)
-        c.update(1.0, 2.0)
-        assert np.isnan(c.covariance)
-        assert c.mean_x == pytest.approx(1.0)
-        assert c.mean_y == pytest.approx(2.0)
+        field = feed([], [])
+        assert np.isnan(correlation(field)).all()
+        field.update_group_buffer(0, np.array([[1.0], [1.0], [2.0]]))
+        assert np.isnan(correlation(field)).all()
+        n, mean_x, mean_y, *_ = state(field)
+        assert n == 1
+        assert mean_x[0] == pytest.approx(1.0)
+        assert mean_y[0] == pytest.approx(2.0)
 
     def test_matches_numpy_cov(self):
         x = RNG.normal(size=400)
         y = 0.3 * x + RNG.normal(size=400)
-        c = feed(x, y)
+        cov, var_x, var_y = covariance(feed(x, y))
         ref = np.cov(x, y, ddof=1)
-        assert c.covariance == pytest.approx(ref[0, 1])
-        assert c.variance_x == pytest.approx(ref[0, 0])
-        assert c.variance_y == pytest.approx(ref[1, 1])
+        assert cov[0] == pytest.approx(ref[0, 1])
+        assert var_x[0] == pytest.approx(ref[0, 0])
+        assert var_y[0] == pytest.approx(ref[1, 1])
 
     def test_correlation_matches_numpy(self):
         x = RNG.normal(size=300)
         y = -0.7 * x + 0.2 * RNG.normal(size=300)
-        c = feed(x, y)
-        assert float(c.correlation) == pytest.approx(np.corrcoef(x, y)[0, 1])
+        assert correlation(feed(x, y))[0] == pytest.approx(np.corrcoef(x, y)[0, 1])
 
     def test_perfect_correlation(self):
         x = np.arange(50.0)
-        c = feed(x, 2.0 * x + 1.0)
-        assert float(c.correlation) == pytest.approx(1.0)
-        c2 = feed(x, -x)
-        assert float(c2.correlation) == pytest.approx(-1.0)
+        assert correlation(feed(x, 2.0 * x + 1.0))[0] == pytest.approx(1.0)
+        assert correlation(feed(x, -x))[0] == pytest.approx(-1.0)
 
     def test_zero_variance_gives_nan_correlation(self):
-        c = feed([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
-        assert np.isnan(c.correlation)
+        assert np.isnan(correlation(feed([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]))).all()
 
     def test_field_shape(self):
         xs = RNG.normal(size=(60, 8))
         ys = RNG.normal(size=(60, 8)) + 0.5 * xs
-        c = feed(xs, ys, shape=(8,))
+        cov, _, _ = covariance(feed(xs, ys, ncells=8))
         for j in range(8):
             ref = np.cov(xs[:, j], ys[:, j], ddof=1)[0, 1]
-            assert c.covariance[j] == pytest.approx(ref)
+            assert cov[j] == pytest.approx(ref)
 
     def test_numerical_stability_large_offset(self):
         x = 1e8 + RNG.normal(size=500)
         y = -1e8 + 0.5 * (x - 1e8) + RNG.normal(size=500)
-        c = feed(x, y)
+        cov, _, _ = covariance(feed(x, y))
         ref = np.cov(x, y, ddof=1)[0, 1]
-        assert c.covariance == pytest.approx(ref, rel=1e-6)
+        assert cov[0] == pytest.approx(ref, rel=1e-6)
 
     def test_shape_mismatch(self):
-        c = IterativeCovariance(shape=(3,))
+        field = UbiquitousSobolField(1, 1, 3)
         with pytest.raises(ValueError):
-            c.update(np.zeros(3), np.zeros(4))
+            field.update_group_buffer(0, np.zeros((3, 4)))
 
 
 class TestCovarianceMerge:
@@ -79,44 +103,37 @@ class TestCovarianceMerge:
         x = RNG.normal(size=200)
         y = RNG.normal(size=200) + 0.4 * x
         a = feed(x[:77], y[:77])
-        b = feed(x[77:], y[77:])
-        a.merge(b)
-        ref = feed(x, y)
-        np.testing.assert_allclose(a.cxy, ref.cxy, rtol=1e-9)
-        np.testing.assert_allclose(a.m2_x, ref.m2_x, rtol=1e-9)
-        np.testing.assert_allclose(a.mean_y, ref.mean_y)
-        assert a.count == 200
+        a.merge(feed(x[77:], y[77:]))
+        n, _, mean_y, m2_x, _, cxy = state(a)
+        _, _, ref_mean_y, ref_m2_x, _, ref_cxy = state(feed(x, y))
+        np.testing.assert_allclose(cxy, ref_cxy, rtol=1e-9)
+        np.testing.assert_allclose(m2_x, ref_m2_x, rtol=1e-9)
+        np.testing.assert_allclose(mean_y, ref_mean_y)
+        assert n == 200
 
     def test_merge_into_empty_and_noop(self):
         x, y = RNG.normal(size=30), RNG.normal(size=30)
-        a = IterativeCovariance()
+        a = feed([], [])
         a.merge(feed(x, y))
-        assert a.count == 30
-        a.merge(IterativeCovariance())
-        assert a.count == 30
+        assert state(a)[0] == 30
+        a.merge(feed([], []))
+        assert state(a)[0] == 30
 
     def test_merge_shape_mismatch(self):
         with pytest.raises(ValueError):
-            IterativeCovariance(shape=(2,)).merge(IterativeCovariance(shape=(3,)))
+            UbiquitousSobolField(1, 1, 2).merge(UbiquitousSobolField(1, 1, 3))
 
 
 class TestStateDict:
     def test_roundtrip_continues_identically(self):
         x, y = RNG.normal(size=40), RNG.normal(size=40)
         c = feed(x, y)
-        c2 = IterativeCovariance.from_state_dict(c.state_dict())
+        c2 = UbiquitousSobolField.from_state_dict(c.state_dict())
         for xv, yv in zip(RNG.normal(size=5), RNG.normal(size=5)):
-            c.update(xv, yv)
-            c2.update(xv, yv)
-        np.testing.assert_array_equal(c.cxy, c2.cxy)
-
-    def test_correlation_alias(self):
-        x = RNG.normal(size=20)
-        y = x + RNG.normal(size=20)
-        c = IterativeCorrelation()
-        for xv, yv in zip(x, y):
-            c.update(xv, yv)
-        np.testing.assert_allclose(c.value, c.correlation)
+            buf = np.array([[xv], [xv], [yv]])
+            c.update_group_buffer(0, buf.copy())
+            c2.update_group_buffer(0, buf.copy())
+        np.testing.assert_array_equal(state(c)[-1], state(c2)[-1])
 
 
 @settings(max_examples=50, deadline=None)
@@ -131,11 +148,11 @@ class TestStateDict:
 )
 def test_property_cov_matches_two_pass(xs, slope, noise_scale):
     ys = slope * xs + noise_scale * np.sin(xs)
-    c = feed(xs, ys)
+    cxy = state(feed(xs, ys))[-1][0]
     mx, my = xs.mean(), ys.mean()
     two_pass = ((xs - mx) * (ys - my)).sum()
     scale = max(1.0, abs(two_pass))
-    assert abs(c.cxy - two_pass) <= 1e-6 * scale
+    assert abs(cxy - two_pass) <= 1e-6 * scale
 
 
 @settings(max_examples=50, deadline=None)
@@ -148,7 +165,6 @@ def test_property_cov_matches_two_pass(xs, slope, noise_scale):
 )
 def test_property_correlation_bounded(xs):
     ys = np.cos(xs) + 0.1 * xs
-    c = feed(xs, ys)
-    r = float(c.correlation)
+    r = float(correlation(feed(xs, ys))[0])
     if not np.isnan(r):
         assert -1.0 - 1e-9 <= r <= 1.0 + 1e-9

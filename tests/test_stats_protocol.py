@@ -24,6 +24,8 @@ from repro.stats import (
 )
 from repro.stats.protocol import lookup, parse_spec
 
+from sobol_reference import two_pass_maps, two_pass_pair_total
+
 SHAPE = (3,)
 NPARAMS = 3
 
@@ -275,26 +277,20 @@ class TestBinnedQuantileAccuracy:
 
 
 # --------------------------------------------------------------------- #
-# sobol2 vs the first-class estimator
+# sobol2 vs the two-pass reference
 # --------------------------------------------------------------------- #
 class TestSecondOrderSobol:
-    def test_pair_totals_match_iterative_estimator(self):
-        """The sobol2 plugin's pair totals must reproduce
-        IterativeSobolEstimator.pair_total_order to float error."""
-        from repro.sobol.martinez import IterativeSobolEstimator
-
+    def test_pair_totals_match_two_pass(self):
+        """The sobol2 plugin's pair totals are ``1 - corr(Y^Ci, Y^Cj)`` and
+        its interactions ``ST_i + ST_j - ST_ij``, computed in two passes,
+        to float error."""
         ctx = make_ctx(shape=(4,), nparams=3)
         stream = group_stream(60, ctx, seed=5)
-        stat = feed(make_instance("sobol2", ctx), stream)
-        est = IterativeSobolEstimator(3, (4,), track_pairs=True)
-        for buf in stream:
-            est.update_group(buf[0], buf[1], list(buf[2:]))
-
-        out = stat.finalize()
-        st_single = est.total_order()
+        out = feed(make_instance("sobol2", ctx), stream).finalize()
+        _, st_single, _, _ = two_pass_maps(stream)
         for i, j in ((0, 1), (0, 2), (1, 2)):
             key = f"x{i + 1}_x{j + 1}"
-            st_pair = est.pair_total_order(i, j)
+            st_pair = two_pass_pair_total(stream[:, 2 + i], stream[:, 2 + j])
             np.testing.assert_allclose(
                 out[f"sobol2_total_{key}"], st_pair, rtol=1e-10, atol=1e-12
             )

@@ -185,46 +185,31 @@ class TestRouter:
         with pytest.raises(ValueError):
             router.connect(ConnectionRequest(group_id=1, ncells=99, nranks_client=2))
 
-    def test_route_field_full_coverage(self):
+    def test_whole_field_delivery_covers_every_rank(self):
+        """A whole-field message is split into one chunk per server rank
+        and the chunks cover the field exactly."""
         router = self.make_router(ncells=20, nserver=3)
-        router.connect(ConnectionRequest(group_id=0, ncells=20, nranks_client=4))
         field = np.arange(20.0)
-        undelivered = router.route_field(
-            0, member=1, timestep=2, field_values=field,
-            client_partition=BlockPartition(20, 4),
-        )
-        assert undelivered == []
-        # reassemble from all server queues: must equal the original field
+        assert router.deliver(FieldMessage(0, 1, 2, 0, 20, field))
         rebuilt = np.full(20, np.nan)
         for rank, ch in router.inbound.items():
-            for msg in ch.drain():
-                assert router.server_partition.owner_of(msg.cell_lo) == rank
-                rebuilt[msg.cell_lo : msg.cell_hi] = msg.data
+            [chunk] = ch.drain()
+            assert chunk.member == 1 and chunk.timestep == 2
+            lo, hi = router.server_partition.range_of(rank)
+            assert (chunk.cell_lo, chunk.cell_hi) == (lo, hi)
+            rebuilt[lo:hi] = chunk.data
         np.testing.assert_array_equal(rebuilt, field)
-
-    def test_route_requires_connection(self):
-        router = self.make_router()
-        with pytest.raises(RuntimeError):
-            router.route_field(5, 0, 0, np.zeros(20), BlockPartition(20, 2))
-
-    def test_route_wrong_field_size(self):
-        router = self.make_router()
-        router.connect(ConnectionRequest(0, 20, 1))
-        with pytest.raises(ValueError):
-            router.route_field(0, 0, 0, np.zeros(7), BlockPartition(20, 1))
 
     def test_backpressure_returns_undelivered(self):
         router = self.make_router(ncells=20, nserver=1, capacity=100)
-        router.connect(ConnectionRequest(0, 20, 1))
-        part = BlockPartition(20, 1)
-        field = np.zeros(20)
-        assert router.route_field(0, 0, 0, field, part) == []  # fits (oversized-empty rule)
-        undelivered = router.route_field(0, 0, 1, field, part)
-        assert len(undelivered) == 1
-        assert undelivered[0].timestep == 1
+        msg = FieldMessage(0, 0, 0, 0, 20, np.zeros(20))
+        assert router.deliver(msg)  # fits (oversized-empty rule)
+        refused = FieldMessage(0, 0, 1, 0, 20, np.zeros(20))
+        assert not router.deliver(refused)
+        assert router.inbound[0].pending_messages == 1
         # drain, then retry succeeds
         router.inbound[0].drain()
-        assert router.deliver(undelivered[0])
+        assert router.deliver(refused)
 
     def test_deliver_splits_straddling_message(self):
         """A message spanning a partition boundary is split at the
@@ -261,8 +246,7 @@ class TestRouter:
 
     def test_total_stats(self):
         router = self.make_router(ncells=20, nserver=2)
-        router.connect(ConnectionRequest(0, 20, 1))
-        router.route_field(0, 0, 0, np.zeros(20), BlockPartition(20, 1))
+        assert router.deliver(FieldMessage(0, 0, 0, 0, 20, np.zeros(20)))
         stats = router.total_stats()
         assert stats["messages_sent"] == 2  # split across 2 server ranks
         assert stats["bytes_sent"] > 0

@@ -1,11 +1,11 @@
-"""Equivalence of the batched vectorized Sobol' engine and the scalar path.
+"""Equivalence of the batched vectorized Sobol' engine and the two-pass
+reference.
 
 The stacked :class:`~repro.sobol.martinez.UbiquitousSobolField` must
-reproduce the legacy per-parameter/per-timestep object forest
-(:class:`~repro.sobol.martinez.IterativeSobolEstimator` per timestep) to
-tight tolerance on arbitrary streams: update, merge and checkpoint
-round-trip.  Differences come
-only from floating-point reassociation of mathematically exact
+reproduce :func:`~repro.sobol.reference.martinez_indices` plus NumPy
+mean / variance (``tests/sobol_reference.py``) to tight tolerance on
+arbitrary streams: update, merge and checkpoint round-trip.  Differences
+come only from floating-point reassociation of mathematically exact
 formulas, so rtol 1e-10 (atol 1e-12 for near-zero correlations) holds.
 """
 
@@ -13,58 +13,27 @@ import numpy as np
 import pytest
 
 from repro.kernels import available_backends
-from repro.sobol.martinez import IterativeSobolEstimator, UbiquitousSobolField
+from repro.sobol.martinez import UbiquitousSobolField
 
-RTOL = 1e-10
-ATOL = 1e-12
+from sobol_reference import (
+    ATOL,
+    RTOL,
+    assert_matches_two_pass,
+    feed,
+    random_stream,
+    two_pass_interval_width,
+    two_pass_maps,
+)
 
 #: every concrete kernel backend usable on this host; the equivalence
 #: guarantees hold per backend, not just for the einsum baseline
 BACKENDS = available_backends()
 
 
-def random_stream(nparams, ntimesteps, ncells, ngroups, seed=0, loc=0.0, scale=1.0):
-    rng = np.random.default_rng(seed)
-    return rng.normal(loc=loc, scale=scale,
-                      size=(ngroups, ntimesteps, nparams + 2, ncells))
-
-
-def legacy_forest(nparams, ntimesteps, ncells):
-    return [IterativeSobolEstimator(nparams, (ncells,)) for _ in range(ntimesteps)]
-
-
-def feed_both(field, forest, stream):
-    ngroups, ntimesteps = stream.shape[:2]
-    nparams = stream.shape[2] - 2
-    for g in range(ngroups):
-        for t in range(ntimesteps):
-            buf = stream[g, t]
-            field.update_group_buffer(t, buf)
-            forest[t].update_group(buf[0], buf[1], list(buf[2:]))
-
-
-def assert_field_matches_forest(field, forest):
-    nparams, ntimesteps = field.nparams, field.ntimesteps
-    for t in range(ntimesteps):
-        est = forest[t]
-        assert field.estimators[t].ngroups == est.ngroups
-        np.testing.assert_allclose(
-            field.first_order_all(t), est.first_order(), rtol=RTOL, atol=ATOL
-        )
-        np.testing.assert_allclose(
-            field.total_order_all(t), est.total_order(), rtol=RTOL, atol=ATOL
-        )
-        for k in range(nparams):
-            np.testing.assert_allclose(
-                field.first_order_map(k, t), est.first_order(k),
-                rtol=RTOL, atol=ATOL,
-            )
-        np.testing.assert_allclose(
-            field.variance_map(t), est.output_variance, rtol=RTOL, atol=ATOL
-        )
-        np.testing.assert_allclose(
-            field.mean_map(t), est.output_mean, rtol=RTOL, atol=ATOL
-        )
+def assert_same_maps(field, ref, rtol=RTOL, atol=ATOL):
+    for t in range(ref.ntimesteps):
+        for got, want in zip(field.index_maps_at(t), ref.index_maps_at(t)):
+            np.testing.assert_allclose(got, want, rtol=rtol, atol=atol)
 
 
 class TestUpdateEquivalence:
@@ -72,50 +41,31 @@ class TestUpdateEquivalence:
     @pytest.mark.parametrize("nparams,ncells,ngroups", [(2, 7, 50), (6, 33, 40), (1, 1, 25)])
     def test_random_stream(self, nparams, ncells, ngroups, backend):
         stream = random_stream(nparams, 3, ncells, ngroups, seed=nparams)
-        field = UbiquitousSobolField(nparams, 3, ncells, kernel=backend)
-        forest = legacy_forest(nparams, 3, ncells)
-        feed_both(field, forest, stream)
-        assert_field_matches_forest(field, forest)
+        field = feed(UbiquitousSobolField(nparams, 3, ncells, kernel=backend), stream)
+        assert_matches_two_pass(field, stream)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_large_mean_small_variance_stable(self, backend):
         """The shift-based batch contraction must stay Pebay-stable."""
         stream = random_stream(3, 2, 11, 48, seed=5, loc=1e6, scale=1e-3)
-        field = UbiquitousSobolField(3, 2, 11, kernel=backend)
-        forest = legacy_forest(3, 2, 11)
-        feed_both(field, forest, stream)
+        field = feed(UbiquitousSobolField(3, 2, 11, kernel=backend), stream)
         for t in range(2):
+            first, _, variance, _ = two_pass_maps(stream[:, t])
             np.testing.assert_allclose(
-                field.first_order_all(t), forest[t].first_order(),
-                rtol=1e-7, atol=1e-7,
+                field.index_maps_at(t)[0], first, rtol=1e-7, atol=1e-7
             )
-            np.testing.assert_allclose(
-                field.variance_map(t), forest[t].output_variance, rtol=1e-6
-            )
+            np.testing.assert_allclose(field.variance_map(t), variance, rtol=1e-6)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_batch_size_invariance(self, backend):
         """Different micro-batch boundaries, same statistics."""
         stream = random_stream(3, 2, 9, 37, seed=11)
         fields = [
-            UbiquitousSobolField(3, 2, 9, batch_size=b, kernel=backend)
+            feed(UbiquitousSobolField(3, 2, 9, batch_size=b, kernel=backend), stream)
             for b in (1, 4, 16, 64)
         ]
-        for g in range(37):
-            for t in range(2):
-                for f in fields:
-                    f.update_group_buffer(t, stream[g, t].copy())
-        ref = fields[0]
         for f in fields[1:]:
-            for t in range(2):
-                np.testing.assert_allclose(
-                    f.first_order_all(t), ref.first_order_all(t),
-                    rtol=RTOL, atol=ATOL,
-                )
-                np.testing.assert_allclose(
-                    f.total_order_all(t), ref.total_order_all(t),
-                    rtol=RTOL, atol=ATOL,
-                )
+            assert_same_maps(f, fields[0])
 
     def test_staged_memory_bounded(self):
         """The global staging cap folds the fullest timestep eagerly."""
@@ -133,54 +83,45 @@ class TestUpdateEquivalence:
         with pytest.raises(IndexError):
             field.update_group_buffer(5, np.zeros((4, 4)))
         with pytest.raises(ValueError):
-            field.update_group_timestep(0, np.zeros(4), np.zeros(4), [np.zeros(4)])
+            field.update_group_buffer(0, np.zeros((4, 5)))
 
 
 class TestMergeEquivalence:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_merge_matches_single_stream(self, backend):
         stream = random_stream(4, 2, 12, 60, seed=3)
-        full = UbiquitousSobolField(4, 2, 12, kernel=backend)
-        part1 = UbiquitousSobolField(4, 2, 12, kernel=backend)
-        part2 = UbiquitousSobolField(4, 2, 12, kernel=backend)
-        forest = legacy_forest(4, 2, 12)
-        for g in range(60):
-            for t in range(2):
-                buf = stream[g, t]
-                full.update_group_buffer(t, buf.copy())
-                (part1 if g < 23 else part2).update_group_buffer(t, buf.copy())
-                forest[t].update_group(buf[0], buf[1], list(buf[2:]))
+        full = feed(UbiquitousSobolField(4, 2, 12, kernel=backend), stream)
+        part1 = feed(UbiquitousSobolField(4, 2, 12, kernel=backend), stream[:23])
+        part2 = feed(UbiquitousSobolField(4, 2, 12, kernel=backend), stream[23:])
         part1.merge(part2)
-        assert_field_matches_forest(part1, forest)
-        assert_field_matches_forest(full, forest)
+        assert_matches_two_pass(part1, stream)
+        assert_matches_two_pass(full, stream)
 
     def test_merge_into_empty_and_with_empty(self):
         stream = random_stream(2, 1, 5, 20, seed=9)
-        fed = UbiquitousSobolField(2, 1, 5)
-        for g in range(20):
-            fed.update_group_buffer(0, stream[g, 0].copy())
+        fed = feed(UbiquitousSobolField(2, 1, 5), stream)
         empty = UbiquitousSobolField(2, 1, 5)
         empty.merge(fed)
-        np.testing.assert_allclose(
-            empty.first_order_all(0), fed.first_order_all(0), rtol=RTOL, atol=ATOL
-        )
-        before = fed.first_order_all(0).copy()
+        assert_same_maps(empty, fed)
+        before = [m.copy() for m in fed.index_maps_at(0)]
         fed.merge(UbiquitousSobolField(2, 1, 5))
-        np.testing.assert_allclose(fed.first_order_all(0), before, rtol=0, atol=0)
+        for got, want in zip(fed.index_maps_at(0), before):
+            np.testing.assert_array_equal(got, want)
 
     def test_merge_uneven_timestep_counts(self):
         """Per-timestep counts may differ (out-of-order arrival)."""
         rng = np.random.default_rng(2)
         a = UbiquitousSobolField(2, 2, 3)
         b = UbiquitousSobolField(2, 2, 3)
-        forest = legacy_forest(2, 2, 3)
+        fed = [[], []]
         for g in range(30):
             t = int(rng.integers(0, 2))
             buf = rng.normal(size=(4, 3))
             (a if g % 2 else b).update_group_buffer(t, buf.copy())
-            forest[t].update_group(buf[0], buf[1], list(buf[2:]))
+            fed[t].append(buf)
         a.merge(b)
-        assert_field_matches_forest(a, forest)
+        assert len(fed[0]) != len(fed[1])
+        assert_matches_two_pass(a, fed)
 
     def test_incompatible_merge_rejected(self):
         with pytest.raises(ValueError):
@@ -192,37 +133,20 @@ class TestCheckpointEquivalence:
     def test_state_roundtrip_mid_batch(self, backend):
         """state_dict flushes staged buffers and restores exactly."""
         stream = random_stream(3, 2, 8, 21, seed=7)  # 21: not a batch multiple
-        field = UbiquitousSobolField(3, 2, 8, kernel=backend)
-        for g in range(21):
-            for t in range(2):
-                field.update_group_buffer(t, stream[g, t].copy())
+        field = feed(UbiquitousSobolField(3, 2, 8, kernel=backend), stream)
         back = UbiquitousSobolField.from_state_dict(field.state_dict())
-        for t in range(2):
-            np.testing.assert_allclose(
-                back.first_order_all(t), field.first_order_all(t), rtol=0, atol=0
-            )
-            np.testing.assert_allclose(
-                back.total_order_all(t), field.total_order_all(t), rtol=0, atol=0
-            )
-            assert back.estimators[t].ngroups == field.estimators[t].ngroups
+        assert_same_maps(back, field, rtol=0, atol=0)
+        np.testing.assert_array_equal(
+            back.state_dict()["counts"], field.state_dict()["counts"]
+        )
 
     def test_roundtrip_then_continue_matches(self):
-        """Checkpoint mid-stream, restore, continue: matches the forest."""
+        """Checkpoint mid-stream, restore, continue: matches the reference."""
         stream = random_stream(2, 2, 6, 40, seed=13)
-        field = UbiquitousSobolField(2, 2, 6)
-        forest = legacy_forest(2, 2, 6)
-        for g in range(18):
-            for t in range(2):
-                buf = stream[g, t]
-                field.update_group_buffer(t, buf.copy())
-                forest[t].update_group(buf[0], buf[1], list(buf[2:]))
+        field = feed(UbiquitousSobolField(2, 2, 6), stream[:18])
         field = UbiquitousSobolField.from_state_dict(field.state_dict())
-        for g in range(18, 40):
-            for t in range(2):
-                buf = stream[g, t]
-                field.update_group_buffer(t, buf.copy())
-                forest[t].update_group(buf[0], buf[1], list(buf[2:]))
-        assert_field_matches_forest(field, forest)
+        feed(field, stream[18:])
+        assert_matches_two_pass(field, stream)
 
     def test_forest_shaped_or_truncated_state_is_refused(self, monkeypatch):
         """Only the stacked format-2 state loads: an estimator forest, a
@@ -234,7 +158,7 @@ class TestCheckpointEquivalence:
             "nparams": 3,
             "ntimesteps": 2,
             "ncells": 5,
-            "estimators": [e.state_dict() for e in legacy_forest(3, 2, 5)],
+            "estimators": [{"nparams": 3, "ngroups": 0} for _ in range(2)],
         }
         unstamped = {k: v for k, v in good.items() if k != "format"}
         truncated = {k: v for k, v in good.items() if k != "cxy"}
@@ -250,18 +174,59 @@ class TestCheckpointEquivalence:
         with pytest.raises(ValueError, match="not a stacked.*format=2"):
             UbiquitousSobolField.from_state_dict(truncated)
 
+    @pytest.mark.parametrize(
+        "key,value,why",
+        [
+            ("mean", lambda s: s["mean"][:, :, :1], r"mean \(2, 5, 1\) != \(2, 5, 4\)"),
+            ("counts", lambda s: np.append(s["counts"], 0), r"counts \(3,\) != \(2,\)"),
+            ("ncells", lambda s: 5, r"mean \(2, 5, 4\) != \(2, 5, 5\)"),
+            ("cxy", lambda s: s["cxy"][:, :, :2], r"cxy \(2, 2, 2, 4\) != \(2, 2, 3, 4\)"),
+        ],
+        ids=["mean-broadcasts", "counts-too-long", "fewer-cells-than-declared", "cxy-wrong-p"],
+    )
+    def test_misshapen_state_is_refused(self, monkeypatch, key, value, why):
+        """A state whose arrays do not have the shapes its ``ntimesteps``,
+        ``nparams`` and ``ncells`` declare is refused, naming the array,
+        before a field is built — none of these may load and produce maps
+        (a ``(T, m, 1)`` mean would broadcast; a 4-cell state declared as
+        5 cells would return 4-cell maps)."""
+        rng = np.random.default_rng(0)
+        field = UbiquitousSobolField(3, 2, 4)
+        for _ in range(6):
+            for t in range(2):
+                field.update_group_buffer(t, rng.normal(size=(5, 4)))
+        state = dict(field.state_dict())
+        state[key] = value(state)
+
+        def no_field(self, *args, **kwargs):
+            raise AssertionError("a field was built from a refused state")
+
+        monkeypatch.setattr(UbiquitousSobolField, "__init__", no_field)
+        with pytest.raises(ValueError, match="not a stacked.*" + why):
+            UbiquitousSobolField.from_state_dict(state)
+
 
 class TestIntervalEquivalence:
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_max_interval_width_matches_forest(self, backend):
+    def test_max_width_matches_two_pass(self, backend):
+        """Eq. 8-9 applied to the two-pass maps with per-timestep counts."""
         stream = random_stream(3, 2, 6, 25, seed=23)
-        field = UbiquitousSobolField(3, 2, 6, kernel=backend)
-        forest = legacy_forest(3, 2, 6)
-        feed_both(field, forest, stream)
-        forest_widths = [e.max_interval_width() for e in forest]
-        finite = [w for w in forest_widths if not np.isnan(w)]
-        expected = max(finite) if finite else float("nan")
-        assert field.max_interval_width() == pytest.approx(expected, rel=1e-9)
+        field = feed(UbiquitousSobolField(3, 2, 6, kernel=backend), stream)
+        assert field.max_interval_width() == pytest.approx(
+            two_pass_interval_width(stream), rel=1e-9
+        )
+
+    def test_max_interval_width_uneven_counts(self):
+        """Each timestep's interval uses its own group count."""
+        stream = random_stream(2, 2, 4, 30, seed=29)
+        fed = [stream[:, 0], stream[:12, 1]]
+        field = UbiquitousSobolField(2, 2, 4)
+        for t, rows in enumerate(fed):
+            for buf in rows:
+                field.update_group_buffer(t, buf.copy())
+        assert field.max_interval_width() == pytest.approx(
+            two_pass_interval_width(fed), rel=1e-9
+        )
 
     def test_inf_until_enough_groups(self):
         field = UbiquitousSobolField(2, 1, 3)
