@@ -1,12 +1,16 @@
-"""Statistics-catalog overhead shootout (ISSUE 6 satellite).
+"""Statistics-catalog overhead shootout: what each catalog costs a rank.
 
 The paper's pitch is that in-transit statistics are cheap relative to
 the simulations producing the data; this bench quantifies what each
-catalog entry adds to the server fold path.  It times the per-rank
-``StatisticsPipeline`` fold with 1 / 2 / 4 statistics enabled (against
-an empty-catalog baseline) and measures the counting-sketch quantile
-accuracy against exact ``np.quantile`` as bins grow, emitting
-machine-readable ``BENCH_stats.json`` plus a human table.
+catalog entry adds to a server rank.  Every catalog runs through the
+rank path a study uses — ``ServerRank.handle`` folding whole-partition
+group messages into the Sobol' engine and the ``StatisticsPipeline``,
+then reading every result — so the "1 statistic" row (the default
+``moments:order=2``, read from the engine's own A/B moments) reports
+what the default really costs, against the Sobol'-only "none" baseline.
+It also measures the counting-sketch quantile accuracy against exact
+``np.quantile`` as bins grow, and emits machine-readable
+``BENCH_stats.json`` plus a human table.
 """
 
 import json
@@ -14,8 +18,12 @@ import time
 
 import numpy as np
 
+from repro.core import StudyConfig
+from repro.core.server import MelissaServer
 from repro.report import format_table
+from repro.sampling import ParameterSpace, Uniform
 from repro.stats import StatContext, StatisticsPipeline
+from repro.transport.message import GroupFieldMessage
 
 NCELLS = 20_000
 NPARAMS = 6
@@ -34,19 +42,29 @@ CATALOGS = [
 ]
 
 
-def _group_stream(ngroups, ctx, seed=0):
-    rng = np.random.default_rng(seed)
-    return rng.normal(size=(ngroups, ctx.nmembers) + ctx.shape)
+def _config(specs):
+    space = ParameterSpace(
+        names=tuple(f"x{i + 1}" for i in range(NPARAMS)),
+        distributions=tuple(Uniform(0, 1) for _ in range(NPARAMS)),
+    )
+    return StudyConfig(
+        space=space, ngroups=NGROUPS, ntimesteps=1, ncells=NCELLS,
+        server_ranks=1, client_ranks=1, statistics=specs, fold_threads=1,
+    )
 
 
-def _time_catalog(specs, ctx, stream):
-    """Seconds per group-fold for one catalog (best of 3 passes)."""
+def _time_catalog(specs, stream):
+    """Seconds per group one rank pays for a catalog (best of 3 passes):
+    every group handled, the last batch flushed, every result read."""
+    config = _config(specs)
     best = float("inf")
     for _ in range(3):
-        pipe = StatisticsPipeline(specs, ctx, ntimesteps=1)
+        rank = MelissaServer(config).ranks[0]
         start = time.perf_counter()
-        for buf in stream:
-            pipe.update(0, buf)
+        for g, buf in enumerate(stream):
+            rank.handle(GroupFieldMessage(g, 0, 0, NCELLS, buf), 0.0)
+        rank.sobol.flush()
+        rank.stats.results()
         elapsed = (time.perf_counter() - start) / len(stream)
         best = min(best, elapsed)
     return best
@@ -55,18 +73,16 @@ def _time_catalog(specs, ctx, stream):
 def test_stats_overhead_shootout(results_dir):
     """Fold-throughput trajectory as the catalog grows, plus sketch
     accuracy; BENCH_stats.json records both."""
-    ctx = StatContext(shape=(NCELLS,), nparams=NPARAMS)
-    stream = _group_stream(NGROUPS, ctx, seed=2)
+    stream = np.random.default_rng(2).normal(size=(NGROUPS, NPARAMS + 2, NCELLS))
 
-    timings = {label: _time_catalog(specs, ctx, stream)
-               for label, specs in CATALOGS}
+    timings = {label: _time_catalog(specs, stream) for label, specs in CATALOGS}
     baseline = timings["none"]
     records = []
     for label, specs in CATALOGS:
         t = timings[label]
         records.append({
             "catalog": label,
-            "specs": list(StatisticsPipeline(specs, ctx, 1).specs),
+            "specs": list(_config(specs).statistics),
             "ms_per_group_fold": round(t * 1e3, 4),
             "groups_per_s": round(1.0 / t, 1),
             "overhead_ms_vs_none": round((t - baseline) * 1e3, 4),
@@ -117,7 +133,8 @@ def test_stats_overhead_shootout(results_dir):
         ["catalog", "ms / group-fold", "groups/s", "overhead ms"],
         [[r["catalog"], r["ms_per_group_fold"], r["groups_per_s"],
           r["overhead_ms_vs_none"]] for r in records],
-        title=f"statistics catalog fold overhead, p={NPARAMS}, {NCELLS} cells",
+        title=f"statistics catalog cost per group on one rank, p={NPARAMS}, "
+              f"{NCELLS} cells",
     )
     acc_table = format_table(
         ["bins", "bin width", "max |error|"],

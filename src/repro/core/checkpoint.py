@@ -18,14 +18,17 @@ from typing import List, Optional
 from repro.core.config import StudyConfig
 from repro.core.server import MelissaServer
 
-_FORMAT_VERSION = 3
+_FORMAT_VERSION = 4
 
 
 def _fingerprint(config: StudyConfig) -> dict:
     """The configuration facts a checkpoint must agree on to be loadable.
 
-    Format 3 is the only format: ``version`` plus the study shape and the
-    full canonical ``statistics`` spec list.  Restoring under a statistics
+    Format 4 is the only format: ``version`` plus the study shape and the
+    full canonical ``statistics`` spec list.  It differs from format 3 in
+    that ``moments`` at order <= 2 saves no arrays (the rank derives it
+    from the Sobol' state's A/B rows), so a format-3 file is refused by
+    ``version`` like every other retired format.  Restoring under a statistics
     catalog that differs from the checkpoint's would silently drop or
     zero per-plugin state, so any mismatch fails loudly with the
     differing keys named.

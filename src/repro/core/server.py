@@ -28,6 +28,7 @@ Message handling pipeline per rank:
 from __future__ import annotations
 
 import time as _time
+import weakref
 from typing import Dict, List, Set, Tuple
 
 import numpy as np
@@ -97,14 +98,18 @@ class ServerRank:
         # per (spec, timestep), driven generically.  Member statistics see
         # only the A and B members (the only independent inputs within a
         # group, Sec. 4.1); group statistics consume the whole buffer.
+        # Those that are functions of the A/B moments read the engine's
+        # through a weak reference: no cycle, a dropped rank is freed at once
         from repro.kernels import parallel as _parallel
 
+        me = weakref.ref(self)
         self.stats = StatisticsPipeline(
             config.statistics,
             StatContext(
                 shape=(self.ncells_local,),
                 nparams=config.nparams,
                 parameter_names=tuple(config.space.names),
+                ab_moments=lambda t: me().sobol.ab_moments(t),
             ),
             config.ntimesteps,
             fold_threads=_parallel.eager_threads(

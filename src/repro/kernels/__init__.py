@@ -11,7 +11,7 @@ backend   what it is
 einsum    PR 1 baseline: NumPy einsum contractions (always available)
 blas      GEMM/syrk-shaped stacked ``np.matmul`` over cell-major
           residuals (by name only: never what ``auto`` picks)
-cext      fused register-blocked C kernel, compiled on demand with the
+cext      fused cell-tiled C kernel, compiled on demand with the
           system compiler (no pip dependency; unavailable without a
           C compiler)
 numba     fused Numba-JIT kernel (unavailable when numba is absent)

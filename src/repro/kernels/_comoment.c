@@ -20,11 +20,22 @@
  *   (mean/m2/cxy), eliminating the separate NumPy combine passes; this
  *   is the full-fold fast path.
  *
- * The hot loop is register-blocked: an NT-cell tile is processed with
- * the batch loop innermost so the 3m + 2p accumulators stay in vector
- * registers; per-p specializations (p = 1..8 covers the paper's p = 6)
- * let the compiler fully unroll the stream loops.  A VLA-tiled generic
- * version covers larger p.
+ * The hot loop is tiled: an NT-cell tile is processed with the batch
+ * loop innermost, so its 3m + 2p accumulator rows (NT cells each, 58 KB
+ * of stack at p = 8) stay near L1, and each slab row is read as one
+ * contiguous NT * 8-byte run the hardware prefetcher can follow.  The
+ * per-cell order of operations does not depend on NT, so every width
+ * gives bit-identical state.  NT = 128 comes from an interleaved
+ * in-process A/B over {16, 64, 128, 256, 512} on a 2-vCPU Sapphire
+ * Rapids VM (p = 6, 16 slabs), in the four regimes a rank meets: with
+ * slabs and state cache-cold it was the fastest width at 10000 and at
+ * 2048 cells (0.92 of np.copyto bandwidth at 10000, where the former
+ * NT = 16 reached 0.60 and 256 tied); cache-hot, 64 led and 128 was
+ * 7-11 % behind, while 256 was 33-63 % behind.  Per-p specializations
+ * (p = 1..8 covers the paper's p = 6) let the compiler fully unroll the
+ * stream loops; a generic version with a fixed-size tile covers larger
+ * p.  The calls run on fold threads, so every frame is bounded: CI
+ * compiles this file with -Wstack-usage=262144.
  *
  * Built at first use by repro.kernels.cext with the system C compiler;
  * if no compiler is present the backend reports itself unavailable and
@@ -40,7 +51,7 @@
 
 #include <stddef.h>
 
-#define NT 16
+#define NT 128
 
 /* Writeback helpers, instantiated inside the tile loop.
  *
@@ -162,7 +173,11 @@ DEFINE_FOLD(1) DEFINE_FOLD(2) DEFINE_FOLD(3) DEFINE_FOLD(4)
 DEFINE_FOLD(5) DEFINE_FOLD(6) DEFINE_FOLD(7) DEFINE_FOLD(8)
 
 /* Generic fallback for p > 8: same pipeline, stream loops not unrolled,
-   tile scratch as VLAs. */
+   tile scratch sized for the largest supported m (MAX_M streams, GT
+   cells: ~59 KB of stack whatever m is). */
+#define MAX_M 66
+#define GT 16
+
 static void fold_generic(const double *const *slabs, ptrdiff_t nb,
                          ptrdiff_t m, ptrdiff_t stride, ptrdiff_t lo,
                          ptrdiff_t W, int apply, ptrdiff_t na,
@@ -177,13 +192,14 @@ static void fold_generic(const double *const *slabs, ptrdiff_t nb,
         f = (double) na * (double) nb / n;
         wb = (double) nb / n;
     }
-    for (ptrdiff_t n0 = 0; n0 < W; n0 += NT) {
-        ptrdiff_t nn = W - n0 < NT ? W - n0 : NT;
-        double asz[m][NT], agd[m][NT], agx[2 * p][NT], z[m][NT];
+    for (ptrdiff_t n0 = 0; n0 < W; n0 += GT) {
+        ptrdiff_t nn = W - n0 < GT ? W - n0 : GT;
+        double asz[MAX_M][GT], agd[MAX_M][GT], agx[2 * (MAX_M - 2)][GT];
+        double z[MAX_M][GT];
         for (ptrdiff_t i = 0; i < m; i++)
-            for (int n = 0; n < NT; n++) { asz[i][n] = 0.0; agd[i][n] = 0.0; }
+            for (int n = 0; n < GT; n++) { asz[i][n] = 0.0; agd[i][n] = 0.0; }
         for (ptrdiff_t j = 0; j < 2 * p; j++)
-            for (int n = 0; n < NT; n++) agx[j][n] = 0.0;
+            for (int n = 0; n < GT; n++) agx[j][n] = 0.0;
         const double *rf = slabs[0] + lo + n0;
         for (ptrdiff_t b = 1; b < nb; b++) {
             const double *sb = slabs[b] + lo + n0;
@@ -209,7 +225,7 @@ static void fold_generic(const double *const *slabs, ptrdiff_t nb,
                 for (ptrdiff_t n = 0; n < nn; n++)
                     o3[j * W + n0 + n] = agx[j][n];
         } else {
-            double mzv[m][NT], dv[m][NT];
+            double mzv[MAX_M][GT], dv[MAX_M][GT];
             for (ptrdiff_t i = 0; i < m; i++) {
                 double *mean = o1 + i * sstride + lo + n0;
                 double *m2 = o2 + i * sstride + lo + n0;
@@ -262,7 +278,7 @@ static int dispatch(const double *const *slabs, ptrdiff_t nb, ptrdiff_t m,
     case 7: fold_p7(slabs, nb, stride, lo, W, apply, na, sstride, o1, o2, o3); return 0;
     case 8: fold_p8(slabs, nb, stride, lo, W, apply, na, sstride, o1, o2, o3); return 0;
     }
-    if (m <= 66) {  /* VLA tile budget: ~6m * NT doubles on stack */
+    if (m <= MAX_M) {
         fold_generic(slabs, nb, m, stride, lo, W, apply, na, sstride,
                      o1, o2, o3);
         return 0;

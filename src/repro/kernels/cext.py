@@ -1,4 +1,4 @@
-"""Compiled C backend: a fused, register-blocked co-moment kernel.
+"""Compiled C backend: a fused, cell-tiled co-moment kernel.
 
 ``_comoment.c`` is compiled once per machine with the system C compiler
 into a content-addressed shared library under the user cache directory
@@ -6,8 +6,9 @@ into a content-addressed shared library under the user cache directory
 — no build-time dependency, no pip install.  The kernel folds residual
 computation, residual sums, diagonal moments, and the 2p cross
 co-moments into ONE pass over the staged slabs (the einsum path makes
-four), with the batch loop innermost over 16-cell tiles so the
-accumulators live in vector registers.
+four), with the batch loop innermost over 128-cell tiles so the
+accumulators stay cache-resident while each slab row streams in long
+contiguous runs.
 
 On hosts without a working C compiler the backend reports itself
 unavailable and kernel selection falls back to the einsum baseline.

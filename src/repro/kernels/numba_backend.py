@@ -1,7 +1,7 @@
 """Optional Numba backend: the fused fold JIT-compiled at first use.
 
 Same one-pass structure as the C kernel (residuals, sums, diagonal and
-cross co-moments in a single sweep, 16-cell tiles), expressed as nopython
+cross co-moments in a single sweep, here over 16-cell tiles), expressed as nopython
 Numba over a stacked ``(nb, m, w)`` residual-source scratch.  Numba is
 NOT a dependency of this project: when the import fails the module-level
 ``available()`` probe reports False, ``kernel="numba"`` falls back to the

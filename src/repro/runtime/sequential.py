@@ -12,7 +12,7 @@ fault-recovery paths, which is how the Sec. 4.2 protocols are tested.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -62,6 +62,18 @@ class _DuplicatingRouter(Router):
         if ok and msg.group_id in self._duplicated:
             super().deliver(msg, blocking=blocking)
         return ok
+
+
+class _FinishedGroups:
+    """What recovery reads of one rank's checkpoint: its finished groups
+    (the ``rank`` / ``restore_state`` a ``CheckpointManager`` restores into)."""
+
+    def __init__(self, rank: int):
+        self.rank = rank
+        self.finished_groups: Set[int] = set()
+
+    def restore_state(self, state: dict) -> None:
+        self.finished_groups = set(state["finished_groups"])
 
 
 class SequentialRuntime:
@@ -332,16 +344,20 @@ class SequentialRuntime:
     # ------------------------------------------------------------------ #
     def _recover_server(self, now: float) -> None:
         """Heartbeat lost: the launcher kills and resubmits everything
-        (Sec. 4.2.3); the server job restart restores the checkpoint."""
-        finished = (
-            self.checkpoints.restore(self.config).finished_groups()
-            if self.checkpoints is not None and self.checkpoints.exists()
-            else set()
-        )
+        (Sec. 4.2.3); the server job restart restores the checkpoint.  The
+        crashed server is released before the launcher reads each rank
+        file's finished groups (fingerprint-checked, a missing file raises)."""
         self.executors.clear()
         self._job_of_group.clear()
         self.server = None
         self.router = None
+        finished: Set[int] = set()
+        if self.checkpoints is not None and self.checkpoints.exists():
+            views = [_FinishedGroups(r) for r in range(self.config.server_ranks)]
+            for view in views:
+                if not self.checkpoints.restore_rank(view, self.config):
+                    raise FileNotFoundError(f"missing checkpoint for rank {view.rank}")
+            finished = set.intersection(*(v.finished_groups for v in views))
         self.launcher.restart_server(finished, now)
 
     # ------------------------------------------------------------------ #

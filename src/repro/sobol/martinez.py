@@ -333,6 +333,13 @@ class UbiquitousSobolField:
         self.flush(timestep)
         return self._mean[timestep, 0]
 
+    def ab_moments(self, timestep: int) -> Tuple[int, np.ndarray, np.ndarray]:
+        """``(count, mean, m2)`` of the A and B streams at one timestep:
+        ``count`` groups each, ``(2, ncells)`` views of the running state
+        (the :class:`~repro.stats.protocol.StatContext` seam)."""
+        self.flush(timestep)
+        return int(self._counts[timestep]), self._mean[timestep, :2], self._m2[timestep, :2]
+
     # ------------------------------------------------------------------ #
     # convergence scalar
     # ------------------------------------------------------------------ #

@@ -14,7 +14,6 @@ hpc-parallel guide: prefer ``a += b`` to ``a = a + b``).
 
 from __future__ import annotations
 
-import threading
 from typing import Iterable, Optional, Tuple, Union
 
 import numpy as np
@@ -22,24 +21,6 @@ import numpy as np
 ArrayLike = Union[float, np.ndarray]
 
 _VALID_ORDERS = (1, 2, 3, 4)
-
-
-class _Scratch(threading.local):
-    """``shape -> (delta, delta_n)`` work arrays of the order-2 update,
-    shared by every instance of that shape.  Their contents are dead
-    between calls; one set per thread because catalog rows fold on a pool."""
-
-    def __init__(self):
-        self.pairs = {}
-
-    def pair(self, shape: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray]:
-        pair = self.pairs.get(shape)
-        if pair is None:
-            pair = self.pairs[shape] = (np.empty(shape), np.empty(shape))
-        return pair
-
-
-_scratch = _Scratch()
 
 
 def _as_field(x: ArrayLike, shape: Tuple[int, ...], dtype=np.float64) -> np.ndarray:
@@ -93,18 +74,6 @@ class IterativeMoments:
         x = _as_field(sample, self.shape)
         n1 = self.count
         self.count = n = n1 + 1
-        if self.order == 2:
-            # the default statistic, twice per message: the operations of
-            # the general branch below in the same order (bit-identical),
-            # written into shared scratch instead of four fresh temporaries
-            delta, delta_n = _scratch.pair(self.shape)
-            np.subtract(x, self.mean, out=delta)
-            np.divide(delta, n, out=delta_n)
-            np.multiply(delta, delta_n, out=delta)
-            np.multiply(delta, n1, out=delta)
-            self.m2 += delta
-            self.mean += delta_n
-            return
         delta = x - self.mean
         delta_n = delta / n
         if self.order >= 2:

@@ -11,6 +11,7 @@ checkpoint, and assembly layers never name a concrete statistic.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -49,7 +50,9 @@ class StatisticsPipeline:
         for spec in self.specs:
             name, params = parse_spec(spec)
             cls = lookup(name)
-            row = [cls(ctx, params) for _ in range(self.ntimesteps)]
+            row = [
+                cls(replace(ctx, timestep=t), params) for t in range(self.ntimesteps)
+            ]
             for result in row[0].result_names:
                 if result in seen:
                     raise ValueError(
@@ -58,6 +61,8 @@ class StatisticsPipeline:
                     )
                 seen[result] = spec
             self._rows.append(row)
+        #: rows that fold messages; the others read their state elsewhere
+        self._streaming = [i for i, row in enumerate(self._rows) if row[0].streams]
 
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
@@ -96,14 +101,14 @@ class StatisticsPipeline:
 
     def update(self, timestep: int, group_buffer: np.ndarray) -> None:
         """Fold one complete group buffer into every statistic at ``timestep``."""
-        if self.fold_threads > 1 and len(self._rows) > 1:
+        if self.fold_threads > 1 and len(self._streaming) > 1:
             self._dispatch([
-                (lambda inst=row[timestep]: inst.update_group(group_buffer))
-                for row in self._rows
+                (lambda inst=self._rows[i][timestep]: inst.update_group(group_buffer))
+                for i in self._streaming
             ])
             return
-        for row in self._rows:
-            row[timestep].update_group(group_buffer)
+        for i in self._streaming:
+            self._rows[i][timestep].update_group(group_buffer)
 
     def update_timed(
         self, timestep: int, group_buffer: np.ndarray, observers
@@ -124,10 +129,7 @@ class StatisticsPipeline:
                 observer.observe(perf() - t0)
             return run
 
-        tasks = [
-            timed(row[timestep], observer)
-            for row, observer in zip(self._rows, observers)
-        ]
+        tasks = [timed(self._rows[i][timestep], observers[i]) for i in self._streaming]
         if self.fold_threads > 1 and len(tasks) > 1:
             self._dispatch(tasks)
         else:

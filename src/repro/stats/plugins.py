@@ -20,7 +20,14 @@ from repro.stats.protocol import FieldStatistic, StatContext, register
 
 @register
 class MomentsStatistic(FieldStatistic):
-    """Central moments (mean .. kurtosis) of the A/B member streams."""
+    """Central moments (mean .. kurtosis) of the A/B member streams.
+
+    At order <= 2 on a server rank (``ctx.ab_moments`` set) nothing is
+    kept or folded: count, mean and M2 are the Chan combination of the
+    Sobol' engine's own A-row and B-row moments, read when asked for.
+    Its state_dict then carries no arrays; the engine's state holds them.
+    Order 3-4, and any instance without the seam, streams the rows.
+    """
 
     name = "moments"
     description = "one-pass central moments: mean, variance, skewness, kurtosis"
@@ -31,7 +38,24 @@ class MomentsStatistic(FieldStatistic):
     def __init__(self, ctx: StatContext, params=None):
         super().__init__(ctx, params)
         self.order = int(self.params["order"])
-        self._moments = IterativeMoments(self.shape, order=self.order)
+        self.streams = self.order > 2 or ctx.ab_moments is None
+        self._stream = (
+            IterativeMoments(self.shape, order=self.order) if self.streams else None
+        )
+
+    @property
+    def _moments(self) -> IterativeMoments:
+        if self._stream is not None:
+            return self._stream
+        count, mean, m2 = self.ctx.ab_moments(self.ctx.timestep)
+        a, b = (
+            IterativeMoments.from_state_dict(
+                {"count": count, "order": self.order, "mean": mean[i], "m2": m2[i]}
+            )
+            for i in (0, 1)
+        )
+        a.merge(b)
+        return a
 
     @classmethod
     def canonical_value(cls, key: str, value: str) -> str:
@@ -41,19 +65,28 @@ class MomentsStatistic(FieldStatistic):
         return canon
 
     def update(self, sample: np.ndarray) -> None:
-        self._moments.update(sample)
+        self._stream.update(sample)
 
     def merge(self, other: "MomentsStatistic") -> None:
-        self._moments.merge(other._moments)
+        if self._stream is None or other._stream is None:
+            raise ValueError(
+                "moments read from a rank's Sobol' engine merge with the engine"
+            )
+        self._stream.merge(other._stream)
 
     def state_dict(self) -> dict:
-        return self._moments.state_dict()
+        if self._stream is None:
+            return {"order": self.order}
+        return self._stream.state_dict()
 
     def load_state(self, state: dict) -> None:
-        moments = IterativeMoments.from_state_dict(state)
-        if moments.shape != self.shape or moments.order != self.order:
+        if state.get("order") != self.order or ("mean" in state) != self.streams:
             raise ValueError("moments state does not match configured statistic")
-        self._moments = moments
+        if self.streams:
+            moments = IterativeMoments.from_state_dict(state)
+            if moments.shape != self.shape:
+                raise ValueError("moments state does not match configured statistic")
+            self._stream = moments
 
     @property
     def result_names(self) -> Tuple[str, ...]:

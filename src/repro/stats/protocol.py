@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass
-from typing import ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple, Type
+from typing import Callable, ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
@@ -60,11 +60,20 @@ class StatContext:
     ``shape`` is the local field partition shape (one server rank's cell
     range), NOT the global mesh — statistics are built per rank and their
     results concatenated along the last axis.
+
+    On a server rank ``ab_moments(timestep)`` returns ``(count, mean, m2)``
+    of the A and B member streams the Sobol' engine already folds
+    (``mean`` / ``m2`` shaped ``(2, *shape)``, ``count`` groups per
+    stream); a statistic that is a function of those moments reads them
+    instead of streaming the rows a second time.  ``timestep`` is the one
+    this instance serves (the pipeline sets it per row).
     """
 
     shape: Tuple[int, ...]
     nparams: int
     parameter_names: Tuple[str, ...] = ()
+    timestep: int = 0
+    ab_moments: Optional[Callable[[int], Tuple[int, np.ndarray, np.ndarray]]] = None
 
     def __post_init__(self):
         object.__setattr__(self, "shape", tuple(self.shape))
@@ -110,6 +119,9 @@ class FieldStatistic:
         replay, and cross-runtime runs reproduce sequential results to
         rtol 1e-10.  Sketches whose merge is approximate set this False
         and are documented as best-effort under faults.
+    streams:
+        False on an instance that reads its numbers from ``ctx.ab_moments``
+        and folds nothing: the pipeline then never calls its updates.
     """
 
     name: ClassVar[str] = ""
@@ -117,6 +129,7 @@ class FieldStatistic:
     PARAMS: ClassVar[Dict[str, Optional[str]]] = {}
     kind: ClassVar[str] = "member"
     exact_merge: ClassVar[bool] = True
+    streams: bool = True
 
     def __init__(self, ctx: StatContext, params: Optional[Mapping[str, str]] = None):
         self.ctx = ctx

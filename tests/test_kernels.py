@@ -4,13 +4,17 @@ Every available backend must reproduce the two-pass reference
 (``tests/sobol_reference.py``) to rtol 1e-10 across the regimes that
 stress different code paths: ragged micro-batches (force-folds and flush
 remainders), single-group folds (batch_size=1, the degenerate
-contraction), and checkpoint round-trips (state is backend-agnostic).  Selection covers the ``auto`` rule (first
+contraction), and checkpoint round-trips (state is backend-agnostic).
+The C kernel's tile tails (windows ending inside, at and just past a
+tile, on the unrolled and the generic path) are checked against einsum,
+and its thread shards bit for bit.  Selection covers the ``auto`` rule (first
 available of cext, numba, einsum, decided at construction, nothing
 measured) and the graceful fallback when an explicitly requested
 optional backend (numba, cext) is missing on the host.
 """
 
 import os
+import re
 import warnings
 
 import numpy as np
@@ -25,9 +29,12 @@ from repro.kernels import (
     resolve_spec,
 )
 from repro.kernels import numba_backend
+from repro.kernels.parallel import ParallelFolder, fold_window
 from repro.sobol.martinez import UbiquitousSobolField
 
 from sobol_reference import (
+    ATOL,
+    RTOL,
     assert_matches_two_pass,
     feed,
     random_stream,
@@ -246,6 +253,71 @@ class TestOptionalBackends:
         with pytest.warns(RuntimeWarning, match="cext"):
             field = UbiquitousSobolField(2, 1, 5, kernel="cext")
         assert field.kernel_name == "einsum"
+
+
+# --------------------------------------------------------------------- #
+# the cext tile: windows ending inside, at, and just past a tile
+# --------------------------------------------------------------------- #
+#: the C kernel's tile width, read from its source
+NT = int(re.search(r"#define NT (\d+)", cext._SOURCE.read_text()).group(1))
+TAIL_WIDTHS = sorted({1, NT - 1, NT, NT + 1, 8191, 8192, 8193, 10000})
+
+
+def tail_case(p, width, seed, nb=5):
+    """``nb`` member slabs and a running state of one window width."""
+    rng = np.random.default_rng(seed)
+    slabs = list(rng.normal(size=(nb, p + 2, width)))
+    state = (
+        rng.normal(size=(p + 2, width)),
+        rng.random((p + 2, width)),
+        rng.normal(size=(2, p, width)),
+    )
+    return slabs, state
+
+
+@pytest.mark.skipif("cext" not in BACKENDS, reason="no C compiler")
+class TestCextTileTails:
+    """p <= 8 runs the unrolled specialisations, p = 9 the generic path;
+    ``na == 0`` assigns the batch, ``na > 0`` combines it."""
+
+    @pytest.mark.parametrize("na", [0, 23])
+    @pytest.mark.parametrize("p", [1, 6, 8, 9])
+    @pytest.mark.parametrize("width", TAIL_WIDTHS)
+    def test_fold_into_and_fold_block_match_einsum(self, width, p, na):
+        slabs, state = tail_case(p, width, seed=width * 10 + p)
+        nb = len(slabs)
+        fast = make_kernel("cext", p, nb, width)
+        ref = make_kernel("einsum", p, nb, width)
+        assert fast.name == "cext"
+        # fold_block: the raw sums, centred by the Python side
+        for got, want in zip(fast.fold_batch(slabs, 0, width),
+                             ref.fold_batch(slabs, 0, width)):
+            np.testing.assert_allclose(got, want, rtol=RTOL, atol=ATOL)
+        # fold_into: the fused fold against einsum plus the NumPy combine
+        got = [a.copy() for a in state]
+        want = [a.copy() for a in state]
+        r1 = np.empty((2, p, width))
+        fold_window(fast, slabs, 0, width, *got, na, r1)
+        fold_window(ref, slabs, 0, width, *want, na, r1)
+        for name, g, w in zip(("mean", "m2", "cxy"), got, want):
+            np.testing.assert_allclose(g, w, rtol=RTOL, atol=ATOL, err_msg=name)
+
+    @pytest.mark.parametrize("na", [0, 23])
+    @pytest.mark.parametrize("p", [6, 9])
+    @pytest.mark.parametrize("width", TAIL_WIDTHS)
+    def test_parallel_folder_is_the_whole_window_fold(self, width, p, na):
+        """Shards cut the window at block edges that are not tile edges;
+        each cell still sees the same operations: bit-identical."""
+        slabs, state = tail_case(p, width, seed=width * 10 + p + 1)
+        nb = len(slabs)
+        whole = [a.copy() for a in state]
+        fold_window(make_kernel("cext", p, nb, width), slabs, 0, width,
+                    *whole, na, np.empty((2, p, width)))
+        sharded = [a.copy() for a in state]
+        folder = ParallelFolder("cext", p, nb, -(-width // 3), 3)
+        folder.fold(slabs, width, *sharded, na)
+        for name, s, w in zip(("mean", "m2", "cxy"), sharded, whole):
+            np.testing.assert_array_equal(s, w, err_msg=name)
 
 
 # --------------------------------------------------------------------- #

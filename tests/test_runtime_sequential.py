@@ -5,13 +5,18 @@ statistics to an unfaulted run of the same seed, because restarts replay
 the same pick-freeze rows and discard-on-replay deduplicates them.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro import SensitivityStudy
 from repro.core import StudyConfig
+from repro.core.checkpoint import CheckpointManager
 from repro.core.convergence import ConvergenceController
 from repro.core.group import FunctionSimulation
+from repro.core.server import MelissaServer
 from repro.faults import (
     DuplicateDelivery,
     FaultPlan,
@@ -266,6 +271,60 @@ class TestServerCrashRecovery:
         )
         assert runtime.launcher.server_restarts == 2
         assert results.groups_integrated == 20
+
+    def test_recovery_releases_the_crashed_server_before_reading(
+        self, tmp_path, monkeypatch
+    ):
+        """The launcher's read of the checkpoint never overlaps the
+        crashed server: it is unreachable (refcount, not the cyclic GC)
+        before the first rank file is loaded."""
+        fn, config = ishigami_config(
+            25, ntimesteps=10, checkpoint_interval=3.0,
+            server_timeout=8.0, total_nodes=24,
+        )
+        runtime = SequentialRuntime(
+            config, ishigami_factory(fn, 10), checkpoint_dir=tmp_path,
+            fault_plan=FaultPlan(server_crashes=[ServerCrash(at_time=6.0)]),
+        )
+        crashed, alive_at_read = [], []
+        recover = runtime._recover_server
+
+        def watched(now):
+            crashed.append(weakref.ref(runtime.server))
+            recover(now)
+
+        load = CheckpointManager.load_rank_state
+
+        def spied(manager, rank, cfg):
+            if crashed:
+                alive_at_read.append(crashed[-1]() is not None)
+            return load(manager, rank, cfg)
+
+        monkeypatch.setattr(runtime, "_recover_server", watched)
+        monkeypatch.setattr(CheckpointManager, "load_rank_state", spied)
+        gc.disable()
+        try:
+            results = runtime.run(max_time=50_000)
+        finally:
+            gc.enable()
+        assert len(crashed) == 1 and results.groups_integrated == 25
+        assert alive_at_read and not any(alive_at_read)
+
+    def test_recovery_refuses_missing_or_foreign_rank_files(self, tmp_path):
+        fn, config = ishigami_config(6, ncells=4, server_ranks=2)
+        manager = CheckpointManager(tmp_path)
+        manager.save(MelissaServer(config))
+        manager.rank_path(1).unlink()
+        runtime = SequentialRuntime(
+            config, ishigami_factory(fn), checkpoint_dir=tmp_path
+        )
+        with pytest.raises(FileNotFoundError, match="rank 1"):
+            runtime._recover_server(0.0)
+        # the fingerprint check stays: a rank file of another study
+        _, other = ishigami_config(6, ncells=4, server_ranks=2, ntimesteps=3)
+        manager.save_rank(MelissaServer(other).ranks[1], other)
+        with pytest.raises(ValueError, match="incompatible study"):
+            runtime._recover_server(0.0)
 
 
 class TestConvergenceStop:

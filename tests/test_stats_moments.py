@@ -218,11 +218,11 @@ def test_property_variance_nonnegative(values):
 
 
 # ---------------------------------------------------------------------- #
-# order-2 update: scratch form vs the expression form it replaced
+# order-2 update against its expression form
 # ---------------------------------------------------------------------- #
 def expression_update(state, x):
-    """The order-2 update as it was written before it used shared scratch
-    (four temporaries per call); the bit-exact reference."""
+    """The order-2 (Welford) update as one expression per line; the
+    bit-exact reference."""
     n1 = state["count"]
     state["count"] = n = n1 + 1
     delta = x - state["mean"]
@@ -241,8 +241,7 @@ finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, width=64)
 )
 @settings(max_examples=40, deadline=None)
 def test_property_order2_update_is_bit_identical(shape, data):
-    # two instances of one shape take turns, so each update finds the
-    # shared scratch as the other instance left it
+    # two instances of one shape take turns: neither sees the other's work
     streams = [
         data.draw(st.lists(arrays(np.float64, shape, elements=finite),
                            min_size=1, max_size=12))
