@@ -10,16 +10,18 @@ additionally owns the launcher-side bookkeeping of Sec. 4.2.2:
   end of the study, ship their rank state (+ batched index maps and
   convergence scalar) back;
 * **group workers** request work and receive the partition + address
-  table on connect.  One control frame per group: ``{"op": "next",
-  "done": [...]}`` asks for the next group and carries the ids of the
-  groups whose every frame the receiving ranks have acknowledged
-  (handled: staged or folded) since the last request.  A worker asks as soon as
-  a group's last frame is handed to its channels, so it **holds**
-  several groups at once — the one it runs plus those sent but not yet
-  acknowledged — and every held group is in flight for all bookkeeping
-  below: worker loss resubmits each, a rank respawn marks each attempt
-  stale, the first completion settles duplicates, the study is not
-  settled while any is held.  ``next`` is a **long poll**: when there is
+  table on connect.  One control frame per *lease*: ``{"op": "next",
+  "done": [...]}`` asks for more work and carries the ids of the groups
+  whose every frame the receiving ranks have acknowledged (handled:
+  staged or folded) since the last request; the reply ``{"op": "group",
+  "group_ids": [...]}`` leases one or more groups (see :meth:`_assign`).
+  A worker asks as soon as its lease's last frame is handed to its
+  channels, so it **holds** several groups at once — leased, running,
+  or sent but not yet acknowledged, at most :data:`MAX_HELD_GROUPS` —
+  and every held group is in flight for all bookkeeping below: worker
+  loss resubmits each, a rank respawn marks each attempt stale, the
+  first completion settles duplicates, the study is not settled while
+  any is held.  ``next`` is a **long poll**: when there is
   nothing to hand out yet (groups settled but rank states missing,
   speculation not due, work-stealing hold-back) the request is parked
   and answered in the loop turn whose event resolves it (a rank state, a
@@ -89,6 +91,12 @@ from repro.net.framing import (
 from repro.mesh.partition import BlockPartition
 from repro.telemetry.logs import get_logger, ids
 from repro.transport.message import ConnectionReply, ConnectionRequest, Heartbeat
+
+#: most groups one worker holds — leased, running, or sent but not yet
+#: acknowledged.  Both sides read it: the coordinator never leases past
+#: it, and a worker holding this many waits for the oldest before asking
+#: again, so a worker loss resubmits at most this many groups.
+MAX_HELD_GROUPS = 8
 
 
 class StudyAborted(RuntimeError):
@@ -171,7 +179,7 @@ class Coordinator:
         ``config.group_timeout``.
     fault_kill_after:
         Test hook — after handing out this many group assignments
-        (1-based), SIGKILL the worker process that received the last one
+        (1-based), SIGKILL the worker process whose lease holds the last one
         (requires the worker's ``hello`` to carry its pid, which the
         loopback runtime's workers do).  Exercises the resubmission path
         deterministically.
@@ -300,7 +308,8 @@ class Coordinator:
         self._changed = threading.Condition(self._lock)
         self._pending = deque(range(config.ngroups))
         # worker id -> the groups it holds, oldest first: sent but not
-        # yet acknowledged by the ranks, then (last) the one it is running
+        # yet acknowledged by the ranks, then the one it is running and
+        # the rest of its lease
         self._assigned: Dict[int, List[int]] = {}
         self._retries: Dict[int, int] = {}
         self.done: Set[int] = set()
@@ -321,7 +330,8 @@ class Coordinator:
         self._worker_elastic: Dict[int, bool] = {}
         self._retired_wids: Set[int] = set()
         self._rank_generations: Dict[int, int] = {}
-        self._assign_count = 0
+        self._assign_count = 0  # groups handed out, speculative included
+        self._leases = 0  # ``group`` replies carrying them
         self._rank_addresses: Dict[int, Tuple[str, int]] = {}
         self._rank_conns: Dict[int, Any] = {}
         self.rank_states: Dict[int, dict] = {}
@@ -421,6 +431,10 @@ class Coordinator:
                 "interrupted": len(self.interrupted),
                 "rank_respawns": len(self.rank_respawns),
                 "abandoned": len(self.abandoned),
+                "leases": self._leases,
+                "groups_per_lease": (
+                    self._assign_count / self._leases if self._leases else 0.0
+                ),
             }
             if self.policy is not None:
                 view["ewma"] = {
@@ -1112,10 +1126,17 @@ class Coordinator:
         return True
 
     def _assign(self, wid: int):
-        """Next work item for a worker: a group, a speculative re-run of
-        a straggling group, a retire order (elastic drain), done, or an
-        ``idle`` verdict — nothing to say yet; never sent, the request is
-        parked (see :meth:`_answer_next`)."""
+        """Next work item for a worker: a lease of groups, a speculative
+        re-run of a straggling group, a retire order (elastic drain),
+        done, or an ``idle`` verdict — nothing to say yet; never sent,
+        the request is parked (see :meth:`_answer_next`).
+
+        A lease is ``min(MAX_HELD_GROUPS - groups the worker holds,
+        pending // (2 * live workers))`` groups, at least one, each a held
+        attempt from now on; half the queue stays for the rest of the
+        fleet.  With a scheduling policy the lease is one group: its
+        per-group clock starts at assignment, so groups queued behind a
+        longer lease would look overdue and draw speculative copies."""
         with self._changed:
             now = time.monotonic()
             if (
@@ -1153,6 +1174,7 @@ class Coordinator:
                     # this idle worker too; first completion wins
                     self._hold(wid, gid)
                     self._assign_count += 1
+                    self._leases += 1
                     self._speculative_attempts.add((wid, gid))
                     self.speculated.append(gid)
                     self.policy.record_speculation(gid)
@@ -1165,7 +1187,7 @@ class Coordinator:
                         f"{self._worker_names.get(wid, wid)}",
                     )
                     self._changed.notify_all()
-                    return {"op": "group", "group_id": gid}, None
+                    return {"op": "group", "group_ids": [gid]}, None
                 # workers still hold groups that may yet be resubmitted;
                 # stay around
                 return {"op": "idle"}, None
@@ -1176,21 +1198,23 @@ class Coordinator:
                 # queue tail fits in the fast workers' hands — defer it
                 self._m_holdbacks.inc()
                 return {"op": "idle"}, None
-            gid = self._pending.popleft()
-            self._hold(wid, gid)
-            if self.policy is not None:
-                self.policy.assigned(wid, gid, now)
-            self._start_attempt(wid, gid)
-            self._assign_count += 1
+            size = 1 if self.policy is not None else max(1, min(
+                MAX_HELD_GROUPS - len(self._assigned.get(wid, ())),
+                len(self._pending) // (2 * max(1, len(self._worker_conns))),
+            ))
+            gids = [self._pending.popleft() for _ in range(size)]
             kill_pid = None
-            if (
-                self.fault_kill_after is not None
-                and self._assign_count == self.fault_kill_after
-                and self._worker_pids.get(wid)
-            ):
-                kill_pid = self._worker_pids[wid]
+            for gid in gids:
+                self._hold(wid, gid)
+                if self.policy is not None:
+                    self.policy.assigned(wid, gid, now)
+                self._start_attempt(wid, gid)
+                self._assign_count += 1
+                if self._assign_count == self.fault_kill_after:
+                    kill_pid = self._worker_pids.get(wid)
+            self._leases += 1
             self._changed.notify_all()
-            return {"op": "group", "group_id": gid}, kill_pid
+            return {"op": "group", "group_ids": gids}, kill_pid
 
     def _speculation_candidate(self, wid: int, now: float) -> Optional[int]:
         """Straggling group worth re-issuing to idle worker ``wid`` (lock
@@ -1308,9 +1332,9 @@ class Coordinator:
 
     def _resubmit_if_assigned(self, wid: int) -> None:
         """Sec. 4.2.2 fault path: the worker died holding groups — the
-        one it was running and those it had sent whose frames the ranks
-        had not acknowledged (a dead worker's outbox is gone, so neither
-        kind can be proven delivered)."""
+        rest of its lease, the one it was running, and those it had sent
+        whose frames the ranks had not acknowledged (a dead worker's
+        outbox is gone, so none can be proven delivered)."""
         forget: List[int] = []
         with self._changed:
             for gid in self._assigned.pop(wid, ()):

@@ -7,15 +7,17 @@ that pulls group ids from the coordinator, runs each
 field messages to the server ranks over direct socket channels.
 
 The worker never waits on a round trip it does not need (the paper's
-groups stream without waiting on the server, Sec. 4.1.3).  When a
-group's last frame has been handed to the channels, the worker records
-each channel's *sent* cursor and asks for the next group at once; the
-finished group stays **held** until every receiving rank's
-*acknowledged* cursor has passed its mark — the ranks have then handled
-each of its frames — and only then is it reported, on the ``done`` list
-of a later ``{"op": "next", "done": [...]}`` request: one control frame
-per group.  The worker blocks in exactly three places, each on an event
-and none on a timer:
+groups stream without waiting on the server, Sec. 4.1.3).  The
+coordinator answers each ``next`` with a **lease** of one or more
+groups, which the worker runs in order.  When a group's last frame has
+been handed to the channels, the worker records each channel's *sent*
+cursor and moves on at once; the finished group stays **held** until
+every receiving rank's *acknowledged* cursor has passed its mark — the
+ranks have then handled each of its frames — and only then is it
+reported, on the ``done`` list of the ``{"op": "next", "done": [...]}``
+request that follows the lease: one control frame per lease.  The
+worker blocks in exactly three places, each on an event and none on a
+timer:
 
 * a suspended (``BLOCKED``) group waits for the rank to make room in the
   channel that refused its frame (``poll_interval`` is only the ceiling);
@@ -25,9 +27,9 @@ and none on a timer:
   ``settle``: wait for the ranks' cursors, then ask again;
 * with :data:`MAX_HELD_GROUPS` held, it waits for the oldest.
 
-All three beat in heartbeat-sized slices.  A worker never holds a group
-it has not started, so what a worker loss costs is bounded by the
-channels' in-flight budget.
+All three beat in heartbeat-sized slices.  A worker holds at most
+:data:`MAX_HELD_GROUPS` groups — leased, running, or sent and
+unacknowledged — so that bounds what a worker loss costs.
 
 The :class:`SocketRouter` is the TCP implementation of
 :class:`~repro.transport.base.TransportClient`: the dynamic-connection
@@ -66,7 +68,7 @@ from repro.core.group import (
 from repro.mesh.partition import BlockPartition
 from repro.net.channel import open_data_channel
 from repro.transport.channel import ChannelClosed
-from repro.net.coordinator import study_fingerprint, study_id
+from repro.net.coordinator import MAX_HELD_GROUPS, study_fingerprint, study_id
 from repro.net.framing import (
     AddressedReply,
     ConnectionLost,
@@ -86,12 +88,6 @@ from repro.transport.message import (
 )
 
 FAULT_ENV = "REPRO_WORK_FAULT"
-
-#: most groups a worker holds sent-but-unacknowledged before it waits for
-#: the oldest.  The channels' in-flight byte budget usually binds first;
-#: this keeps the set a worker loss resubmits small when that budget is
-#: unbounded (``channel_capacity_bytes=None``) or the groups are tiny.
-MAX_HELD_GROUPS = 8
 
 
 class _WorkerFaultInjector:
@@ -341,6 +337,39 @@ class SocketRouter:
         self._refused = None
 
 
+def settle_held(
+    router, held: Deque[Tuple[int, Dict[Any, int]]], done: List[int],
+    at_least: int, timeout: float, beat, beat_interval: float, name: str,
+) -> None:
+    """Move to ``done`` the ``held`` (group id, sent cursors) every
+    receiving rank has passed the marks of — the delivery guarantee
+    behind ``done``.  Blocks until ``at_least`` of them moved (0: never
+    blocks), calling ``beat`` every ``beat_interval`` seconds: a long
+    back-pressured drain must not look like control-plane silence to the
+    coordinator.  Each group gets ``timeout`` seconds from the moment the
+    one before it moved, so a slow rank draining a long list is not
+    mistaken for a lost acknowledgement."""
+    moved = 0
+    deadline = time.monotonic() + timeout
+    while held:
+        group_id, marks = held[0]
+        if not router.acked(marks):
+            if moved >= at_least:
+                break
+            if not router.wait_acked(marks, timeout=beat_interval):
+                if time.monotonic() >= deadline:
+                    raise TimeoutError(
+                        f"{name}: group {group_id} not acknowledged by "
+                        f"the server ranks after {timeout}s"
+                    )
+                beat()
+                continue
+        held.popleft()
+        done.append(group_id)
+        moved += 1
+        deadline = time.monotonic() + timeout
+
+
 # --------------------------------------------------------------------- #
 def run_worker(
     config: StudyConfig,
@@ -445,43 +474,23 @@ def run_worker(
         done: List[int] = []
 
         def settle(at_least: int) -> None:
-            """Move to ``done`` the held groups every receiving rank has
-            passed the marks of — the delivery guarantee behind ``done``.
-            Blocks until ``at_least`` of them moved (0: never blocks), in
-            heartbeat-sized slices: a long back-pressured drain must not
-            look like control-plane silence to the coordinator (which
-            reaps workers after worker_timeout without a frame)."""
-            moved = 0
-            deadline = time.monotonic() + config.group_timeout
-            while held:
-                group_id, marks = held[0]
-                if not router.acked(marks):
-                    if moved >= at_least:
-                        break
-                    if not router.wait_acked(marks, timeout=heartbeat_interval):
-                        if time.monotonic() >= deadline:
-                            raise TimeoutError(
-                                f"{name}: group {group_id} not acknowledged by "
-                                f"the server ranks after {config.group_timeout}s"
-                            )
-                        beat()
-                        continue
-                held.popleft()
-                done.append(group_id)
-                moved += 1
+            settle_held(
+                router, held, done, at_least, config.group_timeout, beat,
+                heartbeat_interval, name,
+            )
 
-        def interrupted(running: Optional[int]) -> None:
+        def interrupted(unfinished=()) -> None:
             """A server rank died (Sec. 4.2.3).  Nothing this worker still
-            holds can be proven delivered any more: drop every attempt,
-            tell the coordinator (it requeues them without charging their
+            holds can be proven delivered any more: drop every attempt —
+            the sent ones and the ``unfinished`` rest of the lease — tell
+            the coordinator (it requeues them without charging their
             retry budget), and forget the rendezvous so the next connect
             picks up the respawned rank's fresh address — blocking until
             it exists."""
             router.reset()
             lost = [group_id for group_id, _ in held]
             held.clear()
-            if running is not None:
-                lost.append(running)
+            lost.extend(unfinished)
             for group_id in lost:
                 log.warning(
                     "group interrupted by a dead rank channel",
@@ -496,9 +505,9 @@ def run_worker(
             try:
                 settle(1 if len(held) >= MAX_HELD_GROUPS else 0)
             except ChannelClosed:
-                interrupted(None)
+                interrupted()
                 continue
-            # one control frame per group: the request for the next one
+            # one control frame per lease: the request for the next one
             # carries the ids acknowledged since the last request
             ctrl.send({"op": "next", "done": done})
             done.clear()
@@ -519,56 +528,62 @@ def run_worker(
                 try:
                     settle(len(held))
                 except ChannelClosed:
-                    interrupted(None)
+                    interrupted()
                 continue
             if op == "error":
                 raise RuntimeError(f"coordinator error: {frame['error']}")
             if op != "group":
                 raise RuntimeError(f"unexpected assignment frame: {frame!r}")
-            group_id = int(frame["group_id"])
+            # the lease: run its groups in order.  The coordinator counts
+            # every one as held from now on, so a vanished coordinator
+            # anywhere in it is a real failure (non-zero exit)
+            lease = deque(int(gid) for gid in frame["group_ids"])
             in_group = True
-            if router.any_broken():
-                # a rank died while this worker sat idle: re-ask the
-                # rendezvous up front instead of burning the first
-                # delivery on a dead channel
-                interrupted(None)
-            group_started = time.time()
-            try:
-                executor = GroupExecutor(
-                    SimulationGroup.from_design(design, group_id),
-                    factory,
-                    config,
-                    router,
+            while lease:
+                group_id = lease.popleft()
+                if router.any_broken():
+                    # a rank died since the last group: re-ask the
+                    # rendezvous up front instead of burning the first
+                    # delivery on a dead channel
+                    interrupted()
+                group_started = time.time()
+                try:
+                    executor = GroupExecutor(
+                        SimulationGroup.from_design(design, group_id),
+                        factory,
+                        config,
+                        router,
+                    )
+                    executor.initialize()
+                    while executor.state != GroupState.FINISHED:
+                        state = executor.process_step()
+                        if state == GroupState.BLOCKED:
+                            # ZeroMQ-style suspension: both buffers full.
+                            # Wait for the rank to make room, not a timer
+                            router.wait_progress(poll_interval)
+                        if time.monotonic() - last_beat >= heartbeat_interval:
+                            beat()
+                except ChannelClosed:
+                    # the running group and the unstarted rest of the
+                    # lease go back to the queue, none charged a retry
+                    interrupted([group_id, *lease])
+                    break
+                # every frame is handed over; the group is reported done
+                # on a later ``next``, once the ranks have passed these marks
+                held.append((group_id, router.marks()))
+                group_seconds = time.time() - group_started
+                if telemetry_on:
+                    h_group.observe(group_seconds, worker=name)
+                    spans.append(span_record(
+                        f"simulate group {group_id}", "worker",
+                        group_started, time.time(), tid=name,
+                        args={"group": group_id},
+                    ))
+                log.info(
+                    "group sent in %.3fs", group_seconds,
+                    extra={"repro_ids": {"group": group_id}},
                 )
-                executor.initialize()
-                while executor.state != GroupState.FINISHED:
-                    state = executor.process_step()
-                    if state == GroupState.BLOCKED:
-                        # ZeroMQ-style suspension: both buffers full.
-                        # Wait for the rank to make room, not for a timer
-                        router.wait_progress(poll_interval)
-                    if time.monotonic() - last_beat >= heartbeat_interval:
-                        beat()
-            except ChannelClosed:
-                interrupted(group_id)
-                in_group = False
-                continue
-            # every frame is handed over; the group is reported done on a
-            # later ``next``, once the ranks have passed these marks
-            held.append((group_id, router.marks()))
             in_group = False
-            group_seconds = time.time() - group_started
-            if telemetry_on:
-                h_group.observe(group_seconds, worker=name)
-                spans.append(span_record(
-                    f"simulate group {group_id}", "worker",
-                    group_started, time.time(), tid=name,
-                    args={"group": group_id},
-                ))
-            log.info(
-                "group sent in %.3fs", group_seconds,
-                extra={"repro_ids": {"group": group_id}},
-            )
         try:
             # final metric flush, then the goodbye carries this worker's
             # aggregate send-side ChannelStats for the end-of-run summary
@@ -580,9 +595,9 @@ def run_worker(
         log.info("leaving study")
         return 0
     except (ConnectionLost, OSError):
-        # the coordinator went away.  Between groups (a parked ``next``,
+        # the coordinator went away.  Between leases (a parked ``next``,
         # waiting for acknowledgements) that is how a completed study
-        # looks to a straggling worker — exit cleanly; mid-group it is a
+        # looks to a straggling worker — exit cleanly; mid-lease it is a
         # real failure.
         return 1 if in_group else 0
     except BaseException:

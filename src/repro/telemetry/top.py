@@ -94,6 +94,10 @@ def render_frame(frame: Optional[dict]) -> str:
             progress.append(f"{label} {value}")
         elif value == 0 and key in ("queue_depth", "in_flight"):
             progress.append(f"{label} 0")
+    if study.get("leases"):
+        progress.append(
+            f"leases {study['leases']} ({study['groups_per_lease']:.1f} groups each)"
+        )
     convergence = frame.get("convergence")
     if convergence is not None:
         progress.append(f"max CI width {convergence:.4g}")

@@ -7,7 +7,9 @@ port) — the helpers here exist for the residual flake classes:
   a TIME_WAIT leftover: wrap the bind in :func:`retry_on_eaddrinuse`;
 * stochastic studies must seed every RNG they touch:
   :func:`seeded_rng` derives a deterministic per-test stream so reruns
-  and ``pytest -p no:randomly``-style orderings cannot change results.
+  and ``pytest -p no:randomly``-style orderings cannot change results;
+* a worker-loss assertion needs the coordinator's own view of what the
+  dead worker held: :func:`held_at_worker_loss` records it.
 """
 
 from __future__ import annotations
@@ -43,3 +45,23 @@ def retry_on_eaddrinuse(
 def seeded_rng(token: str) -> np.random.Generator:
     """Deterministic per-test generator: same token, same stream."""
     return np.random.default_rng(zlib.crc32(token.encode("utf-8")))
+
+
+def held_at_worker_loss(monkeypatch) -> list:
+    """Record, per lost worker, the groups the coordinator had assigned
+    to it at the moment it noticed the loss (workers holding nothing are
+    not recorded)."""
+    from repro.net.coordinator import Coordinator
+
+    lost: list = []
+    resubmit = Coordinator._resubmit_if_assigned
+
+    def recording(self, wid):
+        with self._changed:
+            held = list(self._assigned.get(wid, ()))
+        if held:
+            lost.append(held)
+        resubmit(self, wid)
+
+    monkeypatch.setattr(Coordinator, "_resubmit_if_assigned", recording)
+    return lost

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from net_util import retry_on_eaddrinuse, seeded_rng
+from net_util import held_at_worker_loss, retry_on_eaddrinuse, seeded_rng
 from repro import SensitivityStudy
 from repro.core import StudyConfig
 from repro.core.checkpoint import CheckpointManager
@@ -556,29 +556,21 @@ class TestWorkerCrash:
 
     @pytest.mark.parametrize("transport", ["tcp", "shm"])
     def test_sigkilled_worker_holding_several_groups_resubmits_each_once(
-        self, transport
+        self, transport, monkeypatch
     ):
-        """ISSUE 16: a worker runs ahead of the ranks' acknowledgements,
-        so when it is SIGKILLed it holds the group it was running AND the
-        ones it had sent that a (slow, nearly full) rank had not taken
-        into its inbox yet.  Each of them is resubmitted exactly once and
-        the maps still equal the sequential run."""
-        frame = 5 * (NCELLS // 2) * 8 + 64  # one rank's chunk of one group
-        fn, config = make_config(
-            12, ntimesteps=1, channel_capacity_bytes=3 * frame,
-            transport=transport,
-        )
-        plan = FaultPlan(
-            # the slow rank keeps its inbox full, so acknowledgements lag
-            server_rank_stragglers=[ServerRankStraggler(1, delay=0.03)],
-            worker_crashes=[WorkerCrash(0, after_messages=5)],
-        )
+        """A worker holds its whole lease — the groups it sent but has
+        not reported yet, the one it runs, the ones it has not started —
+        so when it is SIGKILLed mid-lease the coordinator knows exactly
+        what it loses: each of those groups is resubmitted exactly once
+        and the maps still equal the sequential run."""
+        lost = held_at_worker_loss(monkeypatch)
+        fn, config = make_config(12, ntimesteps=1, transport=transport)
+        plan = FaultPlan(worker_crashes=[WorkerCrash(0, after_messages=3)])
         runtime, results = run_distributed(
-            config, fn, nworkers=2, fault_plan=plan, rank_timeout=10.0,
+            config, fn, nworkers=2, fault_plan=plan,
         )
-        resubmitted = runtime.coordinator.resubmitted
-        assert len(resubmitted) >= 2, resubmitted  # more than the running one
-        assert len(set(resubmitted)) == len(resubmitted)  # each exactly once
+        assert len(lost) == 1, lost  # only the killed worker held groups
+        assert runtime.coordinator.resubmitted == lost[0]
         assert runtime.coordinator.abandoned == []
         assert runtime.coordinator.rank_respawns == []
         assert results.groups_integrated == 12

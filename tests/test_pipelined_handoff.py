@@ -1,32 +1,40 @@
 """Pipelined group hand-off: the asynchronous ``done`` report and the
 long-poll ``next`` (ISSUE 16).
 
-A worker asks for its next group as soon as the last frame of the current
-one is handed to its channels, and reports a group done — on the ``done``
-list of a later ``next`` — only once every receiving rank's acknowledged
-cursor has passed the mark it took then.  The coordinator treats every
-group a worker holds (running, or sent and unacknowledged) as in flight,
+The coordinator answers ``next`` with a lease of one or more groups; a
+worker asks again as soon as the last frame of its lease is handed to its
+channels, and reports a group done — on the ``done`` list of a later
+``next`` — only once every receiving rank's acknowledged cursor has
+passed the mark it took then.  The coordinator treats every group a
+worker holds (leased, running, or sent and unacknowledged) as in flight,
 and parks a ``next`` it cannot answer yet instead of telling the worker
 to sleep and retry.
 
 Nothing here is paced by ``sleep()``: the tests wait on the coordinator's
 own condition variable, on blocking socket reads, or drive the
-coordinator's loop turn by turn.
+coordinator's loop turn by turn; the settle deadline runs on a fake
+clock.  The one poll is bounded: the rank-death test waits for the
+worker's socket to see the dead rank's EOF.
 """
 
 import threading
 import time
+from collections import deque
 
 import numpy as np
 import pytest
 
-from net_util import retry_on_eaddrinuse
+from net_util import held_at_worker_loss, retry_on_eaddrinuse
 from repro.core import StudyConfig
 from repro.core.group import VectorFieldSimulation
+from repro.core.launcher import RankRespawnPolicy
+from repro.net import worker as worker_module
 from repro.net.channel import DataListener
-from repro.net.coordinator import Coordinator, study_fingerprint
+from repro.net.coordinator import MAX_HELD_GROUPS, Coordinator, study_fingerprint
 from repro.net.framing import connect_with_retry, frame_nbytes
+from repro.net.supervisor import RankSupervisor
 from repro.net.worker import run_worker
+from repro.runtime import DistributedRuntime, SequentialRuntime
 from repro.scheduler.policy import SchedulingPolicy, parse_scheduling
 from repro.sobol import IshigamiFunction
 from repro.transport.channel import BoundedChannel
@@ -154,7 +162,7 @@ def test_worker_runs_ahead_but_done_never_precedes_delivery(transport):
         listener.close()
         rank_ctrl.close()
     assert not worker.is_alive()
-    assert outcome == [0]  # between groups, a vanished coordinator is a clean exit
+    assert outcome == [0]  # between leases, a vanished coordinator is a clean exit
 
 
 # --------------------------------------------------------------------- #
@@ -164,9 +172,9 @@ class TestHeldGroupsBookkeeping:
     def _holding_two(self):
         fn, config = make_config(ngroups=4)
         coordinator = retry_on_eaddrinuse(lambda: Coordinator(config))
-        for expected in (0, 1):
-            reply, _ = coordinator._assign(0)
-            assert reply == {"op": "group", "group_id": expected}
+        # 4 pending, one worker: a lease of 4 // 2 = 2 groups
+        reply, _ = coordinator._assign(0)
+        assert reply == {"op": "group", "group_ids": [0, 1]}
         return coordinator
 
     def test_rank_respawn_marks_every_held_attempt_stale(self):
@@ -261,7 +269,7 @@ class TestHeldGroupsBookkeeping:
             coordinator._worker_conns = {0: object(), 5: object()}
             coordinator._worker_elastic[5] = True
             reply, _ = coordinator._assign(5)
-            assert reply == {"op": "group", "group_id": 0}
+            assert reply == {"op": "group", "group_ids": [0]}
             # the queue is drained, but group 0 is still unacknowledged
             again, _ = coordinator._assign(5)
             assert again["op"] == "idle"
@@ -317,7 +325,7 @@ class TestLongPollNext:
             a, wid_a = driver.join("a")
             b, wid_b = driver.join("b")
             driver.ask(a)
-            assert a.recv(timeout=10.0) == {"op": "group", "group_id": 0}
+            assert a.recv(timeout=10.0) == {"op": "group", "group_ids": [0]}
             # nothing to hand out, nothing held: parked, not answered
             driver.ask(b)
             assert list(coordinator._parked_next) == [wid_b]
@@ -330,7 +338,7 @@ class TestLongPollNext:
             assert coordinator.resubmitted == [0]
             # (no further turn runs: what b reads was sent in that one)
             assert coordinator._parked_next == {}
-            assert b.recv(timeout=10.0) == {"op": "group", "group_id": 0}
+            assert b.recv(timeout=10.0) == {"op": "group", "group_ids": [0]}
         finally:
             for conn in (a, b):
                 if conn is not None:
@@ -409,7 +417,7 @@ class TestLongPollNext:
             policy.completions.update({wid_fast: 3, wid_slow: 3})
             policy._durations.extend([1.0, 1.0, 1.0])
             driver.ask(fast)
-            assert fast.recv(timeout=10.0) == {"op": "group", "group_id": 0}
+            assert fast.recv(timeout=10.0) == {"op": "group", "group_ids": [0]}
             # the slow worker asks for the queue tail: held back (parked)
             driver.ask(slow)
             assert list(coordinator._parked_next) == [wid_slow]
@@ -421,10 +429,247 @@ class TestLongPollNext:
             fast = None
             driver.turn()
             assert coordinator._parked_next == {}
-            assert slow.recv(timeout=10.0) == {"op": "group", "group_id": 1}
+            assert slow.recv(timeout=10.0) == {"op": "group", "group_ids": [1]}
             assert list(coordinator._pending) == [0]
         finally:
             for conn in (slow, fast):
                 if conn is not None:
                     conn.close()
             coordinator.close()
+
+
+# --------------------------------------------------------------------- #
+# leases: one ``next`` round trip hands out several groups
+# --------------------------------------------------------------------- #
+class TestLeaseSize:
+    @pytest.mark.parametrize(
+        "ngroups, workers, already_held, policy, expected",
+        [
+            (64, 1, 0, None, MAX_HELD_GROUPS),  # deep queue, one worker
+            (64, 1, 5, None, MAX_HELD_GROUPS - 5),  # the bound counts held
+            (3, 2, 0, None, 1),  # 3 // (2 * 2) == 0, but never less than 1
+            (64, 1, 0, "speculate", 1),  # a policy's clock: one at a time
+            (64, 1, 0, "steal:ratio=2", 1),
+        ],
+    )
+    def test_lease_size(self, ngroups, workers, already_held, policy, expected):
+        fn, config = make_config(ngroups=ngroups)
+        kw = {}
+        if policy is not None:
+            kw["policy"] = SchedulingPolicy(parse_scheduling(policy))
+        coordinator = retry_on_eaddrinuse(lambda: Coordinator(config, **kw))
+        try:
+            coordinator._worker_conns = {w: object() for w in range(workers)}
+            with coordinator._changed:
+                for _ in range(already_held):
+                    coordinator._hold(0, coordinator._pending.pop())
+            reply, _ = coordinator._assign(0)
+            assert reply == {"op": "group", "group_ids": list(range(expected))}
+            assert coordinator._assigned[0][-expected:] == reply["group_ids"]
+            assert coordinator.study_view()["in_flight"] == already_held + expected
+        finally:
+            coordinator._worker_conns = {}
+            coordinator.close()
+
+    def test_fault_kill_after_fires_at_the_nth_group_inside_a_lease(self):
+        fn, config = make_config(ngroups=64)
+        coordinator = retry_on_eaddrinuse(
+            lambda: Coordinator(config, fault_kill_after=MAX_HELD_GROUPS + 3)
+        )
+        try:
+            coordinator._worker_pids[0] = 4242
+            first, kill = coordinator._assign(0)
+            assert len(first["group_ids"]) == MAX_HELD_GROUPS and kill is None
+            for gid in first["group_ids"]:
+                coordinator._mark_done(0, gid)
+            second, kill = coordinator._assign(0)
+            # the 11th group handed out is the 3rd of the second lease
+            assert len(second["group_ids"]) > 3
+            assert kill == 4242
+            assert coordinator.study_view()["leases"] == 2
+        finally:
+            coordinator.close()
+
+
+def loopback_run(ngroups, nworkers, **kw):
+    fn, config = make_config(ngroups=ngroups, server_ranks=2)
+
+    def factory(params, sim_id):
+        return VectorFieldSimulation(fn, params, NCELLS, simulation_id=sim_id)
+
+    runtime = retry_on_eaddrinuse(
+        lambda: DistributedRuntime(config, factory, nworkers=nworkers, **kw)
+    )
+    results = runtime.run(timeout=120.0)
+    reference = SequentialRuntime(config, factory).run()
+    np.testing.assert_allclose(
+        results.total_order, reference.total_order, rtol=1e-10, atol=1e-12
+    )
+    return runtime, results
+
+
+class TestLeaseLifecycle:
+    def test_sigkilled_worker_lease_is_resubmitted_exactly_once(
+        self, monkeypatch
+    ):
+        """``fault_kill_after=2`` falls inside the first lease (12 groups,
+        at most 2 workers: at least 3 per lease): the worker dies holding
+        all of it, and each of its groups is resubmitted exactly once."""
+        lost = held_at_worker_loss(monkeypatch)
+        runtime, results = loopback_run(12, 2, fault_kill_after=2)
+        coordinator = runtime.coordinator
+        assert len(lost) == 1 and len(lost[0]) >= 3, lost
+        assert coordinator.resubmitted == lost[0]
+        assert coordinator.abandoned == []
+        assert results.groups_integrated == 12
+
+    def test_study_view_counts_leases(self):
+        runtime, results = loopback_run(12, 1)
+        view = runtime.coordinator.study_view()
+        assert 1 <= view["leases"] < 12
+        assert view["groups_per_lease"] == pytest.approx(12 / view["leases"])
+        assert results.groups_integrated == 12
+
+    def test_rank_death_mid_lease_interrupts_the_unstarted_rest(
+        self, monkeypatch
+    ):
+        """The worker leases all 8 groups; rank 0 dies while group 2 runs.
+        Groups 0-1 (sent), 2 (running) and 3-7 (never started) all come
+        back as ``group_interrupted``, and none is charged a retry."""
+        fn, config = make_config(ngroups=2 * MAX_HELD_GROUPS)
+        reached, gate = threading.Event(), threading.Event()
+        routers = []
+
+        class RecordingRouter(worker_module.SocketRouter):
+            def __init__(self, *args, **kw):
+                super().__init__(*args, **kw)
+                routers.append(self)
+
+        class GatedSim(VectorFieldSimulation):
+            def advance(self):
+                group_id = self.simulation_id // config.group_size
+                if group_id == 2 and not reached.is_set():
+                    reached.set()
+                    gate.wait(20.0)
+                    # group 2's delivery must be the one to find the
+                    # rank gone, not the next group's up-front check
+                    deadline = time.monotonic() + 20.0
+                    while not routers[0].any_broken():
+                        assert time.monotonic() < deadline
+                        time.sleep(0.005)
+                return super().advance()
+
+        def factory(params, sim_id):
+            return GatedSim(fn, params, NCELLS, simulation_id=sim_id)
+
+        supervisor = RankSupervisor(
+            spawner=lambda rank: None,
+            policy=RankRespawnPolicy(nranks=1, timeout=60.0, max_respawns=1),
+            kill=lambda pid, sig: None,
+        )
+        listener = DataListener().start(BoundedChannel(name="rank0"))
+        coordinator = retry_on_eaddrinuse(
+            lambda: Coordinator(config, supervisor=supervisor).start()
+        )
+        rank_ctrl = register_fake_rank(coordinator, config, listener.address)
+        worker = threading.Thread(
+            target=worker_module.run_worker,
+            args=(config, factory, coordinator.address),
+            kwargs={"name": "leased", "env_fault": False},
+            daemon=True,
+        )
+        monkeypatch.setattr(worker_module, "SocketRouter", RecordingRouter)
+        try:
+            worker.start()
+            assert reached.wait(20.0)
+            assert coordinator._assigned == {0: list(range(MAX_HELD_GROUPS))}
+            # the rank dies: its control connection (the coordinator
+            # withholds its address from new rendezvous) and its data port
+            rank_ctrl.close()
+            listener.close()
+            gate.set()
+            wait_for(
+                coordinator,
+                lambda: len(coordinator.interrupted) >= MAX_HELD_GROUPS,
+            )
+            with coordinator._changed:
+                interrupted = list(coordinator.interrupted)
+                retries = dict(coordinator._retries)
+            assert interrupted == list(range(MAX_HELD_GROUPS))
+            assert retries == {}
+            assert coordinator.resubmitted == []
+        finally:
+            gate.set()
+            coordinator.close()
+            worker.join(timeout=20.0)
+            listener.close()
+            rank_ctrl.close()
+        assert not worker.is_alive()
+
+
+# --------------------------------------------------------------------- #
+# settle: each held group gets its own ``group_timeout``
+# --------------------------------------------------------------------- #
+class _Clock:
+    def __init__(self):
+        self.now = 0.0
+
+    def monotonic(self):
+        return self.now
+
+
+class _AckingRouter:
+    """Each held group's mark is the clock time its ack arrives."""
+
+    def __init__(self, clock):
+        self.clock = clock
+
+    def acked(self, mark):
+        return self.clock.now >= mark
+
+    def wait_acked(self, mark, timeout):
+        self.clock.now = min(mark, self.clock.now + timeout)
+        return self.acked(mark)
+
+
+class TestSettleDeadline:
+    TIMEOUT, BEAT = 1.0, 0.1
+
+    def _settle(self, monkeypatch, ack_times):
+        """Settle groups acked at ``ack_times``; (done, clock at exit,
+        beats, the TimeoutError or None)."""
+        clock = _Clock()
+        monkeypatch.setattr(worker_module, "time", clock)
+        done, beats, error = [], [], None
+        try:
+            worker_module.settle_held(
+                _AckingRouter(clock), deque(enumerate(ack_times)), done,
+                len(ack_times), self.TIMEOUT, lambda: beats.append(clock.now),
+                self.BEAT, "w",
+            )
+        except TimeoutError as exc:
+            error = exc
+        finally:
+            monkeypatch.undo()
+        return done, clock.now, beats, error
+
+    def test_acks_spaced_under_the_timeout_never_raise(self, monkeypatch):
+        """Four acks 0.6 x group_timeout apart: the last arrives 2.4
+        timeouts after the call, but no single group waited a full one."""
+        ack_times = [0.6 * self.TIMEOUT * (i + 1) for i in range(4)]
+        done, now, beats, error = self._settle(monkeypatch, ack_times)
+        assert error is None
+        assert done == [0, 1, 2, 3]
+        assert now == pytest.approx(ack_times[-1])
+        assert beats  # a long drain keeps beating
+
+    def test_a_group_never_acked_raises_after_one_timeout(self, monkeypatch):
+        acked_at = 0.6 * self.TIMEOUT
+        done, now, beats, error = self._settle(
+            monkeypatch, [acked_at, float("inf")]
+        )
+        assert done == [0]
+        assert error is not None and "group 1 not acknowledged" in str(error)
+        # group 1's clock starts when group 0 moves, not at the call
+        assert acked_at + self.TIMEOUT <= now
+        assert now <= acked_at + self.TIMEOUT + 1.5 * self.BEAT

@@ -358,7 +358,8 @@ class TestInterruptedNeverCharged:
             for _ in range(4):
                 reply, _ = coordinator._assign(0)
                 assert reply["op"] == "group"
-                coordinator._requeue_interrupted(0, reply["group_id"])
+                for gid in reply["group_ids"]:
+                    coordinator._requeue_interrupted(0, gid)
             assert coordinator._retries == {}
             assert coordinator.abandoned == []
             assert len(coordinator.interrupted) == 4
@@ -374,8 +375,8 @@ class TestInterruptedNeverCharged:
         try:
             reply, _ = coordinator._assign(0)
             coordinator._resubmit_if_assigned(0)
-            assert coordinator._retries == {reply["group_id"]: 1}
-            assert coordinator.abandoned == [reply["group_id"]]
+            assert coordinator._retries == {gid: 1 for gid in reply["group_ids"]}
+            assert coordinator.abandoned == reply["group_ids"]
         finally:
             coordinator.close()
 
@@ -388,7 +389,7 @@ def speculation_fixture(config=None):
     coordinator = stub_coordinator(config, policy=policy)
     r0, _ = coordinator._assign(0)
     r1, _ = coordinator._assign(1)
-    assert (r0["group_id"], r1["group_id"]) == (0, 1)
+    assert (r0["group_ids"], r1["group_ids"]) == ([0], [1])
     policy._started[(1, 1)] -= 1.0  # g1 "ran" 1s -> median 1s, threshold 2s
     coordinator._mark_done(1, 1)
     policy._started[(0, 0)] -= 10.0  # g0 is 10s in: overdue
@@ -400,7 +401,7 @@ class TestSpeculationAccounting:
         coordinator, policy = speculation_fixture()
         try:
             reply, kill = coordinator._assign(1)
-            assert reply == {"op": "group", "group_id": 0}
+            assert reply == {"op": "group", "group_ids": [0]}
             assert kill is None
             assert coordinator.speculated == [0]
             assert (1, 0) in coordinator._speculative_attempts

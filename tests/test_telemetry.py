@@ -489,7 +489,8 @@ class TestTop:
             "time": 10.0, "elapsed": 4.2,
             "study": {"fingerprint": "ab12cd34ef5678", "ngroups": 10,
                       "groups_done": 4, "queue_depth": 3, "in_flight": 2,
-                      "workers_active": 2, "ewma": {"w0": 0.25}},
+                      "workers_active": 2, "leases": 2,
+                      "groups_per_lease": 2.0, "ewma": {"w0": 0.25}},
             "convergence": 0.125,
             "workers": {"w0": {"groups": 4, "mean_group_seconds": 0.2,
                                "bytes_sent": 2e6, "blocked_seconds": 0.5}},
@@ -503,6 +504,7 @@ class TestTop:
         assert "study ab12cd34ef56" in text
         assert "groups 4/10" in text
         assert "queue 3" in text and "in-flight 2" in text
+        assert "leases 2 (2.0 groups each)" in text
         assert "max CI width 0.125" in text
         assert "w0" in text and "0.250" in text  # EWMA column
         assert "WORKER" in text and "RANK" in text
