@@ -19,8 +19,10 @@ run on a different machine, pointed at the same coordinator):
 ``python -m repro.cli work --study quickstart --groups 100 --coordinator HOST:PORT``
     One group worker (run as many as the machines allow).
 
-``launch --local-workers N`` instead forks ranks + workers on this host
-(loopback single-host mode, same code path the tests drive).
+``launch`` is :class:`~repro.runtime.DistributedRuntime`, the runtime the
+tests use: ``--local-workers N`` forks the ranks and N workers on this
+host; without it nothing is forked up front and only respawned ranks
+(``--respawn-serve``) and elastic workers are forked from the launch.
 """
 
 from __future__ import annotations
@@ -309,11 +311,6 @@ def _cmd_work(args: argparse.Namespace) -> int:
         _parse_address(args.coordinator),
         name=args.name,
         fault_spec=args.fault,
-        elastic=args.elastic,
-        # elastic extras are the remedy, not the disease: a pool spawned
-        # by `repro launch` inherits the launch environment, so a stray
-        # $REPRO_WORK_FAULT must not re-arm in them
-        env_fault=not args.elastic,
     )
 
 
@@ -341,78 +338,11 @@ def _scheduling_spec(args: argparse.Namespace) -> Optional[str]:
     return ";".join(clauses) or None
 
 
-def _serve_respawn_command(args: argparse.Namespace, rank: int, address) -> List[str]:
-    """The ``repro serve`` invocation the launch supervisor respawns.
-
-    Mirrors the study flags the launch itself was given so the
-    replacement's fingerprint matches, and points it at the checkpoint
-    directory so the restored statistics carry over.  The data listener
-    binds ``--respawn-data-host`` (default: the coordinator's bind host,
-    so remote workers can reach the replacement) on an ephemeral port —
-    the fresh address is re-published through the rendezvous, so a fixed
-    data port is never needed.
-    """
-    data_host = args.respawn_data_host or address[0]
-    cmd = [
-        sys.executable, "-m", "repro.cli", "serve",
-        "--study", args.study,
-        "--groups", str(args.groups),
-        "--seed", str(args.seed),
-        "--timesteps", str(args.timesteps),
-        "--cells", str(args.cells),
-        "--server-ranks", str(args.server_ranks),
-        "--rank", str(rank),
-        "--coordinator", f"{address[0]}:{address[1]}",
-        "--data-host", data_host,
-    ]
-    if args.kernel:
-        cmd += ["--kernel", args.kernel]
-    if getattr(args, "fold_threads", None) is not None:
-        cmd += ["--fold-threads", str(args.fold_threads)]
-    for spec in getattr(args, "stats", None) or []:
-        cmd += ["--stats", spec]
-    if args.checkpoint_interval is not None:
-        cmd += ["--checkpoint-interval", str(args.checkpoint_interval)]
-    if getattr(args, "transport", None):
-        cmd += ["--transport", args.transport]
-    if args.checkpoint_dir:
-        cmd += ["--checkpoint-dir", args.checkpoint_dir]
-    return cmd
-
-
-def _work_spawn_command(args: argparse.Namespace, index: int, address) -> List[str]:
-    """The ``repro work --elastic`` invocation the elastic pool spawns.
-
-    Mirrors the study flags the launch was given (fingerprint match) and
-    marks the worker retirable, so the coordinator drains it once the
-    queue empties.  Elastic workers spawn on the launch host; multi-host
-    deployments start extra ``repro work`` processes with their own
-    process manager — the protocol is identical.
-    """
-    cmd = [
-        sys.executable, "-m", "repro.cli", "work",
-        "--study", args.study,
-        "--groups", str(args.groups),
-        "--seed", str(args.seed),
-        "--timesteps", str(args.timesteps),
-        "--cells", str(args.cells),
-        "--server-ranks", str(args.server_ranks),
-        "--coordinator", f"{address[0]}:{address[1]}",
-        "--name", f"elastic-{index}",
-        "--elastic",
-    ]
-    if args.kernel:
-        cmd += ["--kernel", args.kernel]
-    if getattr(args, "fold_threads", None) is not None:
-        cmd += ["--fold-threads", str(args.fold_threads)]
-    for spec in getattr(args, "stats", None) or []:
-        cmd += ["--stats", spec]
-    if getattr(args, "transport", None):
-        cmd += ["--transport", args.transport]
-    return cmd
-
-
 def _cmd_launch(args: argparse.Namespace) -> int:
+    import os
+
+    from repro.runtime import DistributedRuntime
+
     _configure_logging(args)
     study = _resolved_study(args)
     scheduling = _scheduling_spec(args)
@@ -420,159 +350,50 @@ def _cmd_launch(args: argparse.Namespace) -> int:
         from repro.scheduler.policy import parse_scheduling
 
         study.config.scheduling = parse_scheduling(scheduling)
-    telemetry_on = bool(
-        args.trace or args.metrics_file or args.metrics_port is not None
-    )
-    coordinator = None
-    pool = None
-    if args.local_workers:
-        # loopback single-host mode: fork ranks + workers right here
-        from repro.runtime import DistributedRuntime
-
-        host, port = _parse_address(args.bind)
-        runtime = DistributedRuntime(
-            study.config, study.factory, nworkers=args.local_workers,
-            host=host, port=port, checkpoint_dir=args.checkpoint_dir,
-            telemetry=telemetry_on, trace_file=args.trace,
-            metrics_file=args.metrics_file, metrics_port=args.metrics_port,
-            metrics_interval=args.metrics_interval,
-        )
-        if args.address_file:
-            raise SystemExit("--address-file only applies without --local-workers")
-        results = runtime.run(timeout=args.timeout)
-        coordinator = runtime.coordinator
-        pool = runtime.pool
-    else:
-        import subprocess
-
-        from repro.core.launcher import RankRespawnPolicy
-        from repro.net.coordinator import Coordinator
-        from repro.net.supervisor import RankSupervisor
-        from repro.runtime.distributed import assemble_results
-
-        import os
-
-        if args.address_file:
-            # a leftover file from a previous run would hand serve/work a
-            # dead address before we bind; remove it up front
-            try:
-                os.unlink(args.address_file)
-            except OSError:
-                pass
-        host, port = _parse_address(args.bind)
-        policy = None
-        sched_cfg = study.config.scheduling
-        if sched_cfg is not None and sched_cfg.enabled:
-            from repro.net.supervisor import PoolSupervisor
-            from repro.scheduler.policy import ElasticPoolPolicy, SchedulingPolicy
-
-            policy = SchedulingPolicy(sched_cfg)
-        telemetry = tracer = None
-        if telemetry_on:
-            from repro import telemetry as _telemetry
-            from repro.telemetry.aggregate import StudyTelemetry
-            from repro.telemetry.tracer import Tracer
-
-            _telemetry.enable()
-            tracer = Tracer()
-            telemetry = StudyTelemetry(_telemetry.REGISTRY, tracer)
-        coordinator = Coordinator(
-            study.config, host=host, port=port, policy=policy,
-            telemetry=telemetry, tracer=tracer,
-        )
-        elastic_procs: List = []
-        if policy is not None and sched_cfg.elastic:
-            # elastic ramp: spawn extra `repro work --elastic` subprocesses
-            # on this host while the queue is deep, retire them as it
-            # drains (they exit through the retire op on their own)
-            pool = PoolSupervisor(
-                spawner=lambda index: elastic_procs.append(
-                    subprocess.Popen(
-                        _work_spawn_command(args, index, coordinator.address)
-                    )
-                ),
-                policy=ElasticPoolPolicy(sched_cfg),
-            )
-            coordinator.pool = pool
-        if args.respawn_serve:
-            from repro.net.serve import FAULT_ENV
-
-            # the launcher protocol against externally started serves:
-            # a dead/silent rank is killed and a replacement subprocess
-            # spawned ON THIS HOST from the same study flags (multi-host
-            # deployments respawn serve with their own process manager).
-            # The fault env var is stripped: replacements run clean even
-            # when the original serve was env-injected to die.
-            coordinator.supervisor = RankSupervisor(
-                spawner=lambda rank: subprocess.Popen(
-                    _serve_respawn_command(args, rank, coordinator.address),
-                    env={k: v for k, v in os.environ.items() if k != FAULT_ENV},
-                ),
-                policy=RankRespawnPolicy(
-                    nranks=study.config.server_ranks,
-                    timeout=study.config.server_timeout,
-                    max_respawns=study.config.max_rank_respawns,
-                ),
-            )
-        coordinator.start()
-        print(
-            f"coordinator on {coordinator.address[0]}:{coordinator.address[1]} — "
-            f"waiting for {study.config.server_ranks} server rank(s) and workers"
-        )
-        if args.address_file:
-            # atomic publish: pollers must never read a half-written file
-            tmp = f"{args.address_file}.tmp"
-            with open(tmp, "w") as fh:
-                fh.write(f"{coordinator.address[0]}:{coordinator.address[1]}\n")
-            os.replace(tmp, args.address_file)
-        metrics_writer = metrics_server = None
-        if telemetry is not None:
-            from repro.telemetry.exporters import (
-                MetricsFileWriter,
-                MetricsHTTPServer,
-            )
-
-            frame_fn = lambda: telemetry.view(coordinator.study_view())  # noqa: E731
-            if args.metrics_file:
-                metrics_writer = MetricsFileWriter(
-                    args.metrics_file, frame_fn,
-                    interval=args.metrics_interval,
-                ).start()
-            if args.metrics_port is not None:
-                metrics_server = MetricsHTTPServer(
-                    frame_fn, host=host, port=args.metrics_port
-                ).start()
-                print(f"metrics endpoint: {metrics_server.url}")
+    if args.address_file:
+        # a leftover file from a previous run would hand serve/work a
+        # dead address before we bind; remove it up front
         try:
-            coordinator.wait(timeout=args.timeout)
-        finally:
-            coordinator.close()
-            if metrics_writer is not None:
-                metrics_writer.close()
-            if metrics_server is not None:
-                metrics_server.close()
-        results = assemble_results(study.config, coordinator)
-        if tracer is not None and args.trace:
-            tracer.write(args.trace)
-        if coordinator.rank_respawns:
-            print(f"respawned server rank(s): {coordinator.rank_respawns}")
-        for proc in elastic_procs:
-            # retired/finished elastic workers exit through the protocol;
-            # anything still around after the study is surplus
-            if proc.poll() is None:
-                proc.terminate()
+            os.unlink(args.address_file)
+        except OSError:
+            pass
+    host, port = _parse_address(args.bind)
+    runtime = DistributedRuntime(
+        study.config, study.factory, nworkers=args.local_workers,
+        host=host, port=port, data_host=args.respawn_data_host,
+        checkpoint_dir=args.checkpoint_dir,
+        supervise=bool(args.local_workers) or args.respawn_serve,
+        trace_file=args.trace, metrics_file=args.metrics_file,
+        metrics_port=args.metrics_port, metrics_interval=args.metrics_interval,
+    )
+    address = runtime.start()
+    print(
+        f"coordinator on {address[0]}:{address[1]} — "
+        f"waiting for {study.config.server_ranks} server rank(s) and workers"
+    )
+    if runtime.metrics_server is not None:
+        print(f"metrics endpoint: {runtime.metrics_server.url}")
+    if args.address_file:
+        # atomic publish: pollers must never read a half-written file
+        tmp = f"{args.address_file}.tmp"
+        with open(tmp, "w") as fh:
+            fh.write(f"{address[0]}:{address[1]}\n")
+        os.replace(tmp, args.address_file)
+    results = runtime.wait(args.timeout)
+    coordinator, pool = runtime.coordinator, runtime.pool
+    if coordinator.rank_respawns:
+        print(f"respawned server rank(s): {coordinator.rank_respawns}")
     print(results.summary())
     if results.abandoned_groups:
         print(f"abandoned groups: {results.abandoned_groups}")
-    if coordinator is not None and coordinator.speculated:
+    if coordinator.speculated:
         print(f"speculated group(s): {sorted(set(coordinator.speculated))}")
     if pool is not None:
         print(
             f"elastic workers spawned: {pool.spawned_total}, "
             f"retired: {pool.retired_total}"
         )
-    if coordinator is not None:
-        _print_observability_summary(coordinator)
+    _print_observability_summary(coordinator)
     return 0
 
 
@@ -748,10 +569,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="inject a fault into this worker: crash[:after=N] | "
                         "zombie[:after=N] | straggler:delay=S (seconds per "
                         "delivered message; also via $REPRO_WORK_FAULT)")
-    p.add_argument("--elastic", action="store_true",
-                   help="mark this worker retirable: the coordinator may "
-                        "drain it once the queue empties (used by the "
-                        "elastic pool's spawned workers)")
     add_log_args(p)
     p.set_defaults(func=_cmd_work)
 
@@ -763,20 +580,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bind", default="127.0.0.1:0", metavar="HOST:PORT")
     p.add_argument("--timeout", type=float, default=600.0)
     p.add_argument("--local-workers", type=int, default=0,
-                   help="loopback mode: fork ranks + N workers on this host")
+                   help="fork the server ranks + N workers on this host "
+                        "(0: serve/work processes dial in)")
     p.add_argument("--checkpoint-dir", default=None)
     p.add_argument("--address-file", default=None, metavar="PATH",
                    help="write the bound coordinator address here so "
                         "serve/work can use --coordinator @PATH (enables "
                         "--bind HOST:0)")
     p.add_argument("--respawn-serve", action="store_true",
-                   help="supervise server ranks: kill and respawn a dead "
-                        "or silent 'repro serve' on this host from its "
-                        "checkpoint (Sec. 4.2.3)")
+                   help="supervise server ranks: kill a dead or silent "
+                        "serve and fork its replacement on this host from "
+                        "its checkpoint (Sec. 4.2.3); on with --local-workers")
     p.add_argument("--respawn-data-host", default=None, metavar="HOST",
-                   help="interface a respawned serve binds its data "
-                        "listener on (default: the --bind host, so remote "
-                        "workers can still reach it)")
+                   help="interface the ranks this launch forks bind their "
+                        "data listener on (default: the --bind host, so "
+                        "remote workers can still reach them)")
     p.add_argument("--schedule", default=None, metavar="SPEC",
                    help="full scheduling spec, ';'-separated clauses "
                         "(e.g. 'speculate:multiple=2.5;steal;elastic:high=6')")

@@ -80,7 +80,6 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro import telemetry as _telemetry
 from repro.core.config import StudyConfig
-from repro.core.diagnostics import unfinished_study_message
 from repro.net.framing import (
     AddressedReply,
     ConnectionLost,
@@ -511,9 +510,19 @@ class Coordinator:
                 self._changed.wait(timeout=0.05)
 
     def _timeout_message(self, timeout: float) -> str:
-        return unfinished_study_message(
-            "distributed", timeout, self.config.ngroups, self.done,
-            self.abandoned, self.config.server_ranks, self.rank_states,
+        """Deadline-breach report naming the unfinished groups and the
+        server ranks that never shipped their state."""
+        unfinished = sorted(
+            set(range(self.config.ngroups)) - set(self.done) - set(self.abandoned)
+        )
+        silent = sorted(set(range(self.config.server_ranks)) - set(self.rank_states))
+        shown = ", ".join(map(str, unfinished[:12]))
+        if len(unfinished) > 12:
+            shown += f", ... ({len(unfinished)} total)"
+        return (
+            f"distributed study did not finish within {timeout:.1f}s: "
+            f"{len(unfinished)} group(s) unfinished [{shown}]; "
+            f"server rank(s) not reported: {silent}"
         )
 
     def _groups_settled(self) -> bool:

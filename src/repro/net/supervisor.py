@@ -43,9 +43,7 @@ class RankSupervisor:
     ----------
     spawner:
         ``spawner(rank)`` starts a replacement serve process for
-        ``rank``; called with no locks held.  Loopback runtimes fork
-        :func:`~repro.net.serve.run_server_rank`, the CLI launcher spawns
-        a ``repro serve`` subprocess.
+        ``rank``; called with no locks held.
     policy:
         The respawn bookkeeping (heartbeat staleness + budget).
     kill:
@@ -122,9 +120,7 @@ class PoolSupervisor:
     ----------
     spawner:
         ``spawner(index)`` starts one extra group-worker process; called
-        with no locks held.  The loopback runtime forks
-        :func:`~repro.net.worker.run_worker` with ``elastic=True``; the
-        CLI launcher spawns a ``repro work --elastic`` subprocess.
+        with no locks held.
     policy:
         The resize bookkeeping.
     """

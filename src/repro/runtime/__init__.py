@@ -10,10 +10,10 @@ streams; a *runtime* supplies the execution model:
   end-to-end benchmarks.
 * :class:`DistributedRuntime` — socket driver: server ranks and group
   workers are independent OS processes connected over TCP through
-  :mod:`repro.net` (the paper's ZeroMQ deployment shape).  The class
-  runs the loopback single-host arrangement; the same processes span
-  machines via the CLI (``repro serve`` / ``repro work`` /
-  ``repro launch``).
+  :mod:`repro.net` (the paper's ZeroMQ deployment shape).  It forks
+  the ranks and workers on this host, or (``nworkers=0``, what
+  ``repro launch`` without ``--local-workers`` runs) lets ``repro
+  serve`` / ``repro work`` processes on any machine dial in.
 """
 
 from repro.runtime.distributed import DistributedRuntime

@@ -1,19 +1,15 @@
 """Distributed driver: server ranks and group workers as OS processes.
 
 This is the deployment shape of the paper — independent processes
-connected only by sockets — driven end to end.  Two modes share all of
-the machinery in :mod:`repro.net`:
-
-* **loopback** (this class): :meth:`DistributedRuntime.run` forks every
-  ``repro serve``-equivalent rank process and ``repro work``-equivalent
-  group worker on this host, connects them over 127.0.0.1 TCP, and
-  assembles :class:`~repro.core.results.StudyResults`.
-  ``SensitivityStudy.run(runtime="distributed")`` lands here; it is
-  what tests and CI exercise.
-* **multi-host** (the CLI): ``repro launch`` runs only the coordinator;
-  ``repro serve --rank K`` / ``repro work`` processes started on any
-  machine dial in.  Same wire protocol, same coordinator — the loopback
-  mode is literally the multi-host mode with the fork shortcut.
+connected only by sockets — driven end to end.  :meth:`DistributedRuntime.start`
+brings up the coordinator, forks ``nworkers`` group workers plus every
+server rank on this host (none when ``nworkers=0``: ``repro serve
+--rank K`` / ``repro work`` processes started on any machine dial in
+instead), and :meth:`~DistributedRuntime.wait` assembles
+:class:`~repro.core.results.StudyResults`.  ``SensitivityStudy.run(
+runtime="distributed")`` and ``repro launch`` both land here; whoever
+started the ranks, a replacement rank or elastic worker is forked from
+this process.
 
 Statistics parity: each (cell, timestep) lives on exactly one rank and
 group folds commute, so results match the sequential driver to tight
@@ -38,7 +34,7 @@ from __future__ import annotations
 import copy
 import multiprocessing as mp
 import threading
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -61,15 +57,19 @@ from repro.telemetry.tracer import Tracer
 
 
 class DistributedRuntime:
-    """Socket-transport execution of one study (loopback convenience).
+    """Socket-transport execution of one study: the coordinator plus the
+    rank and worker processes it forks on this host.
 
     Parameters
     ----------
     nworkers:
-        Group-worker process count (the "machine" capacity).
+        Group-worker process count (the "machine" capacity); 0 forks no
+        worker and no rank — they dial in from elsewhere.
     host, port:
-        Coordinator bind address (port 0 = ephemeral); rank data
-        listeners bind ephemeral ports on the same interface.
+        Coordinator bind address (port 0 = ephemeral).
+    data_host:
+        Interface the forked ranks' data listeners bind (ephemeral
+        ports); defaults to ``host``.
     checkpoint_dir:
         When set, every rank process checkpoints/restores its own file
         there on ``config.checkpoint_interval`` cadence.
@@ -109,6 +109,7 @@ class DistributedRuntime:
         nworkers: int = 2,
         host: str = "127.0.0.1",
         port: int = 0,
+        data_host: Optional[str] = None,
         poll_interval: float = 0.005,
         heartbeat_interval: Optional[float] = None,
         checkpoint_dir=None,
@@ -123,8 +124,8 @@ class DistributedRuntime:
         metrics_interval: float = 1.0,
         transport: Optional[str] = None,
     ):
-        if nworkers < 1:
-            raise ValueError("nworkers must be >= 1")
+        if nworkers < 0:
+            raise ValueError("nworkers must be >= 0")
         if transport is not None:
             # convenience override for loopback runs: the forked rank and
             # worker processes inherit the config, so setting it here
@@ -145,18 +146,24 @@ class DistributedRuntime:
                 "group faults and virtual-time ServerCrash specs need the "
                 "sequential runtime"
             )
-        if "fork" not in mp.get_all_start_methods():
+        scheduling = config.scheduling
+        self._forks = bool(
+            nworkers or supervise
+            or (scheduling is not None and scheduling.enabled and scheduling.elastic)
+        )
+        if self._forks and "fork" not in mp.get_all_start_methods():
             raise RuntimeError(
-                "DistributedRuntime's loopback mode requires the fork start "
-                "method (Linux/macOS): simulation factories (closures) are "
-                "inherited, not pickled; on other platforms run the CLI "
-                "processes (repro serve / repro work / repro launch) instead"
+                "forking ranks, respawns or elastic workers requires the fork "
+                "start method (Linux/macOS): simulation factories (closures) "
+                "are inherited, not pickled; on other platforms run repro "
+                "serve / repro work against a launch with nothing to fork"
             )
         self.config = config
         self.factory = factory
         self.nworkers = nworkers
         self.host = host
         self.port = port
+        self.data_host = host if data_host is None else data_host
         self.poll_interval = poll_interval
         self.heartbeat_interval = (
             config.heartbeat_interval if heartbeat_interval is None
@@ -180,7 +187,8 @@ class DistributedRuntime:
         self.telemetry: Optional[StudyTelemetry] = None
         self.tracer: Optional[Tracer] = None
         self.metrics_server: Optional[MetricsHTTPServer] = None
-        self._ctx = mp.get_context("fork")
+        self._metrics_writer: Optional[MetricsFileWriter] = None
+        self._ctx = mp.get_context("fork") if self._forks else None
         self._proc_lock = threading.Lock()
         self._stopping = False
         self.design = draw_design(
@@ -193,16 +201,22 @@ class DistributedRuntime:
         self.pool: Optional[PoolSupervisor] = None
         self.server_procs: List = []
         self.worker_procs: List = []
-        self._elastic_spawned = 0
 
     # ------------------------------------------------------------------ #
     def run(self, timeout: float = 300.0) -> StudyResults:
         """Spawn ranks + workers, coordinate, assemble results."""
-        # resolve the backend before forking: on a cold cache every rank
-        # would otherwise race into its own duplicate C compile
-        from repro.kernels import resolve_backend
+        self.start()
+        return self.wait(timeout)
 
-        resolve_backend(self.config.kernel)
+    def start(self) -> Tuple[str, int]:
+        """Start the coordinator and exporters, fork the local ranks and
+        workers; returns the coordinator's bound ``(host, port)``."""
+        if self._forks:
+            # resolve the backend before forking: on a cold cache every
+            # rank would otherwise race into its own duplicate C compile
+            from repro.kernels import resolve_backend
+
+            resolve_backend(self.config.kernel)
 
         supervisor = None
         if self.supervise:
@@ -247,11 +261,10 @@ class DistributedRuntime:
             tracer=tracer,
         ).start()
         self.coordinator = coordinator
-        metrics_writer = None
         if telemetry is not None:
             frame_fn = lambda: telemetry.view(coordinator.study_view())  # noqa: E731
             if self.metrics_file:
-                metrics_writer = MetricsFileWriter(
+                self._metrics_writer = MetricsFileWriter(
                     self.metrics_file, frame_fn, interval=self.metrics_interval
                 ).start()
             if self.metrics_port is not None:
@@ -261,7 +274,7 @@ class DistributedRuntime:
         ctx = self._ctx
         self.server_procs = [
             self._rank_process(rank, fault_plan=self.fault_plan)
-            for rank in range(self.config.server_ranks)
+            for rank in range(self.config.server_ranks if self.nworkers else 0)
         ]
         nworkers = min(self.nworkers, self.config.ngroups)
         worker_faults = (
@@ -289,37 +302,49 @@ class DistributedRuntime:
         try:
             for proc in self.server_procs + self.worker_procs:
                 proc.start()
-            coordinator.wait(timeout=timeout)
+        except BaseException:
+            self._shutdown()
+            raise
+        return coordinator.address
+
+    def wait(self, timeout: float = 300.0) -> StudyResults:
+        """Coordinate the started study to completion, shut every forked
+        process and exporter down, and assemble the results."""
+        tracer = self.tracer
+        try:
+            self.coordinator.wait(timeout=timeout)
             for proc in self._all_procs():
                 proc.join(timeout=10.0)
         finally:
-            coordinator.close()
-            # bar further spawns BEFORE the terminate sweep: a respawn or
-            # elastic fork racing shutdown would otherwise start after the
-            # snapshot and leak a process that keeps re-dialing recycled
-            # coordinator ports into whatever binds them next
-            with self._proc_lock:
-                self._stopping = True
-            for proc in self._all_procs():
-                if proc.is_alive():
-                    proc.terminate()
-            for proc in self._all_procs():
-                if proc.pid is not None:
-                    proc.join(timeout=5.0)
-            if metrics_writer is not None:
-                metrics_writer.close()
-            if self.metrics_server is not None:
-                self.metrics_server.close()
-                self.metrics_server = None
-        if tracer is not None:
-            with tracer.span("assemble results", "coordinator",
-                             tid="coordinator"):
-                results = assemble_results(self.config, coordinator,
-                                           runtime=self)
-            if self.trace_file:
-                tracer.write(self.trace_file)
-            return results
-        return assemble_results(self.config, coordinator, runtime=self)
+            self._shutdown()
+        if tracer is None:
+            return self._assemble_results()
+        with tracer.span("assemble results", "coordinator", tid="coordinator"):
+            results = self._assemble_results()
+        if self.trace_file:
+            tracer.write(self.trace_file)
+        return results
+
+    def _shutdown(self) -> None:
+        self.coordinator.close()
+        # bar further spawns BEFORE the terminate sweep: a respawn or
+        # elastic fork racing shutdown would otherwise start after the
+        # snapshot and leak a process that keeps re-dialing recycled
+        # coordinator ports into whatever binds them next
+        with self._proc_lock:
+            self._stopping = True
+        for proc in self._all_procs():
+            if proc.is_alive():
+                proc.terminate()
+        for proc in self._all_procs():
+            if proc.pid is not None:
+                proc.join(timeout=5.0)
+        if self._metrics_writer is not None:
+            self._metrics_writer.close()
+            self._metrics_writer = None
+        if self.metrics_server is not None:
+            self.metrics_server.close()
+            self.metrics_server = None
 
     # ------------------------------------------------------------------ #
     def _rank_process(self, rank: int, fault_plan: Optional[FaultPlan],
@@ -328,7 +353,7 @@ class DistributedRuntime:
             target=run_server_rank,
             args=(rank, self.config, self.coordinator.address),
             kwargs={
-                "data_host": self.host,
+                "data_host": self.data_host,
                 "checkpoint_dir": self.checkpoint_dir,
                 "heartbeat_interval": self.heartbeat_interval,
                 "fault_plan": fault_plan,
@@ -366,7 +391,6 @@ class DistributedRuntime:
             if self._stopping:
                 return
             self.worker_procs.append(proc)
-            self._elastic_spawned += 1
             proc.start()
 
     def _respawn_rank(self, rank: int) -> None:
@@ -388,26 +412,22 @@ class DistributedRuntime:
         with self._proc_lock:
             return list(self.server_procs) + list(self.worker_procs)
 
+    def _assemble_results(self) -> StudyResults:
+        """Results from the completed coordinator.
 
-def assemble_results(
-    config: StudyConfig, coordinator: Coordinator, runtime=None
-) -> StudyResults:
-    """Results from a completed coordinator (loopback or CLI launch).
-
-    The ranks already computed their index maps and convergence scalar;
-    here we only restore states, concatenate, and max-reduce.
-    """
-    server = MelissaServer(config)
-    for rank in server.ranks:
-        rank.restore_state(coordinator.rank_states[rank.rank])
-    if runtime is not None:
-        runtime.server = server
-    widths = [coordinator.rank_widths[r] for r in sorted(coordinator.rank_widths)]
-    valid = [w for w in widths if not np.isnan(w)]
-    return StudyResults.from_server(
-        server,
-        parameter_names=tuple(config.space.names),
-        rank_maps=[coordinator.rank_maps[r] for r in sorted(coordinator.rank_maps)],
-        max_interval_width=max(valid) if valid else float("inf"),
-        abandoned_groups=sorted(coordinator.abandoned),
-    )
+        The ranks already computed their index maps and convergence
+        scalar; here we only restore states, concatenate, and max-reduce.
+        """
+        coordinator = self.coordinator
+        self.server = server = MelissaServer(self.config)
+        for rank in server.ranks:
+            rank.restore_state(coordinator.rank_states[rank.rank])
+        widths = [coordinator.rank_widths[r] for r in sorted(coordinator.rank_widths)]
+        valid = [w for w in widths if not np.isnan(w)]
+        return StudyResults.from_server(
+            server,
+            parameter_names=tuple(self.config.space.names),
+            rank_maps=[coordinator.rank_maps[r] for r in sorted(coordinator.rank_maps)],
+            max_interval_width=max(valid) if valid else float("inf"),
+            abandoned_groups=sorted(coordinator.abandoned),
+        )

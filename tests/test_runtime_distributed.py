@@ -6,8 +6,15 @@ survives a worker killed mid-study (the group is resubmitted), and the
 whole-study timeout names the unfinished work.
 """
 
+import multiprocessing as mp
+import os
+import re
+import subprocess
+import sys
+import threading
 import time
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,9 +25,12 @@ from repro.core import StudyConfig
 from repro.core.checkpoint import CheckpointManager
 from repro.core.group import FunctionSimulation, VectorFieldSimulation
 from repro.core.server import MelissaServer, ServerRank
+from repro.faults import FaultPlan, ServerRankCrash
 from repro.mesh.partition import BlockPartition
 from repro.net.coordinator import Coordinator, StudyAborted, study_fingerprint
 from repro.net.framing import connect_with_retry
+from repro.net.serve import run_server_rank
+from repro.net.worker import run_worker
 from repro.runtime import DistributedRuntime, SequentialRuntime
 from repro.sobol import IshigamiFunction
 
@@ -158,7 +168,7 @@ class TestDistributedRuntime:
     def test_invalid_workers(self):
         fn, config = make_config(4)
         with pytest.raises(ValueError):
-            DistributedRuntime(config, vector_factory(fn), nworkers=0)
+            DistributedRuntime(config, vector_factory(fn), nworkers=-1)
 
     def test_single_worker(self):
         fn, config = make_config(5)
@@ -198,6 +208,74 @@ class TestDistributedRuntime:
         np.testing.assert_allclose(
             restored.assemble_maps()["first"], results.first_order,
             rtol=1e-12, atol=1e-15,
+        )
+
+
+class TestCoordinatorOnly:
+    """``nworkers=0``: the runtime forks nothing up front and the ranks
+    and workers dial in — the ``repro launch`` path without
+    ``--local-workers``."""
+
+    def test_nothing_forked_and_timeout_names_silent_ranks(self):
+        fn, config = make_config(4, server_ranks=2)
+        runtime = DistributedRuntime(
+            config, vector_factory(fn), nworkers=0, supervise=False
+        )
+        with pytest.raises(
+            TimeoutError, match=re.escape("server rank(s) not reported: [0, 1]")
+        ):
+            runtime.run(timeout=1.0)
+        assert runtime.server_procs == runtime.worker_procs == []
+
+    def test_dialed_in_participants_with_forked_respawn(self, tmp_path):
+        """Ranks and workers started outside the runtime; rank 0 crashes
+        and its replacement is forked by the runtime from its checkpoint.
+        The statistics still match the sequential runtime."""
+        fn, config = make_config(16, server_ranks=2, checkpoint_interval=0.05)
+        runtime = DistributedRuntime(
+            config, vector_factory(fn, cls=SlowVectorSim), nworkers=0,
+            supervise=True, checkpoint_dir=tmp_path,
+        )
+        address = runtime.start()
+        ctx = mp.get_context("fork")
+        crash = FaultPlan(server_rank_crashes=[ServerRankCrash(0, after_messages=6)])
+        outside = [
+            ctx.Process(
+                target=run_server_rank, args=(rank, config, address),
+                kwargs={"checkpoint_dir": tmp_path,
+                        "fault_plan": crash if rank == 0 else None},
+                daemon=True,
+            )
+            for rank in range(2)
+        ] + [
+            ctx.Process(
+                target=run_worker,
+                args=(config, vector_factory(fn, cls=SlowVectorSim), address),
+                kwargs={"name": f"outside-{i}", "worker_index": i},
+                daemon=True,
+            )
+            for i in range(2)
+        ]
+        try:
+            for proc in outside:
+                proc.start()
+            distributed = runtime.wait(60.0)
+        finally:
+            for proc in outside:
+                if proc.is_alive():
+                    proc.terminate()
+                proc.join(timeout=5.0)
+        assert runtime.coordinator.rank_respawns == [0]
+        assert [p.name for p in runtime.server_procs] == ["repro-serve-0"]
+        assert runtime.worker_procs == []
+        assert distributed.groups_integrated == 16
+        _, config2 = make_config(16, server_ranks=2)
+        sequential = SequentialRuntime(config2, vector_factory(fn)).run()
+        np.testing.assert_allclose(
+            distributed.first_order, sequential.first_order, rtol=1e-10, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            distributed.total_order, sequential.total_order, rtol=1e-10, atol=1e-12
         )
 
 
@@ -337,6 +415,11 @@ class TestCLI:
             "work", "--study", "vector", "--coordinator", "127.0.0.1:7707",
         ])
         assert args.func.__name__ == "_cmd_work"
+        with pytest.raises(SystemExit):  # elastic workers are forked, not flagged
+            parser.parse_args([
+                "work", "--study", "vector", "--coordinator", "127.0.0.1:7707",
+                "--elastic",
+            ])
         args = parser.parse_args([
             "launch", "--study", "vector", "--local-workers", "2",
         ])
@@ -353,3 +436,71 @@ class TestCLI:
         assert code == 0
         out = capsys.readouterr().out
         assert "groups integrated" in out or "8" in out
+
+    def test_launch_local_workers_publishes_address_file(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """``--address-file`` works with ``--local-workers`` too: the file
+        holds the bound address while the study runs."""
+        from repro.cli import _parse_address, main
+        from repro.net.worker import FAULT_ENV
+
+        # a straggling worker keeps the study alive past the poll period
+        monkeypatch.setenv(FAULT_ENV, "straggler:delay=0.05")
+        path = str(tmp_path / "rendezvous.addr")
+        probed = []
+        poller = threading.Thread(
+            target=lambda: probed.append(_parse_address(f"@{path}", wait=30.0))
+        )
+        poller.start()
+        code = main([
+            "launch", "--study", "vector", "--groups", "8", "--cells", "16",
+            "--server-ranks", "1", "--local-workers", "1",
+            "--timeout", "60", "--address-file", path,
+        ])
+        poller.join(timeout=35.0)
+        assert not poller.is_alive()
+        assert code == 0
+        out = capsys.readouterr().out
+        host, port = probed[0]
+        assert f"coordinator on {host}:{port} " in out
+        assert open(path).read() == f"{host}:{port}\n"
+        assert "Groups integrated: 8" in out
+
+    def test_coordinator_only_launch_forks_elastic_workers(self, tmp_path, capsys):
+        """The CI shape: serve and work run as separate programs against a
+        launch with nothing forked up front; the launch's elastic pool
+        still forks its extra workers from the launch process."""
+        import repro
+        from repro.cli import main
+
+        path = str(tmp_path / "rendezvous.addr")
+        # enough work that the queue stays deep through both spawns
+        study = ["--study", "vector", "--groups", "120", "--cells", "16",
+                 "--timesteps", "4", "--server-ranks", "1", "--seed", "11"]
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        cli = [sys.executable, "-m", "repro.cli"]
+        outside = [
+            subprocess.Popen(cli + ["serve", *study, "--rank", "0",
+                                    "--coordinator", f"@{path}"], env=env),
+            subprocess.Popen(cli + ["work", *study, "--coordinator", f"@{path}",
+                                    "--fault", "straggler:delay=0.01"], env=env),
+        ]
+        try:
+            code = main(["launch", *study, "--address-file", path,
+                         "--elastic", "high=2,low=0,max=2,cooldown=0.05",
+                         "--timeout", "60"])
+            for proc in outside:
+                proc.wait(timeout=30.0)
+        finally:
+            for proc in outside:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "elastic workers spawned: 2" in out
+        assert "Groups integrated: 120" in out
