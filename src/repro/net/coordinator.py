@@ -25,10 +25,10 @@ additionally owns the launcher-side bookkeeping of Sec. 4.2.2:
   nothing to hand out yet (groups settled but rank states missing,
   speculation not due, work-stealing hold-back) the request is parked
   and answered in the loop turn whose event resolves it (a rank state, a
-  requeue, a departed worker, the tick for time-based verdicts) — except
-  that a worker still holding unacknowledged groups is told to
-  ``settle`` (wait for the ranks, then ask again) so its completions
-  never wait on a timer;
+  requeue, a departed worker; for the time-based verdicts, the heartbeat
+  the parked worker keeps sending) — except that a worker still holding
+  unacknowledged groups is told to ``settle`` (wait for the ranks, then
+  ask again) so its completions never wait on a timer;
 * **fault tolerance** — a worker that disappears (closed control
   connection, e.g. a killed process, or a stale heartbeat) has every
   group it held resubmitted to the remaining workers, up to
@@ -58,9 +58,17 @@ additionally owns the launcher-side bookkeeping of Sec. 4.2.2:
   back from the queue tail while faster workers can drain it;
 * **elastic pool resize** — a :class:`~repro.net.supervisor.PoolSupervisor`
   spawns extra workers while queue depth exceeds the high-water mark
-  (checked from the wait loop) and retires elastic workers asking for
+  (checked every loop turn) and retires elastic workers asking for
   work below the low-water mark (the paper's Fig. 6 elastic ramp, driven
   by the live queue instead of the batch scheduler).
+
+**One thread.**  The coordinator is a single ``selectors`` loop that
+:meth:`Coordinator.wait` runs on the caller's thread: every frame,
+verdict, respawn and fork happens there, so its state needs no lock.
+Between turns the loop sleeps until a peer is readable or the next
+*silence* deadline — a peer that never said hello, a parked rendezvous,
+a heartbeat going stale, the wait's own timeout — and never on a fixed
+poll.
 
 The coordinator is transport policy only — statistics never flow through
 it; field data goes worker -> rank over the direct data channels.
@@ -72,11 +80,10 @@ import hashlib
 import os
 import selectors
 import signal
-import threading
 import time
 import socket
 from collections import deque
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro import telemetry as _telemetry
 from repro.core.config import StudyConfig
@@ -105,16 +112,15 @@ class StudyAborted(RuntimeError):
 class _Peer:
     """One control connection multiplexed onto the coordinator loop.
 
-    The event loop owns the file descriptor: foreign threads (the wait
-    loop's reaps, :meth:`Coordinator.close`) only ``shutdown`` the
-    socket via :meth:`close`, which the loop observes as EOF and runs
-    the loss path for — closing an fd that is still registered in the
-    selector from another thread would race the loop's ``select``.
+    A reap ends a connection with :meth:`close` — a ``shutdown``, which
+    the next ``select`` reports as EOF, so the one loss path runs for
+    it; ``shutdown`` also reaches peers whose descriptor a forked
+    replacement process inherited.
     """
 
     __slots__ = (
         "sock", "peername", "reader", "kind", "rank", "wid",
-        "hello_deadline", "detached", "_wlock",
+        "hello_deadline",
     )
 
     def __init__(self, sock: socket.socket, peername: str):
@@ -125,13 +131,10 @@ class _Peer:
         self.rank: Optional[int] = None
         self.wid: Optional[int] = None
         self.hello_deadline: Optional[float] = None
-        self.detached = False
-        self._wlock = threading.Lock()
 
     def send(self, msg: Any) -> None:
         try:
-            with self._wlock:
-                send_frame(self.sock, msg)
+            send_frame(self.sock, msg)
         except (OSError, ConnectionError) as exc:
             raise ConnectionLost(str(exc)) from exc
 
@@ -286,13 +289,11 @@ class Coordinator:
         self._listener = socket.create_server((host, port), backlog=64)
         self._listener.setblocking(False)
         self.address: Tuple[str, int] = self._listener.getsockname()[:2]
-        # single multiplexed control plane: selectors scales past
-        # FD_SETSIZE and one loop thread replaces a thread per peer
+        # single multiplexed control plane, driven by wait(): selectors
+        # scales past FD_SETSIZE, and peers that dial in before wait()
+        # runs queue in the listen backlog
         self._sel = selectors.DefaultSelector()
         self._sel.register(self._listener, selectors.EVENT_READ, "listener")
-        self._waker_r, self._waker_w = socket.socketpair()
-        self._waker_r.setblocking(False)
-        self._sel.register(self._waker_r, selectors.EVENT_READ, "waker")
         self._peers: Set[_Peer] = set()  # registered in the selector
         self._detached: List[_Peer] = []  # done reading, fd kept open
         # rendezvous requests waiting for the full rank address table:
@@ -303,8 +304,6 @@ class Coordinator:
         # whose event resolves them also answers them
         self._parked_next: Dict[int, _Peer] = {}
 
-        self._lock = threading.Lock()
-        self._changed = threading.Condition(self._lock)
         self._pending = deque(range(config.ngroups))
         # worker id -> the groups it holds, oldest first: sent but not
         # yet acknowledged by the ranks, then the one it is running and
@@ -344,12 +343,11 @@ class Coordinator:
         self._errors: List[str] = []
         self._finalized = False
         self._closed = False
-        self._loop_thread = threading.Thread(
-            target=self._loop, name="coordinator-loop", daemon=True
-        )
 
     # ------------------------------------------------------------------ #
     def start(self) -> "Coordinator":
+        """Open the study (the control port already listens); :meth:`wait`
+        runs it."""
         if self.supervisor is not None:
             # seed liveness for every expected rank: a serve process that
             # dies BEFORE it ever registers (bind failure, bad restore,
@@ -363,7 +361,6 @@ class Coordinator:
             f"{self.config.ngroups} groups drawn, "
             f"{self.config.server_ranks} server ranks",
         )
-        self._loop_thread.start()
         return self
 
     # ------------------------------------------------------------------ #
@@ -399,7 +396,7 @@ class Coordinator:
         )
 
     def _refresh_gauges(self) -> None:
-        """Update point-in-time gauges (wait loop, lock held)."""
+        """Update point-in-time gauges (every loop turn)."""
         if not _telemetry.REGISTRY.enabled:
             return
         self._m_queue_depth.set(len(self._pending))
@@ -416,79 +413,62 @@ class Coordinator:
             self._m_elastic_retired.set(self.pool.retired_total)
 
     def study_view(self) -> dict:
-        """Live study facts for dashboard frames (``repro top``)."""
-        with self._lock:
-            view = {
-                "fingerprint": self.study_id,
-                "ngroups": self.config.ngroups,
-                "groups_done": len(self.done),
-                "queue_depth": len(self._pending),
-                "in_flight": len(self._attempts()),
-                "workers_active": len(self._worker_conns),
-                "speculated": len(self.speculated),
-                "resubmitted": len(self.resubmitted),
-                "interrupted": len(self.interrupted),
-                "rank_respawns": len(self.rank_respawns),
-                "abandoned": len(self.abandoned),
-                "leases": self._leases,
-                "groups_per_lease": (
-                    self._assign_count / self._leases if self._leases else 0.0
-                ),
+        """Live study facts for dashboard frames (``repro top``).
+
+        The metrics exporters call this from their own threads while the
+        loop runs: it only takes ``len()`` of containers and whole-dict
+        copies, each a single step under the GIL, so it needs no lock and
+        never iterates a container the loop is changing.
+        """
+        leases, assigned = self._leases, self._assign_count
+        view = {
+            "fingerprint": self.study_id,
+            "ngroups": self.config.ngroups,
+            "groups_done": len(self.done),
+            "queue_depth": len(self._pending),
+            "in_flight": sum(map(len, list(self._assigned.values()))),
+            "workers_active": len(self._worker_conns),
+            "speculated": len(self.speculated),
+            "resubmitted": len(self.resubmitted),
+            "interrupted": len(self.interrupted),
+            "rank_respawns": len(self.rank_respawns),
+            "abandoned": len(self.abandoned),
+            "leases": leases,
+            "groups_per_lease": assigned / leases if leases else 0.0,
+        }
+        if self.policy is not None:
+            view["ewma"] = {
+                self._worker_names.get(w, str(w)): round(s, 4)
+                for w, s in dict(self.policy.ewma).items()
             }
-            if self.policy is not None:
-                view["ewma"] = {
-                    self._worker_names.get(w, str(w)): round(s, 4)
-                    for w, s in self.policy.ewma.items()
-                }
         return view
 
     # ------------------------------------------------------------------ #
-    # lifecycle / main wait loop
+    # lifecycle: wait() is the event loop
     # ------------------------------------------------------------------ #
-    def wait(self, timeout: float = 300.0, poll: float = 0.05) -> None:
-        """Block until every rank reported its state (study complete).
+    def wait(self, timeout: float = 300.0) -> None:
+        """Run the study on this thread until every rank reported its
+        state, then close the coordinator.
 
         Raises a descriptive :class:`TimeoutError` naming the unfinished
         groups and unreported ranks, or :class:`StudyAborted` on a fatal
         participant failure.
         """
-        deadline = time.monotonic() + timeout
+        nranks = self.config.server_ranks
         try:
-            while True:
-                with self._changed:
-                    if self._errors:
-                        raise StudyAborted(
-                            "distributed study failed:\n" + "\n".join(self._errors)
-                        )
-                    if len(self.rank_states) == self.config.server_ranks:
-                        return
-                    if self._groups_settled() and not self._finalized:
-                        self._finalize_ranks()
-                    self._reap_stale_workers()
-                    orphans = self._reap_stale_ranks()
-                    self._refresh_gauges()
-                    queue_depth = len(self._pending)
-                    active_workers = len(self._worker_conns)
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        raise TimeoutError(self._timeout_message(timeout))
-                    if not orphans:
-                        self._changed.wait(timeout=min(poll, remaining))
-                for rank in orphans:
-                    # a stale rank with no connection to close: respawn it
-                    # directly (kill + spawn happen outside the lock)
-                    self._respawn_lost_rank(rank)
-                if self.pool is not None:
-                    # elastic ramp-up (spawning forks — no lock held); the
-                    # ramp-down half lives in _assign, where an elastic
-                    # worker asking for work against a drained queue is
-                    # told to retire instead
-                    self.pool.maybe_spawn(queue_depth, active_workers)
+            over = self._run_until(
+                lambda: bool(self._errors) or len(self.rank_states) == nranks,
+                time.monotonic() + timeout,
+            )
+            if self._errors:
+                raise StudyAborted(
+                    "distributed study failed:\n" + "\n".join(self._errors)
+                )
+            if not over:
+                raise TimeoutError(self._timeout_message(timeout))
+            self._drain_worker_goodbyes()
         finally:
-            if len(self.rank_states) == self.config.server_ranks or self._errors:
-                if not self._errors:
-                    self._drain_worker_goodbyes()
-                self.close()
+            self.close()
 
     def _drain_worker_goodbyes(self, grace: float = 0.35) -> None:
         """Give connected workers a moment to hear ``done`` and say
@@ -501,13 +481,51 @@ class Coordinator:
         a worker that never comes back (killed, zombie, mid-straggle)
         cannot stall shutdown past ``grace`` seconds — the workers'
         ``next`` requests are parked, ``done`` goes out in the loop turn
-        that takes the last rank state in, and each ``bye`` wakes this
-        wait, so the healthy case drains in one round trip.
+        that takes the last rank state in, and the turn that reads the
+        last ``bye`` ends this wait, so the healthy case drains in one
+        round trip.
         """
-        deadline = time.monotonic() + grace
-        with self._changed:
-            while self._worker_conns and time.monotonic() < deadline:
-                self._changed.wait(timeout=0.05)
+        self._run_until(
+            lambda: not self._worker_conns, time.monotonic() + grace
+        )
+
+    def _run_until(self, done: Callable[[], bool], deadline: float) -> bool:
+        """Run loop turns until ``done()`` (True) or ``deadline`` passes
+        (False).  Each ``select`` sleeps until a peer is readable or the
+        next silence deadline, whichever comes first."""
+        while not done():
+            now = time.monotonic()
+            if now >= deadline:
+                return False
+            events = self._sel.select(self._next_wakeup(deadline) - now)
+            self._turn(events, time.monotonic())
+        return True
+
+    def _next_wakeup(self, deadline: float) -> float:
+        """The earliest instant a turn is due although no peer spoke:
+        ``deadline``, a peer's hello deadline, a parked rendezvous
+        expiring, or the heartbeat of a worker holding groups or of a
+        watched rank going stale.  Verdicts that only change with time
+        for a *parked* ``next`` (speculation due, elastic cooldown) need
+        no entry: the parked worker heartbeats, and each beat is a turn."""
+        due = [deadline]
+        due.extend(
+            p.hello_deadline for p in self._peers if p.hello_deadline is not None
+        )
+        due.extend(expiry for _, _, expiry in self._parked)
+        due.extend(
+            self._last_seen[wid] + self.worker_timeout
+            for wid in self._assigned
+            if wid in self._last_seen
+        )
+        if self.supervisor is not None:
+            policy = self.supervisor.policy
+            due.extend(
+                last + policy.timeout
+                for rank, last in policy.last_heartbeat.items()
+                if rank not in self.rank_states
+            )
+        return min(due)
 
     def _timeout_message(self, timeout: float) -> str:
         """Deadline-breach report naming the unfinished groups and the
@@ -539,8 +557,8 @@ class Coordinator:
             try:
                 conn.send({"op": "finalize"})
             except ConnectionLost:
-                # with supervision the rank's reader thread notices the
-                # loss and respawns; the replacement is re-finalized
+                # with supervision the loop sees the rank's EOF and
+                # respawns it; the replacement is re-finalized
                 if self.supervisor is None:
                     self._errors.append(f"server rank {rank} lost before finalize")
 
@@ -554,15 +572,15 @@ class Coordinator:
                     conn.close()  # shutdown: the loop sees EOF and resubmits
 
     def _reap_stale_ranks(self) -> List[int]:
-        """Flag heartbeat-silent ranks (lock held).
+        """Flag heartbeat-silent ranks.
 
-        A connected zombie has its control connection closed so its
-        reader thread runs the loss path (kill + respawn).  A stale rank
-        with NO connection — it died before ever registering — is
-        returned for the wait loop to respawn directly; its liveness
-        entry is dropped so the verdict fires once (the replacement's
-        registration re-arms tracking).  A rank that already shipped its
-        state is lingering on purpose and is never reaped.
+        A connected zombie has its control connection shut down, so the
+        next turn runs its loss path (kill + respawn).  A stale rank with
+        NO connection — it died before ever registering — is returned
+        for the turn to respawn directly; its liveness entry is dropped
+        so the verdict fires once (the replacement's registration
+        re-arms tracking).  A rank that already shipped its state is
+        lingering on purpose and is never reaped.
         """
         if self.supervisor is None:
             return []
@@ -579,49 +597,47 @@ class Coordinator:
         return orphans
 
     def close(self) -> None:
+        """Shut every control connection down and release the sockets
+        (idempotent; :meth:`wait` ends with it)."""
         if self._closed:
             return
         self._closed = True
-        for conn in list(self._rank_conns.values()) + list(
-            self._worker_conns.values()
-        ):
+        for peer in list(self._peers) + self._detached:
+            peer.close()  # shutdown: also reaches fds a fork inherited
             try:
-                conn.close()  # shutdown: the loop owns the final fd close
+                peer.sock.close()
             except OSError:
                 pass
-        try:
-            self._waker_w.send(b"x")
-        except OSError:
-            pass
-        if self._loop_thread.is_alive():
-            self._loop_thread.join(timeout=5.0)
-        elif not self._loop_thread.ident:
-            self._teardown()  # never started: nothing else closes the fds
+        self._peers.clear()
+        self._detached.clear()
+        self._sel.close()
+        self._listener.close()
 
     # ------------------------------------------------------------------ #
     # connection handling: one selectors event loop for every peer
     # ------------------------------------------------------------------ #
-    def _loop(self) -> None:
-        try:
-            while not self._closed:
-                events = self._sel.select(0.1)
-                if self._closed:
-                    return
-                self._turn(events, time.monotonic())
-        finally:
-            self._teardown()
-
     def _turn(self, events, now: float) -> None:
         """One loop turn: dispatch what is readable, run the deadline
-        work, then answer every parked ``next`` the turn resolved."""
+        work and the study-level verdicts (finalize, stale peers,
+        elastic ramp-up), then answer every parked ``next`` the turn
+        resolved."""
         for key, _ in events:
             if key.data == "listener":
                 self._accept_ready()
-            elif key.data == "waker":
-                self._drain_waker()
             else:
                 self._pump_peer(key.data)
         self._tick(now)
+        if self._groups_settled() and not self._finalized:
+            self._finalize_ranks()
+        self._reap_stale_workers()
+        for rank in self._reap_stale_ranks():
+            self._respawn_lost_rank(rank)
+        if self.pool is not None:
+            # elastic ramp-up; the ramp-down half lives in _assign, where
+            # an elastic worker asking for work against a drained queue
+            # is told to retire instead
+            self.pool.maybe_spawn(len(self._pending), len(self._worker_conns))
+        self._refresh_gauges()
         if self._parked_next:
             self._serve_parked_next()
 
@@ -640,13 +656,6 @@ class Coordinator:
             peer.hello_deadline = time.monotonic() + self.worker_timeout
             self._peers.add(peer)
             self._sel.register(sock, selectors.EVENT_READ, peer)
-
-    def _drain_waker(self) -> None:
-        try:
-            while self._waker_r.recv(4096):
-                pass
-        except (BlockingIOError, OSError):
-            pass
 
     def _pump_peer(self, peer: _Peer) -> None:
         try:
@@ -671,13 +680,11 @@ class Coordinator:
             self._drop_fd(peer)
             return False
         if hello.get("fingerprint") != self.fingerprint:
-            with self._changed:
-                self._errors.append(
-                    f"{hello.get('op')} from {peer.peername} joined with a "
-                    f"mismatched study configuration: {hello.get('fingerprint')}"
-                    f" != {self.fingerprint}"
-                )
-                self._changed.notify_all()
+            self._errors.append(
+                f"{hello.get('op')} from {peer.peername} joined with a "
+                f"mismatched study configuration: {hello.get('fingerprint')}"
+                f" != {self.fingerprint}"
+            )
             try:
                 peer.send({"op": "error", "error": "study fingerprint mismatch"})
             except ConnectionLost:
@@ -706,8 +713,7 @@ class Coordinator:
             pass
 
     def _detach(self, peer: _Peer) -> None:
-        """Stop reading a peer but keep its socket open (the equivalent
-        of the old per-connection thread returning): a lingering rank
+        """Stop reading a peer but keep its socket open: a lingering rank
         that reported its state, or one that shipped a fatal error,
         stays connected until the coordinator itself closes."""
         self._peers.discard(peer)
@@ -715,7 +721,6 @@ class Coordinator:
             self._sel.unregister(peer.sock)
         except (KeyError, ValueError, OSError):
             pass
-        peer.detached = True
         self._detached.append(peer)
 
     def _peer_lost(self, peer: _Peer) -> None:
@@ -729,14 +734,15 @@ class Coordinator:
             self._forget_worker(wid)
 
     def _worker_teardown(self, peer: _Peer) -> None:
-        """The old worker-thread ``finally``: close, resubmit, forget."""
+        """A worker's last frame (or a failed send): close, resubmit,
+        forget."""
         self._drop_fd(peer)
         self._resubmit_if_assigned(peer.wid)
         self._forget_worker(peer.wid)
 
     def _tick(self, now: float) -> None:
-        """Deadline work between select() batches: peers that never said
-        hello, and parked rendezvous requests (fulfil or expire)."""
+        """Per-turn deadline work: peers that never said hello, and
+        parked rendezvous requests (fulfil or expire)."""
         for peer in list(self._peers):
             if (
                 peer.kind is None
@@ -746,8 +752,7 @@ class Coordinator:
                 self._drop_fd(peer)
         if not self._parked:
             return
-        with self._changed:
-            nregistered = len(self._rank_addresses)
+        nregistered = len(self._rank_addresses)
         ready = nregistered >= self.config.server_ranks
         still_parked: List[Tuple[_Peer, ConnectionRequest, float]] = []
         for peer, request, deadline in self._parked:
@@ -759,49 +764,27 @@ class Coordinator:
                 except ConnectionLost:
                     self._worker_teardown(peer)
             elif now >= deadline:
-                with self._changed:
-                    self._errors.append(
-                        f"only {nregistered} of {self.config.server_ranks} "
-                        f"server ranks registered"
-                    )
-                    self._changed.notify_all()
+                self._errors.append(
+                    f"only {nregistered} of {self.config.server_ranks} "
+                    f"server ranks registered"
+                )
                 self._worker_teardown(peer)
             else:
                 still_parked.append((peer, request, deadline))
         self._parked = still_parked
 
-    def _teardown(self) -> None:
-        for peer in list(self._peers) + list(self._detached):
-            try:
-                peer.sock.close()
-            except OSError:
-                pass
-        self._peers.clear()
-        self._detached.clear()
-        try:
-            self._sel.close()
-        except OSError:
-            pass
-        for sock in (self._listener, self._waker_r, self._waker_w):
-            try:
-                sock.close()
-            except OSError:
-                pass
-
     # ------------------------------------------------------------------ #
     def _register_rank(self, peer: _Peer, hello: dict) -> bool:
         rank = int(hello["rank"])
         peer.kind, peer.rank = "rank", rank
-        with self._changed:
-            self._note_rank_registration(rank, hello)
-            self._rank_addresses[rank] = tuple(hello["address"])
-            self._rank_conns[rank] = peer
-            if self.supervisor is not None:
-                self.supervisor.watch(rank, hello.get("pid"))
-                # registration counts as liveness: a rank that hangs
-                # before its first heartbeat must still look stale later
-                self.supervisor.beat(rank, time.monotonic())
-            self._changed.notify_all()
+        self._note_rank_registration(rank, hello)
+        self._rank_addresses[rank] = tuple(hello["address"])
+        self._rank_conns[rank] = peer
+        if self.supervisor is not None:
+            self.supervisor.watch(rank, hello.get("pid"))
+            # registration counts as liveness: a rank that hangs
+            # before its first heartbeat must still look stale later
+            self.supervisor.beat(rank, time.monotonic())
         try:
             peer.send({
                 "op": "registered",
@@ -824,19 +807,16 @@ class Coordinator:
                 self.telemetry.ingest(frame.sender, frame.metrics)
             return True
         if isinstance(frame, dict) and frame.get("op") == "rank_state":
-            with self._changed:
-                self.rank_states[rank] = frame["state"]
-                self.rank_maps[rank] = frame["maps"]
-                self.rank_widths[rank] = frame["width"]
-                if frame.get("channel_stats") is not None:
-                    self.rank_channel_stats[rank] = frame["channel_stats"]
-                self._event("rank_state", f"rank {rank} reported")
-                if self.supervisor is not None:
-                    # the rank now lingers (silent by design) to absorb
-                    # respawn-requeued replays; stop watching its
-                    # heartbeat
-                    self.supervisor.policy.forget(rank)
-                self._changed.notify_all()
+            self.rank_states[rank] = frame["state"]
+            self.rank_maps[rank] = frame["maps"]
+            self.rank_widths[rank] = frame["width"]
+            if frame.get("channel_stats") is not None:
+                self.rank_channel_stats[rank] = frame["channel_stats"]
+            self._event("rank_state", f"rank {rank} reported")
+            if self.supervisor is not None:
+                # the rank now lingers (silent by design) to absorb
+                # respawn-requeued replays; stop watching its heartbeat
+                self.supervisor.policy.forget(rank)
             if self.supervisor is None:
                 # unsupervised: a reported rank's eventual exit is
                 # normal — stop reading it (its EOF must not be treated
@@ -849,17 +829,13 @@ class Coordinator:
             # replacement like any other rank
             return True
         if isinstance(frame, dict) and frame.get("op") == "error":
-            with self._changed:
-                self._errors.append(
-                    f"server rank {rank} failed:\n{frame['error']}"
-                )
-                self._changed.notify_all()
+            self._errors.append(f"server rank {rank} failed:\n{frame['error']}")
             self._detach(peer)
             return False
         return True  # unknown rank frames are ignored, as before
 
     def _note_rank_registration(self, rank: int, hello: dict) -> None:
-        """Respawn bookkeeping for a (re-)registering rank (lock held).
+        """Respawn bookkeeping for a (re-)registering rank.
 
         A re-registration is the second half of the launcher protocol:
         the replacement process restored its checkpoint and told us which
@@ -901,7 +877,7 @@ class Coordinator:
                 f"rank {rank} restore missed groups {requeue}",
             )
         # whether or not anything was requeued, the replacement has never
-        # seen a finalize — arm the wait loop to send it again (lingering
+        # seen a finalize — arm the next turn to send it again (lingering
         # ranks ignore the repeat)
         self._finalized = False
 
@@ -915,56 +891,47 @@ class Coordinator:
         collected state is dropped and the replacement (restoring the
         final checkpoint) re-reports an identical one.
         """
-        with self._changed:
-            if self._closed or len(self.rank_states) == self.config.server_ranks:
-                # shutting down, or every state is in (the study is over
-                # and wait() is about to close us): nothing to recover
-                self._changed.notify_all()
-                return
-            if self.supervisor is None and rank in self.rank_states:
-                self._changed.notify_all()
-                return  # unsupervised: a reported rank's exit is normal
-            if self._rank_conns.get(rank) is not conn:
-                return  # superseded by a newer registration
-            del self._rank_conns[rank]
-            # block new rendezvous replies until the replacement publishes
-            # its fresh data address
-            self._rank_addresses.pop(rank, None)
-            supervisor = self.supervisor
-            if supervisor is None:
-                self._errors.append(
-                    f"server rank {rank} disconnected before reporting its state"
-                )
-                self._changed.notify_all()
-                return
-            self.rank_states.pop(rank, None)
-            self.rank_maps.pop(rank, None)
-            self.rank_widths.pop(rank, None)
-            supervisor.policy.forget(rank)
-            self._changed.notify_all()
+        if self._closed or len(self.rank_states) == self.config.server_ranks:
+            # shutting down, or every state is in (the study is over and
+            # wait() is about to close us): nothing to recover
+            return
+        if self.supervisor is None and rank in self.rank_states:
+            return  # unsupervised: a reported rank's exit is normal
+        if self._rank_conns.get(rank) is not conn:
+            return  # superseded by a newer registration
+        del self._rank_conns[rank]
+        # block new rendezvous replies until the replacement publishes its
+        # fresh data address
+        self._rank_addresses.pop(rank, None)
+        if self.supervisor is None:
+            self._errors.append(
+                f"server rank {rank} disconnected before reporting its state"
+            )
+            return
+        self.rank_states.pop(rank, None)
+        self.rank_maps.pop(rank, None)
+        self.rank_widths.pop(rank, None)
+        self.supervisor.policy.forget(rank)
         self._respawn_lost_rank(rank)
 
     def _respawn_lost_rank(self, rank: int) -> None:
-        """Kill-and-respawn one dead rank (no locks held)."""
+        """Kill-and-respawn one dead rank."""
         try:
             self.supervisor.respawn(rank)
         except Exception as exc:  # budget exceeded or the spawner failed
-            with self._changed:
-                self._errors.append(
-                    f"server rank {rank} died and could not be respawned: {exc}"
-                )
-                self._changed.notify_all()
+            self._errors.append(
+                f"server rank {rank} died and could not be respawned: {exc}"
+            )
 
     # ------------------------------------------------------------------ #
     def _register_worker(self, peer: _Peer, hello: dict) -> bool:
-        with self._changed:
-            wid = self._next_worker_id
-            self._next_worker_id += 1
-            self._worker_pids[wid] = hello.get("pid")
-            self._worker_names[wid] = str(hello.get("worker", f"worker-{wid}"))
-            self._worker_conns[wid] = peer
-            self._worker_elastic[wid] = bool(hello.get("elastic"))
-            self._last_seen[wid] = time.monotonic()
+        wid = self._next_worker_id
+        self._next_worker_id += 1
+        self._worker_pids[wid] = hello.get("pid")
+        self._worker_names[wid] = str(hello.get("worker", f"worker-{wid}"))
+        self._worker_conns[wid] = peer
+        self._worker_elastic[wid] = bool(hello.get("elastic"))
+        self._last_seen[wid] = time.monotonic()
         peer.kind, peer.wid = "worker", wid
         name = self._worker_names[wid]
         self._event("worker_joined", name + (" (elastic)" if hello.get("elastic") else ""))
@@ -993,17 +960,13 @@ class Coordinator:
                         f"group {frame.group_id} has {frame.ncells} cells, "
                         f"study configured {self.config.ncells}"
                     )
-                with self._changed:
-                    ready = (
-                        len(self._rank_addresses) >= self.config.server_ranks
-                    )
-                if ready:
+                if len(self._rank_addresses) >= self.config.server_ranks:
                     peer.send(self._addressed_reply())
                 else:
                     # the handshake waits until every rank has registered
                     # its data address — a group can only open channels
-                    # to a complete server.  Parked, not blocked: the
-                    # loop's tick fulfils or expires it.
+                    # to a complete server.  Parked, not blocked: a later
+                    # turn's tick fulfils or expires it.
                     self._parked.append(
                         (peer, frame, time.monotonic() + self.worker_timeout)
                     )
@@ -1025,9 +988,7 @@ class Coordinator:
                 # retry budget (the group is not at fault)
                 self._requeue_interrupted(wid, int(frame["group_id"]))
             elif op == "error":
-                with self._changed:
-                    self._errors.append(f"worker {name} failed:\n{frame['error']}")
-                    self._changed.notify_all()
+                self._errors.append(f"worker {name} failed:\n{frame['error']}")
                 self._worker_teardown(peer)
                 return False
             elif op == "bye":
@@ -1042,9 +1003,7 @@ class Coordinator:
             self._worker_teardown(peer)
             return False
         except StudyAborted as exc:
-            with self._changed:
-                self._errors.append(str(exc))
-                self._changed.notify_all()
+            self._errors.append(str(exc))
             self._worker_teardown(peer)
             return False
 
@@ -1052,29 +1011,23 @@ class Coordinator:
         """Drop a departed worker's liveness/speed state so elastic
         active-worker counts and the fleet EWMA describe only the living."""
         self._parked_next.pop(wid, None)
-        with self._changed:
-            departed = wid in self._worker_conns
-            self._worker_conns.pop(wid, None)
-            self._last_seen.pop(wid, None)
-            if departed and not self._closed:
-                self._event(
-                    "worker_left", str(self._worker_names.get(wid, wid))
-                )
-            elastic = self._worker_elastic.pop(wid, False)
-            retired = wid in self._retired_wids
-            self._retired_wids.discard(wid)
-            if self.policy is not None:
-                self.policy.worker_left(wid)
-            self._changed.notify_all()
+        departed = self._worker_conns.pop(wid, None) is not None
+        self._last_seen.pop(wid, None)
+        if departed and not self._closed:
+            self._event("worker_left", str(self._worker_names.get(wid, wid)))
+        elastic = self._worker_elastic.pop(wid, False)
+        retired = wid in self._retired_wids
+        self._retired_wids.discard(wid)
+        if self.policy is not None:
+            self.policy.worker_left(wid)
         if elastic and not retired and self.pool is not None:
             self.pool.worker_lost()
 
     def _addressed_reply(self) -> AddressedReply:
         """Rendezvous reply once the rank address table is complete."""
-        with self._changed:
-            addresses = tuple(
-                self._rank_addresses[r] for r in range(self.config.server_ranks)
-            )
+        addresses = tuple(
+            self._rank_addresses[r] for r in range(self.config.server_ranks)
+        )
         return AddressedReply(
             reply=ConnectionReply(
                 nranks_server=self.partition.nranks,
@@ -1093,9 +1046,8 @@ class Coordinator:
         wid = peer.wid
         reply, kill_pid = self._assign(wid)
         if reply["op"] == "idle":
-            with self._changed:
-                if not self._assigned.get(wid):
-                    return False
+            if not self._assigned.get(wid):
+                return False
             reply = {"op": "settle"}
         peer.send(reply)
         if kill_pid is not None:
@@ -1118,7 +1070,7 @@ class Coordinator:
                 self._worker_teardown(peer)
 
     def _attempts(self) -> List[Tuple[int, int]]:
-        """Every (worker id, group id) attempt currently held (lock held)."""
+        """Every (worker id, group id) attempt currently held."""
         return [(w, g) for w, gids in self._assigned.items() for g in gids]
 
     def _hold(self, wid: int, gid: int) -> None:
@@ -1146,89 +1098,85 @@ class Coordinator:
         fleet.  With a scheduling policy the lease is one group: its
         per-group clock starts at assignment, so groups queued behind a
         longer lease would look overdue and draw speculative copies."""
-        with self._changed:
-            now = time.monotonic()
-            if (
-                self.pool is not None
-                and self._worker_elastic.get(wid)
-                and wid not in self._retired_wids
-                # a retiring worker leaves at once: it must hold nothing
-                and not self._assigned.get(wid)
-                and self.pool.offer_retire(
-                    len(self._pending), len(self._worker_conns), now
-                )
-            ):
-                # elastic ramp-down: the queue is drained below the low
-                # water mark, so this extra worker leaves instead of
-                # idling (its reader thread cleans up on the bye/close)
-                self._retired_wids.add(wid)
-                self.retired_workers.append(wid)
-                self._event(
-                    "worker_retired",
-                    f"{self._worker_names.get(wid, wid)} (queue drained)",
-                )
-                self._changed.notify_all()
-                return {"op": "retire"}, None
-            if self._groups_settled():
-                # workers may only leave once every rank has shipped its
-                # state: a rank dying during finalize requeues groups, and
-                # someone has to still be around to run them
-                if len(self.rank_states) == self.config.server_ranks:
-                    return {"op": "done"}, None
-                return {"op": "idle"}, None
-            if not self._pending:
-                gid = self._speculation_candidate(wid, now)
-                if gid is not None:
-                    # straggler re-execution: hand the overdue group to
-                    # this idle worker too; first completion wins
-                    self._hold(wid, gid)
-                    self._assign_count += 1
-                    self._leases += 1
-                    self._speculative_attempts.add((wid, gid))
-                    self.speculated.append(gid)
-                    self.policy.record_speculation(gid)
-                    self.policy.assigned(wid, gid, now)
-                    self._m_spec_fired.inc()
-                    self._start_attempt(wid, gid)
-                    self._event(
-                        "speculation",
-                        f"group {gid} re-issued to "
-                        f"{self._worker_names.get(wid, wid)}",
-                    )
-                    self._changed.notify_all()
-                    return {"op": "group", "group_ids": [gid]}, None
-                # workers still hold groups that may yet be resubmitted;
-                # stay around
-                return {"op": "idle"}, None
-            if self.policy is not None and self.policy.should_hold_back(
-                wid, len(self._pending)
-            ):
-                # work stealing: this worker is demonstrably slow and the
-                # queue tail fits in the fast workers' hands — defer it
-                self._m_holdbacks.inc()
-                return {"op": "idle"}, None
-            size = 1 if self.policy is not None else max(1, min(
-                MAX_HELD_GROUPS - len(self._assigned.get(wid, ())),
-                len(self._pending) // (2 * max(1, len(self._worker_conns))),
-            ))
-            gids = [self._pending.popleft() for _ in range(size)]
-            kill_pid = None
-            for gid in gids:
+        now = time.monotonic()
+        if (
+            self.pool is not None
+            and self._worker_elastic.get(wid)
+            and wid not in self._retired_wids
+            # a retiring worker leaves at once: it must hold nothing
+            and not self._assigned.get(wid)
+            and self.pool.offer_retire(
+                len(self._pending), len(self._worker_conns), now
+            )
+        ):
+            # elastic ramp-down: the queue is drained below the low water
+            # mark, so this extra worker leaves instead of idling (its
+            # bye or EOF runs the usual teardown)
+            self._retired_wids.add(wid)
+            self.retired_workers.append(wid)
+            self._event(
+                "worker_retired",
+                f"{self._worker_names.get(wid, wid)} (queue drained)",
+            )
+            return {"op": "retire"}, None
+        if self._groups_settled():
+            # workers may only leave once every rank has shipped its
+            # state: a rank dying during finalize requeues groups, and
+            # someone has to still be around to run them
+            if len(self.rank_states) == self.config.server_ranks:
+                return {"op": "done"}, None
+            return {"op": "idle"}, None
+        if not self._pending:
+            gid = self._speculation_candidate(wid, now)
+            if gid is not None:
+                # straggler re-execution: hand the overdue group to this
+                # idle worker too; first completion wins
                 self._hold(wid, gid)
-                if self.policy is not None:
-                    self.policy.assigned(wid, gid, now)
-                self._start_attempt(wid, gid)
                 self._assign_count += 1
-                if self._assign_count == self.fault_kill_after:
-                    kill_pid = self._worker_pids.get(wid)
-            self._leases += 1
-            self._changed.notify_all()
-            return {"op": "group", "group_ids": gids}, kill_pid
+                self._leases += 1
+                self._speculative_attempts.add((wid, gid))
+                self.speculated.append(gid)
+                self.policy.record_speculation(gid)
+                self.policy.assigned(wid, gid, now)
+                self._m_spec_fired.inc()
+                self._start_attempt(wid, gid)
+                self._event(
+                    "speculation",
+                    f"group {gid} re-issued to "
+                    f"{self._worker_names.get(wid, wid)}",
+                )
+                return {"op": "group", "group_ids": [gid]}, None
+            # workers still hold groups that may yet be resubmitted; stay
+            # around
+            return {"op": "idle"}, None
+        if self.policy is not None and self.policy.should_hold_back(
+            wid, len(self._pending)
+        ):
+            # work stealing: this worker is demonstrably slow and the
+            # queue tail fits in the fast workers' hands — defer it
+            self._m_holdbacks.inc()
+            return {"op": "idle"}, None
+        size = 1 if self.policy is not None else max(1, min(
+            MAX_HELD_GROUPS - len(self._assigned.get(wid, ())),
+            len(self._pending) // (2 * max(1, len(self._worker_conns))),
+        ))
+        gids = [self._pending.popleft() for _ in range(size)]
+        kill_pid = None
+        for gid in gids:
+            self._hold(wid, gid)
+            if self.policy is not None:
+                self.policy.assigned(wid, gid, now)
+            self._start_attempt(wid, gid)
+            self._assign_count += 1
+            if self._assign_count == self.fault_kill_after:
+                kill_pid = self._worker_pids.get(wid)
+        self._leases += 1
+        return {"op": "group", "group_ids": gids}, kill_pid
 
     def _speculation_candidate(self, wid: int, now: float) -> Optional[int]:
-        """Straggling group worth re-issuing to idle worker ``wid`` (lock
-        held).  Stale attempts and already-done groups are not worth a
-        second copy, so they are filtered before the policy sees them."""
+        """Straggling group worth re-issuing to idle worker ``wid``.
+        Stale attempts and already-done groups are not worth a second
+        copy, so they are filtered before the policy sees them."""
         if self.policy is None:
             return None
         candidates = {
@@ -1239,58 +1187,55 @@ class Coordinator:
         return self.policy.speculation_candidate(wid, candidates, now)
 
     def _mark_done(self, wid: int, gid: int) -> None:
-        with self._changed:
-            was_mine = self._release(wid, gid)
-            speculative = (wid, gid) in self._speculative_attempts
-            self._speculative_attempts.discard((wid, gid))
-            if (wid, gid) in self._stale_attempts:
-                # this attempt was in flight when a rank respawned: its
-                # "completion" may rest on credits the dead rank never
-                # integrated, so only the requeued copy settles the group
-                self._stale_attempts.discard((wid, gid))
-                self._finish_attempt(wid, gid, "stale")
-                if self.policy is not None:
-                    self.policy.discarded(wid, gid)
-            elif gid not in self._pending:
-                # a respawn may have requeued this group while the worker
-                # was finishing it; the queued duplicate still runs (the
-                # respawned rank needs the re-sent data), so the group is
-                # not done yet
-                first = gid not in self.done
-                self.done.add(gid)
-                if first:
-                    self._m_groups_done.inc()
+        was_mine = self._release(wid, gid)
+        speculative = (wid, gid) in self._speculative_attempts
+        self._speculative_attempts.discard((wid, gid))
+        if (wid, gid) in self._stale_attempts:
+            # this attempt was in flight when a rank respawned: its
+            # "completion" may rest on credits the dead rank never
+            # integrated, so only the requeued copy settles the group
+            self._stale_attempts.discard((wid, gid))
+            self._finish_attempt(wid, gid, "stale")
+            if self.policy is not None:
+                self.policy.discarded(wid, gid)
+        elif gid not in self._pending:
+            # a respawn may have requeued this group while the worker was
+            # finishing it; the queued duplicate still runs (the
+            # respawned rank needs the re-sent data), so the group is not
+            # done yet
+            first = gid not in self.done
+            self.done.add(gid)
+            if first:
+                self._m_groups_done.inc()
+            if first and speculative:
+                self._m_spec_won.inc()
+            self._finish_attempt(
+                wid, gid, "speculation-won" if speculative else "done"
+            )
+            if self.policy is not None and was_mine:
+                self.policy.completed(wid, gid, time.monotonic())
                 if first and speculative:
-                    self._m_spec_won.inc()
-                self._finish_attempt(
-                    wid, gid, "speculation-won" if speculative else "done"
-                )
-                if self.policy is not None and was_mine:
-                    self.policy.completed(wid, gid, time.monotonic())
-                    if first and speculative:
-                        self.policy.record_win(gid)
-                # first completion wins: settle every other running copy
-                # of this group.  The winner's report proves each rank
-                # credited (and pre-finalize drains) every byte, so the
-                # statistics already contain the group; the losers'
-                # residual frames are replay-discarded during the ranks'
-                # linger phase.  No forget broadcast — the losers' staged
-                # partials are orphaned (group, timestep) entries the
-                # discard path drops on its own.
-                for other, g in self._attempts():
-                    if g == gid and (other, gid) not in self._stale_attempts:
-                        self._release(other, gid)
-                        self._speculative_attempts.discard((other, gid))
-                        self._finish_attempt(other, gid, "settled-by-duplicate")
-                        if self.policy is not None:
-                            self.policy.discarded(other, gid)
-            else:
-                # requeued while finishing: the completion settles nothing
-                # (the queued copy will), so only stop the attempt's clock
-                self._finish_attempt(wid, gid, "superseded-by-requeue")
-                if self.policy is not None:
-                    self.policy.discarded(wid, gid)
-            self._changed.notify_all()
+                    self.policy.record_win(gid)
+            # first completion wins: settle every other running copy of
+            # this group.  The winner's report proves each rank credited
+            # (and pre-finalize drains) every byte, so the statistics
+            # already contain the group; the losers' residual frames are
+            # replay-discarded during the ranks' linger phase.  No forget
+            # broadcast — the losers' staged partials are orphaned
+            # (group, timestep) entries the discard path drops on its own.
+            for other, g in self._attempts():
+                if g == gid and (other, gid) not in self._stale_attempts:
+                    self._release(other, gid)
+                    self._speculative_attempts.discard((other, gid))
+                    self._finish_attempt(other, gid, "settled-by-duplicate")
+                    if self.policy is not None:
+                        self.policy.discarded(other, gid)
+        else:
+            # requeued while finishing: the completion settles nothing
+            # (the queued copy will), so only stop the attempt's clock
+            self._finish_attempt(wid, gid, "superseded-by-requeue")
+            if self.policy is not None:
+                self.policy.discarded(wid, gid)
 
     def _requeue_interrupted(self, wid: int, gid: int) -> None:
         """A rank died under a running group: re-run it, free of charge.
@@ -1300,69 +1245,55 @@ class Coordinator:
         dedupes against the respawn requeue, which may have already put
         the same group back in the queue.
         """
-        with self._changed:
-            self._release(wid, gid)
-            if self.policy is not None:
-                self.policy.discarded(wid, gid)
-            self._speculative_attempts.discard((wid, gid))
-            self.interrupted.append(gid)
-            self._m_interrupted.inc()
-            self._finish_attempt(wid, gid, "interrupted")
-            self._event(
-                "group_interrupted",
-                f"group {gid} aborted on "
-                f"{self._worker_names.get(wid, wid)} (rank died under it)",
-            )
-            stale = (wid, gid) in self._stale_attempts
-            self._stale_attempts.discard((wid, gid))
-            live_duplicate = any(g == gid for _, g in self._attempts())
+        self._release(wid, gid)
+        if self.policy is not None:
+            self.policy.discarded(wid, gid)
+        self._speculative_attempts.discard((wid, gid))
+        self.interrupted.append(gid)
+        self._m_interrupted.inc()
+        self._finish_attempt(wid, gid, "interrupted")
+        self._event(
+            "group_interrupted",
+            f"group {gid} aborted on "
+            f"{self._worker_names.get(wid, wid)} (rank died under it)",
+        )
+        stale = (wid, gid) in self._stale_attempts
+        self._stale_attempts.discard((wid, gid))
+        if stale or any(g == gid for _, g in self._attempts()):
             # a stale attempt needs no requeue (the respawn already queued
             # a copy) and neither does a speculation sibling (the other
-            # copy is still running and settles the group itself)
-            if (
-                not stale
-                and not live_duplicate
-                and gid not in self.done
-                and gid not in self._pending
-            ):
-                self._pending.append(gid)
-            self._changed.notify_all()
-        if stale or live_duplicate:
-            # NO forget broadcast here: the requeued/surviving copy may
-            # already be mid-stream, and dropping its staged partials
-            # would leave a (group, timestep) forever incomplete on the
-            # surviving ranks
+            # copy is still running and settles the group itself).  NO
+            # forget broadcast either: that copy may already be
+            # mid-stream, and dropping its staged partials would leave a
+            # (group, timestep) forever incomplete on the surviving ranks
             return
-        for rank, conn in list(self._rank_conns.items()):
-            try:
-                conn.send({"op": "forget", "group_id": gid})
-            except ConnectionLost:
-                pass
+        if gid not in self.done and gid not in self._pending:
+            self._pending.append(gid)
+        self._broadcast_forget(gid)
 
     def _resubmit_if_assigned(self, wid: int) -> None:
         """Sec. 4.2.2 fault path: the worker died holding groups — the
         rest of its lease, the one it was running, and those it had sent
         whose frames the ranks had not acknowledged (a dead worker's
         outbox is gone, so none can be proven delivered)."""
-        forget: List[int] = []
-        with self._changed:
-            for gid in self._assigned.pop(wid, ()):
-                if self._resubmit(wid, gid):
-                    forget.append(gid)
-            self._changed.notify_all()
-        # tell the ranks to drop the dead instance's staged partials;
-        # integrated timesteps stay and replay protection discards their
-        # re-sends, so the resubmitted run is exact
-        for gid in forget:
-            for rank, conn in list(self._rank_conns.items()):
-                try:
-                    conn.send({"op": "forget", "group_id": gid})
-                except ConnectionLost:
-                    pass
+        for gid in self._assigned.pop(wid, ()):
+            if self._resubmit(wid, gid):
+                # the ranks drop the dead instance's staged partials;
+                # integrated timesteps stay and replay protection discards
+                # their re-sends, so the resubmitted run is exact
+                self._broadcast_forget(gid)
+
+    def _broadcast_forget(self, gid: int) -> None:
+        """Tell every rank to drop a group's staged partials."""
+        for conn in list(self._rank_conns.values()):
+            try:
+                conn.send({"op": "forget", "group_id": gid})
+            except ConnectionLost:
+                pass
 
     def _resubmit(self, wid: int, gid: int) -> bool:
-        """Settle one attempt of a lost worker (lock held, attempt already
-        released); True when the ranks must forget its staged partials."""
+        """Settle one attempt of a lost worker (attempt already released);
+        True when the ranks must forget its staged partials."""
         self._finish_attempt(wid, gid, "worker-lost")
         if self.policy is not None:
             self.policy.discarded(wid, gid)

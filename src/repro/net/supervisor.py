@@ -21,13 +21,16 @@ against real ``repro serve`` processes:
 The supervisor can only signal processes on its own host; multi-host
 deployments point ``spawner`` at their own process manager (or respawn
 ``repro serve`` externally — the re-registration protocol is the same).
+
+Both executors are called only from the coordinator's one loop thread
+(inside :meth:`~repro.net.coordinator.Coordinator.wait`), so neither
+takes a lock.
 """
 
 from __future__ import annotations
 
 import os
 import signal
-import threading
 import time
 from typing import Callable, Dict, List, Optional
 
@@ -43,7 +46,7 @@ class RankSupervisor:
     ----------
     spawner:
         ``spawner(rank)`` starts a replacement serve process for
-        ``rank``; called with no locks held.
+        ``rank``.
     policy:
         The respawn bookkeeping (heartbeat staleness + budget).
     kill:
@@ -59,15 +62,13 @@ class RankSupervisor:
         self.spawner = spawner
         self.policy = policy
         self._kill = kill
-        self._lock = threading.Lock()
         self._pids: Dict[int, Optional[int]] = {}
         self.killed_pids: List[int] = []
 
     # ------------------------------------------------------------------ #
     def watch(self, rank: int, pid: Optional[int]) -> None:
         """A (re-)registered rank told us its pid; remember it for kills."""
-        with self._lock:
-            self._pids[rank] = pid
+        self._pids[rank] = pid
 
     def beat(self, rank: int, now: float) -> None:
         self.policy.record_heartbeat(rank, now)
@@ -86,8 +87,7 @@ class RankSupervisor:
         than the budget allows — the study cannot make progress and
         should abort loudly rather than thrash.
         """
-        with self._lock:
-            pid = self._pids.pop(rank, None)
+        pid = self._pids.pop(rank, None)
         if pid:
             try:
                 self._kill(pid, signal.SIGKILL)
@@ -119,8 +119,7 @@ class PoolSupervisor:
     Parameters
     ----------
     spawner:
-        ``spawner(index)`` starts one extra group-worker process; called
-        with no locks held.
+        ``spawner(index)`` starts one extra group-worker process.
     policy:
         The resize bookkeeping.
     """
@@ -128,7 +127,6 @@ class PoolSupervisor:
     def __init__(self, spawner: Callable[[int], None], policy):
         self.spawner = spawner
         self.policy = policy
-        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     def maybe_spawn(
@@ -136,18 +134,15 @@ class PoolSupervisor:
     ) -> bool:
         """Spawn one extra worker if the policy wants one right now.
 
-        Called from the coordinator's wait loop with no coordinator lock
-        held (the spawner forks/execs).  One worker per call: the
+        Called every coordinator loop turn.  One worker per call: the
         cooldown paces the ramp, so a deep queue grows the pool
         gradually instead of all at once.
         """
         now = time.monotonic() if now is None else now
-        with self._lock:
-            if not self.policy.want_spawn(queue_depth, active_workers, now):
-                return False
-            self.policy.record_spawn(now)
-            index = self.policy.spawned - 1
-        self.spawner(index)
+        if not self.policy.want_spawn(queue_depth, active_workers, now):
+            return False
+        self.policy.record_spawn(now)
+        self.spawner(self.policy.spawned - 1)
         return True
 
     def offer_retire(
@@ -155,22 +150,20 @@ class PoolSupervisor:
     ) -> bool:
         """Should the elastic worker asking for work be retired instead?
 
-        Pure bookkeeping (safe under the coordinator lock): on True the
-        caller sends the worker a ``retire`` op and it exits cleanly.
+        Pure bookkeeping: on True the caller sends the worker a
+        ``retire`` op and it exits cleanly.
         """
         now = time.monotonic() if now is None else now
-        with self._lock:
-            if not self.policy.want_retire(queue_depth, active_workers, now):
-                return False
-            self.policy.record_retire(now)
-            return True
+        if not self.policy.want_retire(queue_depth, active_workers, now):
+            return False
+        self.policy.record_retire(now)
+        return True
 
     def worker_lost(self, now: Optional[float] = None) -> None:
         """An elastic worker died without being retired: free its slot so
         the budgeted remainder can still spawn replacements."""
         now = time.monotonic() if now is None else now
-        with self._lock:
-            self.policy.extra_lost(now)
+        self.policy.extra_lost(now)
 
     @property
     def spawned_total(self) -> int:

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import copy
 import multiprocessing as mp
-import threading
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -189,8 +188,6 @@ class DistributedRuntime:
         self.metrics_server: Optional[MetricsHTTPServer] = None
         self._metrics_writer: Optional[MetricsFileWriter] = None
         self._ctx = mp.get_context("fork") if self._forks else None
-        self._proc_lock = threading.Lock()
-        self._stopping = False
         self.design = draw_design(
             config.space, config.ngroups, seed=config.seed,
             method=config.sampling_method,
@@ -308,8 +305,9 @@ class DistributedRuntime:
         return coordinator.address
 
     def wait(self, timeout: float = 300.0) -> StudyResults:
-        """Coordinate the started study to completion, shut every forked
-        process and exporter down, and assemble the results."""
+        """Coordinate the started study to completion — the coordinator's
+        event loop runs on this thread — shut every forked process and
+        exporter down, and assemble the results."""
         tracer = self.tracer
         try:
             self.coordinator.wait(timeout=timeout)
@@ -326,13 +324,9 @@ class DistributedRuntime:
         return results
 
     def _shutdown(self) -> None:
+        # respawns and elastic forks happen only inside coordinator.wait()
+        # on this thread, so once it is closed the process list is final
         self.coordinator.close()
-        # bar further spawns BEFORE the terminate sweep: a respawn or
-        # elastic fork racing shutdown would otherwise start after the
-        # snapshot and leak a process that keeps re-dialing recycled
-        # coordinator ports into whatever binds them next
-        with self._proc_lock:
-            self._stopping = True
         for proc in self._all_procs():
             if proc.is_alive():
                 proc.terminate()
@@ -387,11 +381,8 @@ class DistributedRuntime:
             name=f"repro-work-elastic-{index}",
             daemon=True,
         )
-        with self._proc_lock:
-            if self._stopping:
-                return
-            self.worker_procs.append(proc)
-            proc.start()
+        self.worker_procs.append(proc)
+        proc.start()
 
     def _respawn_rank(self, rank: int) -> None:
         """Supervisor spawner: fork a clean replacement serve process.
@@ -402,15 +393,11 @@ class DistributedRuntime:
         permanently broken host.
         """
         proc = self._rank_process(rank, fault_plan=None, env_fault=False)
-        with self._proc_lock:
-            if self._stopping:
-                return
-            self.server_procs.append(proc)
-            proc.start()
+        self.server_procs.append(proc)
+        proc.start()
 
     def _all_procs(self) -> List:
-        with self._proc_lock:
-            return list(self.server_procs) + list(self.worker_procs)
+        return self.server_procs + self.worker_procs
 
     def _assemble_results(self) -> StudyResults:
         """Results from the completed coordinator.

@@ -195,8 +195,8 @@ class SchedulingPolicy:
     """EWMA throughput tracking + speculation/steal verdicts.
 
     Pure bookkeeping over what the coordinator observes (assignments,
-    completions, worker departures); the coordinator holds its own lock
-    while calling in, so no locking lives here.  All clocks are injected
+    completions, worker departures); only the coordinator's one loop
+    thread calls in, so no locking lives here.  All clocks are injected
     ``now`` values (``time.monotonic`` in production, plain floats in
     tests).
     """

@@ -61,8 +61,8 @@ def instant_record(
 class Tracer:
     """Collects span/instant records and renders Chrome trace JSON.
 
-    Thread-safe: the coordinator's accept threads, the wait loop, and
-    supervisor callbacks all append concurrently.  When ``enabled`` is
+    Thread-safe: a lock guards the records, so any thread may append
+    while another renders them.  When ``enabled`` is
     False every recording call is a cheap no-op (mirrors the registry's
     zero-overhead-when-disabled contract).
     """

@@ -57,8 +57,7 @@ def held_at_worker_loss(monkeypatch) -> list:
     resubmit = Coordinator._resubmit_if_assigned
 
     def recording(self, wid):
-        with self._changed:
-            held = list(self._assigned.get(wid, ()))
+        held = list(self._assigned.get(wid, ()))
         if held:
             lost.append(held)
         resubmit(self, wid)

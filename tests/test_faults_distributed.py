@@ -287,7 +287,7 @@ class TestRespawnHygiene:
     def test_rank_dead_before_first_registration_is_respawned(self):
         """A serve process that dies before it ever registers has no
         connection to drop — only the seeded heartbeat baseline can
-        expose it, and the wait loop must respawn it directly."""
+        expose it, and the loop must wake for it and respawn it directly."""
         from repro.net.coordinator import Coordinator
 
         fn, config = make_config(4, server_ranks=1)
@@ -338,12 +338,11 @@ class TestLingeringRankDeath:
         )
         try:
             conn = _StubConn()  # identity is all the loss path needs
-            with coordinator._changed:
-                coordinator._rank_conns[0] = conn
-                coordinator._rank_addresses[0] = ("127.0.0.1", 1)
-                coordinator.rank_states[0] = {"stub": True}
-                coordinator.rank_maps[0] = {}
-                coordinator.rank_widths[0] = 0.0
+            coordinator._rank_conns[0] = conn
+            coordinator._rank_addresses[0] = ("127.0.0.1", 1)
+            coordinator.rank_states[0] = {"stub": True}
+            coordinator.rank_maps[0] = {}
+            coordinator.rank_widths[0] = 0.0
             coordinator._on_rank_lost(0, conn)
             assert spawned == [0]
             assert 0 not in coordinator.rank_states
@@ -369,9 +368,8 @@ class TestLingeringRankDeath:
         )
         try:
             conn = _StubConn()
-            with coordinator._changed:
-                coordinator._rank_conns[0] = conn
-                coordinator.rank_states[0] = {"stub": True}
+            coordinator._rank_conns[0] = conn
+            coordinator.rank_states[0] = {"stub": True}
             coordinator._on_rank_lost(0, conn)
             assert spawned == []
             assert coordinator.rank_states == {0: {"stub": True}}

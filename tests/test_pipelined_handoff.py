@@ -10,13 +10,14 @@ worker holds (leased, running, or sent and unacknowledged) as in flight,
 and parks a ``next`` it cannot answer yet instead of telling the worker
 to sleep and retry.
 
-Nothing here is paced by ``sleep()``: the tests wait on the coordinator's
-own condition variable, on blocking socket reads, or drive the
-coordinator's loop turn by turn; the settle deadline runs on a fake
-clock.  The one poll is bounded: the rank-death test waits for the
-worker's socket to see the dead rank's EOF.
+Nothing here is paced by ``sleep()``: the coordinator has no thread of
+its own, so a test runs its loop on the test thread — until a predicate
+holds, or turn by turn — and otherwise blocks on socket reads; the
+settle deadline runs on a fake clock.  The one poll is bounded: the
+rank-death test waits for the worker's socket to see the dead rank's EOF.
 """
 
+import socket
 import threading
 import time
 from collections import deque
@@ -30,7 +31,12 @@ from repro.core.group import VectorFieldSimulation
 from repro.core.launcher import RankRespawnPolicy
 from repro.net import worker as worker_module
 from repro.net.channel import DataListener
-from repro.net.coordinator import MAX_HELD_GROUPS, Coordinator, study_fingerprint
+from repro.net.coordinator import (
+    MAX_HELD_GROUPS,
+    Coordinator,
+    _Peer,
+    study_fingerprint,
+)
 from repro.net.framing import connect_with_retry, frame_nbytes
 from repro.net.supervisor import RankSupervisor
 from repro.net.worker import run_worker
@@ -55,10 +61,17 @@ def make_config(ngroups=6, ntimesteps=1, **kw):
     return fn, config
 
 
-def wait_for(coordinator, predicate, timeout=20.0):
-    """Block on the coordinator's own state-change condition."""
-    with coordinator._changed:
-        assert coordinator._changed.wait_for(predicate, timeout), (
+def wait_for(coordinator, predicate, timeout=20.0, slice_s=0.05):
+    """Run the coordinator's loop on this thread until ``predicate``.
+
+    The loop checks ``predicate`` after every turn; a predicate on state
+    outside the coordinator (a thread's event) may turn true while no
+    peer speaks, so the loop runs in ``slice_s`` slices."""
+    deadline = time.monotonic() + timeout
+    while not coordinator._run_until(
+        predicate, min(deadline, time.monotonic() + slice_s)
+    ):
+        assert time.monotonic() < deadline, (
             "coordinator never reached the expected state"
         )
 
@@ -85,6 +98,7 @@ def register_fake_rank(coordinator, config, address):
         "fingerprint": study_fingerprint(config), "pid": None,
         "finished": [],
     })
+    wait_for(coordinator, lambda: 0 in coordinator._rank_addresses)
     assert ctrl.recv(timeout=10.0)["op"] == "registered"
     return ctrl
 
@@ -137,28 +151,36 @@ def test_worker_runs_ahead_but_done_never_precedes_delivery(transport):
         )),
         daemon=True,
     )
+    drain = threading.Event()
+
+    def release_pipeline():
+        """The rank side: once told, take the frames one at a time."""
+        if drain.wait(20.0):
+            for _ in range(config.ngroups * frames_per_group):
+                inbox.recv(timeout=20.0)
+
+    drainer = threading.Thread(target=release_pipeline, daemon=True)
+    drainer.start()
     worker.start()
     try:
         # nobody drains the inbox: it admits one frame and stays full.
         # The worker must still be handed a third group ...
         wait_for(coordinator, lambda: coordinator._assign_count >= 3)
-        with coordinator._changed:
-            held = list(coordinator._assigned.get(0, ()))
-            done = set(coordinator.done)
+        held = list(coordinator._assigned.get(0, ()))
         # ... while the second one's frame cannot have been acknowledged
         assert sum(inbox.entered.values()) <= 1
-        assert done <= {0}
+        assert coordinator.done <= {0}
         assert len(held) >= 2 and 1 in held
-        # release the pipeline one frame at a time; every report is
-        # checked against the inbox by the hook above
-        for _ in range(config.ngroups * frames_per_group):
-            inbox.recv(timeout=20.0)
+        # every report is checked against the inbox by the hook above
+        drain.set()
         wait_for(coordinator, lambda: len(coordinator.done) == config.ngroups)
         assert early == []
         assert coordinator._assigned == {}
     finally:
+        drain.set()
         coordinator.close()
         worker.join(timeout=20.0)
+        drainer.join(timeout=20.0)
         listener.close()
         rank_ctrl.close()
     assert not worker.is_alive()
@@ -180,10 +202,9 @@ class TestHeldGroupsBookkeeping:
     def test_rank_respawn_marks_every_held_attempt_stale(self):
         coordinator = self._holding_two()
         try:
-            with coordinator._changed:
-                coordinator._note_rank_registration(0, {"pid": 1})
-                # generation 1: the replacement restored nothing
-                coordinator._note_rank_registration(0, {"pid": 2, "finished": []})
+            coordinator._note_rank_registration(0, {"pid": 1})
+            # generation 1: the replacement restored nothing
+            coordinator._note_rank_registration(0, {"pid": 2, "finished": []})
             assert coordinator._stale_attempts == {(0, 0), (0, 1)}
             assert sorted(coordinator.requeued_after_respawn) == [0, 1]
             # neither report may settle its group: only the requeued
@@ -214,12 +235,10 @@ class TestHeldGroupsBookkeeping:
             coordinator._assign(0)
             coordinator._assign(0)
             coordinator._mark_done(0, 1)  # acknowledgements may overtake
-            with coordinator._changed:
-                assert not coordinator._groups_settled()
+            assert not coordinator._groups_settled()
             assert coordinator.study_view()["in_flight"] == 1
             coordinator._mark_done(0, 0)
-            with coordinator._changed:
-                assert coordinator._groups_settled()
+            assert coordinator._groups_settled()
             assert coordinator.study_view()["in_flight"] == 0
         finally:
             coordinator.close()
@@ -245,8 +264,7 @@ class TestHeldGroupsBookkeeping:
             coordinator.worker_timeout = 5.0
             coordinator._worker_conns[0] = Conn()
             coordinator._last_seen[0] = time.monotonic() - 60.0
-            with coordinator._changed:
-                coordinator._reap_stale_workers()
+            coordinator._reap_stale_workers()
             assert closed == [True]
         finally:
             coordinator._worker_conns.clear()
@@ -439,6 +457,153 @@ class TestLongPollNext:
 
 
 # --------------------------------------------------------------------- #
+# one thread: wait() is the loop, and it sleeps until something is due
+# --------------------------------------------------------------------- #
+def log_selects(coordinator):
+    """Record the timeout of every ``select`` the coordinator's loop makes."""
+    timeouts = []
+    select = coordinator._sel.select
+
+    def logged(timeout=None):
+        timeouts.append(timeout)
+        return select(timeout)
+
+    coordinator._sel.select = logged
+    return timeouts
+
+
+def register_rank_by_turns(driver):
+    """Register a fake rank 0 through two driven turns."""
+    rank = connect_with_retry(driver.coordinator.address)
+    rank.send({
+        "op": "register", "rank": 0, "address": ("127.0.0.1", 1),
+        "fingerprint": driver.coordinator.fingerprint, "pid": None,
+        "finished": [],
+    })
+    driver.turn()  # accept
+    driver.turn()  # register
+    assert rank.recv(timeout=10.0)["op"] == "registered"
+    return rank
+
+
+class TestOneThread:
+    def test_the_coordinator_starts_no_thread(self):
+        fn, config = make_config(ngroups=1)
+        before = set(threading.enumerate())
+        coordinator = retry_on_eaddrinuse(lambda: Coordinator(config).start())
+        try:
+            assert set(threading.enumerate()) == before
+        finally:
+            coordinator.close()
+
+    def test_an_idle_wait_is_one_select_to_its_deadline(self):
+        """Nothing connects and nothing is watched: the loop sleeps once,
+        straight to the wait's own deadline, instead of polling."""
+        fn, config = make_config(ngroups=1)
+        coordinator = retry_on_eaddrinuse(lambda: Coordinator(config).start())
+        timeouts = log_selects(coordinator)
+        with pytest.raises(TimeoutError, match=r"1 group\(s\) unfinished"):
+            coordinator.wait(timeout=0.3)
+        assert len(timeouts) == 1
+        assert timeouts[0] == pytest.approx(0.3, abs=0.05)
+
+    def test_wakeup_is_the_earliest_silence_deadline(self):
+        fn, config = make_config(ngroups=4)
+        supervisor = RankSupervisor(
+            spawner=lambda rank: None,
+            policy=RankRespawnPolicy(nranks=1, timeout=7.0, max_respawns=1),
+            kill=lambda pid, sig: None,
+        )
+        coordinator = retry_on_eaddrinuse(lambda: Coordinator(
+            config, worker_timeout=5.0, supervisor=supervisor
+        ))
+        ours, theirs = socket.socketpair()
+        far = 1000.0
+        try:
+            assert coordinator._next_wakeup(far) == far
+            supervisor.beat(0, 100.0)  # rank 0 goes stale at 107
+            assert coordinator._next_wakeup(far) == 107.0
+            coordinator._last_seen[1] = 10.0  # holds nothing: never reaped
+            coordinator._assign(0)
+            coordinator._last_seen[0] = 90.0  # holds groups: stale at 95
+            assert coordinator._next_wakeup(far) == 95.0
+            coordinator._parked.append((None, None, 94.0))  # rendezvous
+            assert coordinator._next_wakeup(far) == 94.0
+            peer = _Peer(ours, "pre-hello")
+            peer.hello_deadline = 93.0
+            coordinator._peers.add(peer)
+            assert coordinator._next_wakeup(far) == 93.0
+            assert coordinator._next_wakeup(50.0) == 50.0
+            coordinator._peers.clear()
+            coordinator._parked.clear()
+            coordinator._assigned.clear()
+            # a rank that shipped its state lingers silently on purpose
+            coordinator.rank_states[0] = {}
+            assert coordinator._next_wakeup(far) == far
+        finally:
+            coordinator.close()
+            ours.close()
+            theirs.close()
+
+    def test_finalize_goes_out_in_the_turn_the_last_group_settles(self):
+        fn, config = make_config(ngroups=1)
+        coordinator = retry_on_eaddrinuse(lambda: Coordinator(config))
+        driver = _TurnDriver(coordinator)
+        a = rank = None
+        try:
+            a, wid = driver.join("a")
+            rank = register_rank_by_turns(driver)
+            driver.ask(a)
+            assert a.recv(timeout=10.0) == {"op": "group", "group_ids": [0]}
+            assert not rank.poll(0.0)
+            driver.ask(a, done=[0])  # settles the last group
+            # (no further turn runs: what the rank reads was sent in that one)
+            assert rank.recv(timeout=10.0) == {"op": "finalize"}
+            assert list(coordinator._parked_next) == [wid]
+        finally:
+            for conn in (a, rank):
+                if conn is not None:
+                    conn.close()
+            coordinator.close()
+
+    def test_wait_returns_on_the_last_bye_not_after_the_grace(self):
+        """The healthy end of a study: the last rank state is read, the
+        parked worker is told ``done`` in that turn, and the turn that
+        reads its ``bye`` ends wait() — well inside the 0.35 s grace."""
+        fn, config = make_config(ngroups=1)
+        coordinator = retry_on_eaddrinuse(lambda: Coordinator(config))
+        driver = _TurnDriver(coordinator)
+        a = rank = None
+        try:
+            a, wid = driver.join("a")
+            rank = register_rank_by_turns(driver)
+            driver.ask(a)
+            a.recv(timeout=10.0)
+            driver.ask(a, done=[0])
+            assert rank.recv(timeout=10.0) == {"op": "finalize"}
+
+            def worker_leaves():
+                assert a.recv(timeout=10.0) == {"op": "done"}
+                a.send({"op": "bye", "channel_stats": {"bytes_sent": 7}})
+
+            leaver = threading.Thread(target=worker_leaves, daemon=True)
+            leaver.start()
+            rank.send({"op": "rank_state", "rank": 0, "state": {},
+                       "maps": {}, "width": 0.0})
+            t0 = time.monotonic()
+            coordinator.wait(timeout=10.0)
+            elapsed = time.monotonic() - t0
+            leaver.join(timeout=10.0)
+            assert coordinator.worker_channel_stats == {"a": {"bytes_sent": 7}}
+            assert elapsed < 0.3
+        finally:
+            for conn in (a, rank):
+                if conn is not None:
+                    conn.close()
+            coordinator.close()
+
+
+# --------------------------------------------------------------------- #
 # leases: one ``next`` round trip hands out several groups
 # --------------------------------------------------------------------- #
 class TestLeaseSize:
@@ -460,9 +625,8 @@ class TestLeaseSize:
         coordinator = retry_on_eaddrinuse(lambda: Coordinator(config, **kw))
         try:
             coordinator._worker_conns = {w: object() for w in range(workers)}
-            with coordinator._changed:
-                for _ in range(already_held):
-                    coordinator._hold(0, coordinator._pending.pop())
+            for _ in range(already_held):
+                coordinator._hold(0, coordinator._pending.pop())
             reply, _ = coordinator._assign(0)
             assert reply == {"op": "group", "group_ids": list(range(expected))}
             assert coordinator._assigned[0][-expected:] == reply["group_ids"]
@@ -581,7 +745,7 @@ class TestLeaseLifecycle:
         monkeypatch.setattr(worker_module, "SocketRouter", RecordingRouter)
         try:
             worker.start()
-            assert reached.wait(20.0)
+            wait_for(coordinator, reached.is_set)
             assert coordinator._assigned == {0: list(range(MAX_HELD_GROUPS))}
             # the rank dies: its control connection (the coordinator
             # withholds its address from new rendezvous) and its data port
@@ -592,11 +756,8 @@ class TestLeaseLifecycle:
                 coordinator,
                 lambda: len(coordinator.interrupted) >= MAX_HELD_GROUPS,
             )
-            with coordinator._changed:
-                interrupted = list(coordinator.interrupted)
-                retries = dict(coordinator._retries)
-            assert interrupted == list(range(MAX_HELD_GROUPS))
-            assert retries == {}
+            assert coordinator.interrupted == list(range(MAX_HELD_GROUPS))
+            assert coordinator._retries == {}
             assert coordinator.resubmitted == []
         finally:
             gate.set()

@@ -337,10 +337,11 @@ class TestCoordinatorProtocol:
                 "op": "hello", "worker": "impostor", "pid": None,
                 "fingerprint": study_fingerprint(other),
             })
-            reply = ctrl.recv(timeout=5.0)
-            assert reply["op"] == "error"
+            # wait() runs the loop that reads the hello and replies
             with pytest.raises(StudyAborted, match="mismatched study"):
                 coordinator.wait(timeout=5.0)
+            reply = ctrl.recv(timeout=5.0)
+            assert reply["op"] == "error"
             ctrl.close()
         finally:
             coordinator.close()
