@@ -556,8 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint-dir", default=None)
     p.add_argument("--fault", default=None, metavar="SPEC",
                    help="inject a fault into this rank: crash[:after=N] | "
-                        "zombie[:after=N] | straggler:delay=S (also via "
-                        "$REPRO_SERVE_FAULT)")
+                        "zombie[:after=N] | straggler:delay=S")
     add_log_args(p)
     p.set_defaults(func=_cmd_serve)
 
@@ -568,7 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fault", default=None, metavar="SPEC",
                    help="inject a fault into this worker: crash[:after=N] | "
                         "zombie[:after=N] | straggler:delay=S (seconds per "
-                        "delivered message; also via $REPRO_WORK_FAULT)")
+                        "delivered message)")
     add_log_args(p)
     p.set_defaults(func=_cmd_work)
 

@@ -36,8 +36,8 @@ reaping, and straggler-speculation machinery:
   resubmission, must absorb it).
 
 :func:`parse_server_fault` / :func:`parse_worker_fault` turn the
-``--fault`` / ``REPRO_SERVE_FAULT`` / ``REPRO_WORK_FAULT`` spec string
-of a real subprocess into a single-process plan, so the same schedule
+``--fault`` spec string of a real ``repro serve`` / ``repro work``
+process into a single-process plan, so the same schedule
 drives unit tests, the loopback chaos suite, and CI.
 
 Group faults target a specific *attempt* so a restarted instance runs

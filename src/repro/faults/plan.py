@@ -276,7 +276,7 @@ def parse_worker_fault(spec: str, worker: int = 0) -> FaultPlan:
     ``zombie[:after=N]`` (``after`` counts data messages delivered before
     the fault fires) / ``straggler:delay=S`` (seconds per delivered
     message).  This is how a real ``repro work`` subprocess is told to
-    misbehave (``--fault`` flag or ``REPRO_WORK_FAULT``), so the same
+    misbehave (its ``--fault`` flag), so the same
     specs drive unit tests, the loopback chaos suite, and CI.
     """
     kind, _, rest = spec.partition(":")
@@ -317,7 +317,7 @@ def parse_server_fault(spec: str, rank: int) -> FaultPlan:
         crash:after=40      zombie          straggler:delay=0.01
 
     This is how a real ``repro serve`` subprocess is told to misbehave
-    (``--fault`` flag or ``REPRO_SERVE_FAULT``), so the same specs drive
+    (its ``--fault`` flag), so the same specs drive
     unit tests, the loopback chaos suite, and the CI smoke leg.
     """
     kind, _, rest = spec.partition(":")

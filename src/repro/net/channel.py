@@ -18,18 +18,19 @@ socket we reproduce that with credit-based flow control:
   fills, and ``try_send`` starts returning False — the group suspends,
   exactly the Fig. 6a/b mechanism, now spanning hosts.
 
-The sender writes from the sending thread: a channel that keeps up
-costs its worker no second thread and no wake-up.  I/O threads on this
-path share the worker's interpreter lock with the simulation — one
-cross-thread wake-up per frame and per grant — and how the kernel places
-them on the cores then decides the run (measured on the 2-vCPU box with
+The sender owns no thread: it writes a frame to the socket inside
+``try_send``/``send`` itself, and what the window or the kernel buffer
+will not take yet stays in its backlog until the worker next calls in —
+any send, a wait, ``acked()``, or the worker's long poll for its next
+lease, which sleeps in one ``poll()`` over its control connection and
+every data socket that still holds a backlog
+(:meth:`repro.net.worker.SocketRouter.wait_ctrl`).  I/O threads on this
+path shared the worker's interpreter lock with the simulation — one
+cross-thread wake-up per frame and per grant — and how the kernel placed
+them on the cores then decided the run (measured on the 2-vCPU box with
 a writer and a credit-reader thread per channel: 445 groups/s with the
 worker pinned to the rank's core, 550 unpinned, 850 with the worker's
-threads pinned together on a core of their own).  Only what the window
-or the kernel buffer will not take yet is left to a background pusher
-thread (started on first need, parked while the backlog is empty), so an
-accepted frame still reaches the rank without another call into the
-channel.
+threads pinned together on a core of their own).
 
 Both channel kinds keep a monotone *sent* / *acknowledged* cursor pair
 (``sent()``, ``acked()``, ``wait_acked(cursor)``): here bytes accepted
@@ -40,7 +41,8 @@ guarantee a worker's asynchronous ``done`` report is built on (it
 records ``sent()`` at a group's last frame and reports the group once
 ``acked()`` has passed the mark, while already running the next one).
 ``wait_accept(nbytes)`` is what a suspended group waits on: the
-receiver's progress, not a timer.
+receiver's progress, not a timer; its time is the channel's
+``blocked_seconds``.
 
 Same-host channels can skip the wire entirely: :func:`open_data_channel`
 negotiates the fabric per channel at connect time.  The receiver offers
@@ -72,7 +74,6 @@ import os
 import select
 import selectors
 import socket
-import threading
 import time
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
@@ -97,8 +98,7 @@ from repro.net.shm import (
     read_ring_frame,
     ring_bytes_for,
 )
-from repro.transport.channel import BoundedChannel, ChannelClosed, ChannelStats
-from repro.transport.message import owned
+from repro.transport.channel import ChannelClosed, ChannelStats
 
 
 class TransportNegotiationError(RuntimeError):
@@ -108,14 +108,13 @@ class TransportNegotiationError(RuntimeError):
 class SocketChannel:
     """Client end of one (worker, server-rank) data connection.
 
-    The sending thread writes a frame to the (non-blocking) socket inside
+    The calling thread writes a frame to the (non-blocking) socket inside
     ``try_send``/``send`` itself, and reads the rank's credit grants when
     it needs them — a full window, ``acked()``, a blocking wait (which
-    sleeps in ``poll()`` on the socket, so the grant itself wakes it).
-    Only a frame that the window or the kernel buffer will not take yet
-    is left to the background *pusher* thread, which sleeps on the socket
-    until it can move the backlog and parks again when it is empty: a
-    channel that keeps up never wakes a second thread.
+    sleeps in ``poll()`` on the socket, so the grant itself wakes it).  A
+    frame that the window or the kernel buffer will not take yet stays
+    in the backlog and moves at the next call in (:meth:`move`, and
+    :meth:`wait_events` for a caller that polls many sockets at once).
 
     Built only by :func:`open_data_channel`, which dials the rank, reads
     the initial credit frame and hands over the connected ``sock`` with
@@ -141,7 +140,6 @@ class SocketChannel:
         self._sock = sock
         self._hwm = send_hwm_bytes
         self.stats = ChannelStats()
-        self._lock = threading.Lock()  # guards the state below; never held asleep
         # frames accepted but not started on the wire, oldest first: the
         # sender half of the dual high-water mark
         self._backlog: Deque[Tuple[Any, int]] = deque()
@@ -162,10 +160,6 @@ class SocketChannel:
         self._unread = 0  # frames written since the last look for credits
         self._error: Optional[BaseException] = None
         self._closed = False
-        # set while frames are left behind for the pusher (started on
-        # first need)
-        self._stuck = threading.Event()
-        self._pusher: Optional[threading.Thread] = None
 
     # ------------------------------------------------------------------ #
     # Channel send surface
@@ -173,7 +167,7 @@ class SocketChannel:
     @property
     def broken(self) -> bool:
         """The peer vanished (reset, closed listener, killed rank)."""
-        self._look()
+        self.move()
         return self._error is not None
 
     def _fits(self, nbytes: int) -> bool:
@@ -190,45 +184,29 @@ class SocketChannel:
         # multi-chunk delivery probe calls this first, and a False here
         # would suspend the group forever instead of surfacing the rank
         # death to the reconnect path
-        with self._lock:
-            self._drive()
-            return self._fits(int(nbytes))
+        self._drive()
+        return self._fits(int(nbytes))
 
     def try_send(self, msg: Any) -> bool:
         nbytes = frame_nbytes(msg)
-        with self._lock:
-            if self._backlog:
-                self._drive()
-            else:
-                self._raise_pending()
-            if not self._fits(nbytes):
-                self.stats.send_blocks += 1
-                return False
-            self._enqueue(msg, nbytes)
+        if self._backlog:
+            self._drive()
+        else:
+            self._raise_pending()
+        if not self._fits(nbytes):
+            self.stats.send_blocks += 1
+            return False
+        self._enqueue(msg, nbytes)
         return True
 
     def send(self, msg: Any, timeout: Optional[float] = None) -> None:
         nbytes = frame_nbytes(msg)
-        with self._lock:
-            self._drive()
-            if self._fits(nbytes):
-                self._enqueue(msg, nbytes)
-                return
+        self._drive()
+        if not self._fits(nbytes):
             self.stats.send_blocks += 1
-        # suspended: wait for the receiver's progress without the lock
-        start = time.monotonic()
-        deadline = None if timeout is None else start + timeout
-        try:
-            while True:
-                remaining = None if deadline is None else deadline - time.monotonic()
-                if not self.wait_accept(nbytes, remaining):
-                    raise TimeoutError(f"send on {self.name} timed out")
-                with self._lock:
-                    if self._fits(nbytes):  # re-check: another sender may have won
-                        self._enqueue(msg, nbytes)
-                        return
-        finally:
-            self.stats.blocked_seconds += time.monotonic() - start
+            if not self.wait_accept(nbytes, timeout):
+                raise TimeoutError(f"send on {self.name} timed out")
+        self._enqueue(msg, nbytes)
 
     def _enqueue(self, msg: Any, nbytes: int) -> None:
         self._backlog.append((msg, nbytes))
@@ -250,7 +228,7 @@ class SocketChannel:
     def acked(self) -> int:
         """Cursor the receiver has passed: the rank has handled (staged
         or folded) every frame before it."""
-        self._look()
+        self.move()
         return self._credited
 
     def wait_acked(self, cursor: int, timeout: Optional[float] = None) -> bool:
@@ -261,8 +239,13 @@ class SocketChannel:
 
     def wait_accept(self, nbytes: int, timeout: Optional[float] = None) -> bool:
         """Block until a frame of ``nbytes`` fits the backlog (woken by
-        the grant that lets the head of the line out); False on timeout."""
-        return self._wait(lambda: self._fits(nbytes), timeout)
+        the grant that lets the head of the line out); False on timeout.
+        The wait is this channel's suspended time (``blocked_seconds``)."""
+        start = time.monotonic()
+        try:
+            return self._wait(lambda: self._fits(nbytes), timeout)
+        finally:
+            self.stats.blocked_seconds += time.monotonic() - start
 
     def flush(self, timeout: Optional[float] = None) -> None:
         """Block until every sent frame has been credited by the peer:
@@ -274,85 +257,67 @@ class SocketChannel:
             )
 
     def close(self) -> None:
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            self._stuck.set()  # lets a parked pusher see the close
+        if self._closed:
+            return
+        self._closed = True
         try:
-            self._sock.shutdown(socket.SHUT_RDWR)  # wakes every poll() on it
+            self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
         self._sock.close()
 
     # ------------------------------------------------------------------ #
+    def fileno(self) -> int:
+        return self._sock.fileno()
+
+    def wait_events(self) -> int:
+        """The ``poll()`` events that would let the backlog move: grants
+        (readable), and room in the kernel buffer (writable) when that is
+        what stopped a frame.  0 when nothing is left to move."""
+        if self._error is not None or self._closed:
+            return 0
+        if not (self._parts or self._backlog):
+            return 0
+        return select.POLLIN | (select.POLLOUT if self._wire_full else 0)
+
+    def move(self) -> None:
+        """Read what the rank has granted and move the backlog, quietly:
+        a dead peer is recorded, not raised."""
+        try:
+            self._drive(read=True)
+        except ChannelClosed:
+            pass
+
     def _raise_pending(self) -> None:
         if self._error is not None:
             raise ChannelClosed(f"{self.name}: connection failed") from self._error
         if self._closed:
             raise ChannelClosed(f"{self.name}: channel closed")
 
-    def _look(self) -> None:
-        """Read what the rank has granted and move the backlog, quietly:
-        a dead peer is recorded, not raised."""
-        with self._lock:
-            try:
-                self._drive(read=True)
-            except ChannelClosed:
-                pass
-
-    def _sleep(self, wire_full: bool, timeout: Optional[float]) -> None:
-        """Sleep until the socket has news: readable means grants,
-        writable (asked for only when the kernel buffer stopped a frame)
-        means the wire has room again."""
-        events = select.POLLIN | (select.POLLOUT if wire_full else 0)
-        poller = select.poll()
-        try:
-            poller.register(self._sock, events)
-        except (OSError, ValueError):
-            return  # closed under us: the caller's next _drive raises
-        poller.poll(None if timeout is None else 1000.0 * timeout)
-
     def _wait(self, ready: Callable[[], bool], timeout: Optional[float]) -> bool:
-        """Drive the channel from the calling thread until ``ready()``,
-        sleeping on the socket in between."""
+        """Drive the channel until ``ready()``, sleeping on the socket in
+        between: readable means grants, writable (asked for only when the
+        kernel buffer stopped a frame) means the wire has room again."""
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
-            with self._lock:
-                self._drive(read=True)
-                if ready():
-                    return True
-                wire_full = self._wire_full
+            self._drive(read=True)
+            if ready():
+                return True
             remaining = None
             if deadline is not None:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     return False
-            self._sleep(wire_full, remaining)
-
-    def _push(self) -> None:
-        """The pusher: moves what a sender had to leave behind, so an
-        accepted frame reaches the rank without another call into the
-        channel (a long simulation step must not hold back the tail of
-        the previous one)."""
-        while True:
-            self._stuck.wait()
-            with self._lock:
-                try:
-                    self._drive(read=True)
-                except ChannelClosed:
-                    return
-                if not self._stuck.is_set():
-                    continue
-                wire_full = self._wire_full
-            self._sleep(wire_full, None)
+            poller = select.poll()
+            poller.register(self._sock, self.wait_events() or select.POLLIN)
+            poller.poll(None if remaining is None else 1000.0 * remaining)
 
     def _drive(self, read: bool = False) -> None:
-        """Move the channel as far as it goes without blocking (lock
-        held): admit the head of the line into the window, write it,
-        take the next frame off the backlog.  Grants are read when asked
-        for, when the window is what stops the head frame, and every
-        ``_READ_EVERY`` frames.  What cannot move yet is the pusher's."""
+        """Move the channel as far as it goes without blocking: admit the
+        head of the line into the window, write it, take the next frame
+        off the backlog.  Grants are read when asked for, when the window
+        is what stops the head frame, and every ``_READ_EVERY`` frames.
+        What cannot move yet waits for the next call in."""
         self._raise_pending()
         try:
             if read or self._unread >= self._READ_EVERY:
@@ -382,15 +347,6 @@ class SocketChannel:
             if self._error is None:
                 self._error = exc
             self._raise_pending()
-        if not (self._parts or self._backlog):
-            self._stuck.clear()
-        elif not self._stuck.is_set():
-            self._stuck.set()
-            if self._pusher is None:
-                self._pusher = threading.Thread(
-                    target=self._push, name=f"{self.name}-pusher", daemon=True
-                )
-                self._pusher.start()
 
     def _window_admits(self) -> bool:
         # an oversized frame is admitted into an idle window so it can
@@ -524,8 +480,7 @@ class DataListener:
     unregistered, their sockets closed, and their segments unlinked.
 
     A server rank calls :meth:`turn` from its own loop with
-    ``ServerRank.handle`` behind the sink: no second thread.  Tests that
-    want the frames on another thread call :meth:`start` instead.
+    ``ServerRank.handle`` behind the sink: no second thread.
     """
 
     def __init__(
@@ -555,8 +510,6 @@ class DataListener:
         # bytes handled but not granted yet, and to whom; see _settle
         self._owed = 0
         self._owed_to: Optional[_DataConn] = None
-        self._thread: Optional[threading.Thread] = None
-        self._waker: Optional[Tuple[socket.socket, socket.socket]] = None
 
     @property
     def open_connections(self) -> int:
@@ -667,8 +620,8 @@ class DataListener:
 
     def _settle(self) -> None:
         """Grant what is owed.  Runs at the end of every batch, and a
-        sink that is about to wait (the inbox of :meth:`start`) calls it
-        first: the loop never sleeps owing a grant."""
+        sink that is about to wait calls it first: the loop never sleeps
+        owing a grant."""
         owed, self._owed = self._owed, 0
         if owed and not self._send(self._owed_to, Credit(owed)):
             self._drop(self._owed_to)
@@ -718,7 +671,8 @@ class DataListener:
         from its ring slot, the head moving past a frame once the sink
         returned from it; True when more remain (the loop then re-selects
         with a zero timeout instead of starving the other connections
-        behind one saturated ring)."""
+        behind one saturated ring).  The advance that reaches the head a
+        sleeping producer waits for rings it, once."""
         ring = conn.ring
         ring.set_consumer_waiting(False)
         self._note_waiting(ring.used())
@@ -735,7 +689,8 @@ class DataListener:
                 return False
             msg, total = item
             self._deliver(msg, total)
-            ring.advance(total)
+            if ring.advance(total):
+                self._send(conn, Doorbell())
         return True
 
     def _drop(self, conn: _DataConn, drain: bool = True) -> None:
@@ -768,61 +723,11 @@ class DataListener:
         if self._on_disconnect is not None:
             self._on_disconnect(conn.peer)
 
-    # ------------------------------------------------------------------ #
-    # thread-driven mode (tests)
-    # ------------------------------------------------------------------ #
-    def start(self, inbox: BoundedChannel) -> "DataListener":
-        """Run the same :meth:`turn` on a thread of its own with a
-        blocking ``inbox`` behind the sink.  The inbox keeps what it is
-        given, so a borrowed payload is copied first; a full inbox blocks
-        the loop (in short slices, so :meth:`close` gets through), which
-        is what backs the fabric up into its sender."""
-
-        def sink(msg: Any) -> None:
-            msg = owned(msg)
-            if not inbox.can_accept(getattr(msg, "nbytes", 0)):
-                self._settle()
-            while True:
-                try:
-                    return inbox.send(msg, timeout=0.1)
-                except TimeoutError:
-                    if self._closed:
-                        raise ChannelClosed("listener closed") from None
-
-        def run() -> None:
-            try:
-                while not self._closed:
-                    self.turn()
-            except ChannelClosed:
-                pass  # the inbox, or the listener, was closed under the sink
-            finally:
-                self._teardown()
-
-        self.sink = sink
-        self._waker = socket.socketpair()
-        self.watch(self._waker[0], lambda: self._waker[0].recv(64))
-        self._thread = threading.Thread(
-            target=run, name=f"data-loop-{self.address[1]}", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def _teardown(self) -> None:
-        for conn in list(self._conns.values()):
-            self._drop(conn, drain=False)
-        self._sel.close()
-        for sock in (self._listener, *(self._waker or ())):
-            sock.close()
-
     def close(self) -> None:
         if self._closed:
             return
         self._closed = True
-        if self._thread is None:
-            self._teardown()
-            return
-        try:
-            self._waker[1].send(b"x")
-        except OSError:
-            pass
-        self._thread.join(timeout=5.0)
+        for conn in list(self._conns.values()):
+            self._drop(conn, drain=False)
+        self._sel.close()
+        self._listener.close()

@@ -28,7 +28,6 @@ import random
 import selectors
 import socket
 import struct
-import threading
 import time
 from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
@@ -83,8 +82,9 @@ class Doorbell:
     """Wakeup ping on a data connection whose payload rides a shm ring.
 
     Sent by a shared-memory sender when it published into a ring whose
-    consumer had declared itself asleep: the frame wakes the receiving
-    rank's ``select``.
+    consumer had declared itself asleep — the frame wakes the receiving
+    rank's ``select`` — and by the rank when its head reached what a
+    sleeping sender waits for, which wakes the sender's ``poll``.
     """
 
 
@@ -510,12 +510,12 @@ class FrameReader:
 # connection convenience
 # --------------------------------------------------------------------- #
 class FrameConnection:
-    """Thread-safe framed connection (one writer lock, pollable reads).
+    """Framed connection with pollable reads, owned by one thread.
 
     The control plane uses this for request/reply exchanges and
-    heartbeats; reads are blocking (with an optional pre-poll timeout)
-    and writes are serialized so heartbeat frames can interleave with
-    protocol frames from another thread.
+    heartbeats: reads are blocking (with an optional pre-poll timeout),
+    and each write is one whole frame, so heartbeats and protocol frames
+    from the owning loop never interleave mid-frame.
     """
 
     def __init__(self, sock: socket.socket):
@@ -525,7 +525,6 @@ class FrameConnection:
         except OSError:
             pass  # not a TCP socket (e.g. a Unix socketpair in tests)
         self._sock = sock
-        self._wlock = threading.Lock()
         self._closed = False
         # registered once and reused: select.select would blow up on any
         # fd >= FD_SETSIZE (1024), which a busy coordinator host reaches
@@ -547,13 +546,12 @@ class FrameConnection:
         return self._sock.fileno()
 
     def send(self, msg: Any) -> None:
-        with self._wlock:
-            if self._closed:
-                raise ConnectionLost("connection closed locally")
-            try:
-                send_frame(self._sock, msg)
-            except (OSError, ConnectionError) as exc:
-                raise ConnectionLost(str(exc)) from exc
+        if self._closed:
+            raise ConnectionLost("connection closed locally")
+        try:
+            send_frame(self._sock, msg)
+        except (OSError, ConnectionError) as exc:
+            raise ConnectionLost(str(exc)) from exc
 
     def poll(self, timeout: float = 0.0) -> bool:
         """True when a frame prefix is readable within ``timeout``."""

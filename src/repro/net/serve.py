@@ -31,7 +31,7 @@ Melissa Server rank as an independent OS process.  It
   discards them; the reported state stays exact).
 
 Fault injection: a :class:`~repro.faults.FaultPlan` (or the ``--fault``
-/ ``REPRO_SERVE_FAULT`` spec of a real subprocess) can make this rank
+spec of ``repro serve``) can make this rank
 SIGKILL itself mid-study, hang silently (zombie), or slow down
 (straggler) — the specs the chaos suite and the CI smoke leg drive
 through the supervisor's kill-and-respawn protocol.
@@ -57,9 +57,6 @@ from repro.telemetry.logs import get_logger
 from repro.telemetry.registry import delta as _metrics_delta
 from repro.telemetry.tracer import span_record
 from repro.transport.message import Heartbeat
-
-FAULT_ENV = "REPRO_SERVE_FAULT"
-
 
 class _FaultInjector:
     """Applies one rank's share of a fault plan to the serve loop."""
@@ -91,9 +88,7 @@ class _FaultInjector:
                 time.sleep(3600)
 
 
-def _resolve_fault_plan(fault_plan, fault_spec, rank_idx: int, env_fault: bool):
-    if fault_plan is None and fault_spec is None and env_fault:
-        fault_spec = os.environ.get(FAULT_ENV) or None
+def _resolve_fault_plan(fault_plan, fault_spec, rank_idx: int):
     if fault_spec is not None:
         if fault_plan is not None:
             raise ValueError("pass either fault_plan or fault_spec, not both")
@@ -116,20 +111,13 @@ def run_server_rank(
     heartbeat_interval=None,
     fault_plan: FaultPlan = None,
     fault_spec: str = None,
-    env_fault: bool = True,
     local_ranks: int = 1,
 ) -> int:
-    """Run one server rank to study completion; returns an exit code.
-
-    ``env_fault=False`` ignores ``$REPRO_SERVE_FAULT`` — the respawn
-    paths use it so an env-injected fault cannot re-fire in a
-    replacement process (a fault models one intermittent failure, and
-    replacements are documented to run clean).
-    """
+    """Run one server rank to study completion; returns an exit code."""
     if heartbeat_interval is None:
         heartbeat_interval = config.heartbeat_interval
     log = get_logger("serve", rank=rank_idx, study=study_id(config))
-    fault = _resolve_fault_plan(fault_plan, fault_spec, rank_idx, env_fault)
+    fault = _resolve_fault_plan(fault_plan, fault_spec, rank_idx)
     partition = BlockPartition(config.ncells, config.server_ranks)
     rank = ServerRank(rank_idx, config, partition, local_ranks=local_ranks)
     manager = CheckpointManager(checkpoint_dir) if checkpoint_dir else None

@@ -24,19 +24,21 @@ single-producer single-consumer byte ring in one
   once ``acked()`` has passed that mark (:meth:`ShmChannel.wait_acked`;
   :meth:`ShmChannel.flush` is the same wait on the current tail).
 
-Who may sleep, and who rings.  The consumer is the only side that
-sleeps in a selector, and before it does it *looks*: for at most
-:data:`LOOK_BEFORE_PARK_S` it re-reads its rings' tails (yielding the
-core between reads), because a doorbell costs the producer a ``sendmsg``
-that wakes a halted core — 93-189 us measured on the 2-vCPU box — and
-the next frame of a running study is usually closer than that.  Only
-then does it raise ``consumer_waiting``, re-check, and park; the
-producer rings the doorbell only for a consumer that declared it is
-going to sleep, once per park (an awake consumer re-scans the ring
-before it may sleep again).  A producer waiting for room or for an
-acknowledgement polls the head cursor with a capped exponential back-off
-and never while holding the producer lock — on a small box a spinning
-producer takes the core of the rank it is waiting for.
+Who may sleep, and who rings.  Both sides may sleep, each in ``poll()``
+on the channel's socket, and each rings the other at most once per
+sleep, only when the other declared it is going to sleep.  The consumer
+*looks* first: for at most :data:`LOOK_BEFORE_PARK_S` it re-reads its
+rings' tails (yielding the core between reads), because a doorbell costs
+the producer a ``sendmsg`` that wakes a halted core — 93-189 us measured
+on the 2-vCPU box — and the next frame of a running study is usually
+closer than that.  Only then does it raise ``consumer_waiting``,
+re-check, and park; the producer rings it after the publish that finds
+the flag up.  A producer whose frame does not fit, or whose
+acknowledgement has not come, writes the head it needs (``wake_at``),
+raises ``producer_waiting``, re-checks, and sleeps; the consumer rings
+it after the advance that reaches that head.  The same ``poll()`` sees
+the socket's EOF, which is how a producer learns that the rank died.
+Nobody waits on a timer, and neither side owns a second thread.
 
 The paper's dual high-water-mark suspension semantics (Sec. 4.1.3) carry
 over unchanged: the sender's budget is ``send_hwm_bytes`` of in-flight
@@ -46,9 +48,9 @@ advancing ``head``, the ring fills, and ``try_send`` returns False: the
 group suspends, Fig. 6a/b style.
 
 The TCP control socket from channel negotiation stays open alongside the
-ring: it detects peer death (EOF), carries the doorbell wakeups that let
-the consumer's event loop sleep when every ring is idle, and is the
-fallback fabric when the segment cannot be attached (cross-host).
+ring: it detects peer death (EOF), carries the doorbells in both
+directions, and is the fallback fabric when the segment cannot be
+attached (cross-host).
 
 Cursors are monotonically increasing u64s on separate cache lines,
 written only by their owning side; 8-byte aligned loads/stores are
@@ -59,8 +61,8 @@ from __future__ import annotations
 
 import math
 import socket
+import select
 import struct
-import threading
 import time
 from typing import Any, List, Optional, Tuple
 
@@ -81,7 +83,6 @@ from repro.net.framing import (
     field_payload_cells,
     frame_nbytes,
     group_payload_shape,
-    recv_frame,
     send_frame,
 )
 from repro.transport.channel import ChannelClosed, ChannelStats
@@ -93,16 +94,13 @@ _OFF_CAPACITY = 128  # data-region size (u64, creator-written, then constant)
 _OFF_PRODUCER_CLOSED = 136
 _OFF_CONSUMER_CLOSED = 137
 _OFF_CONSUMER_WAITING = 138  # consumer is about to sleep: ring the doorbell
+_OFF_PRODUCER_WAITING = 139  # producer is about to sleep: ring it at wake_at
+_OFF_WAKE_AT = 144  # the head the waiting producer needs (u64, producer-written)
 _DATA_OFFSET = 192
 
 DEFAULT_RING_BYTES = 1 << 20
 MIN_RING_BYTES = 1 << 16
 MAX_RING_BYTES = 1 << 30
-
-#: a producer waiting on the consumer's cursor polls it at 20 us, 40 us,
-#: ... up to this ceiling (the ring of the reference study drains in ~1.6 ms)
-_BACKOFF_FIRST_S = 20e-6
-_BACKOFF_CAP_S = 1e-3
 
 #: how long a consumer looks at its rings before it declares itself
 #: asleep: about what the doorbell it then needs costs the producer
@@ -130,6 +128,7 @@ class ShmRing:
         self._mv = memoryview(shm.buf)
         self._tail = self._mv[_OFF_TAIL : _OFF_TAIL + 8].cast("Q")
         self._head = self._mv[_OFF_HEAD : _OFF_HEAD + 8].cast("Q")
+        self._wake_at = self._mv[_OFF_WAKE_AT : _OFF_WAKE_AT + 8].cast("Q")
         (self.capacity,) = struct.unpack_from("<Q", self._mv, _OFF_CAPACITY)
         # one uint8 view over the data region (header probes, and the
         # copy-out of a payload that wraps)
@@ -218,6 +217,15 @@ class ShmRing:
         ring before it may sleep again."""
         self._mv[_OFF_CONSUMER_WAITING] = 1 if value else 0
 
+    def set_producer_waiting(self, value: bool, wake_at: int = 0) -> None:
+        """The same handshake the other way: the producer raises this
+        before sleeping until the head reaches ``wake_at`` (then
+        re-checks the head); :meth:`advance` clears it when it gets
+        there and tells the consumer to ring."""
+        if value:
+            self._wake_at[0] = wake_at
+        self._mv[_OFF_PRODUCER_WAITING] = 1 if value else 0
+
     # ------------------------------------------------------------------ #
     # producer side
     # ------------------------------------------------------------------ #
@@ -276,8 +284,16 @@ class ShmRing:
             return None
         return np.ndarray(shape, dtype=np.float64, buffer=self._ro, offset=off)
 
-    def advance(self, nbytes: int) -> None:
-        self._head[0] = int(self._head[0]) + nbytes
+    def advance(self, nbytes: int) -> bool:
+        """Release ``nbytes`` at the head.  True when the new head is the
+        one a sleeping producer waits for: the flag is then cleared and
+        the caller rings the producer, once."""
+        head = int(self._head[0]) + nbytes
+        self._head[0] = head
+        if self._mv[_OFF_PRODUCER_WAITING] and head >= self._wake_at[0]:
+            self._mv[_OFF_PRODUCER_WAITING] = 0
+            return True
+        return False
 
     # ------------------------------------------------------------------ #
     def close(self) -> None:
@@ -294,6 +310,7 @@ class ShmRing:
         self._dmv.release()
         self._tail.release()
         self._head.release()
+        self._wake_at.release()
         self._mv.release()
         try:
             self._shm.close()
@@ -407,8 +424,11 @@ class ShmChannel:
     Satisfies the :class:`~repro.transport.base.Channel` protocol with
     the same suspension-stats accounting as the TCP
     :class:`~repro.net.channel.SocketChannel`: ``send_blocks`` counts
-    would-blocks, ``blocked_seconds`` accumulates blocking-send waits,
-    ``high_water_bytes`` tracks peak in-flight ring bytes.
+    would-blocks, ``blocked_seconds`` accumulates the time spent in
+    :meth:`wait_accept`, ``high_water_bytes`` tracks peak in-flight ring
+    bytes.  Everything runs on the calling thread: a wait sleeps in
+    ``poll()`` on the negotiation socket, which the rank rings when its
+    head reaches what the wait needs, and whose EOF is the rank's death.
     """
 
     def __init__(
@@ -419,23 +439,24 @@ class ShmChannel:
         name: str = "",
     ):
         self.name = name or f"shm://{ring.name}"
+        sock.setblocking(False)
         self._sock = sock
+        self._poller = select.poll()
+        self._poller.register(sock, select.POLLIN)
         self._ring = ring
         self._hwm = send_hwm_bytes
+        # the most in-flight bytes a frame may join (see _fits)
+        self._limit = ring.capacity if self._hwm is None else min(
+            self._hwm, ring.capacity
+        )
         self.stats = ChannelStats()
-        self._lock = threading.Lock()  # serializes producers + doorbell
         self._error: Optional[BaseException] = None
         self._closed = False
-        # the negotiation socket doubles as the liveness probe: a killed
-        # rank resets it, which is how a blocked sender learns to stop
-        self._reader = threading.Thread(
-            target=self._watch_peer, name=f"{self.name}-reader", daemon=True
-        )
-        self._reader.start()
 
     # ------------------------------------------------------------------ #
     @property
     def broken(self) -> bool:
+        self._take_wakes()
         return self._error is not None
 
     def _raise_pending(self) -> None:
@@ -450,9 +471,7 @@ class ShmChannel:
             # BoundedChannel's oversized rule: an idle channel admits any
             # frame that physically fits, so it can ever be delivered
             return nbytes <= self._ring.capacity
-        if self._hwm is not None and used + nbytes > self._hwm:
-            return False
-        return used + nbytes <= self._ring.capacity
+        return used + nbytes <= self._limit
 
     def can_accept(self, nbytes: int) -> bool:
         # raising (not False) on a dead channel mirrors SocketChannel:
@@ -464,36 +483,20 @@ class ShmChannel:
     def try_send(self, msg: Any) -> bool:
         self._raise_pending()
         nbytes = frame_nbytes(msg)
-        with self._lock:
-            if not self._fits(nbytes):
-                self.stats.send_blocks += 1
-                return False
-            self._publish(msg, nbytes)
+        if not self._fits(nbytes):
+            self.stats.send_blocks += 1
+            return False
+        self._publish(msg, nbytes)
         return True
 
     def send(self, msg: Any, timeout: Optional[float] = None) -> None:
         self._raise_pending()
         nbytes = frame_nbytes(msg)
-        with self._lock:
-            if self._fits(nbytes):
-                self._publish(msg, nbytes)
-                return
+        if not self._fits(nbytes):
             self.stats.send_blocks += 1
-        # suspended: wait for the consumer's progress WITHOUT the producer
-        # lock (try_send / can_accept of other threads stay non-blocking)
-        start = time.monotonic()
-        deadline = None if timeout is None else start + timeout
-        try:
-            while True:
-                remaining = None if deadline is None else deadline - time.monotonic()
-                if not self.wait_accept(nbytes, remaining):
-                    raise TimeoutError(f"send on {self.name} timed out")
-                with self._lock:
-                    if self._fits(nbytes):  # re-check: another producer may have won
-                        self._publish(msg, nbytes)
-                        return
-        finally:
-            self.stats.blocked_seconds += time.monotonic() - start
+            if not self.wait_accept(nbytes, timeout):
+                raise TimeoutError(f"send on {self.name} timed out")
+        self._publish(msg, nbytes)
 
     def _publish(self, msg: Any, nbytes: int) -> None:
         self._ring.write(encode_frame(msg))
@@ -511,7 +514,12 @@ class ShmChannel:
             try:
                 send_frame(self._sock, Doorbell())
             except (OSError, ConnectionError):
-                pass  # peer death surfaces via the watcher thread
+                pass  # peer death surfaces at the next look at the socket
+
+    def wait_events(self) -> int:
+        """Nothing to poll for: a frame is in the ring or was refused, so
+        there is never a backlog to move (cf. ``SocketChannel``)."""
+        return 0
 
     # ------------------------------------------------------------------ #
     # delivery cursors: tail = handed over, head = handled by the rank
@@ -528,33 +536,67 @@ class ShmChannel:
     def wait_acked(self, cursor: int, timeout: Optional[float] = None) -> bool:
         """Block until the receiver has passed ``cursor``; False on
         timeout, :class:`ChannelClosed` when the rank is gone."""
-        return self._wait(lambda: self._ring.head() >= cursor, timeout)
+        return self._wait(cursor, timeout)
 
     def wait_accept(self, nbytes: int, timeout: Optional[float] = None) -> bool:
-        """Block until a frame of ``nbytes`` fits the send window."""
-        return self._wait(lambda: self._fits(nbytes), timeout)
+        """Block until a frame of ``nbytes`` fits the send window; the
+        wait is this channel's suspended time (``blocked_seconds``)."""
+        self._raise_pending()
+        # the head that leaves room for the frame (an oversized frame
+        # waits for an empty ring)
+        room_at = self._ring.tail() - max(self._limit - nbytes, 0)
+        start = time.monotonic()
+        try:
+            return self._wait(room_at, timeout)
+        finally:
+            self.stats.blocked_seconds += time.monotonic() - start
 
-    def _wait(self, ready, timeout: Optional[float]) -> bool:
-        """Wait for the consumer's progress.  It may be another process,
-        so there is no condition to wait on: poll with a capped
-        exponential back-off (a spin would take a core from the rank
-        being waited for)."""
+    def _wait(self, head: int, timeout: Optional[float]) -> bool:
+        """Sleep until the consumer's head reaches ``head``.  The
+        producer declares the sleep in the ring header, re-checks, and
+        only then sleeps in ``poll()``: the advance that gets there rings
+        it, an EOF on the socket means the rank is gone."""
+        ring = self._ring
         deadline = None if timeout is None else time.monotonic() + timeout
-        delay = _BACKOFF_FIRST_S
-        while True:
-            self._raise_pending()
-            if ready():
-                return True
-            if self._ring.consumer_closed:
-                raise ChannelClosed(f"{self.name}: receiver closed")
-            pause = delay
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                pause = min(delay, remaining)
-            time.sleep(pause)
-            delay = min(2 * delay, _BACKOFF_CAP_S)
+        try:
+            while True:
+                self._raise_pending()
+                if ring.head() >= head:
+                    return True
+                if ring.consumer_closed:
+                    raise ChannelClosed(f"{self.name}: receiver closed")
+                remaining = None
+                if deadline is not None:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        return False
+                ring.set_producer_waiting(True, head)
+                # re-check: the advance may have come before the flag
+                if ring.head() < head and self._poller.poll(
+                    None if remaining is None else 1000.0 * remaining
+                ):
+                    self._take_wakes()
+        finally:
+            if not self._closed:
+                ring.set_producer_waiting(False)
+
+    def _take_wakes(self) -> None:
+        """Read the rank's doorbells off the socket (they carry nothing
+        but the wake-up).  EOF, or a reset, there means the rank died."""
+        if self._error is not None or self._closed:
+            return
+        try:
+            while True:
+                if not self._sock.recv(4096):
+                    raise ConnectionLost("peer closed")
+        except BlockingIOError:
+            return
+        except OSError as exc:
+            self._error = exc
+            # the rank died holding the segment open: drop the name now
+            # so nothing leaks even if the creator's resource tracker
+            # never runs (SIGKILL); mappings are unaffected
+            self._ring.unlink()
 
     def flush(self, timeout: Optional[float] = None) -> None:
         """Block until the consumer has handled every frame sent."""
@@ -578,16 +620,3 @@ class ShmChannel:
             pass
         self._sock.close()
         self._ring.close()
-
-    # ------------------------------------------------------------------ #
-    def _watch_peer(self) -> None:
-        try:
-            while True:
-                recv_frame(self._sock)  # credits are not used on shm
-        except (ConnectionLost, OSError, ValueError) as exc:
-            if not self._closed and self._error is None:
-                self._error = exc
-                # the rank died holding the segment open: drop the name
-                # now so nothing leaks even if the creator's resource
-                # tracker never runs (SIGKILL); mappings are unaffected
-                self._ring.unlink()

@@ -15,21 +15,27 @@ cursor and moves on at once; the finished group stays **held** until
 every receiving rank's *acknowledged* cursor has passed its mark — the
 ranks have then handled each of its frames — and only then is it
 reported, on the ``done`` list of the ``{"op": "next", "done": [...]}``
-request that follows the lease: one control frame per lease.  The
-worker blocks in exactly three places, each on an event and none on a
-timer:
+request that follows the lease: one control frame per lease.
+
+One thread owns the worker, channels included: no fabric thread moves a
+frame behind its back, so a TCP channel's backlog moves whenever the
+worker calls in — a ``deliver``, an ``acked`` look, or one of the three
+waits.  Each waits on an event, none on a timer, and each beats in
+heartbeat-sized slices:
 
 * a suspended (``BLOCKED``) group waits for the rank to make room in the
   channel that refused its frame (``poll_interval`` is only the ceiling);
-* ``next`` is a long poll: a coordinator with nothing to hand out yet
-  keeps the request and answers it when that changes — unless the worker
-  still holds unacknowledged groups, in which case it is told to
-  ``settle``: wait for the ranks' cursors, then ask again;
+  that wait is the channel's suspended time, ``blocked_seconds``;
+* ``next`` is a long poll: one ``poll()`` over the control connection
+  and every data socket that still holds a backlog
+  (:meth:`SocketRouter.wait_ctrl`).  A coordinator with nothing to hand
+  out yet keeps the request and answers it when that changes — unless
+  the worker still holds unacknowledged groups, in which case it is told
+  to ``settle``: wait for the ranks' cursors, then ask again;
 * with :data:`MAX_HELD_GROUPS` held, it waits for the oldest.
 
-All three beat in heartbeat-sized slices.  A worker holds at most
-:data:`MAX_HELD_GROUPS` groups — leased, running, or sent and
-unacknowledged — so that bounds what a worker loss costs.
+A worker holds at most :data:`MAX_HELD_GROUPS` groups — leased, running,
+or sent and unacknowledged — so that bounds what a worker loss costs.
 
 The :class:`SocketRouter` is the TCP implementation of
 :class:`~repro.transport.base.TransportClient`: the dynamic-connection
@@ -39,7 +45,7 @@ cell ranges the worker's messages actually intersect, the paper's N x M
 pattern — and kept open across the worker's successive groups.
 
 Fault injection: a :class:`~repro.faults.FaultPlan` (or the ``--fault``
-/ ``REPRO_WORK_FAULT`` spec of a real subprocess) can make this worker
+spec of ``repro work``) can make this worker
 SIGKILL itself after N delivered messages, hang silently (zombie), or
 deliver each message ``delay`` seconds slower (straggler) — the worker
 half of the chaos suite, driving the coordinator's resubmission, reaping,
@@ -49,6 +55,7 @@ and straggler-speculation machinery.
 from __future__ import annotations
 
 import os
+import select
 import signal
 import time
 import traceback
@@ -87,8 +94,6 @@ from repro.transport.message import (
     split_by_partition,
 )
 
-FAULT_ENV = "REPRO_WORK_FAULT"
-
 
 class _WorkerFaultInjector:
     """Applies one worker's share of a fault plan to the work loop."""
@@ -120,9 +125,7 @@ class _WorkerFaultInjector:
                 time.sleep(3600)
 
 
-def _resolve_worker_fault(fault_plan, fault_spec, worker_index: int, env_fault: bool):
-    if fault_plan is None and fault_spec is None and env_fault:
-        fault_spec = os.environ.get(FAULT_ENV) or None
+def _resolve_worker_fault(fault_plan, fault_spec, worker_index: int):
     if fault_spec is not None:
         if fault_plan is not None:
             raise ValueError("pass either fault_plan or fault_spec, not both")
@@ -257,6 +260,30 @@ class SocketRouter:
             self._refused = None
             channel.wait_accept(nbytes, timeout)
 
+    def wait_ctrl(self, timeout: float) -> bool:
+        """The ``next`` long poll: True once a control frame is readable,
+        False after ``timeout``.  Meanwhile the data channels' backlogs
+        move as their ranks grant room — one ``poll()`` over the control
+        connection and every data socket that still holds a backlog."""
+        deadline = time.monotonic() + timeout
+        while True:
+            poller = select.poll()
+            poller.register(self._ctrl, select.POLLIN)
+            moving = {}
+            for channel in self._channels.values():
+                events = channel.wait_events()
+                if events:
+                    poller.register(channel, events)
+                    moving[channel.fileno()] = channel
+            remaining = max(0.0, deadline - time.monotonic())
+            ready = [fd for fd, _ in poller.poll(1000.0 * remaining)]
+            if self._ctrl.fileno() in ready:
+                return True
+            if not ready:
+                return False
+            for fd in ready:
+                moving[fd].move()
+
     def marks(self) -> Dict[Any, int]:
         """Per-channel sent cursors right now.  Taken when a group's last
         frame was handed over, they are what :meth:`wait_acked` compares
@@ -382,15 +409,12 @@ def run_worker(
     fault_plan: Optional[FaultPlan] = None,
     fault_spec: Optional[str] = None,
     worker_index: int = 0,
-    env_fault: bool = True,
     elastic: bool = False,
 ) -> int:
     """Pull groups from the coordinator and run them to completion.
 
     ``fault_plan``/``fault_spec`` inject this worker's share of a chaos
-    plan (``worker_index`` selects it from a multi-worker plan);
-    ``env_fault=False`` ignores ``$REPRO_WORK_FAULT`` so elastic
-    replacements spawned next to an env-injected worker run clean.
+    plan (``worker_index`` selects it from a multi-worker plan).
     ``elastic=True`` marks the worker retirable: the coordinator may send
     it a ``retire`` op when the queue drains, and it exits like ``done``.
     """
@@ -403,7 +427,7 @@ def run_worker(
         )
     name = name or f"worker-{os.getpid()}"
     log = get_logger("work", worker=name, study=study_id(config))
-    fault = _resolve_worker_fault(fault_plan, fault_spec, worker_index, env_fault)
+    fault = _resolve_worker_fault(fault_plan, fault_spec, worker_index)
     ctrl = connect_with_retry(tuple(coordinator_address))
     router = SocketRouter(ctrl, config, name=name, fault=fault)
     try:
@@ -513,8 +537,9 @@ def run_worker(
             done.clear()
             # long poll: the coordinator answers when it has something to
             # say, which may take a while (a straggler elsewhere, rank
-            # states still coming in) — keep beating meanwhile
-            while not ctrl.poll(heartbeat_interval):
+            # states still coming in) — keep beating, and moving the
+            # channels' backlogs, meanwhile
+            while not router.wait_ctrl(heartbeat_interval):
                 beat()
             frame = ctrl.recv()
             op = frame.get("op") if isinstance(frame, dict) else None

@@ -341,8 +341,7 @@ class DistributedRuntime:
             self.metrics_server = None
 
     # ------------------------------------------------------------------ #
-    def _rank_process(self, rank: int, fault_plan: Optional[FaultPlan],
-                      env_fault: bool = True):
+    def _rank_process(self, rank: int, fault_plan: Optional[FaultPlan]):
         return self._ctx.Process(
             target=run_server_rank,
             args=(rank, self.config, self.coordinator.address),
@@ -351,7 +350,6 @@ class DistributedRuntime:
                 "checkpoint_dir": self.checkpoint_dir,
                 "heartbeat_interval": self.heartbeat_interval,
                 "fault_plan": fault_plan,
-                "env_fault": env_fault,
                 # loopback ranks all share this host: clamp auto fold
                 # threads so co-located ranks don't oversubscribe cores
                 "local_ranks": self.config.server_ranks,
@@ -363,7 +361,7 @@ class DistributedRuntime:
     def _spawn_elastic_worker(self, index: int) -> None:
         """Pool-supervisor spawner: fork one extra group worker.
 
-        Elastic workers always run clean (no fault plan, no env fault) —
+        Elastic workers always run clean (no fault plan) —
         they are the remedy, not the disease — and register retirable so
         the coordinator can drain them once the queue empties.
         """
@@ -375,7 +373,6 @@ class DistributedRuntime:
                 "poll_interval": self.poll_interval,
                 "heartbeat_interval": self.heartbeat_interval,
                 "design": self.design,
-                "env_fault": False,
                 "elastic": True,
             },
             name=f"repro-work-elastic-{index}",
@@ -392,7 +389,7 @@ class DistributedRuntime:
         fault plan — a fault models one intermittent failure, not a
         permanently broken host.
         """
-        proc = self._rank_process(rank, fault_plan=None, env_fault=False)
+        proc = self._rank_process(rank, fault_plan=None)
         self.server_procs.append(proc)
         proc.start()
 

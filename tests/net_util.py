@@ -9,17 +9,25 @@ port) — the helpers here exist for the residual flake classes:
   :func:`seeded_rng` derives a deterministic per-test stream so reruns
   and ``pytest -p no:randomly``-style orderings cannot change results;
 * a worker-loss assertion needs the coordinator's own view of what the
-  dead worker held: :func:`held_at_worker_loss` records it.
+  dead worker held: :func:`held_at_worker_loss` records it;
+* a channel test that wants the frames in an inbox on another thread
+  uses :class:`InboxListener` (a server rank turns its listener itself).
 """
 
 from __future__ import annotations
 
 import errno
+import socket
+import threading
 import time
 import zlib
-from typing import Callable, TypeVar
+from typing import Any, Callable, TypeVar
 
 import numpy as np
+
+from repro.net.channel import DataListener
+from repro.transport.channel import BoundedChannel, ChannelClosed
+from repro.transport.message import owned
 
 T = TypeVar("T")
 
@@ -64,3 +72,58 @@ def held_at_worker_loss(monkeypatch) -> list:
 
     monkeypatch.setattr(Coordinator, "_resubmit_if_assigned", recording)
     return lost
+
+
+class InboxListener(DataListener):
+    """A :class:`DataListener` whose :meth:`~DataListener.turn` runs on a
+    thread of its own with a blocking ``inbox`` behind the sink.
+
+    The inbox keeps what it is given, so a borrowed payload is copied
+    first; a full inbox blocks the loop (in short slices, so
+    :meth:`close` gets through), which is what backs the fabric up into
+    its sender.  Before it blocks it grants what it owes, like a rank
+    that is about to wait."""
+
+    def __init__(self, inbox: BoundedChannel, **kwargs):
+        super().__init__(**kwargs)
+        self.inbox = inbox
+        self.sink = self._into_inbox
+        self._stop = False
+        self._waker = socket.socketpair()
+        self.watch(self._waker[0], lambda: self._waker[0].recv(64))
+        self._thread = threading.Thread(
+            target=self._run, name=f"data-loop-{self.address[1]}", daemon=True
+        )
+        self._thread.start()
+
+    def _into_inbox(self, msg: Any) -> None:
+        msg = owned(msg)
+        if not self.inbox.can_accept(getattr(msg, "nbytes", 0)):
+            self._settle()
+        while True:
+            try:
+                return self.inbox.send(msg, timeout=0.1)
+            except TimeoutError:
+                if self._stop:
+                    raise ChannelClosed("listener closed") from None
+
+    def _run(self) -> None:
+        try:
+            while not self._stop:
+                self.turn()
+        except ChannelClosed:
+            pass  # the inbox, or the listener, was closed under the sink
+        finally:
+            DataListener.close(self)
+            for sock in self._waker:
+                sock.close()
+
+    def close(self) -> None:
+        if self._stop:
+            return
+        self._stop = True
+        try:
+            self._waker[1].send(b"x")
+        except OSError:
+            pass
+        self._thread.join(timeout=5.0)

@@ -40,6 +40,9 @@ from repro.net.supervisor import RankSupervisor
 from repro.runtime import DistributedRuntime, SequentialRuntime
 from repro.sobol import IshigamiFunction
 
+# the borrow-rule tripwire: see conftest.poisoned_rings
+pytestmark = pytest.mark.usefixtures("poisoned_rings")
+
 NCELLS = 32
 
 
@@ -273,17 +276,6 @@ class TestFaultSpecParsing:
 
 
 class TestRespawnHygiene:
-    def test_env_fault_is_ignored_on_respawn_paths(self, monkeypatch):
-        """$REPRO_SERVE_FAULT must not re-fire in a replacement process:
-        a fault models one intermittent failure, and a re-armed crash
-        would burn the whole respawn budget."""
-        from repro.net.serve import FAULT_ENV, _resolve_fault_plan
-
-        monkeypatch.setenv(FAULT_ENV, "crash:after=1")
-        armed = _resolve_fault_plan(None, None, 0, env_fault=True)
-        assert armed is not None and armed.crash is not None
-        assert _resolve_fault_plan(None, None, 0, env_fault=False) is None
-
     def test_rank_dead_before_first_registration_is_respawned(self):
         """A serve process that dies before it ever registers has no
         connection to drop — only the seeded heartbeat baseline can
@@ -514,19 +506,9 @@ class TestWorkerFaultSpecParsing:
         from repro.net.worker import _resolve_worker_fault
 
         plan = parse_worker_fault("crash:after=5", worker=0)
-        assert _resolve_worker_fault(plan, None, 2, env_fault=True) is None
-        armed = _resolve_worker_fault(plan, None, 0, env_fault=True)
+        assert _resolve_worker_fault(plan, None, 2) is None
+        armed = _resolve_worker_fault(plan, None, 0)
         assert armed is not None and armed.crash is not None
-
-    def test_env_fault_is_ignored_on_clean_spawn_paths(self, monkeypatch):
-        """$REPRO_WORK_FAULT must not re-fire in elastic replacement
-        workers (env_fault=False): the remedy runs clean."""
-        from repro.net.worker import FAULT_ENV, _resolve_worker_fault
-
-        monkeypatch.setenv(FAULT_ENV, "crash:after=1")
-        armed = _resolve_worker_fault(None, None, 0, env_fault=True)
-        assert armed is not None and armed.crash is not None
-        assert _resolve_worker_fault(None, None, 0, env_fault=False) is None
 
     def test_sequential_facade_rejects_worker_faults(self):
         fn, config = make_config(4)

@@ -8,6 +8,7 @@ SocketRouter -> frames -> DataListener -> rank inbox -> ServerRank.
 """
 
 import random
+import select
 import socket
 import struct
 import threading
@@ -21,7 +22,8 @@ from hypothesis import strategies as st
 from repro.core.config import StudyConfig
 from repro.core.server import MelissaServer, ServerRank
 from repro.mesh.partition import BlockPartition
-from repro.net.channel import DataListener, open_data_channel
+from net_util import InboxListener
+from repro.net.channel import open_data_channel
 from repro.net.framing import (
     TAG_FIELD,
     TAG_GROUP_FIELD,
@@ -177,14 +179,14 @@ def make_rank_endpoint(rank_idx, config, capacity=None):
     partition = BlockPartition(config.ncells, config.server_ranks)
     rank = ServerRank(rank_idx, config, partition)
     inbox = BoundedChannel(capacity_bytes=capacity, name=f"rank-{rank_idx}")
-    listener = DataListener(recv_hwm_bytes=capacity).start(inbox)
+    listener = InboxListener(inbox, recv_hwm_bytes=capacity)
     return rank, inbox, listener
 
 
 class TestSocketChannelBackpressure:
     def test_delivery_and_stats(self):
         inbox = BoundedChannel()
-        listener = DataListener().start(inbox)
+        listener = InboxListener(inbox)
         channel = open_data_channel(
             listener.address, transport="tcp", name="test")
         try:
@@ -203,11 +205,12 @@ class TestSocketChannelBackpressure:
     def test_sender_suspends_when_both_sides_full(self):
         """Fig. 6a/b over TCP: a non-draining receiver exhausts the credit
         window, the writer stalls, the outbox fills, try_send -> False;
-        draining the inbox releases the whole pipeline."""
+        draining the inbox releases the whole pipeline (the backlog moves
+        whenever the sender calls in)."""
         msg = FieldMessage(0, 0, 0, 0, 32, np.arange(32.0))
         size = frame_nbytes(msg)
         inbox = BoundedChannel(capacity_bytes=size)  # receiver holds ~1 msg
-        listener = DataListener(recv_hwm_bytes=size).start(inbox)
+        listener = InboxListener(inbox, recv_hwm_bytes=size)
         channel = open_data_channel(
             listener.address, transport="tcp", send_hwm_bytes=size)
         try:
@@ -217,7 +220,12 @@ class TestSocketChannelBackpressure:
                 if channel.try_send(msg):
                     sent += 1
                 elif sent >= 2:
-                    break
+                    # a grant still in flight moves the backlog at the
+                    # next call: saturated is a refusal that survives it
+                    time.sleep(0.05)
+                    if not channel.try_send(msg):
+                        break
+                    sent += 1
                 else:
                     time.sleep(0.005)
             assert not channel.try_send(msg), "channel should be saturated"
@@ -227,6 +235,7 @@ class TestSocketChannelBackpressure:
             while drained < sent:
                 got = inbox.try_recv()
                 if got is None:
+                    channel.acked()  # the sender's look moves its backlog
                     time.sleep(0.005)
                     continue
                 drained += 1
@@ -242,11 +251,12 @@ class TestSocketChannelBackpressure:
         """``acked()`` passes a frame's mark only once the frame is in
         the rank's inbox: with the inbox held full, a frame the listener
         already read off the wire stays unacknowledged, and the pop that
-        makes room is what wakes ``wait_acked`` / ``wait_accept``."""
+        makes room is what wakes ``wait_acked`` / ``wait_accept``, which
+        move the backlog as the grants come in."""
         msg = FieldMessage(0, 0, 0, 0, 32, np.arange(32.0))
         size = frame_nbytes(msg)
         inbox = BoundedChannel(capacity_bytes=size)  # holds one frame
-        listener = DataListener(recv_hwm_bytes=size).start(inbox)
+        listener = InboxListener(inbox, recv_hwm_bytes=size)
         channel = open_data_channel(
             listener.address, transport="tcp", send_hwm_bytes=size)
         try:
@@ -269,7 +279,10 @@ class TestSocketChannelBackpressure:
             inbox.recv(timeout=5.0)
             assert channel.wait_acked(second, timeout=5.0)
             assert channel.wait_accept(size, timeout=5.0)
-            for _ in range(3):
+            inbox.recv(timeout=5.0)
+            # the third frame's grant lets the fourth out of the backlog
+            assert channel.wait_acked(3 * size, timeout=5.0)
+            for _ in range(2):
                 inbox.recv(timeout=5.0)
             channel.flush(timeout=5.0)
             assert channel.acked() == channel.sent() == 4 * size
@@ -279,10 +292,11 @@ class TestSocketChannelBackpressure:
 
     def test_a_channel_that_keeps_up_sends_from_the_calling_thread(self):
         """No second thread on the hot path: with a draining receiver
-        every frame goes out inside ``try_send`` and the pusher is never
-        even started."""
+        every frame goes out inside ``try_send`` and nothing waits in the
+        backlog."""
         inbox = BoundedChannel()
-        listener = DataListener().start(inbox)
+        listener = InboxListener(inbox)
+        before = set(threading.enumerate())
         channel = open_data_channel(
             listener.address, transport="tcp", send_hwm_bytes=1 << 16)
         try:
@@ -291,29 +305,30 @@ class TestSocketChannelBackpressure:
                     FieldMessage(0, member, 0, 0, 64, np.full(64, float(member)))
                 )
                 assert inbox.recv(timeout=5.0).member == member
+                assert not channel.wait_events()
             channel.flush(timeout=5.0)
-            assert channel._pusher is None
+            assert set(threading.enumerate()) == before
             assert channel.stats.send_blocks == 0
         finally:
             channel.close()
             listener.close()
 
-    def test_a_frame_the_kernel_buffer_cuts_arrives_without_another_call(self):
+    def test_a_frame_the_kernel_buffer_cuts_arrives_at_the_senders_next_call(self):
         """A frame far beyond the socket buffer is accepted at once; what
-        the kernel did not take is the pusher's, so the receiver gets the
-        whole frame although the sender never touches the channel again —
-        and the pusher parks once nothing is left."""
+        the kernel did not take waits in the channel — the sender asks
+        ``poll()`` for a writable socket — and the sender's next call in
+        moves it, here a blocking wait, until nothing is left."""
         data = np.arange(4_000_000, dtype=np.float64)  # 32 MB
         inbox = BoundedChannel()
-        listener = DataListener().start(inbox)
+        listener = InboxListener(inbox)
         channel = open_data_channel(listener.address, transport="tcp")
         try:
             assert channel.try_send(FieldMessage(0, 0, 0, 0, data.size, data))
-            assert channel._stuck.is_set()  # cut short: left to the pusher
-            got = inbox.recv(timeout=30.0)
+            assert channel.wait_events() & select.POLLOUT  # cut short
+            channel.flush(timeout=30.0)
+            got = inbox.recv(timeout=5.0)
             np.testing.assert_array_equal(got.data, data)
-            channel.flush(timeout=5.0)
-            assert not channel._stuck.is_set()
+            assert not channel.wait_events()
         finally:
             channel.close()
             listener.close()
@@ -325,7 +340,7 @@ class TestSocketChannelBackpressure:
         msg = FieldMessage(0, 0, 0, 0, 32, np.arange(32.0))
         size = frame_nbytes(msg)
         inbox = BoundedChannel(capacity_bytes=2 * msg.nbytes)  # holds two frames
-        listener = DataListener(recv_hwm_bytes=2 * size).start(inbox)
+        listener = InboxListener(inbox, recv_hwm_bytes=2 * size)
         sock = socket.create_connection(listener.address, timeout=5.0)
         try:
             assert recv_frame(sock) == Credit(2 * size)  # the window
@@ -346,7 +361,7 @@ class TestSocketChannelBackpressure:
 
     def test_channel_protocol_conformance(self):
         inbox = BoundedChannel()
-        listener = DataListener().start(inbox)
+        listener = InboxListener(inbox)
         channel = open_data_channel(listener.address, transport="tcp")
         try:
             assert isinstance(channel, Channel)

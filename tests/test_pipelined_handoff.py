@@ -25,12 +25,11 @@ from collections import deque
 import numpy as np
 import pytest
 
-from net_util import held_at_worker_loss, retry_on_eaddrinuse
+from net_util import InboxListener, held_at_worker_loss, retry_on_eaddrinuse
 from repro.core import StudyConfig
 from repro.core.group import VectorFieldSimulation
 from repro.core.launcher import RankRespawnPolicy
 from repro.net import worker as worker_module
-from repro.net.channel import DataListener
 from repro.net.coordinator import (
     MAX_HELD_GROUPS,
     Coordinator,
@@ -45,6 +44,9 @@ from repro.scheduler.policy import SchedulingPolicy, parse_scheduling
 from repro.sobol import IshigamiFunction
 from repro.transport.channel import BoundedChannel
 from repro.transport.message import GroupFieldMessage
+
+# the borrow-rule tripwire: see conftest.poisoned_rings
+pytestmark = pytest.mark.usefixtures("poisoned_rings")
 
 NCELLS = 8
 
@@ -120,9 +122,7 @@ def test_worker_runs_ahead_but_done_never_precedes_delivery(transport):
     )
     frames_per_group = config.ntimesteps  # one client rank, one server rank
     inbox = _RecordingInbox(capacity_bytes=frame + 16, name="held-full")
-    listener = DataListener(
-        recv_hwm_bytes=frame + 16, transport=transport
-    ).start(inbox)
+    listener = InboxListener(inbox, recv_hwm_bytes=frame + 16, transport=transport)
     coordinator = retry_on_eaddrinuse(lambda: Coordinator(config).start())
     early = []  # (group, frames in the inbox) of any premature report
     mark_done = coordinator._mark_done
@@ -147,7 +147,6 @@ def test_worker_runs_ahead_but_done_never_precedes_delivery(transport):
     worker = threading.Thread(
         target=lambda: outcome.append(run_worker(
             config, factory, coordinator.address, name="ahead",
-            env_fault=False,
         )),
         daemon=True,
     )
@@ -731,7 +730,7 @@ class TestLeaseLifecycle:
             policy=RankRespawnPolicy(nranks=1, timeout=60.0, max_respawns=1),
             kill=lambda pid, sig: None,
         )
-        listener = DataListener().start(BoundedChannel(name="rank0"))
+        listener = InboxListener(BoundedChannel(name="rank0"))
         coordinator = retry_on_eaddrinuse(
             lambda: Coordinator(config, supervisor=supervisor).start()
         )
@@ -739,7 +738,7 @@ class TestLeaseLifecycle:
         worker = threading.Thread(
             target=worker_module.run_worker,
             args=(config, factory, coordinator.address),
-            kwargs={"name": "leased", "env_fault": False},
+            kwargs={"name": "leased"},
             daemon=True,
         )
         monkeypatch.setattr(worker_module, "SocketRouter", RecordingRouter)

@@ -22,7 +22,7 @@ import time
 import numpy as np
 import pytest
 
-from net_util import retry_on_eaddrinuse
+from net_util import InboxListener, retry_on_eaddrinuse
 from repro.core import StudyConfig
 from repro.core.group import VectorFieldSimulation
 from repro.core.server import ServerRank
@@ -51,6 +51,9 @@ from repro.transport.message import (
     owned,
     split_by_partition,
 )
+
+# the borrow-rule tripwire: see conftest.poisoned_rings
+pytestmark = pytest.mark.usefixtures("poisoned_rings")
 
 NCELLS = 16
 FABRICS = ["tcp", "shm"]
@@ -347,7 +350,7 @@ class TestBorrowedPayloads:
 
     def test_the_threaded_sink_copies_before_it_enqueues(self):
         inbox = BoundedChannel()
-        listener = DataListener(transport="shm").start(inbox)
+        listener = InboxListener(inbox, transport="shm")
         channel = open_data_channel(listener.address, transport="shm")
         try:
             sent = [FieldMessage(0, m, 0, 0, 8, np.full(8, float(m))) for m in range(40)]
@@ -550,7 +553,7 @@ class _RankUnderTest:
         self.outcome = []
         self.thread = threading.Thread(
             target=lambda: self.outcome.append(net_serve.run_server_rank(
-                0, config, server.getsockname()[:2], env_fault=False, **kwargs
+                0, config, server.getsockname()[:2], **kwargs
             )),
             name="rank-under-test", daemon=True,
         )
@@ -657,13 +660,10 @@ def test_the_rank_starts_no_data_plane_thread(transport, monkeypatch):
         for group in range(config.ngroups):
             channel.send(group_frame(config, group, 0), timeout=10.0)
         assert channel.wait_acked(channel.sent(), timeout=10.0)
-        (listener,) = rank.listeners
-        assert listener._thread is None
-        # the rank thread itself is all the rank added (the channel's
-        # peer-watcher belongs to the client side of this test)
+        # the rank thread itself is all the rank added, and the client
+        # side of this test (the channel) added none
         assert serving == {rank.thread}
-        added = set(threading.enumerate()) - rank.threads_before - {rank.thread}
-        assert all(not t.name.startswith("data-loop") for t in added)
+        assert set(threading.enumerate()) - rank.threads_before == serving
         rank.ctrl.send({"op": "finalize"})
         rank.frames_until("rank_state")
     finally:
@@ -672,10 +672,13 @@ def test_the_rank_starts_no_data_plane_thread(transport, monkeypatch):
 
 
 def test_only_start_gives_the_listener_a_thread():
+    """A listener starts no thread; only the tests' inbox harness runs
+    its turn on one."""
+    before = set(threading.enumerate())
     listener = DataListener(lambda msg: None)
-    assert listener._thread is None
+    assert set(threading.enumerate()) == before
     listener.close()
-    threaded = DataListener().start(BoundedChannel())
+    threaded = InboxListener(BoundedChannel())
     try:
         assert threaded._thread.is_alive()
     finally:

@@ -6,6 +6,7 @@ survives a worker killed mid-study (the group is resubmitted), and the
 whole-study timeout names the unfinished work.
 """
 
+import functools
 import multiprocessing as mp
 import os
 import re
@@ -25,7 +26,7 @@ from repro.core import StudyConfig
 from repro.core.checkpoint import CheckpointManager
 from repro.core.group import FunctionSimulation, VectorFieldSimulation
 from repro.core.server import MelissaServer, ServerRank
-from repro.faults import FaultPlan, ServerRankCrash
+from repro.faults import FaultPlan, ServerRankCrash, ServerRankStraggler
 from repro.mesh.partition import BlockPartition
 from repro.net.coordinator import Coordinator, StudyAborted, study_fingerprint
 from repro.net.framing import connect_with_retry
@@ -33,6 +34,9 @@ from repro.net.serve import run_server_rank
 from repro.net.worker import run_worker
 from repro.runtime import DistributedRuntime, SequentialRuntime
 from repro.sobol import IshigamiFunction
+
+# the borrow-rule tripwire: see conftest.poisoned_rings
+pytestmark = pytest.mark.usefixtures("poisoned_rings")
 
 NCELLS = 32
 
@@ -115,6 +119,26 @@ class TestDistributedRuntime:
             distributed.variance, sequential.variance, rtol=1e-10
         )
         np.testing.assert_allclose(distributed.mean, sequential.mean, rtol=1e-10)
+
+    @pytest.mark.parametrize("transport", ["tcp", "shm"])
+    def test_a_suspended_worker_reports_its_blocked_time(self, transport):
+        """The ``fabric_*`` shape — one rank, one worker — with a channel
+        budget of about one frame and a rank that takes 10 ms per frame:
+        the worker suspends, and the ``bye`` frame's ``channel_stats``
+        count the time it spent suspended, not only how often."""
+        fn, config = make_config(
+            12, server_ranks=1, channel_capacity_bytes=2048
+        )
+        runtime = DistributedRuntime(
+            config, vector_factory(fn), nworkers=1, transport=transport,
+            fault_plan=FaultPlan(
+                server_rank_stragglers=[ServerRankStraggler(0, delay=0.01)]
+            ),
+        )
+        assert runtime.run(timeout=120.0).groups_integrated == 12
+        (stats,) = runtime.coordinator.worker_channel_stats.values()
+        assert stats["send_blocks"] > 0
+        assert stats["blocked_seconds"] > 0.0
 
     def test_multi_rank_backpressure_parity(self):
         """4 ranks, tiny channel budget: credit-window suspension engages
@@ -444,10 +468,12 @@ class TestCLI:
         """``--address-file`` works with ``--local-workers`` too: the file
         holds the bound address while the study runs."""
         from repro.cli import _parse_address, main
-        from repro.net.worker import FAULT_ENV
+        from repro.runtime import distributed
 
         # a straggling worker keeps the study alive past the poll period
-        monkeypatch.setenv(FAULT_ENV, "straggler:delay=0.05")
+        monkeypatch.setattr(distributed, "run_worker", functools.partial(
+            run_worker, fault_spec="straggler:delay=0.05"
+        ))
         path = str(tmp_path / "rendezvous.addr")
         probed = []
         poller = threading.Thread(

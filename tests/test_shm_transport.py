@@ -11,22 +11,25 @@ accounting, acknowledged-before-done ordering) must hold unchanged here.
 """
 
 import glob
+import os
 import socket
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from net_util import InboxListener
 from repro.net.channel import (
-    DataListener,
     SocketChannel,
     TransportNegotiationError,
     open_data_channel,
 )
 from repro.net.framing import Doorbell, FrameReader, encode_frame, frame_nbytes
+from repro.net import shm
 from repro.net.shm import (
     DEFAULT_RING_BYTES,
     MIN_RING_BYTES,
@@ -48,6 +51,9 @@ from test_net_framing import (
 from repro.core.server import MelissaServer
 from repro.transport.message import ConnectionRequest
 
+# the borrow-rule tripwire: see conftest.poisoned_rings
+pytestmark = pytest.mark.usefixtures("poisoned_rings")
+
 
 def field(group=0, member=0, step=0, lo=0, ncells=16, value=0.0):
     data = np.full(ncells, value, dtype=np.float64)
@@ -64,6 +70,45 @@ def drain_ring(ring):
         msg, total = item
         out.append(owned(msg))  # the payload is lent only until advance
         ring.advance(total)
+
+
+def test_the_poison_fixture_fails_a_drain_that_keeps_borrowed_payloads():
+    """The same drain as :func:`drain_ring` but keeping each ``msg``
+    without ``owned()`` — a borrow-rule violation.  Under the module's
+    poison fixture its first kept frame already reads NaN, so the
+    round-trip check fails; the owning drain passes it (without the
+    fixture both would pass: nothing overwrites the slots here)."""
+
+    def drain_keeping_views(ring):
+        out = []
+        while True:
+            item = read_ring_frame(ring)
+            if item is None:
+                return out
+            msg, total = item
+            out.append(msg)  # a view of the slot, kept past advance
+            ring.advance(total)
+
+    producer = ShmRing.create(MIN_RING_BYTES)
+    consumer = ShmRing.attach(producer.name)
+    sent = [field(member=m, value=m + 1.0) for m in range(3)]
+
+    def round_trip(drain) -> bool:
+        for msg in sent:
+            producer.write(encode_frame(msg))
+        got = drain(consumer)
+        return all(
+            np.array_equal(g.data, want.data)
+            for want, g in zip(sent, got, strict=True)
+        )
+
+    try:
+        assert round_trip(drain_ring)
+        assert not round_trip(drain_keeping_views)
+    finally:
+        consumer.close()
+        producer.close()
+        producer.unlink()
 
 
 class TestShmRing:
@@ -159,7 +204,7 @@ class TestShmRing:
 
 def open_shm_pair(recv_hwm=None, send_hwm=None, inbox_capacity=None):
     inbox = BoundedChannel(capacity_bytes=inbox_capacity, name="rank-inbox")
-    listener = DataListener(recv_hwm_bytes=recv_hwm, transport="auto").start(inbox)
+    listener = InboxListener(inbox, recv_hwm_bytes=recv_hwm, transport="auto")
     channel = open_data_channel(
         listener.address, transport="shm", send_hwm_bytes=send_hwm,
         name="test-shm",
@@ -278,19 +323,21 @@ class TestShmChannelSemantics:
             channel.close()
 
     def test_peer_death_unlinks_segment(self):
-        """When the listener side dies, the client watch thread removes
+        """When the rank dies holding the segment (no unlink of its own),
+        the producer's next look at the socket finds the EOF and removes
         the segment name — a SIGKILLed deployment leaks nothing."""
-        inbox, listener, channel = open_shm_pair()
-        name = channel._ring.name
-        assert glob.glob(f"/dev/shm/psm_*{name.lstrip('/psm_')}") or True
-        listener.close()
+        side = _ConsumerSide()
+        path = "/dev/shm/" + side.ring.name.lstrip("/")
         try:
-            deadline = time.monotonic() + 5.0
-            while glob.glob(f"/dev/shm{name if name.startswith('/') else '/' + name}"):
-                assert time.monotonic() < deadline, "segment never unlinked"
-                time.sleep(0.01)
+            assert os.path.exists(path)
+            side.sock.close()  # the rank is gone: only its socket says so
+            assert os.path.exists(path)  # no thread noticed behind our back
+            assert side.channel.broken
+            assert not os.path.exists(path)
+            with pytest.raises(ChannelClosed):
+                side.channel.wait_acked(side.channel.sent() + 1, timeout=5.0)
         finally:
-            channel.close()
+            side.close()
 
 
 class _ConsumerSide:
@@ -352,41 +399,44 @@ class TestDoorbellsAndProgressWaits:
         finally:
             side.close()
 
-    def test_blocking_send_waits_without_the_producer_lock(self):
-        """A sender suspended on a full ring must not hold the producer
-        lock (other threads' try_send/can_accept stay non-blocking), and
-        it resumes on the consumer's progress."""
+    def test_a_producer_blocked_on_a_full_ring_wakes_on_the_ranks_drain(
+        self, monkeypatch
+    ):
+        """A sender suspended on a full ring sleeps until the rank's drain
+        rings it, with no timer in between (``time.sleep`` raises here),
+        and the wait is counted as the channel's suspended time."""
         msg = field(ncells=256)
-        side = _ConsumerSide(send_hwm=2 * frame_nbytes(msg))
-        channel = side.channel
-        waiting = threading.Event()
-        wait_accept = channel.wait_accept
+        size = frame_nbytes(msg)
+        inbox, listener, channel = open_shm_pair(
+            send_hwm=2 * size, inbox_capacity=size
+        )
 
-        def spy(nbytes, timeout=None):
-            waiting.set()
-            return wait_accept(nbytes, timeout)
+        def no_timer(seconds):
+            raise AssertionError(f"the producer slept on a timer ({seconds}s)")
 
-        channel.wait_accept = spy
         try:
-            while channel.try_send(msg):
-                pass
+            deadline = time.monotonic() + 5.0
+            while True:  # saturate until the rank is stuck on its inbox
+                while channel.try_send(msg):
+                    assert time.monotonic() < deadline
+                time.sleep(0.05)
+                if not channel.try_send(msg):
+                    break
             before = channel.stats.messages_sent
-            sender = threading.Thread(
-                target=channel.send, args=(msg,), kwargs={"timeout": 20.0},
-                daemon=True,
+            monkeypatch.setattr(shm, "time", types.SimpleNamespace(
+                monotonic=time.monotonic, sleep=no_timer
+            ))
+            drainer = threading.Timer(
+                0.2, lambda: [inbox.recv(timeout=5.0) for _ in range(2)]
             )
-            sender.start()
-            assert waiting.wait(timeout=10.0)
-            assert channel._lock.acquire(timeout=5.0), "lock held while waiting"
-            channel._lock.release()
-            assert not channel.try_send(msg)  # answers, does not block
-            drain_ring(side.ring)  # the consumer's progress ...
-            sender.join(timeout=10.0)  # ... is what the sender waited for
-            assert not sender.is_alive()
+            drainer.start()
+            channel.send(msg, timeout=20.0)  # ... until the pop frees a slot
+            drainer.join(timeout=10.0)
             assert channel.stats.messages_sent == before + 1
-            assert channel.stats.blocked_seconds > 0.0
+            assert 0.1 < channel.stats.blocked_seconds < 10.0
         finally:
-            side.close()
+            channel.close()
+            listener.close()
 
     def test_cursors_and_wait_acked(self):
         msg = field(ncells=16)
@@ -411,10 +461,59 @@ class TestDoorbellsAndProgressWaits:
             side.close()
 
 
+def test_a_worker_fabric_starts_no_thread():
+    """Both fabrics saturated — the TCP window and backlog full, the
+    ring at its budget — then a blocking send, a flush and a close: the
+    calling thread does all of it, no thread is started for either."""
+    msg = field(ncells=256)
+    size = frame_nbytes(msg)
+    inbox = BoundedChannel(capacity_bytes=size)
+    listener = InboxListener(inbox, recv_hwm_bytes=size, transport="auto")
+    go, stop = threading.Event(), threading.Event()
+
+    def drain():  # the rank's consumer, held until both are saturated
+        go.wait(20.0)
+        while not stop.is_set():
+            try:
+                inbox.recv(timeout=0.1)
+            except TimeoutError:
+                pass
+
+    drainer = threading.Thread(target=drain, daemon=True)
+    drainer.start()
+    before = set(threading.enumerate())
+    channels = [
+        open_data_channel(listener.address, transport=t, send_hwm_bytes=size)
+        for t in ("tcp", "shm")
+    ]
+    try:
+        assert [type(ch) for ch in channels] == [SocketChannel, ShmChannel]
+        deadline = time.monotonic() + 10.0
+        for channel in channels:
+            while channel.try_send(msg):
+                assert time.monotonic() < deadline
+            assert channel.stats.send_blocks > 0
+        assert set(threading.enumerate()) == before
+        go.set()
+        for channel in channels:
+            channel.send(msg, timeout=10.0)
+            channel.flush(timeout=10.0)
+            assert set(threading.enumerate()) == before
+            channel.close()
+        assert set(threading.enumerate()) == before
+    finally:
+        for channel in channels:
+            channel.close()
+        stop.set()
+        go.set()
+        drainer.join(timeout=5.0)
+        listener.close()
+
+
 class TestFabricNegotiation:
     def test_auto_auto_negotiates_shm(self):
         inbox = BoundedChannel()
-        listener = DataListener(transport="auto").start(inbox)
+        listener = InboxListener(inbox, transport="auto")
         channel = open_data_channel(listener.address, transport="auto")
         try:
             assert isinstance(channel, ShmChannel)
@@ -424,7 +523,7 @@ class TestFabricNegotiation:
 
     def test_tcp_listener_forces_fallback(self):
         inbox = BoundedChannel()
-        listener = DataListener(transport="tcp").start(inbox)
+        listener = InboxListener(inbox, transport="tcp")
         channel = open_data_channel(listener.address, transport="auto")
         try:
             assert isinstance(channel, SocketChannel)
@@ -439,7 +538,7 @@ class TestFabricNegotiation:
 
     def test_tcp_client_skips_negotiation(self):
         inbox = BoundedChannel()
-        listener = DataListener(transport="auto").start(inbox)
+        listener = InboxListener(inbox, transport="auto")
         channel = open_data_channel(listener.address, transport="tcp")
         try:
             assert isinstance(channel, SocketChannel)
@@ -449,7 +548,7 @@ class TestFabricNegotiation:
 
     def test_forced_shm_against_tcp_listener_errors(self):
         inbox = BoundedChannel()
-        listener = DataListener(transport="tcp").start(inbox)
+        listener = InboxListener(inbox, transport="tcp")
         try:
             with pytest.raises(TransportNegotiationError):
                 open_data_channel(listener.address, transport="shm")
@@ -460,7 +559,7 @@ class TestFabricNegotiation:
         """A tcp-pinned client sends no negotiation frames at all to an
         auto listener: data flows, credits flow."""
         inbox = BoundedChannel()
-        listener = DataListener(transport="auto").start(inbox)
+        listener = InboxListener(inbox, transport="auto")
         channel = open_data_channel(listener.address, transport="tcp")
         try:
             msg = field(ncells=8)
@@ -476,7 +575,7 @@ class TestFabricNegotiation:
         """Regression for the DataListener leak: the connection table
         must not grow across connect/disconnect cycles."""
         inbox = BoundedChannel()
-        listener = DataListener(transport="auto").start(inbox)
+        listener = InboxListener(inbox, transport="auto")
         try:
             for transport in ("tcp", "shm", "tcp", "shm"):
                 channel = open_data_channel(listener.address, transport=transport)
@@ -495,7 +594,7 @@ class TestFabricNegotiation:
     def test_no_segments_leaked(self):
         before = set(glob.glob("/dev/shm/psm_*"))
         inbox = BoundedChannel()
-        listener = DataListener(transport="auto").start(inbox)
+        listener = InboxListener(inbox, transport="auto")
         channels = [
             open_data_channel(listener.address, transport="shm")
             for _ in range(3)

@@ -24,6 +24,9 @@ from repro.runtime import DistributedRuntime, SequentialRuntime
 from repro.sobol import IshigamiFunction
 from repro.transport.message import GroupFieldMessage
 
+# the borrow-rule tripwire: see conftest.poisoned_rings
+pytestmark = pytest.mark.usefixtures("poisoned_rings")
+
 NCELLS = 32
 
 # the full exact-merge acceptance catalog: member statistics (moments,
