@@ -14,6 +14,7 @@ from repro.core import StudyConfig
 from repro.report import format_table
 from repro.runtime import SequentialRuntime
 from repro.solver import TubeBundleCase
+from repro.transport import total_stats
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +43,7 @@ def run_mode(case, two_stage):
 
     runtime = SequentialRuntime(config, factory, steps_per_tick=5)
     results = runtime.run()
-    stats = runtime.router.total_stats()
+    stats = total_stats(runtime.router.inbound.values())
     return results, stats
 
 

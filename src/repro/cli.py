@@ -457,8 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_kernel_arg(sp):
         sp.add_argument(
             "--kernel", choices=KERNEL_NAMES, default=None,
-            help="co-moment fold backend (default: 'auto' = the first of "
-                 "cext, numba, einsum this host can run)",
+            help="co-moment fold backend (default: 'auto' = cext where "
+                 "it builds, else einsum)",
         )
         sp.add_argument(
             "--fold-threads", metavar="N|auto", default=None,

@@ -36,9 +36,8 @@ class StudyConfig:
     #: general statistics (the Sobol' engine always runs).  Stored
     #: canonicalized, so equivalent spellings fingerprint identically.
     statistics: Optional[Sequence[str]] = None
-    #: co-moment kernel backend for the fold hot path: "auto" (the first
-    #: of cext, numba, einsum the host can run), or "einsum", "blas",
-    #: "cext", "numba" by name
+    #: co-moment kernel backend for the fold hot path: "auto" (cext where
+    #: it builds, else einsum), or "einsum", "blas", "cext" by name
     kernel: str = "auto"
     #: fold-thread budget per server rank: "auto" (``min(usable_cpus //
     #: local_ranks, cell blocks)`` — co-located ranks share the host,

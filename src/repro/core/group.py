@@ -349,7 +349,7 @@ class GroupExecutor:
     def _flush(self) -> None:
         """Deliver as much of the outbox as buffer space allows."""
         while self._outbox:
-            if not self.router.deliver(self._outbox[0], blocking=False):
+            if not self.router.deliver(self._outbox[0]):
                 return
             self._outbox.popleft()
             self.messages_emitted += 1

@@ -14,9 +14,8 @@ blas      GEMM/syrk-shaped stacked ``np.matmul`` over cell-major
 cext      fused cell-tiled C kernel, compiled on demand with the
           system compiler (no pip dependency; unavailable without a
           C compiler)
-numba     fused Numba-JIT kernel (unavailable when numba is absent)
-auto      the default: the first of cext, numba, einsum this host can
-          run, decided once when the field is constructed
+auto      the default: cext where it builds, else einsum, decided
+          once when the field is constructed
 ========  ==========================================================
 
 ``auto`` is a rule, not a measurement: no fold ever times itself, so two
@@ -24,18 +23,18 @@ processes on one host always run the same backend and a restored state
 continues under the backend that wrote it.  ``blas`` is selectable by
 name only (at p = 6 it measured 3x slower than einsum on the 2-vCPU
 reference box).  ``StudyConfig.kernel`` / ``--kernel`` name a backend
-explicitly; requesting an optional backend the host cannot run falls
-back to the einsum baseline with a warning — studies never fail because
-a host lacks a toolchain.  Every backend computes the same
+explicitly; requesting cext on a host that cannot build it falls back
+to the einsum baseline with a warning — studies never fail because a
+host lacks a toolchain.  Every backend computes the same
 mathematically exact formulas; the equivalence suite pins them all to
 the scalar reference at rtol 1e-10.
 
 Multicore folds: every backend here releases the GIL during its compute
 loops — the cext pipeline through ``ctypes.CDLL`` (which drops the GIL
 around every foreign call by construction), einsum/BLAS through NumPy's
-buffer-threshold GIL release, numba via ``nogil=True`` — so the
-:mod:`repro.kernels.parallel` layer can shard one fold across cell
-blocks onto a thread pool and actually run them concurrently.  Kernel
+buffer-threshold GIL release — so the :mod:`repro.kernels.parallel`
+layer can shard one fold across cell blocks onto a thread pool and
+actually run them concurrently.  Kernel
 instances own reusable scratch and are NOT thread-safe; the parallel
 layer builds one instance per worker thread.
 """
@@ -50,10 +49,10 @@ from repro.kernels.blas import BlasKernel
 from repro.kernels.einsum import EinsumKernel
 
 #: selectable names (auto resolves to one of the others)
-KERNEL_NAMES = ("auto", "einsum", "blas", "cext", "numba")
+KERNEL_NAMES = ("auto", "einsum", "blas", "cext")
 
 #: what ``auto`` means: the first of these the host can run
-_AUTO_ORDER = ("cext", "numba", "einsum")
+_AUTO_ORDER = ("cext", "einsum")
 
 
 def _construct(name: str, nparams: int, batch_size: int, block_cells: int):
@@ -65,22 +64,14 @@ def _construct(name: str, nparams: int, batch_size: int, block_cells: int):
         from repro.kernels.cext import CExtKernel
 
         return CExtKernel(nparams, batch_size, block_cells)
-    if name == "numba":
-        from repro.kernels.numba_backend import NumbaKernel
-
-        return NumbaKernel(nparams, batch_size, block_cells)
     raise ValueError(f"unknown kernel backend {name!r}; choose from {KERNEL_NAMES}")
 
 
 def _usable(name: str) -> bool:
     """Whether this host can run ``name`` (probing cext builds/loads it)."""
-    from repro.kernels import cext, numba_backend
+    from repro.kernels import cext
 
-    if name == "cext":
-        return cext.available()
-    if name == "numba":
-        return numba_backend.available()
-    return True
+    return name != "cext" or cext.available()
 
 
 def available_backends() -> List[str]:
@@ -101,7 +92,7 @@ def resolve_spec(spec: Optional[str]) -> str:
 def resolve_backend(spec: Optional[str]) -> str:
     """The backend a field built with ``spec`` folds on, on this host:
     the named one when the host can run it, else the einsum baseline;
-    ``auto`` is the first of cext, numba, einsum the host can run.
+    ``auto`` is cext where it builds, else einsum.
 
     Call before forking ranks: probing cext compiles the shared library
     once here and every child inherits the loaded module / warm disk

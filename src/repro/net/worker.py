@@ -74,7 +74,7 @@ from repro.core.group import (
 )
 from repro.mesh.partition import BlockPartition
 from repro.net.channel import open_data_channel
-from repro.transport.channel import ChannelClosed
+from repro.transport.channel import ChannelClosed, total_stats
 from repro.net.coordinator import MAX_HELD_GROUPS, study_fingerprint, study_id
 from repro.net.framing import (
     AddressedReply,
@@ -166,10 +166,10 @@ class SocketRouter:
         self.server_partition: Optional[BlockPartition] = None
         self._reply: Optional[ConnectionReply] = None
         self._addresses: Optional[Tuple[Tuple[str, int], ...]] = None
-        self._channels: Dict[int, Any] = {}  # rank -> negotiated Channel
+        self.channels: Dict[int, Any] = {}  # rank -> negotiated Channel
         self._connected: Set[int] = set()
-        # (channel, frame bytes) of the chunk the last non-blocking
-        # deliver could not place: what a suspended group waits on
+        # (channel, frame bytes) of the chunk the last deliver could
+        # not place: what a suspended group waits on
         self._refused: Optional[Tuple[Any, int]] = None
 
     # ------------------------------------------------------------------ #
@@ -198,7 +198,7 @@ class SocketRouter:
 
     # ------------------------------------------------------------------ #
     def _channel(self, rank: int):
-        channel = self._channels.get(rank)
+        channel = self.channels.get(rank)
         if channel is None:
             try:
                 # hint: the widest chunk this worker can push to one rank
@@ -219,19 +219,13 @@ class SocketRouter:
                     f"{self.name}: server rank {rank} unreachable at "
                     f"{self._addresses[rank]}"
                 ) from exc
-            self._channels[rank] = channel
+            self.channels[rank] = channel
         return channel
 
-    def deliver(self, msg, blocking: bool = False) -> bool:
+    def deliver(self, msg) -> bool:
         if self.server_partition is None:
             raise RuntimeError("deliver before connect")
         chunks = split_by_partition(msg, self.server_partition)
-        if blocking:
-            for rank, chunk in chunks:
-                self._channel(rank).send(chunk)
-            if self._fault is not None:
-                self._fault.on_deliver()
-            return True
         if len(chunks) > 1:
             for rank, chunk in chunks:
                 channel, nbytes = self._channel(rank), frame_nbytes(chunk)
@@ -270,7 +264,7 @@ class SocketRouter:
             poller = select.poll()
             poller.register(self._ctrl, select.POLLIN)
             moving = {}
-            for channel in self._channels.values():
+            for channel in self.channels.values():
                 events = channel.wait_events()
                 if events:
                     poller.register(channel, events)
@@ -288,7 +282,7 @@ class SocketRouter:
         """Per-channel sent cursors right now.  Taken when a group's last
         frame was handed over, they are what :meth:`wait_acked` compares
         the ranks' progress against."""
-        return {channel: channel.sent() for channel in self._channels.values()}
+        return {channel: channel.sent() for channel in self.channels.values()}
 
     def acked(self, marks: Dict[Any, int]) -> bool:
         """Has every rank passed its mark (non-blocking)?  Every frame
@@ -320,7 +314,7 @@ class SocketRouter:
 
     def any_broken(self) -> bool:
         """Did any open data channel lose its rank?"""
-        return any(channel.broken for channel in self._channels.values())
+        return any(channel.broken for channel in self.channels.values())
 
     def reset(self) -> None:
         """Forget the rendezvous: close every channel and drop the cached
@@ -338,29 +332,10 @@ class SocketRouter:
         self.server_partition = None
         self._connected.clear()
 
-    def total_stats(self) -> Dict[str, int]:
-        agg = {
-            "messages_sent": 0,
-            "bytes_sent": 0,
-            "send_blocks": 0,
-            "blocked_seconds": 0.0,
-            "high_water_bytes": 0,
-        }
-        for channel in self._channels.values():
-            stats = channel.stats
-            agg["messages_sent"] += stats.messages_sent
-            agg["bytes_sent"] += stats.bytes_sent
-            agg["send_blocks"] += stats.send_blocks
-            agg["blocked_seconds"] += stats.blocked_seconds
-            agg["high_water_bytes"] = max(
-                agg["high_water_bytes"], stats.high_water_bytes
-            )
-        return agg
-
     def close(self) -> None:
-        for channel in self._channels.values():
+        for channel in self.channels.values():
             channel.close()
-        self._channels.clear()
+        self.channels.clear()
         self._refused = None
 
 
@@ -477,7 +452,7 @@ def run_worker(
             nonlocal last_beat, last_snapshot
             payload = None
             if telemetry_on:
-                stats = router.total_stats()
+                stats = total_stats(router.channels.values())
                 g_bytes_sent.set(stats["bytes_sent"], worker=name)
                 g_blocked.set(stats["blocked_seconds"], worker=name)
                 g_blocks.set(stats["send_blocks"], worker=name)
@@ -614,7 +589,9 @@ def run_worker(
             # aggregate send-side ChannelStats for the end-of-run summary
             if telemetry_on:
                 beat()
-            ctrl.send({"op": "bye", "channel_stats": router.total_stats()})
+            ctrl.send({
+                "op": "bye", "channel_stats": total_stats(router.channels.values()),
+            })
         except (ConnectionLost, OSError):
             pass  # coordinator already gone: nothing left to say
         log.info("leaving study")

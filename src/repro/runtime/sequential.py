@@ -50,20 +50,6 @@ class StudyIncomplete(RuntimeError):
     """Raised when the virtual-time budget expires before completion."""
 
 
-class _DuplicatingRouter(Router):
-    """Router that delivers selected groups' messages twice (fault plan)."""
-
-    def __init__(self, *args, duplicated_groups=frozenset(), **kwargs):
-        super().__init__(*args, **kwargs)
-        self._duplicated = set(duplicated_groups)
-
-    def deliver(self, msg, blocking: bool = False) -> bool:
-        ok = super().deliver(msg, blocking=blocking)
-        if ok and msg.group_id in self._duplicated:
-            super().deliver(msg, blocking=blocking)
-        return ok
-
-
 class _FinishedGroups:
     """What recovery reads of one rank's checkpoint: its finished groups
     (the ``rank`` / ``restore_state`` a ``CheckpointManager`` restores into)."""
@@ -196,10 +182,9 @@ class SequentialRuntime:
             self.server = self.checkpoints.restore(self.config)
         else:
             self.server = MelissaServer(self.config)
-        self.router = _DuplicatingRouter(
+        self.router = Router(
             self.server.partition,
             channel_capacity_bytes=self.config.channel_capacity_bytes,
-            duplicated_groups=self.fault_plan.duplicated_groups,
         )
         self._server_down = False
         # groups already integrated (restored checkpoint) are final
@@ -275,10 +260,14 @@ class SequentialRuntime:
 
     def _drain_server(self, now: float) -> None:
         assert self.server is not None and self.router is not None
+        duplicated = self.fault_plan.duplicated_groups
         for rank in self.server.ranks:
-            channel = self.router.inbound[rank.rank]
-            for msg in channel.drain():
+            for msg in self.router.inbound[rank.rank].drain():
                 rank.handle(msg, now)
+                if msg.group_id in duplicated:
+                    # fault: the message arrives twice; handed over here,
+                    # after the channel, back-pressure cannot refuse it
+                    rank.handle(msg, now)
 
     # ------------------------------------------------------------------ #
     def _periodic_tasks(self, now: float) -> None:

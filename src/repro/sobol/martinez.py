@@ -65,10 +65,9 @@ class UbiquitousSobolField:
     a time: residuals are taken against the first buffer of the batch (an
     exact shift, so the contraction stays numerically stable like Pebay's
     one-pass formulas), a pluggable :mod:`repro.kernels` backend produces
-    every co-moment of the batch (einsum baseline, GEMM-shaped BLAS,
-    fused compiled C, or Numba — ``kernel="auto"`` is the first of cext,
-    numba, einsum the host can run), and one exact pairwise combination
-    (Pebay, SAND2008-6212)
+    every co-moment of the batch (einsum baseline, GEMM-shaped BLAS, or
+    fused compiled C — ``kernel="auto"`` is cext where it builds, else
+    einsum), and one exact pairwise combination (Pebay, SAND2008-6212)
     merges the batch into the running state.  Any read (maps, intervals,
     checkpoints) flushes pending buffers first, so results never lag the
     data.

@@ -6,8 +6,9 @@ framework actually depends on — and which this package reproduces — are:
 
 * **framed messages** with (group, member, timestep, cell-range) headers;
 * **bounded buffers on both sides**: messages queue asynchronously until
-  client and server buffers are both full, at which point *sends block*,
-  suspending the simulation (the Fig. 6a/b saturation mechanism);
+  client and server buffers are both full, at which point ``try_send`` is
+  refused and the group suspends, holding its message until the server
+  has drained (the Fig. 6a/b saturation mechanism);
 * **dynamic connection**: a starting group contacts server rank 0, learns
   the server-side data partition, then opens direct channels to exactly
   the server ranks its cell ranges intersect (the N x M pattern);
@@ -23,7 +24,12 @@ from repro.transport.message import (
     Heartbeat,
 )
 from repro.transport.base import Channel, TransportClient
-from repro.transport.channel import BoundedChannel, ChannelClosed, ChannelStats
+from repro.transport.channel import (
+    BoundedChannel,
+    ChannelClosed,
+    ChannelStats,
+    total_stats,
+)
 from repro.transport.router import Router, redistribution_plan
 
 __all__ = [
@@ -37,6 +43,7 @@ __all__ = [
     "BoundedChannel",
     "ChannelClosed",
     "ChannelStats",
+    "total_stats",
     "Router",
     "redistribution_plan",
 ]

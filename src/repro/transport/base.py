@@ -15,7 +15,7 @@ assert conformance for both.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Protocol, runtime_checkable
+from typing import Any, Protocol, runtime_checkable
 
 from repro.transport.message import ConnectionReply, ConnectionRequest
 
@@ -23,21 +23,20 @@ from repro.transport.message import ConnectionReply, ConnectionRequest
 @runtime_checkable
 class Channel(Protocol):
     """The send surface of one bounded FIFO with ZeroMQ-like dual-buffer
-    blocking semantics — what routers and group executors program
-    against.
+    back-pressure — what routers and group executors program against.
 
-    ``try_send`` must return False (not raise) when the channel is full,
-    and implementations must account traffic in a
+    ``try_send`` must return False (not raise, not wait) when the channel
+    is full: the group keeps the message and suspends until the receiver
+    has made room.  Implementations must account traffic in a
     :class:`~repro.transport.channel.ChannelStats` exposed as ``stats``
     — the Fig. 6a/b suspension analysis is built on those counters.
-    :class:`~repro.transport.channel.BoundedChannel` additionally offers
-    the receive side; for :class:`~repro.net.channel.SocketChannel` the
-    receive side is the remote rank's ``handle``.
+    :class:`~repro.transport.channel.BoundedChannel` is drained by its
+    receiver in the same process; for
+    :class:`~repro.net.channel.SocketChannel` the receive side is the
+    remote rank's ``handle``.
     """
 
     def try_send(self, msg: Any) -> bool: ...
-
-    def send(self, msg: Any, timeout: Optional[float] = None) -> None: ...
 
     def can_accept(self, nbytes: int) -> bool: ...
 
@@ -61,9 +60,9 @@ class TransportClient(Protocol):
 
     def disconnect(self, group_id: int) -> None: ...
 
-    def deliver(self, msg: Any, blocking: bool = False) -> bool:
+    def deliver(self, msg: Any) -> bool:
         """Deliver one message (splitting along the server partition);
         False means "would block" and the caller must retry the whole
-        message later — implementations must make non-blocking split
-        delivery all-or-nothing (or rely on replay protection)."""
+        message later — implementations must make split delivery
+        all-or-nothing (or rely on replay protection)."""
         ...

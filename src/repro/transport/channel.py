@@ -1,31 +1,32 @@
-"""Byte-bounded buffered channels with ZeroMQ-like blocking semantics.
+"""Byte-bounded buffered channels with ZeroMQ-like back-pressure.
 
-ZeroMQ buffers messages on the sender and the receiver and only blocks
+ZeroMQ buffers messages on the sender and the receiver and only suspends
 the sending application when *both* high-water marks are hit (paper
 Sec. 4.1.3: "Communications only become blocking when both buffers are
 full").  :class:`BoundedChannel` models the pair of buffers as a single
 capacity equal to their sum — equivalent for the back-pressure behaviour
 the study depends on — and exposes:
 
-* ``try_send``   — non-blocking; returns False when the channel is full
-  (used by the deterministic sequential runtime and the perf model);
-* ``send``       — blocking with timeout (the wait time is recorded as
-  *suspension* time, Fig. 6b's mechanism);
-* ``recv`` / ``try_recv`` — consumer side;
-* high-water-mark and throughput statistics.
+* ``try_send`` — returns False when the channel is full: the group's
+  message stays in its outbox and the group suspends (Fig. 6b's
+  mechanism) until the receiver has drained;
+* ``drain``    — the receiver takes everything buffered, in order;
+* high-water-mark and throughput statistics, summed over a router's
+  channels by :func:`total_stats`.
+
+One thread owns a channel: the sequential runtime steps its groups and
+then drains its ranks, so nothing here waits or locks.
 """
 
 from __future__ import annotations
 
-import threading
-import time as _time
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Optional, Tuple
+from dataclasses import dataclass, fields
+from typing import Any, Callable, Deque, Dict, Iterable, Optional, Tuple
 
 
 class ChannelClosed(RuntimeError):
-    """Raised when sending to or receiving from a closed, drained channel."""
+    """Raised when sending to a closed channel (or one whose peer died)."""
 
 
 @dataclass
@@ -39,6 +40,20 @@ class ChannelStats:
     high_water_bytes: int = 0
     send_blocks: int = 0
     blocked_seconds: float = 0.0
+
+
+def total_stats(channels: Iterable[Any]) -> Dict[str, float]:
+    """Every :class:`ChannelStats` field summed over ``channels`` — except
+    ``high_water_bytes``, the largest of theirs."""
+    agg = {f.name: f.default for f in fields(ChannelStats)}
+    for channel in channels:
+        for name in agg:
+            value = getattr(channel.stats, name)
+            agg[name] = (
+                max(agg[name], value) if name == "high_water_bytes"
+                else agg[name] + value
+            )
+    return agg
 
 
 def _default_size(obj: Any) -> int:
@@ -74,26 +89,16 @@ class BoundedChannel:
         self._queue: Deque[Tuple[Any, int]] = deque()
         self._bytes = 0
         self._closed = False
-        self._lock = threading.Lock()
-        self._not_full = threading.Condition(self._lock)
-        self._not_empty = threading.Condition(self._lock)
         self.stats = ChannelStats()
 
     # ------------------------------------------------------------------ #
     @property
     def pending_messages(self) -> int:
-        with self._lock:
-            return len(self._queue)
+        return len(self._queue)
 
     @property
     def pending_bytes(self) -> int:
-        with self._lock:
-            return self._bytes
-
-    @property
-    def closed(self) -> bool:
-        with self._lock:
-            return self._closed
+        return self._bytes
 
     def _fits(self, size: int) -> bool:
         if self.capacity_bytes is None:
@@ -103,101 +108,39 @@ class BoundedChannel:
         return self._bytes + size <= self.capacity_bytes or not self._queue
 
     def can_accept(self, nbytes: int) -> bool:
-        """Non-mutating capacity probe (racy under concurrent senders)."""
-        with self._lock:
-            return not self._closed and self._fits(int(nbytes))
+        """Non-mutating capacity probe."""
+        return not self._closed and self._fits(int(nbytes))
 
-    def _enqueue(self, msg: Any, size: int) -> None:
+    # ------------------------------------------------------------------ #
+    def try_send(self, msg: Any) -> bool:
+        """Enqueue if buffer space remains; False means "would block"."""
+        if self._closed:
+            raise ChannelClosed(f"channel {self.name or id(self)} is closed")
+        size = self._sizer(msg)
+        if not self._fits(size):
+            self.stats.send_blocks += 1
+            return False
         self._queue.append((msg, size))
         self._bytes += size
         self.stats.messages_sent += 1
         self.stats.bytes_sent += size
         if self._bytes > self.stats.high_water_bytes:
             self.stats.high_water_bytes = self._bytes
-        self._not_empty.notify()
-
-    # ------------------------------------------------------------------ #
-    def try_send(self, msg: Any) -> bool:
-        """Enqueue if buffer space remains; False means "would block"."""
-        size = self._sizer(msg)
-        with self._lock:
-            if self._closed:
-                raise ChannelClosed(f"channel {self.name or id(self)} is closed")
-            if not self._fits(size):
-                self.stats.send_blocks += 1
-                return False
-            self._enqueue(msg, size)
-            return True
-
-    def send(self, msg: Any, timeout: Optional[float] = None) -> None:
-        """Blocking send: waits for space (ZeroMQ full-buffers behaviour)."""
-        size = self._sizer(msg)
-        deadline = None if timeout is None else _time.monotonic() + timeout
-        with self._not_full:
-            if self._closed:
-                raise ChannelClosed(f"channel {self.name or id(self)} is closed")
-            if not self._fits(size):
-                self.stats.send_blocks += 1
-                start = _time.monotonic()
-                while not self._fits(size):
-                    if self._closed:
-                        raise ChannelClosed("channel closed while blocked on send")
-                    remaining = None if deadline is None else deadline - _time.monotonic()
-                    if remaining is not None and remaining <= 0:
-                        self.stats.blocked_seconds += _time.monotonic() - start
-                        raise TimeoutError(
-                            f"send on {self.name or id(self)} timed out"
-                        )
-                    self._not_full.wait(timeout=remaining)
-                self.stats.blocked_seconds += _time.monotonic() - start
-            self._enqueue(msg, size)
-
-    # ------------------------------------------------------------------ #
-    def try_recv(self) -> Optional[Any]:
-        """Dequeue one message or None if empty (raises when closed+drained)."""
-        with self._lock:
-            if not self._queue:
-                if self._closed:
-                    raise ChannelClosed("channel closed and drained")
-                return None
-            return self._pop()
-
-    def recv(self, timeout: Optional[float] = None) -> Any:
-        """Blocking receive."""
-        deadline = None if timeout is None else _time.monotonic() + timeout
-        with self._not_empty:
-            while not self._queue:
-                if self._closed:
-                    raise ChannelClosed("channel closed and drained")
-                remaining = None if deadline is None else deadline - _time.monotonic()
-                if remaining is not None and remaining <= 0:
-                    raise TimeoutError("recv timed out")
-                self._not_empty.wait(timeout=remaining)
-            return self._pop()
-
-    def _pop(self) -> Any:
-        msg, size = self._queue.popleft()
-        self._bytes -= size
-        self.stats.messages_received += 1
-        self.stats.bytes_received += size
-        self._not_full.notify()
-        return msg
+        return True
 
     def drain(self) -> list:
         """Dequeue everything currently buffered (server poll loop)."""
-        out = []
-        with self._lock:
-            while self._queue:
-                out.append(self._pop())
+        out = [msg for msg, _ in self._queue]
+        self.stats.messages_received += len(out)
+        self.stats.bytes_received += self._bytes
+        self._queue.clear()
+        self._bytes = 0
         return out
 
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Mark closed; blocked senders/receivers wake with ChannelClosed."""
-        with self._lock:
-            self._closed = True
-            self._not_full.notify_all()
-            self._not_empty.notify_all()
+        """Refuse further sends; what is buffered can still be drained."""
+        self._closed = True
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

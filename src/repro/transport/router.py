@@ -90,8 +90,9 @@ class Router:
         self.connections.pop(group_id, None)
 
     # ------------------------------------------------------------------ #
-    def deliver(self, msg: FieldMessage, blocking: bool = False) -> bool:
-        """Enqueue one pre-built message to its owning server rank(s).
+    def deliver(self, msg: FieldMessage) -> bool:
+        """Enqueue one pre-built message to its owning server rank(s);
+        False means "would block" and nothing was enqueued.
 
         The payload changes hands here (ownership rule in
         :mod:`repro.transport.message`); a message inside one rank is
@@ -102,19 +103,11 @@ class Router:
         delivered to its owning rank (previously such messages were routed
         whole by ``cell_lo`` and died deep inside the receiving rank).
 
-        Non-blocking split delivery is all-or-nothing: capacities are
-        probed first and nothing is enqueued unless every chunk fits, so
-        the caller's whole-message retry cannot re-send chunks that
-        already landed.  (Under concurrent senders the probe is racy; a
-        lost race can still deliver a duplicate chunk, which replay
-        protection discards — only a ``discard_on_replay=False`` study
-        with concurrent straddling senders could double-count.)
+        Split delivery is all-or-nothing: capacities are probed first and
+        nothing is enqueued unless every chunk fits, so the caller's
+        whole-message retry cannot re-send chunks that already landed.
         """
         chunks = split_by_partition(msg, self.server_partition)
-        if blocking:
-            for server_rank, chunk in chunks:
-                self.inbound[server_rank].send(chunk)
-            return True
         if len(chunks) > 1 and not all(
             self.inbound[rank].can_accept(chunk.nbytes) for rank, chunk in chunks
         ):
@@ -125,27 +118,6 @@ class Router:
         return True
 
     # ------------------------------------------------------------------ #
-    def total_stats(self) -> Dict[str, int]:
-        """Aggregate channel counters over all server ranks."""
-        agg = {
-            "messages_sent": 0,
-            "bytes_sent": 0,
-            "messages_received": 0,
-            "bytes_received": 0,
-            "send_blocks": 0,
-            "high_water_bytes": 0,
-        }
-        for ch in self.inbound.values():
-            agg["messages_sent"] += ch.stats.messages_sent
-            agg["bytes_sent"] += ch.stats.bytes_sent
-            agg["messages_received"] += ch.stats.messages_received
-            agg["bytes_received"] += ch.stats.bytes_received
-            agg["send_blocks"] += ch.stats.send_blocks
-            agg["high_water_bytes"] = max(
-                agg["high_water_bytes"], ch.stats.high_water_bytes
-            )
-        return agg
-
     def close(self) -> None:
         for ch in self.inbound.values():
             ch.close()

@@ -11,7 +11,8 @@ port) — the helpers here exist for the residual flake classes:
 * a worker-loss assertion needs the coordinator's own view of what the
   dead worker held: :func:`held_at_worker_loss` records it;
 * a channel test that wants the frames in an inbox on another thread
-  uses :class:`InboxListener` (a server rank turns its listener itself).
+  uses :class:`InboxListener` and its :class:`Inbox` (a server rank
+  turns its listener itself).
 """
 
 from __future__ import annotations
@@ -21,12 +22,13 @@ import socket
 import threading
 import time
 import zlib
+from collections import deque
 from typing import Any, Callable, TypeVar
 
 import numpy as np
 
 from repro.net.channel import DataListener
-from repro.transport.channel import BoundedChannel, ChannelClosed
+from repro.transport.channel import ChannelClosed
 from repro.transport.message import owned
 
 T = TypeVar("T")
@@ -74,9 +76,70 @@ def held_at_worker_loss(monkeypatch) -> list:
     return lost
 
 
+class Inbox:
+    """A blocking FIFO bounded by payload bytes: the inbox an
+    :class:`InboxListener` fills on its thread and a test reads on its
+    own.  An oversized message enters an empty inbox (the fabric's
+    rule); ``put`` waits for room, ``recv`` for a message."""
+
+    def __init__(self, capacity_bytes=None, name=""):
+        self.capacity_bytes = capacity_bytes
+        self.name = name
+        self._queue = deque()
+        self._bytes = 0
+        self._lock = threading.Lock()
+        self._changed = threading.Condition(self._lock)
+
+    @staticmethod
+    def _size(msg: Any) -> int:
+        return int(getattr(msg, "nbytes", 64))
+
+    def _fits(self, size: int) -> bool:
+        return (
+            self.capacity_bytes is None or not self._queue
+            or self._bytes + size <= self.capacity_bytes
+        )
+
+    def can_accept(self, nbytes: int) -> bool:
+        with self._lock:
+            return self._fits(nbytes)
+
+    def put(self, msg: Any, timeout: float) -> bool:
+        """Enqueue once there is room; False if ``timeout`` passed first."""
+        size = self._size(msg)
+        with self._changed:
+            if not self._changed.wait_for(lambda: self._fits(size), timeout):
+                return False
+            self._enqueue(msg, size)
+            self._changed.notify_all()
+            return True
+
+    def _enqueue(self, msg: Any, size: int) -> None:  # lock held
+        self._queue.append((msg, size))
+        self._bytes += size
+
+    def _pop(self) -> Any:  # lock held
+        msg, size = self._queue.popleft()
+        self._bytes -= size
+        self._changed.notify_all()
+        return msg
+
+    def try_recv(self) -> Any:
+        """The oldest message, or None when the inbox is empty."""
+        with self._changed:
+            return self._pop() if self._queue else None
+
+    def recv(self, timeout: float) -> Any:
+        """The oldest message; TimeoutError if none came in ``timeout``."""
+        with self._changed:
+            if not self._changed.wait_for(lambda: self._queue, timeout):
+                raise TimeoutError(f"inbox {self.name!r}: nothing in {timeout}s")
+            return self._pop()
+
+
 class InboxListener(DataListener):
     """A :class:`DataListener` whose :meth:`~DataListener.turn` runs on a
-    thread of its own with a blocking ``inbox`` behind the sink.
+    thread of its own with a blocking :class:`Inbox` behind the sink.
 
     The inbox keeps what it is given, so a borrowed payload is copied
     first; a full inbox blocks the loop (in short slices, so
@@ -84,7 +147,7 @@ class InboxListener(DataListener):
     its sender.  Before it blocks it grants what it owes, like a rank
     that is about to wait."""
 
-    def __init__(self, inbox: BoundedChannel, **kwargs):
+    def __init__(self, inbox: Inbox, **kwargs):
         super().__init__(**kwargs)
         self.inbox = inbox
         self.sink = self._into_inbox
@@ -100,19 +163,16 @@ class InboxListener(DataListener):
         msg = owned(msg)
         if not self.inbox.can_accept(getattr(msg, "nbytes", 0)):
             self._settle()
-        while True:
-            try:
-                return self.inbox.send(msg, timeout=0.1)
-            except TimeoutError:
-                if self._stop:
-                    raise ChannelClosed("listener closed") from None
+        while not self.inbox.put(msg, timeout=0.1):
+            if self._stop:
+                raise ChannelClosed("listener closed")
 
     def _run(self) -> None:
         try:
             while not self._stop:
                 self.turn()
         except ChannelClosed:
-            pass  # the inbox, or the listener, was closed under the sink
+            pass  # the listener was closed under the sink
         finally:
             DataListener.close(self)
             for sock in self._waker:

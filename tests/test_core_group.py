@@ -9,7 +9,7 @@ from repro.faults import DuplicateDelivery, FaultPlan
 from repro.mesh.partition import BlockPartition
 from repro.runtime import SequentialRuntime
 from repro.sampling import ParameterSpace, Uniform, draw_design
-from repro.transport import Router
+from repro.transport import Router, total_stats
 from repro.transport.message import FieldMessage, GroupFieldMessage
 
 
@@ -395,12 +395,18 @@ class TestStudyDataPath:
         assert_same_maps(results, reference, rtol=1e-10)
 
     def test_duplicated_whole_partition_messages_integrate_once(self):
-        reference, _ = run_ramp_study()
+        """Also under back-pressure: a full channel cannot swallow the
+        duplicate, so replay protection discards it there too."""
         plan = FaultPlan(duplicate_deliveries=[DuplicateDelivery(1)])
-        results, runtime = run_ramp_study(fault_plan=plan)
-        assert results.provenance["messages_discarded"] == 4  # one per timestep
-        assert runtime.server.ranks[0].sobol.state_dict()["counts"][0] == 4
-        assert_same_maps(results, reference, rtol=0)
+        for capacity in (None, 600):
+            reference, _ = run_ramp_study(channel_capacity_bytes=capacity)
+            results, runtime = run_ramp_study(
+                fault_plan=plan, channel_capacity_bytes=capacity
+            )
+            # one per timestep
+            assert results.provenance["messages_discarded"] == 4, capacity
+            assert runtime.server.ranks[0].sobol.state_dict()["counts"][0] == 4
+            assert_same_maps(results, reference, rtol=0)
 
     @pytest.mark.parametrize(
         "runtime_kw",
@@ -414,6 +420,6 @@ class TestStudyDataPath:
         reference, _ = run_ramp_study(2, 2, copy=True, **runtime_kw)
         results, runtime = run_ramp_study(2, 2, copy=False, **runtime_kw)
         if "channel_capacity_bytes" in runtime_kw:
-            assert runtime.router.total_stats()["send_blocks"] > 0
+            assert total_stats(runtime.router.inbound.values())["send_blocks"] > 0
         assert results.groups_integrated == 4
         assert_same_maps(results, reference, rtol=0)

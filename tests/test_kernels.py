@@ -7,10 +7,10 @@ remainders), single-group folds (batch_size=1, the degenerate
 contraction), and checkpoint round-trips (state is backend-agnostic).
 The C kernel's tile tails (windows ending inside, at and just past a
 tile, on the unrolled and the generic path) are checked against einsum,
-and its thread shards bit for bit.  Selection covers the ``auto`` rule (first
-available of cext, numba, einsum, decided at construction, nothing
-measured) and the graceful fallback when an explicitly requested
-optional backend (numba, cext) is missing on the host.
+and its thread shards bit for bit.  Selection covers the ``auto`` rule (cext
+where it builds, else einsum, decided at construction, nothing
+measured) and the graceful fallback when an explicitly requested cext
+cannot build on the host.
 """
 
 import os
@@ -28,7 +28,6 @@ from repro.kernels import (
     resolve_backend,
     resolve_spec,
 )
-from repro.kernels import numba_backend
 from repro.kernels.parallel import ParallelFolder, fold_window
 from repro.sobol.martinez import UbiquitousSobolField
 
@@ -132,10 +131,11 @@ class TestSelection:
         assert resolve_spec("einsum") == "einsum"
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_spec("gpu")
-        with pytest.raises(ValueError):
-            UbiquitousSobolField(2, 1, 4, kernel="gpu")
+        for name in ("gpu", "numba"):  # numba: a backend no longer
+            with pytest.raises(ValueError):
+                resolve_spec(name)
+            with pytest.raises(ValueError):
+                UbiquitousSobolField(2, 1, 4, kernel=name)
 
     def test_config_validates_kernel(self):
         from repro.core.config import StudyConfig
@@ -165,21 +165,19 @@ class TestSelection:
         assert_matches_two_pass(field, stream)
 
     def test_auto_rule_order(self, monkeypatch):
-        """auto = first available of cext, numba, einsum — never blas,
-        and never a warning: nothing was asked for that is missing."""
+        """auto = cext where it builds, else einsum — never blas, and
+        never a warning: nothing was asked for that is missing."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            monkeypatch.setattr(numba_backend, "available", lambda: True)
             monkeypatch.setattr(cext, "available", lambda: False)
-            assert resolve_backend("auto") == "numba"
-            monkeypatch.setattr(numba_backend, "available", lambda: False)
             assert resolve_backend("auto") == "einsum"
             assert UbiquitousSobolField(2, 1, 4).kernel_name == "einsum"
             monkeypatch.setattr(cext, "available", lambda: True)
             assert resolve_backend("auto") == "cext"
             # a name the host can run is itself; one it cannot, einsum
             assert resolve_backend("blas") == "blas"
-            assert resolve_backend("numba") == "einsum"
+            monkeypatch.setattr(cext, "available", lambda: False)
+            assert resolve_backend("cext") == "einsum"
 
     def test_default_policy_is_deterministic(self):
         """Nothing is measured: two default-policy fields fed the same
@@ -212,36 +210,9 @@ class TestSelection:
 
 
 # --------------------------------------------------------------------- #
-# optional-backend fallback (numba is absent in the baked image)
+# optional-backend fallback (a host without a C compiler)
 # --------------------------------------------------------------------- #
 class TestOptionalBackends:
-    @pytest.mark.skipif(
-        numba_backend.available(), reason="numba installed: no fallback here"
-    )
-    def test_numba_fallback_when_absent(self):
-        """Requesting numba without numba warns and runs on einsum."""
-        with pytest.warns(RuntimeWarning, match="numba"):
-            field = UbiquitousSobolField(2, 1, 5, kernel="numba")
-        assert field.kernel_name == "einsum"
-        stream = random_stream(2, 1, 5, 20, seed=31)
-        for g in range(20):
-            field.update_group_buffer(0, stream[g, 0].copy())
-        assert_matches_two_pass(field, stream)
-        assert "numba" not in available_backends()
-
-    @pytest.mark.skipif(
-        not numba_backend.available(), reason="numba not installed"
-    )
-    def test_numba_parity(self):  # pragma: no cover - needs numba
-        """With numba present the JIT backend must hit reference parity."""
-        stream = random_stream(3, 2, 9, 25, seed=37)
-        field = UbiquitousSobolField(3, 2, 9, kernel="numba")
-        assert field.kernel_name == "numba"
-        for g in range(25):
-            for t in range(2):
-                field.update_group_buffer(t, stream[g, t].copy())
-        assert_matches_two_pass(field, stream)
-
     def test_cext_fallback_when_unbuildable(self, monkeypatch):
         """A host with no compiler degrades to einsum with a warning."""
         from repro.kernels import cext

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from repro.core.config import StudyConfig
 from repro.core.server import MelissaServer, ServerRank
 from repro.mesh.partition import BlockPartition
-from net_util import InboxListener
+from net_util import Inbox, InboxListener
 from repro.net.channel import open_data_channel
 from repro.net.framing import (
     TAG_FIELD,
@@ -178,14 +178,14 @@ def make_rank_endpoint(rank_idx, config, capacity=None):
     """One server rank's inbox + data listener on an ephemeral port."""
     partition = BlockPartition(config.ncells, config.server_ranks)
     rank = ServerRank(rank_idx, config, partition)
-    inbox = BoundedChannel(capacity_bytes=capacity, name=f"rank-{rank_idx}")
+    inbox = Inbox(capacity_bytes=capacity, name=f"rank-{rank_idx}")
     listener = InboxListener(inbox, recv_hwm_bytes=capacity)
     return rank, inbox, listener
 
 
 class TestSocketChannelBackpressure:
     def test_delivery_and_stats(self):
-        inbox = BoundedChannel()
+        inbox = Inbox()
         listener = InboxListener(inbox)
         channel = open_data_channel(
             listener.address, transport="tcp", name="test")
@@ -209,7 +209,7 @@ class TestSocketChannelBackpressure:
         whenever the sender calls in)."""
         msg = FieldMessage(0, 0, 0, 0, 32, np.arange(32.0))
         size = frame_nbytes(msg)
-        inbox = BoundedChannel(capacity_bytes=size)  # receiver holds ~1 msg
+        inbox = Inbox(capacity_bytes=size)  # receiver holds ~1 msg
         listener = InboxListener(inbox, recv_hwm_bytes=size)
         channel = open_data_channel(
             listener.address, transport="tcp", send_hwm_bytes=size)
@@ -255,7 +255,7 @@ class TestSocketChannelBackpressure:
         move the backlog as the grants come in."""
         msg = FieldMessage(0, 0, 0, 0, 32, np.arange(32.0))
         size = frame_nbytes(msg)
-        inbox = BoundedChannel(capacity_bytes=size)  # holds one frame
+        inbox = Inbox(capacity_bytes=size)  # holds one frame
         listener = InboxListener(inbox, recv_hwm_bytes=size)
         channel = open_data_channel(
             listener.address, transport="tcp", send_hwm_bytes=size)
@@ -294,7 +294,7 @@ class TestSocketChannelBackpressure:
         """No second thread on the hot path: with a draining receiver
         every frame goes out inside ``try_send`` and nothing waits in the
         backlog."""
-        inbox = BoundedChannel()
+        inbox = Inbox()
         listener = InboxListener(inbox)
         before = set(threading.enumerate())
         channel = open_data_channel(
@@ -319,7 +319,7 @@ class TestSocketChannelBackpressure:
         ``poll()`` for a writable socket — and the sender's next call in
         moves it, here a blocking wait, until nothing is left."""
         data = np.arange(4_000_000, dtype=np.float64)  # 32 MB
-        inbox = BoundedChannel()
+        inbox = Inbox()
         listener = InboxListener(inbox)
         channel = open_data_channel(listener.address, transport="tcp")
         try:
@@ -339,7 +339,7 @@ class TestSocketChannelBackpressure:
         grants what it owes — never more."""
         msg = FieldMessage(0, 0, 0, 0, 32, np.arange(32.0))
         size = frame_nbytes(msg)
-        inbox = BoundedChannel(capacity_bytes=2 * msg.nbytes)  # holds two frames
+        inbox = Inbox(capacity_bytes=2 * msg.nbytes)  # holds two frames
         listener = InboxListener(inbox, recv_hwm_bytes=2 * size)
         sock = socket.create_connection(listener.address, timeout=5.0)
         try:
@@ -360,12 +360,11 @@ class TestSocketChannelBackpressure:
             listener.close()
 
     def test_channel_protocol_conformance(self):
-        inbox = BoundedChannel()
-        listener = InboxListener(inbox)
+        listener = InboxListener(Inbox())
         channel = open_data_channel(listener.address, transport="tcp")
         try:
             assert isinstance(channel, Channel)
-            assert isinstance(inbox, Channel)
+            assert isinstance(BoundedChannel(), Channel)
         finally:
             channel.close()
             listener.close()
@@ -463,7 +462,8 @@ class TestSplittingThroughSocketPath:
             if ncells > 8:
                 messages.append(group_message(1, 0, 8, ncells))
             for msg in messages:
-                assert router.deliver(msg, blocking=True)
+                while not router.deliver(msg):  # the executor's loop
+                    router.wait_progress(5.0)
                 assert reference.handle(msg, now=0.0)
             router.flush(timeout=10.0)
             fabric.pump()
@@ -488,7 +488,8 @@ class TestSplittingThroughSocketPath:
                     group_id=1, member=member, timestep=0,
                     cell_lo=0, cell_hi=ncells, data=np.arange(float(ncells)),
                 )
-                assert router.deliver(msg, blocking=True)
+                while not router.deliver(msg):  # the executor's loop
+                    router.wait_progress(5.0)
                 reference.handle(msg, now=0.0)
             router.flush(timeout=10.0)
             fabric.pump()
@@ -525,11 +526,11 @@ class TestSplittingThroughSocketPath:
             while True:
                 assert time.monotonic() < deadline, "channels never saturated"
                 for filler in fillers:
-                    while router.deliver(filler, blocking=False):
+                    while router.deliver(filler):
                         assert time.monotonic() < deadline
                 before = [router._channel(r).stats.messages_sent
                           for r in range(server_ranks)]
-                if not router.deliver(msg, blocking=False):
+                if not router.deliver(msg):
                     break  # saturated: the all-or-nothing case under test
                 time.sleep(0.005)  # something drained mid-probe; refill
             after = [router._channel(r).stats.messages_sent
@@ -537,7 +538,7 @@ class TestSplittingThroughSocketPath:
             assert before == after, "partial chunks were enqueued"
             fabric.pump()
             deadline = time.monotonic() + 5.0
-            while not router.deliver(msg, blocking=False):
+            while not router.deliver(msg):
                 assert time.monotonic() < deadline
                 fabric.pump(deadline=0.1)
                 time.sleep(0.01)

@@ -25,7 +25,9 @@ from collections import deque
 import numpy as np
 import pytest
 
-from net_util import InboxListener, held_at_worker_loss, retry_on_eaddrinuse
+from net_util import (
+    Inbox, InboxListener, held_at_worker_loss, retry_on_eaddrinuse,
+)
 from repro.core import StudyConfig
 from repro.core.group import VectorFieldSimulation
 from repro.core.launcher import RankRespawnPolicy
@@ -42,7 +44,6 @@ from repro.net.worker import run_worker
 from repro.runtime import DistributedRuntime, SequentialRuntime
 from repro.scheduler.policy import SchedulingPolicy, parse_scheduling
 from repro.sobol import IshigamiFunction
-from repro.transport.channel import BoundedChannel
 from repro.transport.message import GroupFieldMessage
 
 # the borrow-rule tripwire: see conftest.poisoned_rings
@@ -78,7 +79,7 @@ def wait_for(coordinator, predicate, timeout=20.0, slice_s=0.05):
         )
 
 
-class _RecordingInbox(BoundedChannel):
+class _RecordingInbox(Inbox):
     """Rank inbox that counts, per group, the frames that entered it."""
 
     def __init__(self, **kw):
@@ -730,7 +731,7 @@ class TestLeaseLifecycle:
             policy=RankRespawnPolicy(nranks=1, timeout=60.0, max_respawns=1),
             kill=lambda pid, sig: None,
         )
-        listener = InboxListener(BoundedChannel(name="rank0"))
+        listener = InboxListener(Inbox(name="rank0"))
         coordinator = retry_on_eaddrinuse(
             lambda: Coordinator(config, supervisor=supervisor).start()
         )

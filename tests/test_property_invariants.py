@@ -196,9 +196,7 @@ def test_property_channel_fifo_and_accounting(data):
             ch.try_send(msg)
             sent.append(msg.timestep)
         else:
-            msg = ch.try_recv()
-            if msg is not None:
-                received.append(msg.timestep)
+            received.extend(m.timestep for m in ch.drain())
     received.extend(m.timestep for m in ch.drain())
     assert received == sent  # FIFO, nothing lost
     assert ch.stats.messages_sent == ch.stats.messages_received

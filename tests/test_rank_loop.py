@@ -22,7 +22,7 @@ import time
 import numpy as np
 import pytest
 
-from net_util import InboxListener, retry_on_eaddrinuse
+from net_util import Inbox, InboxListener, retry_on_eaddrinuse
 from repro.core import StudyConfig
 from repro.core.group import VectorFieldSimulation
 from repro.core.server import ServerRank
@@ -43,7 +43,6 @@ from repro.net.shm import MIN_RING_BYTES, ShmRing, read_ring_frame
 from repro.runtime.distributed import DistributedRuntime
 from repro.runtime.sequential import SequentialRuntime
 from repro.sobol import IshigamiFunction
-from repro.transport.channel import BoundedChannel
 from repro.transport.message import (
     FieldMessage,
     GroupFieldMessage,
@@ -349,7 +348,7 @@ class TestBorrowedPayloads:
         )
 
     def test_the_threaded_sink_copies_before_it_enqueues(self):
-        inbox = BoundedChannel()
+        inbox = Inbox()
         listener = InboxListener(inbox, transport="shm")
         channel = open_data_channel(listener.address, transport="shm")
         try:
@@ -678,7 +677,7 @@ def test_only_start_gives_the_listener_a_thread():
     listener = DataListener(lambda msg: None)
     assert set(threading.enumerate()) == before
     listener.close()
-    threaded = InboxListener(BoundedChannel())
+    threaded = InboxListener(Inbox())
     try:
         assert threaded._thread.is_alive()
     finally:

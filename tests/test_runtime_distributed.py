@@ -6,6 +6,7 @@ survives a worker killed mid-study (the group is resubmitted), and the
 whole-study timeout names the unfinished work.
 """
 
+import dataclasses
 import functools
 import multiprocessing as mp
 import os
@@ -34,6 +35,7 @@ from repro.net.serve import run_server_rank
 from repro.net.worker import run_worker
 from repro.runtime import DistributedRuntime, SequentialRuntime
 from repro.sobol import IshigamiFunction
+from repro.transport import ChannelStats, total_stats
 
 # the borrow-rule tripwire: see conftest.poisoned_rings
 pytestmark = pytest.mark.usefixtures("poisoned_rings")
@@ -139,6 +141,22 @@ class TestDistributedRuntime:
         (stats,) = runtime.coordinator.worker_channel_stats.values()
         assert stats["send_blocks"] > 0
         assert stats["blocked_seconds"] > 0.0
+
+    def test_both_routers_report_the_same_channel_stats(self):
+        """The worker's ``bye`` and the in-memory router sum the same
+        counters: every ChannelStats field, over the same messages (bytes
+        differ: a frame counts its header)."""
+        fn, config = make_config(4, server_ranks=2)
+        runtime = DistributedRuntime(config, vector_factory(fn), nworkers=1)
+        assert runtime.run(timeout=120.0).groups_integrated == 4
+        (sent,) = runtime.coordinator.worker_channel_stats.values()
+        sequential = SequentialRuntime(config, vector_factory(fn))
+        sequential.run()
+        in_memory = total_stats(sequential.router.inbound.values())
+        assert set(sent) == set(in_memory) == {
+            f.name for f in dataclasses.fields(ChannelStats)
+        }
+        assert sent["messages_sent"] == in_memory["messages_sent"]
 
     def test_multi_rank_backpressure_parity(self):
         """4 ranks, tiny channel budget: credit-window suspension engages

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from net_util import InboxListener
+from net_util import Inbox, InboxListener
 from repro.net.channel import (
     SocketChannel,
     TransportNegotiationError,
@@ -39,7 +39,7 @@ from repro.net.shm import (
     ring_bytes_for,
 )
 from repro.transport.base import Channel
-from repro.transport.channel import BoundedChannel, ChannelClosed
+from repro.transport.channel import ChannelClosed
 from repro.transport.message import FieldMessage, GroupFieldMessage, owned
 
 from test_net_framing import (
@@ -203,7 +203,7 @@ class TestShmRing:
 
 
 def open_shm_pair(recv_hwm=None, send_hwm=None, inbox_capacity=None):
-    inbox = BoundedChannel(capacity_bytes=inbox_capacity, name="rank-inbox")
+    inbox = Inbox(capacity_bytes=inbox_capacity, name="rank-inbox")
     listener = InboxListener(inbox, recv_hwm_bytes=recv_hwm, transport="auto")
     channel = open_data_channel(
         listener.address, transport="shm", send_hwm_bytes=send_hwm,
@@ -295,7 +295,7 @@ class TestShmChannelSemantics:
 
     def test_oversized_message_admitted_when_idle(self):
         """A frame bigger than the HWM must still be deliverable when the
-        window is idle (the BoundedChannel oversized-into-empty rule)."""
+        window is idle (the fabric's oversized-into-empty rule)."""
         inbox, listener, channel = open_shm_pair(send_hwm=256)
         try:
             big = field(ncells=4096)  # ~32 KiB >> 256-byte HWM
@@ -467,7 +467,7 @@ def test_a_worker_fabric_starts_no_thread():
     calling thread does all of it, no thread is started for either."""
     msg = field(ncells=256)
     size = frame_nbytes(msg)
-    inbox = BoundedChannel(capacity_bytes=size)
+    inbox = Inbox(capacity_bytes=size)
     listener = InboxListener(inbox, recv_hwm_bytes=size, transport="auto")
     go, stop = threading.Event(), threading.Event()
 
@@ -512,7 +512,7 @@ def test_a_worker_fabric_starts_no_thread():
 
 class TestFabricNegotiation:
     def test_auto_auto_negotiates_shm(self):
-        inbox = BoundedChannel()
+        inbox = Inbox()
         listener = InboxListener(inbox, transport="auto")
         channel = open_data_channel(listener.address, transport="auto")
         try:
@@ -522,7 +522,7 @@ class TestFabricNegotiation:
             listener.close()
 
     def test_tcp_listener_forces_fallback(self):
-        inbox = BoundedChannel()
+        inbox = Inbox()
         listener = InboxListener(inbox, transport="tcp")
         channel = open_data_channel(listener.address, transport="auto")
         try:
@@ -537,7 +537,7 @@ class TestFabricNegotiation:
             listener.close()
 
     def test_tcp_client_skips_negotiation(self):
-        inbox = BoundedChannel()
+        inbox = Inbox()
         listener = InboxListener(inbox, transport="auto")
         channel = open_data_channel(listener.address, transport="tcp")
         try:
@@ -547,7 +547,7 @@ class TestFabricNegotiation:
             listener.close()
 
     def test_forced_shm_against_tcp_listener_errors(self):
-        inbox = BoundedChannel()
+        inbox = Inbox()
         listener = InboxListener(inbox, transport="tcp")
         try:
             with pytest.raises(TransportNegotiationError):
@@ -558,7 +558,7 @@ class TestFabricNegotiation:
     def test_plain_socket_channel_still_served(self):
         """A tcp-pinned client sends no negotiation frames at all to an
         auto listener: data flows, credits flow."""
-        inbox = BoundedChannel()
+        inbox = Inbox()
         listener = InboxListener(inbox, transport="auto")
         channel = open_data_channel(listener.address, transport="tcp")
         try:
@@ -574,7 +574,7 @@ class TestFabricNegotiation:
     def test_listener_prunes_disconnected_conns(self):
         """Regression for the DataListener leak: the connection table
         must not grow across connect/disconnect cycles."""
-        inbox = BoundedChannel()
+        inbox = Inbox()
         listener = InboxListener(inbox, transport="auto")
         try:
             for transport in ("tcp", "shm", "tcp", "shm"):
@@ -593,7 +593,7 @@ class TestFabricNegotiation:
 
     def test_no_segments_leaked(self):
         before = set(glob.glob("/dev/shm/psm_*"))
-        inbox = BoundedChannel()
+        inbox = Inbox()
         listener = InboxListener(inbox, transport="auto")
         channels = [
             open_data_channel(listener.address, transport="shm")
@@ -654,7 +654,8 @@ class TestSplittingThroughShmPath:
             if ncells > 8:
                 messages.append(group_message(1, 0, 8, ncells))
             for msg in messages:
-                assert router.deliver(msg, blocking=True)
+                while not router.deliver(msg):  # the executor's loop
+                    router.wait_progress(5.0)
                 assert reference.handle(msg, now=0.0)
             router.flush(timeout=10.0)
             end = time.monotonic() + 5.0
