@@ -10,7 +10,9 @@ parameters.  We reproduce exactly that structure:
   (the "pre-run 4000-timestep simulation" of Sec. 5.2, collapsed to a
   linear solve since only the steady state is ever used);
 * :mod:`repro.solver.advect` — an explicit upwind finite-volume
-  convection-diffusion integrator for the dye scalar, fully vectorized;
+  convection-diffusion integrator for the dye scalar, stepping a
+  5-point stencil built once per integrator (:mod:`.advect3d` extrudes
+  it along z);
 * :mod:`repro.solver.tube_bundle` — the use case: geometry, the six
   injection parameters, and the per-member :class:`ScalarSimulation`;
 * :mod:`repro.solver.writer` — an EnSight-Gold-like per-timestep file

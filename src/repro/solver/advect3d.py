@@ -8,22 +8,26 @@ extruded along z (w = 0, still discretely divergence-free), the dye is a
 full (nx, ny, nz) hexahedral field, and diffusion acts in all three
 directions with zero-flux side walls.
 
-The per-substep cost is a handful of fused NumPy slice operations over
-the 3-D array — the 2-D face velocities broadcast over the z axis, no
-Python loops over layers.
+It is the 2-D integrator's stencil (:func:`repro.solver.advect.
+planar_stencil`) with the planar weights broadcast along z, plus one
+z-diffusion pair: a weight on ``c[..., k-1]`` and on ``c[..., k+1]``
+wherever the column is fluid, zero through the spanwise walls, with the
+matching diagonal term folded into ``cc``.  Applied to the C-order flat
+field, the x, y and z neighbours are ``ny*nz``, ``nz`` and 1 cells away; a
+substep is the planar 13 in-place ufunc calls plus 4 for the z pair, over
+the same two scratch arrays allocated once per ``step`` call.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from repro.mesh import StructuredMesh
+from repro.solver.advect import AdvectionDiffusion, flat_stencil, planar_stencil
 from repro.solver.flow import StreamfunctionFlow
 
 
-class AdvectionDiffusion3D:
+class AdvectionDiffusion3D(AdvectionDiffusion):
     """Explicit upwind FV integrator for the extruded 3-D dye field.
 
     Parameters
@@ -49,113 +53,28 @@ class AdvectionDiffusion3D:
             raise ValueError("nz must be >= 1")
         if depth <= 0:
             raise ValueError("depth must be positive")
-        if diffusivity < 0:
-            raise ValueError("diffusivity must be >= 0")
-        if not 0 < cfl <= 1.0:
-            raise ValueError("cfl must be in (0, 1]")
-        self.flow = flow
+        super().__init__(flow, diffusivity=diffusivity, cfl=cfl)
         nx, ny = flow.mesh.dims
         self.mesh = StructuredMesh(
             dims=(nx, ny, nz),
             lengths=(flow.mesh.lengths[0], flow.mesh.lengths[1], depth),
         )
-        self.diffusivity = float(diffusivity)
-        self.cfl = float(cfl)
-        self.dx, self.dy, self.dz = self.mesh.spacing
-        # extruded masks/velocities: broadcast (nx, ny) -> (nx, ny, nz)
+        self.dz = self.mesh.spacing[2]
         self.solid = np.repeat(flow.solid[:, :, np.newaxis], nz, axis=2)
         self.fluid = ~self.solid
-        self._ue_pos = np.maximum(flow.u_east, 0.0)[:, :, np.newaxis]
-        self._ue_neg = np.minimum(flow.u_east, 0.0)[:, :, np.newaxis]
-        self._vn_pos = np.maximum(flow.v_north, 0.0)[:, :, np.newaxis]
-        self._vn_neg = np.minimum(flow.v_north, 0.0)[:, :, np.newaxis]
-        fluid2d = ~flow.solid
-        self._diff_x = (fluid2d[:-1, :] & fluid2d[1:, :])[:, :, np.newaxis]
-        self._diff_y = (fluid2d[:, :-1] & fluid2d[:, 1:])[:, :, np.newaxis]
-        # z faces conduct wherever the column is fluid (solid is z-uniform)
-        self._diff_z = fluid2d[:, :, np.newaxis]
+
+        def extrude(weight):
+            return np.repeat(weight[:, :, np.newaxis], nz, axis=2)
+
+        cc, cw, ce, cs, cn, cin = planar_stencil(flow, self.diffusivity)
+        # per z face: diffusion wherever the column is fluid (solid is
+        # z-uniform), none through the zero-flux spanwise walls
+        kz = np.zeros((nx, ny, nz + 1))
+        kz[:, :, 1:-1] = self.diffusivity / self.dz**2 * ~flow.solid[:, :, np.newaxis]
+        self._cin = np.repeat(cin[:, np.newaxis], nz, axis=1)  # every depth
+        self._cc, self._pairs = flat_stencil(
+            extrude(cc) - kz[:, :, :-1] - kz[:, :, 1:],
+            [(extrude(cw), extrude(ce)), (extrude(cs), extrude(cn)),
+             (kz[:, :, :-1], kz[:, :, 1:])],
+        )
         self.stable_dt = self._compute_stable_dt()
-
-    # ------------------------------------------------------------------ #
-    def _compute_stable_dt(self) -> float:
-        adv_rate = (
-            np.abs(self.flow.u_east).max() / self.dx
-            + np.abs(self.flow.v_north).max() / self.dy
-        )
-        dt_adv = self.cfl / adv_rate if adv_rate > 0 else np.inf
-        if self.diffusivity > 0:
-            dt_diff = 0.5 / (
-                2.0
-                * self.diffusivity
-                * (1.0 / self.dx**2 + 1.0 / self.dy**2 + 1.0 / self.dz**2)
-            )
-        else:
-            dt_diff = np.inf
-        dt = min(dt_adv, dt_diff)
-        if not np.isfinite(dt):
-            raise ValueError("quiescent flow with zero diffusivity: dt unbounded")
-        return float(dt)
-
-    # ------------------------------------------------------------------ #
-    def rhs_fluxes(self, c: np.ndarray, inlet_profile: np.ndarray) -> np.ndarray:
-        """dc/dt from advective + diffusive fluxes; inlet profile (ny, nz)."""
-        nx, ny, nz = self.mesh.dims
-
-        flux_x = np.empty((nx + 1, ny, nz))
-        flux_x[1:-1] = self._ue_pos[1:-1] * c[:-1] + self._ue_neg[1:-1] * c[1:]
-        flux_x[0] = self._ue_pos[0] * inlet_profile + self._ue_neg[0] * c[0]
-        flux_x[-1] = self._ue_pos[-1] * c[-1]
-
-        flux_y = np.zeros((nx, ny + 1, nz))
-        flux_y[:, 1:-1] = (
-            self._vn_pos[:, 1:-1] * c[:, :-1] + self._vn_neg[:, 1:-1] * c[:, 1:]
-        )
-
-        rate = -(
-            (flux_x[1:] - flux_x[:-1]) / self.dx
-            + (flux_y[:, 1:] - flux_y[:, :-1]) / self.dy
-        )
-
-        if self.diffusivity > 0:
-            gx = np.zeros((nx + 1, ny, nz))
-            gx[1:-1] = np.where(self._diff_x, (c[1:] - c[:-1]) / self.dx, 0.0)
-            gy = np.zeros((nx, ny + 1, nz))
-            gy[:, 1:-1] = np.where(
-                self._diff_y, (c[:, 1:] - c[:, :-1]) / self.dy, 0.0
-            )
-            gz = np.zeros((nx, ny, nz + 1))
-            gz[:, :, 1:-1] = np.where(
-                self._diff_z, (c[:, :, 1:] - c[:, :, :-1]) / self.dz, 0.0
-            )
-            rate += self.diffusivity * (
-                (gx[1:] - gx[:-1]) / self.dx
-                + (gy[:, 1:] - gy[:, :-1]) / self.dy
-                + (gz[:, :, 1:] - gz[:, :, :-1]) / self.dz
-            )
-
-        rate[self.solid] = 0.0
-        return rate
-
-    def step(
-        self,
-        c: np.ndarray,
-        dt: float,
-        inlet_profile_fn: Callable[[float], np.ndarray],
-        t: float,
-    ) -> float:
-        """Advance ``c`` in place by ``dt`` with stable substepping."""
-        if dt <= 0:
-            raise ValueError("dt must be positive")
-        remaining = dt
-        while remaining > 1e-15:
-            sub = min(self.stable_dt, remaining)
-            c += sub * self.rhs_fluxes(c, inlet_profile_fn(t))
-            t += sub
-            remaining -= sub
-        return t
-
-    def initial_condition(self) -> np.ndarray:
-        return np.zeros(self.mesh.dims)
-
-    def total_dye(self, c: np.ndarray) -> float:
-        return float(c[self.fluid].sum() * self.mesh.cell_volume)

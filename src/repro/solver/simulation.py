@@ -11,7 +11,8 @@ writes each field to disk via :mod:`repro.solver.writer`.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional, Tuple
+import math
+from typing import Callable, Iterator, Tuple
 
 import numpy as np
 
@@ -36,6 +37,8 @@ class ScalarSimulation:
     ):
         if ntimesteps < 1:
             raise ValueError("ntimesteps must be >= 1")
+        if not math.isfinite(output_interval):
+            raise ValueError(f"output_interval must be finite, got {output_interval}")
         if output_interval <= 0:
             raise ValueError("output_interval must be positive")
         self.integrator = integrator

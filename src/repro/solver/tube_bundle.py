@@ -10,9 +10,9 @@ member; only the scalar transport differs, exactly as in the paper.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -92,6 +92,24 @@ def _staggered_bundle(
     return obstacles
 
 
+def switched_profile(
+    upper: np.ndarray, lower: np.ndarray, upper_off: float, lower_off: float
+) -> Callable[[float], np.ndarray]:
+    """``t -> upper * (t < upper_off) + lower * (t < lower_off)``.
+
+    The four on/off combinations are built here, once per member, as
+    read-only arrays; the returned function only picks one, so an
+    integrator substep allocates nothing for the inlet.
+    """
+    table = {}
+    for upper_on in (False, True):
+        for lower_on in (False, True):
+            profile = upper * upper_on + lower * lower_on
+            profile.setflags(write=False)
+            table[upper_on, lower_on] = profile
+    return lambda t: table[t < upper_off, t < lower_off]
+
+
 class TubeBundleCase:
     """Geometry + frozen flow + member factory for the sensitivity study.
 
@@ -103,7 +121,7 @@ class TubeBundleCase:
     ntimesteps:
         Number of *output* timesteps per simulation (paper: 100).
     total_time:
-        Physical duration simulated; the inter-output interval is
+        Physical duration simulated (finite); the inter-output interval is
         ``total_time / ntimesteps`` and the integrator substeps internally.
     """
 
@@ -123,6 +141,8 @@ class TubeBundleCase:
     ):
         if ntimesteps < 1:
             raise ValueError("ntimesteps must be >= 1")
+        if not math.isfinite(total_time):
+            raise ValueError(f"total_time must be finite, got {total_time}")
         self.mesh = StructuredMesh(dims=(nx, ny), lengths=(length, height))
         self.ntimesteps = int(ntimesteps)
         self.total_time = float(total_time)
@@ -147,38 +167,52 @@ class TubeBundleCase:
     def output_interval(self) -> float:
         return self.total_time / self.ntimesteps
 
+    def injector_bands(
+        self, params: InjectionParameters
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Upper and lower injector's inlet profile while it is on.
+
+        Each is the injector's concentration over a band of
+        ``width * height`` centred on its injection surface, 0 elsewhere.
+        """
+        def band(concentration, width, center):
+            half = 0.5 * width * self.height
+            inside = np.abs(self._y - center) <= half
+            return np.where(inside, concentration, 0.0)
+
+        return (
+            band(params.upper_concentration, params.upper_width, self.upper_center),
+            band(params.lower_concentration, params.lower_width, self.lower_center),
+        )
+
+    def switch_off_times(self, params: InjectionParameters) -> Tuple[float, float]:
+        """Physical times at which the upper and lower injectors stop."""
+        return (
+            params.upper_duration * self.total_time,
+            params.lower_duration * self.total_time,
+        )
+
     def inlet_profile(self, params: InjectionParameters, t: float) -> np.ndarray:
         """Dye concentration along the inlet at physical time ``t``.
 
-        Each injector contributes its concentration over a band of
-        ``width * height`` centred on its injection surface while
+        Each injector contributes its band (:meth:`injector_bands`) while
         ``t < duration * total_time``; contributions add where bands
         overlap (they cannot with the default ranges).
         """
-        profile = np.zeros_like(self._y)
-        if t < params.upper_duration * self.total_time:
-            half = 0.5 * params.upper_width * self.height
-            band = np.abs(self._y - self.upper_center) <= half
-            profile[band] += params.upper_concentration
-        if t < params.lower_duration * self.total_time:
-            half = 0.5 * params.lower_width * self.height
-            band = np.abs(self._y - self.lower_center) <= half
-            profile[band] += params.lower_concentration
-        return profile
+        upper, lower = self.injector_bands(params)
+        upper_off, lower_off = self.switch_off_times(params)
+        return upper * (t < upper_off) + lower * (t < lower_off)
 
     def simulation(
         self, parameters: Sequence[float], simulation_id: int = 0
     ) -> ScalarSimulation:
         """Build one ensemble member for a 6-entry parameter vector."""
         params = InjectionParameters.from_vector(parameters)
-        case = self
-
-        def profile_fn(t: float) -> np.ndarray:
-            return case.inlet_profile(params, t)
-
         return ScalarSimulation(
             integrator=self.integrator,
-            inlet_profile_fn=profile_fn,
+            inlet_profile_fn=switched_profile(
+                *self.injector_bands(params), *self.switch_off_times(params)
+            ),
             ntimesteps=self.ntimesteps,
             output_interval=self.output_interval,
             simulation_id=simulation_id,

@@ -14,11 +14,11 @@ import numpy as np
 
 from repro.sampling import ParameterSpace
 from repro.solver.advect3d import AdvectionDiffusion3D
-from repro.solver.flow import solve_streamfunction
 from repro.solver.simulation import ScalarSimulation
 from repro.solver.tube_bundle import (
     InjectionParameters,
     TubeBundleCase,
+    switched_profile,
     tube_bundle_parameter_space,
 )
 
@@ -70,6 +70,10 @@ class TubeBundleCase3D:
         self.injector_span = float(injector_span)
         self._y = base._y
         self._z = self.mesh.axis_coordinates(2)
+        # (nz,) 1.0 inside the central injector_span of the depth, else 0.0
+        half_span = 0.5 * self.injector_span * self.depth
+        inside = np.abs(self._z - 0.5 * self.depth) <= half_span
+        self._span = inside.astype(np.float64)
         self.upper_center = base.upper_center
         self.lower_center = base.lower_center
 
@@ -84,23 +88,20 @@ class TubeBundleCase3D:
 
     def inlet_profile(self, params: InjectionParameters, t: float) -> np.ndarray:
         """(ny, nz) inlet dye concentration at time t."""
-        profile_y = self._base.inlet_profile(params, t)  # (ny,)
-        half_span = 0.5 * self.injector_span * self.depth
-        span = np.abs(self._z - 0.5 * self.depth) <= half_span  # (nz,)
-        return np.outer(profile_y, span.astype(np.float64))
+        return np.outer(self._base.inlet_profile(params, t), self._span)
 
     def simulation(
         self, parameters: Sequence[float], simulation_id: int = 0
     ) -> ScalarSimulation:
         params = InjectionParameters.from_vector(parameters)
-        case = self
-
-        def profile_fn(t: float) -> np.ndarray:
-            return case.inlet_profile(params, t)
-
+        upper, lower = self._base.injector_bands(params)
         return ScalarSimulation(
             integrator=self.integrator,
-            inlet_profile_fn=profile_fn,
+            inlet_profile_fn=switched_profile(
+                np.outer(upper, self._span),
+                np.outer(lower, self._span),
+                *self._base.switch_off_times(params),
+            ),
             ntimesteps=self.ntimesteps,
             output_interval=self.output_interval,
             simulation_id=simulation_id,

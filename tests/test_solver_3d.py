@@ -5,9 +5,16 @@ import pytest
 
 from repro import SensitivityStudy
 from repro.mesh import StructuredMesh
-from repro.solver import AdvectionDiffusion3D, TubeBundleCase3D
+from repro.solver import AdvectionDiffusion3D, ScalarSimulation, TubeBundleCase3D
 from repro.solver.flow import solve_streamfunction
 from repro.solver.tube_bundle import InjectionParameters
+from solver_reference import FluxForm3D, assert_matches
+
+NON_FINITE = [float("nan"), float("inf")]
+
+
+def must_not_step(t):
+    raise AssertionError("a non-finite dt reached the substep loop")
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +103,24 @@ class TestIntegrator3D:
         integ.step(c, 0.5, lambda t: case3d.inlet_profile(p, t), 0.0)
         np.testing.assert_allclose(c, c[:, :, ::-1], atol=1e-12)
 
+    def test_member_run_matches_flux_form(self, case3d):
+        p = mid_params(upper_concentration=0.9, lower_concentration=0.6,
+                       upper_duration=0.35, lower_duration=0.55)
+        fields = case3d.simulation(vec(p)).run_to_completion()
+        reference = ScalarSimulation(
+            FluxForm3D(case3d.integrator),
+            lambda t: case3d.inlet_profile(p, t),
+            case3d.ntimesteps,
+            case3d.output_interval,
+        ).run_to_completion()
+        assert_matches(fields, reference)
+
+    @pytest.mark.parametrize("dt", NON_FINITE)
+    def test_step_rejects_non_finite_dt(self, case3d, dt):
+        c = case3d.integrator.initial_condition()
+        with pytest.raises(ValueError, match="finite"):
+            case3d.integrator.step(c, dt, must_not_step, 0.0)
+
 
 class TestCase3D:
     def test_geometry(self, case3d):
@@ -115,6 +140,21 @@ class TestCase3D:
             TubeBundleCase3D(nx=8, ny=4, nz=2, ntimesteps=0)
         with pytest.raises(ValueError):
             TubeBundleCase3D(nx=8, ny=4, nz=2, injector_span=0.0)
+
+    @pytest.mark.parametrize("total_time", NON_FINITE)
+    def test_non_finite_total_time(self, total_time):
+        with pytest.raises(ValueError, match="finite"):
+            TubeBundleCase3D(nx=8, ny=4, nz=2, ntimesteps=2, total_time=total_time)
+
+    def test_member_profile_is_inlet_profile_at_every_switch(self, case3d):
+        p = mid_params(upper_duration=0.35, lower_duration=0.55)
+        profile_fn = case3d.simulation(vec(p)).inlet_profile_fn
+        for duration in (p.upper_duration, p.lower_duration):
+            off = duration * case3d.total_time
+            for t in (np.nextafter(off, -np.inf), off, np.nextafter(off, np.inf)):
+                cached = profile_fn(t)
+                np.testing.assert_array_equal(cached, case3d.inlet_profile(p, t))
+                assert not cached.flags.writeable
 
     def test_simulation_protocol(self, case3d):
         sim = case3d.simulation(vec(mid_params()))

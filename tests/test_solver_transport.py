@@ -15,6 +15,13 @@ from repro.solver import (
     tube_bundle_parameter_space,
 )
 from repro.solver.flow import Obstacle, solve_streamfunction
+from solver_reference import FluxForm, assert_matches
+
+NON_FINITE = [float("nan"), float("inf")]
+
+
+def must_not_step(t):
+    raise AssertionError("a non-finite dt reached the substep loop")
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +121,68 @@ class TestAdvectionDiffusion:
         with pytest.raises(ValueError):
             AdvectionDiffusion(flow, diffusivity=0.0)
 
+    @pytest.mark.parametrize("dt", NON_FINITE)
+    def test_step_rejects_non_finite_dt(self, small_case, dt):
+        """nan would skip the substep loop (zero fields, no error); inf
+        would never leave it."""
+        c = small_case.integrator.initial_condition()
+        with pytest.raises(ValueError, match="finite"):
+            small_case.integrator.step(c, dt, must_not_step, 0.0)
+
+    def test_step_rejects_a_strided_field(self, small_case):
+        c = np.zeros((16, 32)).T  # (32, 16), not C-contiguous
+        with pytest.raises(ValueError, match="C-contiguous"):
+            small_case.integrator.step(c, 0.1, must_not_step, 0.0)
+
+
+class TestStencilMatchesFluxForm:
+    """Whole member runs against the flux form of ``solver_reference``."""
+
+    def test_obstacles_with_injectors_switching_off(self, small_case):
+        params = mid_params(
+            upper_concentration=0.9, lower_concentration=0.6,
+            upper_width=0.25, lower_width=0.3,
+            upper_duration=0.35, lower_duration=0.55,
+        )
+        fields = small_case.simulation(vector(params)).run_to_completion()
+        reference = ScalarSimulation(
+            FluxForm(small_case.integrator),
+            lambda t: small_case.inlet_profile(params, t),
+            small_case.ntimesteps,
+            small_case.output_interval,
+        ).run_to_completion()
+        assert_matches(fields, reference)
+
+    def test_obstacle_free_zero_diffusion_channel(self):
+        mesh = StructuredMesh(dims=(40, 10), lengths=(4.0, 1.0))
+        integ = AdvectionDiffusion(
+            solve_streamfunction(mesh, (), inflow_speed=1.0), diffusivity=0.0
+        )
+        band = np.where(np.arange(10) >= 5, 0.8, 0.0)
+
+        def profile(t):
+            return band if t < 0.7 else np.zeros(10)
+
+        runs = [
+            ScalarSimulation(stepper, profile, 12, 0.25).run_to_completion()
+            for stepper in (integ, FluxForm(integ))
+        ]
+        assert_matches(*runs)
+
+
+class TestNonFiniteTimes:
+    """Each is refused when built, before any stepping."""
+
+    @pytest.mark.parametrize("total_time", NON_FINITE)
+    def test_case_total_time(self, total_time):
+        with pytest.raises(ValueError, match="finite"):
+            TubeBundleCase(nx=8, ny=8, ntimesteps=4, total_time=total_time)
+
+    @pytest.mark.parametrize("interval", NON_FINITE)
+    def test_simulation_output_interval(self, small_case, interval):
+        with pytest.raises(ValueError, match="finite"):
+            ScalarSimulation(small_case.integrator, must_not_step, 4, interval)
+
 
 class TestTubeBundleCase:
     def test_geometry(self, small_case):
@@ -138,6 +207,18 @@ class TestTubeBundleCase:
         p = mid_params(upper_duration=0.5, lower_duration=0.5)
         assert small_case.inlet_profile(p, 0.0).max() > 0
         assert small_case.inlet_profile(p, 0.51 * small_case.total_time).max() == 0.0
+
+    def test_member_profile_is_inlet_profile_at_every_switch(self, small_case):
+        """The member's four cached arrays equal the definition just below,
+        at and just above each switch-off time, and are read-only."""
+        p = mid_params(upper_duration=0.35, lower_duration=0.55)
+        profile_fn = small_case.simulation(vector(p)).inlet_profile_fn
+        for duration in (p.upper_duration, p.lower_duration):
+            off = duration * small_case.total_time
+            for t in (np.nextafter(off, -np.inf), off, np.nextafter(off, np.inf)):
+                cached = profile_fn(t)
+                np.testing.assert_array_equal(cached, small_case.inlet_profile(p, t))
+                assert not cached.flags.writeable
 
     def test_invalid_parameter_vector(self, small_case):
         with pytest.raises(ValueError):
