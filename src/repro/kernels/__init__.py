@@ -37,6 +37,11 @@ layer can shard one fold across cell blocks onto a thread pool and
 actually run them concurrently.  Kernel
 instances own reusable scratch and are NOT thread-safe; the parallel
 layer builds one instance per worker thread.
+
+The compiled library also serves the tube solver:
+:func:`repro.kernels.cext.stencil_library` builds ``_stencil.c``, the
+solver's substep loop, through the same cache and flag tiers, and
+:mod:`repro.solver.advect` steps its NumPy loop where that returns None.
 """
 
 from __future__ import annotations

@@ -1,17 +1,25 @@
-"""Compiled C backend: a fused, cell-tiled co-moment kernel.
+"""Compiled C: the fused, cell-tiled co-moment fold, and the solver's loop.
 
-``_comoment.c`` is compiled once per machine with the system C compiler
-into a content-addressed shared library under the user cache directory
-(atomic rename, safe under concurrent builds) and loaded via ``ctypes``
-— no build-time dependency, no pip install.  The kernel folds residual
-computation, residual sums, diagonal moments, and the 2p cross
-co-moments into ONE pass over the staged slabs (the einsum path makes
-four), with the batch loop innermost over 128-cell tiles so the
-accumulators stay cache-resident while each slab row streams in long
-contiguous runs.
+Two sources, one cache: ``_comoment.c`` (the fold) and ``_stencil.c``
+(the tube solver's substep loop, :func:`stencil_library`) are each
+compiled once per machine with the system C compiler into a
+content-addressed shared library under the user cache directory (atomic
+rename, safe under concurrent builds) and loaded via ``ctypes`` — no
+build-time dependency, no pip install.  Both use the same flag tiers
+plus the source's own flags, which enter its cache key: the stencil adds
+``-ffp-contract=off``, since a fused multiply-add would move its fields
+off the NumPy step's in the last bits.  ``cc --version`` runs once per
+process.
+
+The fold kernel folds residual computation, residual sums, diagonal
+moments, and the 2p cross co-moments into ONE pass over the staged slabs
+(the einsum path makes four), with the batch loop innermost over
+128-cell tiles so the accumulators stay cache-resident while each slab
+row streams in long contiguous runs.
 
 On hosts without a working C compiler the backend reports itself
-unavailable and kernel selection falls back to the einsum baseline.
+unavailable and kernel selection falls back to the einsum baseline; the
+solver steps its NumPy loop instead.
 
 GIL: the compute loops run WITHOUT the GIL — not via explicit
 ``Py_BEGIN_ALLOW_THREADS`` in the C source (``_comoment.c`` has no
@@ -27,6 +35,7 @@ call-local state, so disjoint ``[lo, hi)`` windows are safe concurrently.
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
 import platform
@@ -41,6 +50,7 @@ import numpy as np
 from repro.kernels.base import CoMomentKernel, center_raw_sums
 
 _SOURCE = Path(__file__).with_name("_comoment.c")
+_STENCIL_SOURCE = Path(__file__).with_name("_stencil.c")
 
 #: flag tiers, strongest first; the first tier that compiles wins
 _FLAG_TIERS = (
@@ -104,6 +114,7 @@ def _cpu_id() -> str:
     return "|".join(ident)
 
 
+@functools.lru_cache(maxsize=None)
 def _compiler_id(cc: str) -> Optional[str]:
     """Version line of ``cc`` (None when the compiler is missing)."""
     try:
@@ -117,8 +128,10 @@ def _compiler_id(cc: str) -> Optional[str]:
     return proc.stdout.decode(errors="replace").splitlines()[0] if proc.stdout else cc
 
 
-def _build() -> ctypes.CDLL:
-    source = _SOURCE.read_text()
+def _build(path: Path, extra: Sequence[str] = ()) -> ctypes.CDLL:
+    """Load ``path`` built with the first flag tier that compiles, + ``extra``."""
+    source = path.read_text()
+    stem = path.stem.lstrip("_")
     for cc in _compilers():
         # the cache key covers compiler version and host CPU: -march=native
         # binaries must never be reused across heterogeneous nodes sharing
@@ -126,18 +139,19 @@ def _build() -> ctypes.CDLL:
         cc_id = _compiler_id(cc)
         if cc_id is None:
             continue
-        for flags in _FLAG_TIERS:
+        for tier in _FLAG_TIERS:
+            flags = [*tier, *extra]
             key = hashlib.sha256(
                 "\0".join(
                     [source, cc, cc_id, *flags, sys.platform, _cpu_id()]
                 ).encode()
             ).hexdigest()[:16]
-            target = _cache_dir() / f"comoment_{key}.so"
+            target = _cache_dir() / f"{stem}_{key}.so"
             if not target.exists():
                 with tempfile.TemporaryDirectory() as tmp:
-                    obj = Path(tmp) / "comoment.so"
+                    obj = Path(tmp) / f"{stem}.so"
                     cmd = [cc, *flags, "-shared", "-fPIC", "-o", str(obj),
-                           str(_SOURCE)]
+                           str(path)]
                     try:
                         proc = subprocess.run(
                             cmd, capture_output=True, timeout=120
@@ -151,7 +165,7 @@ def _build() -> ctypes.CDLL:
                 return ctypes.CDLL(str(target))
             except OSError:
                 continue
-    raise RuntimeError("no working C compiler for the cext kernel backend")
+    raise RuntimeError(f"no working C compiler for {path.name}")
 
 
 def _load() -> ctypes.CDLL:
@@ -161,7 +175,7 @@ def _load() -> ctypes.CDLL:
     if _lib_error is not None:
         raise RuntimeError(_lib_error)
     try:
-        lib = _build()
+        lib = _build(_SOURCE)
         lib.fold_block.restype = ctypes.c_int
         lib.fold_block.argtypes = [
             ctypes.c_void_p,  # const double *const *slabs
@@ -202,6 +216,22 @@ def available() -> bool:
         return True
     except RuntimeError:
         return False
+
+
+@functools.lru_cache(maxsize=None)
+def stencil_library() -> Optional[ctypes.CDLL]:
+    """The solver's substep loop (``_stencil.c``), or None without a compiler."""
+    try:
+        lib = _build(_STENCIL_SOURCE, ["-ffp-contract=off"])
+    except RuntimeError:
+        return None
+    ssize, ptr, real = ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_double
+    lib.stencil_advance.restype = real
+    # c, r, n, cc, npairs, offs, weights, cin, m, upper band, lower band,
+    # upper_off, lower_off, stable_dt, dt, t
+    lib.stencil_advance.argtypes = [ptr, ptr, ssize, ptr, ssize, ptr, ptr, ptr,
+                                    ssize, ptr, ptr, real, real, real, real, real]
+    return lib
 
 
 class CExtKernel(CoMomentKernel):

@@ -12,7 +12,8 @@ parameters.  We reproduce exactly that structure:
 * :mod:`repro.solver.advect` — an explicit upwind finite-volume
   convection-diffusion integrator for the dye scalar, stepping a
   5-point stencil built once per integrator (:mod:`.advect3d` extrudes
-  it along z);
+  it along z), one output interval per call into a C loop where a
+  compiler is available;
 * :mod:`repro.solver.tube_bundle` — the use case: geometry, the six
   injection parameters, and the per-member :class:`ScalarSimulation`;
 * :mod:`repro.solver.writer` — an EnSight-Gold-like per-timestep file

@@ -25,19 +25,30 @@ and the y neighbours 1, so every slice is contiguous.  One substep is then
     r[1:]  += cs*c[:-1];   r[:-1]  += cn*c[1:]       # S, N
     r[:ny] += cin*profile;  c += sub*r
 
-(each ``+=`` of a product is a multiply into scratch plus an add).  The
-two scratch arrays are allocated once per :meth:`AdvectionDiffusion.step`
-call, not stored on the integrator: one integrator serves every member of
-a case, so it holds nothing but the frozen operator.
+(each ``+=`` of a product is a multiply into scratch plus an add).
+
+At ~2k cells a NumPy call costs more than its arithmetic, so when the
+inlet is a :class:`SwitchedProfile` the whole substep loop of one output
+interval runs in C instead: ``_stencil.c``, built and loaded by
+:func:`repro.kernels.cext.stencil_library`, makes the same passes in the
+same order and, compiled without fused multiply-adds, gives bit-identical
+fields.  The NumPy loop stays as the path for any other profile callable
+and for hosts without a C compiler, and as the reference the C loop is
+tested against.  Scratch, array addresses and ctypes pointer arrays are
+made per :meth:`AdvectionDiffusion.step` call, never stored: one
+integrator serves every member of a case and holds only the frozen
+operator's NumPy arrays, so it (and the case) still pickles and deep-copies.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.kernels import cext
 from repro.solver.flow import StreamfunctionFlow
 
 
@@ -96,6 +107,30 @@ def flat_stencil(
         off = int(np.prod(cc.shape[axis + 1:]))
         pairs.append((off, lower.ravel()[off:].copy(), upper.ravel()[:-off].copy()))
     return cc.ravel(), pairs
+
+
+class SwitchedProfile:
+    """The inlet ``t -> upper * (t < upper_off) + lower * (t < lower_off)``.
+
+    The four on/off combinations are built here, once per member, as
+    read-only arrays, and a call only picks one, so a NumPy substep
+    allocates nothing for the inlet.  The two bands and switch-off times
+    stay readable, so the C loop evaluates the same formula itself.
+    """
+
+    def __init__(self, upper: np.ndarray, lower: np.ndarray,
+                 upper_off: float, lower_off: float):
+        self.upper, self.lower = upper, lower
+        self.upper_off, self.lower_off = float(upper_off), float(lower_off)
+        self._table = {}
+        for upper_on in (False, True):
+            for lower_on in (False, True):
+                profile = upper * upper_on + lower * lower_on
+                profile.setflags(write=False)
+                self._table[upper_on, lower_on] = profile
+
+    def __call__(self, t: float) -> np.ndarray:
+        return self._table[t < self.upper_off, t < self.lower_off]
 
 
 class AdvectionDiffusion:
@@ -160,7 +195,8 @@ class AdvectionDiffusion:
     ) -> float:
         """Advance ``c`` in place by ``dt`` (substepping for stability).
 
-        Returns the new physical time.  ``c`` must be C-contiguous (as
+        Returns the new physical time.  ``c`` must be a writeable,
+        C-contiguous float64 field of this integrator's cell count (as
         :meth:`initial_condition` makes it); ``inlet_profile_fn(t)`` must
         return the inlet dye concentration profile (``c[0]``'s shape) at t.
         """
@@ -170,7 +206,23 @@ class AdvectionDiffusion:
             raise ValueError("dt must be positive")
         if not c.flags.c_contiguous:
             raise ValueError("c must be C-contiguous: it is stepped in place, flat")
+        if c.dtype != np.float64:
+            raise ValueError(f"c must be float64, got {c.dtype}")
+        if not c.flags.writeable:
+            raise ValueError("c must be writeable: it is stepped in place")
+        if c.size != self._cc.size:
+            raise ValueError(f"c must have {self._cc.size} cells, got {c.size}")
         c = c.reshape(-1)
+        if isinstance(inlet_profile_fn, SwitchedProfile):
+            for name in ("upper", "lower"):  # C reads them unchecked
+                band = getattr(inlet_profile_fn, name)
+                if not (isinstance(band, np.ndarray) and band.dtype == np.float64
+                        and band.flags.c_contiguous and band.shape == self._cin.shape):
+                    raise ValueError(
+                        f"{name} band: need contiguous float64 {self._cin.shape}")
+            lib = cext.stencil_library()
+            if lib is not None:
+                return self._step_compiled(lib, c, dt, inlet_profile_fn, t)
         r, tmp = np.empty_like(c), np.empty_like(c)
         # every (weight, source, product, destination) view, made once per call
         terms = []
@@ -192,6 +244,20 @@ class AdvectionDiffusion:
             t += sub
             remaining -= sub
         return t
+
+    def _step_compiled(self, lib, c, dt, profile: SwitchedProfile, t) -> float:
+        """:meth:`step` as one call into ``_stencil.c``; ``r`` and the
+        pointer arrays are locals, alive until the call returns."""
+        n, r = len(self._pairs), np.empty_like(c)
+        offs = (ctypes.c_ssize_t * n)(*[off for off, _, _ in self._pairs])
+        weights = (ctypes.c_void_p * (2 * n))(
+            *[w.ctypes.data for _, *pair in self._pairs for w in pair])
+        return lib.stencil_advance(
+            c.ctypes.data, r.ctypes.data, c.size, self._cc.ctypes.data,
+            n, offs, weights, self._cin.ctypes.data, self._cin.size,
+            profile.upper.ctypes.data, profile.lower.ctypes.data,
+            profile.upper_off, profile.lower_off, self.stable_dt, dt, t,
+        )
 
     def initial_condition(self) -> np.ndarray:
         """Zero dye everywhere (clean channel)."""

@@ -14,8 +14,10 @@ z-diffusion pair: a weight on ``c[..., k-1]`` and on ``c[..., k+1]``
 wherever the column is fluid, zero through the spanwise walls, with the
 matching diagonal term folded into ``cc``.  Applied to the C-order flat
 field, the x, y and z neighbours are ``ny*nz``, ``nz`` and 1 cells away; a
-substep is the planar 13 in-place ufunc calls plus 4 for the z pair, over
-the same two scratch arrays allocated once per ``step`` call.
+NumPy substep is the planar 13 in-place ufunc calls plus 4 for the z pair.
+``step`` is inherited whole: the C loop takes the pairs as arrays, so it
+steps the z pair like the planar two, with the NumPy step as its fallback
+and bit-exact reference, and the integrator stores no pointers (it pickles).
 """
 
 from __future__ import annotations

@@ -11,14 +11,14 @@ member; only the scalar transport differs, exactly as in the paper.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from dataclasses import dataclass, fields
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.mesh import StructuredMesh
 from repro.sampling import ParameterSpace, Uniform
-from repro.solver.advect import AdvectionDiffusion
+from repro.solver.advect import AdvectionDiffusion, SwitchedProfile
 from repro.solver.flow import Obstacle, StreamfunctionFlow, solve_streamfunction
 from repro.solver.simulation import ScalarSimulation
 
@@ -69,6 +69,11 @@ class InjectionParameters:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (6,):
             raise ValueError("tube-bundle members take exactly 6 parameters")
+        # nan would emit nan fields or never switch an injector on, inf
+        # would flood the inlet: refuse both, by name
+        bad = [f.name for f, v in zip(fields(cls), x) if not math.isfinite(v)]
+        if bad:
+            raise ValueError(f"tube-bundle parameters must be finite: {', '.join(bad)}")
         return cls(*[float(v) for v in x])
 
 
@@ -90,24 +95,6 @@ def _staggered_bundle(
                 Obstacle(xc - tube / 2, yc - tube / 2, xc + tube / 2, yc + tube / 2)
             )
     return obstacles
-
-
-def switched_profile(
-    upper: np.ndarray, lower: np.ndarray, upper_off: float, lower_off: float
-) -> Callable[[float], np.ndarray]:
-    """``t -> upper * (t < upper_off) + lower * (t < lower_off)``.
-
-    The four on/off combinations are built here, once per member, as
-    read-only arrays; the returned function only picks one, so an
-    integrator substep allocates nothing for the inlet.
-    """
-    table = {}
-    for upper_on in (False, True):
-        for lower_on in (False, True):
-            profile = upper * upper_on + lower * lower_on
-            profile.setflags(write=False)
-            table[upper_on, lower_on] = profile
-    return lambda t: table[t < upper_off, t < lower_off]
 
 
 class TubeBundleCase:
@@ -210,7 +197,7 @@ class TubeBundleCase:
         params = InjectionParameters.from_vector(parameters)
         return ScalarSimulation(
             integrator=self.integrator,
-            inlet_profile_fn=switched_profile(
+            inlet_profile_fn=SwitchedProfile(
                 *self.injector_bands(params), *self.switch_off_times(params)
             ),
             ntimesteps=self.ntimesteps,

@@ -13,12 +13,12 @@ from typing import Sequence
 import numpy as np
 
 from repro.sampling import ParameterSpace
+from repro.solver.advect import SwitchedProfile
 from repro.solver.advect3d import AdvectionDiffusion3D
 from repro.solver.simulation import ScalarSimulation
 from repro.solver.tube_bundle import (
     InjectionParameters,
     TubeBundleCase,
-    switched_profile,
     tube_bundle_parameter_space,
 )
 
@@ -97,7 +97,7 @@ class TubeBundleCase3D:
         upper, lower = self._base.injector_bands(params)
         return ScalarSimulation(
             integrator=self.integrator,
-            inlet_profile_fn=switched_profile(
+            inlet_profile_fn=SwitchedProfile(
                 np.outer(upper, self._span),
                 np.outer(lower, self._span),
                 *self._base.switch_off_times(params),

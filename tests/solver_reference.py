@@ -12,7 +12,13 @@ only by floating-point reassociation, hence a relative tolerance of
 Each class exposes what :class:`repro.solver.ScalarSimulation` needs of an
 integrator (``mesh``, ``initial_condition``, ``step``), so a whole member
 run can be replayed through it.
+
+The integrators' own NumPy step is in turn the bit-exact reference of
+their C substep loop: :func:`numpy_step` routes a member through it, and
+:func:`assert_same_run` compares two whole runs bit for bit.
 """
+
+import pickle
 
 import numpy as np
 
@@ -149,3 +155,26 @@ def assert_matches(fields, reference):
     assert scale > 0, "reference run carries no dye"
     gap = np.abs(fields - reference).max()
     assert gap <= RTOL * scale, f"max |delta| {gap:.3e} > {RTOL} * {scale:.3e}"
+
+
+def run_member(sim):
+    """``(fields, end time)`` of a whole member run."""
+    return sim.run_to_completion(), sim._t
+
+
+def numpy_step(sim):
+    """``sim`` with its profile behind a plain callable, which the
+    integrator steps in NumPy, never in C."""
+    profile = sim.inlet_profile_fn
+    sim.inlet_profile_fn = lambda t: profile(t)
+    return sim
+
+
+def assert_same_run(run, reference):
+    """Equal fields, bit for bit, and an equal end time."""
+    np.testing.assert_array_equal(run[0], reference[0])
+    assert run[1] == reference[1]
+
+
+def pickle_round_trip(obj):
+    return pickle.loads(pickle.dumps(obj))

@@ -1,14 +1,24 @@
 """Tests for the 3-D extruded solver and hexahedral tube-bundle case."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from repro import SensitivityStudy
+from repro.kernels import cext
 from repro.mesh import StructuredMesh
 from repro.solver import AdvectionDiffusion3D, ScalarSimulation, TubeBundleCase3D
 from repro.solver.flow import solve_streamfunction
 from repro.solver.tube_bundle import InjectionParameters
-from solver_reference import FluxForm3D, assert_matches
+from solver_reference import (
+    FluxForm3D,
+    assert_matches,
+    assert_same_run,
+    numpy_step,
+    pickle_round_trip,
+    run_member,
+)
 
 NON_FINITE = [float("nan"), float("inf")]
 
@@ -122,6 +132,36 @@ class TestIntegrator3D:
             case3d.integrator.step(c, dt, must_not_step, 0.0)
 
 
+SWITCHING_OFF = mid_params(upper_concentration=0.9, lower_concentration=0.6,
+                           upper_duration=0.35, lower_duration=0.55)
+
+
+class TestCompiledLoop3D:
+    """The C loop takes the z pair like the planar two: equal bits."""
+
+    @pytest.mark.skipif(cext.stencil_library() is None, reason="no C compiler")
+    def test_member_run_matches_numpy_step(self, case3d):
+        v = vec(SWITCHING_OFF)
+        assert_same_run(
+            run_member(case3d.simulation(v)),
+            run_member(numpy_step(case3d.simulation(v))),
+        )
+
+    def test_members_run_without_a_compiler(self, case3d, monkeypatch):
+        v = vec(SWITCHING_OFF)
+        default = run_member(case3d.simulation(v))
+        monkeypatch.setattr(cext, "stencil_library", lambda: None)
+        assert_same_run(run_member(case3d.simulation(v)), default)
+
+    @pytest.mark.parametrize("round_trip", [pickle_round_trip, copy.deepcopy])
+    def test_case_round_trip(self, case3d, round_trip):
+        v = vec(SWITCHING_OFF)
+        assert_same_run(
+            run_member(round_trip(case3d).simulation(v)),
+            run_member(case3d.simulation(v)),
+        )
+
+
 class TestCase3D:
     def test_geometry(self, case3d):
         assert case3d.mesh.ndim == 3
@@ -140,6 +180,15 @@ class TestCase3D:
             TubeBundleCase3D(nx=8, ny=4, nz=2, ntimesteps=0)
         with pytest.raises(ValueError):
             TubeBundleCase3D(nx=8, ny=4, nz=2, injector_span=0.0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("upper_concentration", float("nan")),
+        ("upper_duration", float("nan")),
+        ("upper_width", float("inf")),
+    ])
+    def test_non_finite_parameter(self, case3d, name, value):
+        with pytest.raises(ValueError, match=name):
+            case3d.simulation(vec(mid_params(**{name: value})))
 
     @pytest.mark.parametrize("total_time", NON_FINITE)
     def test_non_finite_total_time(self, total_time):

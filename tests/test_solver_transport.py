@@ -1,9 +1,12 @@
 """Tests for the convection-diffusion integrator, the tube-bundle case,
 and the classical-output writer/reader."""
 
+import copy
+
 import numpy as np
 import pytest
 
+from repro.kernels import cext
 from repro.mesh import StructuredMesh
 from repro.solver import (
     AdvectionDiffusion,
@@ -14,10 +17,38 @@ from repro.solver import (
     TubeBundleCase,
     tube_bundle_parameter_space,
 )
+from repro.solver.advect import SwitchedProfile
 from repro.solver.flow import Obstacle, solve_streamfunction
-from solver_reference import FluxForm, assert_matches
+from solver_reference import (
+    FluxForm,
+    assert_matches,
+    assert_same_run,
+    numpy_step,
+    pickle_round_trip,
+    run_member,
+)
 
 NON_FINITE = [float("nan"), float("inf")]
+#: one finite parameter made non-finite: nan fields, an injector that is
+#: never on, an inlet flooded end to end
+NON_FINITE_PARAMETERS = [
+    ("upper_concentration", float("nan")),
+    ("upper_duration", float("nan")),
+    ("upper_width", float("inf")),
+]
+compiled_only = pytest.mark.skipif(
+    cext.stencil_library() is None, reason="no C compiler"
+)
+
+
+@pytest.fixture(params=["compiled", "numpy"])
+def either_path(request, monkeypatch):
+    """Run a test on the C loop (where it builds) and on the NumPy step,
+    the latter with the stencil loader reporting no library."""
+    if request.param == "numpy":
+        monkeypatch.setattr(cext, "stencil_library", lambda: None)
+    elif cext.stencil_library() is None:
+        pytest.skip("no C compiler")
 
 
 def must_not_step(t):
@@ -154,20 +185,99 @@ class TestStencilMatchesFluxForm:
         assert_matches(fields, reference)
 
     def test_obstacle_free_zero_diffusion_channel(self):
-        mesh = StructuredMesh(dims=(40, 10), lengths=(4.0, 1.0))
-        integ = AdvectionDiffusion(
-            solve_streamfunction(mesh, (), inflow_speed=1.0), diffusivity=0.0
-        )
-        band = np.where(np.arange(10) >= 5, 0.8, 0.0)
-
-        def profile(t):
-            return band if t < 0.7 else np.zeros(10)
-
+        integ, profile = zero_diffusion_channel()
         runs = [
             ScalarSimulation(stepper, profile, 12, 0.25).run_to_completion()
             for stepper in (integ, FluxForm(integ))
         ]
         assert_matches(*runs)
+
+
+def zero_diffusion_channel():
+    """An obstacle-free channel, no diffusion, one band switching off."""
+    mesh = StructuredMesh(dims=(40, 10), lengths=(4.0, 1.0))
+    integ = AdvectionDiffusion(
+        solve_streamfunction(mesh, (), inflow_speed=1.0), diffusivity=0.0
+    )
+    band = np.where(np.arange(10) >= 5, 0.8, 0.0)
+    return integ, SwitchedProfile(band, np.zeros(10), 0.7, 0.0)
+
+
+SWITCHING_OFF = mid_params(
+    upper_concentration=0.9, lower_concentration=0.6,
+    upper_width=0.25, lower_width=0.3,
+    upper_duration=0.35, lower_duration=0.55,
+)
+
+
+class TestCompiledLoop:
+    """The C substep loop against the NumPy step it replaces: equal bits."""
+
+    @compiled_only
+    def test_obstacles_with_injectors_switching_off(self, small_case):
+        v = vector(SWITCHING_OFF)
+        assert_same_run(
+            run_member(small_case.simulation(v)),
+            run_member(numpy_step(small_case.simulation(v))),
+        )
+
+    @compiled_only
+    def test_obstacle_free_zero_diffusion_channel(self):
+        integ, profile = zero_diffusion_channel()
+        assert_same_run(
+            run_member(ScalarSimulation(integ, profile, 12, 0.25)),
+            run_member(ScalarSimulation(integ, lambda t: profile(t), 12, 0.25)),
+        )
+
+    def test_members_run_without_a_compiler(self, small_case, monkeypatch):
+        v = vector(SWITCHING_OFF)
+        default = run_member(small_case.simulation(v))
+        monkeypatch.setattr(cext, "stencil_library", lambda: None)
+        assert_same_run(run_member(small_case.simulation(v)), default)
+
+    @pytest.mark.parametrize("round_trip", [pickle_round_trip, copy.deepcopy])
+    def test_case_round_trip(self, small_case, round_trip):
+        v = vector(SWITCHING_OFF)
+        assert_same_run(
+            run_member(round_trip(small_case).simulation(v)),
+            run_member(small_case.simulation(v)),
+        )
+
+
+class TestStepRefusesBadArrays:
+    """Each bad array fails by name before any cell is written, on the C
+    loop and on the NumPy step alike."""
+
+    @pytest.fixture
+    def profile(self, small_case):
+        return small_case.simulation(vector(mid_params())).inlet_profile_fn
+
+    @pytest.mark.parametrize("c, match", [
+        (np.zeros((32, 16), dtype=np.float32), "float64"),
+        (np.zeros(32 * 15), "512 cells"),
+    ], ids=["float32", "size"])
+    def test_field(self, small_case, profile, either_path, c, match):
+        with pytest.raises(ValueError, match=match):
+            small_case.integrator.step(c, 0.1, profile, 0.0)
+        assert not c.any()
+
+    def test_read_only_field(self, small_case, profile, either_path):
+        c = small_case.integrator.initial_condition()
+        c.setflags(write=False)
+        with pytest.raises(ValueError, match="writeable"):
+            small_case.integrator.step(c, 0.1, profile, 0.0)
+
+    @pytest.mark.parametrize("band", [
+        np.ones(15),  # one cell short of the inlet
+        np.ones(16, dtype=np.float32),
+        np.ones(32)[::2],  # strided
+    ], ids=["size", "float32", "strided"])
+    def test_band(self, small_case, either_path, band):
+        c = small_case.integrator.initial_condition()
+        bad = SwitchedProfile(band, band, 0.5, 0.5)
+        with pytest.raises(ValueError, match="band"):
+            small_case.integrator.step(c, 0.1, bad, 0.0)
+        assert not c.any()
 
 
 class TestNonFiniteTimes:
@@ -223,6 +333,11 @@ class TestTubeBundleCase:
     def test_invalid_parameter_vector(self, small_case):
         with pytest.raises(ValueError):
             small_case.simulation(np.zeros(5))
+
+    @pytest.mark.parametrize("name, value", NON_FINITE_PARAMETERS)
+    def test_non_finite_parameter(self, small_case, name, value):
+        with pytest.raises(ValueError, match=name):
+            small_case.simulation(vector(mid_params(**{name: value})))
 
     def test_bytes_accounting(self, small_case):
         per_step = small_case.bytes_per_timestep()
