@@ -311,8 +311,13 @@ class DistributedRuntime:
         tracer = self.tracer
         try:
             self.coordinator.wait(timeout=timeout)
-            for proc in self._all_procs():
+            for proc in self.server_procs:
                 proc.join(timeout=10.0)
+            # the results depend only on the ranks: every worker has been
+            # told ``done`` and hears it within a heartbeat, so one still
+            # inside a step of a losing copy is not waited out
+            for proc in self.worker_procs:
+                proc.join(timeout=self.heartbeat_interval)
         finally:
             self._shutdown()
         if tracer is None:

@@ -603,6 +603,27 @@ class TestStragglerSpeculation:
         assert_parity(clean, reference)
         assert_parity(straggled, reference)
 
+    def test_run_returns_without_waiting_out_the_losing_copy(self):
+        """The straggler sits inside a 5 s step of a copy that lost to a
+        speculative one.  The results are final once the ranks report,
+        so ``run`` returns well inside that step instead of waiting the
+        losing copy out."""
+        fn, config = make_config(
+            12, scheduling="speculate:multiple=2,min_done=2"
+        )
+        plan = FaultPlan(worker_stragglers=[WorkerStraggler(0, delay=5.0)])
+        runtime, results = run_distributed(
+            config, fn, nworkers=3, fault_plan=plan, timeout=60.0,
+        )
+        returned = time.time()
+        (finalized,) = [
+            t for t, kind, _ in runtime.coordinator.events if kind == "finalize"
+        ]
+        assert runtime.coordinator.speculated, "speculation never fired"
+        assert returned - finalized < 2.0
+        assert results.groups_integrated == 12
+        assert_parity(results, sequential_reference(12))
+
 
 class MediumVectorSim(VectorSim):
     """Slow enough that a single worker backs the queue up past the
