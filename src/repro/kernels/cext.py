@@ -5,11 +5,10 @@ Two sources, one cache: ``_comoment.c`` (the fold) and ``_stencil.c``
 compiled once per machine with the system C compiler into a
 content-addressed shared library under the user cache directory (atomic
 rename, safe under concurrent builds) and loaded via ``ctypes`` — no
-build-time dependency, no pip install.  Both use the same flag tiers
-plus the source's own flags, which enter its cache key: the stencil adds
-``-ffp-contract=off``, since a fused multiply-add would move its fields
-off the NumPy step's in the last bits.  ``cc --version`` runs once per
-process.
+build-time dependency, no pip install.  Both use the same flag tiers plus
+the source's own flags, which enter its cache key: the stencil adds
+``-ffp-contract=off``, since a fused multiply-add would move its fields off
+the NumPy step's in the last bits.  ``cc --version`` runs once per process.
 
 The fold kernel folds residual computation, residual sums, diagonal
 moments, and the 2p cross co-moments into ONE pass over the staged slabs
@@ -148,7 +147,8 @@ def _build(path: Path, extra: Sequence[str] = ()) -> ctypes.CDLL:
             ).hexdigest()[:16]
             target = _cache_dir() / f"{stem}_{key}.so"
             if not target.exists():
-                with tempfile.TemporaryDirectory() as tmp:
+                # built beside the cache: the rename never crosses filesystems
+                with tempfile.TemporaryDirectory(dir=target.parent) as tmp:
                     obj = Path(tmp) / f"{stem}.so"
                     cmd = [cc, *flags, "-shared", "-fPIC", "-o", str(obj),
                            str(path)]
@@ -223,7 +223,7 @@ def stencil_library() -> Optional[ctypes.CDLL]:
     """The solver's substep loop (``_stencil.c``), or None without a compiler."""
     try:
         lib = _build(_STENCIL_SOURCE, ["-ffp-contract=off"])
-    except RuntimeError:
+    except (RuntimeError, OSError):  # no compiler, or an unwritable cache
         return None
     ssize, ptr, real = ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_double
     lib.stencil_advance.restype = real

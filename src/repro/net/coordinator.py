@@ -303,8 +303,6 @@ class Coordinator:
         # peer): re-evaluated at the end of every loop turn, so the one
         # whose event resolves them also answers them
         self._parked_next: Dict[int, _Peer] = {}
-        # workers already told ``done``
-        self._dismissed: Set[int] = set()
 
         self._pending = deque(range(config.ngroups))
         # worker id -> the groups it holds, oldest first: sent but not
@@ -486,18 +484,7 @@ class Coordinator:
         that takes the last rank state in, and the turn that reads the
         last ``bye`` ends this wait, so the healthy case drains in one
         round trip.
-
-        A worker not yet told ``done`` is mid-lease on a copy that lost
-        to a faster one (every group is settled): it hears ``done`` now,
-        unasked, and drops that copy instead of finishing it.
         """
-        for wid, peer in list(self._worker_conns.items()):
-            if wid not in self._dismissed:
-                try:
-                    peer.send({"op": "done"})
-                except ConnectionLost:
-                    pass  # its EOF runs the usual teardown
-                self._dismissed.add(wid)
         self._run_until(
             lambda: not self._worker_conns, time.monotonic() + grace
         )
@@ -1063,8 +1050,6 @@ class Coordinator:
                 return False
             reply = {"op": "settle"}
         peer.send(reply)
-        if reply["op"] == "done":
-            self._dismissed.add(wid)
         if kill_pid is not None:
             os.kill(kill_pid, signal.SIGKILL)  # fault-injection hook
         return True

@@ -34,11 +34,6 @@ heartbeat-sized slices:
   to ``settle``: wait for the ranks' cursors, then ask again;
 * with :data:`MAX_HELD_GROUPS` held, it waits for the oldest.
 
-Inside a group the worker looks at the control connection whenever a
-heartbeat is due.  The coordinator speaks unasked only to say ``done``
-once the study is over, to a worker still running a copy that lost to a
-faster one; the worker leaves without finishing it.
-
 A worker holds at most :data:`MAX_HELD_GROUPS` groups — leased, running,
 or sent and unacknowledged — so that bounds what a worker loss costs.
 
@@ -98,11 +93,6 @@ from repro.transport.message import (
     Heartbeat,
     split_by_partition,
 )
-
-
-class _Dismissed(Exception):
-    """The coordinator ended the study while this worker was mid-lease
-    on a copy that lost to a faster one: leave without finishing it."""
 
 
 class _WorkerFaultInjector:
@@ -187,8 +177,6 @@ class SocketRouter:
         if self._reply is None:
             self._ctrl.send(request)
             frame = self._ctrl.recv(timeout=self.config.group_timeout)
-            if frame == {"op": "done"}:
-                raise _Dismissed
             if isinstance(frame, dict) and frame.get("op") == "error":
                 raise RuntimeError(f"rendezvous refused connection: {frame['error']}")
             if not isinstance(frame, AddressedReply):
@@ -509,106 +497,93 @@ def run_worker(
                 )
                 ctrl.send({"op": "group_interrupted", "group_id": group_id})
 
-        def look_ctrl() -> None:
-            """Mid-lease, the coordinator speaks unasked only to end the
-            study: this worker's copy lost to a faster one."""
-            if ctrl.poll(0.0):
-                frame = ctrl.recv()
-                if frame != {"op": "done"}:
-                    raise RuntimeError(f"unexpected mid-lease frame: {frame!r}")
-                raise _Dismissed
-
         in_group = False
-        try:
-            while True:
-                if fault is not None:
-                    fault.check()
+        while True:
+            if fault is not None:
+                fault.check()
+            try:
+                settle(1 if len(held) >= MAX_HELD_GROUPS else 0)
+            except ChannelClosed:
+                interrupted()
+                continue
+            # one control frame per lease: the request for the next one
+            # carries the ids acknowledged since the last request
+            ctrl.send({"op": "next", "done": done})
+            done.clear()
+            # long poll: the coordinator answers when it has something to
+            # say, which may take a while (a straggler elsewhere, rank
+            # states still coming in) — keep beating, and moving the
+            # channels' backlogs, meanwhile
+            while not router.wait_ctrl(heartbeat_interval):
+                beat()
+            frame = ctrl.recv()
+            op = frame.get("op") if isinstance(frame, dict) else None
+            if op in ("done", "retire"):
+                # retire: the elastic pool is draining and this worker is
+                # surplus — leave exactly like a completed study
+                break
+            if op == "settle":
+                # nothing to hand out while this worker still holds
+                # unacknowledged groups: wait for the ranks, then ask again
                 try:
-                    settle(1 if len(held) >= MAX_HELD_GROUPS else 0)
+                    settle(len(held))
                 except ChannelClosed:
                     interrupted()
-                    continue
-                # one control frame per lease: the request for the next one
-                # carries the ids acknowledged since the last request
-                ctrl.send({"op": "next", "done": done})
-                done.clear()
-                # long poll: the coordinator answers when it has something to
-                # say, which may take a while (a straggler elsewhere, rank
-                # states still coming in) — keep beating, and moving the
-                # channels' backlogs, meanwhile
-                while not router.wait_ctrl(heartbeat_interval):
-                    beat()
-                frame = ctrl.recv()
-                op = frame.get("op") if isinstance(frame, dict) else None
-                if op in ("done", "retire"):
-                    # retire: the elastic pool is draining and this worker is
-                    # surplus — leave exactly like a completed study
-                    break
-                if op == "settle":
-                    # nothing to hand out while this worker still holds
-                    # unacknowledged groups: wait for the ranks, then ask again
-                    try:
-                        settle(len(held))
-                    except ChannelClosed:
-                        interrupted()
-                    continue
-                if op == "error":
-                    raise RuntimeError(f"coordinator error: {frame['error']}")
-                if op != "group":
-                    raise RuntimeError(f"unexpected assignment frame: {frame!r}")
-                # the lease: run its groups in order.  The coordinator counts
-                # every one as held from now on, so a vanished coordinator
-                # anywhere in it is a real failure (non-zero exit)
-                lease = deque(int(gid) for gid in frame["group_ids"])
-                in_group = True
-                while lease:
-                    group_id = lease.popleft()
-                    if router.any_broken():
-                        # a rank died since the last group: re-ask the
-                        # rendezvous up front instead of burning the first
-                        # delivery on a dead channel
-                        interrupted()
-                    group_started = time.time()
-                    try:
-                        executor = GroupExecutor(
-                            SimulationGroup.from_design(design, group_id),
-                            factory,
-                            config,
-                            router,
-                        )
-                        executor.initialize()
-                        while executor.state != GroupState.FINISHED:
-                            state = executor.process_step()
-                            if state == GroupState.BLOCKED:
-                                # ZeroMQ-style suspension: both buffers full.
-                                # Wait for the rank to make room, not a timer
-                                router.wait_progress(poll_interval)
-                            if time.monotonic() - last_beat >= heartbeat_interval:
-                                beat()
-                                look_ctrl()
-                    except ChannelClosed:
-                        # the running group and the unstarted rest of the
-                        # lease go back to the queue, none charged a retry
-                        interrupted([group_id, *lease])
-                        break
-                    # every frame is handed over; the group is reported done
-                    # on a later ``next``, once the ranks have passed these marks
-                    held.append((group_id, router.marks()))
-                    group_seconds = time.time() - group_started
-                    if telemetry_on:
-                        h_group.observe(group_seconds, worker=name)
-                        spans.append(span_record(
-                            f"simulate group {group_id}", "worker",
-                            group_started, time.time(), tid=name,
-                            args={"group": group_id},
-                        ))
-                    log.info(
-                        "group sent in %.3fs", group_seconds,
-                        extra={"repro_ids": {"group": group_id}},
+                continue
+            if op == "error":
+                raise RuntimeError(f"coordinator error: {frame['error']}")
+            if op != "group":
+                raise RuntimeError(f"unexpected assignment frame: {frame!r}")
+            # the lease: run its groups in order.  The coordinator counts
+            # every one as held from now on, so a vanished coordinator
+            # anywhere in it is a real failure (non-zero exit)
+            lease = deque(int(gid) for gid in frame["group_ids"])
+            in_group = True
+            while lease:
+                group_id = lease.popleft()
+                if router.any_broken():
+                    # a rank died since the last group: re-ask the
+                    # rendezvous up front instead of burning the first
+                    # delivery on a dead channel
+                    interrupted()
+                group_started = time.time()
+                try:
+                    executor = GroupExecutor(
+                        SimulationGroup.from_design(design, group_id),
+                        factory,
+                        config,
+                        router,
                     )
-                in_group = False
-        except _Dismissed:
-            pass  # the study is over: say bye like a parked worker
+                    executor.initialize()
+                    while executor.state != GroupState.FINISHED:
+                        state = executor.process_step()
+                        if state == GroupState.BLOCKED:
+                            # ZeroMQ-style suspension: both buffers full.
+                            # Wait for the rank to make room, not a timer
+                            router.wait_progress(poll_interval)
+                        if time.monotonic() - last_beat >= heartbeat_interval:
+                            beat()
+                except ChannelClosed:
+                    # the running group and the unstarted rest of the
+                    # lease go back to the queue, none charged a retry
+                    interrupted([group_id, *lease])
+                    break
+                # every frame is handed over; the group is reported done
+                # on a later ``next``, once the ranks have passed these marks
+                held.append((group_id, router.marks()))
+                group_seconds = time.time() - group_started
+                if telemetry_on:
+                    h_group.observe(group_seconds, worker=name)
+                    spans.append(span_record(
+                        f"simulate group {group_id}", "worker",
+                        group_started, time.time(), tid=name,
+                        args={"group": group_id},
+                    ))
+                log.info(
+                    "group sent in %.3fs", group_seconds,
+                    extra={"repro_ids": {"group": group_id}},
+                )
+            in_group = False
         try:
             # final metric flush, then the goodbye carries this worker's
             # aggregate send-side ChannelStats for the end-of-run summary

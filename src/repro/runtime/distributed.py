@@ -313,9 +313,9 @@ class DistributedRuntime:
             self.coordinator.wait(timeout=timeout)
             for proc in self.server_procs:
                 proc.join(timeout=10.0)
-            # the results depend only on the ranks: every worker has been
-            # told ``done`` and hears it within a heartbeat, so one still
-            # inside a step of a losing copy is not waited out
+            # the results depend only on the ranks: a worker still inside
+            # a step of a copy that lost to a faster one is not waited
+            # out past one heartbeat, but terminated below
             for proc in self.worker_procs:
                 proc.join(timeout=self.heartbeat_interval)
         finally:

@@ -767,62 +767,6 @@ class TestLeaseLifecycle:
             rank_ctrl.close()
         assert not worker.is_alive()
 
-    def test_done_mid_lease_drops_the_running_group(self):
-        """The study ends while a worker is inside a group (a copy that
-        lost to a faster one): the unasked ``done`` reaches it at its
-        next heartbeat, and it leaves with a ``bye`` without sending the
-        group's remaining timesteps or reporting it done."""
-        fn, config = make_config(ngroups=1, ntimesteps=4)
-        reached, gate = threading.Event(), threading.Event()
-
-        class GatedSim(VectorFieldSimulation):
-            def advance(self):
-                if not reached.is_set():
-                    reached.set()
-                    gate.wait(20.0)
-                return super().advance()
-
-        def factory(params, sim_id):
-            return GatedSim(
-                fn, params, NCELLS, ntimesteps=config.ntimesteps,
-                simulation_id=sim_id,
-            )
-
-        listener = InboxListener(Inbox(name="rank0"))
-        coordinator = retry_on_eaddrinuse(lambda: Coordinator(config).start())
-        rank_ctrl = register_fake_rank(coordinator, config, listener.address)
-        outcome = []
-        worker = threading.Thread(
-            target=lambda: outcome.append(run_worker(
-                config, factory, coordinator.address, name="loser",
-            )),
-            daemon=True,
-        )
-        try:
-            worker.start()
-            wait_for(coordinator, reached.is_set)
-            (peer,) = coordinator._worker_conns.values()
-            peer.send({"op": "done"})
-            # the worker looks at its control connection when a
-            # heartbeat is due: hold the step until one is
-            due = time.monotonic() + config.heartbeat_interval
-            wait_for(coordinator, lambda: time.monotonic() >= due)
-            gate.set()
-            wait_for(
-                coordinator, lambda: "loser" in coordinator.worker_channel_stats
-            )
-            stats = coordinator.worker_channel_stats["loser"]
-            assert stats["messages_sent"] < config.ntimesteps
-            assert coordinator.done == set()
-        finally:
-            gate.set()
-            coordinator.close()
-            worker.join(timeout=20.0)
-            listener.close()
-            rank_ctrl.close()
-        assert not worker.is_alive()
-        assert outcome == [0]
-
 
 # --------------------------------------------------------------------- #
 # settle: each held group gets its own ``group_timeout``

@@ -2,6 +2,9 @@
 and the classical-output writer/reader."""
 
 import copy
+import errno
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -234,6 +237,47 @@ class TestCompiledLoop:
         default = run_member(small_case.simulation(v))
         monkeypatch.setattr(cext, "stencil_library", lambda: None)
         assert_same_run(run_member(small_case.simulation(v)), default)
+
+    def test_members_run_when_the_cache_refuses_the_library(
+        self, small_case, monkeypatch, tmp_path
+    ):
+        """A build that cannot be moved into the cache (EXDEV across
+        filesystems, EACCES on a read-only cache) leaves the members on
+        the NumPy step instead of failing them."""
+        v = vector(SWITCHING_OFF)
+        default = run_member(small_case.simulation(v))
+
+        def cross_device(src, dst):
+            raise OSError(errno.EXDEV, os.strerror(errno.EXDEV))
+
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(os, "replace", cross_device)
+        cext.stencil_library.cache_clear()
+        try:
+            assert cext.stencil_library() is None
+            assert_same_run(run_member(small_case.simulation(v)), default)
+        finally:
+            cext.stencil_library.cache_clear()
+
+    @compiled_only
+    def test_the_build_is_renamed_within_the_cache(self, monkeypatch, tmp_path):
+        """The library is compiled beside the cache, so moving it into
+        place never crosses filesystems."""
+        moves, replace = [], os.replace
+
+        def record(src, dst):
+            moves.append((Path(src), Path(dst)))
+            replace(src, dst)
+
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(os, "replace", record)
+        cext.stencil_library.cache_clear()
+        try:
+            assert cext.stencil_library() is not None
+        finally:
+            cext.stencil_library.cache_clear()
+        ((src, dst),) = moves
+        assert src.parent.parent == dst.parent == tmp_path / "repro-kernels"
 
     @pytest.mark.parametrize("round_trip", [pickle_round_trip, copy.deepcopy])
     def test_case_round_trip(self, small_case, round_trip):
