@@ -63,11 +63,11 @@ def test_scheduler_shootout(results_dir):
     runtime, spec_results, spec_wall = _run(
         scheduling="speculate:multiple=2,min_done=2"
     )
-    policy = runtime.scheduling_policy
+    coordinator = runtime.coordinator
 
     assert fifo_results.groups_integrated == NGROUPS
     assert spec_results.groups_integrated == NGROUPS
-    assert runtime.coordinator.speculated, "speculation never fired"
+    assert coordinator.speculated, "speculation never fired"
     np.testing.assert_allclose(
         spec_results.first_order, fifo_results.first_order,
         rtol=1e-10, atol=1e-12,
@@ -84,9 +84,9 @@ def test_scheduler_shootout(results_dir):
         {
             "policy": "speculate",
             "wall_s": round(spec_wall, 3),
-            "speculated_groups": len(set(runtime.coordinator.speculated)),
-            "speculation_wins": policy.speculation_wins,
-            "duplicates_discarded": policy.duplicates_discarded,
+            "speculated_groups": len(set(coordinator.speculated)),
+            "speculation_wins": coordinator.speculation_wins,
+            "duplicates_discarded": coordinator.duplicates_discarded,
         },
     ]
     payload = {

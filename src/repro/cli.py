@@ -318,18 +318,17 @@ def _scheduling_spec(args: argparse.Namespace) -> Optional[str]:
     """Scheduling spec string from the launch flags (None = plain FIFO).
 
     ``--schedule`` passes a full :func:`repro.scheduler.policy.parse_scheduling`
-    spec; ``--speculate`` / ``--steal`` / ``--elastic`` are sugar for one
+    spec; ``--speculate`` / ``--elastic`` are sugar for one
     clause each, optionally with that clause's parameters attached
     (``--speculate multiple=2.5,min_done=1``).
     """
     if args.schedule:
-        if args.speculate is not None or args.steal is not None or args.elastic is not None:
+        if args.speculate is not None or args.elastic is not None:
             raise SystemExit("pass either --schedule or the per-clause flags, not both")
         return args.schedule
     clauses = []
     for kind, value in (
         ("speculate", args.speculate),
-        ("steal", args.steal),
         ("elastic", args.elastic),
     ):
         if value is None:
@@ -596,16 +595,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "remote workers can still reach them)")
     p.add_argument("--schedule", default=None, metavar="SPEC",
                    help="full scheduling spec, ';'-separated clauses "
-                        "(e.g. 'speculate:multiple=2.5;steal;elastic:high=6')")
+                        "(e.g. 'speculate:multiple=2.5;elastic:high=6')")
     p.add_argument("--speculate", nargs="?", const="", default=None,
                    metavar="PARAMS",
                    help="speculatively re-run straggler groups (optional "
                         "clause params, e.g. 'multiple=2.5,min_done=2'); "
                         "first completion wins, duplicates discard exactly")
-    p.add_argument("--steal", nargs="?", const="", default=None,
-                   metavar="PARAMS",
-                   help="work stealing: hold demonstrably slow workers "
-                        "back from the queue tail (optional 'ratio=R')")
     p.add_argument("--elastic", nargs="?", const="", default=None,
                    metavar="PARAMS",
                    help="elastic pool resize: spawn extra workers while "

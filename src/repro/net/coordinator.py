@@ -21,9 +21,11 @@ additionally owns the launcher-side bookkeeping of Sec. 4.2.2:
   and every held group is in flight for all bookkeeping below: worker
   loss resubmits each, a rank respawn marks each attempt stale, the
   first completion settles duplicates, the study is not settled while
-  any is held.  ``next`` is a **long poll**: when there is
-  nothing to hand out yet (groups settled but rank states missing,
-  speculation not due, work-stealing hold-back) the request is parked
+  any is held.  One table holds every attempt: worker id -> {group id ->
+  :class:`Attempt`}, stamped with the turn that leased it; an attempt
+  ends in :meth:`Coordinator._release` and nowhere else.  ``next`` is a
+  **long poll**: when there is nothing to hand out yet (groups settled
+  but rank states missing, speculation not due) the request is parked
   and answered in the loop turn whose event resolves it (a rank state, a
   requeue, a departed worker; for the time-based verdicts, the heartbeat
   the parked worker keeps sending) — except that a worker still holding
@@ -54,8 +56,7 @@ additionally owns the launcher-side bookkeeping of Sec. 4.2.2:
   exactly once per rank, and the first completion report wins — the loser
   is settled silently and its residual frames are replay-discarded, so
   speculation needs ``discard_on_replay`` and never perturbs any
-  exact-merge statistic.  Work stealing holds a demonstrably slow worker
-  back from the queue tail while faster workers can drain it;
+  exact-merge statistic;
 * **elastic pool resize** — a :class:`~repro.net.supervisor.PoolSupervisor`
   spawns extra workers while queue depth exceeds the high-water mark
   (checked every loop turn) and retires elastic workers asking for
@@ -68,7 +69,9 @@ verdict, respawn and fork happens there, so its state needs no lock.
 Between turns the loop sleeps until a peer is readable or the next
 *silence* deadline — a peer that never said hello, a parked rendezvous,
 a heartbeat going stale, the wait's own timeout — and never on a fixed
-poll.
+poll.  Each turn reads the clock once, as its ``now``, and every verdict
+and record of the turn uses it; only the loop shell and setup read
+``time``.
 
 The coordinator is transport policy only — statistics never flow through
 it; field data goes worker -> rank over the direct data channels.
@@ -83,7 +86,7 @@ import signal
 import time
 import socket
 from collections import deque
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro import telemetry as _telemetry
 from repro.core.config import StudyConfig
@@ -92,6 +95,7 @@ from repro.net.framing import (
     ConnectionLost,
     FrameReader,
     ProtocolError,
+    peer_field,
     send_frame,
 )
 from repro.mesh.partition import BlockPartition
@@ -103,6 +107,19 @@ from repro.transport.message import ConnectionReply, ConnectionRequest, Heartbea
 #: it, and a worker holding this many waits for the oldest before asking
 #: again, so a worker loss resubmits at most this many groups.
 MAX_HELD_GROUPS = 8
+
+
+class Attempt(NamedTuple):
+    """One group a worker holds: leased, running, or sent but not yet
+    acknowledged by the ranks."""
+
+    #: the ``now`` of the turn that leased it
+    started: float
+    #: a speculative copy of a group another worker holds too
+    speculative: bool = False
+    #: in flight when a rank respawned: its completion proves nothing for
+    #: the restored rank, so only the requeued copy may settle the group
+    stale: bool = False
 
 
 class StudyAborted(RuntimeError):
@@ -195,7 +212,7 @@ class Coordinator:
         Optional :class:`~repro.scheduler.policy.SchedulingPolicy`.
         Without one the queue is plain FIFO; with one, completions feed
         per-worker EWMA throughput and the policy may speculate straggler
-        groups and hold slow workers back from the queue tail.
+        groups.
         Speculation requires ``config.discard_on_replay`` — exactness of
         duplicate completions rests on it.
     pool:
@@ -247,7 +264,10 @@ class Coordinator:
         self.events: List[Tuple[float, str, str]] = []
         self.worker_channel_stats: Dict[str, dict] = {}
         self.rank_channel_stats: Dict[int, dict] = {}
-        self._attempt_started: Dict[Tuple[int, int], float] = {}
+        # the one clock: each turn's monotonic ``now``, and the offset
+        # that turns it into wall-clock time for the timeline and tracer
+        self._now = time.monotonic()
+        self._wall_offset = time.time() - self._now
         self._rank_last_beat: Dict[int, float] = {}
         self._log = get_logger("coordinator", study=self.study_id)
         reg = _telemetry.REGISTRY
@@ -274,9 +294,6 @@ class Coordinator:
         self._m_spec_won = reg.counter(
             "repro_speculations_won",
             "groups settled first by their speculative copy")
-        self._m_holdbacks = reg.counter(
-            "repro_steal_holdbacks",
-            "assignments withheld from slow workers (work stealing)")
         self._m_rank_respawns = reg.counter(
             "repro_rank_respawns", "server-rank respawns (launcher protocol)")
         self._m_requeued_respawn = reg.counter(
@@ -305,10 +322,10 @@ class Coordinator:
         self._parked_next: Dict[int, _Peer] = {}
 
         self._pending = deque(range(config.ngroups))
-        # worker id -> the groups it holds, oldest first: sent but not
-        # yet acknowledged by the ranks, then the one it is running and
-        # the rest of its lease
-        self._assigned: Dict[int, List[int]] = {}
+        # worker id -> {group id -> attempt} for every group it holds,
+        # oldest first: sent but not yet acknowledged by the ranks, then
+        # the one it is running and the rest of its lease
+        self._held: Dict[int, Dict[int, Attempt]] = {}
         self._retries: Dict[int, int] = {}
         self.done: Set[int] = set()
         self.abandoned: List[int] = []
@@ -316,15 +333,13 @@ class Coordinator:
         self.interrupted: List[int] = []  # groups aborted by a rank death
         self.rank_respawns: List[int] = []  # ranks that re-registered
         self.requeued_after_respawn: List[int] = []
-        # (worker id, group id) attempts that were in flight when a rank
-        # respawned: their outcome proves nothing for the restored rank,
-        # so only the requeued copy may settle the group
-        self._stale_attempts: Set[Tuple[int, int]] = set()
-        # speculation bookkeeping: re-issued group ids (for reporting),
-        # the duplicate attempts themselves, and elastic-pool state
+        # speculation bookkeeping: re-issued group ids, groups settled
+        # first by their speculative copy, attempts ended because another
+        # copy settles their group; then elastic-pool state
         self.speculated: List[int] = []
+        self.speculation_wins = 0
+        self.duplicates_discarded = 0
         self.retired_workers: List[int] = []
-        self._speculative_attempts: Set[Tuple[int, int]] = set()
         self._worker_elastic: Dict[int, bool] = {}
         self._retired_wids: Set[int] = set()
         self._rank_generations: Dict[int, int] = {}
@@ -353,9 +368,8 @@ class Coordinator:
             # dies BEFORE it ever registers (bind failure, bad restore,
             # OOM kill) has no connection to drop, so only staleness from
             # this baseline can expose it for respawn
-            now = time.monotonic()
             for rank in range(self.config.server_ranks):
-                self.supervisor.beat(rank, now)
+                self.supervisor.beat(rank, self._now)
         self._event(
             "study_started",
             f"{self.config.ngroups} groups drawn, "
@@ -373,7 +387,7 @@ class Coordinator:
         launch end-of-run summary prints it); the tracer instant only
         exists under ``--trace``.
         """
-        now = time.time()
+        now = self._now + self._wall_offset
         self.events.append((now, kind, detail))
         if self.tracer is not None:
             self.tracer.instant(
@@ -382,32 +396,18 @@ class Coordinator:
             )
         self._log.info("%s %s", kind, detail, extra=ids(event=kind))
 
-    def _start_attempt(self, wid: int, gid: int) -> None:
-        self._attempt_started[(wid, gid)] = time.time()
-
-    def _finish_attempt(self, wid: int, gid: int, outcome: str) -> None:
-        t0 = self._attempt_started.pop((wid, gid), None)
-        if t0 is None or self.tracer is None:
-            return
-        self.tracer.complete(
-            f"group {gid}", "assigned", t0, time.time(),
-            tid=self._worker_names.get(wid, f"worker {wid}"),
-            args={"group": gid, "outcome": outcome},
-        )
-
     def _refresh_gauges(self) -> None:
         """Update point-in-time gauges (every loop turn)."""
         if not _telemetry.REGISTRY.enabled:
             return
         self._m_queue_depth.set(len(self._pending))
-        self._m_in_flight.set(len(self._attempts()))
+        self._m_in_flight.set(sum(map(len, self._held.values())))
         self._m_workers_active.set(len(self._worker_conns))
-        now = time.monotonic()
         for wid, last in self._last_seen.items():
             name = self._worker_names.get(wid, f"worker {wid}")
-            self._m_staleness.set(now - last, peer=name)
+            self._m_staleness.set(self._now - last, peer=name)
         for rank, last in self._rank_last_beat.items():
-            self._m_staleness.set(now - last, peer=f"server-rank-{rank}")
+            self._m_staleness.set(self._now - last, peer=f"server-rank-{rank}")
         if self.pool is not None:
             self._m_elastic_spawned.set(self.pool.spawned_total)
             self._m_elastic_retired.set(self.pool.retired_total)
@@ -426,7 +426,7 @@ class Coordinator:
             "ngroups": self.config.ngroups,
             "groups_done": len(self.done),
             "queue_depth": len(self._pending),
-            "in_flight": sum(map(len, list(self._assigned.values()))),
+            "in_flight": sum(map(len, list(self._held.values()))),
             "workers_active": len(self._worker_conns),
             "speculated": len(self.speculated),
             "resubmitted": len(self.resubmitted),
@@ -515,7 +515,7 @@ class Coordinator:
         due.extend(expiry for _, _, expiry in self._parked)
         due.extend(
             self._last_seen[wid] + self.worker_timeout
-            for wid in self._assigned
+            for wid in self._held
             if wid in self._last_seen
         )
         if self.supervisor is not None:
@@ -546,7 +546,7 @@ class Coordinator:
     def _groups_settled(self) -> bool:
         return (
             not self._pending
-            and not self._assigned
+            and not self._held
             and len(self.done) + len(self.abandoned) == self.config.ngroups
         )
 
@@ -563,10 +563,9 @@ class Coordinator:
                     self._errors.append(f"server rank {rank} lost before finalize")
 
     def _reap_stale_workers(self) -> None:
-        now = time.monotonic()
-        for wid in list(self._assigned):
-            last = self._last_seen.get(wid, now)
-            if now - last > self.worker_timeout:
+        for wid in list(self._held):
+            last = self._last_seen.get(wid, self._now)
+            if self._now - last > self.worker_timeout:
                 conn = self._worker_conns.get(wid)
                 if conn is not None:
                     conn.close()  # shutdown: the loop sees EOF and resubmits
@@ -585,7 +584,7 @@ class Coordinator:
         if self.supervisor is None:
             return []
         orphans: List[int] = []
-        for rank in self.supervisor.stale_ranks(time.monotonic()):
+        for rank in self.supervisor.stale_ranks(self._now):
             if rank in self.rank_states:
                 continue
             conn = self._rank_conns.get(rank)
@@ -620,7 +619,8 @@ class Coordinator:
         """One loop turn: dispatch what is readable, run the deadline
         work and the study-level verdicts (finalize, stale peers,
         elastic ramp-up), then answer every parked ``next`` the turn
-        resolved."""
+        resolved.  ``now`` is the turn's one clock reading."""
+        self._now = now
         for key, _ in events:
             if key.data == "listener":
                 self._accept_ready()
@@ -636,7 +636,9 @@ class Coordinator:
             # elastic ramp-up; the ramp-down half lives in _assign, where
             # an elastic worker asking for work against a drained queue
             # is told to retire instead
-            self.pool.maybe_spawn(len(self._pending), len(self._worker_conns))
+            self.pool.maybe_spawn(
+                len(self._pending), len(self._worker_conns), self._now
+            )
         self._refresh_gauges()
         if self._parked_next:
             self._serve_parked_next()
@@ -653,19 +655,25 @@ class Coordinator:
             except OSError:
                 pass
             peer = _Peer(sock, f"{peer_addr[0]}:{peer_addr[1]}")
-            peer.hello_deadline = time.monotonic() + self.worker_timeout
+            peer.hello_deadline = self._now + self.worker_timeout
             self._peers.add(peer)
             self._sel.register(sock, selectors.EVENT_READ, peer)
 
     def _pump_peer(self, peer: _Peer) -> None:
+        """Read and dispatch a peer's frames.  A frame that does not
+        decode, or a control dict with a missing or mistyped field, is
+        the peer's protocol error: that peer is lost, the study goes on."""
         try:
             frames = peer.reader.pump(peer.sock)
         except (ConnectionLost, ProtocolError, OSError, ValueError):
             self._peer_lost(peer)
             return
-        for frame in frames:
-            if not self._dispatch(peer, frame):
-                return  # the peer finished, detached, or was dropped
+        try:
+            for frame in frames:
+                if not self._dispatch(peer, frame):
+                    return  # the peer finished, detached, or was dropped
+        except ProtocolError:
+            self._peer_lost(peer)
 
     def _dispatch(self, peer: _Peer, frame: Any) -> bool:
         """Route one frame; False when the peer should pump no further."""
@@ -724,7 +732,9 @@ class Coordinator:
         self._detached.append(peer)
 
     def _peer_lost(self, peer: _Peer) -> None:
-        """EOF/reset/protocol violation on a registered peer."""
+        """EOF/reset/protocol violation on a registered peer, or a
+        worker's last frame or failed send: close; resubmit what a worker
+        held and forget it, or run a rank's loss path."""
         kind, rank, wid = peer.kind, peer.rank, peer.wid
         self._drop_fd(peer)
         if kind == "rank":
@@ -732,13 +742,6 @@ class Coordinator:
         elif kind == "worker":
             self._resubmit_if_assigned(wid)
             self._forget_worker(wid)
-
-    def _worker_teardown(self, peer: _Peer) -> None:
-        """A worker's last frame (or a failed send): close, resubmit,
-        forget."""
-        self._drop_fd(peer)
-        self._resubmit_if_assigned(peer.wid)
-        self._forget_worker(peer.wid)
 
     def _tick(self, now: float) -> None:
         """Per-turn deadline work: peers that never said hello, and
@@ -762,29 +765,34 @@ class Coordinator:
                 try:
                     peer.send(self._addressed_reply())
                 except ConnectionLost:
-                    self._worker_teardown(peer)
+                    self._peer_lost(peer)
             elif now >= deadline:
                 self._errors.append(
                     f"only {nregistered} of {self.config.server_ranks} "
                     f"server ranks registered"
                 )
-                self._worker_teardown(peer)
+                self._peer_lost(peer)
             else:
                 still_parked.append((peer, request, deadline))
         self._parked = still_parked
 
     # ------------------------------------------------------------------ #
     def _register_rank(self, peer: _Peer, hello: dict) -> bool:
-        rank = int(hello["rank"])
-        peer.kind, peer.rank = "rank", rank
+        rank = peer_field(hello, "rank", int)
+        if not 0 <= rank < self.config.server_ranks:
+            raise ProtocolError(f"no server rank {rank} in this study")
+        address = tuple(peer_field(hello, "address", (tuple, list)))
+        if [type(part) for part in address] != [str, int]:
+            raise ProtocolError(f"rank {rank} sent no (host, port) address")
         self._note_rank_registration(rank, hello)
-        self._rank_addresses[rank] = tuple(hello["address"])
+        peer.kind, peer.rank = "rank", rank
+        self._rank_addresses[rank] = address
         self._rank_conns[rank] = peer
         if self.supervisor is not None:
             self.supervisor.watch(rank, hello.get("pid"))
             # registration counts as liveness: a rank that hangs
             # before its first heartbeat must still look stale later
-            self.supervisor.beat(rank, time.monotonic())
+            self.supervisor.beat(rank, self._now)
         try:
             peer.send({
                 "op": "registered",
@@ -801,15 +809,16 @@ class Coordinator:
         rank = peer.rank
         if isinstance(frame, Heartbeat):
             if self.supervisor is not None:
-                self.supervisor.beat(rank, time.monotonic())
-            self._rank_last_beat[rank] = time.monotonic()
+                self.supervisor.beat(rank, self._now)
+            self._rank_last_beat[rank] = self._now
             if frame.metrics is not None and self.telemetry is not None:
                 self.telemetry.ingest(frame.sender, frame.metrics)
             return True
         if isinstance(frame, dict) and frame.get("op") == "rank_state":
-            self.rank_states[rank] = frame["state"]
-            self.rank_maps[rank] = frame["maps"]
-            self.rank_widths[rank] = frame["width"]
+            self.rank_widths[rank] = peer_field(frame, "width", (int, float))
+            self.rank_maps[rank] = peer_field(frame, "maps", dict)
+            # last: a rank is reported once its state is in
+            self.rank_states[rank] = peer_field(frame, "state", dict)
             if frame.get("channel_stats") is not None:
                 self.rank_channel_stats[rank] = frame["channel_stats"]
             self._event("rank_state", f"rank {rank} reported")
@@ -829,7 +838,7 @@ class Coordinator:
             # replacement like any other rank
             return True
         if isinstance(frame, dict) and frame.get("op") == "error":
-            self._errors.append(f"server rank {rank} failed:\n{frame['error']}")
+            self._errors.append(f"server rank {rank} failed:\n{frame.get('error')}")
             self._detach(peer)
             return False
         return True  # unknown rank frames are ignored, as before
@@ -844,20 +853,23 @@ class Coordinator:
         state is missing lost data with the old process — requeue it;
         replay protection on the other ranks discards the duplicates.
         """
+        restored = {
+            self._group_id(g)
+            for g in peer_field(hello, "finished", (tuple, list), ())
+        }
+        pid = hello.get("pid")
         generation = self._rank_generations.get(rank, -1) + 1
         self._rank_generations[rank] = generation
         if generation == 0:
-            self._event("rank_registered", f"rank {rank} (pid {hello.get('pid')})")
+            self._event("rank_registered", f"rank {rank} (pid {pid})")
             return
         self.rank_respawns.append(rank)
         self._m_rank_respawns.inc(rank=str(rank))
         self._event(
             "rank_respawned",
-            f"rank {rank} generation {generation} (pid {hello.get('pid')})",
+            f"rank {rank} generation {generation} (pid {pid})",
         )
-        restored = set(hello.get("finished", ()))
-        attempts = self._attempts()
-        at_risk = self.done | {g for _, g in attempts}
+        at_risk = self.done.union(*self._held.values())
         requeue = sorted(g for g in at_risk if g not in restored)
         for gid in requeue:
             self.done.discard(gid)
@@ -868,7 +880,9 @@ class Coordinator:
         # the restored rank never integrated; mark them stale so their
         # ``done`` report cannot settle the group
         missing = set(requeue)
-        self._stale_attempts.update(a for a in attempts if a[1] in missing)
+        for held in self._held.values():
+            for gid in missing.intersection(held):
+                held[gid] = held[gid]._replace(stale=True)
         self.requeued_after_respawn.extend(requeue)
         if requeue:
             self._m_requeued_respawn.inc(len(requeue))
@@ -931,7 +945,7 @@ class Coordinator:
         self._worker_names[wid] = str(hello.get("worker", f"worker-{wid}"))
         self._worker_conns[wid] = peer
         self._worker_elastic[wid] = bool(hello.get("elastic"))
-        self._last_seen[wid] = time.monotonic()
+        self._last_seen[wid] = self._now
         peer.kind, peer.wid = "worker", wid
         name = self._worker_names[wid]
         self._event("worker_joined", name + (" (elastic)" if hello.get("elastic") else ""))
@@ -941,14 +955,14 @@ class Coordinator:
                 "telemetry": self.telemetry is not None,
             })
         except ConnectionLost:
-            self._worker_teardown(peer)
+            self._peer_lost(peer)
             return False
         return True
 
     def _on_worker_frame(self, peer: _Peer, frame: Any) -> bool:
         wid = peer.wid
         name = self._worker_names.get(wid, str(wid))
-        self._last_seen[wid] = time.monotonic()
+        self._last_seen[wid] = self._now
         try:
             if isinstance(frame, Heartbeat):
                 if frame.metrics is not None and self.telemetry is not None:
@@ -968,7 +982,7 @@ class Coordinator:
                     # to a complete server.  Parked, not blocked: a later
                     # turn's tick fulfils or expires it.
                     self._parked.append(
-                        (peer, frame, time.monotonic() + self.worker_timeout)
+                        (peer, frame, self._now + self.worker_timeout)
                     )
                 return True
             if not isinstance(frame, dict):
@@ -978,33 +992,35 @@ class Coordinator:
                 # the request carries the groups the ranks acknowledged
                 # since the worker's last one: the receiving ranks have
                 # handled every frame of each
-                for gid in frame.get("done", ()):
-                    self._mark_done(wid, int(gid))
+                done = peer_field(frame, "done", (list, tuple), ())
+                for gid in [self._group_id(g) for g in done]:
+                    self._mark_done(wid, gid)
                 if not self._answer_next(peer):
                     self._parked_next[wid] = peer
             elif op == "group_interrupted":
                 # the worker aborted the group because a server rank
                 # died under it; requeue without charging the group's
                 # retry budget (the group is not at fault)
-                self._requeue_interrupted(wid, int(frame["group_id"]))
+                gid = self._group_id(peer_field(frame, "group_id", int))
+                self._requeue_interrupted(wid, gid)
             elif op == "error":
-                self._errors.append(f"worker {name} failed:\n{frame['error']}")
-                self._worker_teardown(peer)
+                self._errors.append(f"worker {name} failed:\n{frame.get('error')}")
+                self._peer_lost(peer)
                 return False
             elif op == "bye":
                 if frame.get("channel_stats") is not None:
                     self.worker_channel_stats[name] = frame["channel_stats"]
-                self._worker_teardown(peer)
+                self._peer_lost(peer)
                 return False
             else:
                 raise StudyAborted(f"unknown op from {name}: {op!r}")
             return True
         except ConnectionLost:
-            self._worker_teardown(peer)
+            self._peer_lost(peer)
             return False
         except StudyAborted as exc:
             self._errors.append(str(exc))
-            self._worker_teardown(peer)
+            self._peer_lost(peer)
             return False
 
     def _forget_worker(self, wid: int) -> None:
@@ -1021,7 +1037,14 @@ class Coordinator:
         if self.policy is not None:
             self.policy.worker_left(wid)
         if elastic and not retired and self.pool is not None:
-            self.pool.worker_lost()
+            self.pool.worker_lost(self._now)
+
+    def _group_id(self, gid: Any) -> int:
+        """A group id a peer sent: anything but one of this study's
+        groups is the peer's :class:`ProtocolError`."""
+        if not isinstance(gid, int) or not 0 <= gid < self.config.ngroups:
+            raise ProtocolError(f"no group {gid!r} in this study")
+        return gid
 
     def _addressed_reply(self) -> AddressedReply:
         """Rendezvous reply once the rank address table is complete."""
@@ -1046,7 +1069,7 @@ class Coordinator:
         wid = peer.wid
         reply, kill_pid = self._assign(wid)
         if reply["op"] == "idle":
-            if not self._assigned.get(wid):
+            if wid not in self._held:
                 return False
             reply = {"op": "settle"}
         peer.send(reply)
@@ -1067,24 +1090,40 @@ class Coordinator:
                 if self._answer_next(peer):
                     del self._parked_next[wid]
             except ConnectionLost:
-                self._worker_teardown(peer)
+                self._peer_lost(peer)
 
-    def _attempts(self) -> List[Tuple[int, int]]:
-        """Every (worker id, group id) attempt currently held."""
-        return [(w, g) for w, gids in self._assigned.items() for g in gids]
+    def _is_held(self, gid: int) -> bool:
+        return any(gid in held for held in self._held.values())
 
-    def _hold(self, wid: int, gid: int) -> None:
-        self._assigned.setdefault(wid, []).append(gid)
+    def _hold(self, wid: int, gid: int, speculative: bool = False) -> None:
+        self._held.setdefault(wid, {})[gid] = Attempt(self._now, speculative)
+        self._assign_count += 1
 
-    def _release(self, wid: int, gid: int) -> bool:
-        """Drop one held attempt; False if the worker did not hold it."""
-        gids = self._assigned.get(wid, ())
-        if gid not in gids:
-            return False
-        gids.remove(gid)
-        if not gids:
-            del self._assigned[wid]
-        return True
+    def _release(self, wid: int, gid: int, outcome: str) -> Optional[Attempt]:
+        """End one held attempt — the one place an attempt ends: emit
+        its tracer span, feed a completion's duration to the policy's
+        EWMA, count a settled duplicate.  None if the worker did not
+        hold the group."""
+        held = self._held.get(wid)
+        attempt = held.pop(gid, None) if held else None
+        if attempt is None:
+            return None
+        if not held:
+            del self._held[wid]
+        if self.tracer is not None:
+            self.tracer.complete(
+                f"group {gid}", "assigned",
+                attempt.started + self._wall_offset,
+                self._now + self._wall_offset,
+                tid=self._worker_names.get(wid, f"worker {wid}"),
+                args={"group": gid, "outcome": outcome},
+            )
+        if outcome in ("done", "speculation-won") and self.policy is not None:
+            self.policy.completed(wid, self._now - attempt.started)
+        elif outcome in ("settled-by-duplicate", "stale", "superseded-by-requeue"):
+            # another copy settles (or will settle) the group
+            self.duplicates_discarded += 1
+        return attempt
 
     def _assign(self, wid: int):
         """Next work item for a worker: a lease of groups, a speculative
@@ -1095,18 +1134,20 @@ class Coordinator:
         A lease is ``min(MAX_HELD_GROUPS - groups the worker holds,
         pending // (2 * live workers))`` groups, at least one, each a held
         attempt from now on; half the queue stays for the rest of the
-        fleet.  With a scheduling policy the lease is one group: its
-        per-group clock starts at assignment, so groups queued behind a
-        longer lease would look overdue and draw speculative copies."""
-        now = time.monotonic()
+        fleet.  A group the worker still holds (a stale attempt whose
+        copy a rank respawn requeued) stays queued for a later lease.
+        With a scheduling policy the lease is one group: its clock starts
+        at the lease, so groups queued behind a longer lease would look
+        overdue and draw speculative copies."""
+        held = self._held.get(wid, {})
         if (
             self.pool is not None
             and self._worker_elastic.get(wid)
             and wid not in self._retired_wids
             # a retiring worker leaves at once: it must hold nothing
-            and not self._assigned.get(wid)
+            and not held
             and self.pool.offer_retire(
-                len(self._pending), len(self._worker_conns), now
+                len(self._pending), len(self._worker_conns), self._now
             )
         ):
             # elastic ramp-down: the queue is drained below the low water
@@ -1127,115 +1168,85 @@ class Coordinator:
                 return {"op": "done"}, None
             return {"op": "idle"}, None
         if not self._pending:
-            gid = self._speculation_candidate(wid, now)
-            if gid is not None:
-                # straggler re-execution: hand the overdue group to this
-                # idle worker too; first completion wins
-                self._hold(wid, gid)
-                self._assign_count += 1
-                self._leases += 1
-                self._speculative_attempts.add((wid, gid))
-                self.speculated.append(gid)
-                self.policy.record_speculation(gid)
-                self.policy.assigned(wid, gid, now)
-                self._m_spec_fired.inc()
-                self._start_attempt(wid, gid)
-                self._event(
-                    "speculation",
-                    f"group {gid} re-issued to "
-                    f"{self._worker_names.get(wid, wid)}",
-                )
-                return {"op": "group", "group_ids": [gid]}, None
-            # workers still hold groups that may yet be resubmitted; stay
-            # around
-            return {"op": "idle"}, None
-        if self.policy is not None and self.policy.should_hold_back(
-            wid, len(self._pending)
-        ):
-            # work stealing: this worker is demonstrably slow and the
-            # queue tail fits in the fast workers' hands — defer it
-            self._m_holdbacks.inc()
-            return {"op": "idle"}, None
+            # stale attempts and done groups are not worth a second copy
+            live = [
+                (holder, gid, attempt.started)
+                for holder, attempts in self._held.items()
+                for gid, attempt in attempts.items()
+                if not attempt.stale and gid not in self.done
+            ]
+            gid = None if self.policy is None else self.policy.speculation_candidate(
+                wid, live, len(self.speculated), self._now
+            )
+            if gid is None:
+                # workers still hold groups that may yet be resubmitted;
+                # stay around
+                return {"op": "idle"}, None
+            # straggler re-execution: hand the overdue group to this idle
+            # worker too; first completion wins
+            self._hold(wid, gid, speculative=True)
+            self._leases += 1
+            self.speculated.append(gid)
+            self._m_spec_fired.inc()
+            self._event(
+                "speculation",
+                f"group {gid} re-issued to {self._worker_names.get(wid, wid)}",
+            )
+            return {"op": "group", "group_ids": [gid]}, None
         size = 1 if self.policy is not None else max(1, min(
-            MAX_HELD_GROUPS - len(self._assigned.get(wid, ())),
+            MAX_HELD_GROUPS - len(held),
             len(self._pending) // (2 * max(1, len(self._worker_conns))),
         ))
-        gids = [self._pending.popleft() for _ in range(size)]
+        gids: List[int] = []
+        skipped: List[int] = []
+        while self._pending and len(gids) < size:
+            gid = self._pending.popleft()
+            (skipped if gid in held else gids).append(gid)
+        self._pending.extendleft(reversed(skipped))
+        if not gids:
+            return {"op": "idle"}, None
         kill_pid = None
         for gid in gids:
             self._hold(wid, gid)
-            if self.policy is not None:
-                self.policy.assigned(wid, gid, now)
-            self._start_attempt(wid, gid)
-            self._assign_count += 1
             if self._assign_count == self.fault_kill_after:
                 kill_pid = self._worker_pids.get(wid)
         self._leases += 1
         return {"op": "group", "group_ids": gids}, kill_pid
 
-    def _speculation_candidate(self, wid: int, now: float) -> Optional[int]:
-        """Straggling group worth re-issuing to idle worker ``wid``.
-        Stale attempts and already-done groups are not worth a second
-        copy, so they are filtered before the policy sees them."""
-        if self.policy is None:
-            return None
-        candidates = {
-            attempt: attempt[1]
-            for attempt in self._attempts()
-            if attempt not in self._stale_attempts and attempt[1] not in self.done
-        }
-        return self.policy.speculation_candidate(wid, candidates, now)
-
     def _mark_done(self, wid: int, gid: int) -> None:
-        was_mine = self._release(wid, gid)
-        speculative = (wid, gid) in self._speculative_attempts
-        self._speculative_attempts.discard((wid, gid))
-        if (wid, gid) in self._stale_attempts:
+        attempt = self._held.get(wid, {}).get(gid)
+        if attempt is not None and attempt.stale:
             # this attempt was in flight when a rank respawned: its
             # "completion" may rest on credits the dead rank never
             # integrated, so only the requeued copy settles the group
-            self._stale_attempts.discard((wid, gid))
-            self._finish_attempt(wid, gid, "stale")
-            if self.policy is not None:
-                self.policy.discarded(wid, gid)
-        elif gid not in self._pending:
-            # a respawn may have requeued this group while the worker was
+            self._release(wid, gid, "stale")
+            return
+        if gid in self._pending:
+            # a respawn requeued this group while the worker was
             # finishing it; the queued duplicate still runs (the
-            # respawned rank needs the re-sent data), so the group is not
-            # done yet
-            first = gid not in self.done
+            # respawned rank needs the re-sent data), so the completion
+            # settles nothing
+            self._release(wid, gid, "superseded-by-requeue")
+            return
+        speculative = attempt is not None and attempt.speculative
+        if gid not in self.done:
             self.done.add(gid)
-            if first:
-                self._m_groups_done.inc()
-            if first and speculative:
+            self._m_groups_done.inc()
+            if speculative:
                 self._m_spec_won.inc()
-            self._finish_attempt(
-                wid, gid, "speculation-won" if speculative else "done"
-            )
-            if self.policy is not None and was_mine:
-                self.policy.completed(wid, gid, time.monotonic())
-                if first and speculative:
-                    self.policy.record_win(gid)
-            # first completion wins: settle every other running copy of
-            # this group.  The winner's report proves each rank credited
-            # (and pre-finalize drains) every byte, so the statistics
-            # already contain the group; the losers' residual frames are
-            # replay-discarded during the ranks' linger phase.  No forget
-            # broadcast — the losers' staged partials are orphaned
-            # (group, timestep) entries the discard path drops on its own.
-            for other, g in self._attempts():
-                if g == gid and (other, gid) not in self._stale_attempts:
-                    self._release(other, gid)
-                    self._speculative_attempts.discard((other, gid))
-                    self._finish_attempt(other, gid, "settled-by-duplicate")
-                    if self.policy is not None:
-                        self.policy.discarded(other, gid)
-        else:
-            # requeued while finishing: the completion settles nothing
-            # (the queued copy will), so only stop the attempt's clock
-            self._finish_attempt(wid, gid, "superseded-by-requeue")
-            if self.policy is not None:
-                self.policy.discarded(wid, gid)
+                self.speculation_wins += 1
+        self._release(wid, gid, "speculation-won" if speculative else "done")
+        # first completion wins: settle every other running copy of this
+        # group.  The winner's report proves each rank credited (and
+        # pre-finalize drains) every byte, so the statistics already
+        # contain the group; the losers' residual frames are
+        # replay-discarded during the ranks' linger phase.  No forget
+        # broadcast — the losers' staged partials are orphaned
+        # (group, timestep) entries the discard path drops on its own.
+        for other, held in list(self._held.items()):
+            sibling = held.get(gid)
+            if sibling is not None and not sibling.stale:
+                self._release(other, gid, "settled-by-duplicate")
 
     def _requeue_interrupted(self, wid: int, gid: int) -> None:
         """A rank died under a running group: re-run it, free of charge.
@@ -1245,21 +1256,15 @@ class Coordinator:
         dedupes against the respawn requeue, which may have already put
         the same group back in the queue.
         """
-        self._release(wid, gid)
-        if self.policy is not None:
-            self.policy.discarded(wid, gid)
-        self._speculative_attempts.discard((wid, gid))
+        attempt = self._release(wid, gid, "interrupted")
         self.interrupted.append(gid)
         self._m_interrupted.inc()
-        self._finish_attempt(wid, gid, "interrupted")
         self._event(
             "group_interrupted",
             f"group {gid} aborted on "
             f"{self._worker_names.get(wid, wid)} (rank died under it)",
         )
-        stale = (wid, gid) in self._stale_attempts
-        self._stale_attempts.discard((wid, gid))
-        if stale or any(g == gid for _, g in self._attempts()):
+        if (attempt is not None and attempt.stale) or self._is_held(gid):
             # a stale attempt needs no requeue (the respawn already queued
             # a copy) and neither does a speculation sibling (the other
             # copy is still running and settles the group itself).  NO
@@ -1276,12 +1281,38 @@ class Coordinator:
         rest of its lease, the one it was running, and those it had sent
         whose frames the ranks had not acknowledged (a dead worker's
         outbox is gone, so none can be proven delivered)."""
-        for gid in self._assigned.pop(wid, ()):
-            if self._resubmit(wid, gid):
-                # the ranks drop the dead instance's staged partials;
-                # integrated timesteps stay and replay protection discards
-                # their re-sends, so the resubmitted run is exact
-                self._broadcast_forget(gid)
+        name = self._worker_names.get(wid, wid)
+        for gid in list(self._held.get(wid, ())):
+            stale = self._release(wid, gid, "worker-lost").stale
+            if gid in self.done or self._is_held(gid):
+                # settled already, or a speculation sibling still runs
+                # it: its stream must keep landing, so no forget
+                # broadcast — and no retry charge or requeue for a death
+                # the group survives
+                continue
+            if stale or gid in self._pending:
+                # a rank respawn already requeued this group; the queued
+                # copy will re-run it — don't double-queue or charge the
+                # group's retry budget for a death that isn't its fault
+                continue
+            self._retries[gid] = self._retries.get(gid, 0) + 1
+            if self._retries[gid] > self.config.max_group_retries:
+                self.abandoned.append(gid)
+                self._event(
+                    "group_abandoned",
+                    f"group {gid} out of retries after {name} died",
+                )
+            else:
+                self.resubmitted.append(gid)
+                self._pending.append(gid)
+                self._m_resubmits.inc()
+                self._event(
+                    "group_resubmitted", f"group {gid} requeued ({name} died)"
+                )
+            # the ranks drop the dead instance's staged partials;
+            # integrated timesteps stay and replay protection discards
+            # their re-sends, so the resubmitted run is exact
+            self._broadcast_forget(gid)
 
     def _broadcast_forget(self, gid: int) -> None:
         """Tell every rank to drop a group's staged partials."""
@@ -1290,41 +1321,3 @@ class Coordinator:
                 conn.send({"op": "forget", "group_id": gid})
             except ConnectionLost:
                 pass
-
-    def _resubmit(self, wid: int, gid: int) -> bool:
-        """Settle one attempt of a lost worker (attempt already released);
-        True when the ranks must forget its staged partials."""
-        self._finish_attempt(wid, gid, "worker-lost")
-        if self.policy is not None:
-            self.policy.discarded(wid, gid)
-        self._speculative_attempts.discard((wid, gid))
-        stale = (wid, gid) in self._stale_attempts
-        self._stale_attempts.discard((wid, gid))
-        if gid in self.done:
-            return False
-        if any(g == gid for _, g in self._attempts()):
-            # a speculation sibling still runs this group; its stream
-            # must keep landing, so no forget broadcast — and no retry
-            # charge or requeue for a death the group survives
-            return False
-        if stale or gid in self._pending:
-            # a rank respawn already requeued this group; the queued copy
-            # will re-run it — don't double-queue or charge the group's
-            # retry budget for a death that isn't its fault
-            return False
-        self._retries[gid] = self._retries.get(gid, 0) + 1
-        name = self._worker_names.get(wid, wid)
-        if self._retries[gid] > self.config.max_group_retries:
-            self.abandoned.append(gid)
-            self._event(
-                "group_abandoned",
-                f"group {gid} out of retries after {name} died",
-            )
-        else:
-            self.resubmitted.append(gid)
-            self._pending.append(gid)
-            self._m_resubmits.inc()
-            self._event(
-                "group_resubmitted", f"group {gid} requeued ({name} died)"
-            )
-        return True

@@ -77,6 +77,25 @@ class ProtocolError(ValueError):
     """
 
 
+_MISSING = object()
+
+
+def peer_field(frame: dict, key: str, kind: Any, default: Any = _MISSING) -> Any:
+    """``frame[key]`` of a peer's control dict, checked against ``kind``.
+
+    A missing field (unless it has a ``default``) or a mistyped one is the
+    peer's :class:`ProtocolError`, so the reader drops that peer only.
+    """
+    if key not in frame and default is not _MISSING:
+        return default
+    value = frame.get(key, _MISSING)
+    if value is _MISSING or not isinstance(value, kind):
+        raise ProtocolError(
+            f"{frame.get('op')!r} frame has a missing or mistyped {key!r}"
+        )
+    return value
+
+
 @dataclass(frozen=True)
 class Doorbell:
     """Wakeup ping on a data connection whose payload rides a shm ring.
@@ -223,12 +242,28 @@ def check_body_len(body_len: int) -> int:
 
 
 def decode_control_body(tag: bytes, body: bytes) -> Any:
-    """Decode a non-field frame body (shared by every transport fabric)."""
+    """Decode a non-field frame body (shared by every transport fabric).
+
+    Total: a body that does not decode exactly — short, long, or garbage
+    — raises :class:`ProtocolError`.  Every exception is converted, since
+    unpickling a malformed body can raise any of them.
+    """
+    try:
+        return _decode_control_body(tag, body)
+    except ProtocolError:
+        raise
+    except Exception as exc:
+        raise ProtocolError(f"malformed {tag!r} frame body: {exc}") from exc
+
+
+def _decode_control_body(tag: bytes, body: bytes) -> Any:
     if tag == TAG_CONN_REQUEST:
         group, ncells, nranks_client = _CONN_REQUEST.unpack(body)
         return ConnectionRequest(group, ncells, nranks_client)
     if tag == TAG_CONN_REPLY:
         (n,) = struct.unpack_from("<q", body)
+        if n < 0:
+            raise ProtocolError(f"reply names {n} server ranks")
         offsets = struct.unpack_from(f"<{n + 1}q", body, 8)
         pos = 8 + 8 * (n + 1)
         addresses = []
@@ -238,12 +273,16 @@ def decode_control_body(tag: bytes, body: bytes) -> Any:
             host = body[pos : pos + hlen].decode("utf-8")
             pos += hlen
             addresses.append((host, int(port)))
+        if pos != len(body):
+            raise ProtocolError(f"reply body is {len(body)} bytes, not {pos}")
         return AddressedReply(
             ConnectionReply(nranks_server=n, offsets=offsets), tuple(addresses)
         )
     if tag == TAG_HEARTBEAT:
         t, sender_len = _HEARTBEAT.unpack_from(body)
         pos = _HEARTBEAT.size
+        if pos + sender_len > len(body):
+            raise ProtocolError("heartbeat sender overruns its body")
         sender = body[pos : pos + sender_len].decode("utf-8")
         payload = body[pos + sender_len :]
         metrics = pickle.loads(payload) if payload else None
@@ -252,6 +291,8 @@ def decode_control_body(tag: bytes, body: bytes) -> Any:
         (nbytes,) = _CREDIT.unpack(body)
         return Credit(nbytes)
     if tag == TAG_DOORBELL:
+        if body:
+            raise ProtocolError("doorbell frame carries a body")
         return Doorbell()
     if tag == TAG_CONTROL:
         return pickle.loads(body)

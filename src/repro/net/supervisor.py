@@ -129,40 +129,33 @@ class PoolSupervisor:
         self.policy = policy
 
     # ------------------------------------------------------------------ #
-    def maybe_spawn(
-        self, queue_depth: int, active_workers: int, now: Optional[float] = None
-    ) -> bool:
+    def maybe_spawn(self, queue_depth: int, active_workers: int, now: float) -> bool:
         """Spawn one extra worker if the policy wants one right now.
 
         Called every coordinator loop turn.  One worker per call: the
         cooldown paces the ramp, so a deep queue grows the pool
         gradually instead of all at once.
         """
-        now = time.monotonic() if now is None else now
         if not self.policy.want_spawn(queue_depth, active_workers, now):
             return False
         self.policy.record_spawn(now)
         self.spawner(self.policy.spawned - 1)
         return True
 
-    def offer_retire(
-        self, queue_depth: int, active_workers: int, now: Optional[float] = None
-    ) -> bool:
+    def offer_retire(self, queue_depth: int, active_workers: int, now: float) -> bool:
         """Should the elastic worker asking for work be retired instead?
 
         Pure bookkeeping: on True the caller sends the worker a
         ``retire`` op and it exits cleanly.
         """
-        now = time.monotonic() if now is None else now
         if not self.policy.want_retire(queue_depth, active_workers, now):
             return False
         self.policy.record_retire(now)
         return True
 
-    def worker_lost(self, now: Optional[float] = None) -> None:
+    def worker_lost(self, now: float) -> None:
         """An elastic worker died without being retired: free its slot so
         the budgeted remainder can still spawn replacements."""
-        now = time.monotonic() if now is None else now
         self.policy.extra_lost(now)
 
     @property

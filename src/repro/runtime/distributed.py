@@ -97,8 +97,8 @@ class DistributedRuntime:
     Scheduling: ``config.scheduling`` (a
     :class:`~repro.scheduler.policy.SchedulingConfig` or spec string)
     attaches the coordinator-side policy layer — speculative re-execution
-    of straggler groups, work stealing, and elastic pool resize (extra
-    workers forked on queue depth, retired when it drains).
+    of straggler groups and elastic pool resize (extra workers forked on
+    queue depth, retired when it drains).
     """
 
     def __init__(
@@ -194,7 +194,6 @@ class DistributedRuntime:
         )
         self.coordinator: Optional[Coordinator] = None
         self.supervisor: Optional[RankSupervisor] = None
-        self.scheduling_policy: Optional[SchedulingPolicy] = None
         self.pool: Optional[PoolSupervisor] = None
         self.server_procs: List = []
         self.worker_procs: List = []
@@ -235,7 +234,6 @@ class DistributedRuntime:
                     spawner=self._spawn_elastic_worker,
                     policy=ElasticPoolPolicy(scheduling),
                 )
-        self.scheduling_policy = policy
         self.pool = pool
         telemetry = tracer = None
         if self.telemetry_enabled:

@@ -17,7 +17,7 @@ surface:
 
 :mod:`repro.scheduler.policy` is the *live* counterpart: the
 coordinator-side scheduling policy layer (EWMA straggler detection,
-speculative re-execution, work stealing, elastic pool resize) that gives
+speculative re-execution, elastic pool resize) that gives
 the socket deployment the elasticity the batch substrate models in
 virtual time.
 """

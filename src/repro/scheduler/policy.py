@@ -15,13 +15,12 @@ decisions out; no sockets, no processes, injected clocks):
   accepts an instance or a compact spec string via
   :func:`parse_scheduling`);
 * :class:`SchedulingPolicy` — EWMA per-worker throughput tracking fed by
-  group-completion reports, speculative re-execution verdicts (re-issue
-  a group to a second worker once its running time exceeds a multiple of
-  the fleet-median group duration; first completion wins and the
-  duplicate is discarded exactly by the same replay protection that
-  absorbs rank-respawn re-runs), and work stealing (a demonstrably slow
-  worker is refused the last queued groups so fast workers drain the
-  tail);
+  the durations of completed group attempts, and speculative
+  re-execution verdicts over the held attempts the coordinator passes in
+  (re-issue a group to a second worker once its running time exceeds a
+  multiple of the fleet-median group duration; first completion wins and
+  the duplicate is discarded exactly by the same replay protection that
+  absorbs rank-respawn re-runs);
 * :class:`ElasticPoolPolicy` — watermark bookkeeping for elastic pool
   resize; the :class:`~repro.net.supervisor.PoolSupervisor` executes its
   spawn/retire verdicts against real worker processes.
@@ -39,7 +38,7 @@ from __future__ import annotations
 import statistics as _statistics
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Mapping, Optional, Tuple
+from typing import Deque, Dict, Optional, Sequence, Tuple
 
 __all__ = [
     "SchedulingConfig",
@@ -63,19 +62,12 @@ class SchedulingConfig:
     #: re-issue a group once its running time exceeds this multiple of
     #: the fleet-median group duration
     multiple: float = 3.0
-    #: completions needed before the fleet median is trusted (also the
-    #: per-worker sample floor for work-stealing verdicts)
+    #: completions needed before the fleet median is trusted
     min_done: int = 3
     #: per-study budget of speculative re-issues
     speculation_budget: int = 32
     #: EWMA smoothing for per-worker seconds-per-group
     alpha: float = 0.3
-
-    # --- work stealing ------------------------------------------------
-    steal: bool = False
-    #: a worker whose EWMA duration exceeds ``steal_ratio`` x the fleet
-    #: median is held back from the queue tail
-    steal_ratio: float = 2.0
 
     # --- elastic pool resize -------------------------------------------
     elastic: bool = False
@@ -101,8 +93,6 @@ class SchedulingConfig:
             raise ValueError("speculation_budget must be >= 0")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
-        if self.steal_ratio <= 1.0:
-            raise ValueError("steal_ratio must be > 1")
         if self.low_water < 0:
             raise ValueError("low_water must be >= 0")
         if self.high_water <= self.low_water:
@@ -119,14 +109,13 @@ class SchedulingConfig:
     @property
     def enabled(self) -> bool:
         """Does any feature deviate from plain FIFO?"""
-        return self.speculate or self.steal or self.elastic
+        return self.speculate or self.elastic
 
 
 _CLAUSE_PARAMS = {
     "speculate": {
         "multiple": float, "min_done": int, "budget": int, "alpha": float,
     },
-    "steal": {"ratio": float},
     "elastic": {
         "high": int, "low": int, "max": int, "budget": int,
         "min": int, "cooldown": float,
@@ -135,7 +124,6 @@ _CLAUSE_PARAMS = {
 
 _PARAM_FIELDS = {
     ("speculate", "budget"): "speculation_budget",
-    ("steal", "ratio"): "steal_ratio",
     ("elastic", "high"): "high_water",
     ("elastic", "low"): "low_water",
     ("elastic", "max"): "max_extra",
@@ -151,11 +139,11 @@ def parse_scheduling(spec: str) -> SchedulingConfig:
     each ``kind[:key=value[,key=value...]]``::
 
         speculate                      speculate:multiple=2.5,min_done=1
-        speculate;steal                elastic:high=6,low=1,max=4
+        speculate;elastic              elastic:high=6,low=1,max=4
         fifo                           (everything off, the default)
 
     Clauses: ``speculate`` (keys ``multiple``, ``min_done``, ``budget``,
-    ``alpha``), ``steal`` (key ``ratio``), ``elastic`` (keys ``high``,
+    ``alpha``), ``elastic`` (keys ``high``,
     ``low``, ``max``, ``budget``, ``min``, ``cooldown``), ``fifo`` (no
     keys; explicit no-op so scripts can spell the default).
     """
@@ -170,7 +158,7 @@ def parse_scheduling(spec: str) -> SchedulingConfig:
         if kind not in _CLAUSE_PARAMS:
             raise ValueError(
                 f"unknown scheduling clause {kind!r} "
-                "(use speculate | steal | elastic | fifo)"
+                "(use speculate | elastic | fifo)"
             )
         overrides[kind] = True
         allowed = _CLAUSE_PARAMS[kind]
@@ -192,13 +180,14 @@ def parse_scheduling(spec: str) -> SchedulingConfig:
 
 
 class SchedulingPolicy:
-    """EWMA throughput tracking + speculation/steal verdicts.
+    """EWMA throughput tracking + the speculation verdict.
 
-    Pure bookkeeping over what the coordinator observes (assignments,
-    completions, worker departures); only the coordinator's one loop
-    thread calls in, so no locking lives here.  All clocks are injected
-    ``now`` values (``time.monotonic`` in production, plain floats in
-    tests).
+    Pure bookkeeping over what the coordinator observes: group durations
+    and worker departures in, verdicts out.  The coordinator owns every
+    held attempt (when it started, whether it is a speculative copy) and
+    passes the live ones in, so no per-attempt state lives here; only its
+    one loop thread calls in, so no locking does either.  Every clock is
+    an injected ``now`` (the coordinator's turn, plain floats in tests).
     """
 
     def __init__(self, config: SchedulingConfig):
@@ -206,13 +195,7 @@ class SchedulingPolicy:
         #: smoothed seconds-per-group per live worker
         self.ewma: Dict[int, float] = {}
         self.completions: Dict[int, int] = {}
-        self._started: Dict[Tuple[int, int], float] = {}
         self._durations: Deque[float] = deque(maxlen=65)
-        #: group ids re-issued speculatively (may repeat across respawns)
-        self.speculated: List[int] = []
-        self.speculation_wins = 0
-        self.duplicates_discarded = 0
-        self.holds = 0
 
     # ---------------------------------------------------------------- #
     # observations
@@ -221,18 +204,11 @@ class SchedulingPolicy:
         """A worker disconnected: its speed no longer describes the fleet."""
         self.ewma.pop(wid, None)
         self.completions.pop(wid, None)
-        for key in [k for k in self._started if k[0] == wid]:
-            del self._started[key]
 
-    def assigned(self, wid: int, gid: int, now: float) -> None:
-        self._started[(wid, gid)] = now
-
-    def completed(self, wid: int, gid: int, now: float) -> Optional[float]:
-        """A group-completion report: feed the worker's EWMA."""
-        start = self._started.pop((wid, gid), None)
-        if start is None:
-            return None
-        duration = max(now - start, 0.0)
+    def completed(self, wid: int, duration: float) -> None:
+        """A group attempt of ``duration`` seconds completed on ``wid``:
+        feed the worker's EWMA and the fleet's duration window."""
+        duration = max(duration, 0.0)
         prev = self.ewma.get(wid)
         alpha = self.config.alpha
         self.ewma[wid] = (
@@ -240,13 +216,6 @@ class SchedulingPolicy:
         )
         self.completions[wid] = self.completions.get(wid, 0) + 1
         self._durations.append(duration)
-        return duration
-
-    def discarded(self, wid: int, gid: int) -> None:
-        """An attempt settled by someone else (speculation loser, stale
-        respawn attempt): stop timing it without feeding the EWMA."""
-        if self._started.pop((wid, gid), None) is not None:
-            self.duplicates_discarded += 1
 
     # ---------------------------------------------------------------- #
     # verdicts
@@ -258,81 +227,37 @@ class SchedulingPolicy:
         return float(_statistics.median(self._durations))
 
     def speculation_candidate(
-        self, wid: int, assigned: Mapping[int, int], now: float
+        self,
+        wid: int,
+        attempts: Sequence[Tuple[int, int, float]],
+        spent: int,
+        now: float,
     ) -> Optional[int]:
         """Straggling group worth re-issuing to idle worker ``wid``.
 
-        Only called when the queue is empty.  A group qualifies when it
-        has exactly one running copy, held by a *different* worker, and
-        has been running longer than ``multiple`` x the fleet median.
-        Returns the longest-overdue group id, or None.
+        ``attempts`` are the live ``(holder, group id, started)`` attempts
+        and ``spent`` the speculative copies already issued.  A group
+        qualifies when it has exactly one live attempt, held by a
+        *different* worker, that has been running longer than
+        ``multiple`` x the fleet median.  Returns the longest-overdue
+        group id, or None.
         """
         cfg = self.config
-        if not cfg.speculate or len(self.speculated) >= cfg.speculation_budget:
+        if not cfg.speculate or spent >= cfg.speculation_budget:
             return None
         median = self.median_duration()
         if median is None or median <= 0.0:
             return None
-        threshold = cfg.multiple * median
-        copies = Counter(assigned.values())
-        best: Optional[Tuple[float, int]] = None
-        for (holder, gid), start in self._started.items():
-            if holder == wid or copies.get(gid, 0) != 1:
-                continue
-            running = now - start
-            if running <= threshold:
-                continue
-            if best is None or running > best[0]:
-                best = (running, gid)
+        copies = Counter(gid for _, gid, _ in attempts)
+        overdue = [
+            (now - started, gid)
+            for holder, gid, started in attempts
+            if holder != wid
+            and copies[gid] == 1
+            and now - started > cfg.multiple * median
+        ]
+        best = max(overdue, key=lambda item: item[0], default=None)
         return None if best is None else best[1]
-
-    def record_speculation(self, gid: int) -> None:
-        self.speculated.append(gid)
-
-    def record_win(self, gid: int) -> None:
-        """A speculative copy finished before the original."""
-        self.speculation_wins += 1
-
-    def should_hold_back(self, wid: int, queue_depth: int) -> bool:
-        """Work stealing: refuse the queue tail to a demonstrably slow
-        worker while enough faster workers are alive to drain it.
-
-        Holding back is only ever a deferral — if every faster worker
-        disconnects, the slow worker's next request is served normally,
-        so the queue cannot deadlock on a vanished fleet.
-        """
-        cfg = self.config
-        if not cfg.steal or queue_depth <= 0:
-            return False
-        if self.completions.get(wid, 0) < cfg.min_done:
-            return False
-        median = self.median_duration()
-        if median is None or median <= 0.0:
-            return False
-        mine = self.ewma.get(wid)
-        if mine is None or mine <= cfg.steal_ratio * median:
-            return False
-        faster = sum(
-            1
-            for other, speed in self.ewma.items()
-            if other != wid
-            and speed <= median
-            and self.completions.get(other, 0) >= cfg.min_done
-        )
-        if faster == 0 or queue_depth > faster:
-            return False
-        self.holds += 1
-        return True
-
-    # ---------------------------------------------------------------- #
-    def summary(self) -> dict:
-        return {
-            "speculated_groups": list(self.speculated),
-            "speculation_wins": self.speculation_wins,
-            "duplicates_discarded": self.duplicates_discarded,
-            "steal_holds": self.holds,
-            "worker_ewma_seconds": dict(self.ewma),
-        }
 
 
 class ElasticPoolPolicy:

@@ -67,7 +67,7 @@ def held_at_worker_loss(monkeypatch) -> list:
     resubmit = Coordinator._resubmit_if_assigned
 
     def recording(self, wid):
-        held = list(self._assigned.get(wid, ()))
+        held = list(self._held.get(wid, ()))
         if held:
             lost.append(held)
         resubmit(self, wid)

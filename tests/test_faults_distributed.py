@@ -593,7 +593,7 @@ class TestStragglerSpeculation:
         straggled_wall = time.monotonic() - t0
 
         assert runtime.coordinator.speculated, "speculation never fired"
-        assert runtime.scheduling_policy.duplicates_discarded >= 1
+        assert runtime.coordinator.duplicates_discarded >= 1
         assert straggled.groups_integrated == 12
         # +1s absorbs process startup noise on loaded CI machines
         assert straggled_wall < 2.0 * clean_wall + 1.0, (

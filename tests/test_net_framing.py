@@ -37,6 +37,7 @@ from repro.net.framing import (
     ProtocolError,
     backoff_intervals,
     connect_with_retry,
+    decode_control_body,
     encode_frame,
     frame_nbytes,
     recv_frame,
@@ -707,6 +708,50 @@ class TestHardenedDecoder:
             else:
                 with pytest.raises(ProtocolError):
                     recv_frame(sock)
+
+
+#: one well-formed frame per control tag
+_CONTROL_FRAMES = {
+    "Q": ConnectionRequest(group_id=3, ncells=10, nranks_client=2),
+    "R": AddressedReply(
+        ConnectionReply(nranks_server=2, offsets=(0, 5, 10)),
+        (("127.0.0.1", 7001), ("localhost", 7002)),
+    ),
+    "h": Heartbeat(sender="server-rank-0", time=1.5, metrics={"beats": 1}),
+    "C": Credit(4096),
+    "P": {"op": "next", "done": [1, 2]},
+}
+
+
+class TestTotalControlDecoder:
+    """Every malformed control body is a ProtocolError, never the
+    struct, unicode or unpickling error underneath — the coordinator,
+    the data listener and the shm ring all drop a peer on it."""
+
+    @pytest.mark.parametrize("tag", sorted(_CONTROL_FRAMES))
+    def test_every_truncation_is_a_protocol_error(self, tag):
+        msg = _CONTROL_FRAMES[tag]
+        raw = b"".join(bytes(part) for part in encode_frame(msg))
+        body = raw[_PREFIX.size + 1 :]
+        assert raw[_PREFIX.size : _PREFIX.size + 1] == tag.encode()
+        assert decode_control_body(tag.encode(), body) == msg
+        for cut in range(len(body)):
+            if tag == "h" and cut == struct.calcsize("<dH") + len(msg.sender):
+                # the sender and no metrics: a well-formed liveness beat
+                assert decode_control_body(b"h", body[:cut]).metrics is None
+                continue
+            with pytest.raises(ProtocolError):
+                decode_control_body(tag.encode(), body[:cut])
+
+    def test_doorbell_with_a_body_is_a_protocol_error(self):
+        assert decode_control_body(b"D", b"") == Doorbell()
+        with pytest.raises(ProtocolError):
+            decode_control_body(b"D", b"\x00")
+
+    def test_undecodable_utf8_is_a_protocol_error(self):
+        body = struct.pack("<dH", 0.0, 2) + b"\xff\xfe"
+        with pytest.raises(ProtocolError):
+            decode_control_body(b"h", body)
 
 
 class TestFrameReader:

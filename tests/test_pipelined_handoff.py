@@ -18,6 +18,7 @@ rank-death test waits for the worker's socket to see the dead rank's EOF.
 """
 
 import socket
+import struct
 import threading
 import time
 from collections import deque
@@ -31,6 +32,7 @@ from net_util import (
 from repro.core import StudyConfig
 from repro.core.group import VectorFieldSimulation
 from repro.core.launcher import RankRespawnPolicy
+from repro.net import coordinator as coordinator_module
 from repro.net import worker as worker_module
 from repro.net.coordinator import (
     MAX_HELD_GROUPS,
@@ -38,7 +40,7 @@ from repro.net.coordinator import (
     _Peer,
     study_fingerprint,
 )
-from repro.net.framing import connect_with_retry, frame_nbytes
+from repro.net.framing import ConnectionLost, connect_with_retry, frame_nbytes
 from repro.net.supervisor import RankSupervisor
 from repro.net.worker import run_worker
 from repro.runtime import DistributedRuntime, SequentialRuntime
@@ -166,7 +168,7 @@ def test_worker_runs_ahead_but_done_never_precedes_delivery(transport):
         # nobody drains the inbox: it admits one frame and stays full.
         # The worker must still be handed a third group ...
         wait_for(coordinator, lambda: coordinator._assign_count >= 3)
-        held = list(coordinator._assigned.get(0, ()))
+        held = list(coordinator._held.get(0, ()))
         # ... while the second one's frame cannot have been acknowledged
         assert sum(inbox.entered.values()) <= 1
         assert coordinator.done <= {0}
@@ -175,7 +177,7 @@ def test_worker_runs_ahead_but_done_never_precedes_delivery(transport):
         drain.set()
         wait_for(coordinator, lambda: len(coordinator.done) == config.ngroups)
         assert early == []
-        assert coordinator._assigned == {}
+        assert coordinator._held == {}
     finally:
         drain.set()
         coordinator.close()
@@ -205,14 +207,19 @@ class TestHeldGroupsBookkeeping:
             coordinator._note_rank_registration(0, {"pid": 1})
             # generation 1: the replacement restored nothing
             coordinator._note_rank_registration(0, {"pid": 2, "finished": []})
-            assert coordinator._stale_attempts == {(0, 0), (0, 1)}
+            assert {
+                (wid, gid)
+                for wid, held in coordinator._held.items()
+                for gid, attempt in held.items()
+                if attempt.stale
+            } == {(0, 0), (0, 1)}
             assert sorted(coordinator.requeued_after_respawn) == [0, 1]
             # neither report may settle its group: only the requeued
             # copies can prove the restored rank has the data
             coordinator._mark_done(0, 0)
             coordinator._mark_done(0, 1)
             assert coordinator.done == set()
-            assert coordinator._assigned == {}
+            assert coordinator._held == {}
             assert {0, 1} <= set(coordinator._pending)
         finally:
             coordinator.close()
@@ -223,7 +230,7 @@ class TestHeldGroupsBookkeeping:
             coordinator._resubmit_if_assigned(0)
             assert coordinator.resubmitted == [0, 1]
             assert coordinator._retries == {0: 1, 1: 1}
-            assert coordinator._assigned == {}
+            assert coordinator._held == {}
             assert list(coordinator._pending) == [2, 3, 0, 1]
         finally:
             coordinator.close()
@@ -306,14 +313,15 @@ class _TurnDriver:
     """Runs a never-started coordinator's loop one turn at a time, so a
     test can say *which* turn answered a request."""
 
-    def __init__(self, coordinator):
+    def __init__(self, coordinator, clock=time.monotonic):
         self.coordinator = coordinator
+        self.clock = clock
 
     def turn(self, timeout=10.0):
         """One select + dispatch; asserts something was readable."""
         events = self.coordinator._sel.select(timeout)
         assert events, "nothing became readable"
-        self.coordinator._turn(events, time.monotonic())
+        self.coordinator._turn(events, self.clock())
 
     def join(self, name):
         """Connect a fake worker and complete its hello."""
@@ -416,45 +424,6 @@ class TestLongPollNext:
                     conn.close()
             coordinator.close()
 
-    def test_held_back_worker_is_served_when_every_faster_worker_leaves(self):
-        """Work stealing parks a demonstrably slow worker's request; the
-        departure of the fast fleet must release it (no deadlock on a
-        vanished fleet, and no timer involved)."""
-        fn, config = make_config(ngroups=2)
-        policy = SchedulingPolicy(parse_scheduling("steal:ratio=2"))
-        coordinator = retry_on_eaddrinuse(
-            lambda: Coordinator(config, policy=policy)
-        )
-        driver = _TurnDriver(coordinator)
-        slow = fast = None
-        try:
-            slow, wid_slow = driver.join("slow")
-            fast, wid_fast = driver.join("fast")
-            # what three completions each would have taught the policy
-            policy.ewma.update({wid_fast: 1.0, wid_slow: 10.0})
-            policy.completions.update({wid_fast: 3, wid_slow: 3})
-            policy._durations.extend([1.0, 1.0, 1.0])
-            driver.ask(fast)
-            assert fast.recv(timeout=10.0) == {"op": "group", "group_ids": [0]}
-            # the slow worker asks for the queue tail: held back (parked)
-            driver.ask(slow)
-            assert list(coordinator._parked_next) == [wid_slow]
-            assert not slow.poll(0.0)
-            assert policy.holds >= 1
-            # the fast worker leaves: its running group requeues, and the
-            # same turn hands the held-back worker the head of the queue
-            fast.close()
-            fast = None
-            driver.turn()
-            assert coordinator._parked_next == {}
-            assert slow.recv(timeout=10.0) == {"op": "group", "group_ids": [1]}
-            assert list(coordinator._pending) == [0]
-        finally:
-            for conn in (slow, fast):
-                if conn is not None:
-                    conn.close()
-            coordinator.close()
-
 
 # --------------------------------------------------------------------- #
 # one thread: wait() is the loop, and it sleeps until something is due
@@ -536,7 +505,7 @@ class TestOneThread:
             assert coordinator._next_wakeup(50.0) == 50.0
             coordinator._peers.clear()
             coordinator._parked.clear()
-            coordinator._assigned.clear()
+            coordinator._held.clear()
             # a rank that shipped its state lingers silently on purpose
             coordinator.rank_states[0] = {}
             assert coordinator._next_wakeup(far) == far
@@ -604,6 +573,172 @@ class TestOneThread:
 
 
 # --------------------------------------------------------------------- #
+# one clock: a turn's verdicts and records read only its ``now``
+# --------------------------------------------------------------------- #
+class _NoClock:
+    """Stands in for the coordinator module's ``time``: any read is a
+    verdict that bypassed the turn's ``now``."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"a turn read time.{name} instead of its now")
+
+
+class TestOneClock:
+    def _driven(self, monkeypatch, ngroups, policy=None):
+        """A coordinator whose turns run on a scripted clock, with the
+        module's ``time`` gone (construction already read it)."""
+        fn, config = make_config(ngroups=ngroups)
+        coordinator = retry_on_eaddrinuse(lambda: Coordinator(
+            config, worker_timeout=5.0, policy=policy
+        ))
+        monkeypatch.setattr(coordinator_module, "time", _NoClock())
+        clock = [0.0]
+        return coordinator, _TurnDriver(coordinator, lambda: clock[0]), clock
+
+    def test_hello_deadline(self, monkeypatch):
+        coordinator, driver, clock = self._driven(monkeypatch, ngroups=1)
+        silent = None
+        try:
+            silent = connect_with_retry(coordinator.address)
+            driver.turn()  # accepted at 0: hello due by 5
+            coordinator._turn([], 4.9)
+            assert len(coordinator._peers) == 1
+            coordinator._turn([], 5.1)
+            assert coordinator._peers == set()
+            with pytest.raises(ConnectionLost):
+                silent.recv(timeout=10.0)
+        finally:
+            if silent is not None:
+                silent.close()
+            coordinator.close()
+
+    def test_lease_done_and_silent_worker_reap(self, monkeypatch):
+        coordinator, driver, clock = self._driven(monkeypatch, ngroups=4)
+        a = None
+        try:
+            a, wid = driver.join("a")
+            driver.ask(a)
+            assert a.recv(timeout=10.0) == {"op": "group", "group_ids": [0, 1]}
+            clock[0] = 1.0
+            driver.ask(a, done=[0])  # last heard from at 1
+            assert coordinator.done == {0}
+            assert a.recv(timeout=10.0) == {"op": "group", "group_ids": [2]}
+            coordinator._turn([], 5.9)
+            assert wid in coordinator._worker_conns
+            coordinator._turn([], 6.1)  # silent past the 5 s timeout
+            driver.turn()  # the reap's shutdown, seen as EOF
+            assert wid not in coordinator._worker_conns
+            assert coordinator.resubmitted == [1, 2]
+        finally:
+            if a is not None:
+                a.close()
+            coordinator.close()
+
+    def test_speculation_verdict_flips_with_the_scripted_now(self, monkeypatch):
+        policy = SchedulingPolicy(parse_scheduling("speculate:multiple=2,min_done=1"))
+        coordinator, driver, clock = self._driven(monkeypatch, 2, policy)
+        a = b = None
+        try:
+            a, _ = driver.join("a")
+            b, wid_b = driver.join("b")
+            driver.ask(a)
+            assert a.recv(timeout=10.0) == {"op": "group", "group_ids": [0]}
+            driver.ask(b)
+            assert b.recv(timeout=10.0) == {"op": "group", "group_ids": [1]}
+            clock[0] = 1.0
+            driver.ask(b, done=[1])  # median 1 s: group 0 is due at 2 s
+            assert list(coordinator._parked_next) == [wid_b]
+            coordinator._turn([], 1.9)
+            assert not b.poll(0.0)
+            coordinator._turn([], 2.1)
+            assert b.recv(timeout=10.0) == {"op": "group", "group_ids": [0]}
+            assert coordinator.speculated == [0]
+            assert coordinator._held[wid_b][0].started == 2.1
+        finally:
+            for conn in (a, b):
+                if conn is not None:
+                    conn.close()
+            coordinator.close()
+
+
+# --------------------------------------------------------------------- #
+# a peer's malformed frame or control dict drops that peer, not the loop
+# --------------------------------------------------------------------- #
+class TestMalformedPeers:
+    def test_undecodable_frame_drops_only_its_peer(self):
+        """A 9-byte ``Q`` frame whose body is 3 bytes, not 24: the peer
+        that sent it is dropped and the study still finishes."""
+        fn, config = make_config(ngroups=4, server_ranks=2)
+
+        def factory(params, sim_id):
+            return VectorFieldSimulation(fn, params, NCELLS, simulation_id=sim_id)
+
+        runtime = retry_on_eaddrinuse(
+            lambda: DistributedRuntime(config, factory, nworkers=1)
+        )
+        bad = socket.create_connection(runtime.start())
+        try:
+            bad.sendall(struct.pack("<I", 4) + b"Q" + bytes([1, 2, 3]))
+            results = runtime.wait(timeout=60.0)
+        finally:
+            bad.close()
+        assert results.groups_integrated == 4
+
+    def test_register_without_rank_drops_only_that_peer(self):
+        fn, config = make_config(ngroups=1)
+        coordinator = retry_on_eaddrinuse(lambda: Coordinator(config))
+        driver = _TurnDriver(coordinator)
+        bad = a = None
+        try:
+            bad = connect_with_retry(coordinator.address)
+            bad.send({
+                "op": "register", "address": ("127.0.0.1", 1),
+                "fingerprint": coordinator.fingerprint, "pid": None,
+                "finished": [],
+            })
+            driver.turn()  # accept
+            driver.turn()  # the register frame: no rank
+            with pytest.raises(ConnectionLost):
+                bad.recv(timeout=10.0)
+            assert coordinator._rank_conns == {} and not coordinator._errors
+            a, _ = driver.join("a")  # the loop still serves
+            driver.ask(a)
+            assert a.recv(timeout=10.0) == {"op": "group", "group_ids": [0]}
+        finally:
+            for conn in (bad, a):
+                if conn is not None:
+                    conn.close()
+            coordinator.close()
+
+    @pytest.mark.parametrize(
+        "frame",
+        [{"op": "group_interrupted"}, {"op": "next", "done": 5}],
+        ids=["group_interrupted-without-group_id", "next-with-int-done"],
+    )
+    def test_malformed_worker_dict_tears_that_worker_down(self, frame):
+        fn, config = make_config(ngroups=1)
+        coordinator = retry_on_eaddrinuse(lambda: Coordinator(config))
+        driver = _TurnDriver(coordinator)
+        a = None
+        try:
+            a, wid = driver.join("a")
+            driver.ask(a)
+            assert a.recv(timeout=10.0) == {"op": "group", "group_ids": [0]}
+            a.send(frame)
+            driver.turn()
+            with pytest.raises(ConnectionLost):
+                a.recv(timeout=10.0)
+            assert wid not in coordinator._worker_conns
+            assert coordinator.resubmitted == [0]
+            assert list(coordinator._pending) == [0]
+            assert not coordinator._errors
+        finally:
+            if a is not None:
+                a.close()
+            coordinator.close()
+
+
+# --------------------------------------------------------------------- #
 # leases: one ``next`` round trip hands out several groups
 # --------------------------------------------------------------------- #
 class TestLeaseSize:
@@ -614,7 +749,6 @@ class TestLeaseSize:
             (64, 1, 5, None, MAX_HELD_GROUPS - 5),  # the bound counts held
             (3, 2, 0, None, 1),  # 3 // (2 * 2) == 0, but never less than 1
             (64, 1, 0, "speculate", 1),  # a policy's clock: one at a time
-            (64, 1, 0, "steal:ratio=2", 1),
         ],
     )
     def test_lease_size(self, ngroups, workers, already_held, policy, expected):
@@ -629,7 +763,7 @@ class TestLeaseSize:
                 coordinator._hold(0, coordinator._pending.pop())
             reply, _ = coordinator._assign(0)
             assert reply == {"op": "group", "group_ids": list(range(expected))}
-            assert coordinator._assigned[0][-expected:] == reply["group_ids"]
+            assert list(coordinator._held[0])[-expected:] == reply["group_ids"]
             assert coordinator.study_view()["in_flight"] == already_held + expected
         finally:
             coordinator._worker_conns = {}
@@ -746,7 +880,8 @@ class TestLeaseLifecycle:
         try:
             worker.start()
             wait_for(coordinator, reached.is_set)
-            assert coordinator._assigned == {0: list(range(MAX_HELD_GROUPS))}
+            assert list(coordinator._held) == [0]
+            assert list(coordinator._held[0]) == list(range(MAX_HELD_GROUPS))
             # the rank dies: its control connection (the coordinator
             # withholds its address from new rendezvous) and its data port
             rank_ctrl.close()

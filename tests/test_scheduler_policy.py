@@ -1,7 +1,7 @@
 """Scheduling-policy layer unit tests (ISSUE 7).
 
-Pure-policy verdicts (EWMA throughput, speculation candidates, work
-stealing, elastic watermarks), the PoolSupervisor executor, and the
+Pure-policy verdicts (EWMA throughput, speculation candidates, elastic
+watermarks), the PoolSupervisor executor, and the
 coordinator's speculation/retire accounting driven through stub calls —
 including the two satellite guarantees: ``group_interrupted`` requeues
 never charge the group's retry budget, and a speculative duplicate
@@ -44,8 +44,8 @@ def make_config(ngroups=4, ncells=8, server_ranks=2, nparams=2, **kw):
 # --------------------------------------------------------------------- #
 class TestParseScheduling:
     def test_bare_clauses(self):
-        cfg = parse_scheduling("speculate;steal;elastic")
-        assert cfg.speculate and cfg.steal and cfg.elastic
+        cfg = parse_scheduling("speculate;elastic")
+        assert cfg.speculate and cfg.elastic
         assert cfg.enabled
 
     def test_fifo_is_the_default(self):
@@ -71,12 +71,11 @@ class TestParseScheduling:
         assert cfg.min_workers == 2 and cfg.cooldown == 0.25
         assert not cfg.speculate  # other clauses stay off
 
-    def test_steal_ratio(self):
-        assert parse_scheduling("steal:ratio=3.5").steal_ratio == 3.5
-
     def test_rejections(self):
         with pytest.raises(ValueError, match="unknown scheduling clause"):
             parse_scheduling("turbo")
+        with pytest.raises(ValueError, match="unknown scheduling clause"):
+            parse_scheduling("speculate;steal")
         with pytest.raises(ValueError, match="unknown speculate parameter"):
             parse_scheduling("speculate:delay=1")
         with pytest.raises(ValueError, match="malformed"):
@@ -89,8 +88,6 @@ class TestParseScheduling:
             SchedulingConfig(multiple=1.0)
         with pytest.raises(ValueError):
             SchedulingConfig(alpha=0.0)
-        with pytest.raises(ValueError):
-            SchedulingConfig(steal_ratio=1.0)
         with pytest.raises(ValueError):
             SchedulingConfig(high_water=2, low_water=2)
         with pytest.raises(ValueError):
@@ -128,7 +125,7 @@ class TestStudyConfigIntegration:
         from repro.net.coordinator import study_fingerprint
 
         plain = make_config()
-        scheduled = make_config(scheduling="speculate;steal")
+        scheduled = make_config(scheduling="speculate;elastic")
         assert study_fingerprint(plain) == study_fingerprint(scheduled)
 
 
@@ -142,107 +139,89 @@ def spec_policy(spec="speculate:multiple=2,min_done=1"):
 class TestSchedulingPolicy:
     def test_ewma_tracks_completions(self):
         policy = spec_policy("speculate:alpha=0.3,min_done=1")
-        policy.assigned(0, 0, now=0.0)
-        assert policy.completed(0, 0, now=4.0) == 4.0
+        policy.completed(0, 4.0)
         assert policy.ewma[0] == 4.0  # first sample seeds the EWMA
-        policy.assigned(0, 1, now=4.0)
-        policy.completed(0, 1, now=10.0)
+        policy.completed(0, 6.0)
         assert policy.ewma[0] == pytest.approx(0.3 * 6.0 + 0.7 * 4.0)
         assert policy.completions[0] == 2
 
     def test_median_needs_min_done_samples(self):
         policy = spec_policy("speculate:min_done=3")
-        for gid, duration in enumerate([1.0, 9.0]):
-            policy.assigned(0, gid, now=0.0)
-            policy.completed(0, gid, now=duration)
+        for duration in [1.0, 9.0]:
+            policy.completed(0, duration)
         assert policy.median_duration() is None
-        policy.assigned(0, 2, now=0.0)
-        policy.completed(0, 2, now=2.0)
+        policy.completed(0, 2.0)
         assert policy.median_duration() == 2.0
 
+    # the attempt-level observations live in the coordinator's attempt
+    # table: these drive it and check what reaches the policy
+
     def test_completion_never_started_is_ignored(self):
-        policy = spec_policy()
-        assert policy.completed(7, 3, now=1.0) is None
-        assert policy.ewma == {}
+        coordinator, policy = attempt_fixture()
+        try:
+            coordinator._mark_done(7, 3)
+            assert policy.ewma == {}
+        finally:
+            coordinator.close()
 
     def test_discarded_counts_only_started_attempts(self):
-        policy = spec_policy()
-        policy.assigned(0, 5, now=0.0)
-        policy.discarded(0, 5)
-        policy.discarded(0, 5)  # second settle of the same attempt: no-op
-        assert policy.duplicates_discarded == 1
-        assert policy.completed(0, 5, now=1.0) is None  # clock stopped
+        coordinator, policy = attempt_fixture()
+        try:
+            reply, _ = coordinator._assign(0)
+            (gid,) = reply["group_ids"]
+            coordinator._release(0, gid, "settled-by-duplicate")
+            # second settle of the same attempt: no-op
+            coordinator._release(0, gid, "settled-by-duplicate")
+            assert coordinator.duplicates_discarded == 1
+            coordinator._now = 1.0
+            coordinator._mark_done(0, gid)
+            assert policy.ewma == {}  # clock stopped
+        finally:
+            coordinator.close()
 
     def test_worker_left_clears_its_state(self):
-        policy = spec_policy()
-        policy.assigned(0, 0, now=0.0)
-        policy.completed(0, 0, now=1.0)
-        policy.assigned(0, 1, now=1.0)
-        policy.worker_left(0)
-        assert 0 not in policy.ewma and 0 not in policy.completions
-        assert policy.completed(0, 1, now=9.0) is None
+        coordinator, policy = attempt_fixture()
+        try:
+            coordinator._assign(0)  # group 0
+            coordinator._now = 1.0
+            coordinator._mark_done(0, 0)
+            assert policy.ewma == {0: 1.0}
+            coordinator._assign(0)  # group 1
+            coordinator._resubmit_if_assigned(0)  # the worker's loss path
+            coordinator._forget_worker(0)
+            assert 0 not in policy.ewma and 0 not in policy.completions
+            coordinator._now = 9.0
+            coordinator._mark_done(0, 1)
+            assert 0 not in policy.ewma
+        finally:
+            coordinator.close()
 
     def test_speculation_candidate_picks_longest_overdue(self):
         policy = spec_policy("speculate:multiple=2,min_done=1")
-        policy.assigned(0, 0, now=0.0)
-        policy.completed(0, 0, now=1.0)  # median 1.0 -> threshold 2.0
-        policy.assigned(1, 4, now=1.0)
-        policy.assigned(2, 5, now=2.0)
-        assigned = {1: 4, 2: 5}
+        policy.completed(0, 1.0)  # median 1.0 -> threshold 2.0
+        attempts = [(1, 4, 1.0), (2, 5, 2.0)]
         # group 4 has been running 9s, group 5 8s: both overdue, 4 wins
-        assert policy.speculation_candidate(3, assigned, now=10.0) == 4
+        assert policy.speculation_candidate(3, attempts, 0, now=10.0) == 4
         # a worker never speculates its own group
-        assert policy.speculation_candidate(1, assigned, now=10.0) == 5
+        assert policy.speculation_candidate(1, attempts, 0, now=10.0) == 5
 
     def test_speculation_candidate_edge_cases(self):
         policy = spec_policy("speculate:multiple=2,min_done=1,budget=1")
-        policy.assigned(0, 0, now=0.0)
-        policy.completed(0, 0, now=1.0)
-        policy.assigned(1, 4, now=1.0)
+        policy.completed(0, 1.0)
         # a group with two running copies is never re-issued again
-        assert policy.speculation_candidate(2, {1: 4, 3: 4}, now=50.0) is None
+        two_copies = [(1, 4, 1.0), (3, 4, 1.0)]
+        assert policy.speculation_candidate(2, two_copies, 0, now=50.0) is None
         # not yet past the threshold
-        assert policy.speculation_candidate(2, {1: 4}, now=2.5) is None
+        one_copy = [(1, 4, 1.0)]
+        assert policy.speculation_candidate(2, one_copy, 0, now=2.5) is None
         # budget exhausted
-        policy.record_speculation(4)
-        assert policy.speculation_candidate(2, {1: 4}, now=50.0) is None
+        assert policy.speculation_candidate(2, one_copy, 1, now=50.0) is None
 
     def test_speculation_off_or_untrusted_median(self):
         fifo = SchedulingPolicy(SchedulingConfig())
-        fifo.assigned(1, 4, now=0.0)
-        assert fifo.speculation_candidate(0, {1: 4}, now=100.0) is None
+        assert fifo.speculation_candidate(0, [(1, 4, 0.0)], 0, now=100.0) is None
         policy = spec_policy("speculate:min_done=2")
-        policy.assigned(1, 4, now=0.0)
-        assert policy.speculation_candidate(0, {1: 4}, now=100.0) is None
-
-    def test_hold_back_requires_demonstrably_slow_worker(self):
-        policy = spec_policy("steal:ratio=2")  # min_done default 3
-        for wid, duration in ((0, 10.0), (1, 1.0)):
-            for gid in range(3):
-                policy.assigned(wid, gid, now=0.0)
-                policy.completed(wid, gid, now=duration)
-        # durations [10,10,10,1,1,1] -> median 5.5; wid0 EWMA 10 < 2x5.5
-        assert not policy.should_hold_back(0, queue_depth=1)
-        for gid in range(3, 6):
-            policy.assigned(1, gid, now=0.0)
-            policy.completed(1, gid, now=1.0)
-        # median now 1.0: wid0 (EWMA 10) is slow, wid1 can drain 1 group
-        assert policy.should_hold_back(0, queue_depth=1)
-        assert policy.holds == 1
-        # the fast worker itself is never held
-        assert not policy.should_hold_back(1, queue_depth=1)
-        # a queue deeper than the fast fleet is not stealable
-        assert not policy.should_hold_back(0, queue_depth=5)
-        # an empty queue holds nothing
-        assert not policy.should_hold_back(0, queue_depth=0)
-
-    def test_summary_shape(self):
-        policy = spec_policy()
-        policy.assigned(0, 0, now=0.0)
-        policy.completed(0, 0, now=1.0)
-        summary = policy.summary()
-        assert summary["worker_ewma_seconds"] == {0: 1.0}
-        assert summary["speculated_groups"] == []
+        assert policy.speculation_candidate(0, [(1, 4, 0.0)], 0, now=100.0) is None
 
 
 # --------------------------------------------------------------------- #
@@ -343,6 +322,14 @@ def stub_coordinator(config, **kw):
     return retry_on_eaddrinuse(lambda: Coordinator(config, **kw))
 
 
+def attempt_fixture():
+    """Coordinator with a speculation policy on a scripted clock."""
+    policy = spec_policy()
+    coordinator = stub_coordinator(make_config(ngroups=8), policy=policy)
+    coordinator._now = 0.0
+    return coordinator, policy
+
+
 class _StubConn:
     def close(self):
         pass
@@ -387,12 +374,13 @@ def speculation_fixture(config=None):
     config = config or make_config(ngroups=2)
     policy = SchedulingPolicy(parse_scheduling("speculate:multiple=2,min_done=1"))
     coordinator = stub_coordinator(config, policy=policy)
+    coordinator._now = 0.0  # the turn's clock, scripted
     r0, _ = coordinator._assign(0)
     r1, _ = coordinator._assign(1)
     assert (r0["group_ids"], r1["group_ids"]) == ([0], [1])
-    policy._started[(1, 1)] -= 1.0  # g1 "ran" 1s -> median 1s, threshold 2s
+    coordinator._now = 1.0  # g1 ran 1s -> median 1s, threshold 2s
     coordinator._mark_done(1, 1)
-    policy._started[(0, 0)] -= 10.0  # g0 is 10s in: overdue
+    coordinator._now = 10.0  # g0 is 10s in: overdue
     return coordinator, policy
 
 
@@ -404,8 +392,7 @@ class TestSpeculationAccounting:
             assert reply == {"op": "group", "group_ids": [0]}
             assert kill is None
             assert coordinator.speculated == [0]
-            assert (1, 0) in coordinator._speculative_attempts
-            assert policy.speculated == [0]
+            assert coordinator._held[1][0].speculative
             # with the duplicate in flight, nobody gets a third copy
             reply2, _ = coordinator._assign(2)
             assert reply2["op"] == "idle"
@@ -418,9 +405,9 @@ class TestSpeculationAccounting:
             coordinator._assign(1)  # wid1 takes the speculative copy
             coordinator._mark_done(0, 0)  # the original finishes first
             assert coordinator.done == {0, 1}
-            assert coordinator._assigned == {}
-            assert policy.duplicates_discarded == 1
-            assert policy.speculation_wins == 0
+            assert coordinator._held == {}
+            assert coordinator.duplicates_discarded == 1
+            assert coordinator.speculation_wins == 0
             # the loser's late report settles nothing and feeds no EWMA
             ewma = dict(policy.ewma)
             completions = dict(policy.completions)
@@ -437,9 +424,9 @@ class TestSpeculationAccounting:
             coordinator._assign(1)
             coordinator._mark_done(1, 0)  # the rescue finishes first
             assert coordinator.done == {0, 1}
-            assert policy.speculation_wins == 1
-            assert policy.duplicates_discarded == 1  # the original, settled
-            assert coordinator._assigned == {}
+            assert coordinator.speculation_wins == 1
+            assert coordinator.duplicates_discarded == 1  # the original, settled
+            assert coordinator._held == {}
         finally:
             coordinator.close()
 
