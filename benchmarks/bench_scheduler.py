@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.core import StudyConfig
 from repro.core.group import VectorFieldSimulation
-from repro.faults import FaultPlan, WorkerStraggler
+from repro.faults import FaultPlan, ProcessFault
 from repro.report import format_table
 from repro.runtime import DistributedRuntime
 from repro.sobol import IshigamiFunction
@@ -48,7 +48,9 @@ def _run(scheduling):
     def factory(params, sim_id):
         return BenchSim(fn, params, ntimesteps=NTIMESTEPS, simulation_id=sim_id)
 
-    plan = FaultPlan(worker_stragglers=[WorkerStraggler(0, STRAGGLER_DELAY)])
+    plan = FaultPlan(
+        worker_faults={0: ProcessFault("straggler", delay=STRAGGLER_DELAY)}
+    )
     runtime = DistributedRuntime(config, factory, nworkers=NWORKERS,
                                  fault_plan=plan)
     start = time.perf_counter()

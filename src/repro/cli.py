@@ -284,6 +284,17 @@ def _resolved_study(args: argparse.Namespace):
     return study
 
 
+def _fault_arg(spec: str):
+    """``--fault`` type: a bad spec is a usage error, before anything
+    connects."""
+    from repro.faults import parse_fault
+
+    try:
+        return parse_fault(spec)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.net.serve import run_server_rank
 
@@ -296,7 +307,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         data_host=args.data_host,
         data_port=args.data_port,
         checkpoint_dir=args.checkpoint_dir,
-        fault_spec=args.fault,
+        fault=args.fault,
     )
 
 
@@ -310,7 +321,7 @@ def _cmd_work(args: argparse.Namespace) -> int:
         study.factory,
         _parse_address(args.coordinator),
         name=args.name,
-        fault_spec=args.fault,
+        fault=args.fault,
     )
 
 
@@ -517,6 +528,14 @@ def build_parser() -> argparse.ArgumentParser:
             help="emit structured logs as one JSON object per line",
         )
 
+    def add_fault_arg(sp, process):
+        sp.add_argument(
+            "--fault", type=_fault_arg, default=None, metavar="SPEC",
+            help=f"inject a fault into this {process}: crash[:after=N] | "
+                 "zombie[:after=N] | straggler:delay=S (after N messages; "
+                 "S seconds per message)",
+        )
+
     def add_study_args(sp):
         sp.add_argument(
             "--study", default="quickstart",
@@ -528,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--timesteps", type=int, default=1)
         sp.add_argument("--cells", type=int, default=32,
                         help="cell count for the 'vector' study spec")
-        sp.add_argument("--server-ranks", type=int, default=2)
+        sp.add_argument("--server-ranks", type=int, default=1)
         sp.add_argument("--checkpoint-interval", type=float, default=None,
                         help="seconds between rank checkpoints (default: "
                              "the study config's 600s)")
@@ -553,9 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data-port", type=int, default=0,
                    help="data port (0 = ephemeral, sent to the rendezvous)")
     p.add_argument("--checkpoint-dir", default=None)
-    p.add_argument("--fault", default=None, metavar="SPEC",
-                   help="inject a fault into this rank: crash[:after=N] | "
-                        "zombie[:after=N] | straggler:delay=S")
+    add_fault_arg(p, "rank")
     add_log_args(p)
     p.set_defaults(func=_cmd_serve)
 
@@ -563,10 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_study_args(p)
     p.add_argument("--coordinator", required=True, metavar="HOST:PORT")
     p.add_argument("--name", default="", help="worker name for logs/liveness")
-    p.add_argument("--fault", default=None, metavar="SPEC",
-                   help="inject a fault into this worker: crash[:after=N] | "
-                        "zombie[:after=N] | straggler:delay=S (seconds per "
-                        "delivered message)")
+    add_fault_arg(p, "worker")
     add_log_args(p)
     p.set_defaults(func=_cmd_work)
 

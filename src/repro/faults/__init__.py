@@ -14,31 +14,15 @@ injects while a study runs:
 * :class:`DuplicateDelivery` — every message of a group is delivered
   twice (exercises discard-on-replay idempotence, Sec. 4.2.1).
 
-Server-*rank* faults target one real ``repro serve`` process (the
-distributed deployment's failure unit) and drive the live respawn
-protocol instead of the virtual-time launcher:
-
-* :class:`ServerRankCrash` — the rank SIGKILLs itself mid-study;
-* :class:`ServerRankZombie` — the rank hangs (alive, silent) until the
-  supervisor kills it;
-* :class:`ServerRankStraggler` — the rank slows down but stays live (no
-  respawn may fire).
-
-Group-*worker* faults target one real ``repro work`` process (the other
-distributed failure unit) and drive the coordinator's resubmission,
-reaping, and straggler-speculation machinery:
-
-* :class:`WorkerCrash` — the worker SIGKILLs itself after N deliveries;
-* :class:`WorkerZombie` — the worker hangs (alive, silent) until the
-  coordinator's staleness reap closes its connection;
-* :class:`WorkerStraggler` — the worker delivers each message ``delay``
-  seconds slower but stays live (speculative re-execution, not
-  resubmission, must absorb it).
-
-:func:`parse_server_fault` / :func:`parse_worker_fault` turn the
-``--fault`` spec string of a real ``repro serve`` / ``repro work``
-process into a single-process plan, so the same schedule
-drives unit tests, the loopback chaos suite, and CI.
+The distributed deployment has two live failure units, a server rank
+(``repro serve``, respawned from its checkpoint) and a group worker
+(``repro work``, whose groups are resubmitted), and both take the same
+:class:`ProcessFault`: crash after N messages, hang as a zombie, or
+straggle.  The plan maps ranks (``rank_faults``) and forked workers
+(``worker_faults``) to theirs; :func:`parse_fault` reads the ``--fault``
+spec of one real process, and :class:`FaultInjector` applies it inside
+that process's loop, so the same schedule drives unit tests, the
+loopback chaos suite, and CI.
 
 Group faults target a specific *attempt* so a restarted instance runs
 clean — matching real intermittent failures; a respawned server rank
@@ -47,19 +31,14 @@ always runs clean.
 
 from repro.faults.plan import (
     DuplicateDelivery,
+    FaultInjector,
     FaultPlan,
     GroupCrash,
     GroupStraggler,
     GroupZombie,
+    ProcessFault,
     ServerCrash,
-    ServerRankCrash,
-    ServerRankStraggler,
-    ServerRankZombie,
-    WorkerCrash,
-    WorkerStraggler,
-    WorkerZombie,
-    parse_server_fault,
-    parse_worker_fault,
+    parse_fault,
 )
 
 __all__ = [
@@ -68,13 +47,8 @@ __all__ = [
     "GroupZombie",
     "GroupStraggler",
     "ServerCrash",
-    "ServerRankCrash",
-    "ServerRankZombie",
-    "ServerRankStraggler",
-    "WorkerCrash",
-    "WorkerZombie",
-    "WorkerStraggler",
     "DuplicateDelivery",
-    "parse_server_fault",
-    "parse_worker_fault",
+    "ProcessFault",
+    "FaultInjector",
+    "parse_fault",
 ]

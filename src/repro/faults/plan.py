@@ -1,9 +1,14 @@
-"""Fault specification dataclasses and the plan container."""
+"""Fault specification dataclasses, the plan container, and the
+injector a real serve or work process applies its fault with."""
 
 from __future__ import annotations
 
+import math
+import os
+import signal
+import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 
 @dataclass(frozen=True)
@@ -45,110 +50,65 @@ class ServerCrash:
 
 
 @dataclass(frozen=True)
-class ServerRankCrash:
-    """Server rank ``rank`` SIGKILLs itself after handling
-    ``after_messages`` data messages (Sec. 4.2.3's failure unit in the
-    distributed deployment: one ``repro serve`` process)."""
-
-    rank: int
-    after_messages: int = 0
-
-    def __post_init__(self):
-        if self.after_messages < 0:
-            raise ValueError("after_messages must be >= 0")
-
-
-@dataclass(frozen=True)
-class ServerRankZombie:
-    """Server rank ``rank`` hangs after ``after_messages`` messages: the
-    process stays alive but stops draining its channels and stops
-    heartbeating, so only heartbeat staleness can expose it."""
-
-    rank: int
-    after_messages: int = 0
-
-    def __post_init__(self):
-        if self.after_messages < 0:
-            raise ValueError("after_messages must be >= 0")
-
-
-@dataclass(frozen=True)
-class ServerRankStraggler:
-    """Server rank ``rank`` handles each message ``delay`` seconds slower
-    (still heartbeats — must NOT trigger the respawn protocol)."""
-
-    rank: int
-    delay: float
-
-    def __post_init__(self):
-        if self.delay <= 0:
-            raise ValueError("a straggler needs delay > 0")
-
-
-@dataclass(frozen=True)
-class WorkerCrash:
-    """Group worker ``worker`` SIGKILLs itself after delivering
-    ``after_messages`` data messages (the distributed deployment's other
-    failure unit: one ``repro work`` process, Sec. 4.2.2)."""
-
-    worker: int
-    after_messages: int = 0
-
-    def __post_init__(self):
-        if self.after_messages < 0:
-            raise ValueError("after_messages must be >= 0")
-
-
-@dataclass(frozen=True)
-class WorkerZombie:
-    """Group worker ``worker`` hangs after ``after_messages`` deliveries:
-    alive but silent (no heartbeats, no frames), so only the
-    coordinator's worker-staleness reap can expose it."""
-
-    worker: int
-    after_messages: int = 0
-
-    def __post_init__(self):
-        if self.after_messages < 0:
-            raise ValueError("after_messages must be >= 0")
-
-
-@dataclass(frozen=True)
-class WorkerStraggler:
-    """Group worker ``worker`` delivers each data message ``delay``
-    seconds slower (still heartbeats — this is the scheduler's prey, not
-    the reaper's: speculation, not resubmission, must absorb it)."""
-
-    worker: int
-    delay: float
-
-    def __post_init__(self):
-        if self.delay <= 0:
-            raise ValueError("a straggler needs delay > 0")
-
-
-@dataclass(frozen=True)
 class DuplicateDelivery:
     """Every delivered message of ``group_id`` is delivered twice."""
 
     group_id: int
 
 
+FAULT_KINDS = ("crash", "zombie", "straggler")
+
+
+@dataclass(frozen=True)
+class ProcessFault:
+    """A fault of one real process: a server rank (``repro serve``,
+    Sec. 4.2.3's failure unit in the distributed deployment) or a group
+    worker (``repro work``, Sec. 4.2.2's).  ``after_messages`` counts the
+    data messages the process handled (rank) or delivered (worker).
+
+    * ``crash`` — the process SIGKILLs itself after ``after_messages``;
+    * ``zombie`` — it hangs after ``after_messages``: alive, but no
+      frames and no heartbeats, so only heartbeat staleness exposes it;
+    * ``straggler`` — each message costs ``delay`` seconds more, and the
+      process still heartbeats: no respawn or reap may fire, and for a
+      worker speculation, not resubmission, must absorb it.
+    """
+
+    kind: str
+    after_messages: int = 0
+    delay: float = 0.0
+
+    def __post_init__(self):
+        if self.kind not in FAULT_KINDS:
+            raise ValueError(
+                f"unknown fault kind {self.kind!r} (use crash | zombie | straggler)"
+            )
+        if self.after_messages < 0:
+            raise ValueError("after_messages must be >= 0")
+        if self.kind == "straggler" and not (
+            math.isfinite(self.delay) and self.delay > 0
+        ):
+            raise ValueError(
+                f"a straggler needs a finite delay > 0, got delay={self.delay!r}"
+            )
+
+
 @dataclass
 class FaultPlan:
-    """Schedule of failures a runtime injects during a study."""
+    """Schedule of failures a runtime injects during a study.
+
+    ``rank_faults`` / ``worker_faults`` map a server rank / a forked
+    worker's index to the fault of that process; the rest target groups
+    and the virtual-time server, which only the sequential runtime has.
+    """
 
     group_crashes: List[GroupCrash] = field(default_factory=list)
     group_zombies: List[GroupZombie] = field(default_factory=list)
     group_stragglers: List[GroupStraggler] = field(default_factory=list)
     server_crashes: List[ServerCrash] = field(default_factory=list)
     duplicate_deliveries: List[DuplicateDelivery] = field(default_factory=list)
-    server_rank_crashes: List[ServerRankCrash] = field(default_factory=list)
-    server_rank_zombies: List[ServerRankZombie] = field(default_factory=list)
-    server_rank_stragglers: List[ServerRankStraggler] = field(default_factory=list)
-    worker_crashes: List[WorkerCrash] = field(default_factory=list)
-    worker_zombies: List[WorkerZombie] = field(default_factory=list)
-    worker_stragglers: List[WorkerStraggler] = field(default_factory=list)
+    rank_faults: Dict[int, ProcessFault] = field(default_factory=dict)
+    worker_faults: Dict[int, ProcessFault] = field(default_factory=dict)
 
     # ------------------------------------------------------------------ #
     def crash_for(self, group_id: int, attempt: int) -> Optional[GroupCrash]:
@@ -180,66 +140,6 @@ class FaultPlan:
     def duplicated_groups(self) -> Set[int]:
         return {s.group_id for s in self.duplicate_deliveries}
 
-    # ------------------------------------------------------------------ #
-    # server-rank faults (the distributed ``repro serve`` failure unit)
-    # ------------------------------------------------------------------ #
-    def rank_crash_for(self, rank: int) -> Optional[ServerRankCrash]:
-        for spec in self.server_rank_crashes:
-            if spec.rank == rank:
-                return spec
-        return None
-
-    def rank_zombie_for(self, rank: int) -> Optional[ServerRankZombie]:
-        for spec in self.server_rank_zombies:
-            if spec.rank == rank:
-                return spec
-        return None
-
-    def rank_straggler_for(self, rank: int) -> Optional[ServerRankStraggler]:
-        for spec in self.server_rank_stragglers:
-            if spec.rank == rank:
-                return spec
-        return None
-
-    # ------------------------------------------------------------------ #
-    # group-worker faults (the distributed ``repro work`` failure unit)
-    # ------------------------------------------------------------------ #
-    def worker_crash_for(self, worker: int) -> Optional[WorkerCrash]:
-        for spec in self.worker_crashes:
-            if spec.worker == worker:
-                return spec
-        return None
-
-    def worker_zombie_for(self, worker: int) -> Optional[WorkerZombie]:
-        for spec in self.worker_zombies:
-            if spec.worker == worker:
-                return spec
-        return None
-
-    def worker_straggler_for(self, worker: int) -> Optional[WorkerStraggler]:
-        for spec in self.worker_stragglers:
-            if spec.worker == worker:
-                return spec
-        return None
-
-    @property
-    def has_server_rank_faults(self) -> bool:
-        """Any fault targeting a live ``repro serve`` process — THE place
-        to extend when a new server-rank spec is added, so the runtime
-        routing below cannot drift."""
-        return bool(
-            self.server_rank_crashes
-            or self.server_rank_zombies
-            or self.server_rank_stragglers
-        )
-
-    @property
-    def has_worker_faults(self) -> bool:
-        """Any fault targeting a live ``repro work`` process."""
-        return bool(
-            self.worker_crashes or self.worker_zombies or self.worker_stragglers
-        )
-
     @property
     def socket_only(self) -> bool:
         """True when the plan targets only real socket processes (server
@@ -254,71 +154,19 @@ class FaultPlan:
             or self.duplicate_deliveries
         )
 
-    @property
-    def server_faults_only(self) -> bool:
-        """True when the plan touches nothing but server ranks."""
-        return self.socket_only and not self.has_worker_faults
-
-    @property
-    def empty(self) -> bool:
-        return (
-            self.socket_only
-            and not self.has_server_rank_faults
-            and not self.has_worker_faults
-        )
-
 
 # --------------------------------------------------------------------- #
-def parse_worker_fault(spec: str, worker: int = 0) -> FaultPlan:
-    """Fault plan for one group-worker process from a compact spec.
+def parse_fault(spec: str) -> ProcessFault:
+    """The fault of one serve or work process from a compact spec.
 
-    Same grammar as :func:`parse_server_fault` — ``crash[:after=N]`` /
-    ``zombie[:after=N]`` (``after`` counts data messages delivered before
-    the fault fires) / ``straggler:delay=S`` (seconds per delivered
-    message).  This is how a real ``repro work`` subprocess is told to
-    misbehave (its ``--fault`` flag), so the same
-    specs drive unit tests, the loopback chaos suite, and CI.
-    """
-    kind, _, rest = spec.partition(":")
-    params = {}
-    for item in filter(None, rest.split(",")):
-        key, eq, value = item.partition("=")
-        if not eq:
-            raise ValueError(f"malformed fault parameter {item!r} in {spec!r}")
-        params[key.strip()] = value.strip()
-    if kind == "crash":
-        after = int(params.pop("after", 0))
-        plan = FaultPlan(worker_crashes=[WorkerCrash(worker, after)])
-    elif kind == "zombie":
-        after = int(params.pop("after", 0))
-        plan = FaultPlan(worker_zombies=[WorkerZombie(worker, after)])
-    elif kind == "straggler":
-        if "delay" not in params:
-            raise ValueError(f"fault spec {spec!r} is missing 'delay'")
-        plan = FaultPlan(worker_stragglers=[
-            WorkerStraggler(worker, delay=float(params.pop("delay")))
-        ])
-    else:
-        raise ValueError(
-            f"unknown fault kind {kind!r} (use crash | zombie | straggler)"
-        )
-    if params:
-        raise ValueError(f"unknown fault parameter(s) {sorted(params)} in {spec!r}")
-    return plan
-
-
-def parse_server_fault(spec: str, rank: int) -> FaultPlan:
-    """Fault plan for one serve process from a compact CLI/env spec.
-
-    Grammar: ``kind[:key=value]`` where kind is ``crash`` / ``zombie``
-    (key ``after``, messages handled before the fault fires, default 0)
-    or ``straggler`` (key ``delay``, seconds per message).  Examples::
+    Grammar: ``crash[:after=N]`` / ``zombie[:after=N]`` (``after``
+    counts messages before the fault fires, default 0) or
+    ``straggler:delay=S`` (seconds per message).  Examples::
 
         crash:after=40      zombie          straggler:delay=0.01
 
-    This is how a real ``repro serve`` subprocess is told to misbehave
-    (its ``--fault`` flag), so the same specs drive
-    unit tests, the loopback chaos suite, and the CI smoke leg.
+    This is the ``--fault`` flag of ``repro serve`` and ``repro work``,
+    so the same specs drive unit tests, the loopback chaos suite, and CI.
     """
     kind, _, rest = spec.partition(":")
     params = {}
@@ -327,22 +175,48 @@ def parse_server_fault(spec: str, rank: int) -> FaultPlan:
         if not eq:
             raise ValueError(f"malformed fault parameter {item!r} in {spec!r}")
         params[key.strip()] = value.strip()
-    if kind == "crash":
-        after = int(params.pop("after", 0))
-        plan = FaultPlan(server_rank_crashes=[ServerRankCrash(rank, after)])
-    elif kind == "zombie":
-        after = int(params.pop("after", 0))
-        plan = FaultPlan(server_rank_zombies=[ServerRankZombie(rank, after)])
-    elif kind == "straggler":
-        if "delay" not in params:
-            raise ValueError(f"fault spec {spec!r} is missing 'delay'")
-        plan = FaultPlan(server_rank_stragglers=[
-            ServerRankStraggler(rank, delay=float(params.pop("delay")))
-        ])
-    else:
+    if kind not in FAULT_KINDS:
         raise ValueError(
             f"unknown fault kind {kind!r} (use crash | zombie | straggler)"
         )
-    if params:
-        raise ValueError(f"unknown fault parameter(s) {sorted(params)} in {spec!r}")
-    return plan
+    key = "delay" if kind == "straggler" else "after"
+    if key == "delay" and key not in params:
+        raise ValueError(f"fault spec {spec!r} is missing 'delay'")
+    unknown = sorted(set(params) - {key})
+    if unknown:
+        raise ValueError(f"unknown fault parameter(s) {unknown} in {spec!r}")
+    try:
+        if key == "delay":
+            return ProcessFault(kind, delay=float(params[key]))
+        return ProcessFault(kind, after_messages=int(params.get(key, 0)))
+    except ValueError as exc:
+        raise ValueError(f"bad fault spec {spec!r}: {exc}") from None
+
+
+class FaultInjector:
+    """Applies one process's :class:`ProcessFault` to its loop: a rank
+    calls :meth:`on_message` per handled message, a worker per delivered
+    one, and each calls :meth:`check` once per loop turn, so an
+    ``after_messages=0`` fault fires before the first message."""
+
+    def __init__(self, fault: ProcessFault):
+        self.fault = fault
+        self.messages = 0
+
+    def on_message(self) -> None:
+        self.messages += 1
+        if self.fault.kind == "straggler":
+            time.sleep(self.fault.delay)
+        self.check()
+
+    def check(self) -> None:
+        kind = self.fault.kind
+        if kind == "straggler" or self.messages < self.fault.after_messages:
+            return
+        if kind == "crash":
+            # the real thing: no cleanup, no goodbye — the OS reaps the
+            # sockets and the coordinator finds out from the broken pipe
+            os.kill(os.getpid(), signal.SIGKILL)
+        # zombie: alive but silent.  Only heartbeat staleness can end this
+        while True:
+            time.sleep(3600)

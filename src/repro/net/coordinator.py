@@ -80,9 +80,7 @@ it; field data goes worker -> rank over the direct data channels.
 from __future__ import annotations
 
 import hashlib
-import os
 import selectors
-import signal
 import time
 import socket
 from collections import deque
@@ -186,6 +184,10 @@ def study_fingerprint(config: StudyConfig) -> dict:
 class Coordinator:
     """The rendezvous + work-queue process (the ``repro launch`` core).
 
+    Its outputs are frames to its peers and the kill/spawn requests it
+    makes of its supervisors; it signals no process itself.  Tests kill
+    a worker by giving it a crash :class:`~repro.faults.ProcessFault`.
+
     Parameters
     ----------
     config:
@@ -196,12 +198,6 @@ class Coordinator:
         Heartbeat staleness (seconds) after which a worker holding a
         group is declared dead and its group resubmitted; defaults to
         ``config.group_timeout``.
-    fault_kill_after:
-        Test hook — after handing out this many group assignments
-        (1-based), SIGKILL the worker process whose lease holds the last one
-        (requires the worker's ``hello`` to carry its pid, which the
-        loopback runtime's workers do).  Exercises the resubmission path
-        deterministically.
     supervisor:
         Optional :class:`~repro.net.supervisor.RankSupervisor`.  Without
         one, a dead server rank aborts the study (pre-supervision
@@ -227,7 +223,6 @@ class Coordinator:
         host: str = "127.0.0.1",
         port: int = 0,
         worker_timeout: Optional[float] = None,
-        fault_kill_after: Optional[int] = None,
         supervisor=None,
         policy=None,
         pool=None,
@@ -246,7 +241,6 @@ class Coordinator:
         self.worker_timeout = (
             config.group_timeout if worker_timeout is None else worker_timeout
         )
-        self.fault_kill_after = fault_kill_after
         self.supervisor = supervisor
         self.policy = policy
         self.pool = pool
@@ -350,7 +344,6 @@ class Coordinator:
         self.rank_states: Dict[int, dict] = {}
         self.rank_maps: Dict[int, dict] = {}
         self.rank_widths: Dict[int, float] = {}
-        self._worker_pids: Dict[int, Optional[int]] = {}
         self._worker_names: Dict[int, str] = {}
         self._last_seen: Dict[int, float] = {}
         self._worker_conns: Dict[int, Any] = {}
@@ -941,7 +934,6 @@ class Coordinator:
     def _register_worker(self, peer: _Peer, hello: dict) -> bool:
         wid = self._next_worker_id
         self._next_worker_id += 1
-        self._worker_pids[wid] = hello.get("pid")
         self._worker_names[wid] = str(hello.get("worker", f"worker-{wid}"))
         self._worker_conns[wid] = peer
         self._worker_elastic[wid] = bool(hello.get("elastic"))
@@ -1067,14 +1059,12 @@ class Coordinator:
         ``settle`` them (wait for the ranks, then ask again), so every
         completion reaches the coordinator without a timer."""
         wid = peer.wid
-        reply, kill_pid = self._assign(wid)
+        reply = self._assign(wid)
         if reply["op"] == "idle":
             if wid not in self._held:
                 return False
             reply = {"op": "settle"}
         peer.send(reply)
-        if kill_pid is not None:
-            os.kill(kill_pid, signal.SIGKILL)  # fault-injection hook
         return True
 
     def _serve_parked_next(self) -> None:
@@ -1159,14 +1149,14 @@ class Coordinator:
                 "worker_retired",
                 f"{self._worker_names.get(wid, wid)} (queue drained)",
             )
-            return {"op": "retire"}, None
+            return {"op": "retire"}
         if self._groups_settled():
             # workers may only leave once every rank has shipped its
             # state: a rank dying during finalize requeues groups, and
             # someone has to still be around to run them
             if len(self.rank_states) == self.config.server_ranks:
-                return {"op": "done"}, None
-            return {"op": "idle"}, None
+                return {"op": "done"}
+            return {"op": "idle"}
         if not self._pending:
             # stale attempts and done groups are not worth a second copy
             live = [
@@ -1181,7 +1171,7 @@ class Coordinator:
             if gid is None:
                 # workers still hold groups that may yet be resubmitted;
                 # stay around
-                return {"op": "idle"}, None
+                return {"op": "idle"}
             # straggler re-execution: hand the overdue group to this idle
             # worker too; first completion wins
             self._hold(wid, gid, speculative=True)
@@ -1192,7 +1182,7 @@ class Coordinator:
                 "speculation",
                 f"group {gid} re-issued to {self._worker_names.get(wid, wid)}",
             )
-            return {"op": "group", "group_ids": [gid]}, None
+            return {"op": "group", "group_ids": [gid]}
         size = 1 if self.policy is not None else max(1, min(
             MAX_HELD_GROUPS - len(held),
             len(self._pending) // (2 * max(1, len(self._worker_conns))),
@@ -1204,14 +1194,11 @@ class Coordinator:
             (skipped if gid in held else gids).append(gid)
         self._pending.extendleft(reversed(skipped))
         if not gids:
-            return {"op": "idle"}, None
-        kill_pid = None
+            return {"op": "idle"}
         for gid in gids:
             self._hold(wid, gid)
-            if self._assign_count == self.fault_kill_after:
-                kill_pid = self._worker_pids.get(wid)
         self._leases += 1
-        return {"op": "group", "group_ids": gids}, kill_pid
+        return {"op": "group", "group_ids": gids}
 
     def _mark_done(self, wid: int, gid: int) -> None:
         attempt = self._held.get(wid, {}).get(gid)

@@ -30,25 +30,26 @@ Melissa Server rank as an independent OS process.  It
   respawn-requeued group still land somewhere (replay protection
   discards them; the reported state stays exact).
 
-Fault injection: a :class:`~repro.faults.FaultPlan` (or the ``--fault``
-spec of ``repro serve``) can make this rank
-SIGKILL itself mid-study, hang silently (zombie), or slow down
-(straggler) — the specs the chaos suite and the CI smoke leg drive
-through the supervisor's kill-and-respawn protocol.
+Fault injection: a :class:`~repro.faults.ProcessFault` (the ``--fault``
+spec of ``repro serve``, or the rank's entry in a plan's
+``rank_faults``) can make this rank SIGKILL itself mid-study, hang
+silently (zombie), or slow down (straggler) — the faults the chaos suite
+and the CI smoke leg drive through the supervisor's kill-and-respawn
+protocol.  :class:`~repro.faults.FaultInjector` counts handled messages.
 """
 
 from __future__ import annotations
 
 import os
-import signal
 import time
 import traceback
+from typing import Optional
 
 from repro import telemetry as _telemetry
 from repro.core.checkpoint import CheckpointManager
 from repro.core.config import StudyConfig
 from repro.core.server import ServerRank
-from repro.faults import FaultPlan, parse_server_fault
+from repro.faults import FaultInjector, ProcessFault
 from repro.mesh.partition import BlockPartition
 from repro.net.channel import DataListener
 from repro.net.coordinator import study_fingerprint, study_id
@@ -57,48 +58,6 @@ from repro.telemetry.logs import get_logger
 from repro.telemetry.registry import delta as _metrics_delta
 from repro.telemetry.tracer import span_record
 from repro.transport.message import Heartbeat
-
-class _FaultInjector:
-    """Applies one rank's share of a fault plan to the serve loop."""
-
-    def __init__(self, plan: FaultPlan, rank_idx: int):
-        self.crash = plan.rank_crash_for(rank_idx)
-        self.zombie = plan.rank_zombie_for(rank_idx)
-        self.straggler = plan.rank_straggler_for(rank_idx)
-        self.handled = 0
-
-    def on_handle(self) -> None:
-        """One data message was just integrated/staged."""
-        self.handled += 1
-        if self.straggler is not None:
-            time.sleep(self.straggler.delay)
-        self.check()
-
-    def check(self) -> None:
-        """Fire any due crash/zombie (called every loop iteration so an
-        ``after_messages=0`` fault fires even before the first message)."""
-        if self.crash is not None and self.handled >= self.crash.after_messages:
-            # the real thing: no cleanup, no goodbye — the OS reaps the
-            # sockets and the supervisor finds out from the broken pipe
-            os.kill(os.getpid(), signal.SIGKILL)
-        if self.zombie is not None and self.handled >= self.zombie.after_messages:
-            # alive but silent: no heartbeats, no draining.  Only the
-            # supervisor's staleness detection can end this.
-            while True:
-                time.sleep(3600)
-
-
-def _resolve_fault_plan(fault_plan, fault_spec, rank_idx: int):
-    if fault_spec is not None:
-        if fault_plan is not None:
-            raise ValueError("pass either fault_plan or fault_spec, not both")
-        fault_plan = parse_server_fault(fault_spec, rank_idx)
-    if fault_plan is None:
-        return None
-    injector = _FaultInjector(fault_plan, rank_idx)
-    if injector.crash is None and injector.zombie is None and injector.straggler is None:
-        return None
-    return injector
 
 
 def run_server_rank(
@@ -109,15 +68,15 @@ def run_server_rank(
     data_port: int = 0,
     checkpoint_dir=None,
     heartbeat_interval=None,
-    fault_plan: FaultPlan = None,
-    fault_spec: str = None,
+    fault: Optional[ProcessFault] = None,
     local_ranks: int = 1,
 ) -> int:
-    """Run one server rank to study completion; returns an exit code."""
+    """Run one server rank to study completion; returns an exit code.
+    ``fault``, when given, is injected into this rank."""
     if heartbeat_interval is None:
         heartbeat_interval = config.heartbeat_interval
     log = get_logger("serve", rank=rank_idx, study=study_id(config))
-    fault = _resolve_fault_plan(fault_plan, fault_spec, rank_idx)
+    injector = None if fault is None else FaultInjector(fault)
     partition = BlockPartition(config.ncells, config.server_ranks)
     rank = ServerRank(rank_idx, config, partition, local_ranks=local_ranks)
     manager = CheckpointManager(checkpoint_dir) if checkpoint_dir else None
@@ -226,8 +185,8 @@ def run_server_rank(
 
         def on_frame(msg) -> None:
             rank.handle(msg, time.monotonic())
-            if fault is not None:
-                fault.on_handle()
+            if injector is not None:
+                injector.on_message()
             maybe_beat()
 
         finalize = lingering = False
@@ -257,8 +216,8 @@ def run_server_rank(
         listener.sink = on_frame
         listener.watch(ctrl, on_control)
         while not finalize:
-            if fault is not None:
-                fault.check()
+            if injector is not None:
+                injector.check()
             # sleep until a socket or a doorbell has something, at most
             # until the next heartbeat or checkpoint is due
             due = last_beat + heartbeat_interval

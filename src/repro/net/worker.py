@@ -44,26 +44,26 @@ table), then data channels are opened lazily — only to the ranks whose
 cell ranges the worker's messages actually intersect, the paper's N x M
 pattern — and kept open across the worker's successive groups.
 
-Fault injection: a :class:`~repro.faults.FaultPlan` (or the ``--fault``
-spec of ``repro work``) can make this worker
-SIGKILL itself after N delivered messages, hang silently (zombie), or
-deliver each message ``delay`` seconds slower (straggler) — the worker
-half of the chaos suite, driving the coordinator's resubmission, reaping,
-and straggler-speculation machinery.
+Fault injection: a :class:`~repro.faults.ProcessFault` (the ``--fault``
+spec of ``repro work``, or the forked worker's entry in a plan's
+``worker_faults``) can make this worker SIGKILL itself after N delivered
+messages, hang silently (zombie), or deliver each message ``delay``
+seconds slower (straggler) — the worker half of the chaos suite, driving
+the coordinator's resubmission, reaping, and straggler-speculation
+machinery.
 """
 
 from __future__ import annotations
 
 import os
 import select
-import signal
 import time
 import traceback
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 from repro import telemetry as _telemetry
-from repro.faults import FaultPlan, parse_worker_fault
+from repro.faults import FaultInjector, ProcessFault
 
 from repro.core.config import StudyConfig
 from repro.core.group import (
@@ -95,49 +95,6 @@ from repro.transport.message import (
 )
 
 
-class _WorkerFaultInjector:
-    """Applies one worker's share of a fault plan to the work loop."""
-
-    def __init__(self, plan: FaultPlan, worker_index: int):
-        self.crash = plan.worker_crash_for(worker_index)
-        self.zombie = plan.worker_zombie_for(worker_index)
-        self.straggler = plan.worker_straggler_for(worker_index)
-        self.delivered = 0
-
-    def on_deliver(self) -> None:
-        """One data message was just fully handed to the channels."""
-        self.delivered += 1
-        if self.straggler is not None:
-            time.sleep(self.straggler.delay)
-        self.check()
-
-    def check(self) -> None:
-        """Fire any due crash/zombie (called every loop iteration so an
-        ``after=0`` fault fires even before the first delivery)."""
-        if self.crash is not None and self.delivered >= self.crash.after_messages:
-            # the real thing: no cleanup, no goodbye — the coordinator
-            # finds out from the dropped control connection and resubmits
-            os.kill(os.getpid(), signal.SIGKILL)
-        if self.zombie is not None and self.delivered >= self.zombie.after_messages:
-            # alive but silent: no heartbeats, no frames.  Only the
-            # coordinator's worker-staleness reap can end this.
-            while True:
-                time.sleep(3600)
-
-
-def _resolve_worker_fault(fault_plan, fault_spec, worker_index: int):
-    if fault_spec is not None:
-        if fault_plan is not None:
-            raise ValueError("pass either fault_plan or fault_spec, not both")
-        fault_plan = parse_worker_fault(fault_spec, worker_index)
-    if fault_plan is None:
-        return None
-    injector = _WorkerFaultInjector(fault_plan, worker_index)
-    if injector.crash is None and injector.zombie is None and injector.straggler is None:
-        return None
-    return injector
-
-
 class SocketRouter:
     """Socket-backed client transport (implements ``TransportClient``).
 
@@ -157,7 +114,7 @@ class SocketRouter:
         ctrl: FrameConnection,
         config: StudyConfig,
         name: str = "worker",
-        fault: Optional[_WorkerFaultInjector] = None,
+        fault: Optional[FaultInjector] = None,
     ):
         self._ctrl = ctrl
         self.config = config
@@ -240,7 +197,7 @@ class SocketRouter:
         # the fault counts whole delivered messages, so it fires only
         # after every partition chunk was handed to its channel
         if self._fault is not None:
-            self._fault.on_deliver()
+            self._fault.on_message()
         return True
 
     # ------------------------------------------------------------------ #
@@ -381,15 +338,12 @@ def run_worker(
     poll_interval: float = 0.005,
     heartbeat_interval=None,
     design=None,
-    fault_plan: Optional[FaultPlan] = None,
-    fault_spec: Optional[str] = None,
-    worker_index: int = 0,
+    fault: Optional[ProcessFault] = None,
     elastic: bool = False,
 ) -> int:
     """Pull groups from the coordinator and run them to completion.
 
-    ``fault_plan``/``fault_spec`` inject this worker's share of a chaos
-    plan (``worker_index`` selects it from a multi-worker plan).
+    ``fault``, when given, is injected into this worker.
     ``elastic=True`` marks the worker retirable: the coordinator may send
     it a ``retire`` op when the queue drains, and it exits like ``done``.
     """
@@ -402,9 +356,9 @@ def run_worker(
         )
     name = name or f"worker-{os.getpid()}"
     log = get_logger("work", worker=name, study=study_id(config))
-    fault = _resolve_worker_fault(fault_plan, fault_spec, worker_index)
+    injector = None if fault is None else FaultInjector(fault)
     ctrl = connect_with_retry(tuple(coordinator_address))
-    router = SocketRouter(ctrl, config, name=name, fault=fault)
+    router = SocketRouter(ctrl, config, name=name, fault=injector)
     try:
         ctrl.send({
             "op": "hello",
@@ -499,8 +453,8 @@ def run_worker(
 
         in_group = False
         while True:
-            if fault is not None:
-                fault.check()
+            if injector is not None:
+                injector.check()
             try:
                 settle(1 if len(held) >= MAX_HELD_GROUPS else 0)
             except ChannelClosed:

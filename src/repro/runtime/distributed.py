@@ -18,9 +18,9 @@ floating-point tolerance; the integration tests assert rtol 1e-10.
 Fault paths (Sec. 4.2):
 
 * a killed group worker drops its control connection; the coordinator
-  resubmits the in-flight group, ranks forget its staged partials, and
+  resubmits every group it held, ranks forget their staged partials, and
   replay protection keeps the statistics exact (Sec. 4.2.1/4.2.2) —
-  asserted by the kill test;
+  asserted by the worker-crash tests;
 * a dead or hung *server rank* is caught by the supervisor (lost control
   connection or stale heartbeat), SIGKILLed, and respawned from its
   per-rank checkpoint (Sec. 4.2.3); the replacement publishes a fresh
@@ -42,7 +42,7 @@ from repro.core.group import SimulationFactory
 from repro.core.launcher import RankRespawnPolicy
 from repro.core.results import StudyResults
 from repro.core.server import MelissaServer
-from repro.faults import FaultPlan
+from repro.faults import FaultPlan, ProcessFault
 from repro.net.coordinator import Coordinator
 from repro.net.serve import run_server_rank
 from repro.net.supervisor import PoolSupervisor, RankSupervisor
@@ -72,9 +72,6 @@ class DistributedRuntime:
     checkpoint_dir:
         When set, every rank process checkpoints/restores its own file
         there on ``config.checkpoint_interval`` cadence.
-    fault_kill_after:
-        Test hook forwarded to the coordinator: SIGKILL the worker that
-        receives the Nth group assignment, exercising resubmission.
     supervise:
         Run the launcher protocol for server ranks (Sec. 4.2.3): a dead
         or silent rank process is killed and respawned from its
@@ -84,11 +81,11 @@ class DistributedRuntime:
         Heartbeat staleness (seconds) before a silent rank is declared a
         zombie; defaults to ``config.server_timeout``.
     fault_plan:
-        Server-rank and group-worker faults to inject into the forked
-        serve/work processes (crash/zombie/straggler specs from
-        :mod:`repro.faults`); group faults are rejected — they need the
-        virtual-time driver.  Respawned/elastic replacement processes
-        always run clean.
+        Process faults to inject into the forked serve/work processes:
+        rank ``K`` runs with ``fault_plan.rank_faults.get(K)``, forked
+        worker ``i`` with ``fault_plan.worker_faults.get(i)``.  Group
+        faults are rejected — they need the virtual-time driver.
+        Respawned/elastic replacement processes always run clean.
     transport:
         Convenience override of ``config.transport`` for this loopback
         deployment: "auto" (negotiate shared memory per channel, fall
@@ -112,7 +109,6 @@ class DistributedRuntime:
         poll_interval: float = 0.005,
         heartbeat_interval: Optional[float] = None,
         checkpoint_dir=None,
-        fault_kill_after: Optional[int] = None,
         supervise: bool = True,
         rank_timeout: Optional[float] = None,
         fault_plan: Optional[FaultPlan] = None,
@@ -169,12 +165,11 @@ class DistributedRuntime:
             else heartbeat_interval
         )
         self.checkpoint_dir = checkpoint_dir
-        self.fault_kill_after = fault_kill_after
         self.supervise = supervise
         self.rank_timeout = (
             config.server_timeout if rank_timeout is None else rank_timeout
         )
-        self.fault_plan = fault_plan
+        self.fault_plan = fault_plan or FaultPlan()
         # any telemetry surface implies the telemetry layer itself
         self.telemetry_enabled = bool(
             telemetry or trace_file or metrics_file or metrics_port is not None
@@ -248,7 +243,6 @@ class DistributedRuntime:
             self.config,
             host=self.host,
             port=self.port,
-            fault_kill_after=self.fault_kill_after,
             supervisor=supervisor,
             policy=policy,
             pool=pool,
@@ -268,15 +262,10 @@ class DistributedRuntime:
                 ).start()
         ctx = self._ctx
         self.server_procs = [
-            self._rank_process(rank, fault_plan=self.fault_plan)
+            self._rank_process(rank, self.fault_plan.rank_faults.get(rank))
             for rank in range(self.config.server_ranks if self.nworkers else 0)
         ]
         nworkers = min(self.nworkers, self.config.ngroups)
-        worker_faults = (
-            self.fault_plan
-            if self.fault_plan is not None and self.fault_plan.has_worker_faults
-            else None
-        )
         self.worker_procs = [
             ctx.Process(
                 target=run_worker,
@@ -286,8 +275,7 @@ class DistributedRuntime:
                     "poll_interval": self.poll_interval,
                     "heartbeat_interval": self.heartbeat_interval,
                     "design": self.design,
-                    "fault_plan": worker_faults,
-                    "worker_index": i,
+                    "fault": self.fault_plan.worker_faults.get(i),
                 },
                 name=f"repro-work-{i}",
                 daemon=True,
@@ -344,7 +332,7 @@ class DistributedRuntime:
             self.metrics_server = None
 
     # ------------------------------------------------------------------ #
-    def _rank_process(self, rank: int, fault_plan: Optional[FaultPlan]):
+    def _rank_process(self, rank: int, fault: Optional[ProcessFault]):
         return self._ctx.Process(
             target=run_server_rank,
             args=(rank, self.config, self.coordinator.address),
@@ -352,7 +340,7 @@ class DistributedRuntime:
                 "data_host": self.data_host,
                 "checkpoint_dir": self.checkpoint_dir,
                 "heartbeat_interval": self.heartbeat_interval,
-                "fault_plan": fault_plan,
+                "fault": fault,
                 # loopback ranks all share this host: clamp auto fold
                 # threads so co-located ranks don't oversubscribe cores
                 "local_ranks": self.config.server_ranks,
@@ -364,7 +352,7 @@ class DistributedRuntime:
     def _spawn_elastic_worker(self, index: int) -> None:
         """Pool-supervisor spawner: fork one extra group worker.
 
-        Elastic workers always run clean (no fault plan) —
+        Elastic workers always run clean (no fault) —
         they are the remedy, not the disease — and register retirable so
         the coordinator can drain them once the queue empties.
         """
@@ -389,10 +377,10 @@ class DistributedRuntime:
 
         The replacement restores the rank's checkpoint (when the runtime
         checkpoints at all) and re-registers; it never re-applies the
-        fault plan — a fault models one intermittent failure, not a
+        rank's fault — a fault models one intermittent failure, not a
         permanently broken host.
         """
-        proc = self._rank_process(rank, fault_plan=None)
+        proc = self._rank_process(rank, None)
         self.server_procs.append(proc)
         proc.start()
 

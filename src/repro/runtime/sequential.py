@@ -75,7 +75,8 @@ class SequentialRuntime:
         Where server checkpoints go; required when the fault plan contains
         server crashes.  ``None`` disables checkpointing.
     fault_plan:
-        Failures to inject (default: none).
+        Failures to inject (default: none).  Process faults are refused:
+        there is no serve or work process here to inject them into.
     tick:
         Virtual seconds per loop iteration.
     steps_per_tick:
@@ -97,6 +98,11 @@ class SequentialRuntime:
         self.config = config
         self.factory = factory
         self.fault_plan = fault_plan or FaultPlan()
+        if self.fault_plan.rank_faults or self.fault_plan.worker_faults:
+            raise ValueError(
+                "server-rank and group-worker faults target real "
+                "serve/work processes; run them with the distributed runtime"
+            )
         self.tick = tick
         self.steps_per_tick = steps_per_tick
         self.scheduler = BatchScheduler(

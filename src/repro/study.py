@@ -118,14 +118,6 @@ class SensitivityStudy:
         if runtime == "sequential":
             from repro.runtime import SequentialRuntime
 
-            if fault_plan is not None and (
-                fault_plan.has_server_rank_faults or fault_plan.has_worker_faults
-            ):
-                raise ValueError(
-                    "server-rank and group-worker faults target real "
-                    "serve/work processes; run them with "
-                    "runtime='distributed'"
-                )
             driver = SequentialRuntime(
                 self.config,
                 self.factory,
@@ -138,13 +130,6 @@ class SensitivityStudy:
         elif runtime == "distributed":
             from repro.runtime import DistributedRuntime
 
-            if fault_plan is not None and not fault_plan.socket_only:
-                raise ValueError(
-                    "the distributed runtime injects faults into its real "
-                    "socket processes (server ranks and group workers) "
-                    "only; group faults and virtual-time ServerCrash specs "
-                    "require the sequential runtime"
-                )
             run_kwargs = {}
             if "timeout" in runtime_kwargs:
                 run_kwargs["timeout"] = runtime_kwargs.pop("timeout")
@@ -152,8 +137,7 @@ class SensitivityStudy:
                 self.config,
                 self.factory,
                 checkpoint_dir=checkpoint_dir,
-                fault_plan=None if fault_plan is None or fault_plan.empty
-                else fault_plan,
+                fault_plan=fault_plan,
                 **runtime_kwargs,
             )
             self.results = driver.run(**run_kwargs)

@@ -10,9 +10,11 @@ actual member outputs.
 import numpy as np
 import pytest
 
-from repro.cli import build_parser, main
+from repro import SensitivityStudy
+from repro.cli import _resolve_study, build_parser, main
 from repro.core import StudyConfig
 from repro.core.group import FunctionSimulation
+from repro.faults import ProcessFault
 from repro.runtime import SequentialRuntime
 from repro.sobol import IshigamiFunction
 
@@ -42,6 +44,34 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "S map: upper_concentration" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["launch"],
+        ["serve", "--rank", "0", "--coordinator", "h:1"],
+        ["work", "--coordinator", "h:1"],
+    ], ids=["launch", "serve", "work"])
+    def test_default_distributed_invocation_builds_a_study(self, argv):
+        study = _resolve_study(build_parser().parse_args(argv))
+        assert isinstance(study, SensitivityStudy)
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--rank", "0", "--coordinator", "h:1"],
+        ["work", "--coordinator", "h:1"],
+    ], ids=["serve", "work"])
+    def test_fault_flag_parses_one_process_fault(self, argv):
+        args = build_parser().parse_args(argv + ["--fault", "crash:after=10"])
+        assert args.fault == ProcessFault("crash", after_messages=10)
+
+    @pytest.mark.parametrize("spec", [
+        "straggler:delay=nan", "straggler:delay=inf", "crash:after=x", "explode",
+    ])
+    def test_bad_fault_spec_is_a_usage_error(self, spec, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                ["work", "--coordinator", "h:1", "--fault", spec]
+            )
+        assert exc.value.code == 2
+        assert spec in capsys.readouterr().err
 
 
 class TestGeneralStatisticsEndToEnd:

@@ -8,7 +8,9 @@ reconnect through a fresh rendezvous.  The chaos parity tests assert the
 surviving study matches the sequential runtime to rtol 1e-10.
 """
 
+import re
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,18 +25,7 @@ from repro.core.launcher import (
     RankRespawnPolicy,
     RespawnBudgetExceeded,
 )
-from repro.faults import (
-    FaultPlan,
-    GroupCrash,
-    ServerRankCrash,
-    ServerRankStraggler,
-    ServerRankZombie,
-    WorkerCrash,
-    WorkerStraggler,
-    WorkerZombie,
-    parse_server_fault,
-    parse_worker_fault,
-)
+from repro.faults import FaultPlan, GroupCrash, ProcessFault, parse_fault
 from repro.net.coordinator import StudyAborted
 from repro.net.supervisor import RankSupervisor
 from repro.runtime import DistributedRuntime, SequentialRuntime
@@ -117,7 +108,7 @@ class TestServerRankCrash:
         respawned from its checkpoint, workers reconnect, and the study
         still matches the sequential runtime to rtol 1e-10."""
         fn, config = make_config(24, server_ranks=2, checkpoint_interval=0.05)
-        plan = FaultPlan(server_rank_crashes=[ServerRankCrash(1, after_messages=8)])
+        plan = FaultPlan(rank_faults={1: ProcessFault("crash", after_messages=8)})
         runtime, results = run_distributed(
             config, fn, cls=SlowVectorSim, nworkers=2,
             checkpoint_dir=tmp_path, fault_plan=plan,
@@ -133,7 +124,7 @@ class TestServerRankCrash:
         so the coordinator requeues every settled group and the re-run
         rebuilds the rank's partition exactly."""
         fn, config = make_config(16, server_ranks=2)
-        plan = FaultPlan(server_rank_crashes=[ServerRankCrash(0, after_messages=6)])
+        plan = FaultPlan(rank_faults={0: ProcessFault("crash", after_messages=6)})
         runtime, results = run_distributed(
             config, fn, cls=SlowVectorSim, nworkers=2, fault_plan=plan,
         )
@@ -148,10 +139,13 @@ class TestServerRankCrash:
         worker (coordinator resubmission) AND a SIGKILLed server rank
         (supervisor respawn) — the interleaving must still be exact."""
         fn, config = make_config(16, server_ranks=2, checkpoint_interval=0.05)
-        plan = FaultPlan(server_rank_crashes=[ServerRankCrash(0, after_messages=6)])
+        plan = FaultPlan(
+            rank_faults={0: ProcessFault("crash", after_messages=6)},
+            worker_faults={0: ProcessFault("crash", after_messages=1)},
+        )
         runtime, results = run_distributed(
             config, fn, cls=SlowVectorSim, nworkers=3,
-            checkpoint_dir=tmp_path, fault_plan=plan, fault_kill_after=3,
+            checkpoint_dir=tmp_path, fault_plan=plan,
         )
         assert runtime.coordinator.rank_respawns == [0]
         assert results.groups_integrated == 16
@@ -160,7 +154,7 @@ class TestServerRankCrash:
 
     def test_respawn_budget_zero_aborts_loudly(self, tmp_path):
         fn, config = make_config(12, server_ranks=2, max_rank_respawns=0)
-        plan = FaultPlan(server_rank_crashes=[ServerRankCrash(1, after_messages=4)])
+        plan = FaultPlan(rank_faults={1: ProcessFault("crash", after_messages=4)})
         with pytest.raises(StudyAborted, match="respawn budget"):
             run_distributed(config, fn, cls=SlowVectorSim, nworkers=2,
                             checkpoint_dir=tmp_path, fault_plan=plan,
@@ -170,7 +164,7 @@ class TestServerRankCrash:
         """supervise=False restores the pre-supervision contract: a dead
         rank fails the study with a descriptive error."""
         fn, config = make_config(12, server_ranks=2)
-        plan = FaultPlan(server_rank_crashes=[ServerRankCrash(0, after_messages=4)])
+        plan = FaultPlan(rank_faults={0: ProcessFault("crash", after_messages=4)})
         with pytest.raises(StudyAborted, match="disconnected before reporting"):
             run_distributed(config, fn, cls=SlowVectorSim, nworkers=2,
                             fault_plan=plan, supervise=False, timeout=60.0)
@@ -182,7 +176,7 @@ class TestServerRankZombie:
         heartbeat staleness; the supervisor must SIGKILL the stuck pid
         before the replacement can take over."""
         fn, config = make_config(16, server_ranks=2, checkpoint_interval=0.05)
-        plan = FaultPlan(server_rank_zombies=[ServerRankZombie(0, after_messages=4)])
+        plan = FaultPlan(rank_faults={0: ProcessFault("zombie", after_messages=4)})
         runtime, results = run_distributed(
             config, fn, nworkers=2, checkpoint_dir=tmp_path,
             fault_plan=plan, rank_timeout=3.0, timeout=120.0,
@@ -199,7 +193,7 @@ class TestServerRankStraggler:
         (killing a straggler would be the paper's false-positive case)."""
         fn, config = make_config(12, server_ranks=2)
         plan = FaultPlan(
-            server_rank_stragglers=[ServerRankStraggler(1, delay=0.01)]
+            rank_faults={1: ProcessFault("straggler", delay=0.01)}
         )
         # generous staleness margin: on a loaded 1-vCPU runner a LIVE
         # rank can be starved off-CPU for a while; the assertion is that
@@ -217,7 +211,7 @@ class TestFacadeAndValidation:
     def test_study_facade_accepts_server_fault_plan(self, tmp_path):
         fn, config = make_config(10, server_ranks=2, checkpoint_interval=0.05)
         study = SensitivityStudy(config, vector_factory(fn, cls=SlowVectorSim))
-        plan = FaultPlan(server_rank_crashes=[ServerRankCrash(1, after_messages=3)])
+        plan = FaultPlan(rank_faults={1: ProcessFault("crash", after_messages=3)})
         results = study.run(
             runtime="distributed", fault_plan=plan, nworkers=2,
             checkpoint_dir=tmp_path, timeout=120.0,
@@ -238,41 +232,108 @@ class TestFacadeAndValidation:
     def test_sequential_rejects_server_rank_faults(self):
         fn = IshigamiFunction()
         study = SensitivityStudy.for_function(fn, ngroups=4)
-        plan = FaultPlan(server_rank_crashes=[ServerRankCrash(0)])
+        plan = FaultPlan(rank_faults={0: ProcessFault("crash")})
         with pytest.raises(ValueError, match="distributed"):
             study.run(runtime="sequential", fault_plan=plan)
 
+    def test_sequential_facade_rejects_worker_faults(self):
+        fn, config = make_config(4)
+        study = SensitivityStudy(config, vector_factory(fn))
+        plan = FaultPlan(worker_faults={0: ProcessFault("crash", after_messages=1)})
+        with pytest.raises(ValueError, match="distributed"):
+            study.run(fault_plan=plan)
+
+    @pytest.mark.parametrize("plan", [
+        FaultPlan(rank_faults={0: ProcessFault("crash")}),
+        FaultPlan(worker_faults={0: ProcessFault("crash")}),
+    ], ids=["rank", "worker"])
+    def test_sequential_runtime_refuses_process_faults(self, plan):
+        """The runtime that has no serve or work process refuses a
+        process fault itself, not only through the facade."""
+        fn, config = make_config(4)
+        with pytest.raises(ValueError, match="distributed runtime"):
+            SequentialRuntime(config, vector_factory(fn), fault_plan=plan)
+
+    def test_each_forked_process_gets_its_own_fault(self):
+        """Rank K runs with ``rank_faults[K]``, forked worker i with
+        ``worker_faults[i]``, everyone else clean."""
+        fn, config = make_config(6)
+        forked = {}
+
+        class RecordingProcess:
+            pid = None
+
+            def __init__(self, target, args, kwargs, name, daemon):
+                forked[name] = kwargs.get("fault")
+
+            def start(self):
+                pass
+
+            def is_alive(self):
+                return False
+
+        zombie = ProcessFault("zombie", after_messages=2)
+        straggler = ProcessFault("straggler", delay=0.5)
+        runtime = retry_on_eaddrinuse(lambda: DistributedRuntime(
+            config, vector_factory(fn), nworkers=3,
+            fault_plan=FaultPlan(rank_faults={1: zombie}, worker_faults={2: straggler}),
+        ))
+        runtime._ctx = SimpleNamespace(Process=RecordingProcess)
+        try:
+            runtime.start()
+        finally:
+            runtime._shutdown()
+        assert forked == {
+            "repro-serve-0": None, "repro-serve-1": zombie,
+            "repro-work-0": None, "repro-work-1": None, "repro-work-2": straggler,
+        }
+
 
 class TestFaultSpecParsing:
+    """One grammar for ``repro serve --fault`` and ``repro work --fault``."""
+
     def test_crash_spec(self):
-        plan = parse_server_fault("crash:after=40", rank=2)
-        assert plan.rank_crash_for(2) == ServerRankCrash(2, after_messages=40)
-        assert plan.rank_crash_for(0) is None
-        assert plan.server_faults_only and not plan.empty
+        assert parse_fault("crash:after=40") == ProcessFault("crash", after_messages=40)
 
     def test_zombie_default_after(self):
-        plan = parse_server_fault("zombie", rank=0)
-        assert plan.rank_zombie_for(0) == ServerRankZombie(0, after_messages=0)
+        assert parse_fault("zombie") == ProcessFault("zombie", after_messages=0)
 
     def test_straggler_spec(self):
-        plan = parse_server_fault("straggler:delay=0.25", rank=1)
-        assert plan.rank_straggler_for(1) == ServerRankStraggler(1, delay=0.25)
+        assert parse_fault("straggler:delay=0.25") == ProcessFault(
+            "straggler", delay=0.25
+        )
 
     def test_malformed_specs_rejected(self):
         with pytest.raises(ValueError, match="unknown fault kind"):
-            parse_server_fault("explode", rank=0)
+            parse_fault("explode")
+        with pytest.raises(ValueError, match="unknown fault kind"):
+            parse_fault("flakey")
         with pytest.raises(ValueError, match="missing 'delay'"):
-            parse_server_fault("straggler", rank=0)
+            parse_fault("straggler")
         with pytest.raises(ValueError, match="unknown fault parameter"):
-            parse_server_fault("crash:when=5", rank=0)
+            parse_fault("crash:when=5")
+        with pytest.raises(ValueError, match="unknown fault parameter"):
+            parse_fault("crash:delay=1")
         with pytest.raises(ValueError, match="malformed"):
-            parse_server_fault("crash:after", rank=0)
+            parse_fault("crash:after")
+
+    @pytest.mark.parametrize("spec", [
+        "straggler:delay=nan", "straggler:delay=inf",
+        "crash:after=x", "straggler:delay=x",
+    ])
+    def test_bad_values_are_refused_naming_the_spec(self, spec):
+        with pytest.raises(ValueError, match=re.escape(repr(spec))):
+            parse_fault(spec)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
-            ServerRankStraggler(0, delay=0.0)
+            ProcessFault("straggler", delay=0.0)
+        with pytest.raises(ValueError, match="delay"):
+            ProcessFault("straggler", delay=float("nan"))
         with pytest.raises(ValueError):
-            ServerRankCrash(0, after_messages=-1)
+            ProcessFault("crash", after_messages=-1)
+        with pytest.raises(ValueError, match="unknown fault kind"):
+            ProcessFault("explode")
 
 
 class TestRespawnHygiene:
@@ -447,7 +508,7 @@ class TestCheckpointSurvival:
         the final reported statistics (save_rank ran on the replacement
         process too)."""
         fn, config = make_config(16, server_ranks=2, checkpoint_interval=0.05)
-        plan = FaultPlan(server_rank_crashes=[ServerRankCrash(1, after_messages=6)])
+        plan = FaultPlan(rank_faults={1: ProcessFault("crash", after_messages=6)})
         runtime, results = run_distributed(
             config, fn, cls=SlowVectorSim, nworkers=2,
             checkpoint_dir=tmp_path, fault_plan=plan,
@@ -470,61 +531,13 @@ def test_seeded_rng_is_deterministic():
 # --------------------------------------------------------------------- #
 # ISSUE 7: group-worker chaos (crash / zombie / straggler) + scheduling
 # --------------------------------------------------------------------- #
-class TestWorkerFaultSpecParsing:
-    def test_crash_spec(self):
-        plan = parse_worker_fault("crash:after=5", worker=1)
-        assert plan.worker_crash_for(1) == WorkerCrash(1, after_messages=5)
-        assert plan.worker_crash_for(0) is None
-        assert plan.socket_only and plan.has_worker_faults
-        assert not plan.server_faults_only and not plan.empty
-
-    def test_zombie_default_after(self):
-        plan = parse_worker_fault("zombie")
-        assert plan.worker_zombie_for(0) == WorkerZombie(0, after_messages=0)
-
-    def test_straggler_spec(self):
-        plan = parse_worker_fault("straggler:delay=0.25", worker=2)
-        assert plan.worker_straggler_for(2) == WorkerStraggler(2, delay=0.25)
-
-    def test_malformed_specs_rejected(self):
-        with pytest.raises(ValueError, match="malformed"):
-            parse_worker_fault("crash:after")
-        with pytest.raises(ValueError, match="missing 'delay'"):
-            parse_worker_fault("straggler")
-        with pytest.raises(ValueError, match="unknown fault kind"):
-            parse_worker_fault("flakey")
-        with pytest.raises(ValueError, match="unknown fault parameter"):
-            parse_worker_fault("crash:delay=1")
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            WorkerStraggler(0, delay=0.0)
-        with pytest.raises(ValueError):
-            WorkerCrash(0, after_messages=-1)
-
-    def test_resolution_is_per_worker_index(self):
-        from repro.net.worker import _resolve_worker_fault
-
-        plan = parse_worker_fault("crash:after=5", worker=0)
-        assert _resolve_worker_fault(plan, None, 2) is None
-        armed = _resolve_worker_fault(plan, None, 0)
-        assert armed is not None and armed.crash is not None
-
-    def test_sequential_facade_rejects_worker_faults(self):
-        fn, config = make_config(4)
-        study = SensitivityStudy(config, vector_factory(fn))
-        plan = FaultPlan(worker_crashes=[WorkerCrash(0, after_messages=1)])
-        with pytest.raises(ValueError, match="distributed"):
-            study.run(fault_plan=plan)
-
-
 class TestWorkerCrash:
     def test_sigkilled_worker_group_resubmitted_exactly(self):
         """A worker SIGKILLed mid-delivery drops its control connection;
         the coordinator resubmits the in-flight group to a survivor and
         replay protection keeps statistics exact."""
         fn, config = make_config(12)
-        plan = FaultPlan(worker_crashes=[WorkerCrash(0, after_messages=3)])
+        plan = FaultPlan(worker_faults={0: ProcessFault("crash", after_messages=3)})
         runtime, results = run_distributed(
             config, fn, cls=SlowVectorSim, nworkers=3, fault_plan=plan,
         )
@@ -532,7 +545,6 @@ class TestWorkerCrash:
         assert runtime.coordinator.abandoned == []
         assert results.groups_integrated == 12
         assert_parity(results, sequential_reference(12))
-
 
     @pytest.mark.parametrize("transport", ["tcp", "shm"])
     def test_sigkilled_worker_holding_several_groups_resubmits_each_once(
@@ -542,19 +554,24 @@ class TestWorkerCrash:
         not reported yet, the one it runs, the ones it has not started —
         so when it is SIGKILLed mid-lease the coordinator knows exactly
         what it loses: each of those groups is resubmitted exactly once
-        and the maps still equal the sequential run."""
+        and the maps still equal the sequential run.  One delivered
+        message of a 1-timestep study falls inside the worker's first
+        group, so it dies holding all of its first lease.  Either worker
+        may ask first: with 24 groups and 2 workers the first lease is at
+        least 24 // 4 = 6 groups and the second at least 16 // 4 = 4."""
         lost = held_at_worker_loss(monkeypatch)
-        fn, config = make_config(12, ntimesteps=1, transport=transport)
-        plan = FaultPlan(worker_crashes=[WorkerCrash(0, after_messages=3)])
+        fn, config = make_config(24, ntimesteps=1, transport=transport)
+        plan = FaultPlan(worker_faults={0: ProcessFault("crash", after_messages=1)})
         runtime, results = run_distributed(
             config, fn, nworkers=2, fault_plan=plan,
         )
-        assert len(lost) == 1, lost  # only the killed worker held groups
+        # only the killed worker held groups, all of its lease
+        assert len(lost) == 1 and len(lost[0]) >= 3, lost
         assert runtime.coordinator.resubmitted == lost[0]
         assert runtime.coordinator.abandoned == []
         assert runtime.coordinator.rank_respawns == []
-        assert results.groups_integrated == 12
-        assert_parity(results, sequential_reference(12, ntimesteps=1))
+        assert results.groups_integrated == 24
+        assert_parity(results, sequential_reference(24, ntimesteps=1))
 
 
 class TestWorkerZombie:
@@ -562,7 +579,7 @@ class TestWorkerZombie:
         """A worker that goes silent (no heartbeats, no frames) is reaped
         on worker-staleness and its group re-run elsewhere."""
         fn, config = make_config(8, group_timeout=2.0)
-        plan = FaultPlan(worker_zombies=[WorkerZombie(1, after_messages=1)])
+        plan = FaultPlan(worker_faults={1: ProcessFault("zombie", after_messages=1)})
         runtime, results = run_distributed(
             config, fn, cls=VectorSim, nworkers=2, fault_plan=plan, timeout=60.0,
         )
@@ -585,7 +602,7 @@ class TestStragglerSpeculation:
         fn, config = make_config(
             12, scheduling="speculate:multiple=2,min_done=2"
         )
-        plan = FaultPlan(worker_stragglers=[WorkerStraggler(0, delay=0.5)])
+        plan = FaultPlan(worker_faults={0: ProcessFault("straggler", delay=0.5)})
         t0 = time.monotonic()
         runtime, straggled = run_distributed(
             config, fn, nworkers=3, fault_plan=plan, timeout=60.0,
@@ -611,7 +628,7 @@ class TestStragglerSpeculation:
         fn, config = make_config(
             12, scheduling="speculate:multiple=2,min_done=2"
         )
-        plan = FaultPlan(worker_stragglers=[WorkerStraggler(0, delay=5.0)])
+        plan = FaultPlan(worker_faults={0: ProcessFault("straggler", delay=5.0)})
         runtime, results = run_distributed(
             config, fn, nworkers=3, fault_plan=plan, timeout=60.0,
         )

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 from net_util import retry_on_eaddrinuse
 from repro.core import StudyConfig
 from repro.core.group import VectorFieldSimulation
+from repro.faults import FaultPlan, ProcessFault
 from repro.kernels import available_backends, parallel
 from repro.kernels.einsum import EinsumKernel
 from repro.runtime import DistributedRuntime, SequentialRuntime
@@ -434,7 +435,9 @@ class TestDistributedParity:
         fn, config = dist_config(fold_threads=2)
         runtime = retry_on_eaddrinuse(lambda: DistributedRuntime(
             config, dist_factory(fn, cls=SlowDistVectorSim), nworkers=2,
-            fault_kill_after=2,
+            fault_plan=FaultPlan(
+                worker_faults={0: ProcessFault("crash", after_messages=1)}
+            ),
         ))
         distributed = runtime.run(timeout=120.0)
         assert runtime.coordinator.resubmitted, "no group was resubmitted"

@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 from net_util import (
-    Inbox, InboxListener, held_at_worker_loss, retry_on_eaddrinuse,
+    Inbox, InboxListener, retry_on_eaddrinuse,
 )
 from repro.core import StudyConfig
 from repro.core.group import VectorFieldSimulation
@@ -197,7 +197,7 @@ class TestHeldGroupsBookkeeping:
         fn, config = make_config(ngroups=4)
         coordinator = retry_on_eaddrinuse(lambda: Coordinator(config))
         # 4 pending, one worker: a lease of 4 // 2 = 2 groups
-        reply, _ = coordinator._assign(0)
+        reply = coordinator._assign(0)
         assert reply == {"op": "group", "group_ids": [0, 1]}
         return coordinator
 
@@ -293,13 +293,13 @@ class TestHeldGroupsBookkeeping:
             pool.maybe_spawn(9, 1, now=0.0)
             coordinator._worker_conns = {0: object(), 5: object()}
             coordinator._worker_elastic[5] = True
-            reply, _ = coordinator._assign(5)
+            reply = coordinator._assign(5)
             assert reply == {"op": "group", "group_ids": [0]}
             # the queue is drained, but group 0 is still unacknowledged
-            again, _ = coordinator._assign(5)
+            again = coordinator._assign(5)
             assert again["op"] == "idle"
             coordinator._mark_done(5, 0)
-            retire, _ = coordinator._assign(5)
+            retire = coordinator._assign(5)
             assert retire == {"op": "retire"}
         finally:
             coordinator._worker_conns.clear()
@@ -761,7 +761,7 @@ class TestLeaseSize:
             coordinator._worker_conns = {w: object() for w in range(workers)}
             for _ in range(already_held):
                 coordinator._hold(0, coordinator._pending.pop())
-            reply, _ = coordinator._assign(0)
+            reply = coordinator._assign(0)
             assert reply == {"op": "group", "group_ids": list(range(expected))}
             assert list(coordinator._held[0])[-expected:] == reply["group_ids"]
             assert coordinator.study_view()["in_flight"] == already_held + expected
@@ -769,34 +769,15 @@ class TestLeaseSize:
             coordinator._worker_conns = {}
             coordinator.close()
 
-    def test_fault_kill_after_fires_at_the_nth_group_inside_a_lease(self):
-        fn, config = make_config(ngroups=64)
-        coordinator = retry_on_eaddrinuse(
-            lambda: Coordinator(config, fault_kill_after=MAX_HELD_GROUPS + 3)
-        )
-        try:
-            coordinator._worker_pids[0] = 4242
-            first, kill = coordinator._assign(0)
-            assert len(first["group_ids"]) == MAX_HELD_GROUPS and kill is None
-            for gid in first["group_ids"]:
-                coordinator._mark_done(0, gid)
-            second, kill = coordinator._assign(0)
-            # the 11th group handed out is the 3rd of the second lease
-            assert len(second["group_ids"]) > 3
-            assert kill == 4242
-            assert coordinator.study_view()["leases"] == 2
-        finally:
-            coordinator.close()
 
-
-def loopback_run(ngroups, nworkers, **kw):
+def loopback_run(ngroups, nworkers):
     fn, config = make_config(ngroups=ngroups, server_ranks=2)
 
     def factory(params, sim_id):
         return VectorFieldSimulation(fn, params, NCELLS, simulation_id=sim_id)
 
     runtime = retry_on_eaddrinuse(
-        lambda: DistributedRuntime(config, factory, nworkers=nworkers, **kw)
+        lambda: DistributedRuntime(config, factory, nworkers=nworkers)
     )
     results = runtime.run(timeout=120.0)
     reference = SequentialRuntime(config, factory).run()
@@ -807,20 +788,6 @@ def loopback_run(ngroups, nworkers, **kw):
 
 
 class TestLeaseLifecycle:
-    def test_sigkilled_worker_lease_is_resubmitted_exactly_once(
-        self, monkeypatch
-    ):
-        """``fault_kill_after=2`` falls inside the first lease (12 groups,
-        at most 2 workers: at least 3 per lease): the worker dies holding
-        all of it, and each of its groups is resubmitted exactly once."""
-        lost = held_at_worker_loss(monkeypatch)
-        runtime, results = loopback_run(12, 2, fault_kill_after=2)
-        coordinator = runtime.coordinator
-        assert len(lost) == 1 and len(lost[0]) >= 3, lost
-        assert coordinator.resubmitted == lost[0]
-        assert coordinator.abandoned == []
-        assert results.groups_integrated == 12
-
     def test_study_view_counts_leases(self):
         runtime, results = loopback_run(12, 1)
         view = runtime.coordinator.study_view()

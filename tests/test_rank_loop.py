@@ -26,7 +26,7 @@ from net_util import Inbox, InboxListener, retry_on_eaddrinuse
 from repro.core import StudyConfig
 from repro.core.group import VectorFieldSimulation
 from repro.core.server import ServerRank
-from repro.faults import FaultPlan, ServerRankStraggler
+from repro.faults import ProcessFault
 from repro.mesh.partition import BlockPartition
 from repro.net import channel as net_channel
 from repro.net import serve as net_serve
@@ -590,8 +590,9 @@ def test_a_backlog_behind_a_straggler_never_starves_the_heartbeat(
     fn, config = make_config(
         ngroups=30, ntimesteps=1, transport=transport, heartbeat_interval=0.05,
     )
-    plan = FaultPlan(server_rank_stragglers=[ServerRankStraggler(0, delay=0.02)])
-    rank = _RankUnderTest(config, monkeypatch, fault_plan=plan)
+    rank = _RankUnderTest(
+        config, monkeypatch, fault=ProcessFault("straggler", delay=0.02)
+    )
     channel = open_data_channel(rank.address, transport=transport)
     try:
         for group in range(config.ngroups):  # all at once: a backlog

@@ -7,7 +7,6 @@ whole-study timeout names the unfinished work.
 """
 
 import dataclasses
-import functools
 import multiprocessing as mp
 import os
 import re
@@ -27,7 +26,7 @@ from repro.core import StudyConfig
 from repro.core.checkpoint import CheckpointManager
 from repro.core.group import FunctionSimulation, VectorFieldSimulation
 from repro.core.server import MelissaServer, ServerRank
-from repro.faults import FaultPlan, ServerRankCrash, ServerRankStraggler
+from repro.faults import FaultPlan, ProcessFault
 from repro.mesh.partition import BlockPartition
 from repro.net.coordinator import Coordinator, StudyAborted, study_fingerprint
 from repro.net.framing import connect_with_retry
@@ -134,7 +133,7 @@ class TestDistributedRuntime:
         runtime = DistributedRuntime(
             config, vector_factory(fn), nworkers=1, transport=transport,
             fault_plan=FaultPlan(
-                server_rank_stragglers=[ServerRankStraggler(0, delay=0.01)]
+                rank_faults={0: ProcessFault("straggler", delay=0.01)}
             ),
         )
         assert runtime.run(timeout=120.0).groups_integrated == 12
@@ -184,7 +183,10 @@ class TestDistributedRuntime:
         fn, config = make_config(12, server_ranks=2)
         runtime = DistributedRuntime(
             config, vector_factory(fn, cls=SlowVectorSim), nworkers=2,
-            fault_kill_after=2, transport=transport,
+            fault_plan=FaultPlan(
+                worker_faults={0: ProcessFault("crash", after_messages=1)}
+            ),
+            transport=transport,
         )
         distributed = runtime.run(timeout=120.0)
         assert runtime.coordinator.resubmitted, "no group was resubmitted"
@@ -280,12 +282,12 @@ class TestCoordinatorOnly:
         )
         address = runtime.start()
         ctx = mp.get_context("fork")
-        crash = FaultPlan(server_rank_crashes=[ServerRankCrash(0, after_messages=6)])
+        crash = ProcessFault("crash", after_messages=6)
         outside = [
             ctx.Process(
                 target=run_server_rank, args=(rank, config, address),
                 kwargs={"checkpoint_dir": tmp_path,
-                        "fault_plan": crash if rank == 0 else None},
+                        "fault": crash if rank == 0 else None},
                 daemon=True,
             )
             for rank in range(2)
@@ -293,7 +295,7 @@ class TestCoordinatorOnly:
             ctx.Process(
                 target=run_worker,
                 args=(config, vector_factory(fn, cls=SlowVectorSim), address),
-                kwargs={"name": f"outside-{i}", "worker_index": i},
+                kwargs={"name": f"outside-{i}"},
                 daemon=True,
             )
             for i in range(2)
@@ -489,9 +491,11 @@ class TestCLI:
         from repro.runtime import distributed
 
         # a straggling worker keeps the study alive past the poll period
-        monkeypatch.setattr(distributed, "run_worker", functools.partial(
-            run_worker, fault_spec="straggler:delay=0.05"
-        ))
+        straggler = ProcessFault("straggler", delay=0.05)
+        monkeypatch.setattr(
+            distributed, "run_worker",
+            lambda *args, **kw: run_worker(*args, **dict(kw, fault=straggler)),
+        )
         path = str(tmp_path / "rendezvous.addr")
         probed = []
         poller = threading.Thread(

@@ -167,7 +167,7 @@ class TestSchedulingPolicy:
     def test_discarded_counts_only_started_attempts(self):
         coordinator, policy = attempt_fixture()
         try:
-            reply, _ = coordinator._assign(0)
+            reply = coordinator._assign(0)
             (gid,) = reply["group_ids"]
             coordinator._release(0, gid, "settled-by-duplicate")
             # second settle of the same attempt: no-op
@@ -343,7 +343,7 @@ class TestInterruptedNeverCharged:
         coordinator = stub_coordinator(config)
         try:
             for _ in range(4):
-                reply, _ = coordinator._assign(0)
+                reply = coordinator._assign(0)
                 assert reply["op"] == "group"
                 for gid in reply["group_ids"]:
                     coordinator._requeue_interrupted(0, gid)
@@ -360,7 +360,7 @@ class TestInterruptedNeverCharged:
         config = make_config(ngroups=2, max_group_retries=0)
         coordinator = stub_coordinator(config)
         try:
-            reply, _ = coordinator._assign(0)
+            reply = coordinator._assign(0)
             coordinator._resubmit_if_assigned(0)
             assert coordinator._retries == {gid: 1 for gid in reply["group_ids"]}
             assert coordinator.abandoned == reply["group_ids"]
@@ -375,8 +375,8 @@ def speculation_fixture(config=None):
     policy = SchedulingPolicy(parse_scheduling("speculate:multiple=2,min_done=1"))
     coordinator = stub_coordinator(config, policy=policy)
     coordinator._now = 0.0  # the turn's clock, scripted
-    r0, _ = coordinator._assign(0)
-    r1, _ = coordinator._assign(1)
+    r0 = coordinator._assign(0)
+    r1 = coordinator._assign(1)
     assert (r0["group_ids"], r1["group_ids"]) == ([0], [1])
     coordinator._now = 1.0  # g1 ran 1s -> median 1s, threshold 2s
     coordinator._mark_done(1, 1)
@@ -388,13 +388,12 @@ class TestSpeculationAccounting:
     def test_idle_worker_receives_speculative_copy(self):
         coordinator, policy = speculation_fixture()
         try:
-            reply, kill = coordinator._assign(1)
+            reply = coordinator._assign(1)
             assert reply == {"op": "group", "group_ids": [0]}
-            assert kill is None
             assert coordinator.speculated == [0]
             assert coordinator._held[1][0].speculative
             # with the duplicate in flight, nobody gets a third copy
-            reply2, _ = coordinator._assign(2)
+            reply2 = coordinator._assign(2)
             assert reply2["op"] == "idle"
         finally:
             coordinator.close()
@@ -489,14 +488,14 @@ class TestElasticRetireAccounting:
             pool.maybe_spawn(9, 1, now=0.0)  # one live extra
             coordinator._worker_conns = {0: _StubConn(), 5: _StubConn()}
             coordinator._worker_elastic[5] = True
-            reply, _ = coordinator._assign(0)  # drains the queue
+            reply = coordinator._assign(0)  # drains the queue
             assert reply["op"] == "group"
-            retire, _ = coordinator._assign(5)
+            retire = coordinator._assign(5)
             assert retire == {"op": "retire"}
             assert coordinator.retired_workers == [5]
             assert pool.retired_total == 1
             # asking again (late duplicate 'next') must not double-retire
-            again, _ = coordinator._assign(5)
+            again = coordinator._assign(5)
             assert again["op"] == "idle"
         finally:
             coordinator.close()

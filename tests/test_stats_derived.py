@@ -24,7 +24,7 @@ from repro.core import StudyConfig
 from repro.core.checkpoint import CheckpointManager
 from repro.core.group import VectorFieldSimulation
 from repro.core.server import MelissaServer
-from repro.faults import FaultPlan, ServerCrash
+from repro.faults import FaultPlan, ProcessFault, ServerCrash
 from repro.runtime import DistributedRuntime, SequentialRuntime
 from repro.sampling import draw_design
 from repro.sobol import IshigamiFunction
@@ -190,7 +190,9 @@ class TestExactThroughFaults:
         fn, config = make_config(12)
         runtime = retry_on_eaddrinuse(lambda: DistributedRuntime(
             config, factory(fn, 2, cls=SlowVectorSim), nworkers=2,
-            fault_kill_after=2,
+            fault_plan=FaultPlan(
+                worker_faults={0: ProcessFault("crash", after_messages=1)}
+            ),
         ))
         results = runtime.run(timeout=120.0)
         assert runtime.coordinator.resubmitted, "no group was resubmitted"

@@ -19,6 +19,7 @@ from repro.core import StudyConfig
 from repro.core.checkpoint import CheckpointManager
 from repro.core.group import VectorFieldSimulation
 from repro.core.server import ServerRank
+from repro.faults import FaultPlan, ProcessFault
 from repro.mesh.partition import BlockPartition
 from repro.runtime import DistributedRuntime, SequentialRuntime
 from repro.sobol import IshigamiFunction
@@ -119,7 +120,9 @@ class TestDistributedCatalogParity:
         fn, config = make_config(12)
         runtime = retry_on_eaddrinuse(lambda: DistributedRuntime(
             config, vector_factory(fn, cls=SlowVectorSim), nworkers=2,
-            fault_kill_after=2,
+            fault_plan=FaultPlan(
+                worker_faults={0: ProcessFault("crash", after_messages=1)}
+            ),
         ))
         distributed = runtime.run(timeout=120.0)
         assert runtime.coordinator.resubmitted, "no group was resubmitted"

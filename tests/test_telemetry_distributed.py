@@ -20,6 +20,7 @@ from net_util import retry_on_eaddrinuse
 from repro import telemetry as _telemetry
 from repro.core import StudyConfig
 from repro.core.group import VectorFieldSimulation
+from repro.faults import FaultPlan, ProcessFault
 from repro.runtime import DistributedRuntime, SequentialRuntime
 from repro.sobol import IshigamiFunction
 from repro.telemetry.aggregate import series_value
@@ -177,7 +178,10 @@ class TestTelemetryParity:
         the counters, and groups_done still matches the results total."""
         fn, config = make_config(ngroups=12)
         runtime, results = run_with_telemetry(
-            config, fn, tmp_path, cls=SlowVectorSim, fault_kill_after=2
+            config, fn, tmp_path, cls=SlowVectorSim,
+            fault_plan=FaultPlan(
+                worker_faults={0: ProcessFault("crash", after_messages=1)}
+            ),
         )
         assert runtime.coordinator.resubmitted, "no group was resubmitted"
         assert results.groups_integrated == config.ngroups
