@@ -9,6 +9,7 @@ surviving study matches the sequential runtime to rtol 1e-10.
 """
 
 import re
+import signal
 import time
 from types import SimpleNamespace
 
@@ -17,6 +18,7 @@ import pytest
 
 from net_util import held_at_worker_loss, retry_on_eaddrinuse, seeded_rng
 from repro import SensitivityStudy
+from repro.cli import build_parser
 from repro.core import StudyConfig
 from repro.core.checkpoint import CheckpointManager
 from repro.core.group import VectorFieldSimulation
@@ -25,7 +27,10 @@ from repro.core.launcher import (
     RankRespawnPolicy,
     RespawnBudgetExceeded,
 )
-from repro.faults import FaultPlan, GroupCrash, ProcessFault, parse_fault
+from repro.faults import (
+    FaultInjector, FaultPlan, GroupCrash, ProcessFault, parse_fault,
+)
+from repro.faults import plan as fault_plan_module
 from repro.net.coordinator import StudyAborted
 from repro.net.supervisor import RankSupervisor
 from repro.runtime import DistributedRuntime, SequentialRuntime
@@ -531,6 +536,98 @@ def test_seeded_rng_is_deterministic():
 # --------------------------------------------------------------------- #
 # ISSUE 7: group-worker chaos (crash / zombie / straggler) + scheduling
 # --------------------------------------------------------------------- #
+class TestWorkerFaultSpecParsing:
+    """The worker side of the one grammar: ``repro work --fault`` reads a
+    :class:`ProcessFault`, the plan maps it to a forked worker's index,
+    and the worker's :class:`FaultInjector` fires it per delivered
+    message."""
+
+    @staticmethod
+    def work_fault(spec):
+        return build_parser().parse_args(
+            ["work", "--coordinator", "h:1", "--fault", spec]
+        ).fault
+
+    class Fired(Exception):
+        """Raised where the real fault would SIGKILL or hang the process."""
+
+    @classmethod
+    def injector(cls, fault, monkeypatch):
+        """An injector whose SIGKILL and sleeps are recorded, not done."""
+        calls = []
+
+        def kill(pid, sig):
+            calls.append(("kill", pid, sig))
+            raise cls.Fired
+
+        def sleep(seconds):
+            calls.append(("sleep", seconds))
+            if seconds >= 3600:  # the zombie's hang
+                raise cls.Fired
+
+        monkeypatch.setattr(fault_plan_module, "os", SimpleNamespace(
+            getpid=lambda: 4242, kill=kill,
+        ))
+        monkeypatch.setattr(fault_plan_module, "time", SimpleNamespace(sleep=sleep))
+        return FaultInjector(fault), calls
+
+    def test_crash_spec(self, monkeypatch):
+        fault = self.work_fault("crash:after=5")
+        assert fault == ProcessFault("crash", after_messages=5)
+        plan = FaultPlan(worker_faults={1: fault})
+        assert plan.worker_faults.get(0) is None and plan.socket_only
+        injector, calls = self.injector(fault, monkeypatch)
+        injector.check()
+        for _ in range(4):
+            injector.on_message()
+        assert calls == []
+        with pytest.raises(self.Fired):
+            injector.on_message()
+        assert calls == [("kill", 4242, signal.SIGKILL)]
+
+    def test_zombie_default_after(self, monkeypatch):
+        fault = self.work_fault("zombie")
+        assert fault == ProcessFault("zombie", after_messages=0)
+        injector, calls = self.injector(fault, monkeypatch)
+        # after=0: the worker hangs before its first delivered message
+        with pytest.raises(self.Fired):
+            injector.check()
+        assert calls == [("sleep", 3600)]
+
+    def test_straggler_spec(self, monkeypatch):
+        fault = self.work_fault("straggler:delay=0.25")
+        assert fault == ProcessFault("straggler", delay=0.25)
+        injector, calls = self.injector(fault, monkeypatch)
+        for _ in range(3):
+            injector.on_message()
+            injector.check()
+        # slowed on every message, never killed or hung
+        assert calls == [("sleep", 0.25)] * 3
+
+    def test_malformed_specs_rejected(self, capsys):
+        for spec, message in [
+            ("crash:after", "malformed"),
+            ("straggler", "missing 'delay'"),
+            ("flakey", "unknown fault kind"),
+            ("crash:delay=1", "unknown fault parameter"),
+        ]:
+            with pytest.raises(SystemExit) as exc:
+                self.work_fault(spec)
+            assert exc.value.code == 2
+            assert message in capsys.readouterr().err
+
+    def test_spec_validation(self, capsys):
+        with pytest.raises(ValueError):
+            ProcessFault("straggler", delay=0.0)
+        with pytest.raises(ValueError):
+            ProcessFault("crash", after_messages=-1)
+        for spec in ("straggler:delay=0", "crash:after=-1"):
+            with pytest.raises(SystemExit) as exc:
+                self.work_fault(spec)
+            assert exc.value.code == 2
+            assert spec in capsys.readouterr().err
+
+
 class TestWorkerCrash:
     def test_sigkilled_worker_group_resubmitted_exactly(self):
         """A worker SIGKILLed mid-delivery drops its control connection;

@@ -27,11 +27,12 @@ import numpy as np
 import pytest
 
 from net_util import (
-    Inbox, InboxListener, retry_on_eaddrinuse,
+    Inbox, InboxListener, held_at_worker_loss, retry_on_eaddrinuse,
 )
 from repro.core import StudyConfig
 from repro.core.group import VectorFieldSimulation
 from repro.core.launcher import RankRespawnPolicy
+from repro.faults import FaultPlan, ProcessFault
 from repro.net import coordinator as coordinator_module
 from repro.net import worker as worker_module
 from repro.net.coordinator import (
@@ -770,14 +771,14 @@ class TestLeaseSize:
             coordinator.close()
 
 
-def loopback_run(ngroups, nworkers):
+def loopback_run(ngroups, nworkers, **kw):
     fn, config = make_config(ngroups=ngroups, server_ranks=2)
 
     def factory(params, sim_id):
         return VectorFieldSimulation(fn, params, NCELLS, simulation_id=sim_id)
 
     runtime = retry_on_eaddrinuse(
-        lambda: DistributedRuntime(config, factory, nworkers=nworkers)
+        lambda: DistributedRuntime(config, factory, nworkers=nworkers, **kw)
     )
     results = runtime.run(timeout=120.0)
     reference = SequentialRuntime(config, factory).run()
@@ -788,6 +789,22 @@ def loopback_run(ngroups, nworkers):
 
 
 class TestLeaseLifecycle:
+    def test_sigkilled_worker_lease_is_resubmitted_exactly_once(
+        self, monkeypatch
+    ):
+        """Worker 0 SIGKILLs itself on its first delivered message, inside
+        the first group of its first lease (24 groups, at most 2 workers:
+        at least 3 per lease): it dies holding all of that lease, and each
+        of its groups is resubmitted exactly once."""
+        lost = held_at_worker_loss(monkeypatch)
+        plan = FaultPlan(worker_faults={0: ProcessFault("crash", after_messages=1)})
+        runtime, results = loopback_run(24, 2, fault_plan=plan)
+        coordinator = runtime.coordinator
+        assert len(lost) == 1 and len(lost[0]) >= 3, lost
+        assert coordinator.resubmitted == lost[0]
+        assert coordinator.abandoned == []
+        assert results.groups_integrated == 24
+
     def test_study_view_counts_leases(self):
         runtime, results = loopback_run(12, 1)
         view = runtime.coordinator.study_view()
