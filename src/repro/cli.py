@@ -13,7 +13,7 @@ Distributed deployment (the paper's multi-host shape — every process may
 run on a different machine, pointed at the same coordinator):
 
 ``python -m repro.cli launch --study quickstart --groups 100 --bind HOST:PORT``
-    Rendezvous + work queue; waits for ranks and workers, prints results.
+    Rank table + work queue; waits for ranks and workers, prints results.
 ``python -m repro.cli serve --study quickstart --groups 100 --rank K --coordinator HOST:PORT``
     One Melissa Server rank (run ``--server-ranks`` of these).
 ``python -m repro.cli work --study quickstart --groups 100 --coordinator HOST:PORT``
@@ -570,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data-host", default="127.0.0.1",
                    help="interface for this rank's data listener")
     p.add_argument("--data-port", type=int, default=0,
-                   help="data port (0 = ephemeral, sent to the rendezvous)")
+                   help="data port (0 = ephemeral, sent to the coordinator)")
     p.add_argument("--checkpoint-dir", default=None)
     add_fault_arg(p, "rank")
     add_log_args(p)
@@ -586,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "launch",
-        help="coordinator: rendezvous + work queue + results assembly",
+        help="coordinator: rank table + work queue + results assembly",
     )
     add_study_args(p)
     p.add_argument("--bind", default="127.0.0.1:0", metavar="HOST:PORT")

@@ -26,7 +26,7 @@ from repro.core.config import StudyConfig
 from repro.mesh.partition import BlockPartition
 from repro.sampling.pickfreeze import PickFreezeDesign
 from repro.transport.base import TransportClient
-from repro.transport.message import ConnectionRequest, FieldMessage, GroupFieldMessage
+from repro.transport.message import FieldMessage, GroupFieldMessage
 from repro.transport.router import redistribution_plan
 
 
@@ -202,7 +202,6 @@ class GroupExecutor:
         self.client_partition = BlockPartition(config.ncells, config.client_ranks)
         # cell range [lo, hi) of every client rank x server rank intersection,
         # re-derived only when the router shows a different partition object
-        # (a socket router drops and re-learns it after a rank respawn)
         self._plan: List[Tuple[int, int]] = []
         self._plan_partition: Optional[BlockPartition] = None
         self.timesteps_sent = 0
@@ -212,7 +211,7 @@ class GroupExecutor:
     # the Melissa 3-call API (Sec. 4.1.3)
     # ------------------------------------------------------------------ #
     def initialize(self) -> None:
-        """Build members and dynamically connect to the server."""
+        """Build the members; each must produce ``config.ncells`` cells."""
         if self.state != GroupState.CREATED:
             raise RuntimeError("initialize called twice")
         base_id = self.group.group_id * self.group.size
@@ -226,13 +225,6 @@ class GroupExecutor:
                     f"member {m} produces {sim.ncells} cells, "
                     f"study configured {self.config.ncells}"
                 )
-        self.router.connect(
-            ConnectionRequest(
-                group_id=self.group.group_id,
-                ncells=self.config.ncells,
-                nranks_client=self.config.client_ranks,
-            )
-        )
         self.state = GroupState.RUNNING
 
     def process_step(self) -> GroupState:
@@ -298,10 +290,9 @@ class GroupExecutor:
         return self.state
 
     def finalize(self) -> None:
-        """Disconnect from the server and release members."""
+        """Finish the group once every message is delivered."""
         if self._outbox:
             raise RuntimeError("cannot finalize with undelivered messages")
-        self.router.disconnect(self.group.group_id)
         self.state = GroupState.FINISHED
 
     # ------------------------------------------------------------------ #

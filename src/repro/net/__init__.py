@@ -15,11 +15,11 @@ is the stdlib-only TCP equivalent of that layer:
   semantics ("communications only become blocking when both buffers are
   full") and full :class:`~repro.transport.channel.ChannelStats`
   accounting;
-* :mod:`repro.net.coordinator` — the rank-0 rendezvous endpoint: server
-  ranks register their data addresses, joining groups receive the server
-  partition + address table and open direct channels only to the ranks
-  their cells intersect; also the study work queue with fault-tolerant
-  group resubmission;
+* :mod:`repro.net.coordinator` — the study work queue with fault-tolerant
+  group resubmission, and the rank table: server ranks register their
+  data addresses, and every work lease names them, so a worker opens
+  direct channels only to the ranks its cells intersect (the partition
+  itself is derived from the study configuration by every process);
 * :mod:`repro.net.serve` / :mod:`repro.net.worker` — the process mains
   behind ``repro serve`` / ``repro work`` and the loopback
   :class:`~repro.runtime.distributed.DistributedRuntime`.

@@ -1,36 +1,40 @@
-"""Rank-0 rendezvous endpoint + distributed study coordination.
+"""Distributed study coordination: the work queue and the rank table.
 
 In the paper a starting simulation group contacts the *server's rank 0*,
 which replies with the server-side data partition so the group can open
-direct channels to exactly the intersecting ranks (Sec. 4.1.3).  The
-:class:`Coordinator` plays that role over one TCP control port, and
-additionally owns the launcher-side bookkeeping of Sec. 4.2.2:
+direct channels to exactly the intersecting ranks (Sec. 4.1.3).  Here
+every process derives the partition from the fingerprinted config, so
+the only news is where each rank listens, and every lease carries it.
+The :class:`Coordinator` serves one TCP control port and owns the
+launcher-side bookkeeping of Sec. 4.2.2:
 
 * **server ranks** register their data-listener addresses and, at the
   end of the study, ship their rank state (+ batched index maps and
   convergence scalar) back;
-* **group workers** request work and receive the partition + address
-  table on connect.  One control frame per *lease*: ``{"op": "next",
-  "done": [...]}`` asks for more work and carries the ids of the groups
-  whose every frame the receiving ranks have acknowledged (handled:
-  staged or folded) since the last request; the reply ``{"op": "group",
-  "group_ids": [...]}`` leases one or more groups (see :meth:`_assign`).
-  A worker asks as soon as its lease's last frame is handed to its
-  channels, so it **holds** several groups at once — leased, running,
-  or sent but not yet acknowledged, at most :data:`MAX_HELD_GROUPS` —
-  and every held group is in flight for all bookkeeping below: worker
+* **group workers** request work.  One control frame per *lease*:
+  ``{"op": "next", "done": [...]}`` asks for more work and carries the
+  ids of the groups whose every frame the receiving ranks have
+  acknowledged (handled: staged or folded) since the last request; the
+  reply ``{"op": "group", "group_ids": [...], "ranks": [...]}`` leases
+  one or more groups (see :meth:`_assign`) and names each rank's data
+  address; none goes out while a rank is unregistered.  A worker asks
+  as soon as its lease's last frame is handed to its channels, so it
+  **holds** several groups at once — leased, running, or sent but not
+  yet acknowledged, at most :data:`MAX_HELD_GROUPS` — and every held
+  group is in flight for all bookkeeping below: worker
   loss resubmits each, a rank respawn marks each attempt stale, the
   first completion settles duplicates, the study is not settled while
   any is held.  One table holds every attempt: worker id -> {group id ->
   :class:`Attempt`}, stamped with the turn that leased it; an attempt
   ends in :meth:`Coordinator._release` and nowhere else.  ``next`` is a
-  **long poll**: when there is nothing to hand out yet (groups settled
-  but rank states missing, speculation not due) the request is parked
-  and answered in the loop turn whose event resolves it (a rank state, a
-  requeue, a departed worker; for the time-based verdicts, the heartbeat
-  the parked worker keeps sending) — except that a worker still holding
-  unacknowledged groups is told to ``settle`` (wait for the ranks, then
-  ask again) so its completions never wait on a timer;
+  **long poll**: when there is nothing to hand out yet (a rank not
+  registered, groups settled but rank states missing, speculation not
+  due) the request is parked and answered in the loop turn whose event
+  resolves it (a rank registration or state, a requeue, a departed
+  worker; for the time-based verdicts, the heartbeat the parked worker
+  keeps sending) — except that a worker still holding unacknowledged
+  groups is told to ``settle`` (wait for the ranks, then ask again) so
+  its completions never wait on a timer;
 * **fault tolerance** — a worker that disappears (closed control
   connection, e.g. a killed process, or a stale heartbeat) has every
   group it held resubmitted to the remaining workers, up to
@@ -67,11 +71,10 @@ additionally owns the launcher-side bookkeeping of Sec. 4.2.2:
 :meth:`Coordinator.wait` runs on the caller's thread: every frame,
 verdict, respawn and fork happens there, so its state needs no lock.
 Between turns the loop sleeps until a peer is readable or the next
-*silence* deadline — a peer that never said hello, a parked rendezvous,
-a heartbeat going stale, the wait's own timeout — and never on a fixed
-poll.  Each turn reads the clock once, as its ``now``, and every verdict
-and record of the turn uses it; only the loop shell and setup read
-``time``.
+*silence* deadline — a peer that never said hello, a heartbeat going
+stale, the wait's own timeout — and never on a fixed poll.  Each turn
+reads the clock once, as its ``now``, and every verdict and record of
+the turn uses it; only the loop shell and setup read ``time``.
 
 The coordinator is transport policy only — statistics never flow through
 it; field data goes worker -> rank over the direct data channels.
@@ -89,16 +92,14 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 from repro import telemetry as _telemetry
 from repro.core.config import StudyConfig
 from repro.net.framing import (
-    AddressedReply,
     ConnectionLost,
     FrameReader,
     ProtocolError,
     peer_field,
     send_frame,
 )
-from repro.mesh.partition import BlockPartition
 from repro.telemetry.logs import get_logger, ids
-from repro.transport.message import ConnectionReply, ConnectionRequest, Heartbeat
+from repro.transport.message import Heartbeat
 
 #: most groups one worker holds — leased, running, or sent but not yet
 #: acknowledged.  Both sides read it: the coordinator never leases past
@@ -181,8 +182,23 @@ def study_fingerprint(config: StudyConfig) -> dict:
     }
 
 
+def channel_stats(frame: dict) -> Optional[dict]:
+    """The optional ``channel_stats`` of a peer's ``bye`` or
+    ``rank_state``: counter name -> number, else the peer's
+    :class:`ProtocolError`."""
+    stats = peer_field(frame, "channel_stats", dict, None)
+    if stats is not None and not all(
+        type(name) is str and type(value) in (int, float)
+        for name, value in stats.items()
+    ):
+        raise ProtocolError(
+            f"{frame.get('op')!r} frame has a malformed 'channel_stats'"
+        )
+    return stats
+
+
 class Coordinator:
-    """The rendezvous + work-queue process (the ``repro launch`` core).
+    """The work-queue + rank-table process (the ``repro launch`` core).
 
     Its outputs are frames to its peers and the kill/spawn requests it
     makes of its supervisors; it signals no process itself.  Tests kill
@@ -237,7 +253,6 @@ class Coordinator:
             )
         self.config = config
         self.fingerprint = study_fingerprint(config)
-        self.partition = BlockPartition(config.ncells, config.server_ranks)
         self.worker_timeout = (
             config.group_timeout if worker_timeout is None else worker_timeout
         )
@@ -307,9 +322,6 @@ class Coordinator:
         self._sel.register(self._listener, selectors.EVENT_READ, "listener")
         self._peers: Set[_Peer] = set()  # registered in the selector
         self._detached: List[_Peer] = []  # done reading, fd kept open
-        # rendezvous requests waiting for the full rank address table:
-        # (peer, request, deadline) serviced from the loop's tick
-        self._parked: List[Tuple[_Peer, ConnectionRequest, float]] = []
         # ``next`` requests _assign has no answer for yet (worker id ->
         # peer): re-evaluated at the end of every loop turn, so the one
         # whose event resolves them also answers them
@@ -496,16 +508,15 @@ class Coordinator:
 
     def _next_wakeup(self, deadline: float) -> float:
         """The earliest instant a turn is due although no peer spoke:
-        ``deadline``, a peer's hello deadline, a parked rendezvous
-        expiring, or the heartbeat of a worker holding groups or of a
-        watched rank going stale.  Verdicts that only change with time
-        for a *parked* ``next`` (speculation due, elastic cooldown) need
-        no entry: the parked worker heartbeats, and each beat is a turn."""
+        ``deadline``, a peer's hello deadline, or the heartbeat of a
+        worker holding groups or of a watched rank going stale.
+        Verdicts that only change with time for a *parked* ``next``
+        (speculation due, elastic cooldown) need no entry: the parked
+        worker heartbeats, and each beat is a turn."""
         due = [deadline]
         due.extend(
             p.hello_deadline for p in self._peers if p.hello_deadline is not None
         )
-        due.extend(expiry for _, _, expiry in self._parked)
         due.extend(
             self._last_seen[wid] + self.worker_timeout
             for wid in self._held
@@ -619,7 +630,9 @@ class Coordinator:
                 self._accept_ready()
             else:
                 self._pump_peer(key.data)
-        self._tick(now)
+        for peer in list(self._peers):
+            if peer.hello_deadline is not None and now > peer.hello_deadline:
+                self._drop_fd(peer)  # never said hello
         if self._groups_settled() and not self._finalized:
             self._finalize_ranks()
         self._reap_stale_workers()
@@ -736,39 +749,6 @@ class Coordinator:
             self._resubmit_if_assigned(wid)
             self._forget_worker(wid)
 
-    def _tick(self, now: float) -> None:
-        """Per-turn deadline work: peers that never said hello, and
-        parked rendezvous requests (fulfil or expire)."""
-        for peer in list(self._peers):
-            if (
-                peer.kind is None
-                and peer.hello_deadline is not None
-                and now > peer.hello_deadline
-            ):
-                self._drop_fd(peer)
-        if not self._parked:
-            return
-        nregistered = len(self._rank_addresses)
-        ready = nregistered >= self.config.server_ranks
-        still_parked: List[Tuple[_Peer, ConnectionRequest, float]] = []
-        for peer, request, deadline in self._parked:
-            if peer not in self._peers:
-                continue  # the worker died while waiting
-            if ready:
-                try:
-                    peer.send(self._addressed_reply())
-                except ConnectionLost:
-                    self._peer_lost(peer)
-            elif now >= deadline:
-                self._errors.append(
-                    f"only {nregistered} of {self.config.server_ranks} "
-                    f"server ranks registered"
-                )
-                self._peer_lost(peer)
-            else:
-                still_parked.append((peer, request, deadline))
-        self._parked = still_parked
-
     # ------------------------------------------------------------------ #
     def _register_rank(self, peer: _Peer, hello: dict) -> bool:
         rank = peer_field(hello, "rank", int)
@@ -777,12 +757,16 @@ class Coordinator:
         address = tuple(peer_field(hello, "address", (tuple, list)))
         if [type(part) for part in address] != [str, int]:
             raise ProtocolError(f"rank {rank} sent no (host, port) address")
+        # the supervisor signals this pid: only a real one, or none
+        pid = peer_field(hello, "pid", (int, type(None)), None)
+        if pid is not None and (isinstance(pid, bool) or pid <= 0):
+            raise ProtocolError(f"rank {rank} sent pid {pid!r}")
         self._note_rank_registration(rank, hello)
         peer.kind, peer.rank = "rank", rank
         self._rank_addresses[rank] = address
         self._rank_conns[rank] = peer
         if self.supervisor is not None:
-            self.supervisor.watch(rank, hello.get("pid"))
+            self.supervisor.watch(rank, pid)
             # registration counts as liveness: a rank that hangs
             # before its first heartbeat must still look stale later
             self.supervisor.beat(rank, self._now)
@@ -808,12 +792,13 @@ class Coordinator:
                 self.telemetry.ingest(frame.sender, frame.metrics)
             return True
         if isinstance(frame, dict) and frame.get("op") == "rank_state":
+            stats = channel_stats(frame)
             self.rank_widths[rank] = peer_field(frame, "width", (int, float))
             self.rank_maps[rank] = peer_field(frame, "maps", dict)
             # last: a rank is reported once its state is in
             self.rank_states[rank] = peer_field(frame, "state", dict)
-            if frame.get("channel_stats") is not None:
-                self.rank_channel_stats[rank] = frame["channel_stats"]
+            if stats is not None:
+                self.rank_channel_stats[rank] = stats
             self._event("rank_state", f"rank {rank} reported")
             if self.supervisor is not None:
                 # the rank now lingers (silent by design) to absorb
@@ -907,8 +892,8 @@ class Coordinator:
         if self._rank_conns.get(rank) is not conn:
             return  # superseded by a newer registration
         del self._rank_conns[rank]
-        # block new rendezvous replies until the replacement publishes its
-        # fresh data address
+        # no lease goes out until the replacement registers its fresh
+        # data address
         self._rank_addresses.pop(rank, None)
         if self.supervisor is None:
             self._errors.append(
@@ -960,23 +945,6 @@ class Coordinator:
                 if frame.metrics is not None and self.telemetry is not None:
                     self.telemetry.ingest(frame.sender, frame.metrics)
                 return True
-            if isinstance(frame, ConnectionRequest):
-                if frame.ncells != self.config.ncells:
-                    raise StudyAborted(
-                        f"group {frame.group_id} has {frame.ncells} cells, "
-                        f"study configured {self.config.ncells}"
-                    )
-                if len(self._rank_addresses) >= self.config.server_ranks:
-                    peer.send(self._addressed_reply())
-                else:
-                    # the handshake waits until every rank has registered
-                    # its data address — a group can only open channels
-                    # to a complete server.  Parked, not blocked: a later
-                    # turn's tick fulfils or expires it.
-                    self._parked.append(
-                        (peer, frame, self._now + self.worker_timeout)
-                    )
-                return True
             if not isinstance(frame, dict):
                 raise StudyAborted(f"unexpected frame from {name}: {frame!r}")
             op = frame.get("op")
@@ -1000,8 +968,9 @@ class Coordinator:
                 self._peer_lost(peer)
                 return False
             elif op == "bye":
-                if frame.get("channel_stats") is not None:
-                    self.worker_channel_stats[name] = frame["channel_stats"]
+                stats = channel_stats(frame)
+                if stats is not None:
+                    self.worker_channel_stats[name] = stats
                 self._peer_lost(peer)
                 return False
             else:
@@ -1038,28 +1007,20 @@ class Coordinator:
             raise ProtocolError(f"no group {gid!r} in this study")
         return gid
 
-    def _addressed_reply(self) -> AddressedReply:
-        """Rendezvous reply once the rank address table is complete."""
-        addresses = tuple(
-            self._rank_addresses[r] for r in range(self.config.server_ranks)
-        )
-        return AddressedReply(
-            reply=ConnectionReply(
-                nranks_server=self.partition.nranks,
-                offsets=tuple(int(o) for o in self.partition.offsets),
-            ),
-            addresses=addresses,
-        )
-
     def _answer_next(self, peer: _Peer) -> bool:
         """Answer a worker's ``next`` if :meth:`_assign` has a verdict
         for it; False means "not yet" — the request stays parked (long
         poll) until a state change resolves it.  A worker that still
         holds unacknowledged groups is never parked: it is told to
         ``settle`` them (wait for the ranks, then ask again), so every
-        completion reaches the coordinator without a timer."""
+        completion reaches the coordinator without a timer.  Every lease
+        names each rank's data address, so while a rank is unregistered
+        the verdict is ``idle``."""
         wid = peer.wid
-        reply = self._assign(wid)
+        ranks = [self._rank_addresses.get(r) for r in range(self.config.server_ranks)]
+        reply = {"op": "idle"} if None in ranks else self._assign(wid)
+        if reply["op"] == "group":
+            reply["ranks"] = ranks
         if reply["op"] == "idle":
             if wid not in self._held:
                 return False

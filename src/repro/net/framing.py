@@ -11,14 +11,12 @@ list of buffer views — header bytes plus a zero-copy ``memoryview`` of
 the numpy payload, nothing is concatenated — and read by receiving the
 payload straight into a preallocated array with ``recv_into``.
 
-Control-plane frames are tiny: the connection handshake
-(:class:`~repro.transport.message.ConnectionRequest` /
-:class:`~repro.transport.message.ConnectionReply` + the per-rank address
-table), :class:`~repro.transport.message.Heartbeat` liveness beacons (one
-layout: time, sender, and a metrics payload that is empty unless the
-registration ack turned telemetry on), flow-control :class:`Credit`
-grants, and a pickled ``dict`` frame for the coordinator protocol (work
-assignment, rank-state collection).
+Control-plane frames are tiny: :class:`~repro.transport.message.Heartbeat`
+liveness beacons (one layout: time, sender, and a metrics payload that
+is empty unless the registration ack turned telemetry on), flow-control
+:class:`Credit` grants, shm :class:`Doorbell` wakeups, and a pickled
+``dict`` frame for the coordinator protocol (registration, work leases
+with the rank address table, rank-state collection).
 """
 
 from __future__ import annotations
@@ -34,21 +32,13 @@ from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
-from repro.transport.message import (
-    ConnectionReply,
-    ConnectionRequest,
-    FieldMessage,
-    GroupFieldMessage,
-    Heartbeat,
-)
+from repro.transport.message import FieldMessage, GroupFieldMessage, Heartbeat
 
 _PREFIX = struct.Struct("<I")
 _MAX_FRAME = 1 << 31  # sanity bound: one frame never exceeds 2 GiB
 
 TAG_FIELD = b"F"
 TAG_GROUP_FIELD = b"G"
-TAG_CONN_REQUEST = b"Q"
-TAG_CONN_REPLY = b"R"
 TAG_HEARTBEAT = b"h"
 TAG_CREDIT = b"C"
 TAG_CONTROL = b"P"
@@ -56,7 +46,6 @@ TAG_DOORBELL = b"D"
 
 _FIELD_HEADER = struct.Struct("<qqqqq")  # group, member, step, lo, hi
 _GROUP_HEADER = struct.Struct("<qqqqq")  # group, step, lo, hi, nmembers
-_CONN_REQUEST = struct.Struct("<qqq")  # group, ncells, nranks_client
 _CREDIT = struct.Struct("<q")  # granted bytes (-1 = unlimited initial window)
 # time, utf-8 sender length; then the sender and the pickled metrics
 # payload, which is empty (and never pickled) for a liveness-only beat
@@ -118,19 +107,6 @@ class Credit:
     nbytes: int
 
 
-@dataclass(frozen=True)
-class AddressedReply:
-    """:class:`ConnectionReply` plus the server ranks' data addresses.
-
-    This is what the rendezvous actually hands a joining group: the
-    partition fenceposts *and* where each rank listens, so the group can
-    open direct channels to exactly the intersecting ranks.
-    """
-
-    reply: ConnectionReply
-    addresses: Tuple[Tuple[str, int], ...]
-
-
 # --------------------------------------------------------------------- #
 # encoding
 # --------------------------------------------------------------------- #
@@ -151,17 +127,6 @@ def encode_frame(msg: Any) -> List[Any]:
         payload = memoryview(np.ascontiguousarray(msg.data)).cast("B")
         body_len = 1 + len(header) + len(payload)
         return [_PREFIX.pack(body_len) + TAG_GROUP_FIELD + header, payload]
-    if isinstance(msg, ConnectionRequest):
-        body = _CONN_REQUEST.pack(msg.group_id, msg.ncells, msg.nranks_client)
-        return [_PREFIX.pack(1 + len(body)) + TAG_CONN_REQUEST + body]
-    if isinstance(msg, AddressedReply):
-        n = msg.reply.nranks_server
-        body = struct.pack("<q", n)
-        body += struct.pack(f"<{n + 1}q", *msg.reply.offsets)
-        for host, port in msg.addresses:
-            encoded = host.encode("utf-8")
-            body += struct.pack("<Hq", len(encoded), int(port)) + encoded
-        return [_PREFIX.pack(1 + len(body)) + TAG_CONN_REPLY + body]
     if isinstance(msg, Heartbeat):
         sender = msg.sender.encode("utf-8")
         payload = b"" if msg.metrics is None else pickle.dumps(
@@ -257,27 +222,6 @@ def decode_control_body(tag: bytes, body: bytes) -> Any:
 
 
 def _decode_control_body(tag: bytes, body: bytes) -> Any:
-    if tag == TAG_CONN_REQUEST:
-        group, ncells, nranks_client = _CONN_REQUEST.unpack(body)
-        return ConnectionRequest(group, ncells, nranks_client)
-    if tag == TAG_CONN_REPLY:
-        (n,) = struct.unpack_from("<q", body)
-        if n < 0:
-            raise ProtocolError(f"reply names {n} server ranks")
-        offsets = struct.unpack_from(f"<{n + 1}q", body, 8)
-        pos = 8 + 8 * (n + 1)
-        addresses = []
-        for _ in range(n):
-            hlen, port = struct.unpack_from("<Hq", body, pos)
-            pos += 10
-            host = body[pos : pos + hlen].decode("utf-8")
-            pos += hlen
-            addresses.append((host, int(port)))
-        if pos != len(body):
-            raise ProtocolError(f"reply body is {len(body)} bytes, not {pos}")
-        return AddressedReply(
-            ConnectionReply(nranks_server=n, offsets=offsets), tuple(addresses)
-        )
     if tag == TAG_HEARTBEAT:
         t, sender_len = _HEARTBEAT.unpack_from(body)
         pos = _HEARTBEAT.size
@@ -665,7 +609,7 @@ def connect_with_retry(
     """Dial ``address``, retrying while the endpoint is still coming up.
 
     ``repro serve`` / ``repro work`` processes may legitimately start
-    before ``repro launch`` binds its rendezvous port.  Retries back off
+    before ``repro launch`` binds its control port.  Retries back off
     exponentially from ``interval`` to ``max_interval`` with decorrelating
     jitter (see :func:`backoff_intervals`); past the overall ``timeout``
     deadline a :class:`DialTimeout` names the address given up on and

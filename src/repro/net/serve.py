@@ -6,10 +6,10 @@ Melissa Server rank as an independent OS process.  It
 
 * opens a :class:`~repro.net.channel.DataListener` (the rank's ZeroMQ
   PULL socket) whose sink is :meth:`ServerRank.handle`,
-* registers its data address with the coordinator's rendezvous endpoint
-  — including which groups its restored checkpoint already contains, so
-  a respawned rank lets the coordinator requeue exactly the groups the
-  restored statistics are missing (Sec. 4.2.3),
+* registers its data address with the coordinator, which names it in
+  every work lease — including which groups its restored checkpoint
+  already contains, so a respawned rank lets the coordinator requeue
+  exactly the groups the restored statistics are missing (Sec. 4.2.3),
 * runs **one loop on one thread**: each :meth:`DataListener.turn` is a
   ``select`` over the data sockets, the rings' doorbells and the
   coordinator's control socket, and every decoded frame goes straight
@@ -112,7 +112,7 @@ def run_server_rank(
         })
         ack = ctrl.recv(timeout=30.0)
         if not (isinstance(ack, dict) and ack.get("op") == "registered"):
-            raise RuntimeError(f"rendezvous rejected rank {rank_idx}: {ack!r}")
+            raise RuntimeError(f"coordinator rejected rank {rank_idx}: {ack!r}")
         log.info("registered with coordinator", extra={"repro_ids": {"pid": os.getpid()}})
 
         # the coordinator acks with telemetry=True when it aggregates

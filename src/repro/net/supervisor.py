@@ -13,7 +13,7 @@ against real ``repro serve`` processes:
   removed before its successor binds a fresh data port) and invokes the
   ``spawner`` callback to start a replacement ``repro serve --rank K``;
 * the replacement restores its per-rank checkpoint, re-registers with
-  the rendezvous (publishing a NEW data address), and reports which
+  the coordinator (publishing a NEW data address), and reports which
   groups its restored statistics already contain — the coordinator then
   requeues every group the restored state is missing, and
   discard-on-replay makes the overlap harmless (Sec. 4.2.2).
@@ -88,7 +88,7 @@ class RankSupervisor:
         should abort loudly rather than thrash.
         """
         pid = self._pids.pop(rank, None)
-        if pid:
+        if pid and pid != os.getpid():  # never the coordinator itself
             try:
                 self._kill(pid, signal.SIGKILL)
                 self.killed_pids.append(pid)

@@ -24,8 +24,9 @@ waits.  Each waits on an event, none on a timer, and each beats in
 heartbeat-sized slices:
 
 * a suspended (``BLOCKED``) group waits for the rank to make room in the
-  channel that refused its frame (``poll_interval`` is only the ceiling);
-  that wait is the channel's suspended time, ``blocked_seconds``;
+  channel that refused its frame (:data:`SUSPEND_WAIT_S` is only the
+  ceiling); that wait is the channel's suspended time,
+  ``blocked_seconds``;
 * ``next`` is a long poll: one ``poll()`` over the control connection
   and every data socket that still holds a backlog
   (:meth:`SocketRouter.wait_ctrl`).  A coordinator with nothing to hand
@@ -37,12 +38,13 @@ heartbeat-sized slices:
 A worker holds at most :data:`MAX_HELD_GROUPS` groups — leased, running,
 or sent and unacknowledged — so that bounds what a worker loss costs.
 
-The :class:`SocketRouter` is the TCP implementation of
-:class:`~repro.transport.base.TransportClient`: the dynamic-connection
-handshake goes through the rendezvous (server partition + address
-table), then data channels are opened lazily — only to the ranks whose
-cell ranges the worker's messages actually intersect, the paper's N x M
-pattern — and kept open across the worker's successive groups.
+The :class:`SocketRouter` is the socket implementation of
+:class:`~repro.transport.base.TransportClient`: the server partition
+comes from the study configuration and the rank address table from the
+lease, so there is no handshake round trip.  Data channels are opened
+lazily — only to the ranks whose cell ranges the worker's messages
+actually intersect, the paper's N x M pattern — and kept open across
+the worker's successive groups.
 
 Fault injection: a :class:`~repro.faults.ProcessFault` (the ``--fault``
 spec of ``repro work``, or the forked worker's entry in a plan's
@@ -60,7 +62,7 @@ import select
 import time
 import traceback
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Set, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro import telemetry as _telemetry
 from repro.faults import FaultInjector, ProcessFault
@@ -77,32 +79,32 @@ from repro.net.channel import open_data_channel
 from repro.transport.channel import ChannelClosed, total_stats
 from repro.net.coordinator import MAX_HELD_GROUPS, study_fingerprint, study_id
 from repro.net.framing import (
-    AddressedReply,
     ConnectionLost,
     FrameConnection,
+    ProtocolError,
     connect_with_retry,
     frame_nbytes,
+    peer_field,
 )
 from repro.sampling.pickfreeze import draw_design
 from repro.telemetry.logs import get_logger
 from repro.telemetry.registry import delta as _metrics_delta
 from repro.telemetry.tracer import span_record
-from repro.transport.message import (
-    ConnectionReply,
-    ConnectionRequest,
-    Heartbeat,
-    split_by_partition,
-)
+from repro.transport.message import Heartbeat, split_by_partition
+
+#: ceiling of one wait of a suspended group for its rank to make room;
+#: the wait returns as soon as the room is there
+SUSPEND_WAIT_S = 0.005
 
 
 class SocketRouter:
     """Socket-backed client transport (implements ``TransportClient``).
 
-    ``connect`` performs the paper's rendezvous exactly once per worker:
-    ask the rank-0 endpoint for the server partition, learn each rank's
-    data address, and from then on open one data channel per
-    intersecting rank on first use — the fabric (shared-memory ring vs
-    TCP framing) is negotiated per channel by
+    The server partition comes from ``config``, as it does for every
+    process of the study.  Each rank's data address comes from a lease
+    (:meth:`take_ranks`); from then on one data channel per intersecting
+    rank is opened on first use — the fabric (shared-memory ring vs TCP
+    framing) is negotiated per channel by
     :func:`~repro.net.channel.open_data_channel` according to
     ``config.transport``.  ``deliver`` splits along the server partition
     like every other transport and applies the all-or-nothing probe so a
@@ -120,38 +122,30 @@ class SocketRouter:
         self.config = config
         self.name = name
         self._fault = fault
-        self.server_partition: Optional[BlockPartition] = None
-        self._reply: Optional[ConnectionReply] = None
-        self._addresses: Optional[Tuple[Tuple[str, int], ...]] = None
+        self.server_partition = BlockPartition(config.ncells, config.server_ranks)
+        #: each rank's data address, from a lease (None before one)
+        self.addresses: Optional[Tuple[Tuple[str, int], ...]] = None
         self.channels: Dict[int, Any] = {}  # rank -> negotiated Channel
-        self._connected: Set[int] = set()
         # (channel, frame bytes) of the chunk the last deliver could
         # not place: what a suspended group waits on
         self._refused: Optional[Tuple[Any, int]] = None
 
     # ------------------------------------------------------------------ #
-    def connect(self, request: ConnectionRequest) -> ConnectionReply:
-        if self._reply is None:
-            self._ctrl.send(request)
-            frame = self._ctrl.recv(timeout=self.config.group_timeout)
-            if isinstance(frame, dict) and frame.get("op") == "error":
-                raise RuntimeError(f"rendezvous refused connection: {frame['error']}")
-            if not isinstance(frame, AddressedReply):
-                raise RuntimeError(f"unexpected rendezvous reply: {frame!r}")
-            partition = BlockPartition(request.ncells, frame.reply.nranks_server)
-            if tuple(int(o) for o in partition.offsets) != frame.reply.offsets:
-                raise RuntimeError("server partition fenceposts do not match")
-            self._reply = frame.reply
-            self._addresses = frame.addresses
-            self.server_partition = partition
-        self._connected.add(request.group_id)
-        return self._reply
-
-    def is_connected(self, group_id: int) -> bool:
-        return group_id in self._connected
-
-    def disconnect(self, group_id: int) -> None:
-        self._connected.discard(group_id)
+    def take_ranks(self, lease: dict) -> None:
+        """Check a lease's rank address table — one (host, port) per
+        server rank — and adopt it if this router has none."""
+        ranks = peer_field(lease, "ranks", (list, tuple))
+        if len(ranks) != self.config.server_ranks or not all(
+            isinstance(address, (list, tuple))
+            and [type(part) for part in address] == [str, int]
+            for address in ranks
+        ):
+            raise ProtocolError(
+                f"'group' frame's 'ranks' is not one (host, port) for each "
+                f"of {self.config.server_ranks} server ranks: {ranks!r}"
+            )
+        if self.addresses is None:
+            self.addresses = tuple(tuple(address) for address in ranks)
 
     # ------------------------------------------------------------------ #
     def _channel(self, rank: int):
@@ -162,7 +156,7 @@ class SocketRouter:
                 # is a full group-field slab over the rank's cell slice
                 max_frame = 8 * self.config.group_size * self.config.ncells + 256
                 channel = open_data_channel(
-                    self._addresses[rank],
+                    self.addresses[rank],
                     transport=getattr(self.config, "transport", "auto"),
                     send_hwm_bytes=self.config.channel_capacity_bytes,
                     name=f"{self.name}->rank{rank}",
@@ -170,18 +164,17 @@ class SocketRouter:
                 )
             except (OSError, TimeoutError) as exc:
                 # a stale address from before a rank respawn: surface it
-                # as a dead channel so the group-interrupt path re-asks
-                # the rendezvous instead of failing the worker
+                # as a dead channel so the group-interrupt path drops the
+                # table and takes the next lease's, instead of failing
+                # the worker
                 raise ChannelClosed(
                     f"{self.name}: server rank {rank} unreachable at "
-                    f"{self._addresses[rank]}"
+                    f"{self.addresses[rank]}"
                 ) from exc
             self.channels[rank] = channel
         return channel
 
     def deliver(self, msg) -> bool:
-        if self.server_partition is None:
-            raise RuntimeError("deliver before connect")
         chunks = split_by_partition(msg, self.server_partition)
         if len(chunks) > 1:
             for rank, chunk in chunks:
@@ -274,20 +267,16 @@ class SocketRouter:
         return any(channel.broken for channel in self.channels.values())
 
     def reset(self) -> None:
-        """Forget the rendezvous: close every channel and drop the cached
-        partition/address table.
+        """Close every channel and drop the rank address table.
 
         This is the client half of the respawn protocol: after a server
-        rank dies, its old data address is garbage, so the next
-        :meth:`connect` re-asks the rendezvous — which blocks until the
-        respawned rank has published a fresh address — and channels are
-        re-opened lazily against the new table.
+        rank dies, its old data address is garbage.  The coordinator
+        sends no lease until the respawned rank has registered its fresh
+        address, so the next lease's table is adopted and channels are
+        re-opened lazily against it.
         """
         self.close()
-        self._reply = None
-        self._addresses = None
-        self.server_partition = None
-        self._connected.clear()
+        self.addresses = None
 
     def close(self) -> None:
         for channel in self.channels.values():
@@ -335,7 +324,6 @@ def run_worker(
     factory: SimulationFactory,
     coordinator_address,
     name: str = "",
-    poll_interval: float = 0.005,
     heartbeat_interval=None,
     design=None,
     fault: Optional[ProcessFault] = None,
@@ -437,9 +425,9 @@ def run_worker(
             holds can be proven delivered any more: drop every attempt —
             the sent ones and the ``unfinished`` rest of the lease — tell
             the coordinator (it requeues them without charging their
-            retry budget), and forget the rendezvous so the next connect
-            picks up the respawned rank's fresh address — blocking until
-            it exists."""
+            retry budget), and drop the rank address table so the next
+            lease's is adopted: the coordinator sends none until the
+            respawned rank has registered its fresh address."""
             router.reset()
             lost = [group_id for group_id, _ in held]
             held.clear()
@@ -491,15 +479,17 @@ def run_worker(
             # the lease: run its groups in order.  The coordinator counts
             # every one as held from now on, so a vanished coordinator
             # anywhere in it is a real failure (non-zero exit)
+            router.take_ranks(frame)
             lease = deque(int(gid) for gid in frame["group_ids"])
             in_group = True
             while lease:
                 group_id = lease.popleft()
                 if router.any_broken():
-                    # a rank died since the last group: re-ask the
-                    # rendezvous up front instead of burning the first
+                    # a rank died since the last group: hand the rest of
+                    # the lease back instead of burning its first
                     # delivery on a dead channel
-                    interrupted()
+                    interrupted([group_id, *lease])
+                    break
                 group_started = time.time()
                 try:
                     executor = GroupExecutor(
@@ -514,7 +504,7 @@ def run_worker(
                         if state == GroupState.BLOCKED:
                             # ZeroMQ-style suspension: both buffers full.
                             # Wait for the rank to make room, not a timer
-                            router.wait_progress(poll_interval)
+                            router.wait_progress(SUSPEND_WAIT_S)
                         if time.monotonic() - last_beat >= heartbeat_interval:
                             beat()
                 except ChannelClosed:

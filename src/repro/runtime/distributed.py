@@ -106,7 +106,6 @@ class DistributedRuntime:
         host: str = "127.0.0.1",
         port: int = 0,
         data_host: Optional[str] = None,
-        poll_interval: float = 0.005,
         heartbeat_interval: Optional[float] = None,
         checkpoint_dir=None,
         supervise: bool = True,
@@ -159,7 +158,6 @@ class DistributedRuntime:
         self.host = host
         self.port = port
         self.data_host = host if data_host is None else data_host
-        self.poll_interval = poll_interval
         self.heartbeat_interval = (
             config.heartbeat_interval if heartbeat_interval is None
             else heartbeat_interval
@@ -272,7 +270,6 @@ class DistributedRuntime:
                 args=(self.config, self.factory, coordinator.address),
                 kwargs={
                     "name": f"worker-{i}",
-                    "poll_interval": self.poll_interval,
                     "heartbeat_interval": self.heartbeat_interval,
                     "design": self.design,
                     "fault": self.fault_plan.worker_faults.get(i),
@@ -361,7 +358,6 @@ class DistributedRuntime:
             args=(self.config, self.factory, self.coordinator.address),
             kwargs={
                 "name": f"elastic-{index}",
-                "poll_interval": self.poll_interval,
                 "heartbeat_interval": self.heartbeat_interval,
                 "design": self.design,
                 "elastic": True,

@@ -287,7 +287,7 @@ class ElasticPoolPolicy:
         return (
             cfg.elastic
             and queue_depth > cfg.high_water
-            and active_workers >= 1  # the pool exists (rendezvous is up)
+            and active_workers >= 1  # the pool exists (the coordinator is up)
             and self.spawned < cfg.spawn_budget
             and self._live_extra < cfg.max_extra
             and not self._cooling(now)

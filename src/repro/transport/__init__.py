@@ -9,20 +9,14 @@ framework actually depends on — and which this package reproduces — are:
   client and server buffers are both full, at which point ``try_send`` is
   refused and the group suspends, holding its message until the server
   has drained (the Fig. 6a/b saturation mechanism);
-* **dynamic connection**: a starting group contacts server rank 0, learns
-  the server-side data partition, then opens direct channels to exactly
-  the server ranks its cell ranges intersect (the N x M pattern);
+* **direct N x M channels**: every process derives the server partition
+  from the study configuration, and a group opens channels to exactly
+  the server ranks its cell ranges intersect (no rank-0 handshake);
 * **per-channel accounting**: message/byte counters and high-water marks
   feed the performance model's calibration.
 """
 
-from repro.transport.message import (
-    ConnectionReply,
-    ConnectionRequest,
-    FieldMessage,
-    GroupFieldMessage,
-    Heartbeat,
-)
+from repro.transport.message import FieldMessage, GroupFieldMessage, Heartbeat
 from repro.transport.base import Channel, TransportClient
 from repro.transport.channel import (
     BoundedChannel,
@@ -35,8 +29,6 @@ from repro.transport.router import Router, redistribution_plan
 __all__ = [
     "FieldMessage",
     "GroupFieldMessage",
-    "ConnectionRequest",
-    "ConnectionReply",
     "Heartbeat",
     "Channel",
     "TransportClient",

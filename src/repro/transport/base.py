@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from typing import Any, Protocol, runtime_checkable
 
-from repro.transport.message import ConnectionReply, ConnectionRequest
-
 
 @runtime_checkable
 class Channel(Protocol):
@@ -46,19 +44,14 @@ class Channel(Protocol):
 @runtime_checkable
 class TransportClient(Protocol):
     """What a :class:`~repro.core.group.GroupExecutor` needs from "the
-    network": the dynamic connection handshake of Sec. 4.1.3 plus
-    back-pressured delivery along the server partition.
+    network": the server partition its messages are split along, and
+    back-pressured delivery along it.  Where each rank listens is the
+    transport's business, not the group's.
     """
 
     @property
     def server_partition(self):  # -> BlockPartition
         ...
-
-    def connect(self, request: ConnectionRequest) -> ConnectionReply: ...
-
-    def is_connected(self, group_id: int) -> bool: ...
-
-    def disconnect(self, group_id: int) -> None: ...
 
     def deliver(self, msg: Any) -> bool:
         """Deliver one message (splitting along the server partition);

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field, replace
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -218,28 +218,6 @@ def owned(msg):
     if data is None or data.flags.writeable:
         return msg
     return replace(msg, data=data.copy())
-
-
-@dataclass(frozen=True)
-class ConnectionRequest:
-    """Group -> server rank 0: announce and ask for the data partition."""
-
-    group_id: int
-    ncells: int
-    nranks_client: int
-
-
-@dataclass(frozen=True)
-class ConnectionReply:
-    """Server rank 0 -> group: server partition fenceposts and addresses."""
-
-    nranks_server: int
-    offsets: Tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "offsets", tuple(int(o) for o in self.offsets))
-        if len(self.offsets) != self.nranks_server + 1:
-            raise ValueError("offsets must have nranks_server + 1 fenceposts")
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,12 @@
-"""Dynamic connection handshake and N x M redistribution planning.
+"""N x M redistribution planning and the in-process router.
 
-Reproduces Sec. 4.1.3: when a simulation group starts, its main-simulation
-rank 0 contacts the server's rank 0, retrieves the server-side data
-partition, shares it with the other main-simulation ranks, and each of
-them opens direct channels to exactly the server ranks whose cell ranges
-intersect its own.  The :class:`Router` is the in-process stand-in for
-"the network": it owns one :class:`BoundedChannel` per (client-rank,
-server-rank) pair, created lazily at connect time.
+Sec. 4.1.3: each main-simulation rank of a group pushes its slice
+straight to the server ranks whose cell ranges intersect its own.  In
+the paper the group learns the server partition from server rank 0; here
+it is a pure function of the study configuration, so every process
+derives it.  The :class:`Router` is the in-process stand-in for "the
+network": it owns one :class:`BoundedChannel` per server rank, which
+every group pushes into.
 """
 
 from __future__ import annotations
@@ -15,12 +15,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.mesh.partition import BlockPartition
 from repro.transport.channel import BoundedChannel
-from repro.transport.message import (
-    ConnectionReply,
-    ConnectionRequest,
-    FieldMessage,
-    split_by_partition,
-)
+from repro.transport.message import FieldMessage, split_by_partition
 
 
 def redistribution_plan(
@@ -35,7 +30,7 @@ def redistribution_plan(
 
 
 class Router:
-    """Network fabric: connection handshake + per-pair bounded channels.
+    """Network fabric: one bounded inbound channel per server rank.
 
     This is the in-memory :class:`~repro.transport.base.TransportClient`;
     :class:`repro.net.worker.SocketRouter` (tcp | shm) implements the
@@ -57,8 +52,8 @@ class Router:
     ):
         self.server_partition = server_partition
         self.channel_capacity_bytes = channel_capacity_bytes
-        # inbound data channels, keyed by server rank: every connected
-        # client pushes into the owning rank's single queue (ZeroMQ PULL).
+        # inbound data channels, keyed by server rank: every client
+        # pushes into the owning rank's single queue (ZeroMQ PULL).
         self.inbound: Dict[int, BoundedChannel] = {
             rank: BoundedChannel(
                 capacity_bytes=channel_capacity_bytes,
@@ -66,28 +61,6 @@ class Router:
             )
             for rank in range(server_partition.nranks)
         }
-        self.connections: Dict[int, ConnectionReply] = {}
-
-    # ------------------------------------------------------------------ #
-    def connect(self, request: ConnectionRequest) -> ConnectionReply:
-        """Handshake: group announces itself, learns the server partition."""
-        if request.ncells != self.server_partition.ncells:
-            raise ValueError(
-                f"group {request.group_id} has {request.ncells} cells, "
-                f"server partitions {self.server_partition.ncells}"
-            )
-        reply = ConnectionReply(
-            nranks_server=self.server_partition.nranks,
-            offsets=tuple(int(o) for o in self.server_partition.offsets),
-        )
-        self.connections[request.group_id] = reply
-        return reply
-
-    def is_connected(self, group_id: int) -> bool:
-        return group_id in self.connections
-
-    def disconnect(self, group_id: int) -> None:
-        self.connections.pop(group_id, None)
 
     # ------------------------------------------------------------------ #
     def deliver(self, msg: FieldMessage) -> bool:

@@ -4,8 +4,9 @@ Server-rank crash / zombie / straggler ``FaultPlan``s drive the live
 launcher protocol: the supervisor SIGKILLs what is left of a dead rank,
 respawns ``repro serve --rank K`` from its checkpoint, the coordinator
 requeues whatever the restored statistics are missing, and workers
-reconnect through a fresh rendezvous.  The chaos parity tests assert the
-surviving study matches the sequential runtime to rtol 1e-10.
+reconnect to the fresh address their next lease names.  The chaos
+parity tests assert the surviving study matches the sequential runtime
+to rtol 1e-10.
 """
 
 import re

@@ -27,7 +27,6 @@ from repro.net.channel import open_data_channel
 from repro.net.framing import (
     TAG_FIELD,
     TAG_GROUP_FIELD,
-    AddressedReply,
     ConnectionLost,
     Credit,
     DialTimeout,
@@ -48,13 +47,7 @@ from repro.net.framing import (
 from repro.sampling import ParameterSpace, Uniform
 from repro.transport.base import Channel, TransportClient
 from repro.transport.channel import BoundedChannel
-from repro.transport.message import (
-    ConnectionReply,
-    ConnectionRequest,
-    FieldMessage,
-    GroupFieldMessage,
-    Heartbeat,
-)
+from repro.transport.message import FieldMessage, GroupFieldMessage, Heartbeat
 
 
 def make_config(ncells=10, ntimesteps=3, nparams=2, server_ranks=2, **kw):
@@ -105,16 +98,6 @@ class TestFrameRoundtrips:
         out = roundtrip(msg)
         assert (out.cell_lo, out.cell_hi) == (3, 8)
         np.testing.assert_array_equal(out.data, msg.data)
-
-    def test_connection_request(self):
-        out = roundtrip(ConnectionRequest(group_id=4, ncells=100, nranks_client=3))
-        assert out == ConnectionRequest(4, 100, 3)
-
-    def test_addressed_reply(self):
-        reply = ConnectionReply(nranks_server=2, offsets=(0, 5, 10))
-        out = roundtrip(AddressedReply(reply, (("10.0.0.1", 5001), ("node-b", 5002))))
-        assert out.reply == reply
-        assert out.addresses == (("10.0.0.1", 5001), ("node-b", 5002))
 
     def test_heartbeat(self):
         out = roundtrip(Heartbeat(sender="server-rank-3", time=12.5))
@@ -372,8 +355,8 @@ class TestSocketChannelBackpressure:
 
 
 class _ListenerFabric:
-    """Test fabric: a DataListener per rank + a canned rendezvous, so a
-    SocketRouter can run without the coordinator process."""
+    """Test fabric: a DataListener per rank + the address table a lease
+    would carry, so a SocketRouter can run without the coordinator."""
 
     def __init__(self, config, capacity=None):
         self.config = config
@@ -411,23 +394,21 @@ class _ListenerFabric:
 
 
 class _CannedRendezvous:
-    """Stands in for the coordinator control connection in SocketRouter."""
+    """Stands in for the coordinator control connection in SocketRouter:
+    the router reads no frame of it outside a lease, so it holds only
+    the rank address table a lease would carry, and :meth:`router` sets
+    it on the router directly."""
 
     def __init__(self, config, addresses):
-        partition = BlockPartition(config.ncells, config.server_ranks)
-        self._reply = AddressedReply(
-            reply=ConnectionReply(
-                nranks_server=partition.nranks,
-                offsets=tuple(int(o) for o in partition.offsets),
-            ),
-            addresses=addresses,
-        )
+        self.config = config
+        self.addresses = tuple(addresses)
 
-    def send(self, msg):
-        assert isinstance(msg, ConnectionRequest)
+    def router(self, **kw):
+        from repro.net.worker import SocketRouter
 
-    def recv(self, timeout=None):
-        return self._reply
+        router = SocketRouter(self, self.config, **kw)
+        router.addresses = self.addresses
+        return router
 
 
 @pytest.mark.parametrize(
@@ -440,12 +421,8 @@ class TestSplittingThroughSocketPath:
     in-process MelissaServer (the PR 1 splitting semantics)."""
 
     def _router(self, config, fabric):
-        from repro.net.worker import SocketRouter
-
         ctrl = _CannedRendezvous(config, fabric.addresses())
-        router = SocketRouter(ctrl, config, name="test-worker")
-        router.connect(ConnectionRequest(0, config.ncells, 1))
-        return router
+        return ctrl.router(name="test-worker")
 
     def test_straddles_match_inprocess_server(self, ncells, server_ranks):
         config = make_config(ncells=ncells, server_ranks=server_ranks)
@@ -550,19 +527,65 @@ class TestSplittingThroughSocketPath:
 
 class TestTransportClientConformance:
     def test_both_transports(self):
-        from repro.net.worker import SocketRouter
         from repro.transport.router import Router
 
         config = make_config()
         partition = BlockPartition(config.ncells, config.server_ranks)
         assert isinstance(Router(partition), TransportClient)
         fabric = _ListenerFabric(config)
-        router = SocketRouter(_CannedRendezvous(config, fabric.addresses()), config)
+        router = _CannedRendezvous(config, fabric.addresses()).router()
         try:
             assert isinstance(router, TransportClient)
         finally:
             router.close()
             fabric.close()
+
+
+class TestLeaseRankTable:
+    """Every lease names each server rank's data address; the worker's
+    router adopts the first table and keeps it until a reset."""
+
+    @staticmethod
+    def _router(config):
+        from repro.net.worker import SocketRouter
+
+        return SocketRouter(None, config)  # a lease is all it reads here
+
+    @pytest.mark.parametrize(
+        "ranks",
+        [
+            None,
+            5,
+            [("127.0.0.1", 7001)],
+            [("127.0.0.1", 7001), ("127.0.0.1", "7002")],
+            [("127.0.0.1", 7001), (b"127.0.0.1", 7002)],
+            [("127.0.0.1", 7001), ("127.0.0.1", True)],
+            [("127.0.0.1", 7001), "127.0.0.1:7002"],
+            [("127.0.0.1", 7001), ("127.0.0.1", 7002, 0)],
+        ],
+        ids=["missing", "int", "too-few", "str-port", "bytes-host",
+             "bool-port", "str-address", "triple"],
+    )
+    def test_a_malformed_table_is_a_protocol_error(self, ranks):
+        router = self._router(make_config(server_ranks=2))
+        lease = {"op": "group", "group_ids": [0]}
+        if ranks is not None:
+            lease["ranks"] = ranks
+        with pytest.raises(ProtocolError, match="'ranks'"):
+            router.take_ranks(lease)
+        assert router.addresses is None
+
+    def test_the_first_table_is_kept_until_a_reset(self):
+        router = self._router(make_config(server_ranks=2))
+        first = [("node-a", 7001), ("node-b", 7002)]
+        fresh = [("node-a", 7101), ("node-b", 7102)]
+        router.take_ranks({"op": "group", "group_ids": [0], "ranks": first})
+        router.take_ranks({"op": "group", "group_ids": [1], "ranks": fresh})
+        assert router.addresses == tuple(first)
+        router.reset()
+        assert router.addresses is None
+        router.take_ranks({"op": "group", "group_ids": [2], "ranks": fresh})
+        assert router.addresses == tuple(fresh)
 
 
 class TestBackoffAndDial:
@@ -712,11 +735,6 @@ class TestHardenedDecoder:
 
 #: one well-formed frame per control tag
 _CONTROL_FRAMES = {
-    "Q": ConnectionRequest(group_id=3, ncells=10, nranks_client=2),
-    "R": AddressedReply(
-        ConnectionReply(nranks_server=2, offsets=(0, 5, 10)),
-        (("127.0.0.1", 7001), ("localhost", 7002)),
-    ),
     "h": Heartbeat(sender="server-rank-0", time=1.5, metrics={"beats": 1}),
     "C": Credit(4096),
     "P": {"op": "next", "done": [1, 2]},
@@ -742,6 +760,15 @@ class TestTotalControlDecoder:
                 continue
             with pytest.raises(ProtocolError):
                 decode_control_body(tag.encode(), body[:cut])
+
+    @pytest.mark.parametrize("tag", [b"Q", b"R"])
+    def test_retired_handshake_tags_are_unknown(self, tag):
+        """The handshake's request and reply tags are gone: a lease
+        carries the rank address table, so ``Q`` and ``R`` bodies decode
+        to nothing but the unknown-tag error."""
+        for body in (b"", struct.pack("<qqq", 3, 10, 2)):
+            with pytest.raises(ProtocolError, match="unknown frame tag"):
+                decode_control_body(tag, body)
 
     def test_doorbell_with_a_body_is_a_protocol_error(self):
         assert decode_control_body(b"D", b"") == Doorbell()

@@ -310,13 +310,26 @@ class TestHeldGroupsBookkeeping:
 # --------------------------------------------------------------------- #
 # (v) long-poll ``next``: parked, then answered by the resolving event
 # --------------------------------------------------------------------- #
+def leased(conn):
+    """The group ids of the lease ``conn`` reads next."""
+    reply = conn.recv(timeout=10.0)
+    assert reply["op"] == "group", reply
+    return reply["group_ids"]
+
+
 class _TurnDriver:
     """Runs a never-started coordinator's loop one turn at a time, so a
-    test can say *which* turn answered a request."""
+    test can say *which* turn answered a request.
 
-    def __init__(self, coordinator, clock=time.monotonic):
+    No lease goes out before every rank has registered, so the driver
+    seeds the rank address table unless ``seed_ranks`` is False."""
+
+    def __init__(self, coordinator, clock=time.monotonic, seed_ranks=True):
         self.coordinator = coordinator
         self.clock = clock
+        if seed_ranks:
+            for rank in range(coordinator.config.server_ranks):
+                coordinator._rank_addresses[rank] = ("127.0.0.1", 1 + rank)
 
     def turn(self, timeout=10.0):
         """One select + dispatch; asserts something was readable."""
@@ -352,7 +365,7 @@ class TestLongPollNext:
             a, wid_a = driver.join("a")
             b, wid_b = driver.join("b")
             driver.ask(a)
-            assert a.recv(timeout=10.0) == {"op": "group", "group_ids": [0]}
+            assert leased(a) == [0]
             # nothing to hand out, nothing held: parked, not answered
             driver.ask(b)
             assert list(coordinator._parked_next) == [wid_b]
@@ -365,7 +378,7 @@ class TestLongPollNext:
             assert coordinator.resubmitted == [0]
             # (no further turn runs: what b reads was sent in that one)
             assert coordinator._parked_next == {}
-            assert b.recv(timeout=10.0) == {"op": "group", "group_ids": [0]}
+            assert leased(b) == [0]
         finally:
             for conn in (a, b):
                 if conn is not None:
@@ -425,6 +438,76 @@ class TestLongPollNext:
                     conn.close()
             coordinator.close()
 
+    def test_no_lease_goes_out_before_the_last_rank_registers(self):
+        """A lease names every rank's data address, so none goes out
+        while a rank is missing; the turn that registers the last one
+        answers the parked ``next``, with the full table."""
+        fn, config = make_config(ngroups=2, server_ranks=2)
+        coordinator = retry_on_eaddrinuse(lambda: Coordinator(config))
+        driver = _TurnDriver(coordinator, seed_ranks=False)
+        a = rank0 = rank1 = None
+        try:
+            a, wid = driver.join("a")
+            rank0 = register_rank_by_turns(driver, 0, ("127.0.0.1", 7001))
+            driver.ask(a)
+            assert list(coordinator._parked_next) == [wid]
+            assert not a.poll(0.0)
+            rank1 = register_rank_by_turns(driver, 1, ("127.0.0.1", 7002))
+            # (no further turn runs: what a reads was sent in that one)
+            assert coordinator._parked_next == {}
+            reply = a.recv(timeout=10.0)
+            assert reply["group_ids"] == [0]
+            assert reply["ranks"] == [("127.0.0.1", 7001), ("127.0.0.1", 7002)]
+        finally:
+            for conn in (a, rank0, rank1):
+                if conn is not None:
+                    conn.close()
+            coordinator.close()
+
+    def test_no_lease_between_a_rank_loss_and_its_reregistration(self):
+        """A lost rank's address leaves the table: no lease goes out
+        until the replacement registers, and the next one names the
+        replacement's fresh address."""
+        fn, config = make_config(ngroups=4)
+        spawned = []
+        supervisor = RankSupervisor(
+            spawner=spawned.append,
+            policy=RankRespawnPolicy(nranks=1, timeout=60.0, max_respawns=1),
+            kill=lambda pid, sig: None,
+        )
+        coordinator = retry_on_eaddrinuse(
+            lambda: Coordinator(config, supervisor=supervisor)
+        )
+        driver = _TurnDriver(coordinator, seed_ranks=False)
+        a = old = new = None
+        try:
+            a, wid = driver.join("a")
+            old = register_rank_by_turns(driver, address=("127.0.0.1", 7001))
+            driver.ask(a)
+            reply = a.recv(timeout=10.0)
+            assert reply["group_ids"] == [0, 1]
+            assert reply["ranks"] == [("127.0.0.1", 7001)]
+            old.close()
+            old = None
+            driver.turn()  # the rank's EOF: its replacement is spawned
+            assert spawned == [0]
+            assert coordinator._rank_addresses == {}
+            driver.ask(a, done=[0, 1])
+            assert list(coordinator._parked_next) == [wid]
+            assert not a.poll(0.0)
+            new = register_rank_by_turns(driver, address=("127.0.0.1", 7002))
+            assert coordinator._parked_next == {}
+            reply = a.recv(timeout=10.0)
+            assert reply["group_ids"] == [2, 3]
+            assert reply["ranks"] == [("127.0.0.1", 7002)]
+            # the replacement restored nothing: 0 and 1 run again later
+            assert coordinator.requeued_after_respawn == [0, 1]
+        finally:
+            for conn in (a, old, new):
+                if conn is not None:
+                    conn.close()
+            coordinator.close()
+
 
 # --------------------------------------------------------------------- #
 # one thread: wait() is the loop, and it sleeps until something is due
@@ -442,12 +525,12 @@ def log_selects(coordinator):
     return timeouts
 
 
-def register_rank_by_turns(driver):
-    """Register a fake rank 0 through two driven turns."""
+def register_rank_by_turns(driver, rank_id=0, address=("127.0.0.1", 1), pid=None):
+    """Register a fake rank through two driven turns."""
     rank = connect_with_retry(driver.coordinator.address)
     rank.send({
-        "op": "register", "rank": 0, "address": ("127.0.0.1", 1),
-        "fingerprint": driver.coordinator.fingerprint, "pid": None,
+        "op": "register", "rank": rank_id, "address": address,
+        "fingerprint": driver.coordinator.fingerprint, "pid": pid,
         "finished": [],
     })
     driver.turn()  # accept
@@ -497,15 +580,12 @@ class TestOneThread:
             coordinator._assign(0)
             coordinator._last_seen[0] = 90.0  # holds groups: stale at 95
             assert coordinator._next_wakeup(far) == 95.0
-            coordinator._parked.append((None, None, 94.0))  # rendezvous
-            assert coordinator._next_wakeup(far) == 94.0
             peer = _Peer(ours, "pre-hello")
             peer.hello_deadline = 93.0
             coordinator._peers.add(peer)
             assert coordinator._next_wakeup(far) == 93.0
             assert coordinator._next_wakeup(50.0) == 50.0
             coordinator._peers.clear()
-            coordinator._parked.clear()
             coordinator._held.clear()
             # a rank that shipped its state lingers silently on purpose
             coordinator.rank_states[0] = {}
@@ -524,7 +604,7 @@ class TestOneThread:
             a, wid = driver.join("a")
             rank = register_rank_by_turns(driver)
             driver.ask(a)
-            assert a.recv(timeout=10.0) == {"op": "group", "group_ids": [0]}
+            assert leased(a) == [0]
             assert not rank.poll(0.0)
             driver.ask(a, done=[0])  # settles the last group
             # (no further turn runs: what the rank reads was sent in that one)
@@ -619,11 +699,11 @@ class TestOneClock:
         try:
             a, wid = driver.join("a")
             driver.ask(a)
-            assert a.recv(timeout=10.0) == {"op": "group", "group_ids": [0, 1]}
+            assert leased(a) == [0, 1]
             clock[0] = 1.0
             driver.ask(a, done=[0])  # last heard from at 1
             assert coordinator.done == {0}
-            assert a.recv(timeout=10.0) == {"op": "group", "group_ids": [2]}
+            assert leased(a) == [2]
             coordinator._turn([], 5.9)
             assert wid in coordinator._worker_conns
             coordinator._turn([], 6.1)  # silent past the 5 s timeout
@@ -643,16 +723,16 @@ class TestOneClock:
             a, _ = driver.join("a")
             b, wid_b = driver.join("b")
             driver.ask(a)
-            assert a.recv(timeout=10.0) == {"op": "group", "group_ids": [0]}
+            assert leased(a) == [0]
             driver.ask(b)
-            assert b.recv(timeout=10.0) == {"op": "group", "group_ids": [1]}
+            assert leased(b) == [1]
             clock[0] = 1.0
             driver.ask(b, done=[1])  # median 1 s: group 0 is due at 2 s
             assert list(coordinator._parked_next) == [wid_b]
             coordinator._turn([], 1.9)
             assert not b.poll(0.0)
             coordinator._turn([], 2.1)
-            assert b.recv(timeout=10.0) == {"op": "group", "group_ids": [0]}
+            assert leased(b) == [0]
             assert coordinator.speculated == [0]
             assert coordinator._held[wid_b][0].started == 2.1
         finally:
@@ -667,8 +747,9 @@ class TestOneClock:
 # --------------------------------------------------------------------- #
 class TestMalformedPeers:
     def test_undecodable_frame_drops_only_its_peer(self):
-        """A 9-byte ``Q`` frame whose body is 3 bytes, not 24: the peer
-        that sent it is dropped and the study still finishes."""
+        """A ``Q`` frame — a tag no frame carries, so it does not
+        decode: the peer that sent it is dropped and the study still
+        finishes."""
         fn, config = make_config(ngroups=4, server_ranks=2)
 
         def factory(params, sim_id):
@@ -704,11 +785,88 @@ class TestMalformedPeers:
             assert coordinator._rank_conns == {} and not coordinator._errors
             a, _ = driver.join("a")  # the loop still serves
             driver.ask(a)
-            assert a.recv(timeout=10.0) == {"op": "group", "group_ids": [0]}
+            assert leased(a) == [0]
         finally:
             for conn in (bad, a):
                 if conn is not None:
                     conn.close()
+            coordinator.close()
+
+    @pytest.mark.parametrize("pid", [-1, True, "7"], ids=["negative", "bool", "str"])
+    def test_register_with_a_bad_pid_drops_only_that_peer(self, pid):
+        """The supervisor signals the pid a rank registers with, so only
+        a positive int (or none) is one: ``-1`` would signal every
+        process the user may signal, ``True`` pid 1."""
+        fn, config = make_config(ngroups=1)
+        killed = []
+        supervisor = RankSupervisor(
+            spawner=lambda rank: None,
+            policy=RankRespawnPolicy(nranks=1, timeout=60.0, max_respawns=2),
+            kill=lambda pid, sig: killed.append(pid),
+        )
+        coordinator = retry_on_eaddrinuse(
+            lambda: Coordinator(config, supervisor=supervisor)
+        )
+        driver = _TurnDriver(coordinator, seed_ranks=False)
+        bad = rank = None
+        try:
+            bad = connect_with_retry(coordinator.address)
+            bad.send({
+                "op": "register", "rank": 0, "address": ("127.0.0.1", 1),
+                "fingerprint": coordinator.fingerprint, "pid": pid,
+                "finished": [],
+            })
+            driver.turn()  # accept
+            driver.turn()  # the register frame: a pid that is none
+            with pytest.raises(ConnectionLost):
+                bad.recv(timeout=10.0)
+            assert coordinator._rank_conns == {} and not coordinator._errors
+            assert killed == []
+            # the loop still serves: a well-formed rank registers, and its
+            # loss signals its own pid only
+            rank = register_rank_by_turns(driver, pid=4242)
+            rank.close()
+            rank = None
+            driver.turn()
+            assert killed == [4242]
+        finally:
+            for conn in (bad, rank):
+                if conn is not None:
+                    conn.close()
+            coordinator.close()
+
+    @pytest.mark.parametrize("stats", [["not", "a", "dict"], {"bytes_sent": "7"}],
+                             ids=["list", "str-value"])
+    @pytest.mark.parametrize("op", ["bye", "rank_state"])
+    def test_malformed_channel_stats_is_not_stored(self, op, stats, capsys):
+        """A peer's ``channel_stats`` feeds the end-of-run summary: one
+        that is not counter name -> number drops that peer, is not
+        stored, and the summary still prints."""
+        from repro.cli import _print_observability_summary
+
+        fn, config = make_config(ngroups=1)
+        coordinator = retry_on_eaddrinuse(lambda: Coordinator(config))
+        driver = _TurnDriver(coordinator, seed_ranks=False)
+        peer = None
+        try:
+            if op == "bye":
+                peer, _ = driver.join("a")
+                peer.send({"op": "bye", "channel_stats": stats})
+            else:
+                peer = register_rank_by_turns(driver)
+                peer.send({"op": "rank_state", "rank": 0, "state": {},
+                           "maps": {}, "width": 0.0, "channel_stats": stats})
+            driver.turn()
+            with pytest.raises(ConnectionLost):
+                peer.recv(timeout=10.0)
+            assert coordinator.worker_channel_stats == {}
+            assert coordinator.rank_channel_stats == {}
+            assert coordinator.rank_states == {}
+            _print_observability_summary(coordinator)
+            assert "run timeline" in capsys.readouterr().out
+        finally:
+            if peer is not None:
+                peer.close()
             coordinator.close()
 
     @pytest.mark.parametrize(
@@ -724,7 +882,7 @@ class TestMalformedPeers:
         try:
             a, wid = driver.join("a")
             driver.ask(a)
-            assert a.recv(timeout=10.0) == {"op": "group", "group_ids": [0]}
+            assert leased(a) == [0]
             a.send(frame)
             driver.turn()
             with pytest.raises(ConnectionLost):
@@ -867,7 +1025,7 @@ class TestLeaseLifecycle:
             assert list(coordinator._held) == [0]
             assert list(coordinator._held[0]) == list(range(MAX_HELD_GROUPS))
             # the rank dies: its control connection (the coordinator
-            # withholds its address from new rendezvous) and its data port
+            # sends no lease until it re-registers) and its data port
             rank_ctrl.close()
             listener.close()
             gate.set()

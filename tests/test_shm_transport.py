@@ -49,7 +49,6 @@ from test_net_framing import (
     make_rank_endpoint,
 )
 from repro.core.server import MelissaServer
-from repro.transport.message import ConnectionRequest
 
 # the borrow-rule tripwire: see conftest.poisoned_rings
 pytestmark = pytest.mark.usefixtures("poisoned_rings")
@@ -622,8 +621,6 @@ class TestSplittingThroughShmPath:
     in-process MelissaServer."""
 
     def _fabric_and_router(self, config):
-        from repro.net.worker import SocketRouter
-
         ranks, inboxes, listeners = [], [], []
         for r in range(config.server_ranks):
             rank, inbox, listener = make_rank_endpoint(r, config)
@@ -631,10 +628,7 @@ class TestSplittingThroughShmPath:
             inboxes.append(inbox)
             listeners.append(listener)
         addresses = tuple(l.address for l in listeners)
-        router = SocketRouter(
-            _CannedRendezvous(config, addresses), config, name="shm-worker"
-        )
-        router.connect(ConnectionRequest(0, config.ncells, 1))
+        router = _CannedRendezvous(config, addresses).router(name="shm-worker")
         return ranks, inboxes, listeners, router
 
     def test_straddles_match_inprocess_server(self, ncells, server_ranks):

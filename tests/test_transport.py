@@ -1,4 +1,4 @@
-"""Tests for messages, bounded channels, and the router/handshake."""
+"""Tests for messages, bounded channels, and the router."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,6 @@ from repro.mesh.partition import BlockPartition
 from repro.transport import (
     BoundedChannel,
     ChannelClosed,
-    ConnectionReply,
-    ConnectionRequest,
     FieldMessage,
     Router,
     redistribution_plan,
@@ -51,13 +49,6 @@ class TestFieldMessage:
     def test_2d_data_rejected(self):
         with pytest.raises(ValueError):
             FieldMessage(0, 0, 0, 0, 4, np.zeros((2, 2)))
-
-
-class TestConnectionReply:
-    def test_fencepost_validation(self):
-        ConnectionReply(nranks_server=2, offsets=(0, 5, 10))
-        with pytest.raises(ValueError):
-            ConnectionReply(nranks_server=2, offsets=(0, 10))
 
 
 class TestBoundedChannel:
@@ -126,20 +117,6 @@ class TestBoundedChannel:
 class TestRouter:
     def make_router(self, ncells=20, nserver=3, capacity=None):
         return Router(BlockPartition(ncells, nserver), channel_capacity_bytes=capacity)
-
-    def test_handshake(self):
-        router = self.make_router()
-        reply = router.connect(ConnectionRequest(group_id=1, ncells=20, nranks_client=2))
-        assert reply.nranks_server == 3
-        assert reply.offsets[0] == 0 and reply.offsets[-1] == 20
-        assert router.is_connected(1)
-        router.disconnect(1)
-        assert not router.is_connected(1)
-
-    def test_handshake_cell_mismatch(self):
-        router = self.make_router()
-        with pytest.raises(ValueError):
-            router.connect(ConnectionRequest(group_id=1, ncells=99, nranks_client=2))
 
     def test_whole_field_delivery_covers_every_rank(self):
         """A whole-field message is split into one chunk per server rank
