@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import math
 import sys
 from typing import List, Optional, Tuple
 
@@ -295,6 +296,17 @@ def _fault_arg(spec: str):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _interval_arg(text: str) -> float:
+    """``--metrics-interval`` type: seconds, a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number > 0")
+    return value
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.net.serve import run_server_rank
 
@@ -381,8 +393,9 @@ def _cmd_launch(args: argparse.Namespace) -> int:
         f"coordinator on {address[0]}:{address[1]} — "
         f"waiting for {study.config.server_ranks} server rank(s) and workers"
     )
-    if runtime.metrics_server is not None:
-        print(f"metrics endpoint: {runtime.metrics_server.url}")
+    if runtime.coordinator.metrics_address is not None:
+        mhost, mport = runtime.coordinator.metrics_address
+        print(f"metrics endpoint: http://{mhost}:{mport}/metrics")
     if args.address_file:
         # atomic publish: pollers must never read a half-written file
         tmp = f"{args.address_file}.tmp"
@@ -627,8 +640,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics-file", default=None, metavar="FILE",
                    help="append live dashboard frames (JSONL) here; "
                         "`repro top FILE` tails it")
-    p.add_argument("--metrics-interval", type=float, default=1.0,
-                   help="seconds between --metrics-file frames (default 1.0)")
+    p.add_argument("--metrics-interval", type=_interval_arg, default=1.0,
+                   help="seconds between --metrics-file frames (default "
+                        "1.0, at least 0.05)")
     p.add_argument("--metrics-port", type=int, default=None, metavar="PORT",
                    help="serve /metrics (Prometheus text) and /metrics.json "
                         "on this port (0 = ephemeral, printed at startup)")

@@ -69,12 +69,16 @@ launcher-side bookkeeping of Sec. 4.2.2:
 
 **One thread.**  The coordinator is a single ``selectors`` loop that
 :meth:`Coordinator.wait` runs on the caller's thread: every frame,
-verdict, respawn and fork happens there, so its state needs no lock.
-Between turns the loop sleeps until a peer is readable or the next
-*silence* deadline — a peer that never said hello, a heartbeat going
-stale, the wait's own timeout — and never on a fixed poll.  Each turn
-reads the clock once, as its ``now``, and every verdict and record of
-the turn uses it; only the loop shell and setup read ``time``.
+verdict, respawn and fork happens there, and so does telemetry export:
+a ``--metrics-file`` frame is appended in the turn its deadline passes,
+and a ``--metrics-port`` request is answered, without blocking, in the
+turns its socket is ready.  So its state needs no lock.  Between turns
+the loop sleeps until a socket is ready or the next deadline — a peer
+that never said hello (or finished its HTTP exchange), a heartbeat
+going stale, the next metrics frame, the wait's own timeout — and never
+on a fixed poll.  Each turn reads the clock once, as its ``now``, and
+every verdict and record of the turn uses it; only the loop shell and
+setup read ``time``.
 
 The coordinator is transport policy only — statistics never flow through
 it; field data goes worker -> rank over the direct data channels.
@@ -83,10 +87,12 @@ it; field data goes worker -> rank over the direct data channels.
 from __future__ import annotations
 
 import hashlib
+import math
 import selectors
 import time
 import socket
 from collections import deque
+from contextlib import ExitStack
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro import telemetry as _telemetry
@@ -98,6 +104,7 @@ from repro.net.framing import (
     peer_field,
     send_frame,
 )
+from repro.telemetry.exporters import MAX_REQUEST_HEAD, append_frame, http_response
 from repro.telemetry.logs import get_logger, ids
 from repro.transport.message import Heartbeat
 
@@ -159,6 +166,17 @@ class _Peer:
             self.sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
+
+
+class _HttpClient(_Peer):
+    """A ``--metrics-port`` client: one request head in, one response out."""
+
+    __slots__ = ("head", "out")
+
+    def __init__(self, sock: socket.socket, peername: str):
+        super().__init__(sock, peername)
+        self.head = bytearray()
+        self.out: Optional[memoryview] = None  # the unsent response
 
 
 def study_id(config: StudyConfig) -> str:
@@ -231,6 +249,12 @@ class Coordinator:
         Optional :class:`~repro.net.supervisor.PoolSupervisor` for
         elastic pool resize (spawn on deep queue, retire elastic workers
         on drained queue).
+    metrics_file, metrics_interval, metrics_port:
+        With ``telemetry``: truncate the JSONL file, then append a frame
+        every ``metrics_interval`` seconds (finite, > 0; at least 0.05)
+        and at :meth:`close`; serve ``/metrics`` on ``host:metrics_port``
+        (0 = ephemeral; :attr:`metrics_address`).  A failed constructor
+        releases every socket it opened.
     """
 
     def __init__(
@@ -244,7 +268,15 @@ class Coordinator:
         pool=None,
         telemetry=None,
         tracer=None,
+        metrics_file=None,
+        metrics_interval: float = 1.0,
+        metrics_port: Optional[int] = None,
     ):
+        if not (math.isfinite(metrics_interval) and metrics_interval > 0):
+            raise ValueError(
+                f"metrics_interval must be finite and > 0: {metrics_interval!r}")
+        if telemetry is None and (metrics_file or metrics_port is not None):
+            raise ValueError("a metrics exporter needs telemetry")
         if policy is not None and policy.config.speculate and not config.discard_on_replay:
             raise ValueError(
                 "speculative re-execution requires discard_on_replay=True: "
@@ -312,14 +344,38 @@ class Coordinator:
             "repro_elastic_spawned", "elastic workers forked so far")
         self._m_elastic_retired = reg.gauge(
             "repro_elastic_retired", "elastic workers retired so far")
-        self._listener = socket.create_server((host, port), backlog=64)
-        self._listener.setblocking(False)
-        self.address: Tuple[str, int] = self._listener.getsockname()[:2]
+        self.metrics_file = None if not metrics_file else str(metrics_file)
+        self.metrics_interval = max(float(metrics_interval), 0.05)
+        self._next_frame = self._now + self.metrics_interval
+        self._metrics_listener: Optional[socket.socket] = None
+        self.metrics_address: Optional[Tuple[str, int]] = None
         # single multiplexed control plane, driven by wait(): selectors
         # scales past FD_SETSIZE, and peers that dial in before wait()
         # runs queue in the listen backlog
-        self._sel = selectors.DefaultSelector()
-        self._sel.register(self._listener, selectors.EVENT_READ, "listener")
+        with ExitStack() as undo:
+            self._sel = selectors.DefaultSelector()
+            undo.callback(self._sel.close)
+            self._listener = undo.enter_context(
+                socket.create_server((host, port), backlog=64)
+            )
+            self._listener.setblocking(False)
+            self.address: Tuple[str, int] = self._listener.getsockname()[:2]
+            # a listener's key carries the kind of peer it accepts
+            self._sel.register(self._listener, selectors.EVENT_READ, _Peer)
+            if metrics_port is not None:
+                self._metrics_listener = undo.enter_context(
+                    socket.create_server((host, metrics_port))
+                )
+                self._metrics_listener.setblocking(False)
+                self.metrics_address = self._metrics_listener.getsockname()[:2]
+                self._sel.register(
+                    self._metrics_listener, selectors.EVENT_READ, _HttpClient
+                )
+            if self.metrics_file is not None:
+                # truncate up front so a crashed run leaves an empty
+                # file, not a stale timeline from the previous study
+                open(self.metrics_file, "w", encoding="utf-8").close()
+            undo.pop_all()
         self._peers: Set[_Peer] = set()  # registered in the selector
         self._detached: List[_Peer] = []  # done reading, fd kept open
         # ``next`` requests _assign has no answer for yet (worker id ->
@@ -418,20 +474,16 @@ class Coordinator:
             self._m_elastic_retired.set(self.pool.retired_total)
 
     def study_view(self) -> dict:
-        """Live study facts for dashboard frames (``repro top``).
-
-        The metrics exporters call this from their own threads while the
-        loop runs: it only takes ``len()`` of containers and whole-dict
-        copies, each a single step under the GIL, so it needs no lock and
-        never iterates a container the loop is changing.
-        """
-        leases, assigned = self._leases, self._assign_count
+        """Live study facts for dashboard frames (``repro top``), read
+        between turns: by the metrics exporters in the loop's own turn,
+        or by the caller once the loop has returned."""
+        leases = self._leases
         view = {
             "fingerprint": self.study_id,
             "ngroups": self.config.ngroups,
             "groups_done": len(self.done),
             "queue_depth": len(self._pending),
-            "in_flight": sum(map(len, list(self._held.values()))),
+            "in_flight": sum(map(len, self._held.values())),
             "workers_active": len(self._worker_conns),
             "speculated": len(self.speculated),
             "resubmitted": len(self.resubmitted),
@@ -439,14 +491,19 @@ class Coordinator:
             "rank_respawns": len(self.rank_respawns),
             "abandoned": len(self.abandoned),
             "leases": leases,
-            "groups_per_lease": assigned / leases if leases else 0.0,
+            "groups_per_lease": self._assign_count / leases if leases else 0.0,
         }
         if self.policy is not None:
             view["ewma"] = {
                 self._worker_names.get(w, str(w)): round(s, 4)
-                for w, s in dict(self.policy.ewma).items()
+                for w, s in self.policy.ewma.items()
             }
         return view
+
+    def _frame(self) -> dict:
+        """One dashboard frame: a metrics-file line, a ``/metrics.json``
+        body."""
+        return self.telemetry.view(self.study_view())
 
     # ------------------------------------------------------------------ #
     # lifecycle: wait() is the event loop
@@ -508,12 +565,15 @@ class Coordinator:
 
     def _next_wakeup(self, deadline: float) -> float:
         """The earliest instant a turn is due although no peer spoke:
-        ``deadline``, a peer's hello deadline, or the heartbeat of a
-        worker holding groups or of a watched rank going stale.
+        ``deadline``, a peer's hello deadline, the next metrics frame, or
+        the heartbeat of a worker holding groups or of a watched rank
+        going stale.
         Verdicts that only change with time for a *parked* ``next``
         (speculation due, elastic cooldown) need no entry: the parked
         worker heartbeats, and each beat is a turn."""
         due = [deadline]
+        if self.metrics_file is not None:
+            due.append(self._next_frame)
         due.extend(
             p.hello_deadline for p in self._peers if p.hello_deadline is not None
         )
@@ -600,11 +660,13 @@ class Coordinator:
         return orphans
 
     def close(self) -> None:
-        """Shut every control connection down and release the sockets
-        (idempotent; :meth:`wait` ends with it)."""
+        """Append the final metrics frame, shut every connection down and
+        release the sockets (idempotent; :meth:`wait` ends with it)."""
         if self._closed:
             return
         self._closed = True
+        if self.metrics_file is not None:
+            append_frame(self.metrics_file, self._frame)
         for peer in list(self._peers) + self._detached:
             peer.close()  # shutdown: also reaches fds a fork inherited
             try:
@@ -615,19 +677,24 @@ class Coordinator:
         self._detached.clear()
         self._sel.close()
         self._listener.close()
+        if self._metrics_listener is not None:
+            self._metrics_listener.close()
 
     # ------------------------------------------------------------------ #
     # connection handling: one selectors event loop for every peer
     # ------------------------------------------------------------------ #
     def _turn(self, events, now: float) -> None:
-        """One loop turn: dispatch what is readable, run the deadline
-        work and the study-level verdicts (finalize, stale peers,
-        elastic ramp-up), then answer every parked ``next`` the turn
-        resolved.  ``now`` is the turn's one clock reading."""
+        """One loop turn: dispatch what is ready, run the deadline work
+        (hello sweep, metrics frame) and the study-level verdicts
+        (finalize, stale peers, elastic ramp-up), then answer every
+        parked ``next`` the turn resolved.  ``now`` is the turn's one
+        clock reading."""
         self._now = now
         for key, _ in events:
-            if key.data == "listener":
-                self._accept_ready()
+            if isinstance(key.data, type):
+                self._accept_ready(key.fileobj, key.data)
+            elif isinstance(key.data, _HttpClient):
+                self._serve_http(key.data)
             else:
                 self._pump_peer(key.data)
         for peer in list(self._peers):
@@ -646,13 +713,18 @@ class Coordinator:
                 len(self._pending), len(self._worker_conns), self._now
             )
         self._refresh_gauges()
+        if self.metrics_file is not None and now >= self._next_frame:
+            append_frame(self.metrics_file, self._frame)
+            self._next_frame = now + self.metrics_interval
         if self._parked_next:
             self._serve_parked_next()
 
-    def _accept_ready(self) -> None:
+    def _accept_ready(self, listener: socket.socket, kind: type) -> None:
+        """Accept every pending connection as a ``kind`` peer with a
+        hello deadline: an HTTP client's bounds its whole exchange."""
         while True:
             try:
-                sock, peer_addr = self._listener.accept()
+                sock, peer_addr = listener.accept()
             except (BlockingIOError, OSError):
                 return
             sock.setblocking(False)
@@ -660,10 +732,39 @@ class Coordinator:
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             except OSError:
                 pass
-            peer = _Peer(sock, f"{peer_addr[0]}:{peer_addr[1]}")
+            peer = kind(sock, f"{peer_addr[0]}:{peer_addr[1]}")
             peer.hello_deadline = self._now + self.worker_timeout
             self._peers.add(peer)
             self._sel.register(sock, selectors.EVENT_READ, peer)
+
+    def _serve_http(self, client: _HttpClient) -> None:
+        """Read a metrics client's request head, then send its response
+        as far as the socket takes it, the rest when it is writable.
+        Nothing blocks: the hello sweep drops a client past its deadline."""
+        if client.out is None:
+            try:
+                data = client.sock.recv(MAX_REQUEST_HEAD + 1 - len(client.head))
+            except BlockingIOError:
+                return
+            except OSError:
+                data = b""
+            if not data:
+                self._drop_fd(client)  # gone before its request was in
+                return
+            client.head += data
+            response = http_response(client.head, self._frame)
+            if response is None:
+                return
+            client.out = memoryview(response)
+            self._sel.modify(client.sock, selectors.EVENT_WRITE, client)
+        try:
+            client.out = client.out[client.sock.send(client.out):]
+        except BlockingIOError:
+            return
+        except OSError:
+            client.out = client.out[:0]
+        if not client.out:
+            self._drop_fd(client)
 
     def _pump_peer(self, peer: _Peer) -> None:
         """Read and dispatch a peer's frames.  A frame that does not
@@ -909,7 +1010,7 @@ class Coordinator:
     def _respawn_lost_rank(self, rank: int) -> None:
         """Kill-and-respawn one dead rank."""
         try:
-            self.supervisor.respawn(rank)
+            self.supervisor.respawn(rank, self._now)
         except Exception as exc:  # budget exceeded or the spawner failed
             self._errors.append(
                 f"server rank {rank} died and could not be respawned: {exc}"

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import os
 import signal
-import time
 from typing import Callable, Dict, List, Optional
 
 from repro.core.launcher import RankRespawnPolicy, RespawnBudgetExceeded
@@ -77,8 +76,9 @@ class RankSupervisor:
         return self.policy.stale_ranks(now)
 
     # ------------------------------------------------------------------ #
-    def respawn(self, rank: int) -> None:
-        """Execute one kill-and-respawn for a dead/silent rank.
+    def respawn(self, rank: int, now: float) -> None:
+        """Execute one kill-and-respawn for a dead/silent rank at the
+        coordinator turn's ``now``.
 
         The kill comes FIRST: even when the respawn budget is exhausted
         and the study is about to abort, a zombie must not leak as a
@@ -94,12 +94,12 @@ class RankSupervisor:
                 self.killed_pids.append(pid)
             except (ProcessLookupError, PermissionError):
                 pass  # already gone (a crash, not a zombie)
-        self.policy.record_respawn(rank, time.monotonic())
+        self.policy.record_respawn(rank, now)
         self.spawner(rank)
         # re-arm staleness from "replacement spawned": a replacement that
         # dies before it ever registers must be caught and retried within
         # the remaining budget, not stall the study
-        self.policy.record_heartbeat(rank, time.monotonic())
+        self.policy.record_heartbeat(rank, now)
 
     @property
     def total_respawns(self) -> int:

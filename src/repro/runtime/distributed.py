@@ -51,7 +51,6 @@ from repro.sampling.pickfreeze import draw_design
 from repro.scheduler.policy import ElasticPoolPolicy, SchedulingPolicy
 from repro import telemetry as _telemetry
 from repro.telemetry.aggregate import StudyTelemetry
-from repro.telemetry.exporters import MetricsFileWriter, MetricsHTTPServer
 from repro.telemetry.tracer import Tracer
 
 
@@ -173,13 +172,11 @@ class DistributedRuntime:
             telemetry or trace_file or metrics_file or metrics_port is not None
         )
         self.trace_file = trace_file
-        self.metrics_file = metrics_file
-        self.metrics_port = metrics_port
-        self.metrics_interval = metrics_interval
+        self._exporters = dict(  # the coordinator owns both
+            metrics_file=metrics_file, metrics_interval=metrics_interval,
+            metrics_port=metrics_port)
         self.telemetry: Optional[StudyTelemetry] = None
         self.tracer: Optional[Tracer] = None
-        self.metrics_server: Optional[MetricsHTTPServer] = None
-        self._metrics_writer: Optional[MetricsFileWriter] = None
         self._ctx = mp.get_context("fork") if self._forks else None
         self.design = draw_design(
             config.space, config.ngroups, seed=config.seed,
@@ -198,8 +195,9 @@ class DistributedRuntime:
         return self.wait(timeout)
 
     def start(self) -> Tuple[str, int]:
-        """Start the coordinator and exporters, fork the local ranks and
-        workers; returns the coordinator's bound ``(host, port)``."""
+        """Start the coordinator (which owns both metrics exporters), fork
+        the local ranks and workers; returns the coordinator's bound
+        ``(host, port)``."""
         if self._forks:
             # resolve the backend before forking: on a cold cache every
             # rank would otherwise race into its own duplicate C compile
@@ -246,18 +244,9 @@ class DistributedRuntime:
             pool=pool,
             telemetry=telemetry,
             tracer=tracer,
+            **self._exporters,
         ).start()
         self.coordinator = coordinator
-        if telemetry is not None:
-            frame_fn = lambda: telemetry.view(coordinator.study_view())  # noqa: E731
-            if self.metrics_file:
-                self._metrics_writer = MetricsFileWriter(
-                    self.metrics_file, frame_fn, interval=self.metrics_interval
-                ).start()
-            if self.metrics_port is not None:
-                self.metrics_server = MetricsHTTPServer(
-                    frame_fn, host=self.host, port=self.metrics_port
-                ).start()
         ctx = self._ctx
         self.server_procs = [
             self._rank_process(rank, self.fault_plan.rank_faults.get(rank))
@@ -289,8 +278,8 @@ class DistributedRuntime:
 
     def wait(self, timeout: float = 300.0) -> StudyResults:
         """Coordinate the started study to completion — the coordinator's
-        event loop runs on this thread — shut every forked process and
-        exporter down, and assemble the results."""
+        event loop runs on this thread — shut every forked process down,
+        and assemble the results."""
         tracer = self.tracer
         try:
             self.coordinator.wait(timeout=timeout)
@@ -321,12 +310,6 @@ class DistributedRuntime:
         for proc in self._all_procs():
             if proc.pid is not None:
                 proc.join(timeout=5.0)
-        if self._metrics_writer is not None:
-            self._metrics_writer.close()
-            self._metrics_writer = None
-        if self.metrics_server is not None:
-            self.metrics_server.close()
-            self.metrics_server = None
 
     # ------------------------------------------------------------------ #
     def _rank_process(self, rank: int, fault: Optional[ProcessFault]):

@@ -2,19 +2,20 @@
 
 The observability layer (ISSUE 8) in four pieces:
 
-* :mod:`repro.telemetry.registry` — thread-safe Counter / Gauge /
-  Histogram registry with label support, snapshot / delta / merge
-  algebra, and Prometheus text rendering.  Near-zero overhead while
-  disabled (the default).
+* :mod:`repro.telemetry.registry` — Counter / Gauge / Histogram
+  registry with label support, snapshot / delta / merge algebra, and
+  Prometheus text rendering (locked only for the fold pool's threads).
+  Near-zero overhead while disabled (the default).
 * :mod:`repro.telemetry.tracer` — span/event tracer exporting Chrome
   trace-event JSON (``repro launch --trace FILE`` → Perfetto).
 * :mod:`repro.telemetry.aggregate` — ``StudyTelemetry``: the
   coordinator-side merge of metric deltas that ranks and workers
   piggyback on heartbeat frames.
 * surfaces — :mod:`repro.telemetry.top` (``repro top``),
-  :mod:`repro.telemetry.exporters` (``--metrics-file`` JSONL,
-  ``--metrics-port`` Prometheus HTTP), :mod:`repro.telemetry.logs`
-  (structured ``--log-level`` / ``--log-json`` logging).
+  :mod:`repro.telemetry.exporters` (the ``--metrics-file`` JSONL line and
+  ``--metrics-port`` HTTP response the coordinator's loop writes),
+  :mod:`repro.telemetry.logs` (structured ``--log-level`` /
+  ``--log-json`` logging).
 
 One process-global registry (:data:`REGISTRY`) serves every component;
 ``REPRO_TELEMETRY=1`` in the environment enables it at import, and the

@@ -10,12 +10,12 @@ which folds the metric delta into a per-sender accumulated snapshot and
 routes span records to the study tracer.  :meth:`combined` merges the
 coordinator's own registry with every sender's accumulation into one
 study-wide snapshot — the object behind ``--metrics-file`` JSONL lines,
-the ``/metrics`` endpoints, and ``repro top``.
+the ``/metrics`` endpoints, and ``repro top``.  Only the coordinator's
+loop thread touches it (exporters included), so it takes no lock.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import Dict, Optional
 
@@ -78,19 +78,13 @@ class StudyTelemetry:
     """
 
     def __init__(
-        self,
-        registry: Optional[MetricsRegistry] = None,
-        tracer: Optional[Tracer] = None,
+        self, registry: MetricsRegistry, tracer: Optional[Tracer] = None
     ):
-        if registry is None:
-            from repro.telemetry import REGISTRY
-            registry = REGISTRY
         self.registry = registry
         self.tracer = tracer
         self.started = time.time()
-        self._lock = threading.Lock()
         self._remote: Dict[str, dict] = {}
-        self._payloads = 0
+        self.payloads_ingested = 0
 
     # -- ingest --------------------------------------------------------- #
     def ingest(self, sender: str, payload: Optional[dict]) -> None:
@@ -98,30 +92,21 @@ class StudyTelemetry:
         if not payload:
             return
         metrics = payload.get("metrics")
-        with self._lock:
-            self._payloads += 1
-            if metrics:
-                self._remote[sender] = merge(self._remote.get(sender), metrics)
+        self.payloads_ingested += 1
+        if metrics:
+            self._remote[sender] = merge(self._remote.get(sender), metrics)
         spans = payload.get("spans")
         if spans and self.tracer is not None:
             self.tracer.extend(spans)
 
-    @property
-    def payloads_ingested(self) -> int:
-        with self._lock:
-            return self._payloads
-
     def senders(self):
-        with self._lock:
-            return sorted(self._remote)
+        return sorted(self._remote)
 
     # -- export --------------------------------------------------------- #
     def combined(self) -> dict:
         """Study-wide snapshot: local registry + every sender, merged."""
         out = merge(None, self.registry.snapshot())
-        with self._lock:
-            remotes = list(self._remote.values())
-        for remote in remotes:
+        for remote in self._remote.values():
             merge(out, remote)
         return out
 

@@ -1,75 +1,40 @@
-"""Telemetry surfaces: periodic JSONL export and a stdlib HTTP endpoint.
+"""Telemetry export formats: the ``--metrics-file`` line and the
+``--metrics-port`` response, both rendered from one
+:meth:`StudyTelemetry.view` frame.  No socket, timer or thread lives
+here: the coordinator's loop calls these helpers in its turn.
 
-Both consume the same :meth:`StudyTelemetry.view` frames:
-
-* :class:`MetricsFileWriter` appends one JSON object per line to
-  ``--metrics-file`` on a fixed cadence (plus a final frame at close),
-  so a finished run leaves a replayable timeline and ``repro top
-  --follow FILE`` can tail a live one.
-* :class:`MetricsHTTPServer` serves ``/metrics`` (Prometheus text
-  exposition) and ``/metrics.json`` (the full dashboard frame) from a
-  daemon thread — the hook a future REST front-end mounts under its own
-  router.  Stdlib ``http.server`` only; no new dependencies.
+* :func:`append_frame` appends one JSON object per line, so a finished
+  run leaves a replayable timeline and ``repro top FILE`` can tail a
+  live one.
+* :func:`http_response` answers one request head: ``/metrics`` and
+  ``/`` (Prometheus text), ``/metrics.json`` (the dashboard frame),
+  ``/healthz``, and 404 otherwise.
 """
 
 from __future__ import annotations
 
 import json
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
 from typing import Callable, Optional
 
 from repro.telemetry.registry import render_prometheus
 
-__all__ = ["MetricsFileWriter", "MetricsHTTPServer"]
+__all__ = ["MAX_REQUEST_HEAD", "append_frame", "http_response"]
+
+#: longest request head (request line + headers) a metrics client may
+#: send; a longer one is answered 400
+MAX_REQUEST_HEAD = 8192
 
 
-class MetricsFileWriter:
-    """Append dashboard frames to a JSONL file on a timer thread.
-
-    ``frame_fn`` is called on each tick (and once at :meth:`close`) and
-    must return a JSON-serializable dict — normally
-    ``StudyTelemetry.view`` partially applied with live study state.
-    """
-
-    def __init__(self, path, frame_fn: Callable[[], dict],
-                 interval: float = 1.0):
-        self.path = str(path)
-        self._frame_fn = frame_fn
-        self.interval = max(float(interval), 0.05)
-        self._stop = threading.Event()
-        self._write_lock = threading.Lock()
-        # truncate up front so a crashed run leaves an empty file, not a
-        # stale timeline from the previous study
-        with open(self.path, "w", encoding="utf-8"):
-            pass
-        self._thread = threading.Thread(
-            target=self._run, name="repro-metrics-file", daemon=True
-        )
-
-    def start(self) -> "MetricsFileWriter":
-        self._thread.start()
-        return self
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval):
-            self.write_frame()
-
-    def write_frame(self) -> None:
-        try:
-            frame = self._frame_fn()
-        except Exception:
-            return  # never let a telemetry bug take down the study
-        line = json.dumps(frame, default=_json_default)
-        with self._write_lock, open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
-
-    def close(self) -> None:
-        """Stop the timer and write one final frame."""
-        self._stop.set()
-        if self._thread.is_alive():
-            self._thread.join(timeout=2.0)
-        self.write_frame()
+def append_frame(path, frame_fn: Callable[[], dict]) -> None:
+    """Append ``frame_fn()`` to ``path`` as one JSON line.  A frame that
+    fails to render or to land is skipped: a telemetry fault never takes
+    the study down."""
+    try:
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(frame_fn(), default=_json_default) + "\n")
+    except Exception:
+        pass
 
 
 def _json_default(obj):
@@ -79,70 +44,39 @@ def _json_default(obj):
         return repr(obj)
 
 
-class _Handler(BaseHTTPRequestHandler):
-    server_version = "repro-metrics/1"
-
-    def do_GET(self):  # noqa: N802 (stdlib API name)
-        frame_fn = self.server.frame_fn  # type: ignore[attr-defined]
-        path = self.path.split("?", 1)[0]
-        try:
-            if path in ("/metrics", "/"):
-                frame = frame_fn()
-                body = render_prometheus(frame.get("metrics", {})).encode()
-                ctype = "text/plain; version=0.0.4; charset=utf-8"
-            elif path == "/metrics.json":
-                frame = frame_fn()
-                body = json.dumps(frame, default=_json_default).encode()
-                ctype = "application/json"
-            elif path == "/healthz":
-                body, ctype = b"ok\n", "text/plain"
-            else:
-                self.send_error(404, "unknown path (try /metrics)")
-                return
-        except Exception as exc:  # pragma: no cover - defensive
-            self.send_error(500, f"telemetry error: {exc}")
-            return
-        self.send_response(200)
-        self.send_header("Content-Type", ctype)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, *args) -> None:  # silence per-request stderr spam
-        pass
+def http_response(head: bytes, frame_fn: Callable[[], dict]) -> Optional[bytes]:
+    """The whole response to a request ``head``, or None while the head
+    is incomplete and within :data:`MAX_REQUEST_HEAD`."""
+    end = head.find(b"\r\n\r\n")
+    if end < 0:
+        if len(head) > MAX_REQUEST_HEAD:
+            return _response(400, b"request head too long\n")
+        return None
+    request = head[:end].split(b"\r\n", 1)[0].split()
+    if len(request) != 3:
+        return _response(400, b"bad request line\n")
+    if request[0] != b"GET":
+        return _response(501, b"unsupported method\n")
+    path = request[1].decode("latin-1").split("?", 1)[0]
+    try:
+        if path in ("/metrics", "/"):
+            body = render_prometheus(frame_fn().get("metrics", {})).encode()
+            ctype = "text/plain; version=0.0.4; charset=utf-8"
+        elif path == "/metrics.json":
+            body = json.dumps(frame_fn(), default=_json_default).encode()
+            ctype = "application/json"
+        elif path == "/healthz":
+            body, ctype = b"ok\n", "text/plain"
+        else:
+            return _response(404, b"unknown path (try /metrics)\n")
+    except Exception as exc:
+        return _response(500, f"telemetry error: {exc}\n".encode())
+    return _response(200, body, ctype)
 
 
-class MetricsHTTPServer:
-    """Serve Prometheus text + JSON frames on ``--metrics-port``."""
-
-    def __init__(self, frame_fn: Callable[[], dict],
-                 host: str = "127.0.0.1", port: int = 0):
-        self._server = ThreadingHTTPServer((host, port), _Handler)
-        self._server.daemon_threads = True
-        self._server.frame_fn = frame_fn  # type: ignore[attr-defined]
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            name="repro-metrics-http", daemon=True,
-        )
-
-    @property
-    def address(self) -> tuple:
-        return self._server.server_address[:2]
-
-    @property
-    def url(self) -> str:
-        host, port = self.address
-        return f"http://{host}:{port}/metrics"
-
-    def start(self) -> "MetricsHTTPServer":
-        self._thread.start()
-        return self
-
-    def close(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread.is_alive():
-            self._thread.join(timeout=2.0)
-
-
-_UNSET = object()
+def _response(status: int, body: bytes, ctype: str = "text/plain") -> bytes:
+    return (
+        f"HTTP/1.0 {status} {HTTPStatus(status).phrase}\r\n"
+        f"Server: repro-metrics/1\r\nContent-Type: {ctype}\r\n"
+        f"Content-Length: {len(body)}\r\nConnection: close\r\n\r\n"
+    ).encode("latin-1") + body

@@ -69,13 +69,11 @@ class _Metric:
         self._registry = registry
         self.name = name
         self.help = help
+        # this lock and MetricsRegistry's are the only telemetry locks:
+        # fold-pool threads observe repro_fold_shard_seconds concurrently
+        # (kernels/parallel.py); everything else runs on one thread
         self._lock = threading.Lock()
         self._series: Dict[LabelKey, object] = {}
-
-    # -- introspection -------------------------------------------------- #
-    def series_keys(self) -> List[LabelKey]:
-        with self._lock:
-            return list(self._series)
 
     def _describe(self) -> dict:
         return {"type": self.kind, "help": self.help}
@@ -309,14 +307,6 @@ class MetricsRegistry:
         buckets: Sequence[float] = DEFAULT_BUCKETS,
     ) -> Histogram:
         return self._get(Histogram, name, help, buckets=buckets)
-
-    def get(self, name: str) -> Optional[_Metric]:
-        with self._lock:
-            return self._metrics.get(name)
-
-    def names(self) -> List[str]:
-        with self._lock:
-            return sorted(self._metrics)
 
     # -- export --------------------------------------------------------- #
     def snapshot(self) -> dict:

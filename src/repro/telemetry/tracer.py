@@ -25,7 +25,6 @@ pickled heartbeat payload and must stay JSON-friendly)::
 from __future__ import annotations
 
 import json
-import threading
 import time
 from contextlib import contextmanager
 from typing import Dict, List, Optional
@@ -61,8 +60,8 @@ def instant_record(
 class Tracer:
     """Collects span/instant records and renders Chrome trace JSON.
 
-    Thread-safe: a lock guards the records, so any thread may append
-    while another renders them.  When ``enabled`` is
+    Owned by one thread: in a launch, the coordinator's loop records and
+    the runtime renders once the loop has returned.  When ``enabled`` is
     False every recording call is a cheap no-op (mirrors the registry's
     zero-overhead-when-disabled contract).
     """
@@ -71,28 +70,21 @@ class Tracer:
 
     def __init__(self, enabled: bool = True):
         self.enabled = bool(enabled)
-        self._lock = threading.Lock()
         self._records: List[dict] = []
         self._epoch: Optional[float] = None
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._records)
 
     # -- recording ------------------------------------------------------ #
     def add(self, record: dict) -> None:
         """Append one compact record (see module docstring for shapes)."""
         if not self.enabled:
             return
-        with self._lock:
-            self._records.append(record)
+        self._records.append(record)
 
     def extend(self, records) -> None:
         """Fold in records shipped by a remote process."""
         if not self.enabled or not records:
             return
-        with self._lock:
-            self._records.extend(records)
+        self._records.extend(records)
 
     def complete(
         self, name: str, cat: str, t0: float, t1: float,
@@ -127,11 +119,9 @@ class Tracer:
         gets a stable integer lane plus a ``thread_name`` metadata
         record so Perfetto shows readable lane names.
         """
-        with self._lock:
-            records = list(self._records)
-        if records:
+        if self._records:
             self._epoch = min(
-                r["t0"] if r["ph"] == "X" else r["t"] for r in records
+                r["t0"] if r["ph"] == "X" else r["t"] for r in self._records
             )
         epoch = self._epoch if self._epoch is not None else 0.0
 
@@ -143,7 +133,7 @@ class Tracer:
             return tids[tid]
 
         events: List[dict] = []
-        for rec in records:
+        for rec in self._records:
             base = {
                 "name": rec.get("name", ""),
                 "cat": rec.get("cat", "") or "repro",

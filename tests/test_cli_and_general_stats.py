@@ -15,6 +15,7 @@ from repro.cli import _resolve_study, build_parser, main
 from repro.core import StudyConfig
 from repro.core.group import FunctionSimulation
 from repro.faults import ProcessFault
+from repro.net.coordinator import Coordinator
 from repro.runtime import SequentialRuntime
 from repro.sobol import IshigamiFunction
 
@@ -72,6 +73,21 @@ class TestCli:
             )
         assert exc.value.code == 2
         assert spec in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_metrics_interval_must_be_finite_and_positive(self, value, capsys):
+        """At ``nan`` the metrics frame deadline would never be sane: a
+        timer that never waits, or a ``select`` that raises."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["launch", "--metrics-interval", value])
+        assert exc.value.code == 2
+        assert "--metrics-interval" in capsys.readouterr().err
+        config = StudyConfig(
+            space=IshigamiFunction().space(), ngroups=1, ntimesteps=1, ncells=4,
+            seed=1,
+        )
+        with pytest.raises(ValueError, match="metrics_interval"):
+            Coordinator(config, metrics_interval=float(value))
 
 
 class TestGeneralStatisticsEndToEnd:

@@ -445,7 +445,7 @@ class TestSupervisorUnit:
             kill=lambda pid, sig: killed.append((pid, sig)),
         )
         supervisor.watch(1, 4242)
-        supervisor.respawn(1)
+        supervisor.respawn(1, 10.0)
         assert killed == [(4242, 9)]
         assert spawned == [1]
         assert supervisor.total_respawns == 1
@@ -458,9 +458,9 @@ class TestSupervisorUnit:
             policy=RankRespawnPolicy(nranks=1, timeout=5.0, max_respawns=1),
             kill=lambda pid, sig: None,
         )
-        supervisor.respawn(0)
+        supervisor.respawn(0, 10.0)
         with pytest.raises(RespawnBudgetExceeded):
-            supervisor.respawn(0)
+            supervisor.respawn(0, 11.0)
         assert spawned == [0]
 
     def test_vanished_pid_is_not_fatal(self):
@@ -474,9 +474,23 @@ class TestSupervisorUnit:
             kill=kill,
         )
         supervisor.watch(0, 777)
-        supervisor.respawn(0)
+        supervisor.respawn(0, 10.0)
         assert spawned == [0]
         assert supervisor.killed_pids == []
+
+    def test_respawn_reads_the_turns_clock(self):
+        """The respawn record and the re-armed heartbeat both carry the
+        ``now`` of the coordinator turn that decided it."""
+        supervisor = RankSupervisor(
+            spawner=lambda rank: None,
+            policy=RankRespawnPolicy(nranks=1, timeout=5.0, max_respawns=1),
+            kill=lambda pid, sig: None,
+        )
+        supervisor.respawn(0, 42.5)
+        assert supervisor.policy.events == [
+            (42.5, LauncherEvent.RANK_RESPAWNED, 0)
+        ]
+        assert supervisor.policy.last_heartbeat == {0: 42.5}
 
 
 class TestRespawnPolicyUnit:

@@ -38,6 +38,7 @@ from repro.net import worker as worker_module
 from repro.net.coordinator import (
     MAX_HELD_GROUPS,
     Coordinator,
+    _HttpClient,
     _Peer,
     study_fingerprint,
 )
@@ -47,6 +48,9 @@ from repro.net.worker import run_worker
 from repro.runtime import DistributedRuntime, SequentialRuntime
 from repro.scheduler.policy import SchedulingPolicy, parse_scheduling
 from repro.sobol import IshigamiFunction
+from repro.telemetry.aggregate import StudyTelemetry
+from repro.telemetry.exporters import MAX_REQUEST_HEAD
+from repro.telemetry.registry import MetricsRegistry
 from repro.transport.message import GroupFieldMessage
 
 # the borrow-rule tripwire: see conftest.poisoned_rings
@@ -539,12 +543,53 @@ def register_rank_by_turns(driver, rank_id=0, address=("127.0.0.1", 1), pid=None
     return rank
 
 
+def with_exporters(config, tmp_path, **kw):
+    """A never-started coordinator with both metrics exporters on."""
+    return retry_on_eaddrinuse(lambda: Coordinator(
+        config, telemetry=StudyTelemetry(MetricsRegistry(enabled=True)),
+        metrics_file=tmp_path / "metrics.jsonl", metrics_port=0, **kw,
+    ))
+
+
+def http_exchange(driver, request):
+    """Send ``request`` to the metrics port, run turns until the
+    coordinator has answered and hung up, and return the response."""
+    coordinator = driver.coordinator
+    with socket.create_connection(coordinator.metrics_address, 10.0) as client:
+        client.sendall(request)
+        driver.turn()  # accept
+        while any(isinstance(p, _HttpClient) for p in coordinator._peers):
+            driver.turn()
+        response = b""
+        while chunk := client.recv(65536):
+            response += chunk
+    return response
+
+
 class TestOneThread:
     def test_the_coordinator_starts_no_thread(self):
         fn, config = make_config(ngroups=1)
         before = set(threading.enumerate())
         coordinator = retry_on_eaddrinuse(lambda: Coordinator(config).start())
         try:
+            assert set(threading.enumerate()) == before
+        finally:
+            coordinator.close()
+
+    def test_the_coordinator_starts_no_thread_with_both_exporters(self, tmp_path):
+        """Its loop answers a GET and writes a frame, and nothing else
+        runs: the exporters are turns, not threads."""
+        fn, config = make_config(ngroups=1)
+        before = set(threading.enumerate())
+        coordinator = with_exporters(config, tmp_path).start()
+        try:
+            response = http_exchange(
+                _TurnDriver(coordinator), b"GET /healthz HTTP/1.1\r\n\r\n"
+            )
+            assert response.startswith(b"HTTP/1.0 200 OK\r\n")
+            assert response.endswith(b"\r\n\r\nok\n")
+            coordinator._turn([], coordinator._next_frame)
+            assert len((tmp_path / "metrics.jsonl").read_text().splitlines()) == 1
             assert set(threading.enumerate()) == before
         finally:
             coordinator.close()
@@ -739,6 +784,62 @@ class TestOneClock:
             for conn in (a, b):
                 if conn is not None:
                     conn.close()
+            coordinator.close()
+
+
+class TestExportersInTheTurn:
+    """The metrics file is a deadline of the loop and the metrics port one
+    more socket in its selector, on the same scripted clock."""
+
+    def test_the_frame_deadline_is_a_wakeup_and_one_frame(self, tmp_path):
+        fn, config = make_config(ngroups=1)
+        coordinator = with_exporters(config, tmp_path)
+        path = tmp_path / "metrics.jsonl"
+        try:
+            due = coordinator._next_frame
+            assert coordinator._next_wakeup(due + 100.0) == due
+            coordinator._turn([], due - 0.01)
+            assert path.read_text() == ""
+            coordinator._turn([], due)
+            assert len(path.read_text().splitlines()) == 1
+            assert coordinator._next_frame == due + coordinator.metrics_interval
+            coordinator._turn([], due + 0.01)  # not due again yet
+            assert len(path.read_text().splitlines()) == 1
+        finally:
+            coordinator.close()
+
+    def test_a_silent_http_client_is_dropped_at_its_deadline(
+        self, monkeypatch, tmp_path
+    ):
+        fn, config = make_config(ngroups=1)
+        coordinator = with_exporters(config, tmp_path, worker_timeout=5.0)
+        monkeypatch.setattr(coordinator_module, "time", _NoClock())
+        clock = [0.0]
+        driver = _TurnDriver(coordinator, lambda: clock[0])
+        a = silent = None
+        try:
+            a, _ = driver.join("a")
+            silent = socket.create_connection(coordinator.metrics_address, 10.0)
+            driver.turn()  # accepted at 0: request due by 5
+            clock[0] = 5.1
+            driver.ask(a)  # the same turn sweeps the silent client
+            assert leased(a) == [0]
+            assert not any(isinstance(p, _HttpClient) for p in coordinator._peers)
+            assert silent.recv(1) == b""
+        finally:
+            for conn in (a, silent):
+                if conn is not None:
+                    conn.close()
+            coordinator.close()
+
+    def test_a_request_head_over_the_cap_is_a_400(self, tmp_path):
+        fn, config = make_config(ngroups=1)
+        coordinator = with_exporters(config, tmp_path)
+        try:
+            head = b"GET /" + b"x" * (MAX_REQUEST_HEAD - 4)  # no blank line
+            response = http_exchange(_TurnDriver(coordinator), head)
+            assert response.startswith(b"HTTP/1.0 400 Bad Request\r\n")
+        finally:
             coordinator.close()
 
 

@@ -5,7 +5,8 @@ algebra the heartbeat shipping relies on: counter monotonicity and the
 ``merge(a, delta(a, b)) == b`` invariant, histogram merge
 commutativity), the span tracer's Chrome trace-event output, the
 single-layout heartbeat framing, the coordinator-side aggregation, the
-export surfaces (Prometheus text, JSONL writer, stdlib HTTP endpoint),
+export surfaces (Prometheus text, and the JSONL file and HTTP endpoint
+the coordinator's loop serves),
 structured logging, and the ``repro top`` renderer.
 """
 
@@ -14,15 +15,20 @@ import json
 import logging
 import socket
 import struct
+import threading
+import time
 import urllib.request
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from net_util import retry_on_eaddrinuse
+from repro.core import StudyConfig
+from repro.net.coordinator import Coordinator
 from repro.net.framing import recv_frame, send_frame
+from repro.sobol import IshigamiFunction
 from repro.telemetry.aggregate import StudyTelemetry, series_table, series_value
-from repro.telemetry.exporters import MetricsFileWriter, MetricsHTTPServer
 from repro.telemetry.logs import configure_logging, get_logger, ids
 from repro.telemetry.registry import (
     MetricsRegistry,
@@ -397,53 +403,94 @@ class TestStudyTelemetry:
 
 # --------------------------------------------------------------------- #
 class TestExporters:
+    """Both exporters are duties of the coordinator's loop: these tests
+    run its turns on this thread, with a canned dashboard frame."""
+
     def _frame(self):
         return {"time": 1.0, "study": {"ngroups": 2},
                 "metrics": {"repro_x": {"type": "counter", "help": "",
                                         "series": [{"labels": {},
                                                     "value": 1.0}]}}}
 
+    def _coordinator(self, frame=None, **exporters):
+        config = StudyConfig(
+            space=IshigamiFunction().space(), ngroups=2, ntimesteps=1,
+            ncells=4, seed=1,
+        )
+        coordinator = retry_on_eaddrinuse(lambda: Coordinator(
+            config, telemetry=StudyTelemetry(MetricsRegistry(enabled=True)),
+            metrics_interval=10.0, **exporters,
+        ))
+        coordinator._frame = frame or self._frame
+        return coordinator
+
+    def _turning(self, coordinator, fetch):
+        """``fetch()`` on a thread while this thread runs loop turns."""
+        outcome = {}
+
+        def run():
+            try:
+                outcome["value"] = fetch()
+            except Exception as exc:
+                outcome["error"] = exc
+
+        client = threading.Thread(target=run, daemon=True)
+        client.start()
+        deadline = time.monotonic() + 10.0
+        while client.is_alive():
+            assert time.monotonic() < deadline, "the request was not answered"
+            coordinator._turn(coordinator._sel.select(0.02), time.monotonic())
+        if "error" in outcome:
+            raise outcome["error"]
+        return outcome["value"]
+
     def test_jsonl_writer_appends_parseable_frames(self, tmp_path):
         path = tmp_path / "metrics.jsonl"
-        writer = MetricsFileWriter(path, self._frame, interval=10.0)
-        writer.start()
-        writer.write_frame()
-        writer.close()  # writes one final frame
+        coordinator = self._coordinator(metrics_file=path)
+        coordinator._turn([], coordinator._next_frame)  # the deadline's frame
+        coordinator.close()  # writes one final frame
         lines = [json.loads(l) for l in path.read_text().splitlines() if l]
-        assert len(lines) >= 2
+        assert len(lines) == 2
         assert all(f["study"]["ngroups"] == 2 for f in lines)
 
     def test_jsonl_writer_truncates_stale_file(self, tmp_path):
         path = tmp_path / "metrics.jsonl"
         path.write_text("stale line from a previous study\n")
-        writer = MetricsFileWriter(path, self._frame, interval=10.0)
-        writer.close()
+        coordinator = self._coordinator(metrics_file=path)
+        coordinator.close()
         lines = path.read_text().splitlines()
         assert all(json.loads(l)["time"] == 1.0 for l in lines if l)
 
     def test_jsonl_writer_survives_frame_fn_errors(self, tmp_path):
         path = tmp_path / "metrics.jsonl"
-        writer = MetricsFileWriter(path, lambda: 1 / 0, interval=10.0)
-        writer.write_frame()  # swallowed
-        writer.close()
+        coordinator = self._coordinator(lambda: 1 / 0, metrics_file=path)
+        coordinator._turn([], coordinator._next_frame)  # swallowed
+        coordinator.close()
         assert path.read_text() == ""
+        assert coordinator._errors == []
 
     def test_http_server_serves_prometheus_and_json(self):
-        server = MetricsHTTPServer(self._frame).start()
+        coordinator = self._coordinator(metrics_port=0)
         try:
-            host, port = server.address
+            host, port = coordinator.metrics_address
             base = f"http://{host}:{port}"
-            text = urllib.request.urlopen(f"{base}/metrics").read().decode()
-            assert "repro_x 1" in text
-            frame = json.loads(
-                urllib.request.urlopen(f"{base}/metrics.json").read()
+
+            def get(path):
+                return self._turning(
+                    coordinator,
+                    lambda: urllib.request.urlopen(f"{base}{path}").read(),
+                )
+
+            assert "repro_x 1" in get("/metrics").decode()
+            frame = self._turning(
+                coordinator, lambda: fetch_frame(f"{host}:{port}")
             )
             assert frame["study"]["ngroups"] == 2
-            assert urllib.request.urlopen(f"{base}/healthz").read() == b"ok\n"
+            assert get("/healthz") == b"ok\n"
             with pytest.raises(urllib.error.HTTPError):
-                urllib.request.urlopen(f"{base}/nope")
+                get("/nope")
         finally:
-            server.close()
+            coordinator.close()
 
 
 # --------------------------------------------------------------------- #

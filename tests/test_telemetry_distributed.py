@@ -10,6 +10,8 @@ JSON with the expected spans).
 """
 
 import json
+import os
+import socket
 import time
 import zlib
 
@@ -227,3 +229,46 @@ class TestTelemetryParity:
         assert any(
             kind == "finalize" for _, kind, _ in runtime.coordinator.events
         )
+
+
+class TestExportersInTheLoop:
+    def test_metrics_port_answers_while_the_study_runs(self):
+        """A GET sent right after start() is answered by the loop in an
+        early turn, mid-study: after wait() nothing listens any more."""
+        fn, config = make_config(ngroups=8)
+        runtime = retry_on_eaddrinuse(lambda: DistributedRuntime(
+            config, vector_factory(fn, config.ntimesteps, cls=SlowVectorSim),
+            nworkers=2, heartbeat_interval=0.05, metrics_port=0,
+        ))
+        runtime.start()
+        address = runtime.coordinator.metrics_address
+        with socket.create_connection(address, timeout=30.0) as client:
+            client.sendall(b"GET /metrics.json HTTP/1.1\r\nHost: repro\r\n\r\n")
+            results = runtime.wait(timeout=120.0)
+            response = b""
+            while chunk := client.recv(65536):
+                response += chunk
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.0 200 OK")
+        frame = json.loads(body)
+        assert frame["study"]["ngroups"] == config.ngroups
+        assert frame["study"]["groups_done"] < config.ngroups
+        assert results.groups_integrated == config.ngroups
+
+    @pytest.mark.parametrize("exporter", ["busy-port", "missing-dir"])
+    def test_a_failed_exporter_setup_leaves_nothing_open(self, tmp_path, exporter):
+        fn, config = make_config(ngroups=2)
+        with socket.create_server(("127.0.0.1", 0)) as busy:
+            kw = (
+                {"metrics_port": busy.getsockname()[1]}
+                if exporter == "busy-port"
+                else {"metrics_file": tmp_path / "missing" / "metrics.jsonl"}
+            )
+            runtime = DistributedRuntime(
+                config, vector_factory(fn), nworkers=0, supervise=False, **kw
+            )
+            before = sorted(os.listdir("/proc/self/fd"))
+            with pytest.raises(OSError):
+                runtime.start()
+            assert sorted(os.listdir("/proc/self/fd")) == before
+        assert runtime.coordinator is None
