@@ -13,13 +13,20 @@ streams; a *runtime* supplies the execution model:
   :mod:`repro.net` (the paper's ZeroMQ deployment shape).  It forks
   the ranks and workers on this host, or (``nworkers=0``, what
   ``repro launch`` without ``--local-workers`` runs) lets ``repro
-  serve`` / ``repro work`` processes on any machine dial in.
+  serve`` / ``repro work`` processes on any machine dial in.  It is
+  imported when first used, so a sequential study never loads the
+  socket stack.
 """
 
-from repro.runtime.distributed import DistributedRuntime
 from repro.runtime.sequential import SequentialRuntime
 
-__all__ = [
-    "DistributedRuntime",
-    "SequentialRuntime",
-]
+
+def __getattr__(name):
+    if name == "DistributedRuntime":
+        from repro.runtime.distributed import DistributedRuntime
+
+        return DistributedRuntime
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = ["DistributedRuntime", "SequentialRuntime"]

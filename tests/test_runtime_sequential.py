@@ -6,11 +6,16 @@ the same pick-freeze rows and discard-on-replay deduplicates them.
 """
 
 import gc
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro import SensitivityStudy
 from repro.core import StudyConfig
 from repro.core.checkpoint import CheckpointManager
@@ -406,3 +411,28 @@ class TestStudyFacade:
         results = study.run()
         assert results.groups_integrated == 3
         assert results.first_order.shape == (6, 3, 128)
+
+
+class TestColdStart:
+    def test_sequential_tube_study_imports_neither_scipy_nor_the_socket_stack(self):
+        """A sequential study loads only what it runs: the flow solve needs
+        no SciPy and the distributed runtime is imported on first use."""
+        script = (
+            "import sys\n"
+            "from repro import SensitivityStudy\n"
+            "from repro.solver import TubeBundleCase\n"
+            "case = TubeBundleCase(nx=16, ny=8, ntimesteps=3)\n"
+            "r = SensitivityStudy.for_tube_bundle(case, ngroups=2, seed=3).run()\n"
+            "assert r.groups_integrated == 2\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy'\n"
+            "      or m.startswith(('scipy.', 'repro.net', 'repro.runtime.distributed'))))\n"
+            "from repro.runtime import DistributedRuntime\n"
+            "print(DistributedRuntime.__module__)\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == ["[]", "repro.runtime.distributed"]

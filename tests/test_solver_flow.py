@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.mesh import StructuredMesh
-from repro.solver.flow import Obstacle, solve_streamfunction
+from repro.solver.flow import Obstacle, corner_dirichlet, solve_streamfunction
 
 
 @pytest.fixture(scope="module")
@@ -105,3 +105,59 @@ class TestValidation:
         f1 = solve_streamfunction(channel_mesh, (), inflow_speed=1.0)
         f2 = solve_streamfunction(channel_mesh, (), inflow_speed=2.5)
         np.testing.assert_allclose(f2.u_east, 2.5 * f1.u_east)
+
+
+class TestDirectSolve:
+    """The block elimination solves the discrete system exactly to rounding."""
+
+    @staticmethod
+    def _case(name):
+        from repro.solver.tube_bundle import _staggered_bundle
+
+        if name == "tall":  # ny > nx: the blocks run along the other axis
+            return (StructuredMesh(dims=(10, 26), lengths=(1.0, 2.0)),
+                    [Obstacle(0.3, 0.8, 0.7, 1.2)])
+        nx, ny = {"bundle-64x32": (64, 32), "bundle-16x8": (16, 8)}[name]
+        return (StructuredMesh(dims=(nx, ny), lengths=(2.0, 1.0)),
+                _staggered_bundle(2.0, 1.0, 4, 4, 0.45))
+
+    @pytest.mark.parametrize("name", ["bundle-64x32", "tall", "bundle-16x8"])
+    def test_residual_and_fixed_corners(self, name):
+        mesh, obstacles = self._case(name)
+        psi = solve_streamfunction(mesh, obstacles).psi
+        dirichlet, _ = corner_dirichlet(mesh, obstacles)
+        fixed = ~np.isnan(dirichlet)
+        assert 0 < fixed.sum() < fixed.size
+        np.testing.assert_array_equal(psi[fixed], dirichlet[fixed])
+        wx, wy = 1.0 / mesh.spacing[0] ** 2, 1.0 / mesh.spacing[1] ** 2
+        p = psi
+        residual = (2.0 * (wx + wy) * p[1:-1, 1:-1]
+                    - wx * (p[:-2, 1:-1] + p[2:, 1:-1])
+                    - wy * (p[1:-1, :-2] + p[1:-1, 2:]))
+        free = ~fixed[1:-1, 1:-1]
+        assert free.any()
+        bound = 1e-12 * 2.0 * (wx + wy) * np.abs(psi).max()
+        assert np.abs(residual[free]).max() <= bound
+
+    def test_matches_a_dense_solve_of_the_assembled_system(self):
+        mesh, obstacles = self._case("bundle-16x8")
+        dirichlet, _ = corner_dirichlet(mesh, obstacles)
+        ncx, ncy = dirichlet.shape
+        fixed = ~np.isnan(dirichlet)
+        wx, wy = 1.0 / mesh.spacing[0] ** 2, 1.0 / mesh.spacing[1] ** 2
+        index = np.arange(ncx * ncy).reshape(ncx, ncy)
+        a = np.zeros((index.size, index.size))
+        b = np.where(fixed, dirichlet, 0.0).ravel()
+        for i in range(ncx):
+            for j in range(ncy):
+                row = index[i, j]
+                if fixed[i, j]:
+                    a[row, row] = 1.0
+                    continue
+                a[row, row] = 2.0 * (wx + wy)
+                for (ni, nj), w in (((i - 1, j), wx), ((i + 1, j), wx),
+                                    ((i, j - 1), wy), ((i, j + 1), wy)):
+                    a[row, index[ni, nj]] = -w
+        dense = np.linalg.solve(a, b).reshape(ncx, ncy)
+        psi = solve_streamfunction(mesh, obstacles).psi
+        np.testing.assert_allclose(psi, dense, rtol=0, atol=1e-12 * np.abs(dense).max())
