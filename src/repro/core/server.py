@@ -315,11 +315,22 @@ class ServerRank:
         return state
 
     def restore_state(self, state: dict) -> None:
+        """Load a :meth:`checkpoint_state` payload.  The rank copies its
+        arrays, so it shares nothing with ``state``."""
+        self._load_state(state, UbiquitousSobolField.from_state_dict)
+
+    def adopt_state(self, state: dict) -> None:
+        """:meth:`restore_state` for a state nothing else holds (a
+        checkpoint just read, a payload just decoded): the rank keeps its
+        Sobol' arrays as its own instead of copying them."""
+        self._load_state(state, UbiquitousSobolField.adopt_state_dict)
+
+    def _load_state(self, state: dict, sobol_from) -> None:
         if state["rank"] != self.rank:
             raise ValueError("checkpoint belongs to a different rank")
         if (state["cell_lo"], state["cell_hi"]) != (self.cell_lo, self.cell_hi):
             raise ValueError("checkpoint partition mismatch")
-        self.sobol = UbiquitousSobolField.from_state_dict(
+        self.sobol = sobol_from(
             state["sobol"],
             kernel=self.config.kernel,
             fold_threads=self.config.fold_threads,

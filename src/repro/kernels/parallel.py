@@ -12,13 +12,12 @@ combine-order concern: threaded folds are **bit-exact** against
 
 And the GIL does not serialize them: the cext backend is loaded with
 ``ctypes.CDLL``, which releases the GIL around every foreign call (the
-kernel has no Python API to need it); NumPy's einsum/reduction/matmul
-kernels drop the GIL for non-trivial buffers; and the Numba backend JITs
-with ``nogil=True``.  Each shard gets its *own* kernel instance, because
-the reusable scratch buffers that make the single-threaded hot path
-allocation-free (:class:`EinsumKernel` residual slabs, the cext raw-sum
-outputs, the BLAS cell-major transpose) are per-instance and must never
-be shared across threads.
+kernel has no Python API to need it), and NumPy's einsum/reduction/matmul
+kernels drop the GIL for non-trivial buffers.  Each shard gets its *own*
+kernel instance, because the reusable scratch buffers that make the
+single-threaded hot path allocation-free (:class:`EinsumKernel` residual
+slabs, the cext raw-sum outputs, the BLAS cell-major transpose) are
+per-instance and must never be shared across threads.
 
 The executors are process-wide and persistent (one pool per worker
 count, never torn down) so a fold pays thread-dispatch, not

@@ -375,7 +375,7 @@ class DistributedRuntime:
         coordinator = self.coordinator
         self.server = server = MelissaServer(self.config)
         for rank in server.ranks:
-            rank.restore_state(coordinator.rank_states[rank.rank])
+            rank.adopt_state(coordinator.rank_states[rank.rank])
         widths = [coordinator.rank_widths[r] for r in sorted(coordinator.rank_widths)]
         valid = [w for w in widths if not np.isnan(w)]
         return StudyResults.from_server(

@@ -52,13 +52,13 @@ class StudyIncomplete(RuntimeError):
 
 class _FinishedGroups:
     """What recovery reads of one rank's checkpoint: its finished groups
-    (the ``rank`` / ``restore_state`` a ``CheckpointManager`` restores into)."""
+    (the ``rank`` / ``adopt_state`` a ``CheckpointManager`` restores into)."""
 
     def __init__(self, rank: int):
         self.rank = rank
         self.finished_groups: Set[int] = set()
 
-    def restore_state(self, state: dict) -> None:
+    def adopt_state(self, state: dict) -> None:
         self.finished_groups = set(state["finished_groups"])
 
 

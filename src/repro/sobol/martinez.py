@@ -411,7 +411,28 @@ class UbiquitousSobolField:
         """Restore state; ``kernel`` / ``fold_threads`` pick the backend
         and thread policy for the new field (checkpoints are execution-
         policy-agnostic — the state is pure statistics, so a study may
-        restore onto any backend at any thread count)."""
+        restore onto any backend at any thread count).  The field copies
+        every array, so it shares nothing with ``state``."""
+        return cls._from_state(state, np.array, kernel, fold_threads, local_ranks)
+
+    @classmethod
+    def adopt_state_dict(
+        cls, state: dict, kernel: str = "auto",
+        fold_threads="auto", local_ranks: int = 1,
+    ) -> "UbiquitousSobolField":
+        """:meth:`from_state_dict` that keeps ``state``'s arrays as the
+        field's own wherever their dtype and layout already fit.  Only for
+        a state nothing else holds (a checkpoint just read, a payload just
+        decoded): the restore then holds one copy of the state, not two."""
+        def adopt(array, dtype):
+            return np.require(array, dtype, ("C", "A", "W"))
+
+        return cls._from_state(state, adopt, kernel, fold_threads, local_ranks)
+
+    @classmethod
+    def _from_state(
+        cls, state: dict, convert, kernel, fold_threads, local_ranks,
+    ) -> "UbiquitousSobolField":
         keys = {"nparams", "ntimesteps", "ncells", "counts", "mean", "m2", "cxy"}
         if state.get("format") != 2 or not keys <= state.keys():
             raise ValueError(
@@ -445,8 +466,8 @@ class UbiquitousSobolField:
             fold_threads=fold_threads,
             local_ranks=local_ranks,
         )
-        obj._counts = arrays["counts"].astype(np.int64)
-        obj._mean = arrays["mean"].astype(np.float64)
-        obj._m2 = arrays["m2"].astype(np.float64)
-        obj._cxy = arrays["cxy"].astype(np.float64)
+        obj._counts = convert(arrays["counts"], np.int64)
+        obj._mean = convert(arrays["mean"], np.float64)
+        obj._m2 = convert(arrays["m2"], np.float64)
+        obj._cxy = convert(arrays["cxy"], np.float64)
         return obj

@@ -1,7 +1,9 @@
 """Tests for launcher supervision, checkpointing, and convergence control."""
 
 import copy
+import json
 import pickle
+import struct
 
 import numpy as np
 import pytest
@@ -9,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import MelissaLauncher, MelissaServer, StudyConfig
-from repro.core.checkpoint import CheckpointManager
+from repro.core import checkpoint
+from repro.core.checkpoint import CheckpointError, CheckpointManager
 from repro.core.convergence import ConvergenceController, ConvergenceDecision
 from repro.core.launcher import LauncherEvent
 from repro.core.results import StudyResults
@@ -309,13 +312,160 @@ class TestCheckpointManager:
         assert rank.finished_groups
         before = copy.deepcopy(rank.checkpoint_state())
         manager = CheckpointManager(tmp_path)
-        with open(manager.rank_path(0), "wb") as fh:
+        with open(manager.slot_paths(0)[0], "wb") as fh:
             pickle.dump(UNWRITTEN_PAYLOADS[name], fh)
         with pytest.raises(
             ValueError, match=r"incompatible study \(mismatched: .*version"
         ):
             manager.restore_rank(rank, config)
         assert_tree_bit_exact(before, rank.checkpoint_state())
+
+
+class TestCheckpointSlots:
+    """Format 5: two slots per rank, the older overwritten in place."""
+
+    @staticmethod
+    def config():
+        # order-4 moments keep arrays of their own: segments under a list
+        return make_config(statistics=("moments:order=4",))
+
+    @staticmethod
+    def feed(server, batch):
+        rng = np.random.default_rng(batch)
+        for g in (2 * batch, 2 * batch + 1):
+            for t in range(server.config.ntimesteps):
+                server.handle(GroupFieldMessage(g, t, 0, 4, rng.normal(size=(4, 4))), 1.0)
+
+    def restored(self, manager, config):
+        fresh = MelissaServer(config).ranks[0]
+        assert manager.restore_rank(fresh, config)
+        return fresh.checkpoint_state()
+
+    @pytest.mark.parametrize("torn", [2, 3], ids=["into-new-slot", "over-old-slot"])
+    def test_torn_save_keeps_previous_generation(self, tmp_path, monkeypatch, torn):
+        """A save that dies after any number of its writes leaves the
+        previous generation loadable bit for bit, and one more full save
+        restores the new state."""
+        config = self.config()
+        real, budget, count = checkpoint._pwrite, [None], [0]
+
+        def pwrite(fd, data, offset):
+            count[0] += 1
+            if budget[0] is not None:
+                if budget[0] == 0:
+                    raise OSError("killed mid-save")
+                budget[0] -= 1
+            real(fd, data, offset)
+
+        monkeypatch.setattr(checkpoint, "_pwrite", pwrite)
+        server = MelissaServer(config)
+        self.feed(server, 0)
+        CheckpointManager(tmp_path / "count").save_rank(server.ranks[0], config)
+        writes = count[0]
+        assert writes >= 4  # zeroed superblock, segments, manifest, superblock
+        for k in range(writes):
+            manager = CheckpointManager(tmp_path / f"k{k}")
+            server = MelissaServer(config)
+            for batch in range(1, torn):
+                self.feed(server, batch)
+                manager.save_rank(server.ranks[0], config)
+            previous = copy.deepcopy(server.ranks[0].checkpoint_state())
+            self.feed(server, torn)
+            budget[0] = k
+            with pytest.raises(OSError, match="killed mid-save"):
+                manager.save_rank(server.ranks[0], config)
+            budget[0] = None
+            assert_tree_bit_exact(previous, self.restored(manager, config), f"k={k}")
+            manager.save_rank(server.ranks[0], config)
+            assert_tree_bit_exact(
+                server.ranks[0].checkpoint_state(), self.restored(manager, config)
+            )
+
+    def test_damaged_slot_is_refused_or_skipped(self, tmp_path, monkeypatch):
+        """Truncations at every boundary, byte flips in the superblock and
+        the manifest, and foreign files: each either raises
+        ``CheckpointError`` with the target rank untouched or restores the
+        other slot's generation bit for bit — and nothing is unpickled."""
+        config = self.config()
+        manager = CheckpointManager(tmp_path)
+        server = MelissaServer(config)
+        paths, states = [], []
+        for batch in (1, 2):
+            self.feed(server, batch)
+            paths.append(manager.save_rank(server.ranks[0], config))
+            states.append(copy.deepcopy(server.ranks[0].checkpoint_state()))
+        assert sorted(paths) == sorted(manager.slot_paths(0))
+        fingerprint = checkpoint._fingerprint(config)
+        retired = pickle.dumps(
+            {"fingerprint": {**fingerprint, "version": 4}, "state": states[1]}
+        )
+
+        def no_pickle(*args, **kwargs):
+            raise AssertionError("a checkpoint load must not unpickle")
+
+        monkeypatch.setattr(pickle, "load", no_pickle)
+        monkeypatch.setattr(pickle, "loads", no_pickle)
+        rng = np.random.default_rng(5)
+        superblock = struct.Struct("<8sQQQII")
+        for path, other in zip(paths, states[::-1]):
+            good = path.read_bytes()
+            _, _, offset, length, _, _ = superblock.unpack_from(good)
+            segments = json.loads(good[offset:offset + length])["segments"]
+            cuts = {0, 1, superblock.size - 1, superblock.size, offset, offset + 1,
+                    offset + length // 2, len(good) - 1}
+            cuts |= {entry["offset"] + d for entry in segments for d in (0, 1)}
+            flips = list(range(superblock.size))
+            flips += [offset, offset + length - 1]
+            flips += list(offset + rng.choice(length, 24, replace=False))
+            cases = [(f"cut@{n}", good[:n], "skip") for n in sorted(cuts)]
+            cases += [
+                (f"flip@{i}", good[:i] + bytes([good[i] ^ 0xFF]) + good[i + 1:],
+                 "refuse" if i < 8 else "skip")
+                for i in flips
+            ]
+            cases += [("empty", b"", "skip"), ("noise", rng.bytes(4096), "refuse"),
+                      ("format-4", retired, "refuse")]
+            for name, data, expected in cases:
+                path.write_bytes(data)
+                target = MelissaServer(config)
+                self.feed(target, 9)
+                before = copy.deepcopy(target.ranks[0].checkpoint_state())
+                try:
+                    assert manager.restore_rank(target.ranks[0], config), name
+                except CheckpointError:
+                    assert expected == "refuse", name
+                    assert_tree_bit_exact(before, target.ranks[0].checkpoint_state(), name)
+                else:
+                    assert expected == "skip", name
+                    assert_tree_bit_exact(other, target.ranks[0].checkpoint_state(), name)
+            path.write_bytes(good)
+        assert_tree_bit_exact(states[1], self.restored(manager, config))
+
+    def test_restore_adopts_loaded_arrays_and_snapshots_copy(self, tmp_path, monkeypatch):
+        """The loader's arrays become the rank's (one copy of the state in
+        memory); an in-memory ``restore_state`` still shares nothing."""
+        config = self.config()
+        manager = CheckpointManager(tmp_path)
+        server = MelissaServer(config)
+        self.feed(server, 1)
+        manager.save_rank(server.ranks[0], config)
+        loaded = []
+        load = CheckpointManager.load_rank_state
+
+        def spied(self, rank_idx, cfg):
+            loaded.append(load(self, rank_idx, cfg))
+            return loaded[-1]
+
+        monkeypatch.setattr(CheckpointManager, "load_rank_state", spied)
+        fresh = MelissaServer(config).ranks[0]
+        assert manager.restore_rank(fresh, config)
+        assert fresh.sobol._mean is loaded[0]["sobol"]["mean"]
+        assert fresh.sobol._cxy is loaded[0]["sobol"]["cxy"]
+        copied = MelissaServer(config).ranks[0]
+        state = server.ranks[0].checkpoint_state()
+        copied.restore_state(state)
+        for name in ("counts", "mean", "m2", "cxy"):
+            assert not np.shares_memory(getattr(copied.sobol, f"_{name}"), state["sobol"][name])
 
 
 def make_shaped_config(ncells, ntimesteps, nparams, server_ranks, general):

@@ -320,7 +320,8 @@ class TestServerCrashRecovery:
         fn, config = ishigami_config(6, ncells=4, server_ranks=2)
         manager = CheckpointManager(tmp_path)
         manager.save(MelissaServer(config))
-        manager.rank_path(1).unlink()
+        for path in manager.slot_paths(1):
+            path.unlink(missing_ok=True)
         runtime = SequentialRuntime(
             config, ishigami_factory(fn), checkpoint_dir=tmp_path
         )

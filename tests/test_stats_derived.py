@@ -219,16 +219,20 @@ class TestStreamingAndFormats:
         """A format-3 file, whose moments rows carried their own arrays,
         fails on ``version`` before anything is read into the rank."""
         _, config = make_config(4, server_ranks=1)
-        server = MelissaServer(config)
-        manager = CheckpointManager(tmp_path)
-        manager.save(server)
-        with open(manager.rank_path(0), "rb") as fh:
-            payload = pickle.load(fh)
-        payload["fingerprint"]["version"] = 3
-        payload["state"]["stats"]["states"] = [[
+        state = MelissaServer(config).ranks[0].checkpoint_state()
+        state["stats"]["states"] = [[
             IterativeMoments((NCELLS,)).state_dict() for _ in range(2)
         ]]
-        with open(manager.rank_path(0), "wb") as fh:
+        payload = {
+            "fingerprint": {
+                "version": 3, "ncells": NCELLS, "ntimesteps": 2,
+                "nparams": config.nparams, "server_ranks": 1,
+                "statistics": list(config.statistics),
+            },
+            "state": state,
+        }
+        manager = CheckpointManager(tmp_path)
+        with open(manager.slot_paths(0)[0], "wb") as fh:
             pickle.dump(payload, fh)
         with pytest.raises(
             ValueError, match=r"incompatible study \(mismatched: version\)"
