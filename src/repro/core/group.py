@@ -258,11 +258,12 @@ class GroupExecutor:
                 f"group {self.group.group_id} crashed at timestep {timestep}"
             )
         # one copy on the group side: every member's output lands directly
-        # in the payload slab of each plan entry.  Slabs are never reused —
-        # a delivered payload belongs to the receiver (transport.message).
-        # A zombie computes but fills and sends nothing: its plan is empty
+        # in the payload slab of each plan entry.  The transport hands the
+        # slabs out: the owning rank's, recycled once folded, where it can
+        # (transport.message).  A zombie computes but fills and sends
+        # nothing: its plan is empty
         plan = [] if self.zombie else self._redistribution_plan()
-        slabs = [np.empty((self.group.size, hi - lo)) for lo, hi in plan]
+        slabs = [self.router.payload(self.group.size, lo, hi) for lo, hi in plan]
         shape = (self.config.ncells,)
         step_ids = set()
         for m, sim in enumerate(self.members):
@@ -299,14 +300,6 @@ class GroupExecutor:
     @property
     def finished_computing(self) -> bool:
         return bool(self.members) and all(s.finished for s in self.members)
-
-    @property
-    def is_blocked(self) -> bool:
-        return self.state == GroupState.BLOCKED
-
-    @property
-    def outbox_size(self) -> int:
-        return len(self._outbox)
 
     # ------------------------------------------------------------------ #
     # two-stage transfer (Sec. 4.1.2)

@@ -51,10 +51,10 @@ class _Staging:
 
     __slots__ = ("data", "received", "missing")
 
-    def __init__(self, nmembers: int, ncells: int):
-        self.data = np.empty((nmembers, ncells))
-        self.received = np.zeros((nmembers, ncells), dtype=bool)
-        self.missing = nmembers * ncells
+    def __init__(self, data: np.ndarray):
+        self.data = data
+        self.received = np.zeros(data.shape, dtype=bool)
+        self.missing = data.size
 
     def put(self, member: int, lo: int, rows: np.ndarray) -> bool:
         """Store ``rows`` at ``(member, lo)``; True once nothing is missing."""
@@ -227,9 +227,7 @@ class ServerRank:
             complete = data
         else:
             if staging is None:
-                staging = self._staging[key] = _Staging(
-                    self.nmembers, self.ncells_local
-                )
+                staging = self._staging[key] = _Staging(self.sobol.payload())
             if staging.put(member, cell_lo - self.cell_lo, data):
                 complete = staging.data
                 del self._staging[key]
@@ -368,6 +366,7 @@ class ServerRank:
         runs INSIDE the rank process, so assembly parallelizes across
         ranks and the parent only concatenates.
         """
+        self.sobol.flush()  # the study's last read: its free slabs go
         t_total = self.config.ntimesteps
         p = self.config.nparams
         w = self.ncells_local
@@ -411,9 +410,6 @@ class MelissaServer:
         ]
 
     # ------------------------------------------------------------------ #
-    def rank_for_cell(self, cell: int) -> ServerRank:
-        return self.ranks[self.partition.owner_of(cell)]
-
     def handle(self, msg, now: float) -> bool:
         """Route one message to its owning rank(s) (driver convenience).
 

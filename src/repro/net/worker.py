@@ -64,6 +64,8 @@ import traceback
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro import telemetry as _telemetry
 from repro.faults import FaultInjector, ProcessFault
 
@@ -173,6 +175,10 @@ class SocketRouter:
                 ) from exc
             self.channels[rank] = channel
         return channel
+
+    def payload(self, nmembers: int, lo: int, hi: int) -> np.ndarray:
+        """A new slab (a claimed shared-memory ring slot could stand here)."""
+        return np.empty((nmembers, hi - lo))
 
     def deliver(self, msg) -> bool:
         chunks = split_by_partition(msg, self.server_partition)

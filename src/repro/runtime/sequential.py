@@ -191,6 +191,7 @@ class SequentialRuntime:
         self.router = Router(
             self.server.partition,
             channel_capacity_bytes=self.config.channel_capacity_bytes,
+            fields=[rank.sobol for rank in self.server.ranks],
         )
         self._server_down = False
         # groups already integrated (restored checkpoint) are final

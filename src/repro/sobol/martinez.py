@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import heapq
 import time as _time
-from typing import List, Optional, Tuple
+import weakref
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -71,6 +72,10 @@ class UbiquitousSobolField:
     merges the batch into the running state.  Any read (maps, intervals,
     checkpoints) flushes pending buffers first, so results never lag the
     data.
+
+    Slabs: :meth:`payload` issues ``(p+2, ncells)`` slabs to fill and
+    adopt; a fold puts the ones it issued (never a caller's array or a
+    view) on a free list of at most ``batch_size`` for the next call.
 
     Updates remain commutative across groups up to FP rounding — the
     property the asynchronous server relies on (Sec. 3.1) — and a fold of
@@ -145,6 +150,9 @@ class UbiquitousSobolField:
             )
         # preallocated rank-1 correction scratch (sequential path)
         self._r1 = np.empty((2, nparams, blk))
+        # issued slabs by id (an ndarray is unhashable); folded ones free
+        self._issued = weakref.WeakValueDictionary()
+        self._free: Dict[int, np.ndarray] = {}
 
     @property
     def kernel_name(self) -> str:
@@ -165,6 +173,15 @@ class UbiquitousSobolField:
     # ------------------------------------------------------------------ #
     # updates
     # ------------------------------------------------------------------ #
+    def payload(self) -> np.ndarray:
+        """An uninitialised C-contiguous ``(p+2, ncells)`` slab to fill and
+        adopt: a folded one of this field's when one is free, else new."""
+        if self._free:
+            return self._free.popitem()[1]
+        slab = np.empty((self._m, self.ncells))
+        self._issued[id(slab)] = slab
+        return slab
+
     def update_group_buffer(self, timestep: int, buf: np.ndarray) -> None:
         """Adopt one group's ``(p+2, ncells)`` outputs for ``timestep``.
 
@@ -183,6 +200,8 @@ class UbiquitousSobolField:
             raise ValueError(
                 f"buffer shape {buf.shape} != ({self._m}, {self.ncells})"
             )
+        # a free slab adopted again (a duplicate delivery) is staged, not free
+        self._free.pop(id(buf), None)
         staged = self._staged[timestep]
         staged.append(buf)
         self._staged_total += 1
@@ -258,15 +277,20 @@ class UbiquitousSobolField:
             )
         self._counts[t] = na + nb
         self._staged_total -= nb
+        for slab in slabs:
+            if len(self._free) < self.batch_size and self._issued.get(id(slab)) is slab:
+                self._free[id(slab)] = slab
         slabs.clear()
 
     def flush(self, timestep: Optional[int] = None) -> None:
-        """Fold staged buffers (one timestep, or all when ``None``)."""
+        """Fold staged buffers (one timestep, or all when ``None``: a read
+        of the whole state, after which no slab is kept free)."""
         if timestep is not None:
             self._fold(timestep)
         else:
             for t in range(self.ntimesteps):
                 self._fold(t)
+            self._free.clear()
 
     @property
     def staged_groups(self) -> int:
@@ -381,8 +405,8 @@ class UbiquitousSobolField:
         co-moment rows, each of ``ncells`` floats — (4p+4) x ncells, less
         than half of 2p independent covariance pairs' (10p+2).  Used by the
         memory-accounting benchmark (paper: 491 GB server memory for 10M
-        cells x 100 steps).  Staged-but-unfolded buffers are transient
-        and bounded by ``max_staged`` x (p+2) x ncells on top.
+        cells x 100 steps).  Slabs come on top, each (p+2) x ncells: at
+        most ``max_staged`` staged ones plus ``batch_size`` free ones.
         """
         per_timestep = (4 * self.nparams + 4) * self.ncells
         return per_timestep * self.ntimesteps

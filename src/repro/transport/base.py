@@ -44,13 +44,17 @@ class Channel(Protocol):
 @runtime_checkable
 class TransportClient(Protocol):
     """What a :class:`~repro.core.group.GroupExecutor` needs from "the
-    network": the server partition its messages are split along, and
-    back-pressured delivery along it.  Where each rank listens is the
-    transport's business, not the group's.
+    network": the server partition its messages are split along, slabs
+    to write payloads into, and back-pressured delivery along it.  Where
+    each rank listens is the transport's business, not the group's.
     """
 
     @property
     def server_partition(self):  # -> BlockPartition
+        ...
+
+    def payload(self, nmembers: int, lo: int, hi: int):  # -> np.ndarray
+        """An uninitialised C-contiguous float64 ``(nmembers, hi - lo)`` slab."""
         ...
 
     def deliver(self, msg: Any) -> bool:

@@ -10,7 +10,9 @@ after ``deliver`` the sender neither writes to the array nor reuses it
 for a later message, because channels and the server hold it by
 reference — a server rank folds a payload that covers its whole
 partition without copying it.  A sender that must keep writing to a
-buffer sends a copy.
+buffer sends a copy.  Once the receiver has folded a payload, its
+memory is the receiver's to hand to a later sender: a rank's Sobol'
+field recycles the slabs it issued (``TransportClient.payload``).
 
 That is an *owned* payload: whoever receives the message may keep it.
 A decoder that reads frames out of storage it will reuse (the shm ring)

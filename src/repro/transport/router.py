@@ -11,7 +11,9 @@ every group pushes into.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.mesh.partition import BlockPartition
 from repro.transport.channel import BoundedChannel
@@ -43,14 +45,18 @@ class Router:
         Server-side data partition (fixed at server start).
     channel_capacity_bytes:
         ZeroMQ-style combined buffer budget per channel (None = unbounded).
+    fields:
+        Each rank's Sobol' field, in rank order, for :meth:`payload`.
     """
 
     def __init__(
         self,
         server_partition: BlockPartition,
         channel_capacity_bytes: Optional[int] = None,
+        fields: Sequence = (),
     ):
         self.server_partition = server_partition
+        self._fields = {server_partition.range_of(r): f for r, f in enumerate(fields)}
         self.channel_capacity_bytes = channel_capacity_bytes
         # inbound data channels, keyed by server rank: every client
         # pushes into the owning rank's single queue (ZeroMQ PULL).
@@ -63,6 +69,14 @@ class Router:
         }
 
     # ------------------------------------------------------------------ #
+    def payload(self, nmembers: int, lo: int, hi: int) -> np.ndarray:
+        """The owning field's recycled slab when ``[lo, hi)`` is exactly
+        one rank's range (folded by reference, then handed back), else new."""
+        field = self._fields.get((lo, hi))
+        if field is not None and field.nparams + 2 == nmembers:
+            return field.payload()
+        return np.empty((nmembers, hi - lo))
+
     def deliver(self, msg: FieldMessage) -> bool:
         """Enqueue one pre-built message to its owning server rank(s);
         False means "would block" and nothing was enqueued.

@@ -526,6 +526,15 @@ class TestSplittingThroughSocketPath:
 
 
 class TestTransportClientConformance:
+    @staticmethod
+    def _is_slab(slab, nmembers, ncells):
+        return (
+            slab.shape == (nmembers, ncells)
+            and slab.dtype == np.float64
+            and slab.flags.c_contiguous
+            and slab.flags.writeable
+        )
+
     def test_both_transports(self):
         from repro.transport.router import Router
 
@@ -536,9 +545,38 @@ class TestTransportClientConformance:
         router = _CannedRendezvous(config, fabric.addresses()).router()
         try:
             assert isinstance(router, TransportClient)
+            assert self._is_slab(router.payload(4, 2, 9), 4, 7)
         finally:
             router.close()
             fabric.close()
+
+    def test_in_memory_payload_is_the_owning_ranks_slab(self):
+        """A whole rank range with the field's member count draws on that
+        rank's field, whose fold hands the slab back; any other range or
+        member count, or a router without fields, gets a new slab."""
+        from repro.sobol.martinez import UbiquitousSobolField
+        from repro.transport.router import Router
+
+        config = make_config(ncells=10, server_ranks=2)
+        partition = BlockPartition(config.ncells, config.server_ranks)
+        fields = [
+            UbiquitousSobolField(
+                config.nparams, config.ntimesteps, hi - lo, batch_size=1
+            )
+            for lo, hi in map(partition.range_of, range(config.server_ranks))
+        ]
+        router = Router(partition, fields=fields)
+        nmembers = config.group_size
+        lo, hi = partition.range_of(1)
+        slab = router.payload(nmembers, lo, hi)
+        assert self._is_slab(slab, nmembers, hi - lo)
+        slab[...] = 1.0
+        fields[1].update_group_buffer(0, slab)  # batch_size 1: folded now
+        assert router.payload(nmembers, lo, hi) is slab
+        for args in ((nmembers, lo, hi - 1), (nmembers - 1, lo, hi), (nmembers, 0, hi)):
+            assert self._is_slab(router.payload(*args), args[0], args[2] - args[1])
+        fresh = Router(partition).payload(nmembers, lo, hi)
+        assert self._is_slab(fresh, nmembers, hi - lo) and fresh is not slab
 
 
 class TestLeaseRankTable:
